@@ -10,26 +10,134 @@
 //! fills can surface media bit errors. With no fault model attached every
 //! hook reduces to a `None` check and the cache behaves exactly as the
 //! perfect device did.
+//!
+//! # Layout
+//!
+//! Every simulated load and store lands here, so the steady state allocates
+//! nothing. Line payloads live in one byte arena that grows a line at a time
+//! (never pre-sized: a crash campaign builds thousands of 6 MiB-cache worlds
+//! that touch a few hundred lines each) and recycles slots through a free
+//! list. Each set is a short vector of 24-byte [`LineMeta`] records — tag,
+//! LRU tick, arena slot, dirty bit — so a way scan never strides over
+//! payload bytes; writer tags sit in a third, slot-indexed table that only
+//! stores touch. LRU victims are found by scanning `last_use`, and dirty and
+//! resident counts are kept, so whole-cache operations return at once when
+//! there is nothing to do.
+//!
+//! A lookup first consults a small direct-mapped table of `(set, way)`
+//! hints, indexed by line number and refreshed on every access. A hint is
+//! trusted only after its tag compares equal, so nothing has to invalidate
+//! it; when it holds (the lines a kernel is streaming through) the set-index
+//! division and the way scan, with its unpredictable exit, are skipped.
+//!
+//! # Orders that simulated results depend on
+//!
+//! [`crate::FaultModel`] draws every fault from one sequential PRNG, so the
+//! order in which lines reach the device is part of the simulated result:
+//!
+//! 1. **In-set line order** is insertion order as perturbed by
+//!    `swap_remove` on eviction. `flush_all`, `flush_upto`,
+//!    `dirty_line_views` (hence `CrashLoss::lines`) visit lines set by set
+//!    in that order; it decides which write-back gets which fate roll and
+//!    which lines a mid-flush crash budget reaches.
+//! 2. **A set may exceed its associativity**: a read miss into an all-dirty
+//!    set keeps every dirty line, and so does a write miss whose every
+//!    victim is stuck. The next write miss evicts until the set is back
+//!    under, restarting from the LRU line after each removal. Sets are
+//!    therefore growable vectors, not fixed-way arrays.
+//! 3. **Fill faults come before the copy**: on both miss paths `fill_fault`
+//!    runs on the durable bytes (after any eviction write-backs) and the
+//!    line is filled from the result. Writer tags keep insertion order.
 
 use crate::config::NvmConfig;
 use crate::fault::{DeviceFaults, FlushOutcome, WritebackFate};
 use crate::stats::NvmStats;
 
-/// One cache line: tag, payload, and bookkeeping bits.
+/// Distinct writer tags a line records before spilling to the heap. Output
+/// lines are typically written by one block, two at a tile boundary.
+const INLINE_WRITERS: usize = 2;
+
+/// The writer tags (e.g. GPU block IDs) whose stores dirtied a line and are
+/// not yet durable, in first-store order. Empty whenever the line is clean.
 #[derive(Debug, Clone)]
-pub struct CacheLine {
+enum WriterSet {
+    Inline {
+        len: u8,
+        tags: [u64; INLINE_WRITERS],
+    },
+    Spilled(Vec<u64>),
+}
+
+impl WriterSet {
+    const EMPTY: Self = Self::Inline {
+        len: 0,
+        tags: [0; INLINE_WRITERS],
+    };
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Self::Inline { len, tags } => &tags[..usize::from(*len)],
+            Self::Spilled(tags) => tags,
+        }
+    }
+
+    fn insert(&mut self, writer: u64) {
+        let have = self.as_slice();
+        // A block stores to a line many times in a row: it is the last tag.
+        if have.last() == Some(&writer) || have.contains(&writer) {
+            return;
+        }
+        match self {
+            Self::Inline { len, tags } if usize::from(*len) < INLINE_WRITERS => {
+                tags[usize::from(*len)] = writer;
+                *len += 1;
+            }
+            Self::Inline { tags, .. } => {
+                let mut spilled = Vec::with_capacity(4 * INLINE_WRITERS);
+                spilled.extend_from_slice(tags);
+                spilled.push(writer);
+                *self = Self::Spilled(spilled);
+            }
+            Self::Spilled(tags) => tags.push(writer),
+        }
+    }
+
+    /// Empties the set; a spilled set keeps its allocation for the slot's
+    /// next occupant.
+    fn clear(&mut self) {
+        match self {
+            Self::Inline { len, .. } => *len = 0,
+            Self::Spilled(tags) => tags.clear(),
+        }
+    }
+}
+
+/// Entries in the lookup hint table, a power of two: enough that the handful
+/// of lines a kernel streams through side by side keep an entry each.
+const HINTS: usize = 256;
+
+/// Per-line bookkeeping, kept apart from the payload.
+#[derive(Debug, Clone, Copy)]
+struct LineMeta {
+    /// Line-aligned base byte address of the cached region.
+    base: u64,
+    /// LRU timestamp (monotone access tick, unique per line).
+    last_use: u64,
+    /// Index of the payload in the arena and of the tags in `writers`.
+    slot: u32,
+    /// Whether the line differs from NVM (i.e. holds non-durable stores).
+    dirty: bool,
+}
+
+/// A read-only look at one resident line.
+pub(crate) struct LineView<'a> {
     /// Line-aligned base byte address of the cached region.
     pub base: u64,
     /// Cached bytes (`line_size` of them).
-    pub data: Box<[u8]>,
-    /// Whether the line differs from NVM (i.e. holds non-durable stores).
-    pub dirty: bool,
-    /// LRU timestamp (monotone access tick).
-    pub last_use: u64,
-    /// Writer tags (e.g. GPU block IDs) whose stores dirtied this line and
-    /// are not yet durable. Cleared when the line becomes clean. Used by
-    /// crash-injection oracles to attribute lost lines to blocks.
-    pub writers: Vec<u64>,
+    pub data: &'a [u8],
+    /// Writer tags of the line's non-durable stores, in first-store order.
+    /// Used by crash-injection oracles to attribute lost lines to blocks.
+    pub writers: &'a [u64],
 }
 
 /// A set-associative write-back cache in front of the NVM backing store.
@@ -39,66 +147,142 @@ pub struct CacheLine {
 /// here — identical access traces always produce identical eviction (and
 /// therefore persistence) orders, which makes crash-recovery tests
 /// reproducible.
+///
+/// Every method that takes `backing` requires each line it touches to lie
+/// wholly inside it. [`crate::PersistMemory`] guarantees that: it bounds-
+/// checks every access and grows the backing store in whole lines.
 #[derive(Debug, Clone)]
-pub struct WriteBackCache {
+pub(crate) struct WriteBackCache {
     line_size: usize,
-    num_sets: usize,
+    /// `log2(line_size)`.
+    line_shift: u32,
     associativity: usize,
-    sets: Vec<Vec<CacheLine>>,
+    /// `sets[i]` holds the resident lines of set `i` in the order described
+    /// in the module docs.
+    sets: Vec<Vec<LineMeta>>,
+    /// Line payloads, `line_size` bytes per slot.
+    arena: Vec<u8>,
+    /// Writer tags per arena slot.
+    writers: Vec<WriterSet>,
+    /// Arena slots no resident line uses.
+    free: Vec<u32>,
+    resident: usize,
+    dirty: usize,
+    /// Where recently used lines were last seen, as `(set, way)` indexed by
+    /// the low bits of the line number. Only hints: each is checked against
+    /// the tag before use, so removals need not maintain them.
+    hints: Box<[(u32, u32); HINTS]>,
     tick: u64,
 }
 
 impl WriteBackCache {
-    /// Creates an empty cache with the geometry from `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`NvmConfig::validate`].
-    pub fn new(cfg: &NvmConfig) -> Self {
-        cfg.validate().expect("invalid NvmConfig");
-        let num_sets = cfg.num_sets();
+    /// Creates an empty cache with the geometry from `cfg`, which the
+    /// caller has validated.
+    pub(crate) fn new(cfg: &NvmConfig) -> Self {
         Self {
             line_size: cfg.line_size,
-            num_sets,
+            line_shift: cfg.line_size.trailing_zeros(),
             associativity: cfg.associativity,
-            sets: (0..num_sets).map(|_| Vec::new()).collect(),
+            sets: vec![Vec::new(); cfg.num_sets()],
+            arena: Vec::new(),
+            writers: Vec::new(),
+            free: Vec::new(),
+            resident: 0,
+            dirty: 0,
+            hints: Box::new([(0, 0); HINTS]),
             tick: 0,
         }
     }
 
-    /// Line size in bytes.
-    pub fn line_size(&self) -> usize {
-        self.line_size
-    }
-
+    #[inline]
     fn line_base(&self, addr: u64) -> u64 {
         addr & !(self.line_size as u64 - 1)
     }
 
+    #[inline]
     fn set_index(&self, line_base: u64) -> usize {
-        ((line_base / self.line_size as u64) % self.num_sets as u64) as usize
+        let line = line_base >> self.line_shift;
+        let num_sets = self.sets.len() as u64;
+        if num_sets.is_power_of_two() {
+            (line & (num_sets - 1)) as usize
+        } else {
+            (line % num_sets) as usize
+        }
+    }
+
+    #[inline]
+    fn hint_index(&self, line_base: u64) -> usize {
+        (line_base >> self.line_shift) as usize & (HINTS - 1)
+    }
+
+    /// `(set, way)` of the resident line at `base`, if any: through its
+    /// hint when that still names it, else by scanning its set.
+    #[inline]
+    fn locate(&self, base: u64) -> Option<(usize, usize)> {
+        let (set, way) = self.hints[self.hint_index(base)];
+        let (set, way) = (set as usize, way as usize);
+        if self.sets[set].get(way).is_some_and(|l| l.base == base) {
+            return Some((set, way));
+        }
+        let set = self.set_index(base);
+        let way = self.sets[set].iter().position(|l| l.base == base)?;
+        Some((set, way))
+    }
+
+    #[inline]
+    fn remember(&mut self, base: u64, set: usize, way: usize) {
+        self.hints[self.hint_index(base)] = (set as u32, way as u32);
+    }
+
+    /// Books a hit on the line at `(set, way)`: LRU tick, lookup hint and,
+    /// for a store, the dirty bit. Returns the line's arena slot.
+    #[inline(always)]
+    fn touch(&mut self, base: u64, (set, way): (usize, usize), store: bool) -> u32 {
+        let line = &mut self.sets[set][way];
+        line.last_use = self.tick;
+        if store && !line.dirty {
+            line.dirty = true;
+            self.dirty += 1;
+        }
+        let slot = line.slot;
+        self.remember(base, set, way);
+        slot
+    }
+
+    #[inline]
+    fn slot_start(&self, slot: u32) -> usize {
+        (slot as usize) << self.line_shift
+    }
+
+    fn payload(&self, slot: u32) -> &[u8] {
+        let start = self.slot_start(slot);
+        &self.arena[start..start + self.line_size]
+    }
+
+    fn view(&self, line: &LineMeta) -> LineView<'_> {
+        LineView {
+            base: line.base,
+            data: self.payload(line.slot),
+            writers: self.writers[line.slot as usize].as_slice(),
+        }
     }
 
     /// Number of lines currently resident.
-    pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> usize {
+        self.resident
     }
 
     /// Number of resident *dirty* lines (stores not yet durable).
-    pub fn dirty_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|l| l.dirty)
-            .count()
+    pub(crate) fn dirty_lines(&self) -> usize {
+        self.dirty
     }
 
     /// Returns true if the line containing `addr` is resident and dirty,
     /// i.e. a store to it has *not* yet persisted.
-    pub fn is_dirty(&self, addr: u64) -> bool {
-        let base = self.line_base(addr);
-        let set = &self.sets[self.set_index(base)];
-        set.iter().any(|l| l.base == base && l.dirty)
+    pub(crate) fn is_dirty(&self, addr: u64) -> bool {
+        self.locate(self.line_base(addr))
+            .is_some_and(|(set, way)| self.sets[set][way].dirty)
     }
 
     /// Reads `buf.len()` bytes starting at `addr` through the cache.
@@ -107,7 +291,8 @@ impl WriteBackCache {
     /// the fault model may surface a media error on it, which is why the
     /// backing store is mutable here). The read must not cross a line
     /// boundary.
-    pub fn read(
+    #[inline(always)]
+    pub(crate) fn read(
         &mut self,
         addr: u64,
         buf: &mut [u8],
@@ -122,21 +307,15 @@ impl WriteBackCache {
             buf.len()
         );
         self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_index(base);
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.base == base) {
-            line.last_use = tick;
-            let off = (addr - base) as usize;
-            buf.copy_from_slice(&line.data[off..off + buf.len()]);
-            stats.cache_hits += 1;
-            return;
-        }
-        stats.cache_misses += 1;
-        // Miss: fill from NVM.
-        let line = self.fill_line(base, backing, stats, faults);
-        let off = (addr - base) as usize;
-        buf.copy_from_slice(&line.data[off..off + buf.len()]);
+        let slot = match self.locate(base) {
+            Some(at) => {
+                stats.cache_hits += 1;
+                self.touch(base, at, false)
+            }
+            None => self.read_miss(base, backing, stats, faults),
+        };
+        let start = self.slot_start(slot) + (addr - base) as usize;
+        buf.copy_from_slice(&self.arena[start..start + buf.len()]);
     }
 
     /// Writes `buf` starting at `addr` through the cache (write-allocate).
@@ -146,7 +325,8 @@ impl WriteBackCache {
     /// mechanism of Lazy Persistency. The write must not cross a line
     /// boundary. `writer` optionally tags the line with the block that
     /// issued the store, for crash-loss attribution.
-    pub fn write(
+    #[inline(always)]
+    pub(crate) fn write(
         &mut self,
         addr: u64,
         buf: &[u8],
@@ -162,96 +342,115 @@ impl WriteBackCache {
             buf.len()
         );
         self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_index(base);
-        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.base == base) {
-            line.last_use = tick;
-            line.dirty = true;
-            if let Some(w) = writer {
-                if !line.writers.contains(&w) {
-                    line.writers.push(w);
-                }
+        let slot = match self.locate(base) {
+            Some(at) => {
+                stats.cache_hits += 1;
+                self.touch(base, at, true)
             }
-            let off = (addr - base) as usize;
-            line.data[off..off + buf.len()].copy_from_slice(buf);
-            stats.cache_hits += 1;
-            return;
+            None => self.write_miss(base, backing, stats, faults),
+        };
+        if let Some(w) = writer {
+            self.writers[slot as usize].insert(w);
         }
-        stats.cache_misses += 1;
-        // Write-allocate: fill, then overwrite the bytes.
-        self.evict_if_full(set_idx, backing, stats, faults);
-        let mut data = vec![0u8; self.line_size].into_boxed_slice();
-        let b = base as usize;
-        if b + self.line_size <= backing.len() {
-            faults.fill_fault(base, &mut backing[b..b + self.line_size], stats);
-            data.copy_from_slice(&backing[b..b + self.line_size]);
-            stats.nvm_reads += 1;
-            stats.nvm_read_bytes += self.line_size as u64;
-        }
-        let off = (addr - base) as usize;
-        data[off..off + buf.len()].copy_from_slice(buf);
-        self.sets[set_idx].push(CacheLine {
-            base,
-            data,
-            dirty: true,
-            last_use: tick,
-            writers: writer.into_iter().collect(),
-        });
+        let start = self.slot_start(slot) + (addr - base) as usize;
+        self.arena[start..start + buf.len()].copy_from_slice(buf);
     }
 
-    fn fill_line(
+    /// A read miss never writes back: it drops the LRU *clean* line of a
+    /// full set, and if every way is dirty it keeps them all and lets the
+    /// set temporarily exceed its associativity — the overflow is repaid on
+    /// the next write miss — rather than lose a non-durable store.
+    #[inline(never)]
+    fn read_miss(
         &mut self,
         base: u64,
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
-    ) -> &CacheLine {
-        let set_idx = self.set_index(base);
-        // Reads never write back here: eviction on read miss drops a *clean*
-        // victim only, keeping dirty (non-durable) stores resident. If every
-        // way is dirty the set temporarily exceeds associativity; the
-        // overflow is repaid by the next `write`/`flush`.
-        self.evict_clean_preferring(set_idx);
-        let mut data = vec![0u8; self.line_size].into_boxed_slice();
-        let b = base as usize;
-        if b + self.line_size <= backing.len() {
-            faults.fill_fault(base, &mut backing[b..b + self.line_size], stats);
-            data.copy_from_slice(&backing[b..b + self.line_size]);
+    ) -> u32 {
+        stats.cache_misses += 1;
+        let set = self.set_index(base);
+        let ways = &self.sets[set];
+        if ways.len() >= self.associativity {
+            let lru_clean = (0..ways.len())
+                .filter(|&way| !ways[way].dirty)
+                .min_by_key(|&way| ways[way].last_use);
+            if let Some(way) = lru_clean {
+                self.remove(set, way);
+            }
         }
-        stats.nvm_reads += 1;
-        stats.nvm_read_bytes += self.line_size as u64;
-        let tick = self.tick;
-        let set = &mut self.sets[set_idx];
-        set.push(CacheLine {
-            base,
-            data,
-            dirty: false,
-            last_use: tick,
-            writers: Vec::new(),
-        });
-        set.last().unwrap()
+        self.fill(set, base, false, backing, stats, faults)
     }
 
-    /// On a read-miss with a full set we need a victim but cannot write back
-    /// (no `&mut backing`). Prefer the LRU *clean* line; if all ways are
-    /// dirty, keep them and let the set temporarily exceed associativity —
-    /// the overflow is repaid on the next `write`/`flush`. This keeps the
-    /// model simple without ever losing a dirty (non-durable) store
-    /// silently.
-    fn evict_clean_preferring(&mut self, set_idx: usize) {
-        let set = &mut self.sets[set_idx];
-        if set.len() < self.associativity {
-            return;
-        }
-        if let Some(pos) = set
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.dirty)
-            .min_by_key(|(_, l)| l.last_use)
-            .map(|(i, _)| i)
-        {
-            set.swap_remove(pos);
-        }
+    /// Write-allocate: make room, then fill; `write` overwrites the bytes.
+    #[inline(never)]
+    fn write_miss(
+        &mut self,
+        base: u64,
+        backing: &mut [u8],
+        stats: &mut NvmStats,
+        faults: &mut DeviceFaults,
+    ) -> u32 {
+        stats.cache_misses += 1;
+        let set = self.set_index(base);
+        self.evict_if_full(set, backing, stats, faults);
+        self.fill(set, base, true, backing, stats, faults)
+    }
+
+    /// Appends the line at `base` to `set`, filled from the durable bytes,
+    /// which see the fault model first. Returns its arena slot.
+    fn fill(
+        &mut self,
+        set: usize,
+        base: u64,
+        dirty: bool,
+        backing: &mut [u8],
+        stats: &mut NvmStats,
+        faults: &mut DeviceFaults,
+    ) -> u32 {
+        let b = base as usize;
+        debug_assert!(
+            b + self.line_size <= backing.len(),
+            "fill outside the backing store: base={base:#x}"
+        );
+        let durable = &mut backing[b..b + self.line_size];
+        faults.fill_fault(base, durable, stats);
+        stats.nvm_reads += 1;
+        stats.nvm_read_bytes += self.line_size as u64;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let start = self.slot_start(slot);
+                self.arena[start..start + self.line_size].copy_from_slice(durable);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.writers.len()).expect("more than u32::MAX lines");
+                self.arena.extend_from_slice(durable);
+                self.writers.push(WriterSet::EMPTY);
+                slot
+            }
+        };
+        let ways = &mut self.sets[set];
+        ways.push(LineMeta {
+            base,
+            last_use: self.tick,
+            slot,
+            dirty,
+        });
+        let way = ways.len() - 1;
+        self.resident += 1;
+        self.dirty += usize::from(dirty);
+        self.remember(base, set, way);
+        slot
+    }
+
+    /// Drops a line without write-back; the set's last line takes its way.
+    fn remove(&mut self, set: usize, way: usize) {
+        let line = self.sets[set].swap_remove(way);
+        self.writers[line.slot as usize].clear();
+        self.free.push(line.slot);
+        self.resident -= 1;
+        self.dirty -= usize::from(line.dirty);
     }
 
     /// Makes room in a full set. Victims are tried in LRU order: a clean
@@ -264,29 +463,35 @@ impl WriteBackCache {
     /// bit-for-bit.
     fn evict_if_full(
         &mut self,
-        set_idx: usize,
+        set: usize,
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
     ) {
-        while self.sets[set_idx].len() >= self.associativity {
-            let mut order: Vec<usize> = (0..self.sets[set_idx].len()).collect();
-            order.sort_by_key(|&i| self.sets[set_idx][i].last_use);
-            let mut removed = false;
-            for pos in order {
-                if self.sets[set_idx][pos].dirty {
-                    if !Self::write_back(&self.sets[set_idx][pos], backing, stats, faults) {
-                        continue;
-                    }
-                    stats.natural_evictions += 1;
+        while self.sets[set].len() >= self.associativity {
+            // Ticks are unique and start at 1, so the candidate after a
+            // failed write-back is the smallest `last_use` above the one
+            // just tried.
+            let mut tried = 0;
+            let victim = loop {
+                let ways = &self.sets[set];
+                let next = (0..ways.len())
+                    .filter(|&way| ways[way].last_use > tried)
+                    .min_by_key(|&way| ways[way].last_use);
+                let Some(way) = next else {
+                    return;
+                };
+                let line = ways[way];
+                if !line.dirty {
+                    break way;
                 }
-                self.sets[set_idx].swap_remove(pos);
-                removed = true;
-                break;
-            }
-            if !removed {
-                return;
-            }
+                if Self::write_back(line.base, self.payload(line.slot), backing, stats, faults) {
+                    stats.natural_evictions += 1;
+                    break way;
+                }
+                tried = line.last_use;
+            };
+            self.remove(set, victim);
         }
     }
 
@@ -294,54 +499,73 @@ impl WriteBackCache {
     /// Returns whether the device accepted the persist (a torn write-back
     /// *is* accepted — the tear is silent by definition).
     fn write_back(
-        line: &CacheLine,
+        base: u64,
+        payload: &[u8],
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
     ) -> bool {
-        let len = line.data.len();
-        let fate = faults.writeback_fate(line.base, len / 8);
-        if fate == WritebackFate::Fail {
-            stats.transient_persist_fails += 1;
-            return false;
-        }
-        let b = line.base as usize;
-        if b + len <= backing.len() {
-            let keep = match fate {
-                WritebackFate::Torn(words) => words * 8,
-                _ => len,
-            };
-            backing[b..b + keep].copy_from_slice(&line.data[..keep]);
-        }
-        if let WritebackFate::Torn(_) = fate {
-            stats.torn_writebacks += 1;
-        }
+        let len = payload.len();
+        let keep = match faults.writeback_fate(base, len / 8) {
+            WritebackFate::Fail => {
+                stats.transient_persist_fails += 1;
+                return false;
+            }
+            WritebackFate::Torn(words) => {
+                stats.torn_writebacks += 1;
+                words * 8
+            }
+            WritebackFate::Full => len,
+        };
+        let b = base as usize;
+        backing[b..b + keep].copy_from_slice(&payload[..keep]);
         stats.nvm_writes += 1;
         stats.nvm_write_bytes += len as u64;
         true
+    }
+
+    /// Explicitly writes back the line at `(set, way)` if it is dirty; on
+    /// success it becomes clean and stays resident.
+    fn flush_way(
+        &mut self,
+        set: usize,
+        way: usize,
+        backing: &mut [u8],
+        stats: &mut NvmStats,
+        faults: &mut DeviceFaults,
+    ) -> FlushOutcome {
+        let line = self.sets[set][way];
+        if !line.dirty {
+            return FlushOutcome::Clean;
+        }
+        if !Self::write_back(line.base, self.payload(line.slot), backing, stats, faults) {
+            return FlushOutcome::TransientFail;
+        }
+        stats.explicit_flushes += 1;
+        self.sets[set][way].dirty = false;
+        self.writers[line.slot as usize].clear();
+        self.dirty -= 1;
+        FlushOutcome::Persisted
     }
 
     /// Writes back every dirty line (an explicit whole-cache flush, the
     /// checkpoint boundary of §IV-A) and marks them clean. Lines stay
     /// resident. Returns the number of lines whose write-back the device
     /// *failed* (they stay dirty; zero on a perfect device).
-    pub fn flush_all(
+    pub(crate) fn flush_all(
         &mut self,
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
     ) -> u64 {
+        if self.dirty == 0 {
+            return 0;
+        }
         let mut failed = 0;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.dirty {
-                    if Self::write_back(line, backing, stats, faults) {
-                        stats.explicit_flushes += 1;
-                        line.dirty = false;
-                        line.writers.clear();
-                    } else {
-                        failed += 1;
-                    }
+        for set in 0..self.sets.len() {
+            for way in 0..self.sets[set].len() {
+                if self.flush_way(set, way, backing, stats, faults) == FlushOutcome::TransientFail {
+                    failed += 1;
                 }
             }
         }
@@ -353,23 +577,23 @@ impl WriteBackCache {
     /// back; device-failed write-backs leave their line dirty and do not
     /// consume budget. Used to model a crash landing in the middle of a
     /// checkpoint `flush_all`.
-    pub fn flush_upto(
+    pub(crate) fn flush_upto(
         &mut self,
         budget: u64,
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
     ) -> u64 {
+        if self.dirty == 0 {
+            return 0;
+        }
         let mut done = 0;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
+        for set in 0..self.sets.len() {
+            for way in 0..self.sets[set].len() {
                 if done >= budget {
                     return done;
                 }
-                if line.dirty && Self::write_back(line, backing, stats, faults) {
-                    stats.explicit_flushes += 1;
-                    line.dirty = false;
-                    line.writers.clear();
+                if self.flush_way(set, way, backing, stats, faults) == FlushOutcome::Persisted {
                     done += 1;
                 }
             }
@@ -377,52 +601,44 @@ impl WriteBackCache {
         done
     }
 
-    /// Iterates over the currently dirty (non-durable) lines.
-    pub fn dirty_line_views(&self) -> impl Iterator<Item = &CacheLine> {
-        self.sets.iter().flat_map(|s| s.iter()).filter(|l| l.dirty)
+    /// Iterates over the currently dirty (non-durable) lines, set by set.
+    pub(crate) fn dirty_line_views(&self) -> impl Iterator<Item = LineView<'_>> {
+        self.sets
+            .iter()
+            .flatten()
+            .filter(|l| l.dirty)
+            .take(self.dirty)
+            .map(|l| self.view(l))
     }
 
     /// Sorted base addresses of the currently dirty lines.
-    pub fn dirty_line_bases(&self) -> Vec<u64> {
+    pub(crate) fn dirty_line_bases(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.dirty_line_views().map(|l| l.base).collect();
         v.sort_unstable();
         v
     }
 
     /// The resident line containing `addr`, if any.
-    pub fn line_view(&self, addr: u64) -> Option<&CacheLine> {
-        let base = self.line_base(addr);
-        self.sets[self.set_index(base)]
-            .iter()
-            .find(|l| l.base == base)
+    pub(crate) fn line_view(&self, addr: u64) -> Option<LineView<'_>> {
+        let (set, way) = self.locate(self.line_base(addr))?;
+        Some(self.view(&self.sets[set][way]))
     }
 
     /// Writes back the single line containing `addr` if it is resident and
     /// dirty (the `clwb` primitive Eager Persistency relies on). The line
     /// stays resident and becomes clean on success; a device-failed persist
     /// leaves it dirty and reports [`FlushOutcome::TransientFail`].
-    pub fn flush_line(
+    pub(crate) fn flush_line(
         &mut self,
         addr: u64,
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
     ) -> FlushOutcome {
-        let base = self.line_base(addr);
-        let set_idx = self.set_index(base);
-        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.base == base) {
-            if line.dirty {
-                return if Self::write_back(line, backing, stats, faults) {
-                    stats.explicit_flushes += 1;
-                    line.dirty = false;
-                    line.writers.clear();
-                    FlushOutcome::Persisted
-                } else {
-                    FlushOutcome::TransientFail
-                };
-            }
+        match self.locate(self.line_base(addr)) {
+            Some((set, way)) => self.flush_way(set, way, backing, stats, faults),
+            None => FlushOutcome::Clean,
         }
-        FlushOutcome::Clean
     }
 
     /// Drops the resident line containing `addr` *without* write-back,
@@ -430,34 +646,49 @@ impl WriteBackCache {
     /// already been copied to the remap target, so the stale physical line
     /// must not linger (or ever be written back). Returns whether a line
     /// was dropped.
-    pub fn discard_line(&mut self, addr: u64) -> bool {
-        let base = self.line_base(addr);
-        let set_idx = self.set_index(base);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|l| l.base == base) {
-            set.swap_remove(pos);
-            true
-        } else {
-            false
+    pub(crate) fn discard_line(&mut self, addr: u64) -> bool {
+        let at = self.locate(self.line_base(addr));
+        if let Some((set, way)) = at {
+            self.remove(set, way);
         }
+        at.is_some()
     }
 
     /// Drops every *clean* resident line, keeping dirty ones. After this,
     /// reads of clean data observe the durable image — which is how
     /// resilient recovery detects torn write-backs that a cached (intact)
     /// copy would mask.
-    pub fn invalidate_clean(&mut self) {
-        for set in &mut self.sets {
-            set.retain(|l| l.dirty);
+    pub(crate) fn invalidate_clean(&mut self) {
+        if self.resident == self.dirty {
+            return;
         }
+        for set in &mut self.sets {
+            // Clean lines carry no writer tags, so the slot is ready for
+            // reuse as it is.
+            set.retain(|l| {
+                if !l.dirty {
+                    self.free.push(l.slot);
+                }
+                l.dirty
+            });
+        }
+        self.resident = self.dirty;
     }
 
     /// Simulates power loss: every resident line is discarded *without*
     /// write-back. Dirty (non-durable) stores are lost.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
+        if self.resident == 0 {
+            return;
+        }
         for set in &mut self.sets {
             set.clear();
         }
+        self.arena.clear();
+        self.writers.clear();
+        self.free.clear();
+        self.resident = 0;
+        self.dirty = 0;
     }
 }
 
@@ -662,5 +893,33 @@ mod tests {
         c.write(48, &[1; 8], &mut back, &mut st, &mut f, None);
         c.write(0, &[2; 8], &mut back, &mut st, &mut f, None);
         assert_eq!(c.dirty_line_bases(), vec![0, 48]);
+    }
+
+    #[test]
+    fn read_into_all_dirty_set_overflows_and_the_next_write_evicts_two() {
+        let (mut c, mut back, mut st, mut f) = tiny();
+        // 2 sets, 2 ways: lines 0, 32, 64 and 96 all map to set 0.
+        c.write(0, &[1; 16], &mut back, &mut st, &mut f, None);
+        c.write(32, &[2; 16], &mut back, &mut st, &mut f, None);
+        // Both ways are dirty, so the read has no clean victim and may not
+        // write back: the set grows to associativity + 1.
+        let mut buf = [0u8; 4];
+        c.read(64, &mut buf, &mut back, &mut st, &mut f);
+        assert_eq!(c.resident_lines(), 3);
+        assert_eq!(c.dirty_lines(), 2);
+        assert_eq!(st.natural_evictions, 0);
+        assert_eq!(&back[0..16], &[0; 16]);
+        // The write miss repays the overflow: it evicts until the set is
+        // under its associativity again, least recently used first — the
+        // two dirty lines go, the clean line read last stays.
+        c.write(96, &[4; 16], &mut back, &mut st, &mut f, None);
+        assert_eq!(st.natural_evictions, 2);
+        assert_eq!(st.nvm_writes, 2);
+        assert_eq!(&back[0..16], &[1; 16]);
+        assert_eq!(&back[32..48], &[2; 16]);
+        assert_eq!(c.resident_lines(), 2);
+        assert!(c.line_view(64).is_some());
+        assert!(c.is_dirty(96));
+        assert_eq!(c.dirty_lines(), 1);
     }
 }

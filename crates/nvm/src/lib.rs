@@ -36,13 +36,14 @@
 
 mod alloc;
 mod cache;
+#[cfg(test)]
+mod cache_reference;
 mod config;
 mod fault;
 mod memory;
 mod stats;
 
 pub use alloc::{Addr, BumpAllocator};
-pub use cache::{CacheLine, WriteBackCache};
 pub use config::NvmConfig;
 pub use fault::{DeviceFaults, FaultConfig, FaultModel, FlushOutcome};
 pub use memory::{CrashLoss, CrashPredicate, LostLine, PersistMemory};

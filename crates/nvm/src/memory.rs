@@ -208,22 +208,50 @@ impl PersistMemory {
         self.bump.used()
     }
 
+    #[inline]
     fn check(&self, addr: Addr, len: usize) {
-        assert!(!addr.is_null(), "dereferenced null device address");
-        assert!(
-            (addr.raw() as usize + len) <= self.backing.len(),
+        if addr.is_null() || addr.raw() as usize + len > self.backing.len() {
+            self.check_failed(addr, len);
+        }
+    }
+
+    /// The panics of [`Self::check`], out of line so that the inlined
+    /// accessors carry a compare and a call, not two formatted messages.
+    #[cold]
+    #[inline(never)]
+    fn check_failed(&self, addr: Addr, len: usize) -> ! {
+        if addr.is_null() {
+            panic!("dereferenced null device address");
+        }
+        panic!(
             "device access out of bounds: {addr} + {len} > {}",
             self.backing.len()
         );
     }
 
+    /// Whether `len > 0` bytes at `a` lie inside one cache line — true of
+    /// every aligned typed access, which then skips the split loop.
+    #[inline]
+    fn in_one_line(&self, a: u64, len: usize) -> bool {
+        let line = self.cfg.line_size;
+        len.wrapping_sub(1) < line - (a as usize & (line - 1))
+    }
+
     /// Translates a (logical) device address through the quarantine remap.
     /// Identity unless the address' line has been retired; remap targets
     /// are fresh allocations, so chains cannot form and one hop suffices.
+    #[inline]
     fn translate(&self, a: u64) -> u64 {
         if self.remap.is_empty() {
             return a;
         }
+        self.translate_remapped(a)
+    }
+
+    /// [`Self::translate`] once any line has been quarantined; out of line
+    /// so the inlined accessors carry only the `is_empty` test.
+    #[inline(never)]
+    fn translate_remapped(&self, a: u64) -> u64 {
         let line = self.cfg.line_size as u64;
         let base = a & !(line - 1);
         match self.remap.get(&base) {
@@ -234,9 +262,30 @@ impl PersistMemory {
 
     /// Reads raw bytes through the cache (volatile view). Accesses may cross
     /// line boundaries; they are split internally.
+    ///
+    /// Always inlined, so that an accessor passing a fixed-size buffer gets
+    /// a one-line hit path whose copy is a single move.
+    #[inline(always)]
     pub fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
         self.check(addr, buf.len());
         self.stats.load_ops += 1;
+        if self.in_one_line(addr.raw(), buf.len()) {
+            let phys = self.translate(addr.raw());
+            self.cache.read(
+                phys,
+                buf,
+                &mut self.backing,
+                &mut self.stats,
+                &mut self.faults,
+            );
+        } else {
+            self.read_split(addr, buf);
+        }
+    }
+
+    /// The general case of [`Self::read_bytes`]: one cache access per line
+    /// the range touches (none for an empty range).
+    fn read_split(&mut self, addr: Addr, buf: &mut [u8]) {
         let line = self.cfg.line_size as u64;
         let mut off = 0usize;
         while off < buf.len() {
@@ -260,6 +309,7 @@ impl PersistMemory {
     /// If an armed crash trigger fires during or after this store, the
     /// memory powers off: the write may be (partially) lost with the rest
     /// of the volatile state. While powered off, stores are dropped.
+    #[inline(always)]
     pub fn write_bytes(&mut self, addr: Addr, buf: &[u8]) {
         self.check(addr, buf.len());
         if self.power_failed {
@@ -267,6 +317,24 @@ impl PersistMemory {
             return;
         }
         self.stats.store_ops += 1;
+        if self.in_one_line(addr.raw(), buf.len()) {
+            let phys = self.translate(addr.raw());
+            self.cache.write(
+                phys,
+                buf,
+                &mut self.backing,
+                &mut self.stats,
+                &mut self.faults,
+                self.writer,
+            );
+        } else {
+            self.write_split(addr, buf);
+        }
+        self.check_trigger();
+    }
+
+    /// The general case of [`Self::write_bytes`], as [`Self::read_split`].
+    fn write_split(&mut self, addr: Addr, buf: &[u8]) {
         let line = self.cfg.line_size as u64;
         let mut off = 0usize;
         while off < buf.len() {
@@ -284,7 +352,6 @@ impl PersistMemory {
             );
             off += chunk;
         }
-        self.check_trigger();
     }
 
     /// Reads bytes from the durable view only (what a crash would preserve).
@@ -385,6 +452,7 @@ impl PersistMemory {
         self.crash_loss.take()
     }
 
+    #[inline]
     fn check_trigger(&mut self) {
         let fire = match self.trigger {
             CrashTrigger::None | CrashTrigger::DuringFlush(_) => false,
@@ -398,6 +466,7 @@ impl PersistMemory {
 
     /// Power failure: capture the loss, discard volatile state, drop
     /// subsequent stores until [`Self::power_on`].
+    #[cold]
     fn trip(&mut self) {
         self.trigger = CrashTrigger::None;
         self.capture_loss();
@@ -408,19 +477,18 @@ impl PersistMemory {
     /// Records every dirty line (with writers and changed-content flag)
     /// into `crash_loss`, replacing any earlier capture.
     fn capture_loss(&mut self) {
-        let line_size = self.cache.line_size();
         let lines = self
             .cache
             .dirty_line_views()
             .map(|l| {
                 let b = l.base as usize;
-                let changed = match self.backing.get(b..b + line_size) {
-                    Some(durable) => durable != &l.data[..],
+                let changed = match self.backing.get(b..b + l.data.len()) {
+                    Some(durable) => durable != l.data,
                     None => true,
                 };
                 LostLine {
                     base: l.base,
-                    writers: l.writers.clone(),
+                    writers: l.writers.to_vec(),
                     changed,
                 }
             })
@@ -519,7 +587,7 @@ impl PersistMemory {
         let mut v: Vec<(u64, Vec<u64>)> = self
             .cache
             .dirty_line_views()
-            .map(|l| (l.base, l.writers.clone()))
+            .map(|l| (l.base, l.writers.to_vec()))
             .collect();
         v.sort_by_key(|e| e.0);
         v
@@ -574,6 +642,7 @@ impl PersistMemory {
     // ---- typed volatile accessors ------------------------------------
 
     /// Reads a `u32` (volatile view).
+    #[inline]
     pub fn read_u32(&mut self, addr: Addr) -> u32 {
         let mut b = [0u8; 4];
         self.read_bytes(addr, &mut b);
@@ -581,11 +650,13 @@ impl PersistMemory {
     }
 
     /// Writes a `u32`.
+    #[inline]
     pub fn write_u32(&mut self, addr: Addr, v: u32) {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
     /// Reads a `u64` (volatile view).
+    #[inline]
     pub fn read_u64(&mut self, addr: Addr) -> u64 {
         let mut b = [0u8; 8];
         self.read_bytes(addr, &mut b);
@@ -593,26 +664,31 @@ impl PersistMemory {
     }
 
     /// Writes a `u64`.
+    #[inline]
     pub fn write_u64(&mut self, addr: Addr, v: u64) {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
     /// Reads an `f32` (volatile view).
+    #[inline]
     pub fn read_f32(&mut self, addr: Addr) -> f32 {
         f32::from_bits(self.read_u32(addr))
     }
 
     /// Writes an `f32`.
+    #[inline]
     pub fn write_f32(&mut self, addr: Addr, v: f32) {
         self.write_u32(addr, v.to_bits());
     }
 
     /// Reads an `f64` (volatile view).
+    #[inline]
     pub fn read_f64(&mut self, addr: Addr) -> f64 {
         f64::from_bits(self.read_u64(addr))
     }
 
     /// Writes an `f64`.
+    #[inline]
     pub fn write_f64(&mut self, addr: Addr, v: f64) {
         self.write_u64(addr, v.to_bits());
     }
@@ -1048,5 +1124,92 @@ mod tests {
         assert!(!m.power_failed(), "manual crash models instant reboot");
         assert_eq!(m.read_u64(a), 1);
         assert!(m.take_crash_loss().is_some());
+    }
+
+    #[test]
+    fn zero_length_access_counts_an_op_and_touches_no_line() {
+        let mut m = mem();
+        let a = m.alloc(64, 8);
+        m.read_bytes(a, &mut []);
+        // One past the last allocated byte is still in bounds for no bytes.
+        m.write_bytes(a.offset(64), &[]);
+        let st = m.stats();
+        assert_eq!((st.load_ops, st.store_ops), (1, 1));
+        assert_eq!(st.cache_hits + st.cache_misses, 0);
+        assert_eq!(st.nvm_reads, 0);
+        assert_eq!(m.dirty_lines(), 0);
+    }
+
+    #[test]
+    fn straddling_write_equals_its_two_halves() {
+        let v = 0x1122_3344_5566_7788_u64;
+        let bytes = v.to_le_bytes();
+        let mut whole = mem(); // 32-byte lines
+        let a = whole.alloc(64, 32);
+        whole.write_u64(a.offset(28), v);
+        let mut halves = mem();
+        let b = halves.alloc(64, 32);
+        halves.write_bytes(b.offset(28), &bytes[..4]);
+        halves.write_bytes(b.offset(32), &bytes[4..]);
+        // One program-level store against two; every cache and device
+        // counter agrees.
+        let (sw, sh) = (whole.stats(), halves.stats());
+        assert_eq!(sw.store_ops + 1, sh.store_ops);
+        assert_eq!(
+            NvmStats { store_ops: 0, ..sw },
+            NvmStats { store_ops: 0, ..sh }
+        );
+        assert_eq!(sw.cache_misses, 2, "the store touched both lines");
+        assert_eq!(whole.dirty_line_bases(), halves.dirty_line_bases());
+        assert_eq!(whole.read_u64(a.offset(28)), v);
+        assert_eq!(halves.read_u64(b.offset(28)), v);
+        whole.flush_all();
+        halves.flush_all();
+        let (mut dw, mut dh) = ([0u8; 64], [0u8; 64]);
+        whole.read_durable_bytes(a, &mut dw);
+        halves.read_durable_bytes(b, &mut dh);
+        assert_eq!(dw, dh);
+        assert_eq!(dw[28..36], bytes);
+    }
+
+    #[test]
+    fn clone_after_evictions_and_crash_is_independent() {
+        let mut m = evicting_mem(); // 4 lines, 2-way
+        let a = m.alloc(32 * 16, 32);
+        for i in 0..16 {
+            m.write_u64(a.offset(i * 32), i + 1);
+        }
+        assert!(m.stats().natural_evictions > 0, "lines were recycled");
+        m.crash();
+        for i in 0..3 {
+            m.write_u64(a.offset(i * 32), 100 + i);
+        }
+        let mut c = m.clone();
+        assert_eq!(c.stats(), m.stats());
+        assert_eq!(c.dirty_line_info(), m.dirty_line_info());
+        // Diverge: each side overwrites a resident line and allocates new
+        // ones; neither may see the other's bytes.
+        c.write_u64(a, 555);
+        m.write_u64(a, 999);
+        for i in 8..12 {
+            c.write_u64(a.offset(i * 32), 5000 + i);
+            m.write_u64(a.offset(i * 32), 9000 + i);
+        }
+        assert_eq!(c.read_u64(a), 555);
+        assert_eq!(m.read_u64(a), 999);
+        for i in 8..12 {
+            assert_eq!(c.read_u64(a.offset(i * 32)), 5000 + i);
+            assert_eq!(m.read_u64(a.offset(i * 32)), 9000 + i);
+        }
+        c.flush_all();
+        m.crash();
+        assert_eq!(
+            c.read_u64(a),
+            555,
+            "the original's crash is not the clone's"
+        );
+        assert_eq!(c.read_durable_u64(a), 555);
+        assert_ne!(m.read_u64(a), 555);
+        assert_ne!(m.read_durable_u64(a.offset(11 * 32)), 5011);
     }
 }
