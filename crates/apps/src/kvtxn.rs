@@ -30,9 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use gpu_lp::{
-    LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientConfig, ResilientRecovery,
-};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
 use megakv::store::{EMPTY, NOT_FOUND, TOMBSTONE};
 use megakv::KvStore;
 use nvm::PersistMemory;
@@ -302,7 +300,7 @@ impl RecoverableApp for KvTxn {
         }
         // Validate-then-commit (see `queue.rs`): only checksums recomputed
         // from durable media prove the batch, the drain ACK can lie.
-        let durable = ResilientRecovery::with_config(gpu, ResilientConfig::default())
+        let durable = ResilientRecovery::new(gpu)
             .recover(&k, &self.rt, mem)
             .all_durable;
         if !durable || mem.power_failed() {
@@ -348,8 +346,12 @@ impl RecoverableApp for KvTxn {
         };
         if started == committed + 1 {
             let k = self.kernel(started);
-            let outcome = ResilientRecovery::with_config(gpu, ResilientConfig::default())
-                .recover_reentrant(&k, &self.rt, mem, MAX_RESTORE_ATTEMPTS);
+            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
+                &k,
+                &self.rt,
+                mem,
+                MAX_RESTORE_ATTEMPTS,
+            );
             rep.rolled_forward = true;
             rep.attempts = outcome.attempts;
             rep.interruptions = outcome.interruptions;

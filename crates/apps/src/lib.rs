@@ -59,7 +59,7 @@ pub use queue::DurableQueue;
 pub use train::TrainingLoop;
 
 use gpu_lp::{BackendKind, ReentrantOutcome};
-use nvm::PersistMemory;
+use nvm::{splitmix64, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::Gpu;
 
@@ -252,17 +252,9 @@ pub fn build_app(
     }
 }
 
-/// SplitMix64 — the repo's standard seed mixer.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Mixes three coordinates into one deterministic 64-bit value.
 pub(crate) fn mix3(a: u64, b: u64, c: u64) -> u64 {
-    mix64(a ^ mix64(b ^ mix64(c ^ 0xA993_5EED_C0FF_EE01)))
+    splitmix64(a ^ splitmix64(b ^ splitmix64(c ^ 0xA993_5EED_C0FF_EE01)))
 }
 
 /// Drains the whole cache with bounded retries; lines the device keeps
@@ -307,6 +299,6 @@ mod tests {
     fn mixers_are_deterministic_and_spread() {
         assert_eq!(mix3(1, 2, 3), mix3(1, 2, 3));
         assert_ne!(mix3(1, 2, 3), mix3(1, 2, 4));
-        assert_ne!(mix64(0), mix64(1));
+        assert_ne!(splitmix64(0), splitmix64(1));
     }
 }

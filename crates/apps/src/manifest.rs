@@ -20,9 +20,7 @@
 //! that re-executing a step from the previous state is idempotent.
 
 use lp_persist::drain_line_with_retry;
-use nvm::{Addr, PersistMemory};
-
-use crate::mix64;
+use nvm::{splitmix64, Addr, PersistMemory};
 
 /// Domain separator folded into every slot checksum.
 const MANIFEST_MAGIC: u64 = 0x4C50_4150_5053_4D4E; // "LPAPPSMN"
@@ -70,9 +68,9 @@ impl DurableManifest {
 
     /// Checksum over `(seq, fields)` with a domain separator.
     fn checksum(seq: u64, fields: &[u64]) -> u64 {
-        let mut acc = mix64(MANIFEST_MAGIC ^ seq);
+        let mut acc = splitmix64(MANIFEST_MAGIC ^ seq);
         for (i, f) in fields.iter().enumerate() {
-            acc = mix64(acc ^ f.wrapping_add(i as u64 + 1));
+            acc = splitmix64(acc ^ f.wrapping_add(i as u64 + 1));
         }
         // A checksum of 0 would collide with never-written media.
         acc | 1

@@ -27,9 +27,7 @@
 //! reverts it) or a fully-described in-flight step it re-derives and rolls
 //! forward through re-entrant resilient recovery.
 
-use gpu_lp::{
-    LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientConfig, ResilientRecovery,
-};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
 
@@ -227,7 +225,7 @@ impl RecoverableApp for DurableQueue {
         // Validate-then-commit: a torn write-back ACKs success while
         // persisting garbage, so the commit may only trust checksums
         // recomputed from the durable media view — never the drain ACK.
-        let durable = ResilientRecovery::with_config(gpu, ResilientConfig::default())
+        let durable = ResilientRecovery::new(gpu)
             .recover(&k, &self.rt, mem)
             .all_durable;
         if !durable || mem.power_failed() {
@@ -273,8 +271,12 @@ impl RecoverableApp for DurableQueue {
             // checksum table.
             let k = self.kernel(started, tail, head);
             let (tail2, head2) = (tail + k.batch.enqueue, head + k.batch.consume);
-            let outcome = ResilientRecovery::with_config(gpu, ResilientConfig::default())
-                .recover_reentrant(&k, &self.rt, mem, MAX_RESTORE_ATTEMPTS);
+            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
+                &k,
+                &self.rt,
+                mem,
+                MAX_RESTORE_ATTEMPTS,
+            );
             rep.rolled_forward = true;
             rep.attempts = outcome.attempts;
             rep.interruptions = outcome.interruptions;

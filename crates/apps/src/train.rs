@@ -25,9 +25,7 @@
 //! before — then checkpoints at `s`. The service resumes from the last
 //! durable epoch with zero lost epochs.
 
-use gpu_lp::{
-    LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientConfig, ResilientRecovery,
-};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
 
@@ -220,7 +218,7 @@ impl RecoverableApp for TrainingLoop {
             // write-back ACKs success while persisting garbage, so only
             // checksums recomputed from durable media prove the window.
             for e in self.committed + 1..=epoch {
-                let durable = ResilientRecovery::with_config(gpu, ResilientConfig::default())
+                let durable = ResilientRecovery::new(gpu)
                     .recover(&self.kernel(e), &self.rts[((e - 1) % K) as usize], mem)
                     .all_durable;
                 if !durable || mem.power_failed() {
@@ -264,13 +262,12 @@ impl RecoverableApp for TrainingLoop {
         // made durable.
         for e in committed + 1..=started {
             let k = self.kernel(e);
-            let outcome = ResilientRecovery::with_config(gpu, ResilientConfig::default())
-                .recover_reentrant(
-                    &k,
-                    &self.rts[((e - 1) % K) as usize],
-                    mem,
-                    MAX_RESTORE_ATTEMPTS,
-                );
+            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
+                &k,
+                &self.rts[((e - 1) % K) as usize],
+                mem,
+                MAX_RESTORE_ATTEMPTS,
+            );
             rep.rolled_forward = true;
             rep.attempts = rep.attempts.max(outcome.attempts);
             rep.interruptions += outcome.interruptions;

@@ -5,11 +5,11 @@
 //! clean run — plus the §IV-A checkpoint-interval arithmetic this feeds.
 
 use gpu_lp::checkpoint::{availability, optimal_checkpoint_interval};
-use gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lp_bench::{Args, Table};
 use lp_kernels::workload_by_name;
 use nvm::{NvmConfig, PersistMemory};
-use simt::{CrashSpec, DeviceConfig, Gpu};
+use simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// A small-cache world: natural evictions happen within even small runs,
 /// so crash points land between "everything volatile" and "mostly
@@ -72,33 +72,32 @@ fn main() {
         );
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
-            .launch_with_crash(
+            .launch_with_plan(
                 kernel.as_ref(),
                 &mut mem,
-                CrashSpec {
-                    after_global_stores: crash_after,
-                },
+                CrashPlan::after_stores(crash_after),
             )
             .unwrap();
         if !outcome.crashed() {
             mem.flush_all();
         }
-        let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+        let lost = rt.failing_regions(kernel.as_ref(), &mut mem).len();
+        let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
         assert!(
-            report.recovered && w.verify(&mut mem),
+            report.all_durable && w.verify(&mut mem),
             "{name}: recovery failed at {pct}%"
         );
         let recovery_ns = report.reexecution_ns_x1000 as f64 / 1000.0;
         table.row(&[
             format!("{pct}% of stores"),
-            report.failed_first_pass.to_string(),
+            lost.to_string(),
             report.reexecutions.to_string(),
             format!("{recovery_ns:.0}"),
             format!("{:.2}x", recovery_ns / clean.kernel_ns),
         ]);
         json_rows.push(serde_json::json!({
             "crash_pct": pct,
-            "failed": report.failed_first_pass,
+            "failed": lost,
             "reexecutions": report.reexecutions,
             "recovery_ns": recovery_ns,
         }));

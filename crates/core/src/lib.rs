@@ -23,7 +23,8 @@
 //! * [`region`] — the per-launch runtime ([`LpRuntime`]) and the per-block
 //!   instrumentation session ([`LpBlockSession`]) kernels use to protect
 //!   their stores;
-//! * [`recovery`] — post-crash validation and eager re-execution.
+//! * [`recovery`] — post-crash validation and re-execution, hardened for
+//!   faulty devices (retry, quarantine, degraded mode).
 //!
 //! Beyond LP itself, [`region`] routes every region commit through the
 //! [`lp_persist`] crate's [`PersistencyBackend`] trait, so the same kernels
@@ -37,8 +38,8 @@
 //! kernel:   let mut lp = LpBlockSession::begin(rt, ctx);
 //!           ... lp.store_f32(ctx, t, addr, v); ...        // store + checksum
 //!           lp.finalize(ctx);                             // reduce + publish
-//! crash:    gpu.launch_with_crash(...)                    // power loss
-//! recover:  RecoveryEngine::new(&gpu).recover(&kernel, &rt, &mut mem)
+//! crash:    gpu.launch_with_plan(.., CrashPlan::after_stores(n))  // power loss
+//! recover:  ResilientRecovery::new(&gpu).recover(&kernel, &rt, &mut mem)
 //! ```
 //!
 //! See `lpgpu`'s `examples/quickstart.rs` for the runnable version.
@@ -51,7 +52,6 @@ pub mod checksum;
 pub mod recovery;
 pub mod reduce;
 pub mod region;
-pub mod resilient;
 pub mod table;
 
 pub use checkpoint::{CheckpointManager, CheckpointPolicy};
@@ -64,10 +64,10 @@ pub use lp_policy::{
     JournalRecord, PolicyConfig, PolicyEngine, PolicyJournal, PolicyMode, RegionSignals,
     SwitchEvent,
 };
-pub use recovery::{Recoverable, RecoveryEngine, RecoveryReport};
+pub use recovery::{
+    Recoverable, ReentrantOutcome, RegionVerdict, ResilientConfig, ResilientRecovery,
+    ResilientReport,
+};
 pub use reduce::ReduceStrategy;
 pub use region::{LpBlockSession, LpConfig, LpRuntime, PersistMode};
-pub use resilient::{
-    ReentrantOutcome, RegionVerdict, ResilientConfig, ResilientRecovery, ResilientReport,
-};
 pub use table::{AtomicPolicy, LockPolicy, TableKind, TableStats};

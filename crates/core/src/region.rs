@@ -7,6 +7,7 @@
 //! publishes the reduced checksums at region end.
 
 use crate::checksum::{f32_store_image, f64_store_image, ChecksumSet};
+use crate::recovery::Recoverable;
 use crate::reduce::{block_reduce, scratch_words, ReduceStrategy};
 use crate::table::{
     AtomicPolicy, ChecksumTableOps, CuckooTable, GlobalArrayTable, LockPolicy, QuadraticProbeTable,
@@ -15,7 +16,7 @@ use crate::table::{
 use lp_persist::{
     AdaptiveBackend, BackendKind, BlockPersistSession, DurabilityContract, EagerBackend,
     EpochBackend, LpChecksumBackend, NoopSession, PersistScope, PersistencyBackend, SbrpBackend,
-    SbrpConfig, SessionStats,
+    SbrpConfig,
 };
 use lp_policy::{
     PolicyConfig, PolicyEngine, PolicyJournal, PolicyMode, RegionSignals, SwitchEvent,
@@ -81,17 +82,6 @@ pub enum PersistMode {
 }
 
 impl PersistMode {
-    /// Whether this mode persists every region explicitly: regions are
-    /// validated by commit-token presence instead of checksums. Adaptive
-    /// is *not* eager — each of its regions follows whatever rung the
-    /// policy journal currently assigns it.
-    pub fn is_eager(self) -> bool {
-        matches!(
-            self,
-            PersistMode::Eager | PersistMode::EagerLogged | PersistMode::Epoch | PersistMode::Sbrp
-        )
-    }
-
     /// The persistency backend family implementing this mode.
     pub fn backend_kind(self) -> BackendKind {
         match self {
@@ -522,9 +512,10 @@ impl LpRuntime {
     }
 
     /// Rebuilds the effective per-region modes from the durable policy
-    /// journal — the reboot path, also invoked at the top of recovery
-    /// validation so every region is judged under the contract the journal
-    /// proves it last switched to. A no-op for fixed-mode runtimes.
+    /// journal — the reboot path, also invoked at the top of
+    /// [`LpRuntime::failing_regions`] so every region is judged under the
+    /// contract the journal proves it last switched to. A no-op for
+    /// fixed-mode runtimes.
     pub fn reload_policy(&self, mem: &PersistMemory) {
         let Some(a) = &self.adaptive else { return };
         let mut inner = a.inner.lock().unwrap();
@@ -611,6 +602,24 @@ impl LpRuntime {
             Some(stored) => stored == recomputed,
             None => false,
         }
+    }
+
+    /// The regions of `kernel` that fail validation against current memory
+    /// (checksum mismatch or missing table entry), ascending — the one
+    /// place recovery judges regions.
+    ///
+    /// Adaptive runtimes first resync every region's contract from the
+    /// durable policy journal (a no-op for fixed modes): a region is always
+    /// judged under the mode the journal proves it last switched to, never
+    /// under a half-applied switch.
+    pub fn failing_regions(&self, kernel: &dyn Recoverable, mem: &mut PersistMemory) -> Vec<u64> {
+        self.reload_policy(mem);
+        (0..kernel.config().num_blocks())
+            .filter(|&b| {
+                let recomputed = kernel.recompute_block_checksums(mem, b);
+                !self.validate_region(mem, b, &recomputed)
+            })
+            .collect()
     }
 
     /// Folds the per-region *seal* into a reduced checksum vector.
@@ -791,9 +800,7 @@ impl<'rt> LpBlockSession<'rt> {
             }
             let set = &rt.config.checksums;
             let base = t as usize * self.arity;
-            let mut acc: Vec<u64> = self.acc[base..base + self.arity].to_vec();
-            set.update(&mut acc, value_image);
-            self.acc[base..base + self.arity].copy_from_slice(&acc);
+            set.update(&mut self.acc[base..base + self.arity], value_image);
             ctx.charge_alu(set.update_alu_ops());
         }
     }
@@ -843,12 +850,6 @@ impl<'rt> LpBlockSession<'rt> {
         if let Some(s) = self.psession.as_deref_mut() {
             s.fence(ctx, scope);
         }
-    }
-
-    /// Counters from the active backend session (`None` under Lazy or when
-    /// instrumentation is disabled).
-    pub fn persist_stats(&self) -> Option<SessionStats> {
-        self.psession.as_ref().map(|s| s.session_stats())
     }
 
     /// Marks `addr` as folded into the region's checksum accumulation for

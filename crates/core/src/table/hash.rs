@@ -1,14 +1,6 @@
 //! Hash functions used by the checksum tables.
 
-/// Sebastiano Vigna's SplitMix64 finaliser: a cheap, well-mixed 64-bit
-/// permutation. Used both for table indexing and for deterministic
-/// pseudo-randomness in the racy-conflict model.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+pub use nvm::splitmix64;
 
 /// Seeded hash of a table key. Different seeds give the independent hash
 /// functions cuckoo hashing needs.

@@ -22,7 +22,7 @@
 
 use super::cfg::{build, NodeKind};
 use super::ir::{parse_kernel, FenceScope};
-use crate::kernel_scan::KernelSpan;
+use crate::kernel_scan::{scan_function, FnScan, KernelSpan};
 use crate::lexer::{tokenize, value_identifiers};
 use std::collections::BTreeMap;
 
@@ -106,82 +106,17 @@ pub fn find_device_fns(lines: &[&str]) -> Vec<KernelSpan> {
             i += 1;
             continue;
         }
-        // Gather the header up to '(' (may span lines).
-        let mut header = lines[i][pos..].to_string();
-        let mut j = i;
-        while !header.contains('(') && !header.contains(';') && j + 1 < lines.len() {
-            j += 1;
-            header.push(' ');
-            header.push_str(lines[j]);
-        }
-        if !header.contains('(')
-            || header
-                .find(';')
-                .is_some_and(|s| s < header.find('(').unwrap())
-        {
-            i = j + 1; // a `__device__` variable, not a function
-            continue;
-        }
-        let name = header
-            .split('(')
-            .next()
-            .unwrap_or("")
-            .split_whitespace()
-            .last()
-            .unwrap_or("")
-            .trim_matches('*')
-            .to_string();
-        while !header.contains(')') && j + 1 < lines.len() {
-            j += 1;
-            header.push(' ');
-            header.push_str(lines[j]);
-        }
-        let params = header
-            .split_once('(')
-            .map(|(_, rest)| rest)
-            .and_then(|r| r.rsplit_once(')').map(|(p, _)| p))
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        // Find the body braces; a `;` first means this was a prototype.
-        let mut depth = 0i64;
-        let mut open_line = None;
-        let mut close_line = None;
-        let mut k = j;
-        'scan: while k < lines.len() {
-            for c in lines[k].chars() {
-                match c {
-                    ';' if open_line.is_none() => break 'scan, // prototype
-                    '{' => {
-                        if open_line.is_none() {
-                            open_line = Some(k);
-                        }
-                        depth += 1;
-                    }
-                    '}' => {
-                        depth -= 1;
-                        if depth == 0 && open_line.is_some() {
-                            close_line = Some(k);
-                            break 'scan;
-                        }
-                    }
-                    _ => {}
-                }
+        // A `;` before the `(` is a `__device__` variable, one before the
+        // `{` a prototype; neither is a definition.
+        i = match scan_function(lines, i, pos, true) {
+            FnScan::Definition(span) => {
+                let next = span.body_close_line + 1;
+                out.push(span);
+                next
             }
-            k += 1;
-        }
-        let (Some(open), Some(close)) = (open_line, close_line) else {
-            i = k.max(j) + 1;
-            continue;
+            FnScan::Declaration { end_line } => end_line + 1,
+            FnScan::Unbalanced { .. } => lines.len(),
         };
-        out.push(KernelSpan {
-            name,
-            params,
-            start_line: i,
-            body_open_line: open,
-            body_close_line: close,
-        });
-        i = close + 1;
     }
     out
 }

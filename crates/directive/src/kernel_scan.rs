@@ -43,6 +43,95 @@ impl KernelSpan {
     }
 }
 
+/// Where [`scan_function`] stopped.
+pub(crate) enum FnScan {
+    /// A definition with a balanced body.
+    Definition(KernelSpan),
+    /// A `;` came before the `(` or before the `{`: a qualified variable or
+    /// a prototype, ending on `end_line`. Only reported when the scan was
+    /// asked to recognise declarations.
+    Declaration { end_line: usize },
+    /// The body never opens or never closes.
+    Unbalanced { name: String },
+}
+
+/// Scans the function whose qualifier (`__global__`, `__device__`) sits at
+/// `lines[start][pos..]`: gathers the header (which may span lines) for the
+/// name and the verbatim parameter list, then matches the body braces line
+/// by line. With `declarations` set a `;` ahead of the `(` or the `{` ends
+/// the scan as a [`FnScan::Declaration`] instead of being read through.
+pub(crate) fn scan_function(
+    lines: &[&str],
+    start: usize,
+    pos: usize,
+    declarations: bool,
+) -> FnScan {
+    /// Appends following lines to `header` until `done` holds.
+    fn gather(lines: &[&str], header: &mut String, j: &mut usize, done: impl Fn(&str) -> bool) {
+        while !done(header) && *j + 1 < lines.len() {
+            *j += 1;
+            header.push(' ');
+            header.push_str(lines[*j]);
+        }
+    }
+    let mut header = lines[start][pos..].to_string();
+    let mut j = start;
+    gather(lines, &mut header, &mut j, |h| {
+        h.contains('(') || (declarations && h.contains(';'))
+    });
+    let paren = header.find('(');
+    if declarations && (paren.is_none() || header.find(';').is_some_and(|s| Some(s) < paren)) {
+        return FnScan::Declaration { end_line: j };
+    }
+    let name = header
+        .split('(')
+        .next()
+        .unwrap_or("")
+        .split_whitespace()
+        .last()
+        .unwrap_or("")
+        .trim_matches('*')
+        .to_string();
+    gather(lines, &mut header, &mut j, |h| h.contains(')'));
+    let params = header
+        .split_once('(')
+        .map(|(_, rest)| rest)
+        .and_then(|r| r.rsplit_once(')').map(|(p, _)| p))
+        .unwrap_or("")
+        .trim()
+        .to_string();
+    let mut depth = 0i64;
+    let mut open_line = None;
+    for (k, line) in lines.iter().enumerate().skip(j) {
+        // The three delimiters are ASCII, so bytes suffice.
+        for c in line.bytes() {
+            match c {
+                b';' if declarations && open_line.is_none() => {
+                    return FnScan::Declaration { end_line: k };
+                }
+                b'{' => {
+                    open_line.get_or_insert(k);
+                    depth += 1;
+                }
+                b'}' => {
+                    depth -= 1;
+                    if let (0, Some(open)) = (depth, open_line) {
+                        return FnScan::Definition(KernelSpan {
+                            name,
+                            params,
+                            start_line: start,
+                            body_open_line: open,
+                            body_close_line: k,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    FnScan::Unbalanced { name }
+}
+
 /// Scans the source for `__global__ void name(params) { … }` functions.
 ///
 /// # Errors
@@ -53,76 +142,19 @@ pub fn find_kernels(lines: &[&str]) -> Result<Vec<KernelSpan>, CompileError> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < lines.len() {
-        if let Some(pos) = lines[i].find("__global__") {
-            // Gather the header (may span lines) up to the opening '('.
-            let mut header = lines[i][pos..].to_string();
-            let mut j = i;
-            while !header.contains('(') && j + 1 < lines.len() {
-                j += 1;
-                header.push(' ');
-                header.push_str(lines[j]);
-            }
-            let name = header
-                .split('(')
-                .next()
-                .unwrap_or("")
-                .split_whitespace()
-                .last()
-                .unwrap_or("")
-                .trim_matches('*')
-                .to_string();
-            // Gather params up to the matching ')'.
-            while !header.contains(')') && j + 1 < lines.len() {
-                j += 1;
-                header.push(' ');
-                header.push_str(lines[j]);
-            }
-            let params = header
-                .split_once('(')
-                .map(|(_, rest)| rest)
-                .and_then(|r| r.rsplit_once(')').map(|(p, _)| p))
-                .unwrap_or("")
-                .trim()
-                .to_string();
-            // Find the opening brace and its match, line-by-line.
-            let mut depth = 0i64;
-            let mut open_line = None;
-            let mut close_line = None;
-            let mut k = j;
-            'scan: while k < lines.len() {
-                for c in lines[k].chars() {
-                    match c {
-                        '{' => {
-                            if open_line.is_none() {
-                                open_line = Some(k);
-                            }
-                            depth += 1;
-                        }
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 && open_line.is_some() {
-                                close_line = Some(k);
-                                break 'scan;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                k += 1;
-            }
-            let (Some(open), Some(close)) = (open_line, close_line) else {
-                return Err(CompileError::UnbalancedBraces { kernel: name });
-            };
-            out.push(KernelSpan {
-                name,
-                params,
-                start_line: i,
-                body_open_line: open,
-                body_close_line: close,
-            });
-            i = close + 1;
-        } else {
+        let Some(pos) = lines[i].find("__global__") else {
             i += 1;
+            continue;
+        };
+        match scan_function(lines, i, pos, false) {
+            FnScan::Definition(span) => {
+                i = span.body_close_line + 1;
+                out.push(span);
+            }
+            FnScan::Unbalanced { name } => {
+                return Err(CompileError::UnbalancedBraces { kernel: name })
+            }
+            FnScan::Declaration { .. } => unreachable!("declarations were not asked for"),
         }
     }
     Ok(out)

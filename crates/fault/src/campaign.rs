@@ -246,22 +246,8 @@ impl CampaignReport {
 /// A non-verdict [`TrialResult`] for trials that never produced one.
 fn aborted_result(id: &TrialId, timed_out: bool, detail: String) -> TrialResult {
     TrialResult {
-        id: id.clone(),
-        crashed: false,
-        failed_regions: 0,
-        reexecutions: 0,
-        recovery_rounds: 0,
-        quarantined_lines: 0,
-        degraded_reexecutions: 0,
-        recovery_ns: 0,
-        o1_output: false,
-        o2: None,
-        o3: None,
-        o4_no_silent_corruption: None,
-        o5_journal_agreement: None,
-        passed: false,
         timed_out,
-        detail,
+        ..TrialResult::unjudged(id, false, 0, &Default::default(), detail)
     }
 }
 

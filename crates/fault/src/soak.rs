@@ -42,7 +42,7 @@
 
 use gpu_lp::{BackendKind, DurabilityContract};
 use lp_apps::{build_app, AppKind, AppParams, RecoverableApp};
-use nvm::{FaultConfig, NvmConfig, PersistMemory};
+use nvm::{splitmix64, FaultConfig, NvmConfig, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::{DeviceConfig, Gpu};
 
@@ -187,16 +187,8 @@ impl SoakReport {
     }
 }
 
-/// SplitMix64 over the soak schedule space.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn schedule(seed: u64, cycle: u64, what: u64) -> u64 {
-    mix(seed ^ mix(cycle ^ mix(what ^ 0x50AC_50AC_50AC_50AC)))
+    splitmix64(seed ^ splitmix64(cycle ^ splitmix64(what ^ 0x50AC_50AC_50AC_50AC)))
 }
 
 /// The soak machine: the test GPU and a deliberately tiny cache (64 lines)

@@ -14,8 +14,8 @@
 use crate::oracle::{self, OracleInput};
 use crate::site::CrashSite;
 use gpu_lp::{
-    BackendKind, LpConfig, LpRuntime, PolicyMode, Recoverable, RecoveryEngine, RecoveryReport,
-    ReduceStrategy, ResilientRecovery, ResilientReport, TableKind,
+    BackendKind, LpConfig, LpRuntime, PolicyMode, Recoverable, ReduceStrategy, ResilientRecovery,
+    ResilientReport, TableKind,
 };
 use lp_kernels::{workload_by_name, Scale, WORKLOAD_NAMES};
 use megakv::app::OpKind;
@@ -127,9 +127,9 @@ pub struct TrialResult {
     pub failed_regions: u64,
     /// Region re-executions recovery performed.
     pub reexecutions: u64,
-    /// Validate/repair rounds (resilient engine) or passes (eager engine).
+    /// Validate/repair rounds recovery ran.
     pub recovery_rounds: u32,
-    /// Lines the resilient engine retired and remapped.
+    /// Lines recovery retired and remapped.
     pub quarantined_lines: u64,
     /// Re-executions that ran in degraded (eager flush-per-store) mode.
     pub degraded_reexecutions: u64,
@@ -159,6 +159,48 @@ pub struct TrialResult {
     pub timed_out: bool,
     /// Diagnostics for failures and skipped oracles.
     pub detail: String,
+}
+
+impl TrialResult {
+    /// A result carrying `report`'s recovery figures and no oracle verdict
+    /// yet (`passed = false`): each trial path fills in the oracles it
+    /// applies.
+    pub(crate) fn unjudged(
+        id: &TrialId,
+        crashed: bool,
+        failed_regions: usize,
+        report: &ResilientReport,
+        detail: String,
+    ) -> Self {
+        Self {
+            id: id.clone(),
+            crashed,
+            failed_regions: failed_regions as u64,
+            reexecutions: report.reexecutions,
+            recovery_rounds: report.rounds,
+            quarantined_lines: report.quarantined_lines,
+            degraded_reexecutions: report.degraded_reexecutions,
+            recovery_ns: report.latency_ns(),
+            o1_output: false,
+            o2: None,
+            o3: None,
+            o4_no_silent_corruption: None,
+            o5_journal_agreement: None,
+            passed: false,
+            timed_out: false,
+            detail,
+        }
+    }
+}
+
+/// The recovery report of a sabotaged trial: claims success without
+/// having repaired anything.
+fn sabotage_report(regions: u64) -> ResilientReport {
+    ResilientReport {
+        regions,
+        all_durable: true,
+        ..ResilientReport::default()
+    }
 }
 
 /// The device fault model a site implies, derived deterministically from
@@ -297,10 +339,7 @@ fn inject(
     let (crashed, blocks_executed, loss, loss_oracles) = match site {
         CrashSite::AfterStores { pct } => {
             let total = clean_stores.expect("AfterStores needs the clean store count");
-            let plan = CrashPlan {
-                after_global_stores: Some(total * pct / 100),
-                after_blocks: None,
-            };
+            let plan = CrashPlan::after_stores(total * pct / 100);
             let out = gpu.launch_with_plan(kernel, mem, plan).expect("launch");
             let crashed = out.crashed();
             if !crashed {
@@ -382,20 +421,17 @@ fn inject(
             // checked: two overlapping loss records defeat line-level
             // attribution.
             let total = clean_stores.expect("DuringRecovery needs the clean store count");
-            let plan = CrashPlan {
-                after_global_stores: Some(total * 2 / 5),
-                after_blocks: None,
-            };
+            let plan = CrashPlan::after_stores(total * 2 / 5);
             let out = gpu.launch_with_plan(kernel, mem, plan).expect("launch");
             let crashed = out.crashed();
             if crashed {
                 let _first = reboot(mem);
                 mem.arm_crash_after_evictions(nth);
-                let r1 = RecoveryEngine::new(gpu).recover(kernel, rt, mem);
+                let r1 = ResilientRecovery::new(gpu).recover(kernel, rt, mem);
                 mem.disarm_crash();
                 if mem.power_failed() {
                     assert!(
-                        !r1.recovered,
+                        !r1.all_durable,
                         "recovery reported success despite a mid-recovery power loss"
                     );
                     note.push_str("double crash hit recovery; ");
@@ -474,18 +510,12 @@ pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
                 return judge_device_trial(id, &cfg, gpu, mem, kernel, rt, verify, &injected);
             }
 
-            let engine = RecoveryEngine::new(gpu);
-            let failed = engine.validate_all(kernel, rt, mem);
+            let failed = rt.failing_regions(kernel, mem);
             let report = if cfg.skip_recovery {
                 detail.push_str("sabotage: recovery skipped; ");
-                RecoveryReport {
-                    regions: num_blocks,
-                    failed_first_pass: failed.len() as u64,
-                    recovered: true,
-                    ..RecoveryReport::default()
-                }
+                sabotage_report(num_blocks)
             } else {
-                engine.recover(kernel, rt, mem)
+                ResilientRecovery::new(gpu).recover(kernel, rt, mem)
             };
 
             // O2/O3 attribute validation failures to the crash-loss record
@@ -516,27 +546,16 @@ pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
             };
             detail.push_str(&verdict.detail);
 
-            let o1 = report.recovered && verify(mem);
+            let o1 = report.all_durable && verify(mem);
             if !o1 {
                 detail.push_str("O1: output wrong after recovery; ");
             }
             TrialResult {
-                id: id.clone(),
-                crashed: injected.crashed,
-                failed_regions: failed.len() as u64,
-                reexecutions: report.reexecutions,
-                recovery_rounds: report.passes,
-                quarantined_lines: 0,
-                degraded_reexecutions: 0,
-                recovery_ns: report.reexecution_ns_x1000 / 1000,
                 o1_output: o1,
                 o2: verdict.o2,
                 o3: verdict.o3,
-                o4_no_silent_corruption: None,
-                o5_journal_agreement: None,
                 passed: o1 && verdict.ok(),
-                timed_out: false,
-                detail,
+                ..TrialResult::unjudged(id, injected.crashed, failed.len(), &report, detail)
             }
         },
     )
@@ -631,10 +650,9 @@ fn run_policy_switch_trial(
             // Recovery reloads the journal before judging any region, so
             // each region is validated under exactly one contract — the
             // old or the new, never a hybrid.
-            let engine = RecoveryEngine::new(gpu);
-            let failed = engine.validate_all(kernel, rt, mem);
-            let report = engine.recover(kernel, rt, mem);
-            let o1 = report.recovered && verify(mem);
+            let failed = rt.failing_regions(kernel, mem);
+            let report = ResilientRecovery::new(gpu).recover(kernel, rt, mem);
+            let o1 = report.all_durable && verify(mem);
             if !o1 {
                 detail.push_str("O1: output wrong after recovery; ");
             }
@@ -645,7 +663,7 @@ fn run_policy_switch_trial(
             mem.flush_all();
             mem.crash();
             let _ = reboot(mem);
-            let disagreements = engine.validate_all(kernel, rt, mem);
+            let disagreements = rt.failing_regions(kernel, mem);
             let o5 = disagreements.is_empty();
             if !o5 {
                 detail.push_str(&format!(
@@ -655,22 +673,10 @@ fn run_policy_switch_trial(
             }
 
             TrialResult {
-                id: id.clone(),
-                crashed: true,
-                failed_regions: failed.len() as u64,
-                reexecutions: report.reexecutions,
-                recovery_rounds: report.passes,
-                quarantined_lines: 0,
-                degraded_reexecutions: 0,
-                recovery_ns: report.reexecution_ns_x1000 / 1000,
                 o1_output: o1,
-                o2: None,
-                o3: None,
-                o4_no_silent_corruption: None,
                 o5_journal_agreement: Some(o5),
                 passed: o1 && o5,
-                timed_out: false,
-                detail,
+                ..TrialResult::unjudged(id, true, failed.len(), &report, detail)
             }
         },
     )
@@ -694,14 +700,14 @@ fn judge_device_trial(
     injected: &Injected,
 ) -> TrialResult {
     let mut detail = injected.note.clone();
-    let failed = RecoveryEngine::new(gpu).validate_all(kernel, rt, mem);
+    let failed = rt.failing_regions(kernel, mem);
 
     let (report, o1, o4) = if cfg.skip_recovery {
         // Sabotage: claim success without repairing anything. Whatever the
         // device faults corrupted stays corrupted, so O4 must fire.
         detail.push_str("sabotage: recovery skipped; ");
         let ok = verify(mem);
-        (ResilientReport::default(), ok, ok)
+        (sabotage_report(kernel.config().num_blocks()), ok, ok)
     } else {
         let report = ResilientRecovery::new(gpu).recover(kernel, rt, mem);
         if report.all_durable {
@@ -743,22 +749,10 @@ fn judge_device_trial(
     };
 
     TrialResult {
-        id: id.clone(),
-        crashed: injected.crashed,
-        failed_regions: failed.len() as u64,
-        reexecutions: report.reexecutions,
-        recovery_rounds: report.rounds,
-        quarantined_lines: report.quarantined_lines,
-        degraded_reexecutions: report.degraded_reexecutions,
-        recovery_ns: report.latency_ns(),
         o1_output: o1,
-        o2: None,
-        o3: None,
         o4_no_silent_corruption: Some(o4),
-        o5_journal_agreement: None,
         passed: o4,
-        timed_out: false,
-        detail,
+        ..TrialResult::unjudged(id, injected.crashed, failed.len(), &report, detail)
     }
 }
 

@@ -3,9 +3,9 @@
 //! instrumentation, and the full crash → validate → recover → verify loop.
 
 use crate::workload::Workload;
-use gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use nvm::{NvmConfig, PersistMemory};
-use simt::{CrashSpec, DeviceConfig, Gpu};
+use simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// A small device + small cache world: evictions (natural persistence)
 /// happen early and often, which is the regime LP cares about.
@@ -67,7 +67,7 @@ pub fn assert_clean_validation(w: &mut dyn Workload) {
     gpu.launch(kernel.as_ref(), &mut mem)
         .expect("launch failed");
     mem.flush_all();
-    let failed = RecoveryEngine::new(&gpu).validate_all(kernel.as_ref(), &rt, &mut mem);
+    let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
     assert!(
         failed.is_empty(),
         "{}: clean run failed validation for blocks {failed:?}",
@@ -89,12 +89,10 @@ pub fn assert_crash_recovery(w: &mut dyn Workload, crash_after_stores: u64) {
     );
     let kernel = w.kernel(Some(&rt));
     let outcome = gpu
-        .launch_with_crash(
+        .launch_with_plan(
             kernel.as_ref(),
             &mut mem,
-            CrashSpec {
-                after_global_stores: crash_after_stores,
-            },
+            CrashPlan::after_stores(crash_after_stores),
         )
         .expect("launch failed");
     if !outcome.crashed() {
@@ -103,9 +101,9 @@ pub fn assert_crash_recovery(w: &mut dyn Workload, crash_after_stores: u64) {
         assert!(w.verify(&mut mem), "{}: completed run wrong", w.info().name);
         return;
     }
-    let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+    let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
     assert!(
-        report.recovered,
+        report.all_durable,
         "{}: recovery did not converge: {report:?}",
         w.info().name
     );
@@ -115,16 +113,4 @@ pub fn assert_crash_recovery(w: &mut dyn Workload, crash_after_stores: u64) {
         w.info().name,
         report.reexecutions
     );
-}
-
-/// Crash/recovery sweep across several crash points (cheap property-style
-/// coverage for a workload).
-pub fn assert_crash_recovery_sweep(
-    w_factory: &mut dyn FnMut() -> Box<dyn Workload>,
-    points: &[u64],
-) {
-    for &p in points {
-        let mut w = w_factory();
-        assert_crash_recovery(w.as_mut(), p);
-    }
 }

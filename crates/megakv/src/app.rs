@@ -4,10 +4,10 @@
 
 use crate::batch::{generate_streams, value_of, Batch};
 use crate::kernels::{DeleteKernel, InsertKernel, SearchKernel, OPS_PER_BLOCK};
-use crate::store::{KvStore, NOT_FOUND};
-use gpu_lp::{LpConfig, LpRuntime, Recoverable, RecoveryEngine, RecoveryReport};
+use crate::store::KvStore;
+use gpu_lp::{LpConfig, LpRuntime, Recoverable, ResilientRecovery, ResilientReport};
 use nvm::PersistMemory;
-use simt::{CrashSpec, Gpu, LaunchStats};
+use simt::{CrashPlan, Gpu, LaunchStats};
 
 /// Which batched operation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,21 +128,15 @@ impl MegaKv {
         op: OpKind,
         lp: &LpRuntime,
         crash_after_stores: u64,
-    ) -> RecoveryReport {
+    ) -> ResilientReport {
         let k = self.kernel(op, Some(lp));
         let outcome = gpu
-            .launch_with_crash(
-                k.as_ref(),
-                mem,
-                CrashSpec {
-                    after_global_stores: crash_after_stores,
-                },
-            )
+            .launch_with_plan(k.as_ref(), mem, CrashPlan::after_stores(crash_after_stores))
             .expect("launch failed");
         if !outcome.crashed() {
             mem.flush_all();
         }
-        RecoveryEngine::new(gpu).recover(k.as_ref(), lp, mem)
+        ResilientRecovery::new(gpu).recover(k.as_ref(), lp, mem)
     }
 
     /// After the insert batch: every key present with its derived value.
@@ -174,18 +168,6 @@ impl MegaKv {
             }
         })
     }
-
-    /// Sanity: a search result can only be a real value or NOT_FOUND.
-    pub fn search_results(&self, mem: &mut PersistMemory) -> Vec<u64> {
-        (0..self.search.len() as u64)
-            .map(|i| mem.read_u64(self.search.out.index(i, 8)))
-            .collect()
-    }
-}
-
-/// Convenience for tests: `true` iff no search result is `NOT_FOUND`.
-pub fn all_found(results: &[u64]) -> bool {
-    results.iter().all(|&v| v != NOT_FOUND)
 }
 
 #[cfg(test)]
@@ -231,7 +213,7 @@ mod tests {
         let (gpu, mut mem, app) = world(2048);
         let rt = app.lp_runtime(&mut mem, OpKind::Insert, LpConfig::recommended());
         let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Insert, &rt, 500);
-        assert!(report.recovered, "{report:?}");
+        assert!(report.all_durable, "{report:?}");
         assert!(app.verify_inserts(&mut mem));
     }
 
@@ -242,7 +224,7 @@ mod tests {
         mem.flush_all();
         let rt = app.lp_runtime(&mut mem, OpKind::Search, LpConfig::recommended());
         let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Search, &rt, 300);
-        assert!(report.recovered, "{report:?}");
+        assert!(report.all_durable, "{report:?}");
         assert!(app.verify_searches(&mut mem));
     }
 
@@ -253,7 +235,7 @@ mod tests {
         mem.flush_all();
         let rt = app.lp_runtime(&mut mem, OpKind::Delete, LpConfig::recommended());
         let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Delete, &rt, 200);
-        assert!(report.recovered, "{report:?}");
+        assert!(report.all_durable, "{report:?}");
         assert!(app.verify_deletes(&mut mem));
     }
 }

@@ -31,7 +31,7 @@ proptest! {
         let (gpu, mut mem, app) = world(1024, seed);
         let rt = app.lp_runtime(&mut mem, OpKind::Insert, LpConfig::recommended());
         let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Insert, &rt, crash_point);
-        prop_assert!(report.recovered);
+        prop_assert!(report.all_durable);
         prop_assert!(app.verify_inserts(&mut mem), "records lost at crash point {}", crash_point);
     }
 
@@ -47,7 +47,7 @@ proptest! {
         mem.flush_all();
         let rt = app.lp_runtime(&mut mem, OpKind::Delete, LpConfig::recommended());
         let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Delete, &rt, crash_point);
-        prop_assert!(report.recovered);
+        prop_assert!(report.all_durable);
         prop_assert!(app.verify_deletes(&mut mem), "delete state wrong at crash point {}", crash_point);
     }
 

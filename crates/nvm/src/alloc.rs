@@ -110,11 +110,6 @@ impl BumpAllocator {
     pub fn used(&self) -> u64 {
         self.next - Self::BASE
     }
-
-    /// The next address that would be returned for an alignment-1 request.
-    pub fn watermark(&self) -> Addr {
-        Addr::new(self.next)
-    }
 }
 
 impl Default for BumpAllocator {

@@ -19,15 +19,16 @@
 use crate::stats::NvmStats;
 use serde::{Deserialize, Serialize};
 
-/// splitmix64: the same tiny deterministic mixer the LP runtime uses for
-/// checksum-table seeds. Good enough avalanche for fault sampling and
-/// trivially reproducible.
-fn splitmix64(mut x: u64) -> u64 {
+/// Sebastiano Vigna's SplitMix64 finaliser: a cheap, well-mixed 64-bit
+/// permutation. The workspace's one deterministic mixer — fault sampling
+/// here, checksum-table indexing and region seals in the LP runtime,
+/// journal and manifest checksums, seed derivation everywhere.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Fault intensities, in basis points (1/10 000) per device event, plus

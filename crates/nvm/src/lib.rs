@@ -45,6 +45,6 @@ mod stats;
 
 pub use alloc::{Addr, BumpAllocator};
 pub use config::NvmConfig;
-pub use fault::{DeviceFaults, FaultConfig, FaultModel, FlushOutcome};
+pub use fault::{splitmix64, DeviceFaults, FaultConfig, FaultModel, FlushOutcome};
 pub use memory::{CrashLoss, CrashPredicate, LostLine, PersistMemory};
 pub use stats::NvmStats;

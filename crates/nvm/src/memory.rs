@@ -708,16 +708,6 @@ impl PersistMemory {
         self.read_durable_bytes(addr, &mut b);
         u64::from_le_bytes(b)
     }
-
-    /// Reads an `f32` from the durable view.
-    pub fn read_durable_f32(&self, addr: Addr) -> f32 {
-        f32::from_bits(self.read_durable_u32(addr))
-    }
-
-    /// Reads an `f64` from the durable view.
-    pub fn read_durable_f64(&self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_durable_u64(addr))
-    }
 }
 
 #[cfg(test)]

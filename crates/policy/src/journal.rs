@@ -19,7 +19,7 @@
 //! journal/data-agreement oracle checks.
 
 use crate::mode::PolicyMode;
-use nvm::{Addr, FlushOutcome, PersistMemory};
+use nvm::{splitmix64, Addr, FlushOutcome, PersistMemory};
 
 /// Bytes per journal record: four 8-byte words.
 pub const RECORD_BYTES: u64 = 32;
@@ -28,13 +28,6 @@ pub const RECORD_BYTES: u64 = 32;
 const APPEND_RETRIES: u32 = 6;
 
 const MAGIC: u64 = 0x1b9e_ca11_ab1e_0007;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 fn record_checksum(seq: u64, region: u64, packed: u64) -> u64 {
     splitmix64(seq ^ splitmix64(region ^ splitmix64(packed ^ MAGIC)))

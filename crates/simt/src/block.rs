@@ -3,7 +3,7 @@
 
 use crate::config::DeviceConfig;
 use crate::device::DeviceState;
-use crate::dim::{Dim3, LaunchConfig};
+use crate::dim::LaunchConfig;
 use crate::observe::{AccessKind, AccessObserver};
 use crate::stats::BlockCost;
 use nvm::{Addr, FlushOutcome, PersistMemory};
@@ -84,7 +84,7 @@ impl<'a> BlockCtx<'a> {
         dev: &'a mut DeviceState,
         cfg: &'a DeviceConfig,
     ) -> Self {
-        Self::new(launch, flat_block, mem, dev, cfg)
+        Self::new(launch, flat_block, mem, dev, cfg, None)
     }
 
     /// Consumes the context and returns the block's accumulated cost.
@@ -99,16 +99,6 @@ impl<'a> BlockCtx<'a> {
     }
 
     pub(crate) fn new(
-        launch: LaunchConfig,
-        flat_block: u64,
-        mem: &'a mut PersistMemory,
-        dev: &'a mut DeviceState,
-        cfg: &'a DeviceConfig,
-    ) -> Self {
-        Self::new_observed(launch, flat_block, mem, dev, cfg, None)
-    }
-
-    pub(crate) fn new_observed(
         launch: LaunchConfig,
         flat_block: u64,
         mem: &'a mut PersistMemory,
@@ -153,16 +143,6 @@ impl<'a> BlockCtx<'a> {
     /// `(blockIdx.x, blockIdx.y, blockIdx.z)`.
     pub fn block_idx(&self) -> (u32, u32, u32) {
         self.launch.grid.unflatten(self.flat_block)
-    }
-
-    /// Grid dimensions of the launch.
-    pub fn grid_dim(&self) -> Dim3 {
-        self.launch.grid
-    }
-
-    /// Block (thread) dimensions of the launch.
-    pub fn block_dim(&self) -> Dim3 {
-        self.launch.block
     }
 
     /// Threads in this block.
@@ -400,13 +380,6 @@ impl<'a> BlockCtx<'a> {
         self.mem.read_f32(addr)
     }
 
-    /// Loads an `f64` from global memory.
-    pub fn load_f64(&mut self, addr: Addr) -> f64 {
-        self.charge_global(8);
-        self.note_global(addr, 8, AccessKind::Load);
-        self.mem.read_f64(addr)
-    }
-
     /// Stores a `u32` to global memory (dropped after the crash point).
     pub fn store_u32(&mut self, addr: Addr, v: u32) {
         self.charge_global(4);
@@ -613,30 +586,6 @@ impl<'a> BlockCtx<'a> {
         old
     }
 
-    /// `atomicAdd` on an `f32` word; returns the old value.
-    pub fn atomic_add_f32(&mut self, addr: Addr, v: f32) -> f32 {
-        self.charge_atomic(addr, 4);
-        self.note_global(addr, 4, AccessKind::Atomic);
-        let old = self.mem.read_f32(addr);
-        if self.dev.store_tick() {
-            self.mem.write_f32(addr, old + v);
-            self.sync_power();
-        }
-        old
-    }
-
-    /// `atomicMin` on a `u32` word; returns the old value.
-    pub fn atomic_min_u32(&mut self, addr: Addr, v: u32) -> u32 {
-        self.charge_atomic(addr, 4);
-        self.note_global(addr, 4, AccessKind::Atomic);
-        let old = self.mem.read_u32(addr);
-        if v < old && self.dev.store_tick() {
-            self.mem.write_u32(addr, v);
-            self.sync_power();
-        }
-        old
-    }
-
     // ---- global spin lock ------------------------------------------------
 
     /// Acquires the global spin lock at `lock_addr`.
@@ -698,7 +647,7 @@ mod tests {
     #[test]
     fn identity_helpers() {
         let (mut mem, mut dev, cfg, lc) = fixture();
-        let ctx = BlockCtx::new(lc, 5, &mut mem, &mut dev, &cfg);
+        let ctx = BlockCtx::new(lc, 5, &mut mem, &mut dev, &cfg, None);
         assert_eq!(ctx.block_id(), 5);
         assert_eq!(ctx.global_thread_id(3), 5 * 64 + 3);
         assert_eq!(ctx.warp_of(33), 1);
@@ -710,7 +659,7 @@ mod tests {
     fn loads_and_stores_roundtrip_and_charge() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let a = mem.alloc(64, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         ctx.store_f32(a, 2.5);
         assert_eq!(ctx.load_f32(a), 2.5);
         let cost = ctx.finish();
@@ -721,7 +670,7 @@ mod tests {
     #[test]
     fn shared_memory_is_block_scratch() {
         let (mut mem, mut dev, cfg, lc) = fixture();
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         let h = ctx.shared_alloc(32);
         ctx.shm_write(h, 7, 99);
         assert_eq!(ctx.shm_read(h, 7), 99);
@@ -734,7 +683,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn shm_oob_panics() {
         let (mut mem, mut dev, cfg, lc) = fixture();
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         let h = ctx.shared_alloc(4);
         ctx.shm_read(h, 4);
     }
@@ -743,7 +692,7 @@ mod tests {
     fn atomic_cas_semantics() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let a = mem.alloc(8, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         assert_eq!(ctx.atomic_cas_u64(a, 0, 42), 0); // success, old = 0
         assert_eq!(ctx.atomic_cas_u64(a, 0, 77), 42); // fail, old = 42
         assert_eq!(ctx.load_u64(a), 42);
@@ -753,7 +702,7 @@ mod tests {
     fn atomic_exch_returns_old() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let a = mem.alloc(8, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         ctx.store_u64(a, 7);
         assert_eq!(ctx.atomic_exch_u64(a, 9), 7);
         assert_eq!(ctx.load_u64(a), 9);
@@ -763,7 +712,7 @@ mod tests {
     fn atomic_add_accumulates() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let a = mem.alloc(8, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         for _ in 0..10 {
             ctx.atomic_add_u32(a, 3);
         }
@@ -776,7 +725,7 @@ mod tests {
         let (mut mem, mut dev, cfg, lc) = fixture();
         dev.crash_after_stores = Some(1);
         let a = mem.alloc(16, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         ctx.store_u64(a, 1); // takes effect
         ctx.store_u64(a.offset(8), 2); // dropped: crash point passed
         assert!(ctx.crashed());
@@ -789,7 +738,7 @@ mod tests {
     fn lock_accumulates_serial_time() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let lock = mem.alloc(8, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         ctx.lock_global(lock);
         ctx.charge_alu(1000);
         ctx.unlock_global(lock);
@@ -802,7 +751,7 @@ mod tests {
     fn leaked_lock_panics() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let lock = mem.alloc(8, 8);
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         ctx.lock_global(lock);
         ctx.finish();
     }
@@ -810,7 +759,7 @@ mod tests {
     #[test]
     fn serial_charges_bypass_width_division() {
         let (mut mem, mut dev, cfg, lc) = fixture();
-        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg);
+        let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         ctx.charge_serial_alu(500);
         let cost = ctx.finish();
         assert_eq!(cost.serial_cycles, 500.0);

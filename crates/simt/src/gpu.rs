@@ -3,6 +3,7 @@
 use crate::block::BlockCtx;
 use crate::config::DeviceConfig;
 use crate::device::DeviceState;
+use crate::dim::LaunchConfig;
 use crate::kernel::Kernel;
 use crate::observe::AccessObserver;
 use crate::stats::LaunchStats;
@@ -10,26 +11,19 @@ use nvm::PersistMemory;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Where to inject a power loss during a launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CrashSpec {
-    /// The device loses power after this many global stores (stores and
-    /// atomic writes both advance the clock). `0` crashes before the first
-    /// store persists anything.
-    pub after_global_stores: u64,
-}
-
-/// A richer crash-injection plan than [`CrashSpec`]: power can be lost
-/// either after a number of global stores (mid-block), after a number of
-/// completed thread blocks (a kernel-boundary-like point inside the grid),
-/// or whenever an armed trigger in the [`PersistMemory`] itself fires
-/// (eviction counts, stat predicates, mid-flush budgets).
+/// Where to inject a power loss during a launch: after a number of global
+/// stores (mid-block), after a number of completed thread blocks (a
+/// kernel-boundary-like point inside the grid), or whenever an armed
+/// trigger in the [`PersistMemory`] itself fires (eviction counts, stat
+/// predicates, mid-flush budgets).
 ///
 /// The first condition reached wins. An empty plan never crashes, which
 /// makes a plan-driven launch loop uniform for campaign runners.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CrashPlan {
-    /// Lose power after this many global stores (`CrashSpec` semantics).
+    /// Lose power after this many global stores (stores and atomic writes
+    /// both advance the clock). `Some(0)` crashes before the first store
+    /// persists anything.
     pub after_global_stores: Option<u64>,
     /// Lose power at the boundary after this many thread blocks complete.
     /// `Some(0)` crashes before any block runs.
@@ -42,18 +36,17 @@ impl CrashPlan {
         Self::default()
     }
 
+    /// A plan that loses power after `n` global stores.
+    pub fn after_stores(n: u64) -> Self {
+        Self {
+            after_global_stores: Some(n),
+            after_blocks: None,
+        }
+    }
+
     /// Whether the plan has no device-side crash condition.
     pub fn is_empty(&self) -> bool {
         self.after_global_stores.is_none() && self.after_blocks.is_none()
-    }
-}
-
-impl From<CrashSpec> for CrashPlan {
-    fn from(spec: CrashSpec) -> Self {
-        Self {
-            after_global_stores: Some(spec.after_global_stores),
-            after_blocks: None,
-        }
     }
 }
 
@@ -147,33 +140,16 @@ impl Gpu {
         }
     }
 
-    /// Launches `kernel` with an injected power loss.
-    ///
-    /// If the crash point is reached, all stores after it are dropped, the
-    /// remaining blocks never run, and the memory's volatile cache is
-    /// discarded (as a real power loss would), leaving only the durable
-    /// view. If the kernel finishes first, the launch completes normally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LaunchError::EmptyLaunch`] for an empty grid/block.
-    pub fn launch_with_crash(
-        &self,
-        kernel: &dyn Kernel,
-        mem: &mut PersistMemory,
-        crash: CrashSpec,
-    ) -> Result<LaunchOutcome, LaunchError> {
-        self.launch_inner(kernel, mem, crash.into(), None)
-    }
-
     /// Launches `kernel` under a [`CrashPlan`].
     ///
-    /// Unlike [`Gpu::launch_with_crash`] this also reports `Crashed` when a
-    /// trigger armed on the memory itself (see
-    /// [`PersistMemory::arm_crash_after_evictions`] and friends) trips the
-    /// power mid-launch, and it supports crashing at a block boundary. An
-    /// empty plan with no armed trigger behaves exactly like
-    /// [`Gpu::launch`].
+    /// If a crash point is reached — the plan's store count or block
+    /// boundary, or a trigger armed on the memory itself (see
+    /// [`PersistMemory::arm_crash_after_evictions`] and friends) — all
+    /// stores after it are dropped, the remaining blocks never run, and the
+    /// memory's volatile cache is discarded (as a real power loss would),
+    /// leaving only the durable view. If the kernel finishes first, the
+    /// launch completes normally; an empty plan with no armed trigger
+    /// behaves exactly like [`Gpu::launch`].
     ///
     /// # Errors
     ///
@@ -209,11 +185,14 @@ impl Gpu {
     }
 
     /// Re-executes a single thread block of `kernel` in isolation and
-    /// returns its cost.
+    /// returns its cost, reporting every access to `obs` if one is given.
     ///
     /// This is the recovery path: Lazy Persistency re-runs exactly the
     /// blocks whose checksums failed validation. Blocks must be associative
     /// (independent), so running one alone is legal by construction.
+    /// Degraded-mode recovery passes an observer to learn the exact set of
+    /// lines the block stores to, which it then persists eagerly, line by
+    /// line.
     ///
     /// # Panics
     ///
@@ -223,42 +202,39 @@ impl Gpu {
         kernel: &dyn Kernel,
         mem: &mut PersistMemory,
         block_id: u64,
+        mut obs: Option<&mut dyn AccessObserver>,
     ) -> crate::BlockCost {
         let lc = kernel.config();
         assert!(block_id < lc.num_blocks(), "block id outside grid");
         let line = mem.config().line_size as u64;
         let mut dev = DeviceState::new(&self.cfg, 1, line);
-        let mut ctx = BlockCtx::new(lc, block_id, mem, &mut dev, &self.cfg);
-        kernel.run_block(&mut ctx);
-        ctx.finish()
+        self.run_block(kernel, lc, block_id, mem, &mut dev, &mut obs)
     }
 
-    /// [`Self::run_single_block`] with every access reported to `obs`.
-    ///
-    /// Used by degraded-mode recovery: re-executing a failed block under
-    /// observation yields the exact set of lines it stores to, which the
-    /// recovery runtime then persists eagerly, line by line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_id` is outside the kernel's grid.
-    pub fn run_single_block_observed(
+    /// Runs block `b` to completion, bracketing it with the observer's
+    /// block hooks.
+    fn run_block(
         &self,
         kernel: &dyn Kernel,
+        lc: LaunchConfig,
+        b: u64,
         mem: &mut PersistMemory,
-        block_id: u64,
-        obs: &mut dyn AccessObserver,
+        dev: &mut DeviceState,
+        obs: &mut Option<&mut dyn AccessObserver>,
     ) -> crate::BlockCost {
-        let lc = kernel.config();
-        assert!(block_id < lc.num_blocks(), "block id outside grid");
-        let line = mem.config().line_size as u64;
-        let mut dev = DeviceState::new(&self.cfg, 1, line);
-        obs.on_block_begin(block_id);
-        let mut ctx =
-            BlockCtx::new_observed(lc, block_id, mem, &mut dev, &self.cfg, Some(&mut *obs));
+        if let Some(o) = obs.as_deref_mut() {
+            o.on_block_begin(b);
+        }
+        // Reborrow the observer for this block only, shortening the trait
+        // object's inner lifetime so `mem`/`dev` are not held for the
+        // observer's full lifetime.
+        let o = obs.as_deref_mut().map(|o| o as &mut dyn AccessObserver);
+        let mut ctx = BlockCtx::new(lc, b, mem, dev, &self.cfg, o);
         kernel.run_block(&mut ctx);
         let cost = ctx.finish();
-        obs.on_block_end(block_id);
+        if let Some(o) = obs.as_deref_mut() {
+            o.on_block_end(b);
+        }
         cost
     }
 
@@ -296,19 +272,7 @@ impl Gpu {
             if dev.crashed {
                 break;
             }
-            if let Some(o) = obs.as_deref_mut() {
-                o.on_block_begin(b);
-            }
-            // Reborrow the observer for this block only, shortening the
-            // trait object's inner lifetime so `mem`/`dev` are not held for
-            // the observer's full lifetime.
-            let o = obs.as_deref_mut().map(|o| o as &mut dyn AccessObserver);
-            let mut ctx = BlockCtx::new_observed(lc, b, mem, &mut dev, &self.cfg, o);
-            kernel.run_block(&mut ctx);
-            let cost = ctx.finish();
-            if let Some(o) = obs.as_deref_mut() {
-                o.on_block_end(b);
-            }
+            let cost = self.run_block(kernel, lc, b, mem, &mut dev, &mut obs);
             let sm = (b % self.cfg.num_sms as u64) as usize;
             sm_busy[sm] += cost.time_ns(self.cfg.sm_width, self.cfg.clock_ghz);
             total_parallel += cost.parallel_cycles;
@@ -380,7 +344,6 @@ impl Default for Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dim::LaunchConfig;
     use nvm::{Addr, NvmConfig};
 
     /// out[i] = i * mult for i < n.
@@ -488,13 +451,7 @@ mod tests {
             mult: 1,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 500,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(500))
             .unwrap();
         assert!(outcome.crashed());
         let stats = outcome.stats();
@@ -597,13 +554,7 @@ mod tests {
             mult: 1,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 500,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(500))
             .unwrap();
         assert!(outcome.crashed());
         let loss = mem
@@ -629,13 +580,7 @@ mod tests {
             mult: 2,
         };
         let outcome = gpu
-            .launch_with_crash(
-                &k,
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 1_000_000,
-                },
-            )
+            .launch_with_plan(&k, &mut mem, CrashPlan::after_stores(1_000_000))
             .unwrap();
         assert!(!outcome.crashed());
     }

@@ -10,7 +10,7 @@
 use lpgpu::gpu_lp::checkpoint::{
     availability, optimal_checkpoint_interval, CheckpointManager, CheckpointPolicy,
 };
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
 use lpgpu::simt::{DeviceConfig, Gpu};
@@ -52,15 +52,15 @@ fn main() {
     // damaged; validation + recovery repair exactly that.
     mem.crash();
     let kernel = w.kernel(Some(&rt));
-    let engine = RecoveryEngine::new(&gpu);
-    let failed = engine.validate_all(kernel.as_ref(), &rt, &mut mem);
+    let engine = ResilientRecovery::new(&gpu);
+    let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
     println!(
         "\ncrash after round 7 (1 launch past the last checkpoint): {} of {} regions need recovery",
         failed.len(),
         lc.num_blocks()
     );
     let report = engine.recover(kernel.as_ref(), &rt, &mut mem);
-    assert!(report.recovered && w.verify(&mut mem));
+    assert!(report.all_durable && w.verify(&mut mem));
     println!(
         "recovered with {} re-executions; output verified\n",
         report.reexecutions

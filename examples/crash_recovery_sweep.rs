@@ -8,10 +8,10 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery_sweep`
 
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_kernels::{all_workloads, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 fn main() {
     let gpu = Gpu::new(DeviceConfig::test_gpu());
@@ -38,19 +38,14 @@ fn main() {
             let kernel = w.kernel(Some(&rt));
 
             let outcome = gpu
-                .launch_with_crash(
-                    kernel.as_ref(),
-                    &mut mem,
-                    CrashSpec {
-                        after_global_stores: point,
-                    },
-                )
+                .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(point))
                 .expect("launch");
             if !outcome.crashed() {
                 mem.flush_all();
             }
-            let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-            assert!(report.recovered, "{}: recovery diverged", w.info().name);
+            let lost = rt.failing_regions(kernel.as_ref(), &mut mem).len();
+            let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+            assert!(report.all_durable, "{}: recovery diverged", w.info().name);
             assert!(
                 w.verify(&mut mem),
                 "{}: wrong output after recovery",
@@ -61,7 +56,7 @@ fn main() {
                 w.info().name,
                 outcome.crashed(),
                 report.regions,
-                report.failed_first_pass,
+                lost,
                 report.reexecutions
             );
             total_reexec += report.reexecutions;

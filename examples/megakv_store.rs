@@ -29,10 +29,10 @@ fn main() {
     let rt = app.lp_runtime(&mut mem, OpKind::Insert, LpConfig::recommended());
     let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Insert, &rt, 4_000);
     println!(
-        "insert batch: {} regions, {} failed validation after the crash, {} re-executed, recovered={}",
-        report.regions, report.failed_first_pass, report.reexecutions, report.recovered
+        "insert batch: {} regions, {} re-executed over {} round(s), all durable={}",
+        report.regions, report.reexecutions, report.rounds, report.all_durable
     );
-    assert!(report.recovered);
+    assert!(report.all_durable);
     assert!(
         app.verify_inserts(&mut mem),
         "all records must be present after recovery"
@@ -48,7 +48,7 @@ fn main() {
     // Delete half the records, again with a crash + recovery.
     let rt = app.lp_runtime(&mut mem, OpKind::Delete, LpConfig::recommended());
     let report = app.run_with_crash_and_recover(&gpu, &mut mem, OpKind::Delete, &rt, 1_000);
-    assert!(report.recovered);
+    assert!(report.all_durable);
     assert!(app.verify_deletes(&mut mem));
     println!(
         "delete batch: recovered from mid-batch crash ({} re-executions); deletions consistent",

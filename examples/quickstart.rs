@@ -4,9 +4,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use lpgpu::gpu_lp::checksum::f32_store_image;
-use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, RecoveryEngine};
+use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
 use lpgpu::nvm::{Addr, NvmConfig, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashSpec, DeviceConfig, Gpu, Kernel, LaunchConfig};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, Gpu, Kernel, LaunchConfig};
 
 /// A toy kernel: `out[i] = sqrt(i) * 2`. Each thread block is one LP
 /// region; every store is folded into the block's checksums.
@@ -78,13 +78,7 @@ fn main() {
 
     // 2. Launch with an injected power loss mid-kernel.
     let outcome = gpu
-        .launch_with_crash(
-            &kernel,
-            &mut mem,
-            CrashSpec {
-                after_global_stores: 20_000,
-            },
-        )
+        .launch_with_plan(&kernel, &mut mem, CrashPlan::after_stores(20_000))
         .expect("launch");
     println!(
         "crashed: {} (blocks executed: {}/{})",
@@ -94,16 +88,15 @@ fn main() {
     );
 
     // 3. Validate every region, re-execute only the failed ones.
-    let engine = RecoveryEngine::new(&gpu);
-    let failed = engine.validate_all(&kernel, &rt, &mut mem);
+    let failed = rt.failing_regions(&kernel, &mut mem);
     println!(
         "regions failing validation after the crash: {}",
         failed.len()
     );
-    let report = engine.recover(&kernel, &rt, &mut mem);
+    let report = ResilientRecovery::new(&gpu).recover(&kernel, &rt, &mut mem);
     println!(
-        "recovery: {} re-executions over {} pass(es), recovered = {}",
-        report.reexecutions, report.passes, report.recovered
+        "recovery: {} re-executions over {} round(s), all durable = {}",
+        report.reexecutions, report.rounds, report.all_durable
     );
 
     // 4. The output is exactly what a crash-free run would have produced.

@@ -16,7 +16,7 @@
 //!    replaying a scenario yields the identical journalled history.
 
 use lpgpu::gpu_lp::{
-    LpConfig, LpRuntime, PolicyConfig, PolicyMode, RecoveryEngine, RegionSignals, ResilientRecovery,
+    LpConfig, LpRuntime, PolicyConfig, PolicyMode, RegionSignals, ResilientRecovery,
 };
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{Addr, BumpAllocator, NvmConfig, PersistMemory};
@@ -109,9 +109,8 @@ fn run_window(seed: u64, target: PolicyMode, at: CrashAt) -> Outcome {
     if crashed {
         mem.power_on();
         let _ = mem.take_crash_loss();
-        let engine = RecoveryEngine::new(&gpu);
-        let report = engine.recover(kernel.as_ref(), &rt, &mut mem);
-        assert!(report.recovered, "recovery must converge ({at:?})");
+        let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+        assert!(report.all_durable, "recovery must converge ({at:?})");
     }
     assert!(w.verify(&mut mem), "wrong output after {at:?}");
     mem.flush_all();
@@ -120,8 +119,7 @@ fn run_window(seed: u64, target: PolicyMode, at: CrashAt) -> Outcome {
     // alone: the journal replay must agree with the data it governs.
     mem.crash();
     let _ = mem.take_crash_loss();
-    let engine = RecoveryEngine::new(&gpu);
-    let disagreements = engine.validate_all(kernel.as_ref(), &rt, &mut mem);
+    let disagreements = rt.failing_regions(kernel.as_ref(), &mut mem);
     assert!(
         disagreements.is_empty(),
         "journal/data disagreement after {at:?}: regions {disagreements:?}"

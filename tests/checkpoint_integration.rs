@@ -3,7 +3,7 @@
 //! damage only the unflushed suffix.
 
 use lpgpu::gpu_lp::checkpoint::{CheckpointManager, CheckpointPolicy};
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
 use lpgpu::simt::{DeviceConfig, Gpu};
@@ -37,7 +37,7 @@ fn crash_right_after_checkpoint_needs_no_recovery() {
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
     assert!(ckpt.after_launch(&mut mem));
     mem.crash();
-    let failed = RecoveryEngine::new(&gpu).validate_all(kernel.as_ref(), &rt, &mut mem);
+    let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
     assert!(
         failed.is_empty(),
         "checkpointed state must survive: {failed:?}"
@@ -68,14 +68,14 @@ fn crash_between_checkpoints_damages_only_the_suffix() {
     // Crash with one unflushed launch of exposure; the small cache means
     // plenty already evicted — validation finds at most the cached tail.
     mem.crash();
-    let eng = RecoveryEngine::new(&gpu);
-    let failed = eng.validate_all(kernel.as_ref(), &rt, &mut mem);
+    let eng = ResilientRecovery::new(&gpu);
+    let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
     assert!(
         (failed.len() as u64) < lc.num_blocks(),
         "natural eviction must have persisted part of the launch"
     );
     let report = eng.recover(kernel.as_ref(), &rt, &mut mem);
-    assert!(report.recovered);
+    assert!(report.all_durable);
     assert!(w.verify(&mut mem));
 
     // Launch 2 completes the interval: checkpoint fires and everything is
@@ -86,7 +86,7 @@ fn crash_between_checkpoints_damages_only_the_suffix() {
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
     assert!(ckpt.after_launch(&mut mem));
     mem.crash();
-    assert!(eng.validate_all(kernel.as_ref(), &rt, &mut mem).is_empty());
+    assert!(rt.failing_regions(kernel.as_ref(), &mut mem).is_empty());
     assert!(w.verify(&mut mem));
     assert_eq!(ckpt.checkpoints_taken(), 1);
 }

@@ -3,11 +3,11 @@
 //! runtime computes.
 
 use lpgpu::gpu_lp::checksum::ChecksumSet;
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_directive::{compile, ChecksumOp};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 const TMM_SOURCE: &str = r#"
 void host(dim3 grid, dim3 threads) {
@@ -58,16 +58,10 @@ fn compiled_plan_drives_the_runtime() {
     let config = LpConfig::recommended().with_checksums(set);
     let rt = LpRuntime::setup(&mut mem, lc.num_blocks(), lc.threads_per_block(), config);
     let kernel = w.kernel(Some(&rt));
-    gpu.launch_with_crash(
-        kernel.as_ref(),
-        &mut mem,
-        CrashSpec {
-            after_global_stores: 400,
-        },
-    )
-    .unwrap();
-    let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-    assert!(report.recovered);
+    gpu.launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(400))
+        .unwrap();
+    let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+    assert!(report.all_durable);
     assert!(w.verify(&mut mem));
 }
 

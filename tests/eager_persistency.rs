@@ -5,10 +5,10 @@
 //! contrast that motivates the paper. Every test is parameterised over the
 //! explicit backends, so the three models are held to the same contract.
 
-use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, PersistMode, RecoveryEngine};
+use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, PersistMode, ResilientRecovery};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// The backends that issue persist instructions (everything but LP).
 const EXPLICIT_BACKENDS: [BackendKind; 3] =
@@ -44,7 +44,7 @@ fn explicit_backends_survive_crash_with_no_recovery_work() {
             gpu.launch(kernel.as_ref(), &mut mem).unwrap();
             // Power loss immediately after the kernel, no flush.
             mem.crash();
-            let failed = RecoveryEngine::new(&gpu).validate_all(kernel.as_ref(), &rt, &mut mem);
+            let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
             assert!(
                 failed.is_empty(),
                 "{name}/{backend}: committed regions must already be durable, lost {failed:?}"
@@ -75,14 +75,14 @@ fn lazy_mode_does_lose_data_without_flush_in_the_same_scenario() {
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
     mem.crash();
-    let failed = RecoveryEngine::new(&gpu).validate_all(kernel.as_ref(), &rt, &mut mem);
+    let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
     assert!(
         !failed.is_empty(),
         "with a small cache, an unflushed LP run must have volatile regions"
     );
     // And recovery repairs them.
-    let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-    assert!(report.recovered);
+    let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+    assert!(report.all_durable);
     assert!(w.verify(&mut mem));
 }
 
@@ -101,19 +101,14 @@ fn explicit_backends_recover_from_mid_kernel_crash() {
         );
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
-            .launch_with_crash(
-                kernel.as_ref(),
-                &mut mem,
-                CrashSpec {
-                    after_global_stores: 300,
-                },
-            )
+            .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(300))
             .unwrap();
         assert!(outcome.crashed());
-        let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-        assert!(report.recovered, "{backend}: {report:?}");
+        let lost = rt.failing_regions(kernel.as_ref(), &mut mem).len() as u64;
+        let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+        assert!(report.all_durable, "{backend}: {report:?}");
         assert!(
-            report.failed_first_pass < report.regions,
+            lost < report.regions,
             "{backend}: committed regions must not re-execute"
         );
         assert!(w.verify(&mut mem), "{backend}: wrong output after recovery");

@@ -3,11 +3,11 @@
 //! recovery, verified against CPU references.
 
 use lpgpu::gpu_lp::{
-    AtomicPolicy, LockPolicy, LpConfig, LpRuntime, RecoveryEngine, ReduceStrategy,
+    AtomicPolicy, LockPolicy, LpConfig, LpRuntime, ReduceStrategy, ResilientRecovery,
 };
 use lpgpu::lp_kernels::{all_workloads, workload_by_name, Scale, Workload};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashSpec, DeviceConfig, Gpu};
+use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 fn world() -> (Gpu, PersistMemory) {
     let mem = PersistMemory::new(NvmConfig {
@@ -30,19 +30,13 @@ fn run_config(w: &mut dyn Workload, config: LpConfig, crash_after: Option<u64>) 
         }
         Some(point) => {
             let outcome = gpu
-                .launch_with_crash(
-                    kernel.as_ref(),
-                    &mut mem,
-                    CrashSpec {
-                        after_global_stores: point,
-                    },
-                )
+                .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(point))
                 .expect("launch");
             if !outcome.crashed() {
                 mem.flush_all();
             }
-            let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-            assert!(report.recovered, "{}: recovery diverged", w.info().name);
+            let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+            assert!(report.all_durable, "{}: recovery diverged", w.info().name);
         }
     }
     assert!(w.verify(&mut mem), "{}: output mismatch", w.info().name);
@@ -139,20 +133,14 @@ fn repeated_crash_recover_cycles_converge() {
         LpConfig::recommended(),
     );
     let kernel = w.kernel(Some(&rt));
-    gpu.launch_with_crash(
-        kernel.as_ref(),
-        &mut mem,
-        CrashSpec {
-            after_global_stores: 200,
-        },
-    )
-    .expect("launch");
-    let eng = RecoveryEngine::new(&gpu);
-    assert!(eng.recover(kernel.as_ref(), &rt, &mut mem).recovered);
+    gpu.launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(200))
+        .expect("launch");
+    let eng = ResilientRecovery::new(&gpu);
+    assert!(eng.recover(kernel.as_ref(), &rt, &mut mem).all_durable);
     // Second power loss after recovery: recovery flushed, so nothing is
     // volatile and validation must already be clean.
     mem.crash();
-    assert!(eng.validate_all(kernel.as_ref(), &rt, &mut mem).is_empty());
+    assert!(rt.failing_regions(kernel.as_ref(), &mut mem).is_empty());
     assert!(w.verify(&mut mem));
 }
 

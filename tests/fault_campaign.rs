@@ -4,7 +4,7 @@
 //! mid-kernel *and again* during recovery — for one compute-bound (TMM)
 //! and one memory-bound (SPMV) workload.
 
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine, ResilientRecovery};
+use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_fault::{run_campaign, run_trial, CampaignSpec, CrashSite, TrialId, SABOTAGE_CONFIG};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{FaultConfig, NvmConfig, PersistMemory};
@@ -89,7 +89,7 @@ proptest! {
         );
         mem.flush_all();
         let kernel = w.kernel(Some(&rt));
-        let plan = CrashPlan { after_global_stores: Some(first_crash), after_blocks: None };
+        let plan = CrashPlan::after_stores(first_crash);
         let outcome = gpu.launch_with_plan(kernel.as_ref(), &mut mem, plan).expect("launch");
         if !outcome.crashed() {
             mem.flush_all();
@@ -100,16 +100,16 @@ proptest! {
 
         // Second power loss while recovery is re-executing.
         mem.arm_crash_after_evictions(second_nth);
-        let engine = RecoveryEngine::new(&gpu);
+        let engine = ResilientRecovery::new(&gpu);
         let aborted = engine.recover(kernel.as_ref(), &rt, &mut mem);
         mem.disarm_crash();
         if mem.power_failed() {
-            prop_assert!(!aborted.recovered, "recovery claimed success mid-power-loss");
+            prop_assert!(!aborted.all_durable, "recovery claimed success mid-power-loss");
             mem.power_on();
         }
 
         let report = engine.recover(kernel.as_ref(), &rt, &mut mem);
-        prop_assert!(report.recovered, "{name}: post-reboot recovery diverged: {report:?}");
+        prop_assert!(report.all_durable, "{name}: post-reboot recovery diverged: {report:?}");
         prop_assert!(
             w.verify(&mut mem),
             "{name}: output wrong after double crash at ({first_crash}, eviction {second_nth})"
@@ -152,7 +152,7 @@ proptest! {
             ..FaultConfig::none(fault_seed)
         }));
         let kernel = w.kernel(Some(&rt));
-        let plan = CrashPlan { after_global_stores: Some(first_crash), after_blocks: None };
+        let plan = CrashPlan::after_stores(first_crash);
         let outcome = gpu.launch_with_plan(kernel.as_ref(), &mut mem, plan).expect("launch");
         if !outcome.crashed() {
             mem.crash();

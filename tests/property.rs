@@ -7,10 +7,10 @@ use lpgpu::gpu_lp::checksum::{
     f32_from_ordered_bits, f32_ordered_bits, f64_from_ordered_bits, f64_ordered_bits, ChecksumSet,
 };
 use lpgpu::gpu_lp::table::{AtomicPolicy, ChecksumTableOps, LockPolicy, QuadraticProbeTable};
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, RecoveryEngine};
+use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashSpec, DeviceConfig, DeviceState, Dim3, Gpu, LaunchConfig};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, DeviceState, Dim3, Gpu, LaunchConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -167,13 +167,13 @@ proptest! {
         let rt = LpRuntime::setup(&mut mem, lc.num_blocks(), lc.threads_per_block(), LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
-            .launch_with_crash(kernel.as_ref(), &mut mem, CrashSpec { after_global_stores: crash_point })
+            .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(crash_point))
             .expect("launch");
         if !outcome.crashed() {
             mem.flush_all();
         }
-        let report = RecoveryEngine::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-        prop_assert!(report.recovered);
+        let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+        prop_assert!(report.all_durable);
         prop_assert!(w.verify(&mut mem), "{}: output wrong after recovery at {}", name, crash_point);
     }
 }
