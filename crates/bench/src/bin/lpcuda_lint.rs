@@ -1,576 +1,7 @@
-//! `lpcuda-lint` — the CLI surface of the static LP-safety analysis.
-//!
-//! Runs `lp_directive::lint` (pragma rules LP001–LP005, the CFG/dataflow
-//! rules LP000, LP010–LP015, the interprocedural persist-order contract
-//! rules LP016–LP021, and the byte-precise footprint rules LP022–LP024)
-//! over CUDA sources and prints rustc-style diagnostics with source spans,
-//! caret underlines and `help:` fix suggestions, or a machine-readable
-//! report for CI:
-//!
-//! ```text
-//! lpcuda-lint kernel.cu               # human-readable diagnostics
-//! lpcuda-lint --fix kernel.cu         # apply machine-applicable fixes
-//! lpcuda-lint --json src/*.cu         # JSON report on stdout
-//! lpcuda-lint --sarif src/*.cu        # SARIF 2.1.0 on stdout (CI upload)
-//! lpcuda-lint --fixtures              # self-check over the embedded
-//!                                     # clean corpus (CI smoke)
-//! lpcuda-lint --fixtures --fix        # fix self-check: every seeded
-//!                                     # fixture converges, stays
-//!                                     # parseable, second pass is a no-op
-//! ```
-//!
-//! Both machine formats are deterministic: findings are sorted by
-//! (file, line, column, rule) regardless of input order, and the JSON
-//! report carries a `schema_version` so CI consumers can pin the shape.
-//! Schema version 2 adds per-finding `suggestion` objects (the concrete
-//! edits `--fix` applies) and the per-kernel symbolic store `footprints`
-//! the byte-precise rules are proved on, alongside the per-kernel
-//! `relevance` summary the fault campaign's static crash-site pruner is
-//! built on.
-//!
-//! Exit status: 0 when every file lints clean, 1 when any finding is
-//! reported (for `--fix`: any finding *remains* after fixing), 2 on usage
-//! or I/O errors.
-
-use lp_directive::analysis::footprint::source_footprints;
-use lp_directive::analysis::interproc::summarize_device_fns;
-use lp_directive::analysis::relevance::kernel_relevance;
-use lp_directive::kernel_scan::find_kernels;
-use lp_directive::lint::RULES;
-use lp_directive::{apply_fixes, lint, Diagnostic, Edit};
-use serde_json::json;
-
-/// Version of the `--json` report shape. Bump on any breaking change to
-/// the emitted keys; CI consumers assert on it. Version 2 added
-/// `suggestion` per finding and `footprints` per file.
-const SCHEMA_VERSION: u32 = 2;
-
-/// `--fix` re-lints and re-applies until no fix applies; a seeded source
-/// that still applies fixes after this many passes is oscillating, which
-/// the fixture self-check reports as a bug.
-const FIX_PASS_CAP: usize = 8;
-
-/// The clean benchmark corpus, embedded so the binary can self-check
-/// without a source checkout (`--fixtures`). Kept in sync with
-/// `crates/directive/tests/fixtures/clean/` by `include_str!`.
-const CLEAN_CORPUS: [(&str, &str); 11] = [
-    (
-        "clean/matrixmul.cu",
-        include_str!("../../../directive/tests/fixtures/clean/matrixmul.cu"),
-    ),
-    (
-        "clean/spmv.cu",
-        include_str!("../../../directive/tests/fixtures/clean/spmv.cu"),
-    ),
-    (
-        "clean/tmm.cu",
-        include_str!("../../../directive/tests/fixtures/clean/tmm.cu"),
-    ),
-    (
-        "clean/histo.cu",
-        include_str!("../../../directive/tests/fixtures/clean/histo.cu"),
-    ),
-    (
-        "clean/plain.cu",
-        include_str!("../../../directive/tests/fixtures/clean/plain.cu"),
-    ),
-    (
-        "clean/tpacf.cu",
-        include_str!("../../../directive/tests/fixtures/clean/tpacf.cu"),
-    ),
-    (
-        "clean/cutcp.cu",
-        include_str!("../../../directive/tests/fixtures/clean/cutcp.cu"),
-    ),
-    (
-        "clean/mriq.cu",
-        include_str!("../../../directive/tests/fixtures/clean/mriq.cu"),
-    ),
-    (
-        "clean/mrigridding.cu",
-        include_str!("../../../directive/tests/fixtures/clean/mrigridding.cu"),
-    ),
-    (
-        "clean/sad.cu",
-        include_str!("../../../directive/tests/fixtures/clean/sad.cu"),
-    ),
-    (
-        "clean/megakv.cu",
-        include_str!("../../../directive/tests/fixtures/clean/megakv.cu"),
-    ),
-];
-
-/// The seeded-bug corpus, embedded for the `--fixtures --fix` self-check:
-/// every fixture must fix to a fixpoint within [`FIX_PASS_CAP`] passes,
-/// still scan afterwards, and apply zero fixes on a second pass.
-const SEEDED_CORPUS: [(&str, &str); 17] = [
-    (
-        "seeded/cross_block_conflict.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/cross_block_conflict.cu"),
-    ),
-    (
-        "seeded/divergent_fold.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/divergent_fold.cu"),
-    ),
-    (
-        "seeded/divergent_sync.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/divergent_sync.cu"),
-    ),
-    (
-        "seeded/fold_uninit.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/fold_uninit.cu"),
-    ),
-    (
-        "seeded/lp016_helper_escape.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp016_helper_escape.cu"),
-    ),
-    (
-        "seeded/lp017_narrow_fence.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp017_narrow_fence.cu"),
-    ),
-    (
-        "seeded/lp018_token_first.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp018_token_first.cu"),
-    ),
-    (
-        "seeded/lp019_open_epoch.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp019_open_epoch.cu"),
-    ),
-    (
-        "seeded/lp020_divergent_paths.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp020_divergent_paths.cu"),
-    ),
-    (
-        "seeded/lp021_unsatisfiable_pin.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp021_unsatisfiable_pin.cu"),
-    ),
-    (
-        "seeded/lp022_region_overflow.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp022_region_overflow.cu"),
-    ),
-    (
-        "seeded/lp023_same_address_race.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp023_same_address_race.cu"),
-    ),
-    (
-        "seeded/lp024_fold_mismatch.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/lp024_fold_mismatch.cu"),
-    ),
-    (
-        "seeded/missing_sync.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/missing_sync.cu"),
-    ),
-    (
-        "seeded/pinned_mode.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/pinned_mode.cu"),
-    ),
-    (
-        "seeded/pragma_misuse.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/pragma_misuse.cu"),
-    ),
-    (
-        "seeded/unbalanced.cu",
-        include_str!("../../../directive/tests/fixtures/seeded/unbalanced.cu"),
-    ),
-];
-
-fn usage() -> ! {
-    eprintln!("usage: lpcuda-lint [--json | --sarif] [--fix] [--fixtures] [FILES...]");
-    std::process::exit(2);
-}
+//! `lpcuda-lint` — the static LP-safety analysis CLI. The tool itself is
+//! `lp_bench::experiments::lint_cli`, which `lp lpcuda-lint` also runs.
 
 fn main() {
-    let mut json_mode = false;
-    let mut sarif_mode = false;
-    let mut fixtures = false;
-    let mut fix_mode = false;
-    let mut files = Vec::new();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--json" => json_mode = true,
-            "--sarif" => sarif_mode = true,
-            "--fixtures" => fixtures = true,
-            "--fix" => fix_mode = true,
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other:?}");
-                usage();
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    if json_mode && sarif_mode {
-        eprintln!("lpcuda-lint: --json and --sarif are mutually exclusive");
-        usage();
-    }
-    if fix_mode && fixtures {
-        // The fix self-check is its own mode: it fixes the embedded seeded
-        // corpus to a fixpoint and asserts convergence + idempotence.
-        if !files.is_empty() || json_mode || sarif_mode {
-            eprintln!("lpcuda-lint: --fixtures --fix takes no other inputs");
-            usage();
-        }
-        std::process::exit(fix_selfcheck());
-    }
-    if !fixtures && files.is_empty() {
-        usage();
-    }
-
-    // (display name, source) for every input.
-    let mut inputs: Vec<(String, String)> = Vec::new();
-    if fixtures {
-        for (name, src) in CLEAN_CORPUS {
-            inputs.push((name.to_string(), src.to_string()));
-        }
-    }
-    for path in files {
-        match std::fs::read_to_string(&path) {
-            Ok(src) => inputs.push((path, src)),
-            Err(e) => {
-                eprintln!("lpcuda-lint: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // `--fix`: rewrite each real file to its fix fixpoint before reporting,
-    // so the findings below are what *remains* after fixing.
-    if fix_mode {
-        for (name, src) in &mut inputs {
-            let (fixed, passes, applied) = fix_to_fixpoint(src);
-            if applied == 0 {
-                continue;
-            }
-            if passes >= FIX_PASS_CAP {
-                eprintln!("lpcuda-lint: {name}: --fix did not converge; leaving file unchanged");
-                continue;
-            }
-            if let Err(e) = std::fs::write(name.as_str(), &fixed) {
-                eprintln!("lpcuda-lint: cannot write {name}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!(
-                "lpcuda-lint: {name}: applied {applied} fix{}",
-                if applied == 1 { "" } else { "es" }
-            );
-            *src = fixed;
-        }
-    }
-
-    // Collect everything first so machine output can be sorted
-    // deterministically, independent of CLI argument order.
-    let mut findings: Vec<(String, Diagnostic)> = Vec::new();
-    for (name, src) in &inputs {
-        for d in lint(src) {
-            findings.push((name.clone(), d));
-        }
-    }
-    findings.sort_by(|(fa, da), (fb, db)| {
-        (fa, da.span.line, da.span.col, da.code).cmp(&(fb, db.span.line, db.span.col, db.code))
-    });
-    let total = findings.len();
-
-    if json_mode {
-        println!("{}", json_report(&inputs, &findings));
-    } else if sarif_mode {
-        println!("{}", sarif_report(&findings));
-    } else {
-        for (name, d) in &findings {
-            let src = &inputs.iter().find(|(n, _)| n == name).expect("input").1;
-            print!("{}", render(name, src, d));
-        }
-        if total == 0 {
-            println!(
-                "lpcuda-lint: {} file{} clean",
-                inputs.len(),
-                if inputs.len() == 1 { "" } else { "s" }
-            );
-        } else {
-            println!(
-                "lpcuda-lint: {total} finding{} in {} file{}",
-                if total == 1 { "" } else { "s" },
-                inputs.len(),
-                if inputs.len() == 1 { "" } else { "s" }
-            );
-        }
-    }
-    std::process::exit(i32::from(total > 0));
-}
-
-/// Re-lints and re-applies fixes until a pass applies none. Returns the
-/// fixed source, how many passes ran, and the total fixes applied.
-fn fix_to_fixpoint(source: &str) -> (String, usize, usize) {
-    let mut cur = source.to_string();
-    let mut total = 0usize;
-    for pass in 0..FIX_PASS_CAP {
-        let ds = lint(&cur);
-        let (next, applied) = apply_fixes(&cur, &ds);
-        if applied == 0 {
-            return (cur, pass, total);
-        }
-        total += applied;
-        cur = next;
-    }
-    (cur, FIX_PASS_CAP, total)
-}
-
-/// The `--fixtures --fix` self-check: the clean corpus has nothing to fix,
-/// and every seeded fixture (a) reaches a fix fixpoint within the pass
-/// cap, (b) still scans afterwards if it scanned before, (c) carries no
-/// residual machine-applicable finding, and (d) a second `--fix` pass is a
-/// byte-for-byte no-op. Returns the process exit code.
-fn fix_selfcheck() -> i32 {
-    let mut bad = 0usize;
-    for (name, src) in CLEAN_CORPUS {
-        let ds = lint(src);
-        let (out, applied) = apply_fixes(src, &ds);
-        if !ds.is_empty() || applied != 0 || out != src {
-            eprintln!("{name}: clean fixture has findings or fixes ({})", ds.len());
-            bad += 1;
-        } else {
-            println!("{name}: clean, nothing to fix");
-        }
-    }
-    for (name, src) in SEEDED_CORPUS {
-        let (fixed, passes, applied) = fix_to_fixpoint(src);
-        if passes >= FIX_PASS_CAP {
-            eprintln!("{name}: --fix oscillates (still applying after {FIX_PASS_CAP} passes)");
-            bad += 1;
-            continue;
-        }
-        let residual = lint(&fixed);
-        let scanned_before = lint(src).iter().all(|d| d.code != "LP000");
-        if scanned_before && residual.iter().any(|d| d.code == "LP000") {
-            eprintln!("{name}: source no longer scans after --fix");
-            bad += 1;
-        }
-        if residual.iter().any(|d| d.suggestion.is_some()) {
-            eprintln!("{name}: residual machine-applicable finding after --fix");
-            bad += 1;
-        }
-        let (again, reapplied) = apply_fixes(&fixed, &residual);
-        if reapplied != 0 || again != fixed {
-            eprintln!("{name}: second --fix pass is not a no-op");
-            bad += 1;
-        }
-        println!(
-            "{name}: {applied} fix{} in {passes} pass{}, {} residual finding{}",
-            if applied == 1 { "" } else { "es" },
-            if passes == 1 { "" } else { "es" },
-            residual.len(),
-            if residual.len() == 1 { "" } else { "s" }
-        );
-    }
-    if bad == 0 {
-        println!(
-            "lpcuda-lint: fix self-check passed ({} clean + {} seeded fixtures)",
-            CLEAN_CORPUS.len(),
-            SEEDED_CORPUS.len()
-        );
-        0
-    } else {
-        eprintln!("lpcuda-lint: fix self-check failed ({bad} problem(s))");
-        1
-    }
-}
-
-/// JSON shape of one machine-applicable edit.
-fn edit_json(e: &Edit) -> serde_json::Value {
-    match e {
-        Edit::InsertBefore { line, text } => json!({
-            "kind": "insert_before",
-            "line": line,
-            "text": text,
-        }),
-        Edit::ReplaceLine { line, text } => json!({
-            "kind": "replace_line",
-            "line": line,
-            "text": text,
-        }),
-        Edit::DeleteLine { line } => json!({
-            "kind": "delete_line",
-            "line": line,
-        }),
-    }
-}
-
-/// The `--json` report (schema version 2): sorted findings with their fix
-/// suggestions, the per-kernel static `relevance` summary (what the
-/// campaign pruner sees), and the per-kernel symbolic store `footprints`
-/// the byte-precise rules are proved on.
-fn json_report(inputs: &[(String, String)], findings: &[(String, Diagnostic)]) -> String {
-    let findings_json: Vec<_> = findings
-        .iter()
-        .map(|(file, d)| {
-            let suggestion = d.suggestion.as_ref().map(|s| {
-                json!({
-                    "message": s.message,
-                    "edits": s.edits.iter().map(edit_json).collect::<Vec<_>>(),
-                })
-            });
-            json!({
-                "file": file,
-                "code": d.code,
-                "line": d.span.line,
-                "col": d.span.col,
-                "end_col": d.span.end_col,
-                "message": d.message,
-                "suggestion": suggestion,
-            })
-        })
-        .collect();
-
-    let mut sorted_inputs: Vec<&(String, String)> = inputs.iter().collect();
-    sorted_inputs.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let relevance: Vec<_> = sorted_inputs
-        .iter()
-        .map(|(name, src)| {
-            let lines: Vec<&str> = src.lines().collect();
-            let kernels = find_kernels(&lines).unwrap_or_default();
-            let fns = summarize_device_fns(&lines);
-            json!({
-                "file": name,
-                "kernels": kernel_relevance(&lines, &kernels, &fns),
-            })
-        })
-        .collect();
-    let footprints: Vec<_> = sorted_inputs
-        .iter()
-        .map(|(name, src)| {
-            let kernels: Vec<_> = source_footprints(src)
-                .iter()
-                .map(|fp| {
-                    let stores: Vec<_> = fp
-                        .stores
-                        .iter()
-                        .map(|s| {
-                            json!({
-                                "line": s.line,
-                                "lhs": s.lhs,
-                                "ptr": s.ptr,
-                                "elem_size": s.elem_size,
-                                "index": s.index.as_ref().map(|a| a.to_string()),
-                                "elements": fp
-                                    .elem_range(s)
-                                    .map(|(lo, hi)| format!("[{lo}, {hi}]")),
-                                "folded": s.folded,
-                                "covered": s.covered,
-                                "exact": s.exact,
-                            })
-                        })
-                        .collect();
-                    json!({
-                        "kernel": fp.kernel,
-                        "block_partitioned": fp.block_partitioned,
-                        "fully_folded": fp.fully_folded,
-                        "stores": stores,
-                    })
-                })
-                .collect();
-            json!({ "file": name, "kernels": kernels })
-        })
-        .collect();
-
-    let report = json!({
-        "schema_version": SCHEMA_VERSION,
-        "files": inputs.len(),
-        "total": findings.len(),
-        "findings": findings_json,
-        "relevance": relevance,
-        "footprints": footprints,
-    });
-    serde_json::to_string_pretty(&report).expect("report serialises")
-}
-
-/// The `--sarif` report: SARIF 2.1.0, one run, one result per finding,
-/// rule metadata (short/full descriptions and a `helpUri` into the rule
-/// table in README.md) deduplicated from the findings actually reported.
-fn sarif_report(findings: &[(String, Diagnostic)]) -> String {
-    let mut rule_ids: Vec<&str> = findings.iter().map(|(_, d)| d.code).collect();
-    rule_ids.sort_unstable();
-    rule_ids.dedup();
-    let rules: Vec<_> = rule_ids
-        .iter()
-        .map(|id| {
-            let meta = RULES.iter().find(|r| r.code == *id);
-            let summary = meta.map(|r| r.summary).unwrap_or(*id);
-            let detail = meta.map(|r| r.detail).unwrap_or("");
-            json!({
-                "id": id,
-                "name": id,
-                "shortDescription": json!({ "text": summary }),
-                "fullDescription": json!({ "text": detail }),
-                "helpUri": format!("README.md#{}", id.to_lowercase()),
-                "defaultConfiguration": json!({ "level": "error" }),
-            })
-        })
-        .collect();
-    let results: Vec<_> = findings
-        .iter()
-        .map(|(file, d)| {
-            json!({
-                "ruleId": d.code,
-                "level": "error",
-                "message": json!({ "text": d.message }),
-                "locations": json!([json!({
-                    "physicalLocation": json!({
-                        "artifactLocation": json!({ "uri": file }),
-                        "region": json!({
-                            "startLine": d.span.line,
-                            "startColumn": d.span.col,
-                            "endColumn": d.span.end_col,
-                        }),
-                    }),
-                })]),
-            })
-        })
-        .collect();
-    let doc = json!({
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": json!([json!({
-            "tool": json!({
-                "driver": json!({
-                    "name": "lpcuda-lint",
-                    "rules": rules,
-                }),
-            }),
-            "results": results,
-        })]),
-    });
-    serde_json::to_string_pretty(&doc).expect("sarif serialises")
-}
-
-/// Renders one diagnostic rustc-style: code + message, file:line:col
-/// anchor, the offending source line, a caret underline spanning the
-/// diagnostic's column range, and — when the finding carries a
-/// machine-applicable fix — a `help:` line describing it.
-fn render(file: &str, src: &str, d: &Diagnostic) -> String {
-    let text = src.lines().nth(d.span.line.saturating_sub(1)).unwrap_or("");
-    let num = d.span.line.to_string();
-    let pad = " ".repeat(num.len());
-    let indent: String = text
-        .chars()
-        .take(d.span.col.saturating_sub(1))
-        .map(|c| if c == '\t' { '\t' } else { ' ' })
-        .collect();
-    let carets = "^".repeat(d.span.end_col.saturating_sub(d.span.col).max(1));
-    let mut out = format!(
-        "error[{code}]: {msg}\n\
-         {pad}--> {file}:{line}:{col}\n\
-         {pad} |\n\
-         {num} | {text}\n\
-         {pad} | {indent}{carets}\n",
-        code = d.code,
-        msg = d.message,
-        line = d.span.line,
-        col = d.span.col,
-    );
-    if let Some(s) = &d.suggestion {
-        out.push_str(&format!(
-            "{pad} = help: {} (machine-applicable, `--fix`)\n",
-            s.message
-        ));
-    }
-    out
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(lp_bench::lint_main(&argv));
 }

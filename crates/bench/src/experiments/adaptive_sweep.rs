@@ -13,17 +13,16 @@
 //! in *every* phase (within 10%) and beats every fixed policy on the full
 //! phase-change scenario, because no fixed policy is best in all phases.
 //! A rising-fault-rate ramp is reported separately to show the monotone
-//! degradation floor (lp → epoch → eager → checkpoint). The binary exits
-//! non-zero if either claim fails, so it gates CI like the fault
-//! campaigns do.
+//! degradation floor (lp → epoch → eager → checkpoint). The run fails
+//! if either claim fails, so it gates CI like the fault campaigns do.
 
+use crate::{Args, Failure, Table, World};
 use gpu_lp::{
     BackendKind, LpConfig, LpRuntime, PolicyConfig, PolicyMode, RegionSignals, ResilientRecovery,
 };
-use lp_bench::{Args, Table};
-use lp_kernels::{workload_by_name, Scale};
-use nvm::{FaultConfig, NvmConfig, PersistMemory};
-use simt::{DeviceConfig, Gpu};
+use lp_kernels::{workload_by_name, Scale, WORKLOAD_NAMES};
+use nvm::FaultConfig;
+use simt::DeviceConfig;
 
 /// One phase of the lifecycle scenario.
 struct Phase {
@@ -94,13 +93,8 @@ impl PolicyRun {
 /// The scenario world: the test GPU and a cache small enough that natural
 /// evictions — LP's persistence mechanism and the adaptive engine's main
 /// signal source — happen even at test scale.
-fn scenario_world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 32,
-        associativity: 4,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
+fn scenario_world() -> World {
+    World::small_cache(DeviceConfig::test_gpu(), 32, 4)
 }
 
 /// Runs the full three-phase scenario under one policy and returns its
@@ -110,7 +104,7 @@ fn scenario_world() -> (Gpu, PersistMemory) {
 /// additionally feeds the per-launch signals to the policy engine.
 fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u64) -> PolicyRun {
     let adaptive = lp.mode == gpu_lp::PersistMode::Adaptive;
-    let (gpu, mut mem) = scenario_world();
+    let World { gpu, mut mem } = scenario_world();
     // The grid shape is a function of (workload, scale) only, so one
     // runtime — and one policy engine — spans every job in the scenario.
     let lc = workload_by_name(workload, scale, seed)
@@ -225,7 +219,7 @@ fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u6
 /// monotone degradation ladder. The last rung injects *lying* faults (torn
 /// write-backs), which drive the floor straight to checkpoint mode.
 fn fault_ramp(workload: &str, scale: Scale, seed: u64) -> Vec<(String, PolicyMode)> {
-    let (gpu, mut mem) = scenario_world();
+    let World { gpu, mut mem } = scenario_world();
     let lc = workload_by_name(workload, scale, seed)
         .expect("known workload")
         .launch_config();
@@ -272,9 +266,8 @@ fn fault_ramp(workload: &str, scale: Scale, seed: u64) -> Vec<(String, PolicyMod
     floors
 }
 
-fn main() {
-    let args = Args::parse();
-    let workload = args.workload.clone().unwrap_or_else(|| "TMM".to_string());
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
+    let workload = args.workload_in(&WORKLOAD_NAMES)?.unwrap_or("TMM");
 
     let fixed: [BackendKind; 3] = [
         BackendKind::LpChecksum,
@@ -309,7 +302,7 @@ fn main() {
 
     let runs: Vec<PolicyRun> = policies
         .iter()
-        .map(|(label, lp)| run_policy(label, lp, &workload, args.scale, args.seed))
+        .map(|(label, lp)| run_policy(label, lp, workload, args.scale, args.seed))
         .collect();
 
     let mut table = Table::new(&[
@@ -392,7 +385,7 @@ fn main() {
     }
 
     println!("\nRising-fault-rate ramp (policy floor after each window):");
-    let floors = fault_ramp(&workload, args.scale, args.seed);
+    let floors = fault_ramp(workload, args.scale, args.seed);
     let mut monotone = true;
     let mut last_rank = 0;
     for (name, floor) in &floors {
@@ -459,6 +452,7 @@ fn main() {
         for f in &failures {
             eprintln!("E19 FAILED: {f}");
         }
-        std::process::exit(1);
+        return Err(Failure::Gate);
     }
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! E18 — cross-model characterisation of the persistency spectrum. Runs
 //! every suite kernel plus MEGA-KV (insert) under all four persistency
 //! backends — LP-checksum, eager flush-per-store, strict/epoch, and
-//! SBRP-style scoped buffered persistency — from one binary, and reports
+//! SBRP-style scoped buffered persistency — in one sweep, and reports
 //! the two costs the models trade against each other: run-time overhead on
 //! every execution, and recovery cost after a mid-kernel crash.
 //!
@@ -10,56 +10,27 @@
 //! the phase-change comparison lives in `adaptive_sweep`/E19);
 //! `--workload NAME` to one subject.
 
+use crate::measure::measure_megakv;
+use crate::{fmt_overhead, geometric_mean, measure_configs, Args, Failure, Table};
 use gpu_lp::{BackendKind, LpConfig};
-use lp_bench::{fmt_overhead, geometric_mean, measure_workload, Args, Table, World};
 use lp_fault::{run_trial, CrashSite, TrialId};
-use lp_kernels::{Scale, WORKLOAD_NAMES};
+use lp_kernels::WORKLOAD_NAMES;
 use megakv::app::OpKind;
-use megakv::MegaKv;
 
 /// The MEGA-KV subject name understood by the fault crate's trial runner.
 const MEGAKV_SUBJECT: &str = "MEGAKV-INSERT";
 
-/// Run-time overhead of `backend` on a suite workload (fresh worlds,
-/// identical inputs).
-fn suite_overhead(name: &str, scale: Scale, seed: u64, backend: BackendKind) -> (f64, f64, f64) {
-    let m = measure_workload(name, scale, seed, &LpConfig::for_backend(backend), false);
-    (m.baseline.kernel_ns, m.lp.kernel_ns, m.overhead)
-}
-
-/// Run-time overhead of `backend` on the MEGA-KV insert batch.
-fn megakv_overhead(scale: Scale, seed: u64, backend: BackendKind) -> (f64, f64, f64) {
-    let records = match scale {
-        Scale::Test => 2_048,
-        Scale::Bench | Scale::Paper => 16_384,
-    };
-    let World { gpu, mut mem } = World::default_world();
-    let app = MegaKv::new(&mut mem, records, seed);
-    let base = app.run(&gpu, &mut mem, OpKind::Insert, None);
-
-    let World { gpu, mut mem } = World::default_world();
-    let app = MegaKv::new(&mut mem, records, seed);
-    let rt = app.lp_runtime(&mut mem, OpKind::Insert, LpConfig::for_backend(backend));
-    let run = app.run(&gpu, &mut mem, OpKind::Insert, Some(&rt));
-
-    let overhead = run.kernel_ns / base.kernel_ns - 1.0;
-    (base.kernel_ns, run.kernel_ns, overhead)
-}
-
-fn main() {
-    let args = Args::parse();
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let backends: Vec<BackendKind> = match args.backend {
         Some(b) => vec![b],
         None => BackendKind::ALL.to_vec(),
     };
-    let subjects: Vec<String> = match &args.workload {
-        Some(w) => vec![w.clone()],
-        None => WORKLOAD_NAMES
-            .iter()
-            .map(|s| s.to_string())
-            .chain([MEGAKV_SUBJECT.to_string()])
-            .collect(),
+    let all_subjects: Vec<&str> = [&WORKLOAD_NAMES[..], &[MEGAKV_SUBJECT]].concat();
+    let subjects = match args.workload_in(&all_subjects)? {
+        Some(w) => vec![w],
+        None => all_subjects,
     };
+    let configs: Vec<LpConfig> = backends.iter().map(|&b| LpConfig::for_backend(b)).collect();
 
     println!(
         "# E18 — persistency-model spectrum: run-time overhead and recovery cost\n\
@@ -84,20 +55,26 @@ fn main() {
     let mut json_rows = Vec::new();
     let mut overheads: Vec<(BackendKind, f64)> = Vec::new();
 
-    for name in &subjects {
-        for &backend in &backends {
-            let (base_ns, run_ns, overhead) = if name == MEGAKV_SUBJECT {
-                megakv_overhead(args.scale, args.seed, backend)
-            } else {
-                suite_overhead(name, args.scale, args.seed, backend)
-            };
-
+    for &name in &subjects {
+        // Run-time overhead per backend: (baseline ns, run ns, overhead).
+        let costs: Vec<(f64, f64, f64)> = if name == MEGAKV_SUBJECT {
+            configs
+                .iter()
+                .map(|c| measure_megakv(args.scale, args.seed, OpKind::Insert, c))
+                .collect()
+        } else {
+            measure_configs(name, args.scale, args.seed, false, &configs)
+                .iter()
+                .map(|m| (m.baseline.kernel_ns, m.lp.kernel_ns, m.overhead))
+                .collect()
+        };
+        for (&backend, (base_ns, run_ns, overhead)) in backends.iter().zip(costs) {
             // Recovery cost: crash halfway through the store stream, then
             // recover and judge with the fault engine's oracles — each
             // backend is held to its own durability contract.
             let trial = run_trial(
                 &TrialId {
-                    workload: name.clone(),
+                    workload: name.to_string(),
                     config: "recommended".to_string(),
                     backend,
                     seed: args.seed,
@@ -105,13 +82,15 @@ fn main() {
                 },
                 args.scale,
             );
-            assert!(
-                trial.passed,
-                "{name}/{backend}: crash trial failed its oracles: {trial:?}"
-            );
+            if !trial.passed {
+                eprintln!(
+                    "E18 FAILED: {name}/{backend}: crash trial failed its oracles: {trial:?}"
+                );
+                return Err(Failure::Gate);
+            }
 
             table.row(&[
-                name.clone(),
+                name.to_string(),
                 backend.name().to_string(),
                 format!("{base_ns:.0}"),
                 format!("{run_ns:.0}"),
@@ -152,4 +131,5 @@ fn main() {
     if args.json {
         println!("{}", serde_json::to_string_pretty(&json_rows).unwrap());
     }
+    Ok(())
 }

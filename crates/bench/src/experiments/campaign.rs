@@ -8,139 +8,17 @@
 //! deliberately-broken `broken-skip-recovery` config to demonstrate the
 //! campaign catching (and shrinking) a real persistency bug.
 //!
-//! This binary parses its own flags: its knobs (budget, threads, sabotage)
-//! don't exist in the shared `lp_bench::cli` surface.
+//! Its knobs (budget, threads, sabotage, …) are the `Flags::Campaign`
+//! surface of `crate::cli`.
 
+use crate::{Args, Failure};
 use gpu_lp::BackendKind;
-use lp_fault::SUBJECT_NAMES;
 use lp_fault::{
     representative_trial, run_campaign, sanitize_sweep, CampaignReport, CampaignSpec, CrashSite,
-    TrialId, SABOTAGE_CONFIG,
+    TrialId, SABOTAGE_CONFIG, SUBJECT_NAMES,
 };
-use lp_kernels::Scale;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
-
-const USAGE: &str = "usage: campaign [--scale test|bench|paper] [--budget N] [--threads N] \
-                     [--workload NAME] [--backend lp|eager|epoch|sbrp|adaptive|all] \
-                     [--trial-timeout SECS] [--no-prune] [--prune-smoke] [--sabotage] \
-                     [--sanitize] [--json] [--quiet]";
-
-fn usage_err(msg: &str) -> ! {
-    eprintln!("campaign: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-struct CampaignArgs {
-    scale: Scale,
-    budget: Option<usize>,
-    threads: usize,
-    sabotage: bool,
-    sanitize: bool,
-    json: bool,
-    workload: Option<String>,
-    backends: Option<Vec<BackendKind>>,
-    quiet: bool,
-    prune: bool,
-    prune_smoke: bool,
-    trial_timeout_ms: Option<u64>,
-}
-
-fn parse_args() -> CampaignArgs {
-    let mut out = CampaignArgs {
-        scale: Scale::Test,
-        budget: None,
-        threads: 0,
-        sabotage: false,
-        sanitize: false,
-        json: false,
-        workload: None,
-        backends: None,
-        quiet: false,
-        prune: true,
-        prune_smoke: false,
-        // Sane default: no single simulated trial takes minutes, so two of
-        // them means a hang, not a slow run. `--trial-timeout 0` disables.
-        trial_timeout_ms: Some(120_000),
-    };
-    let mut it = std::env::args().skip(1);
-    let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next()
-            .unwrap_or_else(|| usage_err(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = value(&mut it, "--scale");
-                out.scale = match v.to_ascii_lowercase().as_str() {
-                    "test" => Scale::Test,
-                    "bench" => Scale::Bench,
-                    "paper" => Scale::Paper,
-                    other => usage_err(&format!("unknown scale {other:?} (test|bench|paper)")),
-                };
-            }
-            "--budget" => {
-                let v = value(&mut it, "--budget");
-                out.budget = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| usage_err(&format!("--budget {v:?}: not a count"))),
-                );
-            }
-            "--threads" => {
-                let v = value(&mut it, "--threads");
-                out.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_err(&format!("--threads {v:?}: not a count")));
-            }
-            "--workload" => {
-                let w = value(&mut it, "--workload").to_ascii_uppercase();
-                if !SUBJECT_NAMES.contains(&w.as_str()) {
-                    usage_err(&format!(
-                        "unknown workload {w:?} (one of {})",
-                        SUBJECT_NAMES.join(", ")
-                    ));
-                }
-                out.workload = Some(w);
-            }
-            "--backend" => {
-                let v = value(&mut it, "--backend");
-                out.backends = Some(if v.eq_ignore_ascii_case("all") {
-                    // "all" means the whole spectrum: the four fixed
-                    // models plus the adaptive meta-policy over them.
-                    let mut all = BackendKind::ALL.to_vec();
-                    all.push(BackendKind::Adaptive);
-                    all
-                } else {
-                    vec![v.parse().unwrap_or_else(|e: String| usage_err(&e))]
-                });
-            }
-            "--trial-timeout" => {
-                let v = value(&mut it, "--trial-timeout");
-                let secs: u64 = v.parse().unwrap_or_else(|_| {
-                    usage_err(&format!("--trial-timeout {v:?}: not a seconds count"))
-                });
-                out.trial_timeout_ms = (secs > 0).then(|| secs.saturating_mul(1000));
-            }
-            "--no-prune" => out.prune = false,
-            "--prune-smoke" => out.prune_smoke = true,
-            "--sabotage" => out.sabotage = true,
-            "--sanitize" => out.sanitize = true,
-            "--json" => out.json = true,
-            "--quiet" => out.quiet = true,
-            "--seed" => {
-                // Accepted for run_all compatibility: campaigns sweep their
-                // own seed set, so a single seed flag is a no-op.
-                let _ = value(&mut it, "--seed");
-            }
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_err(&format!("unknown argument {other:?}")),
-        }
-    }
-    out
-}
 
 fn print_report(report: &CampaignReport) {
     println!(
@@ -209,7 +87,7 @@ fn print_report(report: &CampaignReport) {
 /// site may only ever fail if its statically-chosen representative fails
 /// too, so the unpruned run's failures, with every pruned site mapped to
 /// its representative, must equal the pruned run's failures exactly.
-fn prune_smoke(args: &CampaignArgs) -> ! {
+fn prune_smoke(args: &Args, workload: Option<&str>) -> Result<(), Failure> {
     let mut spec = CampaignSpec::default_sweep(args.scale);
     spec.threads = args.threads;
     // A deliberately small sample: one config, one seed, two workloads
@@ -217,8 +95,8 @@ fn prune_smoke(args: &CampaignArgs) -> ! {
     // checkpoint-at-zero, and block-boundary collapse at 16 and 2 blocks).
     spec.configs = vec!["recommended".to_string()];
     spec.seeds = vec![1];
-    spec.workloads = match &args.workload {
-        Some(w) => vec![w.clone()],
+    spec.workloads = match workload {
+        Some(w) => vec![w.to_string()],
         None => vec!["SPMV".to_string(), "MEGAKV-DELETE".to_string()],
     };
 
@@ -243,7 +121,7 @@ fn prune_smoke(args: &CampaignArgs) -> ! {
     // (The representative-verdict comparison below then covers those
     // decisions like any other: a footprint-pruned site that fails in the
     // unpruned run must map to a failing representative.)
-    if args.workload.is_none() {
+    if workload.is_none() {
         let fp = pruned
             .pruned
             .iter()
@@ -265,7 +143,7 @@ fn prune_smoke(args: &CampaignArgs) -> ! {
     }
 
     // Map each dropped trial to the representative the pruner kept.
-    let mut rep_of: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
+    let mut rep_of: BTreeMap<String, String> = BTreeMap::new();
     for rec in &pruned.pruned {
         let dropped = TrialId {
             workload: rec.workload.clone(),
@@ -306,27 +184,32 @@ fn prune_smoke(args: &CampaignArgs) -> ! {
             pruned.pruned_trials,
             pruned_failures.len()
         );
-        std::process::exit(0);
+        return Ok(());
     }
     eprintln!("prune-smoke FAILED: {bad} disagreement(s)");
-    std::process::exit(1);
+    Err(Failure::Gate)
 }
 
-fn main() {
-    let args = parse_args();
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
+    let workload = args.workload_in(&SUBJECT_NAMES)?;
     if args.prune_smoke {
-        prune_smoke(&args);
+        return prune_smoke(args, workload);
     }
     let mut spec = CampaignSpec::default_sweep(args.scale);
     spec.budget = args.budget;
     spec.threads = args.threads;
     spec.prune = args.prune;
     spec.trial_timeout_ms = args.trial_timeout_ms;
-    if let Some(w) = &args.workload {
-        spec.workloads = vec![w.to_ascii_uppercase()];
+    if let Some(w) = workload {
+        spec.workloads = vec![w.to_string()];
     }
-    if let Some(backends) = &args.backends {
-        spec.backends = backends.clone();
+    if args.all_backends {
+        // The whole spectrum: the four fixed models plus the adaptive
+        // meta-policy over them.
+        spec.backends = BackendKind::ALL.to_vec();
+        spec.backends.push(BackendKind::Adaptive);
+    } else if let Some(backend) = args.backend {
+        spec.backends = vec![backend];
     } else {
         // An unknown --backend value hard-errors in the parser; an omitted
         // flag still names the backend the sweep will actually run.
@@ -453,5 +336,8 @@ fn main() {
         eprintln!("sanitizer oracle failed: {sanitizer_dirty} run(s) with findings");
     }
     // All gating in one place so --json cannot bypass a failure exit.
-    std::process::exit(report.exit_code(args.sabotage, sanitizer_dirty));
+    match report.exit_code(args.sabotage, sanitizer_dirty) {
+        0 => Ok(()),
+        _ => Err(Failure::Gate),
+    }
 }

@@ -10,8 +10,8 @@
 //! recovery must restore correct data or honestly report its losses,
 //! never corrupt silently.
 
+use crate::{Args, Failure, Table};
 use gpu_lp::BackendKind;
-use lp_bench::{Args, Table};
 use lp_fault::{run_trial, CrashSite, TrialId};
 
 const WORKLOADS: [&str; 3] = ["TMM", "SPMV", "MEGAKV-INSERT"];
@@ -25,14 +25,9 @@ fn class_sites(bp: u32) -> [(&'static str, CrashSite); 3] {
     ]
 }
 
-fn main() {
-    let args = Args::parse();
-    let workloads: Vec<&str> = match args.workload.as_deref() {
-        Some(w) => vec![WORKLOADS
-            .iter()
-            .find(|n| n.eq_ignore_ascii_case(w))
-            .copied()
-            .unwrap_or_else(|| panic!("unknown workload {w:?} (one of {WORKLOADS:?})"))],
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
+    let workloads: Vec<&str> = match args.workload_in(&WORKLOADS)? {
+        Some(w) => vec![w],
         None => WORKLOADS.to_vec(),
     };
 
@@ -121,6 +116,7 @@ fn main() {
     }
     if silent_corruptions > 0 {
         eprintln!("E16 FAILED: {silent_corruptions} silent corruption(s)");
-        std::process::exit(1);
+        return Err(Failure::Gate);
     }
+    Ok(())
 }

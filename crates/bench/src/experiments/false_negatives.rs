@@ -5,8 +5,8 @@
 //! accumulators a false negative needs a colliding pair, so none should
 //! ever be observed in feasible trial counts.
 
+use crate::{Args, Failure, Table};
 use gpu_lp::checksum::{ChecksumKind, ChecksumSet};
-use lp_bench::{Args, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,8 +41,7 @@ fn trials_for(set: &ChecksumSet, trials: u64, seed: u64) -> (u64, u64) {
     (trials, undetected)
 }
 
-fn main() {
-    let args = Args::parse();
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let trials = match args.scale {
         lp_kernels::Scale::Test => 20_000,
         _ => 2_000_000,
@@ -83,4 +82,5 @@ fn main() {
     if args.json {
         println!("{}", serde_json::to_string_pretty(&json_rows).unwrap());
     }
+    Ok(())
 }

@@ -13,13 +13,11 @@
 //!    than the contract + geometry families alone, with every decision
 //!    justified in the ledger.
 
-use lp_bench::{Args, Table};
+use crate::{Args, Failure, Table};
 use lp_directive::analysis::footprint::source_footprints;
 use lp_fault::{subject_footprint, subject_twin, CampaignSpec, SUBJECT_NAMES};
 
-fn main() {
-    let args = Args::parse();
-
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     println!("# E22: symbolic store-footprint engine\n");
     println!("## Corpus precision — 11 clean benchmark twins\n");
     let mut table = Table::new(&[
@@ -131,4 +129,5 @@ fn main() {
         });
         println!("{}", serde_json::to_string_pretty(&out).unwrap());
     }
+    Ok(())
 }

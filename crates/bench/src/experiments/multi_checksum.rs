@@ -3,13 +3,13 @@
 //! i.e. the second checksum is nearly free thanks to register-to-register
 //! shuffles, and it buys a <10⁻¹² false-negative rate.
 
+use crate::{fmt_overhead, measure_configs, Args, Failure, Table};
 use gpu_lp::checksum::ChecksumSet;
 use gpu_lp::LpConfig;
-use lp_bench::{fmt_overhead, measure_workload, Args, Table};
+use lp_kernels::WORKLOAD_NAMES;
 
-fn main() {
-    let args = Args::parse();
-    let name = args.workload.as_deref().unwrap_or("TMM");
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
+    let name = args.workload_in(&WORKLOAD_NAMES)?.unwrap_or("TMM");
 
     println!("# §VII-2 — single vs. simultaneous checksums ({name}, quadratic probing)\n");
     let variants: [(&str, ChecksumSet); 3] = [
@@ -17,33 +17,31 @@ fn main() {
         ("modular only", ChecksumSet::modular_only()),
         ("modular + parity", ChecksumSet::modular_parity()),
     ];
+    // This table is the transpose of the others — variants down the rows,
+    // table organisations across — so it lays the pairs out itself.
+    let configs: Vec<LpConfig> = variants
+        .iter()
+        .flat_map(|(_, set)| {
+            [
+                LpConfig::quad().with_checksums(set.clone()),
+                LpConfig::recommended().with_checksums(set.clone()),
+            ]
+        })
+        .collect();
+    let measured = measure_configs(name, args.scale, args.seed, false, &configs);
 
     let mut table = Table::new(&["Checksums", "Overhead (Quad)", "Overhead (GlobalArray)"]);
     let mut json_rows = Vec::new();
-    for (label, set) in variants {
-        let quad = measure_workload(
-            name,
-            args.scale,
-            args.seed,
-            &LpConfig::quad().with_checksums(set.clone()),
-            false,
-        );
-        let array = measure_workload(
-            name,
-            args.scale,
-            args.seed,
-            &LpConfig::recommended().with_checksums(set.clone()),
-            false,
-        );
+    for ((label, _), m) in variants.iter().zip(measured.chunks(2)) {
         table.row(&[
             label.to_string(),
-            fmt_overhead(quad.overhead),
-            fmt_overhead(array.overhead),
+            fmt_overhead(m[0].overhead),
+            fmt_overhead(m[1].overhead),
         ]);
         json_rows.push(serde_json::json!({
             "checksums": label,
-            "quad_overhead": quad.overhead,
-            "array_overhead": array.overhead,
+            "quad_overhead": m[0].overhead,
+            "array_overhead": m[1].overhead,
         }));
     }
     println!("{}", table.to_markdown());
@@ -51,4 +49,5 @@ fn main() {
     if args.json {
         println!("{}", serde_json::to_string_pretty(&json_rows).unwrap());
     }
+    Ok(())
 }

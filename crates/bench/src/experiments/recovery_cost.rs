@@ -1,45 +1,30 @@
 //! The other half of LP's trade-off (§II-A): normal execution is nearly
-//! free, but *recovery* costs re-execution. This binary sweeps crash
+//! free, but *recovery* costs re-execution. This experiment sweeps crash
 //! points across a workload's store stream and reports how much work
 //! validation finds lost and how long the re-execution takes relative to a
 //! clean run — plus the §IV-A checkpoint-interval arithmetic this feeds.
 
+use crate::measure::setup_lp;
+use crate::{Args, Failure, Table, World};
 use gpu_lp::checkpoint::{availability, optimal_checkpoint_interval};
-use gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
-use lp_bench::{Args, Table};
-use lp_kernels::workload_by_name;
-use nvm::{NvmConfig, PersistMemory};
-use simt::{CrashPlan, DeviceConfig, Gpu};
+use gpu_lp::{LpConfig, ResilientRecovery};
+use lp_kernels::{workload_by_name, WORKLOAD_NAMES};
+use simt::{CrashPlan, DeviceConfig};
 
-/// A small-cache world: natural evictions happen within even small runs,
-/// so crash points land between "everything volatile" and "mostly
-/// persisted" — the gradient the sweep is about.
-fn small_cache_world() -> (Gpu, PersistMemory) {
-    (
-        Gpu::new(DeviceConfig::v100()),
-        PersistMemory::new(NvmConfig {
-            cache_lines: 1024,
-            associativity: 8,
-            ..NvmConfig::default()
-        }),
-    )
+/// Natural evictions happen within even small runs, so crash points land
+/// between "everything volatile" and "mostly persisted" — the gradient
+/// the sweep is about.
+fn small_cache_world() -> World {
+    World::small_cache(DeviceConfig::v100(), 1024, 8)
 }
 
-fn main() {
-    let args = Args::parse();
-    let name = args.workload.as_deref().unwrap_or("SPMV");
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
+    let name = args.workload_in(&WORKLOAD_NAMES)?.unwrap_or("SPMV");
 
     // A clean run to size the store stream and the baseline time.
-    let (gpu, mut mem) = small_cache_world();
-    let mut w = workload_by_name(name, args.scale, args.seed).expect("unknown workload");
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
+    let World { gpu, mut mem } = small_cache_world();
+    let mut w = workload_by_name(name, args.scale, args.seed).expect("validated above");
+    let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
     let kernel = w.kernel(Some(&rt));
     let clean = gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
     let total_stores = clean.nvm.store_ops;
@@ -61,15 +46,9 @@ fn main() {
 
     for pct in [0u64, 10, 25, 50, 75, 90, 100] {
         let crash_after = total_stores * pct / 100;
-        let (gpu, mut mem) = small_cache_world();
-        let mut w = workload_by_name(name, args.scale, args.seed).unwrap();
-        w.setup(&mut mem);
-        let rt = LpRuntime::setup(
-            &mut mem,
-            lc.num_blocks(),
-            lc.threads_per_block(),
-            LpConfig::recommended(),
-        );
+        let World { gpu, mut mem } = small_cache_world();
+        let mut w = workload_by_name(name, args.scale, args.seed).expect("validated above");
+        let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
             .launch_with_plan(
@@ -127,4 +106,5 @@ fn main() {
     if args.json {
         println!("{}", serde_json::to_string_pretty(&json_rows).unwrap());
     }
+    Ok(())
 }

@@ -8,26 +8,20 @@
 //! factor in context: the observer fires once per access, so host overhead
 //! scales with the access volume, not with kernel complexity.
 
-use lp_bench::{Args, Table};
-use lp_kernels::all_workloads;
+use crate::measure::setup_lp;
+use crate::{geometric_mean, Args, Failure, Table, World};
+use gpu_lp::LpConfig;
+use lp_kernels::{all_workloads, WORKLOAD_NAMES};
 use lp_sanitizer::sanitize_launch_exempt;
-use nvm::{NvmConfig, PersistMemory};
-use simt::{DeviceConfig, Gpu};
+use simt::DeviceConfig;
 use std::time::Instant;
 
-fn world() -> (Gpu, PersistMemory) {
-    (
-        Gpu::new(DeviceConfig::test_gpu()),
-        PersistMemory::new(NvmConfig {
-            cache_lines: 512,
-            associativity: 8,
-            ..NvmConfig::default()
-        }),
-    )
+fn world() -> World {
+    World::small_cache(DeviceConfig::test_gpu(), 512, 8)
 }
 
-fn main() {
-    let args = Args::parse();
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
+    let only = args.workload_in(&WORKLOAD_NAMES)?;
 
     println!("# E15: sanitizer overhead — plain vs. observed launches\n");
     let mut table = Table::new(&[
@@ -47,24 +41,13 @@ fn main() {
 
     for mut w in all_workloads(args.scale, args.seed) {
         let name = w.info().name;
-        if args
-            .workload
-            .as_deref()
-            .is_some_and(|only| !only.eq_ignore_ascii_case(name))
-        {
+        if only.is_some_and(|only| only != name) {
             continue;
         }
 
         // Plain run.
-        let (gpu, mut mem) = world();
-        w.setup(&mut mem);
-        let lc = w.launch_config();
-        let rt = gpu_lp::LpRuntime::setup(
-            &mut mem,
-            lc.num_blocks(),
-            lc.threads_per_block(),
-            gpu_lp::LpConfig::recommended(),
-        );
+        let World { gpu, mut mem } = world();
+        let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let t0 = Instant::now();
         let plain = gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
@@ -72,14 +55,8 @@ fn main() {
         drop(kernel);
 
         // Sanitized run from an identical initial state.
-        let (gpu, mut mem) = world();
-        w.setup(&mut mem);
-        let rt = gpu_lp::LpRuntime::setup(
-            &mut mem,
-            lc.num_blocks(),
-            lc.threads_per_block(),
-            gpu_lp::LpConfig::recommended(),
-        );
+        let World { gpu, mut mem } = world();
+        let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let t0 = Instant::now();
         let (observed, report) =
@@ -126,11 +103,12 @@ fn main() {
     }
 
     println!("{}", table.to_markdown());
-    let gmean = lp_bench::geometric_mean(&overheads);
+    let gmean = geometric_mean(&overheads);
     println!("\nSimulated stats: bit-identical in every row (asserted).");
     println!("Host wall-clock overhead, geometric mean: {gmean:.2}x");
 
     if args.json {
         println!("{}", serde_json::to_string_pretty(&json_rows).unwrap());
     }
+    Ok(())
 }

@@ -20,9 +20,9 @@
 //! * `FAILED`    — data loss or corruption the backend's contract cannot
 //!   explain. Gates the exit code.
 
+use crate::{Args, Failure, Table};
 use gpu_lp::BackendKind;
 use lp_apps::AppKind;
-use lp_bench::{Args, Table};
 use lp_fault::{run_soak, SoakReport, SoakSpec};
 use lp_kernels::Scale;
 
@@ -55,14 +55,11 @@ fn verdict(report: &SoakReport) -> String {
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let (cycles, steps, width, rates) = scale_plan(args.scale);
 
     let apps: Vec<AppKind> = match args.workload.as_deref() {
-        Some(w) => vec![w
-            .parse()
-            .unwrap_or_else(|e: String| panic!("--workload {w:?}: {e}"))],
+        Some(w) => vec![w.parse().map_err(Failure::Usage)?],
         None => AppKind::ALL.to_vec(),
     };
     let backends: Vec<BackendKind> = match args.backend {
@@ -165,6 +162,7 @@ fn main() {
     }
     if hard_failures > 0 {
         eprintln!("E21 FAILED: {hard_failures} soak cell(s) with unwaived data loss");
-        std::process::exit(1);
+        return Err(Failure::Gate);
     }
+    Ok(())
 }

@@ -1,23 +1,30 @@
 //! `lp-bench` — the experiment harness that regenerates every table and
 //! figure of the paper's evaluation.
 //!
-//! One binary per artefact (see `src/bin/`): Fig. 5, Tables II–V, the
-//! atomics ablation (§IV-D3), the multi-checksum study (§VII-2), write
-//! amplification (§VII-3), the MEGA-KV application study (§VII-4), and the
-//! checksum false-negative injection study (§II/§IV-B). `run_all`
-//! regenerates the whole evaluation and emits EXPERIMENTS.md content.
+//! One `lp` binary serves every experiment: `lp list` prints the index
+//! ([`EXPERIMENTS`] — Fig. 5, Tables II–V, the §IV/§VII studies, the
+//! fault campaigns, sweeps and soak), `lp <name|E-code> [flags]` runs one,
+//! and `lp all [flags]` regenerates the whole evaluation behind
+//! EXPERIMENTS.md. Each experiment is a module under `src/experiments/`;
+//! `lpcuda-lint` is the one that also ships under its own name.
 //!
-//! The library half holds the shared measurement machinery: build a fresh
-//! simulated world per run, launch the baseline and the LP variant of a
-//! workload, and report overheads plus the model's cost breakdown.
+//! The rest of the library is the shared measurement machinery: build a
+//! fresh simulated world per run, launch the baseline and the LP variants
+//! of a workload, and report overheads plus the model's cost breakdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
-pub mod measure;
-pub mod report;
+mod cli;
+mod driver;
+mod experiments;
+mod measure;
+mod report;
 
-pub use cli::Args;
-pub use measure::{geometric_mean, measure_workload, Measurement, World};
-pub use report::{fmt_overhead, fmt_slowdown, Table};
+use cli::{Args, Failure};
+use measure::{geometric_mean, measure_configs, GeoMean, Sweep, World};
+use report::{fmt_overhead, fmt_slowdown, Table};
+
+pub use driver::{lint_main, lp_main};
+pub use experiments::{Experiment, EXPERIMENTS};
+pub use measure::{measure_workload, Measurement};

@@ -1,15 +1,19 @@
 //! Measurement machinery: baseline-vs-LP launches in fresh worlds.
 
+use crate::cli::{Args, Failure};
+use crate::report::Table;
 use gpu_lp::table::TableStatsSnapshot;
 use gpu_lp::{LpConfig, LpRuntime};
-use lp_kernels::{workload_by_name, Scale, Workload};
-use nvm::{NvmConfig, NvmStats, PersistMemory};
+use lp_kernels::{workload_by_name, Scale, Workload, WORKLOAD_NAMES};
+use megakv::app::OpKind;
+use megakv::MegaKv;
+use nvm::{NvmConfig, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::{DeviceConfig, Gpu, LaunchStats};
 
 /// A fresh simulated machine (device + memory) for one run.
 #[derive(Debug)]
-pub struct World {
+pub(crate) struct World {
     /// The simulated GPU.
     pub gpu: Gpu,
     /// The simulated persistent memory.
@@ -18,7 +22,7 @@ pub struct World {
 
 impl World {
     /// Builds a world from device/memory configurations.
-    pub fn new(dev: DeviceConfig, nvm: NvmConfig) -> Self {
+    pub(crate) fn new(dev: DeviceConfig, nvm: NvmConfig) -> Self {
         World {
             gpu: Gpu::new(dev),
             mem: PersistMemory::new(nvm),
@@ -26,13 +30,25 @@ impl World {
     }
 
     /// The default measurement world: V100 device, paper NVM cache model.
-    pub fn default_world() -> Self {
+    pub(crate) fn default_world() -> Self {
         Self::new(DeviceConfig::v100(), NvmConfig::default())
     }
 
     /// The §VII-3 world: NVM-grade bandwidth.
-    pub fn nvm_world() -> Self {
+    pub(crate) fn nvm_world() -> Self {
         Self::new(DeviceConfig::v100_nvm(), NvmConfig::paper_nvm())
+    }
+
+    /// A world whose cache is small enough (`cache_lines` lines,
+    /// `associativity` ways) that natural evictions — LP's persistence
+    /// mechanism — happen within even a test-scale run.
+    pub(crate) fn small_cache(dev: DeviceConfig, cache_lines: usize, associativity: usize) -> Self {
+        let nvm = NvmConfig {
+            cache_lines,
+            associativity,
+            ..NvmConfig::default()
+        };
+        Self::new(dev, nvm)
     }
 }
 
@@ -75,60 +91,87 @@ impl Measurement {
     }
 }
 
-/// Runs a workload's baseline in a fresh world and returns its stats.
-pub fn run_baseline(world: &mut World, w: &mut dyn Workload) -> (LaunchStats, NvmStats) {
-    w.setup(&mut world.mem);
-    world.mem.reset_stats();
-    let kernel = w.kernel(None);
-    let stats = world
-        .gpu
-        .launch(kernel.as_ref(), &mut world.mem)
-        .expect("baseline launch");
-    world.mem.flush_all();
-    let nvm = world.mem.stats();
-    assert!(
-        w.verify(&mut world.mem),
-        "{}: baseline verification failed",
-        w.info().name
-    );
-    (stats, nvm)
-}
-
-/// Runs a workload under `config` in a fresh world.
-pub fn run_lp(
-    world: &mut World,
+/// Stages `w`'s inputs in `mem` and sets up an LP runtime sized for its
+/// launch.
+pub(crate) fn setup_lp(
+    mem: &mut PersistMemory,
     w: &mut dyn Workload,
     config: &LpConfig,
-) -> (LaunchStats, NvmStats, LpRuntime) {
-    w.setup(&mut world.mem);
+) -> LpRuntime {
+    w.setup(mem);
     let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut world.mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        config.clone(),
-    );
-    world.mem.flush_all();
-    world.mem.reset_stats();
-    let stats = {
-        let kernel = w.kernel(Some(&rt));
-        world
-            .gpu
-            .launch(kernel.as_ref(), &mut world.mem)
-            .expect("LP launch")
-    };
-    world.mem.flush_all();
-    let nvm = world.mem.stats();
-    assert!(
-        w.verify(&mut world.mem),
-        "{}: LP verification failed",
-        w.info().name
-    );
-    (stats, nvm, rt)
+    LpRuntime::setup(mem, lc.num_blocks(), lc.threads_per_block(), config.clone())
 }
 
-/// Measures one workload at `scale` under `config`, with fresh worlds for
-/// baseline and LP runs (same seed, so identical inputs).
+/// Measures one workload at `scale` under each of `configs`: one
+/// uninstrumented baseline run, then one LP run per config, every run in a
+/// fresh world on identical inputs (same seed).
+///
+/// # Panics
+///
+/// Panics on a name `workload_by_name` does not know; the experiments
+/// validate `--workload` before they get here.
+pub(crate) fn measure_configs(
+    name: &str,
+    scale: Scale,
+    seed: u64,
+    nvm_mode: bool,
+    configs: &[LpConfig],
+) -> Vec<Measurement> {
+    // One verified run in a fresh world: under `config`, or the
+    // uninstrumented baseline for `None`.
+    let run = |config: Option<&LpConfig>| {
+        let World { gpu, mut mem } = if nvm_mode {
+            World::nvm_world()
+        } else {
+            World::default_world()
+        };
+        let mut w = workload_by_name(name, scale, seed).expect("unknown workload");
+        let rt = match config {
+            Some(config) => Some(setup_lp(&mut mem, w.as_mut(), config)),
+            None => {
+                w.setup(&mut mem);
+                None
+            }
+        };
+        mem.flush_all();
+        mem.reset_stats();
+        let stats = gpu
+            .launch(w.kernel(rt.as_ref()).as_ref(), &mut mem)
+            .expect("launch");
+        mem.flush_all();
+        let nvm = mem.stats();
+        assert!(
+            w.verify(&mut mem),
+            "{name}: {} verification failed",
+            if rt.is_some() { "LP" } else { "baseline" }
+        );
+        (w, stats, nvm, rt)
+    };
+    let (_, baseline, base_nvm, _) = run(None);
+    configs
+        .iter()
+        .map(|config| {
+            let (w, lp, lp_nvm, rt) = run(Some(config));
+            let rt = rt.expect("an LP run has a runtime");
+            Measurement {
+                workload: w.info().name.to_string(),
+                blocks: w.launch_config().num_blocks(),
+                slowdown: lp.slowdown_vs(&baseline),
+                overhead: lp.overhead_vs(&baseline),
+                table_stats: rt.table_stats(),
+                table_bytes: rt.table_bytes(),
+                payload_bytes: w.payload_bytes(),
+                baseline_nvm_writes: base_nvm.nvm_writes,
+                lp_nvm_writes: lp_nvm.nvm_writes,
+                baseline: baseline.clone(),
+                lp,
+            }
+        })
+        .collect()
+}
+
+/// [`measure_configs`] for a single config.
 pub fn measure_workload(
     name: &str,
     scale: Scale,
@@ -136,34 +179,114 @@ pub fn measure_workload(
     config: &LpConfig,
     nvm_mode: bool,
 ) -> Measurement {
-    let build_world = || {
-        if nvm_mode {
-            World::nvm_world()
-        } else {
-            World::default_world()
+    measure_configs(name, scale, seed, nvm_mode, std::slice::from_ref(config))
+        .pop()
+        .expect("one config in, one measurement out")
+}
+
+/// Kernel time of one MEGA-KV batch of `op` without LP and under
+/// `config`, each in a fresh default world on identical streams, and the
+/// overhead between them: `(baseline ns, LP ns, overhead)`. Search and
+/// delete operate on a populated store, so the inserts run first
+/// (uninstrumented) and are persisted, like the pipeline warm-up would.
+pub(crate) fn measure_megakv(
+    scale: Scale,
+    seed: u64,
+    op: OpKind,
+    config: &LpConfig,
+) -> (f64, f64, f64) {
+    let run = |config: Option<&LpConfig>| {
+        let World { gpu, mut mem } = World::default_world();
+        let app = MegaKv::new(&mut mem, megakv_records(scale), seed);
+        if op != OpKind::Insert {
+            app.run(&gpu, &mut mem, OpKind::Insert, None);
+            mem.flush_all();
         }
+        let rt = config.map(|c| app.lp_runtime(&mut mem, op, c.clone()));
+        app.run(&gpu, &mut mem, op, rt.as_ref()).kernel_ns
     };
+    let (base_ns, lp_ns) = (run(None), run(Some(config)));
+    (base_ns, lp_ns, lp_ns / base_ns - 1.0)
+}
 
-    let mut world = build_world();
-    let mut w = workload_by_name(name, scale, seed).expect("unknown workload");
-    let (baseline, base_nvm) = run_baseline(&mut world, w.as_mut());
+/// Records per MEGA-KV batch (§VII-4: "insert, search & delete 16K recs").
+pub(crate) fn megakv_records(scale: Scale) -> usize {
+    match scale {
+        Scale::Test => 2_048,
+        Scale::Bench | Scale::Paper => 16_384,
+    }
+}
 
-    let mut world = build_world();
-    let mut w = workload_by_name(name, scale, seed).expect("unknown workload");
-    let (lp, lp_nvm, rt) = run_lp(&mut world, w.as_mut(), config);
+/// The `Geo Mean` row of a [`Sweep`].
+#[derive(Clone, Copy)]
+pub(crate) struct GeoMean {
+    /// A workload's values to average column-wise.
+    pub values: fn(&[Measurement]) -> Vec<f64>,
+    /// The cells (after the label) the geometric means print as.
+    pub cells: fn(&[f64]) -> Vec<String>,
+}
 
-    Measurement {
-        workload: w.info().name.to_string(),
-        blocks: w.launch_config().num_blocks(),
-        slowdown: lp.slowdown_vs(&baseline),
-        overhead: lp.overhead_vs(&baseline),
-        table_stats: rt.table_stats(),
-        table_bytes: rt.table_bytes(),
-        payload_bytes: w.payload_bytes(),
-        baseline_nvm_writes: base_nvm.nvm_writes,
-        lp_nvm_writes: lp_nvm.nvm_writes,
-        baseline,
-        lp,
+/// One design-space table of the paper (E0–E6, E8): suite workloads down
+/// the rows, LP configurations across the columns. An experiment is this
+/// data plus three formatting closures; [`Sweep::run`] owns the loop.
+pub(crate) struct Sweep<'a> {
+    /// Heading line (printed with a blank line after it).
+    pub title: &'a str,
+    /// Column headers after the leading `Benchmark`.
+    pub header: &'a [&'a str],
+    /// Workloads swept when `--workload` is not given.
+    pub workloads: &'a [&'a str],
+    /// Measure in the §VII-3 NVM-timing world instead of the default one.
+    pub nvm_mode: bool,
+    /// The configurations compared; closures see their measurements in
+    /// this order.
+    pub configs: &'a [LpConfig],
+    /// A workload's cells after its name.
+    pub cells: fn(&[Measurement]) -> Vec<String>,
+    /// The `Geo Mean` row, for tables that have one.
+    pub geomean: Option<GeoMean>,
+    /// A workload's `--json` row.
+    pub json: fn(&str, &[Measurement]) -> serde_json::Value,
+    /// The paper's numbers, printed under the table for comparison.
+    pub note: &'a str,
+}
+
+impl Sweep<'_> {
+    /// Measures, prints the table and, under `--json`, the rows.
+    pub(crate) fn run(&self, args: &Args) -> Result<(), Failure> {
+        let names = match args.workload_in(&WORKLOAD_NAMES)? {
+            Some(w) => vec![w],
+            None => self.workloads.to_vec(),
+        };
+
+        println!("{}\n", self.title);
+        let header: Vec<&str> = [&["Benchmark"], self.header].concat();
+        let mut table = Table::new(&header);
+        let mut samples: Vec<Vec<f64>> = Vec::new();
+        let mut json_rows = Vec::new();
+        for &name in &names {
+            let m = measure_configs(name, args.scale, args.seed, self.nvm_mode, self.configs);
+            table.row(&[vec![name.to_string()], (self.cells)(&m)].concat());
+            if let Some(geomean) = self.geomean {
+                samples.push((geomean.values)(&m));
+            }
+            json_rows.push((self.json)(name, &m));
+        }
+        if let (Some(geomean), true) = (self.geomean, names.len() > 1) {
+            let means: Vec<f64> = (0..samples[0].len())
+                .map(|col| geometric_mean(&samples.iter().map(|s| s[col]).collect::<Vec<_>>()))
+                .collect();
+            table.row(&[vec!["Geo Mean".to_string()], (geomean.cells)(&means)].concat());
+        }
+        println!("{}", table.to_markdown());
+        println!("{}", self.note);
+        if args.json {
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&json_rows).expect("rows serialise")
+            );
+        }
+        Ok(())
     }
 }
 
@@ -172,7 +295,7 @@ pub fn measure_workload(
 /// # Panics
 ///
 /// Panics on an empty slice.
-pub fn geometric_mean(values: &[f64]) -> f64 {
+pub(crate) fn geometric_mean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geometric mean of nothing");
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()

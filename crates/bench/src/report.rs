@@ -2,14 +2,14 @@
 
 /// A simple markdown table builder.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Starts a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -21,14 +21,14 @@ impl Table {
     /// # Panics
     ///
     /// Panics on arity mismatch.
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
     /// Renders GitHub-flavoured markdown.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -56,12 +56,12 @@ impl Table {
 }
 
 /// Formats an overhead fraction as a percentage (`0.021` → `"2.1%"`).
-pub fn fmt_overhead(overhead: f64) -> String {
+pub(crate) fn fmt_overhead(overhead: f64) -> String {
     format!("{:.1}%", overhead * 100.0)
 }
 
 /// Formats a slowdown ratio (`36.62` → `"36.62x"`).
-pub fn fmt_slowdown(slowdown: f64) -> String {
+pub(crate) fn fmt_slowdown(slowdown: f64) -> String {
     format!("{slowdown:.2}x")
 }
 

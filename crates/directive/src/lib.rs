@@ -49,6 +49,7 @@
 pub mod analysis;
 pub mod codegen;
 pub mod error;
+pub mod fixtures;
 pub mod kernel_scan;
 pub mod lexer;
 pub mod lint;

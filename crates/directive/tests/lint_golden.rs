@@ -106,3 +106,20 @@ fn pragma_misuse_orders_diagnostics_by_position() {
     let codes: Vec<&str> = lint(&src).iter().map(|d| d.code).collect();
     assert_eq!(codes, vec!["LP003", "LP004", "LP001", "LP002", "LP005"]);
 }
+
+#[test]
+fn embedded_tables_list_every_fixture_on_disk() {
+    // `lp_directive::fixtures` is what the tools self-check against; a
+    // fixture added on disk but not embedded would silently go unchecked.
+    for (sub, table) in [
+        ("clean", lp_directive::fixtures::CLEAN),
+        ("seeded", lp_directive::fixtures::SEEDED),
+    ] {
+        let on_disk: Vec<String> = corpus(sub)
+            .iter()
+            .map(|p| format!("{sub}/{}", p.file_name().unwrap().to_str().unwrap()))
+            .collect();
+        let embedded: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        assert_eq!(embedded, on_disk, "fixtures::{sub} drifted from disk");
+    }
+}

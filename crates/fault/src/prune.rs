@@ -106,67 +106,24 @@ impl SubjectFootprint {
 /// byte-level claims a certificate rests on and check them against a
 /// dynamically observed launch.
 pub fn subject_twin(workload: &str) -> Option<(&'static str, &'static str)> {
-    let fixtures = [
-        (
-            "TPACF",
-            include_str!("../../directive/tests/fixtures/clean/tpacf.cu"),
-            "tpacf",
-        ),
-        (
-            "HISTO",
-            include_str!("../../directive/tests/fixtures/clean/histo.cu"),
-            "histo",
-        ),
-        (
-            "CUTCP",
-            include_str!("../../directive/tests/fixtures/clean/cutcp.cu"),
-            "cutcp",
-        ),
-        (
-            "MRI-Q",
-            include_str!("../../directive/tests/fixtures/clean/mriq.cu"),
-            "mriq",
-        ),
-        (
-            "SPMV",
-            include_str!("../../directive/tests/fixtures/clean/spmv.cu"),
-            "spmv_csr",
-        ),
-        (
-            "TMM",
-            include_str!("../../directive/tests/fixtures/clean/tmm.cu"),
-            "tmm",
-        ),
-        (
-            "MRI-GRIDDING",
-            include_str!("../../directive/tests/fixtures/clean/mrigridding.cu"),
-            "gridding",
-        ),
-        (
-            "SAD",
-            include_str!("../../directive/tests/fixtures/clean/sad.cu"),
-            "sad",
-        ),
-        (
-            "MEGAKV-INSERT",
-            include_str!("../../directive/tests/fixtures/clean/megakv.cu"),
-            "kv_insert",
-        ),
-        (
-            "MEGAKV-SEARCH",
-            include_str!("../../directive/tests/fixtures/clean/megakv.cu"),
-            "kv_search",
-        ),
-        (
-            "MEGAKV-DELETE",
-            include_str!("../../directive/tests/fixtures/clean/megakv.cu"),
-            "kv_delete",
-        ),
+    const TWINS: [(&str, &str, &str); 11] = [
+        ("TPACF", "clean/tpacf.cu", "tpacf"),
+        ("HISTO", "clean/histo.cu", "histo"),
+        ("CUTCP", "clean/cutcp.cu", "cutcp"),
+        ("MRI-Q", "clean/mriq.cu", "mriq"),
+        ("SPMV", "clean/spmv.cu", "spmv_csr"),
+        ("TMM", "clean/tmm.cu", "tmm"),
+        ("MRI-GRIDDING", "clean/mrigridding.cu", "gridding"),
+        ("SAD", "clean/sad.cu", "sad"),
+        ("MEGAKV-INSERT", "clean/megakv.cu", "kv_insert"),
+        ("MEGAKV-SEARCH", "clean/megakv.cu", "kv_search"),
+        ("MEGAKV-DELETE", "clean/megakv.cu", "kv_delete"),
     ];
-    fixtures
+    let (_, file, kernel) = TWINS.iter().find(|(name, _, _)| *name == workload)?;
+    let (_, src) = lp_directive::fixtures::CLEAN
         .iter()
-        .find(|(name, _, _)| *name == workload)
-        .map(|(_, src, kernel)| (*src, *kernel))
+        .find(|(name, _)| name == file)?;
+    Some((src, kernel))
 }
 
 /// Runs the symbolic store-footprint engine over `workload`'s clean twin
