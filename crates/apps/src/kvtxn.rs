@@ -6,10 +6,11 @@
 //! within a batch, so threads never race on a key), operations ~70% put /
 //! 30% delete, values a pure function of `(seed, key, step)`.
 //!
-//! The durable state is a [`megakv::KvStore`] plus a [`DurableManifest`]
-//! `[committed_step, started_step]`. The intent commits before the batch
-//! launches; the step commits after the batch drained. Because every
-//! operation is re-derivable, a crashed batch is rolled forward by
+//! The durable state is a [`megakv::KvStore`] plus the service manifest
+//! `[committed_step, started_step]` — the window-1 case of
+//! [`crate::service`]: the intent commits before the batch launches, the
+//! step commits after the batch validated against durable media. Because
+//! every operation is re-derivable, a crashed batch is rolled forward by
 //! re-entrant resilient recovery with **semantic** checksum images — each
 //! op folds `(key, value)` (or a key-tagged deleted marker), and the
 //! recovery recomputation folds the same images via host lookups, so
@@ -30,22 +31,17 @@
 
 use std::collections::BTreeMap;
 
-use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
 use megakv::store::{EMPTY, NOT_FOUND, TOMBSTONE};
 use megakv::KvStore;
 use nvm::PersistMemory;
-use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
+use simt::{BlockCtx, Kernel, LaunchConfig};
 
-use crate::manifest::DurableManifest;
-use crate::{
-    drain_all, mix3, restoration_charge, AppParams, RecoverableApp, RestoreReport, StepReport,
-};
+use crate::service::{Protocol, Service};
+use crate::{mix3, AppParams};
 
 /// Threads (operations) per block.
 const TPB: u64 = 32;
-
-/// Re-entrant recovery attempts per restore.
-const MAX_RESTORE_ATTEMPTS: u32 = 8;
 
 /// Checksum image of a completed delete, tagged by key.
 const DELETED_TAG: u64 = 0xDE1E_7ED0_0000_0000;
@@ -73,7 +69,7 @@ fn txn_of(seed: u64, step: u64, universe: u64, i: u64) -> TxnOp {
 }
 
 /// One transaction batch, one thread per operation.
-struct TxnStepKernel<'a> {
+pub(crate) struct TxnStepKernel<'a> {
     rt: &'a LpRuntime,
     store: &'a KvStore,
     seed: u64,
@@ -192,51 +188,30 @@ impl Recoverable for TxnStepKernel<'_> {
 }
 
 /// The transactional KV service. See the module docs for the protocol.
-pub struct KvTxn {
+pub(crate) struct KvTxn {
     params: AppParams,
-    manifest: DurableManifest,
     store: KvStore,
     /// Power-of-two key universe; keys are `1 ..= universe`.
     universe: u64,
     rt: LpRuntime,
-    /// Host caches (rebuilt by `restore`): committed step and the replayed
-    /// reference model of the committed prefix.
-    committed: u64,
-    model: BTreeMap<u64, u64>,
-    last_restore_ns: u64,
 }
 
 impl KvTxn {
     /// Allocates the store (sized for ≤25% load so probe windows never
     /// exhaust) and commits the empty-history manifest.
-    pub fn create(mem: &mut PersistMemory, params: AppParams) -> Self {
+    pub(crate) fn create(mem: &mut PersistMemory, params: AppParams) -> Service<Self> {
         let universe = (params.width * 8).next_power_of_two();
         let store = KvStore::create(mem, universe / 2, 8);
-        let manifest = DurableManifest::create(mem, 2);
+        let manifest = Service::<Self>::manifest(mem);
         let blocks = params.width.div_ceil(TPB);
         let rt = LpRuntime::setup(mem, blocks, TPB, LpConfig::for_backend(params.backend));
-        drain_all(mem, 8);
-        KvTxn {
+        let kv = KvTxn {
             params,
-            manifest,
             store,
             universe,
             rt,
-            committed: 0,
-            model: BTreeMap::new(),
-            last_restore_ns: 0,
-        }
-    }
-
-    fn kernel<'a>(&'a self, step: u64) -> TxnStepKernel<'a> {
-        TxnStepKernel {
-            rt: &self.rt,
-            store: &self.store,
-            seed: self.params.seed,
-            step,
-            universe: self.universe,
-            batch: self.params.width,
-        }
+        };
+        Service::start(mem, manifest, params.max_steps, kv)
     }
 
     /// Applies step `step` to a host reference model.
@@ -275,117 +250,42 @@ impl KvTxn {
     }
 }
 
-impl RecoverableApp for KvTxn {
-    fn name(&self) -> &'static str {
-        "kvtxn"
+impl Protocol for KvTxn {
+    const NAME: &'static str = "kvtxn";
+    const WINDOW: u64 = 1;
+    const IN_FLIGHT: &'static str = "uncommitted transaction";
+    const ROLL_FORWARD_REBOOT_NS: u64 = 0;
+
+    type Cursors = [u64; 0];
+    type Kernel<'a> = TxnStepKernel<'a>;
+
+    fn runtime(&self, _step: u64) -> &LpRuntime {
+        &self.rt
     }
 
-    fn step(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> StepReport {
-        let step = self.committed + 1;
-        let mut rep = StepReport {
+    fn kernel(&self, step: u64, _: [u64; 0]) -> TxnStepKernel<'_> {
+        TxnStepKernel {
+            rt: &self.rt,
+            store: &self.store,
+            seed: self.params.seed,
             step,
-            ..StepReport::default()
-        };
-        if !self.manifest.commit(mem, &[self.committed, step]) {
-            rep.crashed = true;
-            return rep;
+            universe: self.universe,
+            batch: self.params.width,
         }
-        self.rt.reset(mem);
-        let k = self.kernel(step);
-        let stats = gpu.launch(&k, mem).expect("kv-txn step launch");
-        rep.exec_ns = stats.kernel_ns as u64;
-        if mem.power_failed() {
-            rep.crashed = true;
-            return rep;
-        }
-        // Validate-then-commit (see `queue.rs`): only checksums recomputed
-        // from durable media prove the batch, the drain ACK can lie.
-        let durable = ResilientRecovery::new(gpu)
-            .recover(&k, &self.rt, mem)
-            .all_durable;
-        if !durable || mem.power_failed() {
-            rep.crashed = true;
-            return rep;
-        }
-        if !self.manifest.commit(mem, &[step, step]) {
-            rep.crashed = true;
-            return rep;
-        }
-        Self::apply_to_model(
-            &mut self.model,
-            self.params.seed,
-            step,
-            self.universe,
-            self.params.width,
-        );
-        self.committed = step;
-        rep.committed = true;
-        rep
     }
 
-    fn crash(&mut self, mem: &mut PersistMemory) {
-        if !mem.power_failed() {
-            mem.crash();
-        }
-        self.committed = 0;
-        self.model.clear();
+    fn images(&self, k: &TxnStepKernel<'_>) -> u64 {
+        // Two images per put, one per delete; charge the upper bound.
+        2 * k.batch
     }
 
-    fn restore(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> RestoreReport {
-        if mem.power_failed() {
-            mem.power_on();
-        }
-        let (_, fields) = self.manifest.load(mem);
-        let (committed, started) = (fields[0], fields[1]);
-        let mut rep = RestoreReport {
-            recovered_step: committed,
-            latency_ns: crate::REBOOT_NS,
-            all_durable: true,
-            attempts: 1,
-            ..RestoreReport::default()
-        };
-        if started == committed + 1 {
-            let k = self.kernel(started);
-            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
-                &k,
-                &self.rt,
-                mem,
-                MAX_RESTORE_ATTEMPTS,
-            );
-            rep.rolled_forward = true;
-            rep.attempts = outcome.attempts;
-            rep.interruptions = outcome.interruptions;
-            rep.reexecutions = outcome.report.reexecutions;
-            rep.degraded_reexecutions = outcome.report.degraded_reexecutions;
-            rep.quarantined_lines = outcome.report.quarantined_lines;
-            rep.all_durable = outcome.is_success();
-            // Two images per put, one per delete; charge the upper bound.
-            rep.latency_ns = restoration_charge(2 * self.params.width, &outcome);
-            if rep.all_durable
-                && drain_all(mem, 8)
-                && self.manifest.commit(mem, &[started, started])
-            {
-                rep.recovered_step = started;
-            } else {
-                rep.all_durable = false;
-            }
-        }
-        let (_, fields) = self.manifest.load(mem);
-        self.committed = fields[0];
-        self.model = self.replay_model(self.committed);
-        self.last_restore_ns = rep.latency_ns;
-        rep
-    }
-
-    fn verify_invariants(&mut self, mem: &mut PersistMemory) -> Vec<String> {
-        let mut violations = Vec::new();
-        let (_, fields) = self.manifest.load(mem);
-        let (committed, started) = (fields[0], fields[1]);
-        if started != committed {
-            violations.push(format!(
-                "uncommitted transaction in flight after restore: started={started} committed={committed}"
-            ));
-        }
+    fn audit(
+        &self,
+        mem: &mut PersistMemory,
+        committed: u64,
+        _: [u64; 0],
+        violations: &mut Vec<String>,
+    ) {
         let model = self.replay_model(committed);
         // Whole-universe sweep: presence and value of every possible key.
         for key in 1..=self.universe {
@@ -405,35 +305,14 @@ impl RecoverableApp for KvTxn {
                 model.len()
             ));
         }
-        violations
-    }
-
-    fn restoration_latency(&self) -> u64 {
-        self.last_restore_ns
-    }
-
-    fn progress(&self, mem: &mut PersistMemory) -> u64 {
-        let mut m = self.manifest.clone();
-        m.load(mem).1[0]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{world, RecoverableApp};
     use gpu_lp::BackendKind;
-    use nvm::{FaultConfig, NvmConfig};
-    use simt::DeviceConfig;
-
-    fn world(faults: Option<FaultConfig>) -> (Gpu, PersistMemory) {
-        let mut mem = PersistMemory::new(NvmConfig {
-            cache_lines: 256,
-            associativity: 8,
-            ..NvmConfig::default()
-        });
-        mem.set_fault_config(faults);
-        (Gpu::new(DeviceConfig::test_gpu()), mem)
-    }
 
     #[test]
     fn batches_are_permutations_with_mixed_ops() {
@@ -456,17 +335,6 @@ mod tests {
         assert_eq!(keys.len(), 64, "keys must be distinct within a batch");
         assert!(puts > 0 && dels > 0, "both op kinds must occur");
         assert!(keys.iter().all(|&k| (1..=universe).contains(&k)));
-    }
-
-    #[test]
-    fn transactions_commit_and_match_the_model() {
-        let (gpu, mut mem) = world(None);
-        let mut app = KvTxn::create(&mut mem, AppParams::small(BackendKind::LpChecksum, 41, 32));
-        for _ in 0..6 {
-            assert!(app.step(&gpu, &mut mem).committed);
-        }
-        assert_eq!(app.progress(&mut mem), 6);
-        assert!(app.verify_invariants(&mut mem).is_empty());
     }
 
     #[test]
@@ -496,20 +364,5 @@ mod tests {
         assert!(restored.all_durable, "{restored:?}");
         assert_eq!(app.progress(&mut mem), 4, "the batch is all-or-nothing");
         assert!(app.verify_invariants(&mut mem).is_empty());
-    }
-
-    #[test]
-    fn survives_an_actively_faulty_device() {
-        let (gpu, mut mem) = world(Some(FaultConfig::torn(44, 300)));
-        let mut app = KvTxn::create(&mut mem, AppParams::small(BackendKind::LpChecksum, 44, 32));
-        assert!(app.step(&gpu, &mut mem).committed);
-        mem.arm_crash_during_flush(3);
-        let _ = app.step(&gpu, &mut mem);
-        app.crash(&mut mem);
-        let restored = app.restore(&gpu, &mut mem);
-        assert!(restored.all_durable, "{restored:?}");
-        mem.set_fault_config(None);
-        assert!(app.verify_invariants(&mut mem).is_empty());
-        assert!(app.progress(&mut mem) >= 1);
     }
 }

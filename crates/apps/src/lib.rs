@@ -8,33 +8,37 @@
 //! write-backs and refuses persists while it happens. This crate hosts
 //! three such services, each a different shape of durable state:
 //!
-//! * [`DurableQueue`] — an append-only log/queue: enqueue and consume
+//! * [`AppKind::Queue`] — an append-only log/queue: enqueue and consume
 //!   batches with exactly-once-observable consume semantics (consumption
 //!   is a durable, idempotent receipt, so replaying a step can never
 //!   deliver twice);
-//! * [`TrainingLoop`] — an iterative trainer with periodic checkpoints:
+//! * [`AppKind::Train`] — an iterative trainer with periodic checkpoints:
 //!   epochs ping-pong through a rotating buffer ring so re-execution is
 //!   idempotent, and a crash resumes from the last durable epoch;
-//! * [`KvTxn`] — a durable-transaction variant of the MEGA-KV store: each
-//!   step is an all-or-nothing batch of put/delete transactions over a
-//!   bounded key universe, judged against a replayed CPU model.
+//! * [`AppKind::KvTxn`] — a durable-transaction variant of the MEGA-KV
+//!   store: each step is an all-or-nothing batch of put/delete
+//!   transactions over a bounded key universe, judged against a replayed
+//!   CPU model.
 //!
-//! All three implement [`RecoverableApp`]: `step` / `crash` / `restore` /
-//! `verify_invariants` / `restoration_latency`. The lifecycle contract is
-//! the core of the crate:
+//! Each is a kernel, a seeded generator and an audit behind the one
+//! [`RecoverableApp`] implementation, the crate-private driver in
+//! `service.rs`: `step` / `crash` / `restore` / `verify_invariants` /
+//! `restoration_latency` / `progress`. The queue and the store commit
+//! every step; the trainer is the same protocol with a checkpoint window
+//! of four. The lifecycle contract is the core of the crate:
 //!
-//! 1. **Intent before work.** Before a step launches, the app commits an
-//!    intent record (step counter + pre-state cursors) to a
+//! 1. **Intent before work.** Before a step launches, the driver commits
+//!    an intent record (step counter + pre-state cursors) to a
 //!    [`DurableManifest`] — a two-slot, checksummed commit record that a
 //!    torn write-back can only ever revert to the previous valid state,
 //!    never corrupt.
 //! 2. **Roll-forward restore.** After power loss, `restore` reads the
-//!    manifest from durable truth, rebuilds the in-flight step's kernel
+//!    manifest from durable truth, rebuilds every in-flight step's kernel
 //!    deterministically from `(seed, step, cursors)`, and drives the
 //!    re-entrant resilient recovery loop
-//!    ([`gpu_lp::ResilientRecovery::recover_reentrant`]) until the step's
+//!    ([`gpu_lp::ResilientRecovery::recover_reentrant`]) until the steps'
 //!    regions validate against durable data — even if power fails again
-//!    *during* the restore. The step is then committed, so progress is
+//!    *during* the restore. The window is then committed, so progress is
 //!    strictly monotone across crash cycles.
 //! 3. **Audit from durable state.** `verify_invariants` re-derives every
 //!    expected value from the seed and the committed counters and compares
@@ -48,38 +52,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kvtxn;
+mod kvtxn;
 pub mod manifest;
-pub mod queue;
-pub mod train;
+mod queue;
+mod service;
+mod train;
 
-pub use kvtxn::KvTxn;
 pub use manifest::DurableManifest;
-pub use queue::DurableQueue;
-pub use train::TrainingLoop;
 
-use gpu_lp::{BackendKind, ReentrantOutcome};
+use gpu_lp::BackendKind;
 use nvm::{splitmix64, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::Gpu;
 
-/// Modelled cost of validating one store image during restoration, ns.
-/// Restoration latency is dominated by the validation sweep plus repair
-/// re-execution (the GPM/GPMBench Table-5 shape); recovery's own report
-/// charges the repair half, this constant charges the sweep.
-pub const VALIDATE_NS_PER_IMAGE: u64 = 4;
-
-/// Fixed modelled reboot cost (device bring-up + manifest load), ns.
-pub const REBOOT_NS: u64 = 2_000;
-
 /// Which recoverable service to build (CLI surface of the soak sweep).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum AppKind {
-    /// [`DurableQueue`].
+    /// The durable append-only queue.
     Queue,
-    /// [`TrainingLoop`].
+    /// The checkpointed training loop.
     Train,
-    /// [`KvTxn`].
+    /// The transactional MEGA-KV store.
     KvTxn,
 }
 
@@ -141,16 +134,6 @@ impl AppParams {
             width: 48,
         }
     }
-
-    /// Parameters for a bench-sized service.
-    pub fn bench(backend: BackendKind, seed: u64, max_steps: u64) -> Self {
-        AppParams {
-            backend,
-            seed,
-            max_steps,
-            width: 96,
-        }
-    }
 }
 
 /// Outcome of one service step.
@@ -158,10 +141,13 @@ impl AppParams {
 pub struct StepReport {
     /// The service step this launch belonged to (1-based).
     pub step: u64,
-    /// Power failed before the step could commit.
+    /// Power failed, or a validation could not prove the step durable,
+    /// before the step completed.
     pub crashed: bool,
-    /// The commit record became durable: the step's effects survive any
-    /// later crash.
+    /// The step completed: its intent is durable and its launch ran to the
+    /// end. Whether its effects already survive a crash is what `progress`
+    /// reports — a service that checkpoints every few steps completes
+    /// steps ahead of it, and `restore` rolls those forward.
     pub committed: bool,
     /// Modelled kernel execution time, ns (zero when the launch crashed).
     pub exec_ns: u64,
@@ -201,14 +187,16 @@ pub struct RestoreReport {
 /// mid-`step`) `crash`, then `restore`, after which `verify_invariants`
 /// must return no violations and `progress` must have strictly advanced
 /// past the last pre-crash committed value whenever at least one step was
-/// attempted.
+/// attempted. After a `step` reports `crashed`, the volatile host state is
+/// stale: the only valid continuation is `crash` → `restore`.
 pub trait RecoverableApp {
     /// Service name (report row label).
     fn name(&self) -> &'static str;
 
     /// Runs one service step: derive the batch from `(seed, step)`, commit
-    /// the intent record, launch, drain, commit. Returns early (without
-    /// committing) if power fails at any point.
+    /// the intent record, launch and — when the step closes a checkpoint
+    /// window — validate and commit. Returns early (without committing) if
+    /// power fails at any point. Panics past `AppParams::max_steps`.
     fn step(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> StepReport;
 
     /// Models process death + power loss: cuts power if an armed trigger
@@ -217,9 +205,9 @@ pub trait RecoverableApp {
     fn crash(&mut self, mem: &mut PersistMemory);
 
     /// Reboots, reloads the manifest from durable truth, rolls the
-    /// in-flight step (if any) forward through re-entrant resilient
-    /// recovery, commits it, and rebuilds volatile host state. Safe to be
-    /// interrupted by further power failures.
+    /// in-flight steps (if any) forward through re-entrant resilient
+    /// recovery, commits them, and rebuilds volatile host state. Safe to
+    /// be interrupted by further power failures.
     fn restore(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> RestoreReport;
 
     /// Audits every invariant the service promises (no data loss, no
@@ -246,9 +234,9 @@ pub fn build_app(
     mem: &mut PersistMemory,
 ) -> Box<dyn RecoverableApp> {
     match kind {
-        AppKind::Queue => Box::new(DurableQueue::create(mem, params)),
-        AppKind::Train => Box::new(TrainingLoop::create(mem, params)),
-        AppKind::KvTxn => Box::new(KvTxn::create(mem, params)),
+        AppKind::Queue => Box::new(queue::DurableQueue::create(mem, params)),
+        AppKind::Train => Box::new(train::TrainingLoop::create(mem, params)),
+        AppKind::KvTxn => Box::new(kvtxn::KvTxn::create(mem, params)),
     }
 }
 
@@ -257,30 +245,17 @@ pub(crate) fn mix3(a: u64, b: u64, c: u64) -> u64 {
     splitmix64(a ^ splitmix64(b ^ splitmix64(c ^ 0xA993_5EED_C0FF_EE01)))
 }
 
-/// Drains the whole cache with bounded retries; lines the device keeps
-/// refusing are retired and remapped (their quarantine copy is durable).
-/// Returns `false` only if power failed mid-drain.
-pub(crate) fn drain_all(mem: &mut PersistMemory, retries: u32) -> bool {
-    for _ in 0..retries {
-        if mem.power_failed() {
-            return false;
-        }
-        if mem.flush_all_result() == 0 {
-            return true;
-        }
-    }
-    for base in mem.dirty_line_bases() {
-        mem.quarantine_line(base);
-    }
-    !mem.power_failed() && mem.dirty_lines() == 0
-}
-
-/// The modelled restoration-latency charge for one re-entrant recovery:
-/// reboot, one validation sweep per round over every image, plus the
-/// repair latency the recovery report already carries.
-pub(crate) fn restoration_charge(images: u64, outcome: &ReentrantOutcome) -> u64 {
-    let rounds = u64::from(outcome.report.rounds.max(1));
-    REBOOT_NS + outcome.total_latency_ns + images * VALIDATE_NS_PER_IMAGE * rounds
+/// The unit tests' machine: the test GPU and a 256-line cache under the
+/// given device-fault model.
+#[cfg(test)]
+pub(crate) fn world(faults: Option<nvm::FaultConfig>) -> (Gpu, PersistMemory) {
+    let mut mem = PersistMemory::new(nvm::NvmConfig {
+        cache_lines: 256,
+        associativity: 8,
+        ..nvm::NvmConfig::default()
+    });
+    mem.set_fault_config(faults);
+    (Gpu::new(simt::DeviceConfig::test_gpu()), mem)
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //!   log is auditable from the seed;
 //! * `receipts[j]` — the consume ledger: slot `j` holds the durable
 //!   receipt `receipt(seed, j)` written when message `j` was consumed;
-//! * a [`DurableManifest`] with fields `[committed_step, started_step,
-//!   tail, head]` — `tail` / `head` are the enqueue / consume cursors of
-//!   the *committed* prefix.
+//! * the service manifest `[committed_step, started_step, tail, head]` —
+//!   `tail` / `head` are the enqueue / consume cursors of the *committed*
+//!   prefix.
 //!
 //! Each step enqueues a seeded batch at `tail` and consumes a seeded batch
 //! at `head` in one GPU launch (one thread per message). Consume semantics
@@ -19,29 +19,25 @@
 //! byte-identical receipts, and a receipt can never be written twice with
 //! different contents or skipped while `head` moves past it.
 //!
-//! Crash protocol: the step's intent (`started = step`, plus the committed
-//! cursors the batch was derived from) is committed to the manifest
-//! *before* the launch; the new cursors commit only after every record and
-//! receipt of the step drained. `restore` therefore finds either nothing
-//! in flight (crash landed between steps or tore the intent commit, which
-//! reverts it) or a fully-described in-flight step it re-derives and rolls
-//! forward through re-entrant resilient recovery.
+//! Crash protocol: the window-1 case of [`crate::service`] — the step's
+//! intent (`started = step`, plus the committed cursors the batch was
+//! derived from) is committed to the manifest *before* the launch; the new
+//! cursors commit only after every record and receipt of the step
+//! validated against durable media. `restore` therefore finds either
+//! nothing in flight (crash landed between steps or tore the intent commit,
+//! which reverts it) or a fully-described in-flight step it re-derives and
+//! rolls forward through re-entrant resilient recovery.
 
-use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
+use simt::{BlockCtx, Kernel, LaunchConfig};
 
-use crate::manifest::DurableManifest;
-use crate::{
-    drain_all, mix3, restoration_charge, AppParams, RecoverableApp, RestoreReport, StepReport,
-};
+use crate::service::{Protocol, Service};
+use crate::{mix3, AppParams};
 
 /// Threads per block — small so even smoke-sized steps span several LP
 /// regions and partial-persistence is region-granular.
 const TPB: u64 = 32;
-
-/// Re-entrant recovery attempts per restore.
-const MAX_RESTORE_ATTEMPTS: u32 = 8;
 
 /// Payload of log slot `j` (nonzero, so an unwritten slot is detectable).
 fn payload(seed: u64, j: u64) -> u64 {
@@ -71,7 +67,7 @@ fn batch_for(seed: u64, step: u64, width: u64, tail: u64, head: u64) -> StepBatc
 
 /// One queue step: threads `< enqueue` append records at `tail`, the rest
 /// write consume receipts at `head`.
-struct QueueStepKernel<'rt> {
+pub(crate) struct QueueStepKernel<'rt> {
     rt: &'rt LpRuntime,
     records: Addr,
     receipts: Addr,
@@ -139,47 +135,51 @@ impl Recoverable for QueueStepKernel<'_> {
 }
 
 /// The durable queue service. See the module docs for the protocol.
-pub struct DurableQueue {
+pub(crate) struct DurableQueue {
     params: AppParams,
-    manifest: DurableManifest,
     records: Addr,
     receipts: Addr,
     capacity: u64,
     rt: LpRuntime,
-    /// Host cache of the committed manifest fields (rebuilt by `restore`).
-    committed: u64,
-    tail: u64,
-    head: u64,
-    last_restore_ns: u64,
 }
 
 impl DurableQueue {
     /// Allocates the log arenas (sized for `params.max_steps` full-width
     /// steps) and commits the empty-queue manifest.
-    pub fn create(mem: &mut PersistMemory, params: AppParams) -> Self {
+    pub(crate) fn create(mem: &mut PersistMemory, params: AppParams) -> Service<Self> {
         let capacity = params.max_steps * params.width;
         let records = mem.alloc(capacity * 8, 8);
         let receipts = mem.alloc(capacity * 8, 8);
-        let manifest = DurableManifest::create(mem, 4);
+        let manifest = Service::<Self>::manifest(mem);
         // A step touches at most `2 * width` messages.
         let max_blocks = (2 * params.width).div_ceil(TPB);
         let rt = LpRuntime::setup(mem, max_blocks, TPB, LpConfig::for_backend(params.backend));
-        drain_all(mem, 8);
-        DurableQueue {
+        let queue = DurableQueue {
             params,
-            manifest,
             records,
             receipts,
             capacity,
             rt,
-            committed: 0,
-            tail: 0,
-            head: 0,
-            last_restore_ns: 0,
-        }
+        };
+        Service::start(mem, manifest, params.max_steps, queue)
+    }
+}
+
+impl Protocol for DurableQueue {
+    const NAME: &'static str = "queue";
+    const WINDOW: u64 = 1;
+    const IN_FLIGHT: &'static str = "uncommitted step";
+    const ROLL_FORWARD_REBOOT_NS: u64 = 0;
+
+    /// `[tail, head]`.
+    type Cursors = [u64; 2];
+    type Kernel<'a> = QueueStepKernel<'a>;
+
+    fn runtime(&self, _step: u64) -> &LpRuntime {
+        &self.rt
     }
 
-    fn kernel<'a>(&'a self, step: u64, tail: u64, head: u64) -> QueueStepKernel<'a> {
+    fn kernel(&self, step: u64, [tail, head]: [u64; 2]) -> QueueStepKernel<'_> {
         QueueStepKernel {
             rt: &self.rt,
             records: self.records,
@@ -190,126 +190,22 @@ impl DurableQueue {
             batch: batch_for(self.params.seed, step, self.params.width, tail, head),
         }
     }
-}
 
-impl RecoverableApp for DurableQueue {
-    fn name(&self) -> &'static str {
-        "queue"
+    fn advance(&self, k: &QueueStepKernel<'_>, [tail, head]: [u64; 2]) -> [u64; 2] {
+        [tail + k.batch.enqueue, head + k.batch.consume]
     }
 
-    fn step(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> StepReport {
-        let step = self.committed + 1;
-        assert!(step <= self.params.max_steps, "queue arena exhausted");
-        let mut rep = StepReport {
-            step,
-            ..StepReport::default()
-        };
-        // Intent first: after this commit a crash anywhere in the step is
-        // recoverable from the manifest alone.
-        if !self
-            .manifest
-            .commit(mem, &[self.committed, step, self.tail, self.head])
-        {
-            rep.crashed = true;
-            return rep;
-        }
-        self.rt.reset(mem);
-        let k = self.kernel(step, self.tail, self.head);
-        let (tail, head) = (self.tail + k.batch.enqueue, self.head + k.batch.consume);
-        let stats = gpu.launch(&k, mem).expect("queue step launch");
-        rep.exec_ns = stats.kernel_ns as u64;
-        if mem.power_failed() {
-            rep.crashed = true;
-            return rep;
-        }
-        // Validate-then-commit: a torn write-back ACKs success while
-        // persisting garbage, so the commit may only trust checksums
-        // recomputed from the durable media view — never the drain ACK.
-        let durable = ResilientRecovery::new(gpu)
-            .recover(&k, &self.rt, mem)
-            .all_durable;
-        if !durable || mem.power_failed() {
-            rep.crashed = true;
-            return rep;
-        }
-        if !self.manifest.commit(mem, &[step, step, tail, head]) {
-            rep.crashed = true;
-            return rep;
-        }
-        (self.committed, self.tail, self.head) = (step, tail, head);
-        rep.committed = true;
-        rep
+    fn images(&self, k: &QueueStepKernel<'_>) -> u64 {
+        k.items()
     }
 
-    fn crash(&mut self, mem: &mut PersistMemory) {
-        if !mem.power_failed() {
-            mem.crash();
-        }
-        // Drop every volatile host cache: restore may trust durable state
-        // only.
-        self.committed = 0;
-        self.tail = 0;
-        self.head = 0;
-    }
-
-    fn restore(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> RestoreReport {
-        if mem.power_failed() {
-            mem.power_on();
-        }
-        let (_, fields) = self.manifest.load(mem);
-        let (committed, started, tail, head) = (fields[0], fields[1], fields[2], fields[3]);
-        let mut rep = RestoreReport {
-            recovered_step: committed,
-            latency_ns: crate::REBOOT_NS,
-            all_durable: true,
-            attempts: 1,
-            ..RestoreReport::default()
-        };
-        if started == committed + 1 {
-            // Roll the in-flight step forward: re-derive its batch from the
-            // durable cursors and recover against the crashed launch's
-            // checksum table.
-            let k = self.kernel(started, tail, head);
-            let (tail2, head2) = (tail + k.batch.enqueue, head + k.batch.consume);
-            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
-                &k,
-                &self.rt,
-                mem,
-                MAX_RESTORE_ATTEMPTS,
-            );
-            rep.rolled_forward = true;
-            rep.attempts = outcome.attempts;
-            rep.interruptions = outcome.interruptions;
-            rep.reexecutions = outcome.report.reexecutions;
-            rep.degraded_reexecutions = outcome.report.degraded_reexecutions;
-            rep.quarantined_lines = outcome.report.quarantined_lines;
-            rep.all_durable = outcome.is_success();
-            rep.latency_ns = restoration_charge(k.items(), &outcome);
-            if rep.all_durable
-                && drain_all(mem, 8)
-                && self.manifest.commit(mem, &[started, started, tail2, head2])
-            {
-                rep.recovered_step = started;
-            } else {
-                rep.all_durable = false;
-            }
-        }
-        // Rebuild the volatile cursor cache from durable truth.
-        let (_, fields) = self.manifest.load(mem);
-        (self.committed, self.tail, self.head) = (fields[0], fields[2], fields[3]);
-        self.last_restore_ns = rep.latency_ns;
-        rep
-    }
-
-    fn verify_invariants(&mut self, mem: &mut PersistMemory) -> Vec<String> {
-        let mut violations = Vec::new();
-        let (_, fields) = self.manifest.load(mem);
-        let (committed, started, tail, head) = (fields[0], fields[1], fields[2], fields[3]);
-        if started != committed {
-            violations.push(format!(
-                "uncommitted step in flight after restore: started={started} committed={committed}"
-            ));
-        }
+    fn audit(
+        &self,
+        mem: &mut PersistMemory,
+        committed: u64,
+        [tail, head]: [u64; 2],
+        violations: &mut Vec<String>,
+    ) {
         // Cursor audit: replay the seeded schedule from step 1.
         let (mut et, mut eh) = (0u64, 0u64);
         for s in 1..=committed {
@@ -346,50 +242,14 @@ impl RecoverableApp for DurableQueue {
                 break;
             }
         }
-        violations
-    }
-
-    fn restoration_latency(&self) -> u64 {
-        self.last_restore_ns
-    }
-
-    fn progress(&self, mem: &mut PersistMemory) -> u64 {
-        let mut m = self.manifest.clone();
-        m.load(mem).1[0]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_app;
-    use crate::AppKind;
+    use crate::{world, RecoverableApp};
     use gpu_lp::BackendKind;
-    use nvm::{FaultConfig, NvmConfig};
-    use simt::DeviceConfig;
-
-    fn world(faults: Option<FaultConfig>) -> (Gpu, PersistMemory) {
-        let mut mem = PersistMemory::new(NvmConfig {
-            cache_lines: 256,
-            associativity: 8,
-            ..NvmConfig::default()
-        });
-        mem.set_fault_config(faults);
-        (Gpu::new(DeviceConfig::test_gpu()), mem)
-    }
-
-    #[test]
-    fn steps_commit_and_invariants_hold() {
-        let (gpu, mut mem) = world(None);
-        let mut app =
-            DurableQueue::create(&mut mem, AppParams::small(BackendKind::LpChecksum, 11, 16));
-        for _ in 0..5 {
-            let rep = app.step(&gpu, &mut mem);
-            assert!(rep.committed, "clean step must commit");
-        }
-        assert_eq!(app.progress(&mut mem), 5);
-        assert!(app.verify_invariants(&mut mem).is_empty());
-    }
 
     #[test]
     fn crash_mid_step_rolls_forward_on_restore() {
@@ -406,39 +266,5 @@ mod tests {
         assert!(restored.all_durable, "{restored:?}");
         assert_eq!(app.progress(&mut mem), 2, "in-flight step rolled forward");
         assert!(app.verify_invariants(&mut mem).is_empty());
-    }
-
-    #[test]
-    fn crash_between_steps_restores_cleanly() {
-        let (gpu, mut mem) = world(None);
-        let mut app =
-            DurableQueue::create(&mut mem, AppParams::small(BackendKind::LpChecksum, 13, 16));
-        for _ in 0..3 {
-            assert!(app.step(&gpu, &mut mem).committed);
-        }
-        app.crash(&mut mem);
-        let rep = app.restore(&gpu, &mut mem);
-        assert!(!rep.rolled_forward);
-        assert_eq!(app.progress(&mut mem), 3);
-        assert!(app.verify_invariants(&mut mem).is_empty());
-    }
-
-    #[test]
-    fn survives_an_actively_faulty_device() {
-        let (gpu, mut mem) = world(Some(FaultConfig::torn(21, 300)));
-        let mut app = build_app(
-            AppKind::Queue,
-            AppParams::small(BackendKind::LpChecksum, 21, 16),
-            &mut mem,
-        );
-        assert!(app.step(&gpu, &mut mem).committed);
-        mem.arm_crash_during_flush(4);
-        let _ = app.step(&gpu, &mut mem);
-        app.crash(&mut mem);
-        let restored = app.restore(&gpu, &mut mem);
-        assert!(restored.all_durable, "{restored:?}");
-        mem.set_fault_config(None);
-        assert!(app.verify_invariants(&mut mem).is_empty());
-        assert!(app.progress(&mut mem) >= 1);
     }
 }

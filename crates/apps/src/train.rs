@@ -14,34 +14,30 @@
 //! * `K` LP runtimes — epoch `e` publishes its checksums through slot
 //!   `(e-1) % K`, so every epoch since the last checkpoint keeps its own
 //!   validation table (at most `K` epochs are ever in flight);
-//! * a [`DurableManifest`] `[committed_epoch, started_epoch]`.
+//! * the service manifest `[committed_epoch, started_epoch]`.
 //!
-//! A *checkpoint* (every `K` epochs, and at the end of every restore)
-//! drains the cache and commits `committed = epoch`. Between checkpoints,
-//! each epoch commits only its intent (`started = epoch`) before
-//! launching. `restore` therefore finds `committed = c, started = s` with
-//! `c ≤ s ≤ c + K` and rolls epochs `c+1 ..= s` forward oldest-first —
-//! each one's recovery input is the (by then durable) output of the one
-//! before — then checkpoints at `s`. The service resumes from the last
-//! durable epoch with zero lost epochs.
+//! This is the window-`K` case of [`crate::service`]: a *checkpoint*
+//! (every `K` epochs, and at the end of every restore) validates the open
+//! window and commits `committed = epoch`. Between checkpoints, each epoch
+//! commits only its intent (`started = epoch`) before launching. `restore`
+//! therefore finds `committed = c, started = s` with `c ≤ s ≤ c + K` and
+//! rolls epochs `c+1 ..= s` forward oldest-first — each one's recovery
+//! input is the (by then durable) output of the one before — then
+//! checkpoints at `s`. The service resumes from the last durable epoch
+//! with zero lost epochs.
 
-use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
+use simt::{BlockCtx, Kernel, LaunchConfig};
 
-use crate::manifest::DurableManifest;
-use crate::{
-    drain_all, mix3, restoration_charge, AppParams, RecoverableApp, RestoreReport, StepReport,
-};
+use crate::service::{Protocol, Service, REBOOT_NS};
+use crate::{mix3, AppParams};
 
 /// Threads per block.
 const TPB: u64 = 32;
 
 /// Checkpoint interval: every `K`-th epoch drains and commits.
 const K: u64 = 4;
-
-/// Re-entrant recovery attempts per rolled-forward epoch.
-const MAX_RESTORE_ATTEMPTS: u32 = 8;
 
 /// Initial weight `i`.
 fn init_weight(seed: u64, i: u64) -> f32 {
@@ -60,7 +56,7 @@ fn update(w: f32, seed: u64, epoch: u64, i: u64) -> f32 {
 }
 
 /// One training epoch: `dst[i] = update(src[i])`, one thread per weight.
-struct TrainEpochKernel<'rt> {
+pub(crate) struct TrainEpochKernel<'rt> {
     rt: &'rt LpRuntime,
     src: Addr,
     dst: Addr,
@@ -116,58 +112,37 @@ impl Recoverable for TrainEpochKernel<'_> {
 }
 
 /// The persistent training service. See the module docs for the protocol.
-pub struct TrainingLoop {
+pub(crate) struct TrainingLoop {
     params: AppParams,
-    manifest: DurableManifest,
     /// `K + 1` rotating weight buffers.
     bufs: Vec<Addr>,
     /// Weights per buffer.
     n: u64,
     /// `K` checksum runtimes, one per in-flight epoch slot.
     rts: Vec<LpRuntime>,
-    /// Host cache (rebuilt by `restore`): last completed epoch and last
-    /// checkpointed epoch.
-    epoch: u64,
-    committed: u64,
-    last_restore_ns: u64,
 }
 
 impl TrainingLoop {
     /// Allocates the buffer ring, writes the seeded initial weights
     /// durably, and commits the epoch-0 manifest.
-    pub fn create(mem: &mut PersistMemory, params: AppParams) -> Self {
+    pub(crate) fn create(mem: &mut PersistMemory, params: AppParams) -> Service<Self> {
         let n = params.width * 8;
         let bufs: Vec<Addr> = (0..=K).map(|_| mem.alloc(n * 4, 8)).collect();
         for i in 0..n {
             mem.write_f32(bufs[0].index(i, 4), init_weight(params.seed, i));
         }
-        let manifest = DurableManifest::create(mem, 2);
+        let manifest = Service::<Self>::manifest(mem);
         let blocks = n.div_ceil(TPB);
         let rts: Vec<LpRuntime> = (0..K)
             .map(|_| LpRuntime::setup(mem, blocks, TPB, LpConfig::for_backend(params.backend)))
             .collect();
-        drain_all(mem, 8);
-        TrainingLoop {
+        let train = TrainingLoop {
             params,
-            manifest,
             bufs,
             n,
             rts,
-            epoch: 0,
-            committed: 0,
-            last_restore_ns: 0,
-        }
-    }
-
-    fn kernel<'a>(&'a self, epoch: u64) -> TrainEpochKernel<'a> {
-        TrainEpochKernel {
-            rt: &self.rts[((epoch - 1) % K) as usize],
-            src: self.bufs[((epoch - 1) % (K + 1)) as usize],
-            dst: self.bufs[(epoch % (K + 1)) as usize],
-            n: self.n,
-            seed: self.params.seed,
-            epoch,
-        }
+        };
+        Service::start(mem, manifest, params.max_steps, train)
     }
 
     /// Host replay of the committed prefix: the reference weights after
@@ -185,124 +160,45 @@ impl TrainingLoop {
     }
 }
 
-impl RecoverableApp for TrainingLoop {
-    fn name(&self) -> &'static str {
-        "train"
+impl Protocol for TrainingLoop {
+    const NAME: &'static str = "train";
+    const WINDOW: u64 = K;
+    const IN_FLIGHT: &'static str = "uncheckpointed epoch";
+    /// The windowed restore has always charged a reboot per rolled-forward
+    /// epoch on top of the one up front, where the window-1 services charge
+    /// one in total. `restoration_ns` is a pinned simulated result, so the
+    /// quirk is kept as this explicit term rather than silently dropped.
+    const ROLL_FORWARD_REBOOT_NS: u64 = REBOOT_NS;
+
+    type Cursors = [u64; 0];
+    type Kernel<'a> = TrainEpochKernel<'a>;
+
+    fn runtime(&self, epoch: u64) -> &LpRuntime {
+        &self.rts[((epoch - 1) % K) as usize]
     }
 
-    fn step(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> StepReport {
-        let epoch = self.epoch + 1;
-        assert!(epoch <= self.params.max_steps, "training horizon exceeded");
-        let mut rep = StepReport {
-            step: epoch,
-            ..StepReport::default()
-        };
-        if !self.manifest.commit(mem, &[self.committed, epoch]) {
-            rep.crashed = true;
-            return rep;
+    fn kernel(&self, epoch: u64, _: [u64; 0]) -> TrainEpochKernel<'_> {
+        TrainEpochKernel {
+            rt: self.runtime(epoch),
+            src: self.bufs[((epoch - 1) % (K + 1)) as usize],
+            dst: self.bufs[(epoch % (K + 1)) as usize],
+            n: self.n,
+            seed: self.params.seed,
+            epoch,
         }
-        let rt = &self.rts[((epoch - 1) % K) as usize];
-        rt.reset(mem);
-        let k = self.kernel(epoch);
-        let stats = gpu.launch(&k, mem).expect("train epoch launch");
-        rep.exec_ns = stats.kernel_ns as u64;
-        if mem.power_failed() {
-            rep.crashed = true;
-            return rep;
-        }
-        self.epoch = epoch;
-        if epoch.is_multiple_of(K) {
-            // Checkpoint: validate-then-commit over the whole window,
-            // oldest first (each epoch's re-execution input is the epoch
-            // the previous iteration just proved durable). A torn
-            // write-back ACKs success while persisting garbage, so only
-            // checksums recomputed from durable media prove the window.
-            for e in self.committed + 1..=epoch {
-                let durable = ResilientRecovery::new(gpu)
-                    .recover(&self.kernel(e), &self.rts[((e - 1) % K) as usize], mem)
-                    .all_durable;
-                if !durable || mem.power_failed() {
-                    rep.crashed = true;
-                    return rep;
-                }
-            }
-            if !self.manifest.commit(mem, &[epoch, epoch]) {
-                rep.crashed = true;
-                return rep;
-            }
-            self.committed = epoch;
-        }
-        rep.committed = true;
-        rep
     }
 
-    fn crash(&mut self, mem: &mut PersistMemory) {
-        if !mem.power_failed() {
-            mem.crash();
-        }
-        self.epoch = 0;
-        self.committed = 0;
+    fn images(&self, _: &TrainEpochKernel<'_>) -> u64 {
+        self.n
     }
 
-    fn restore(&mut self, gpu: &Gpu, mem: &mut PersistMemory) -> RestoreReport {
-        if mem.power_failed() {
-            mem.power_on();
-        }
-        let (_, fields) = self.manifest.load(mem);
-        let (committed, started) = (fields[0], fields[1]);
-        let mut rep = RestoreReport {
-            recovered_step: committed,
-            latency_ns: crate::REBOOT_NS,
-            all_durable: true,
-            attempts: 1,
-            ..RestoreReport::default()
-        };
-        // Roll forward every epoch since the checkpoint, oldest first:
-        // epoch e's recovery reads the weights epoch e-1's recovery just
-        // made durable.
-        for e in committed + 1..=started {
-            let k = self.kernel(e);
-            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
-                &k,
-                &self.rts[((e - 1) % K) as usize],
-                mem,
-                MAX_RESTORE_ATTEMPTS,
-            );
-            rep.rolled_forward = true;
-            rep.attempts = rep.attempts.max(outcome.attempts);
-            rep.interruptions += outcome.interruptions;
-            rep.reexecutions += outcome.report.reexecutions;
-            rep.degraded_reexecutions += outcome.report.degraded_reexecutions;
-            rep.quarantined_lines += outcome.report.quarantined_lines;
-            rep.latency_ns += restoration_charge(self.n, &outcome);
-            if !outcome.is_success() {
-                rep.all_durable = false;
-                break;
-            }
-            rep.recovered_step = e;
-        }
-        if rep.all_durable
-            && started > committed
-            && (!drain_all(mem, 8) || !self.manifest.commit(mem, &[started, started]))
-        {
-            rep.all_durable = false;
-        }
-        let (_, fields) = self.manifest.load(mem);
-        self.committed = fields[0];
-        self.epoch = fields[0];
-        self.last_restore_ns = rep.latency_ns;
-        rep
-    }
-
-    fn verify_invariants(&mut self, mem: &mut PersistMemory) -> Vec<String> {
-        let mut violations = Vec::new();
-        let (_, fields) = self.manifest.load(mem);
-        let (committed, started) = (fields[0], fields[1]);
-        if started != committed {
-            violations.push(format!(
-                "uncheckpointed epoch in flight after restore: started={started} committed={committed}"
-            ));
-        }
+    fn audit(
+        &self,
+        mem: &mut PersistMemory,
+        committed: u64,
+        _: [u64; 0],
+        violations: &mut Vec<String>,
+    ) {
         let expect = self.replay(committed);
         let buf = self.bufs[(committed % (K + 1)) as usize];
         for (i, e) in expect.iter().enumerate() {
@@ -314,47 +210,14 @@ impl RecoverableApp for TrainingLoop {
                 break;
             }
         }
-        violations
-    }
-
-    fn restoration_latency(&self) -> u64 {
-        self.last_restore_ns
-    }
-
-    fn progress(&self, mem: &mut PersistMemory) -> u64 {
-        let mut m = self.manifest.clone();
-        m.load(mem).1[0]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{world, RecoverableApp};
     use gpu_lp::BackendKind;
-    use nvm::{FaultConfig, NvmConfig};
-    use simt::DeviceConfig;
-
-    fn world(faults: Option<FaultConfig>) -> (Gpu, PersistMemory) {
-        let mut mem = PersistMemory::new(NvmConfig {
-            cache_lines: 256,
-            associativity: 8,
-            ..NvmConfig::default()
-        });
-        mem.set_fault_config(faults);
-        (Gpu::new(DeviceConfig::test_gpu()), mem)
-    }
-
-    #[test]
-    fn epochs_checkpoint_and_replay_matches() {
-        let (gpu, mut mem) = world(None);
-        let mut app =
-            TrainingLoop::create(&mut mem, AppParams::small(BackendKind::LpChecksum, 31, 32));
-        for _ in 0..8 {
-            assert!(app.step(&gpu, &mut mem).committed);
-        }
-        assert_eq!(app.progress(&mut mem), 8, "8 = 2 checkpoints of K=4");
-        assert!(app.verify_invariants(&mut mem).is_empty());
-    }
 
     #[test]
     fn crash_between_checkpoints_resumes_from_rolled_forward_epochs() {
@@ -390,22 +253,6 @@ mod tests {
         let rep = app.restore(&gpu, &mut mem);
         assert!(rep.all_durable, "{rep:?}");
         assert_eq!(app.progress(&mut mem), 8, "the whole window rolls forward");
-        assert!(app.verify_invariants(&mut mem).is_empty());
-    }
-
-    #[test]
-    fn survives_a_faulty_device_across_a_crash() {
-        let (gpu, mut mem) = world(Some(FaultConfig::torn(35, 300)));
-        let mut app =
-            TrainingLoop::create(&mut mem, AppParams::small(BackendKind::LpChecksum, 35, 32));
-        for _ in 0..3 {
-            assert!(app.step(&gpu, &mut mem).committed);
-        }
-        app.crash(&mut mem);
-        let rep = app.restore(&gpu, &mut mem);
-        assert!(rep.all_durable, "{rep:?}");
-        mem.set_fault_config(None);
-        assert_eq!(app.progress(&mut mem), 3);
         assert!(app.verify_invariants(&mut mem).is_empty());
     }
 }

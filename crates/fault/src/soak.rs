@@ -477,4 +477,33 @@ mod tests {
         assert!(report.passed, "{:?}", report.failures());
         assert_eq!(report.waived_cycle, None);
     }
+
+    /// `lp soak --scale test --seed S`'s LP cell for `app`: the smallest
+    /// known schedule per ROADMAP item 1 signature, found by hand until the
+    /// soak has a shrinker.
+    fn item_1_reproducer(app: AppKind, seed: u64) {
+        let report = run_soak(&SoakSpec {
+            seed,
+            ..spec(app, BackendKind::LpChecksum, 6, 200)
+        });
+        assert!(report.passed, "{app} seed {seed}: {:?}", report.failures());
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: manifest commit trusts a torn write-back's ACK"]
+    fn train_progress_stays_monotone_on_seed_6() {
+        item_1_reproducer(AppKind::Train, 6);
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: manifest commit trusts a torn write-back's ACK"]
+    fn queue_writes_no_receipt_before_consume_on_seed_50() {
+        item_1_reproducer(AppKind::Queue, 50);
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: manifest commit trusts a torn write-back's ACK"]
+    fn kvtxn_store_matches_the_model_on_seed_106() {
+        item_1_reproducer(AppKind::KvTxn, 106);
+    }
 }

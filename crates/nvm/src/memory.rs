@@ -693,14 +693,7 @@ impl PersistMemory {
         self.write_u64(addr, v.to_bits());
     }
 
-    // ---- typed durable accessors --------------------------------------
-
-    /// Reads a `u32` from the durable view.
-    pub fn read_durable_u32(&self, addr: Addr) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_durable_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
-    }
+    // ---- typed durable accessor ---------------------------------------
 
     /// Reads a `u64` from the durable view.
     pub fn read_durable_u64(&self, addr: Addr) -> u64 {

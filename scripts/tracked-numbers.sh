@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# The size numbers ROADMAP aim 2 tracks, computed one way. Every simplicity
+# PR quotes this output (before and after) in CHANGES.md instead of an
+# ad-hoc grep; the CI `check` job prints it as its last step.
+#
+#   scripts/tracked-numbers.sh [REPO_ROOT]     # default: this checkout
+#
+# Scope: the workspace's own Rust under crates/, vendored stand-ins
+# (crates/vendor/) excluded. Counts are of lines containing the pattern.
+# "bin targets" are the files cargo builds into executables: a src/main.rs
+# or a file under src/bin/.
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+own() { find crates -name '*.rs' -not -path 'crates/vendor/*' "$@"; }
+# grep exits 1 on "no match": that is a zero here, not an error.
+lines_with() { { own -print0 | xargs -0 grep -hF -- "$1" || true; } | wc -l; }
+apps_lines_with() { { grep -rhF "${@:2}" -- "$1" crates/apps/src || true; } | wc -l; }
+
+row() { printf '%-48s %s\n' "$1" "$2"; }
+row "rs lines under crates/ (vendor excluded):" "$(own -print0 | xargs -0 cat | wc -l)"
+row "pub fn:" "$(lines_with 'pub fn ')"
+row "bin targets:" "$(own \( -path '*/src/bin/*.rs' -o -path '*/src/main.rs' \) | wc -l)"
+row "crates/apps/src lines:" "$(cat crates/apps/src/*.rs | wc -l)"
+row "crates/apps/src pub fn:" "$(apps_lines_with 'pub fn ')"
+row "crates/apps/src 'RecoverableApp for':" "$(apps_lines_with 'RecoverableApp for ')"
+row "crates/apps/src 'manifest.commit(' callers:" "$(apps_lines_with 'manifest.commit(' --exclude=manifest.rs)"
+row "crates/apps/src '.recover_reentrant(':" "$(apps_lines_with '.recover_reentrant(')"
+row "crates/apps/src 'ResilientRecovery::new':" "$(apps_lines_with 'ResilientRecovery::new')"
