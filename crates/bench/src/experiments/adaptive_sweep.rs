@@ -103,7 +103,7 @@ fn scenario_world() -> World {
 /// already-durable data would make every crash free. `adaptive`
 /// additionally feeds the per-launch signals to the policy engine.
 fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u64) -> PolicyRun {
-    let adaptive = lp.mode == gpu_lp::PersistMode::Adaptive;
+    let adaptive = lp.backend == BackendKind::Adaptive;
     let World { gpu, mut mem } = scenario_world();
     // The grid shape is a function of (workload, scale) only, so one
     // runtime — and one policy engine — spans every job in the scenario.

@@ -57,8 +57,8 @@ pub mod table;
 pub use checkpoint::{CheckpointManager, CheckpointPolicy};
 pub use checksum::{ChecksumKind, ChecksumSet, MAX_CHECKSUMS};
 pub use lp_persist::{
-    BackendKind, BlockPersistSession, DurabilityContract, PersistScope, PersistencyBackend,
-    SbrpConfig, SessionStats,
+    BackendKind, BlockPersistSession, DurabilityContract, EagerFlushPolicy, PersistScope,
+    PersistencyBackend, SessionStats,
 };
 pub use lp_policy::{
     JournalRecord, PolicyConfig, PolicyEngine, PolicyJournal, PolicyMode, RegionSignals,
@@ -69,5 +69,5 @@ pub use recovery::{
     ResilientReport,
 };
 pub use reduce::ReduceStrategy;
-pub use region::{LpBlockSession, LpConfig, LpRuntime, PersistMode};
+pub use region::{LpBlockSession, LpConfig, LpRuntime};
 pub use table::{AtomicPolicy, LockPolicy, TableKind, TableStats};

@@ -5,6 +5,16 @@
 //! kernel holds while executing one block (one LP region): it keeps the
 //! per-thread checksum accumulators, wraps the protected stores, and
 //! publishes the reduced checksums at region end.
+//!
+//! The persistency discipline has one name — the [`BackendKind`] in
+//! [`LpConfig::backend`] — and one dispatch: the runtime resolves each
+//! region to a [`PersistencyBackend`] object and asks *it*. A contract that
+//! is checksum-validated means the checksummed path above (no session, no
+//! persist instruction); any other contract means the region opens that
+//! backend's [`BlockPersistSession`] and commits with a durable token.
+//! Everything a discipline does per store — flushes, epochs, persist
+//! buffers, the logged-eager undo log — lives behind that session in
+//! `lp-persist`.
 
 use crate::checksum::{f32_store_image, f64_store_image, ChecksumSet};
 use crate::recovery::Recoverable;
@@ -14,9 +24,8 @@ use crate::table::{
     TableInstance, TableKind, TableStatsSnapshot,
 };
 use lp_persist::{
-    AdaptiveBackend, BackendKind, BlockPersistSession, DurabilityContract, EagerBackend,
-    EpochBackend, LpChecksumBackend, NoopSession, PersistScope, PersistencyBackend, SbrpBackend,
-    SbrpConfig,
+    backend_for, BackendKind, BlockPersistSession, DurabilityContract, EagerBackend,
+    EagerFlushPolicy, EpochBackend, PersistScope, PersistencyBackend,
 };
 use lp_policy::{
     PolicyConfig, PolicyEngine, PolicyJournal, PolicyMode, RegionSignals, SwitchEvent,
@@ -24,81 +33,33 @@ use lp_policy::{
 use nvm::{Addr, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::BlockCtx;
-use std::sync::{Mutex, RwLock};
+use std::cell::RefCell;
 
 /// Scratch slots for the sequential-reduction spill buffer. Blocks reuse
 /// slots modulo this count (matching how many blocks are ever in flight).
 const SCRATCH_SLOTS: u64 = 4096;
 
-/// Undo-log slots for the logged-eager baseline (ring-reused like the
-/// scratch buffer; only this many blocks are ever in flight).
-const LOG_SLOTS: u64 = 512;
-
-/// Log capacity per block, in 128-byte line-sized entries.
-const LOG_ENTRIES_PER_BLOCK: u64 = 1024;
-
-/// Which persistency discipline instruments the kernel.
-///
-/// The paper's subject is [`PersistMode::Lazy`]; [`PersistMode::Eager`] is
-/// the comparison baseline it repeatedly cites (20–40 % slowdowns from
-/// cache-line flushing and persist barriers, §I/§II). Our eager variant is
-/// *epoch persistency with re-execution recovery*: every protected store
-/// is written back immediately (`clwb`), a persist barrier drains the
-/// region's flushes, and a durable per-region commit token is published —
-/// if the token survives a crash, the region's data provably persisted
-/// first. Regions are idempotent, so uncommitted regions are simply
-/// re-executed (no undo log needed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PersistMode {
-    /// Lazy Persistency: checksums + natural eviction (the paper).
-    Lazy,
-    /// Strict Eager Persistency: every protected store is written back
-    /// immediately (`clwb` after each store). Maximal durability, maximal
-    /// cost — repeated stores to one line write it back repeatedly.
-    Eager,
-    /// Logged (epoch) Eager Persistency: each dirtied cache line is
-    /// undo-logged once (one log line + flush), data lines are written
-    /// back once at the region boundary, then barrier + commit token.
-    /// This is the classic "logging + cache-line flushing" design whose
-    /// 20–40 % slowdown and ~2× write amplification the paper cites as
-    /// EP's price (§I).
-    EagerLogged,
-    /// Strict/epoch persistency: stores buffer within an epoch that a
-    /// `__threadfence`-class fence closes by pushing every dirtied line
-    /// into the ADR-backed memory queue (acceptance = durability). The
-    /// region commit closes the final epoch and publishes a commit token.
-    Epoch,
-    /// SBRP-style scoped buffered release persistency: per-SM and L2-level
-    /// hardware persist buffers absorb persists off the critical path;
-    /// scope-aware release persists drain them, and the region commit is
-    /// a device-scope (or deep-flush) release plus a commit token.
-    Sbrp,
-    /// Adaptive: an `lp-policy` engine observes live per-region signals
-    /// and moves each region along the degradation ladder (LP → epoch →
-    /// eager → checkpoint+quarantine) at launch boundaries. Every switch
-    /// is recorded in a durable, checksummed journal *before* it takes
-    /// effect, so a crash mid-switch recovers under exactly one contract.
-    Adaptive,
-}
-
-impl PersistMode {
-    /// The persistency backend family implementing this mode.
-    pub fn backend_kind(self) -> BackendKind {
-        match self {
-            PersistMode::Lazy => BackendKind::LpChecksum,
-            PersistMode::Eager | PersistMode::EagerLogged => BackendKind::Eager,
-            PersistMode::Epoch => BackendKind::Epoch,
-            PersistMode::Sbrp => BackendKind::Sbrp,
-            PersistMode::Adaptive => BackendKind::Adaptive,
-        }
-    }
-}
-
 /// The full LP design point: one coordinate in the paper's design space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LpConfig {
-    /// Lazy (the paper's technique) or eager (the baseline it replaces).
-    pub mode: PersistMode,
+    /// Which persistency discipline instruments the kernel.
+    ///
+    /// The paper's subject is [`BackendKind::LpChecksum`] (checksums +
+    /// natural eviction). [`BackendKind::Eager`] is the comparison baseline
+    /// it repeatedly cites (20–40 % slowdowns from cache-line flushing and
+    /// persist barriers, §I/§II), here with re-execution recovery: a
+    /// persist barrier drains the region's flushes, then a durable
+    /// per-region commit token is published — if the token survives a
+    /// crash, the region's data provably persisted first, and uncommitted
+    /// regions are simply re-executed (they are idempotent).
+    /// [`BackendKind::Epoch`] and [`BackendKind::Sbrp`] commit the same way
+    /// behind cheaper fences. Under [`BackendKind::Adaptive`] an
+    /// `lp-policy` engine observes live per-region signals and moves each
+    /// region along the degradation ladder (LP → epoch → eager →
+    /// checkpoint+quarantine) at launch boundaries; every switch is
+    /// recorded in a durable, checksummed journal *before* it takes
+    /// effect, so a crash mid-switch recovers under exactly one contract.
+    pub backend: BackendKind,
     /// Which checksums protect each region (simultaneously).
     pub checksums: ChecksumSet,
     /// Checksum-table organisation.
@@ -109,10 +70,11 @@ pub struct LpConfig {
     pub atomic: AtomicPolicy,
     /// Block-level reduction strategy (Table IV axis).
     pub reduce: ReduceStrategy,
-    /// SBRP hardware knobs (only consulted under [`PersistMode::Sbrp`]).
-    pub sbrp: SbrpConfig,
+    /// When the eager backend writes lines back: strict per-store, or the
+    /// logged baseline of E0 (only consulted under [`BackendKind::Eager`]).
+    pub eager_flush: EagerFlushPolicy,
     /// Policy-engine tunables (only consulted under
-    /// [`PersistMode::Adaptive`]).
+    /// [`BackendKind::Adaptive`]).
     pub policy: PolicyConfig,
 }
 
@@ -122,13 +84,13 @@ impl LpConfig {
     /// Geometric-mean overhead in the paper: **2.1 %**.
     pub fn recommended() -> Self {
         Self {
-            mode: PersistMode::Lazy,
+            backend: BackendKind::LpChecksum,
             checksums: ChecksumSet::modular_parity(),
             table: TableKind::global_array(),
             lock: LockPolicy::LockFree,
             atomic: AtomicPolicy::Atomic,
             reduce: ReduceStrategy::ParallelShuffle,
-            sbrp: SbrpConfig::default(),
+            eager_flush: EagerFlushPolicy::PerStore,
             policy: PolicyConfig::default(),
         }
     }
@@ -136,46 +98,34 @@ impl LpConfig {
     /// The strict Eager Persistency baseline: per-store `clwb`,
     /// persist barrier, durable commit tokens in a flat array.
     pub fn eager() -> Self {
-        Self {
-            mode: PersistMode::Eager,
-            ..Self::recommended()
-        }
+        Self::for_backend(BackendKind::Eager)
     }
 
     /// The logged (epoch) Eager Persistency baseline: per-line undo log +
     /// one deferred write-back per dirtied line + barrier + commit token.
     pub fn eager_logged() -> Self {
         Self {
-            mode: PersistMode::EagerLogged,
-            ..Self::recommended()
+            eager_flush: EagerFlushPolicy::AtCommit,
+            ..Self::eager()
         }
     }
 
     /// The strict/epoch persistency baseline: epoch ordering on
     /// `__threadfence`-class fences, ADR-at-memory-queue durability.
     pub fn epoch() -> Self {
-        Self {
-            mode: PersistMode::Epoch,
-            ..Self::recommended()
-        }
+        Self::for_backend(BackendKind::Epoch)
     }
 
     /// SBRP-style scoped buffered persistency with default buffer knobs.
     pub fn sbrp() -> Self {
-        Self {
-            mode: PersistMode::Sbrp,
-            ..Self::recommended()
-        }
+        Self::for_backend(BackendKind::Sbrp)
     }
 
     /// The adaptive design point: every region starts at LP and the policy
     /// engine moves it along the ladder as the observed phase and device
     /// health demand.
     pub fn adaptive() -> Self {
-        Self {
-            mode: PersistMode::Adaptive,
-            ..Self::recommended()
-        }
+        Self::for_backend(BackendKind::Adaptive)
     }
 
     /// Replaces the policy-engine tunables (adaptive mode).
@@ -188,13 +138,7 @@ impl LpConfig {
     /// the recommended LP configuration with only the persistency
     /// discipline swapped out.
     pub fn for_backend(kind: BackendKind) -> Self {
-        match kind {
-            BackendKind::LpChecksum => Self::recommended(),
-            BackendKind::Eager => Self::eager(),
-            BackendKind::Epoch => Self::epoch(),
-            BackendKind::Sbrp => Self::sbrp(),
-            BackendKind::Adaptive => Self::adaptive(),
-        }
+        Self::recommended().with_backend(kind)
     }
 
     /// Quadratic-probing baseline (the "Quad" design of Fig. 5).
@@ -240,13 +184,7 @@ impl LpConfig {
     /// Swaps the persistency discipline, keeping every other knob (table
     /// organisation, checksums, reduction) of this design point.
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.mode = match kind {
-            BackendKind::LpChecksum => PersistMode::Lazy,
-            BackendKind::Eager => PersistMode::Eager,
-            BackendKind::Epoch => PersistMode::Epoch,
-            BackendKind::Sbrp => PersistMode::Sbrp,
-            BackendKind::Adaptive => PersistMode::Adaptive,
-        };
+        self.backend = kind;
         self
     }
 
@@ -269,40 +207,25 @@ impl Default for LpConfig {
     }
 }
 
-/// How a region's stores and finalize are handled, resolved from the
-/// launch mode (and, under adaptive, the region's current policy rung).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegionPath {
-    /// Checksummed region (LP, or the adaptive ladder's checksummed
-    /// rungs); `drain` adds the checkpoint rung's proactive line drain.
-    Checksummed {
-        /// Persist every dirtied line (retry + quarantine) at finalize.
-        drain: bool,
-    },
-    /// Explicit-persistency region driven by a backend session.
-    Explicit,
-}
-
-/// Mutable policy state (engine + journal) behind one lock; the lock order
-/// throughout is `inner` before `modes`.
+/// The policy engine and the durable journal its rungs are rebuilt from.
 #[derive(Debug)]
-struct AdaptiveInner {
+struct PolicyState {
     engine: PolicyEngine,
     journal: PolicyJournal,
 }
 
-/// Everything [`PersistMode::Adaptive`] adds to a runtime.
+/// Everything [`BackendKind::Adaptive`] adds to a runtime.
 #[derive(Debug)]
 struct AdaptiveState {
-    inner: Mutex<AdaptiveInner>,
-    /// Effective per-region modes. Updated only *after* the journal has
-    /// durably recorded a switch, and rebuilt from the journal on
-    /// [`LpRuntime::reload_policy`] — so it never disagrees with the
-    /// durable record for longer than the switch call itself.
-    modes: RwLock<Vec<PolicyMode>>,
-    /// Byte range of the journal storage (oracle exclusions).
-    journal_range: (u64, u64),
-    /// Fixed backends explicit rungs route their sessions to.
+    /// A region's rung lives in the engine and nowhere else in memory. It
+    /// moves only *after* the journal has durably recorded the switch, and
+    /// is rebuilt from the journal on [`LpRuntime::reload_policy`] — so it
+    /// never disagrees with the durable record for longer than the switch
+    /// call itself. A `RefCell`, not a lock: `LpRuntime` is `!Sync` (the
+    /// table counters are `Cell`s), so there is no second thread to
+    /// exclude, and a `RefCell` keeps it `!Sync` by construction.
+    policy: RefCell<PolicyState>,
+    /// Fixed backends the explicit rungs resolve to.
     eager: EagerBackend,
     epoch: EpochBackend,
 }
@@ -320,10 +243,10 @@ pub struct LpRuntime {
     threads_per_block: u64,
     table: TableInstance,
     scratch: Option<Addr>,
-    undo_log: Option<Addr>,
-    /// The persistency model driving this launch's per-block sessions.
+    /// The persistency model of this launch: what every region resolves to
+    /// unless an adaptive rung says otherwise.
     backend: Box<dyn PersistencyBackend>,
-    /// Policy engine + journal (adaptive mode only).
+    /// Policy engine + journal (adaptive launches only).
     adaptive: Option<AdaptiveState>,
 }
 
@@ -378,32 +301,20 @@ impl LpRuntime {
             let slots = num_regions.min(SCRATCH_SLOTS);
             mem.alloc(slots * scratch_words(threads_per_block, arity) * 8, 8)
         });
-        let undo_log = (config.mode == PersistMode::EagerLogged).then(|| {
-            let slots = num_regions.min(LOG_SLOTS);
-            mem.alloc(slots * LOG_ENTRIES_PER_BLOCK * 128, 128)
-        });
-        let backend: Box<dyn PersistencyBackend> = match config.mode {
-            PersistMode::Lazy => Box::new(LpChecksumBackend),
-            PersistMode::Eager => Box::new(EagerBackend::per_store()),
-            PersistMode::EagerLogged => Box::new(EagerBackend::at_commit()),
-            PersistMode::Epoch => Box::new(EpochBackend),
-            PersistMode::Sbrp => Box::new(SbrpBackend::new(config.sbrp)),
-            PersistMode::Adaptive => Box::new(AdaptiveBackend),
+        let logged = (config.backend, config.eager_flush)
+            == (BackendKind::Eager, EagerFlushPolicy::AtCommit);
+        let backend: Box<dyn PersistencyBackend> = if logged {
+            Box::new(EagerBackend::at_commit(mem, num_regions))
+        } else {
+            backend_for(config.backend)
         };
-        let adaptive = (config.mode == PersistMode::Adaptive).then(|| {
-            let capacity = (num_regions * 8).clamp(64, 8192);
-            let journal = PolicyJournal::create(mem, capacity);
-            let journal_range = journal.storage_range();
-            AdaptiveState {
-                inner: Mutex::new(AdaptiveInner {
-                    engine: PolicyEngine::new(num_regions, config.policy),
-                    journal,
-                }),
-                modes: RwLock::new(vec![PolicyMode::Lp; num_regions as usize]),
-                journal_range,
-                eager: EagerBackend::per_store(),
-                epoch: EpochBackend,
-            }
+        let adaptive = (config.backend == BackendKind::Adaptive).then(|| AdaptiveState {
+            policy: RefCell::new(PolicyState {
+                engine: PolicyEngine::new(num_regions, config.policy),
+                journal: PolicyJournal::create(mem, (num_regions * 8).clamp(64, 8192)),
+            }),
+            eager: EagerBackend::per_store(),
+            epoch: EpochBackend,
         });
         Self {
             config,
@@ -411,15 +322,9 @@ impl LpRuntime {
             threads_per_block,
             table,
             scratch,
-            undo_log,
             backend,
             adaptive,
         }
-    }
-
-    /// The persistency backend driving this launch.
-    pub fn backend(&self) -> &dyn PersistencyBackend {
-        self.backend.as_ref()
     }
 
     /// The durability contract of the active persistency model.
@@ -472,7 +377,7 @@ impl LpRuntime {
             // The policy journal is instrumentation metadata like the
             // table: losing its lines degrades regions to an older (still
             // well-defined) contract, it never loses workload data.
-            ranges.push(a.journal_range);
+            ranges.push(a.policy.borrow().journal.storage_range());
         }
         ranges
     }
@@ -483,22 +388,21 @@ impl LpRuntime {
     }
 
     /// The current policy rung of region `key` (`None` for fixed-mode
-    /// runtimes).
+    /// runtimes; the default rung for a key outside the launch).
     pub fn policy_mode(&self, key: u64) -> Option<PolicyMode> {
         let a = self.adaptive.as_ref()?;
-        let modes = a.modes.read().unwrap();
-        Some(modes.get(key as usize).copied().unwrap_or_default())
+        Some(a.policy.borrow().engine.current(key).unwrap_or_default())
     }
 
     /// Snapshot of every region's current policy rung (adaptive only).
     pub fn policy_modes(&self) -> Option<Vec<PolicyMode>> {
-        Some(self.adaptive.as_ref()?.modes.read().unwrap().clone())
+        (0..self.num_regions).map(|r| self.policy_mode(r)).collect()
     }
 
     /// The engine's monotone device-fault floor (adaptive only).
     pub fn policy_floor(&self) -> Option<PolicyMode> {
         let a = self.adaptive.as_ref()?;
-        Some(a.inner.lock().unwrap().engine.floor())
+        Some(a.policy.borrow().engine.floor())
     }
 
     /// Every committed mode switch so far, in commit order (adaptive only;
@@ -506,7 +410,7 @@ impl LpRuntime {
     /// record).
     pub fn policy_history(&self) -> Vec<SwitchEvent> {
         match &self.adaptive {
-            Some(a) => a.inner.lock().unwrap().engine.history().to_vec(),
+            Some(a) => a.policy.borrow().engine.history().to_vec(),
             None => Vec::new(),
         }
     }
@@ -518,42 +422,44 @@ impl LpRuntime {
     /// fixed-mode runtimes.
     pub fn reload_policy(&self, mem: &PersistMemory) {
         let Some(a) = &self.adaptive else { return };
-        let mut inner = a.inner.lock().unwrap();
-        let records = inner.journal.replay(mem);
+        let mut policy = a.policy.borrow_mut();
+        let records = policy.journal.replay(mem);
         let modes = PolicyJournal::effective_modes(&records, self.num_regions);
-        for (r, m) in modes.iter().enumerate() {
-            inner.engine.resync(r as u64, *m);
+        for (r, m) in modes.into_iter().enumerate() {
+            policy.engine.resync(r as u64, m);
         }
-        *a.modes.write().unwrap() = modes;
     }
 
     /// Feeds one observation window for `region` into the policy engine.
     /// Returns the engine's proposed switch target once hysteresis is
-    /// satisfied (`None` for fixed-mode runtimes or steady state).
+    /// satisfied (`None` for fixed-mode runtimes, steady state, or a
+    /// region outside the launch).
     pub fn adaptive_observe(&self, region: u64, signals: &RegionSignals) -> Option<PolicyMode> {
         let a = self.adaptive.as_ref()?;
-        a.inner.lock().unwrap().engine.observe(region, signals)
+        a.policy.borrow_mut().engine.observe(region, signals)
     }
 
     /// Durably switches `region` to `target`: appends a journal record,
-    /// verifies it against the durable image, and only then updates the
-    /// in-memory mode map. Returns `false` — and leaves the region on its
-    /// old contract — when the device refused durability or the journal is
-    /// full. Call between launches, never while the region is executing.
+    /// verifies it against the durable image, and only then moves the
+    /// region's rung. Returns `false` — and leaves the region on its old
+    /// contract — when the device refused durability, the journal is full,
+    /// or `region` is outside the launch. Call between launches, never
+    /// while the region is executing.
     pub fn switch_region(&self, mem: &mut PersistMemory, region: u64, target: PolicyMode) -> bool {
         let Some(a) = &self.adaptive else {
             return false;
         };
-        let mut inner = a.inner.lock().unwrap();
-        let old = a.modes.read().unwrap()[region as usize];
+        let mut policy = a.policy.borrow_mut();
+        let Some(old) = policy.engine.current(region) else {
+            return false;
+        };
         if old == target {
             return true;
         }
-        if !inner.journal.append(mem, region, old, target) {
+        if !policy.journal.append(mem, region, old, target) {
             return false;
         }
-        inner.engine.commit(region, target);
-        a.modes.write().unwrap()[region as usize] = target;
+        policy.engine.commit(region, target);
         true
     }
 
@@ -569,30 +475,24 @@ impl LpRuntime {
         self.switch_region(mem, region, target).then_some(target)
     }
 
-    /// Resolves how region `key`'s stores and finalize are handled.
-    fn region_path(&self, key: u64) -> RegionPath {
-        match self.config.mode {
-            PersistMode::Lazy => RegionPath::Checksummed { drain: false },
-            PersistMode::Adaptive => match self.policy_mode(key).unwrap_or_default() {
-                PolicyMode::Lp => RegionPath::Checksummed { drain: false },
-                PolicyMode::Checkpoint => RegionPath::Checksummed { drain: true },
-                PolicyMode::Epoch | PolicyMode::Eager => RegionPath::Explicit,
-            },
-            _ => RegionPath::Explicit,
-        }
-    }
-
-    /// Opens the backend session for an explicit region, routing adaptive
-    /// regions to the fixed backend their current rung selects.
-    fn session_for(&self, block: u64) -> Box<dyn BlockPersistSession> {
-        match &self.adaptive {
-            Some(a) => match self.policy_mode(block).unwrap_or_default() {
-                PolicyMode::Eager => a.eager.begin_block(block),
-                PolicyMode::Epoch => a.epoch.begin_block(block),
-                // Checksummed rungs never open a session.
-                PolicyMode::Lp | PolicyMode::Checkpoint => Box::new(NoopSession),
-            },
-            None => self.backend.begin_block(block),
+    /// What region `key` runs and is validated under: the backend object to
+    /// ask, and whether the checkpoint rung's finalize drain applies. The
+    /// backend's contract decides the rest — checksum-validated means
+    /// accumulators, a sealed digest and no session; otherwise the region
+    /// opens that backend's session and is witnessed by its commit token.
+    /// Under adaptive the answer is per region, read from the engine (i.e.
+    /// the replayed journal), so validation always judges a region under
+    /// the contract it durably switched to.
+    fn discipline(&self, key: u64) -> (&dyn PersistencyBackend, bool) {
+        let launch = self.backend.as_ref();
+        let Some(a) = &self.adaptive else {
+            return (launch, false);
+        };
+        match a.policy.borrow().engine.current(key).unwrap_or_default() {
+            PolicyMode::Lp => (launch, false),
+            PolicyMode::Checkpoint => (launch, true),
+            PolicyMode::Epoch => (&a.epoch, false),
+            PolicyMode::Eager => (&a.eager, false),
         }
     }
 
@@ -642,9 +542,9 @@ impl LpRuntime {
         reduced
     }
 
-    /// The durable commit token for region `key` under
-    /// [`PersistMode::Eager`] — a per-region constant: data were flushed
-    /// *before* the token, so a surviving token implies durable data.
+    /// The durable commit token an explicit (commit-token) region `key`
+    /// publishes — a per-region constant: data were made durable *before*
+    /// the token, so a surviving token implies durable data.
     fn commit_token(&self, key: u64) -> Vec<u64> {
         (0..self.config.checksums.arity() as u64)
             .map(|c| crate::table::splitmix64(key.wrapping_mul(2) + 1 + (c << 32)))
@@ -655,23 +555,22 @@ impl LpRuntime {
     /// store-image sequence `images` — the recovery-side recomputation
     /// (Listing 7's `validate()` input). Folds in the region seal.
     pub fn digest_region(&self, key: u64, images: impl IntoIterator<Item = u64>) -> Vec<u64> {
-        match self.region_path(key) {
-            RegionPath::Checksummed { .. } => self.seal(key, self.config.checksums.digest(images)),
+        if self.discipline(key).0.contract().checksum_validated {
+            self.seal(key, self.config.checksums.digest(images))
+        } else {
             // Explicit-persistency validation does not look at the data:
             // presence of the commit token is the proof of durability.
-            // (Under adaptive, which arm applies is per region, decided by
-            // the replayed policy journal — so validation always judges a
-            // region under the contract it durably switched to.)
-            RegionPath::Explicit => self.commit_token(key),
+            self.commit_token(key)
         }
     }
 
     /// Byte ranges `(base, len)` of device memory that hold *transient*
     /// instrumentation state: the sequential-reduction scratch buffer and
-    /// the eager-logged undo log. Their contents are consumed within the
-    /// region that writes them, so cache lines from these ranges that are
-    /// lost in a crash do not represent lost program output. Crash-loss
-    /// oracles must exclude them when attributing lost lines to blocks.
+    /// whatever the backend keeps (the logged-eager undo log). Their
+    /// contents are consumed within the region that writes them, so cache
+    /// lines from these ranges that are lost in a crash do not represent
+    /// lost program output. Crash-loss oracles must exclude them when
+    /// attributing lost lines to blocks.
     pub fn transient_ranges(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         if let Some(base) = self.scratch {
@@ -679,18 +578,8 @@ impl LpRuntime {
             let words = scratch_words(self.threads_per_block, self.config.checksums.arity());
             out.push((base.raw(), slots * words * 8));
         }
-        if let Some(base) = self.undo_log {
-            let slots = self.num_regions.min(LOG_SLOTS);
-            out.push((base.raw(), slots * LOG_ENTRIES_PER_BLOCK * 128));
-        }
+        out.extend(self.backend.transient_range());
         out
-    }
-
-    fn log_for_block(&self, block: u64) -> Option<Addr> {
-        self.undo_log.map(|base| {
-            let slots = self.num_regions.min(LOG_SLOTS);
-            base.index(block % slots, LOG_ENTRIES_PER_BLOCK * 128)
-        })
     }
 
     fn scratch_for_block(&self, block: u64) -> Option<Addr> {
@@ -714,12 +603,10 @@ pub struct LpBlockSession<'rt> {
     rt: Option<&'rt LpRuntime>,
     acc: Vec<u64>,
     arity: usize,
-    /// Persistency actions for the explicit backends (eager/epoch/SBRP);
-    /// `None` under Lazy — LP issues zero persist instructions, and the
-    /// checksummed hot path stays free of dynamic dispatch.
+    /// Persistency actions of an explicit (commit-token) region; `None` on
+    /// the checksummed path — LP issues zero persist instructions, and its
+    /// hot path stays free of dynamic dispatch.
     psession: Option<Box<dyn BlockPersistSession>>,
-    /// Next free undo-log entry for this block (logged-eager bookkeeping).
-    log_cursor: u64,
     /// Line bases the region dirtied — kept only on the adaptive ladder's
     /// checkpoint rung, whose finalize proactively drains each one.
     ckpt_lines: Option<Vec<u64>>,
@@ -738,50 +625,29 @@ impl<'rt> LpBlockSession<'rt> {
     /// no-op. Kernels can then have a single code path for their baseline
     /// and LP variants.
     pub fn begin_opt(rt: Option<&'rt LpRuntime>, ctx: &mut BlockCtx<'_>) -> Self {
-        match rt {
-            Some(rt) => match rt.region_path(ctx.block_id()) {
-                RegionPath::Checksummed { drain } => {
-                    // Checksummed region opens here: tell any attached
-                    // access observer (zero-cost; feeds the
-                    // persistency-coverage pass).
-                    ctx.note_region_begin();
-                    let threads = ctx.threads_per_block() as usize;
-                    let arity = rt.config.checksums.arity();
-                    let mut acc = vec![0u64; threads * arity];
-                    let init = rt.config.checksums.init();
-                    for t in 0..threads {
-                        acc[t * arity..(t + 1) * arity].copy_from_slice(&init);
-                    }
-                    Self {
-                        rt: Some(rt),
-                        acc,
-                        arity,
-                        psession: None,
-                        log_cursor: 0,
-                        ckpt_lines: drain.then(Vec::new),
-                    }
-                }
-                // Explicit regions keep no accumulators: persistence comes
-                // from the backend's flushes/queue acceptances, not
-                // checksums.
-                RegionPath::Explicit => Self {
-                    rt: Some(rt),
-                    acc: Vec::new(),
-                    arity: rt.config.checksums.arity(),
-                    psession: Some(rt.session_for(ctx.block_id())),
-                    log_cursor: 0,
-                    ckpt_lines: None,
-                },
-            },
-            None => Self {
-                rt: None,
-                acc: Vec::new(),
-                arity: 0,
-                psession: None,
-                log_cursor: 0,
-                ckpt_lines: None,
-            },
+        let mut session = Self {
+            rt,
+            acc: Vec::new(),
+            arity: 0,
+            psession: None,
+            ckpt_lines: None,
+        };
+        let Some(rt) = rt else { return session };
+        session.arity = rt.config.checksums.arity();
+        let (backend, drain) = rt.discipline(ctx.block_id());
+        if !backend.contract().checksum_validated {
+            // Explicit regions keep no accumulators: persistence comes
+            // from the backend's flushes/queue acceptances, not checksums.
+            session.psession = Some(backend.begin_block(ctx.block_id()));
+            return session;
         }
+        // Checksummed region opens here: tell any attached access observer
+        // (zero-cost; feeds the persistency-coverage pass).
+        ctx.note_region_begin();
+        let init = rt.config.checksums.init();
+        session.acc = init.repeat(ctx.threads_per_block() as usize);
+        session.ckpt_lines = drain.then(Vec::new);
+        session
     }
 
     /// Whether instrumentation is active.
@@ -791,7 +657,7 @@ impl<'rt> LpBlockSession<'rt> {
 
     /// Folds an explicit 64-bit store image into thread `t`'s accumulators
     /// (`UpdateCheckSum()` in Listing 1) without performing a store.
-    /// A no-op under [`PersistMode::Eager`] (no checksums there).
+    /// A no-op in an explicit (commit-token) region: no checksums there.
     pub fn update(&mut self, ctx: &mut BlockCtx<'_>, t: u64, value_image: u64) {
         if let Some(rt) = self.rt {
             if self.acc.is_empty() {
@@ -805,47 +671,26 @@ impl<'rt> LpBlockSession<'rt> {
         }
     }
 
-    /// Backend hook for a protected store to `addr`: routes the store
-    /// through the active persistency model's per-block session (flush,
-    /// epoch bookkeeping, persist-buffer insertion — whatever the model
-    /// does). Under [`PersistMode::EagerLogged`] the first store to each
-    /// line additionally appends one undo-log entry and flushes it.
+    /// Persistency hook for a protected store to `addr`: an explicit region
+    /// announces it to its backend session (flush, epoch bookkeeping,
+    /// persist-buffer insertion, undo logging — whatever the model does);
+    /// a plain checksummed region does nothing at all.
     fn persist_store(&mut self, ctx: &mut BlockCtx<'_>, addr: Addr) {
         if let Some(lines) = self.ckpt_lines.as_mut() {
             // Checkpoint rung: remember the dirtied line for the finalize
-            // drain (regions touch few distinct lines; linear scan is the
-            // same trick the eager backend's first-touch set uses).
+            // drain (regions touch few distinct lines, hence the linear
+            // scan).
             let line = addr.raw() & !(ctx.line_size() - 1);
             if !lines.contains(&line) {
                 lines.push(line);
             }
-            return;
-        }
-        let Some(s) = self.psession.as_deref_mut() else {
-            return;
-        };
-        let first_touch = s.on_store(ctx, addr);
-        let Some(rt) = self.rt else { return };
-        if !first_touch || rt.config.mode != PersistMode::EagerLogged {
-            return;
-        }
-        if let Some(log) = rt.log_for_block(ctx.block_id()) {
-            let line = addr.raw() & !(ctx.line_size() - 1);
-            let entry = log.index(self.log_cursor % LOG_ENTRIES_PER_BLOCK, 128);
-            self.log_cursor += 1;
-            // Undo record: the old line image (16 words) — the recovery
-            // path never rolls back (regions are idempotent), but the
-            // traffic and durability cost are real: 16 stores + one flush
-            // of the log line.
-            for wordidx in 0..16u64 {
-                ctx.store_u64(entry.offset(8 * wordidx), line ^ wordidx);
-            }
-            ctx.flush_line(entry);
+        } else if let Some(s) = self.psession.as_deref_mut() {
+            s.on_store(ctx, addr);
         }
     }
 
     /// Issues a `__threadfence`-class fence at `scope` through the active
-    /// backend (a no-op under Lazy — LP has no fences to issue).
+    /// backend (a no-op on the checksummed path — LP has no fences to issue).
     pub fn fence(&mut self, ctx: &mut BlockCtx<'_>, scope: PersistScope) {
         if let Some(s) = self.psession.as_deref_mut() {
             s.fence(ctx, scope);
@@ -853,8 +698,8 @@ impl<'rt> LpBlockSession<'rt> {
     }
 
     /// Marks `addr` as folded into the region's checksum accumulation for
-    /// an attached access observer (Lazy mode only — eager modes have no
-    /// checksum coverage to check).
+    /// an attached access observer (checksummed regions only — explicit
+    /// ones have no checksum coverage to check).
     fn note_covered(&self, ctx: &mut BlockCtx<'_>, addr: Addr) {
         if self.rt.is_some() && !self.acc.is_empty() {
             ctx.note_protected_store(addr);
@@ -900,7 +745,7 @@ impl<'rt> LpBlockSession<'rt> {
     /// model's durability discipline. No checksum fold happens here —
     /// atomic effects have kernel-specific post-state images that the
     /// kernel folds via [`LpBlockSession::update`] (LP recovery recomputes
-    /// from post-state, not from the CAS argument), so under Lazy this is
+    /// from post-state, not from the CAS argument), so under LP this is
     /// exactly [`BlockCtx::atomic_cas_u64`].
     pub fn atomic_cas_u64(
         &mut self,
@@ -1208,6 +1053,71 @@ mod tests {
         }
         let want = rt.digest_region(0, (0..64u64).map(|t| t + 1));
         assert!(rt.validate_region(&mut rig.mem, 0, &want));
+    }
+
+    #[test]
+    fn a_region_outside_the_launch_is_refused_and_poisons_nothing() {
+        let mut rig = Rig::new();
+        let rt = runtime(&mut rig, LpConfig::adaptive());
+        let n = rt.num_regions();
+        let lying = RegionSignals {
+            torn_writebacks: 1,
+            ..RegionSignals::default()
+        };
+        assert!(!rt.switch_region(&mut rig.mem, n, PolicyMode::Eager));
+        assert_eq!(rt.adaptive_observe(n, &lying), None);
+        assert_eq!(rt.adaptive_step(&mut rig.mem, u64::MAX, &lying), None);
+        // The policy state is intact and still usable.
+        assert_eq!(rt.policy_mode(n), Some(PolicyMode::Lp), "default rung");
+        assert_eq!(rt.policy_mode(0), Some(PolicyMode::Lp));
+        assert_eq!(rt.policy_floor(), Some(PolicyMode::Lp));
+        rt.reload_policy(&rig.mem);
+        assert!(rt.switch_region(&mut rig.mem, 0, PolicyMode::Eager));
+        assert_eq!(rt.policy_mode(0), Some(PolicyMode::Eager));
+    }
+
+    #[test]
+    fn validation_follows_the_contract_under_every_discipline() {
+        // (design point, adaptive rung to switch to, what its contract says)
+        let validated = |k| DurabilityContract::of(k).checksum_validated;
+        let mut cases = vec![(
+            LpConfig::eager_logged(),
+            None,
+            validated(BackendKind::Eager),
+        )];
+        for k in BackendKind::ALL.into_iter().chain([BackendKind::Adaptive]) {
+            cases.push((LpConfig::for_backend(k), None, validated(k)));
+        }
+        for m in PolicyMode::ALL {
+            cases.push((LpConfig::adaptive(), Some(m), m.checksum_validated()));
+        }
+        assert_eq!(cases.len(), 10);
+        for (config, rung, checksummed) in cases {
+            let what = format!("{} / {:?} / {rung:?}", config.backend, config.eager_flush);
+            let mut rig = Rig::new();
+            let rt = runtime(&mut rig, config);
+            if let Some(rung) = rung {
+                for region in [0, 1] {
+                    assert!(rt.switch_region(&mut rig.mem, region, rung), "{what}");
+                }
+            }
+            assert_eq!(
+                rt.digest_region(0, [1u64]) != rt.digest_region(0, [2u64]),
+                checksummed,
+                "{what}: digest depends on the data iff the contract validates by checksum"
+            );
+            let out = rig.mem.alloc(8, 8);
+            let mut ctx =
+                simt::BlockCtx::standalone(rig.lc, 0, &mut rig.mem, &mut rig.dev, &rig.cfg);
+            let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+            lp.store_u64(&mut ctx, 0, out, 7);
+            lp.finalize(&mut ctx);
+            let _ = ctx.into_cost();
+            let finalized = rt.digest_region(0, [7u64]);
+            assert!(rt.validate_region(&mut rig.mem, 0, &finalized), "{what}");
+            let never_ran = rt.digest_region(1, [7u64]);
+            assert!(!rt.validate_region(&mut rig.mem, 1, &never_ran), "{what}");
+        }
     }
 
     #[test]

@@ -280,6 +280,7 @@ impl WriteBackCache {
 
     /// Returns true if the line containing `addr` is resident and dirty,
     /// i.e. a store to it has *not* yet persisted.
+    #[cfg(test)]
     pub(crate) fn is_dirty(&self, addr: u64) -> bool {
         self.locate(self.line_base(addr))
             .is_some_and(|(set, way)| self.sets[set][way].dirty)

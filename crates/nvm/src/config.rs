@@ -37,17 +37,6 @@ impl NvmConfig {
         Self::default()
     }
 
-    /// A DRAM-like device: the characterization testbed (§III-A) is a
-    /// DRAM-based V100, so relative-overhead experiments use this profile.
-    pub fn dram_v100() -> Self {
-        Self {
-            read_latency_ns: 80.0,
-            write_latency_ns: 80.0,
-            bandwidth_gbps: 900.0,
-            ..Self::default()
-        }
-    }
-
     /// A tiny cache configuration that forces frequent evictions; useful in
     /// tests that want to observe natural write-back quickly.
     pub fn tiny_cache() -> Self {
@@ -122,7 +111,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         NvmConfig::default().validate().unwrap();
-        NvmConfig::dram_v100().validate().unwrap();
         NvmConfig::tiny_cache().validate().unwrap();
     }
 

@@ -46,5 +46,5 @@ mod stats;
 pub use alloc::{Addr, BumpAllocator};
 pub use config::NvmConfig;
 pub use fault::{splitmix64, DeviceFaults, FaultConfig, FaultModel, FlushOutcome};
-pub use memory::{CrashLoss, CrashPredicate, LostLine, PersistMemory};
+pub use memory::{CrashLoss, LostLine, PersistMemory};
 pub use stats::NvmStats;

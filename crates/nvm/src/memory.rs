@@ -8,10 +8,6 @@ use crate::fault::{DeviceFaults, FaultConfig, FlushOutcome};
 use crate::stats::NvmStats;
 use std::collections::BTreeMap;
 
-/// A crash predicate over the live traffic statistics. Plain function
-/// pointer (not a boxed closure) so [`PersistMemory`] stays `Clone`.
-pub type CrashPredicate = fn(&NvmStats) -> bool;
-
 /// An armed power-failure trigger. Checked after every store operation.
 #[derive(Debug, Clone, Copy)]
 enum CrashTrigger {
@@ -19,8 +15,6 @@ enum CrashTrigger {
     None,
     /// Trip once `natural_evictions` reaches this absolute count.
     AtEvictionCount(u64),
-    /// Trip once the predicate over the live stats first returns true.
-    When(CrashPredicate),
     /// Trip mid-`flush_all` after this many lines have been written back.
     DuringFlush(u64),
 }
@@ -375,11 +369,6 @@ impl PersistMemory {
         }
     }
 
-    /// Whether the cache line holding `addr` has non-durable (dirty) data.
-    pub fn is_volatile(&self, addr: Addr) -> bool {
-        self.cache.is_dirty(self.translate(addr.raw()))
-    }
-
     /// Number of dirty (non-durable) lines currently in the cache.
     pub fn dirty_lines(&self) -> usize {
         self.cache.dirty_lines()
@@ -403,12 +392,6 @@ impl PersistMemory {
     /// crossed the threshold.
     pub fn arm_crash_after_evictions(&mut self, n: u64) {
         self.trigger = CrashTrigger::AtEvictionCount(self.stats.natural_evictions + n);
-    }
-
-    /// Arms a power failure the first time `pred` returns true over the
-    /// live statistics (checked after every store operation).
-    pub fn arm_crash_when(&mut self, pred: CrashPredicate) {
-        self.trigger = CrashTrigger::When(pred);
     }
 
     /// Arms a power failure in the middle of the next [`Self::flush_all`]:
@@ -457,7 +440,6 @@ impl PersistMemory {
         let fire = match self.trigger {
             CrashTrigger::None | CrashTrigger::DuringFlush(_) => false,
             CrashTrigger::AtEvictionCount(target) => self.stats.natural_evictions >= target,
-            CrashTrigger::When(pred) => pred(&self.stats),
         };
         if fire {
             self.trip();
@@ -854,28 +836,18 @@ mod tests {
     }
 
     #[test]
-    fn predicate_trigger_fires_on_stats_condition() {
+    fn stores_dropped_while_powered_off_then_power_on_restores() {
         let mut m = evicting_mem();
-        let a = m.alloc(32 * 16, 32);
-        m.arm_crash_when(|st| st.store_ops >= 5);
-        for i in 0..16 {
+        let a = m.alloc(32 * 8, 32);
+        m.write_u64(a, 7);
+        m.flush_all();
+        m.arm_crash_after_evictions(1);
+        // Seven dirty lines into a four-line cache: power fails mid-stream.
+        for i in 1..8 {
             m.write_u64(a.offset(i * 32), i);
         }
         assert!(m.power_failed());
-        assert_eq!(m.stats().store_ops, 5);
-        // Later stores were dropped, not cached.
-        assert!(m.dropped_stores() > 0);
-    }
-
-    #[test]
-    fn stores_dropped_while_powered_off_then_power_on_restores() {
-        let mut m = mem();
-        let a = m.alloc(64, 8);
-        m.write_u64(a, 7);
-        m.flush_all();
-        m.arm_crash_when(|st| st.store_ops >= 2);
-        m.write_u64(a, 8); // store_ops hits 2 -> power fails, 8 is lost
-        assert!(m.power_failed());
+        assert!(m.dropped_stores() > 0, "later stores dropped, not cached");
         m.write_u64(a, 9); // dropped
         m.power_on();
         assert_eq!(m.read_u64(a), 7, "only the flushed value survives");
@@ -1023,7 +995,7 @@ mod tests {
         let a = m.alloc(8, 8);
         m.write_u64(a, 99);
         assert_eq!(m.flush_all_result(), 1, "the line stayed dirty");
-        assert!(m.is_volatile(a));
+        assert_eq!(m.dirty_lines(), 1);
         // Drop the model: the retry now succeeds, like a transient fault
         // clearing.
         m.set_fault_config(None);
@@ -1044,7 +1016,7 @@ mod tests {
         assert_eq!(m.stats().quarantined_lines, 1);
         assert_eq!(m.read_u64(a), 42, "volatile content carried across");
         assert_eq!(m.read_durable_u64(a), 42, "firmware copy is durable");
-        assert!(!m.is_volatile(a), "remapped line starts clean");
+        assert_eq!(m.dirty_lines(), 0, "remapped line starts clean");
         // Stores keep flowing to the new physical line.
         m.write_u64(a, 43);
         m.flush_all();

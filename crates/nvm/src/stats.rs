@@ -49,20 +49,6 @@ pub struct NvmStats {
     pub quarantined_lines: u64,
 }
 
-impl NvmStats {
-    /// Cache hit rate over all accesses, or `None` if no accesses happened.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
-    /// Write amplification relative to another run: `self` writes divided by
-    /// `baseline` writes. Returns `None` if the baseline saw no writes.
-    pub fn write_amplification_vs(&self, baseline: &NvmStats) -> Option<f64> {
-        (baseline.nvm_writes > 0).then(|| self.nvm_writes as f64 / baseline.nvm_writes as f64)
-    }
-}
-
 impl Sub for NvmStats {
     type Output = NvmStats;
 
@@ -93,36 +79,6 @@ impl Sub for NvmStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_rate_none_when_empty() {
-        assert_eq!(NvmStats::default().hit_rate(), None);
-    }
-
-    #[test]
-    fn hit_rate_computed() {
-        let st = NvmStats {
-            cache_hits: 3,
-            cache_misses: 1,
-            ..NvmStats::default()
-        };
-        assert_eq!(st.hit_rate(), Some(0.75));
-    }
-
-    #[test]
-    fn write_amplification() {
-        let base = NvmStats {
-            nvm_writes: 100,
-            ..NvmStats::default()
-        };
-        let lp = NvmStats {
-            nvm_writes: 102,
-            ..NvmStats::default()
-        };
-        let wa = lp.write_amplification_vs(&base).unwrap();
-        assert!((wa - 1.02).abs() < 1e-12);
-        assert_eq!(lp.write_amplification_vs(&NvmStats::default()), None);
-    }
 
     #[test]
     fn subtraction_is_componentwise() {

@@ -208,8 +208,7 @@ pub struct SessionStats {
 /// [`BlockCtx`] they are handed, exactly like kernel code does.
 pub trait BlockPersistSession: std::fmt::Debug + Send {
     /// Hook after a protected store to `addr`. Returns `true` iff this is
-    /// the first store of the region touching `addr`'s cache line (the
-    /// logged-eager mode uses that edge to write its undo-log entry).
+    /// the first store of the region touching `addr`'s cache line.
     fn on_store(&mut self, ctx: &mut BlockCtx<'_>, addr: Addr) -> bool;
 
     /// `__threadfence`-class fence at `scope`: orders (and, depending on
@@ -246,6 +245,14 @@ pub trait PersistencyBackend: std::fmt::Debug + Send + Sync {
 
     /// Opens the per-block session for region `block`.
     fn begin_block(&self, block: u64) -> Box<dyn BlockPersistSession>;
+
+    /// Byte range `(base, len)` of device memory holding the model's own
+    /// *transient* state, consumed within the region that writes it (the
+    /// logged-eager undo log). Crash-loss oracles exclude it when
+    /// attributing lost lines to blocks.
+    fn transient_range(&self) -> Option<(u64, u64)> {
+        None
+    }
 }
 
 /// The do-nothing session (LP: no persist instructions, ever).

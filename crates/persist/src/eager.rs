@@ -7,45 +7,59 @@ use crate::backend::{
     SessionStats,
 };
 use nvm::{Addr, FlushOutcome, PersistMemory};
+use serde::{Deserialize, Serialize};
 use simt::BlockCtx;
 use std::collections::BTreeSet;
 
+/// Undo-log slots of the logged discipline (ring-reused by block id; only
+/// this many blocks are ever in flight).
+const LOG_SLOTS: u64 = 512;
+
+/// Log capacity per block, in line-sized entries.
+const LOG_ENTRIES_PER_BLOCK: u64 = 1024;
+
+/// Bytes per undo-log entry: one 128-byte line image.
+const LOG_ENTRY_BYTES: u64 = 128;
+
+/// Bytes of one block's slot of the ring.
+const LOG_SLOT_BYTES: u64 = LOG_ENTRIES_PER_BLOCK * LOG_ENTRY_BYTES;
+
 /// When the eager backend writes dirty lines back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EagerFlushPolicy {
     /// `clwb` after every protected store (strict eager): repeated stores
     /// to one line write it back repeatedly.
     PerStore,
-    /// Each dirtied line is written back exactly once, at region commit
-    /// (the logged-eager discipline; the undo log itself is written by the
-    /// LP runtime on the first-touch edge this session reports).
+    /// Logged (epoch) eager: each dirtied line is undo-logged once (one log
+    /// line + flush on its first store) and written back exactly once, at
+    /// region commit. This is the classic "logging + cache-line flushing"
+    /// design whose 20–40 % slowdown and ~2× write amplification the paper
+    /// cites as EP's price (§I).
     AtCommit,
 }
 
 /// The Eager Persistency backend.
 #[derive(Debug, Clone, Copy)]
 pub struct EagerBackend {
-    policy: EagerFlushPolicy,
+    /// The logged discipline's undo-log ring, `(base, slots)`; `None` is
+    /// strict per-store flushing.
+    undo_log: Option<(Addr, u64)>,
 }
 
 impl EagerBackend {
-    /// Strict eager: flush on every protected store.
+    /// Strict eager ([`EagerFlushPolicy::PerStore`]).
     pub fn per_store() -> Self {
-        Self {
-            policy: EagerFlushPolicy::PerStore,
-        }
+        Self { undo_log: None }
     }
 
-    /// Logged eager: one deferred write-back per dirtied line at commit.
-    pub fn at_commit() -> Self {
+    /// Logged eager ([`EagerFlushPolicy::AtCommit`]); allocates the
+    /// undo-log ring for a launch of `num_regions` blocks.
+    pub fn at_commit(mem: &mut PersistMemory, num_regions: u64) -> Self {
+        let slots = num_regions.clamp(1, LOG_SLOTS);
+        let base = mem.alloc(slots * LOG_SLOT_BYTES, 128);
         Self {
-            policy: EagerFlushPolicy::AtCommit,
+            undo_log: Some((base, slots)),
         }
-    }
-
-    /// The flush policy.
-    pub fn policy(&self) -> EagerFlushPolicy {
-        self.policy
     }
 }
 
@@ -58,12 +72,20 @@ impl PersistencyBackend for EagerBackend {
         DurabilityContract::of(BackendKind::Eager)
     }
 
-    fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
+    fn begin_block(&self, block: u64) -> Box<dyn BlockPersistSession> {
         Box::new(EagerSession {
-            policy: self.policy,
+            log: self
+                .undo_log
+                .map(|(base, slots)| base.index(block % slots, LOG_SLOT_BYTES)),
+            log_cursor: 0,
             dirtied: BTreeSet::new(),
             stats: SessionStats::default(),
         })
+    }
+
+    fn transient_range(&self) -> Option<(u64, u64)> {
+        self.undo_log
+            .map(|(base, slots)| (base.raw(), slots * LOG_SLOT_BYTES))
     }
 }
 
@@ -71,7 +93,10 @@ impl PersistencyBackend for EagerBackend {
 /// and barriers of the eager discipline.
 #[derive(Debug)]
 pub struct EagerSession {
-    policy: EagerFlushPolicy,
+    /// This block's slot of the undo-log ring (logged discipline only).
+    log: Option<Addr>,
+    /// Next free entry of `log`.
+    log_cursor: u64,
     /// Line bases dirtied by this region, in address order (deterministic
     /// commit-time write-back order).
     dirtied: BTreeSet<u64>,
@@ -86,9 +111,23 @@ impl BlockPersistSession for EagerSession {
         if first {
             self.stats.lines_touched += 1;
         }
-        if self.policy == EagerFlushPolicy::PerStore {
+        let Some(log) = self.log else {
+            // Strict eager: `clwb` right behind the store.
             ctx.persist_line_reliably(addr, false);
             self.stats.lines_persisted += 1;
+            return first;
+        };
+        if first {
+            let entry = log.index(self.log_cursor % LOG_ENTRIES_PER_BLOCK, LOG_ENTRY_BYTES);
+            self.log_cursor += 1;
+            // Undo record: the old line image (16 words) — the recovery
+            // path never rolls back (regions are idempotent), but the
+            // traffic and durability cost are real: 16 stores + one flush
+            // of the log line.
+            for wordidx in 0..LOG_ENTRY_BYTES / 8 {
+                ctx.store_u64(entry.offset(8 * wordidx), line ^ wordidx);
+            }
+            ctx.flush_line(entry);
         }
         first
     }
@@ -101,7 +140,7 @@ impl BlockPersistSession for EagerSession {
     }
 
     fn commit(&mut self, ctx: &mut BlockCtx<'_>) {
-        if self.policy == EagerFlushPolicy::AtCommit {
+        if self.log.is_some() {
             for line in std::mem::take(&mut self.dirtied) {
                 ctx.persist_line_reliably(Addr::new(line), false);
                 self.stats.lines_persisted += 1;
@@ -162,6 +201,20 @@ mod tests {
         (mem, dev, cfg, lc)
     }
 
+    /// Stores one word to each of `lines` (line indices from `a`) and
+    /// announces it to the session, in order.
+    fn store_lines(
+        ctx: &mut BlockCtx<'_>,
+        s: &mut dyn BlockPersistSession,
+        a: Addr,
+        lines: impl IntoIterator<Item = u64>,
+    ) {
+        for i in lines {
+            ctx.store_u64(a.offset(128 * i), i);
+            s.on_store(ctx, a.offset(128 * i));
+        }
+    }
+
     #[test]
     fn per_store_flushes_immediately() {
         let (mut mem, mut dev, cfg, lc) = fixture();
@@ -180,18 +233,57 @@ mod tests {
     #[test]
     fn at_commit_defers_the_writeback() {
         let (mut mem, mut dev, cfg, lc) = fixture();
-        let a = mem.alloc(512, 8);
+        let a = mem.alloc(512, 128);
+        let mut s = EagerBackend::at_commit(&mut mem, 4).begin_block(0);
         let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
-        let mut s = EagerBackend::at_commit().begin_block(0);
-        for i in 0..4u64 {
-            ctx.store_u64(a.offset(128 * i), i);
-            s.on_store(&mut ctx, a.offset(128 * i));
-        }
+        store_lines(&mut ctx, s.as_mut(), a, 0..4);
         assert_eq!(s.session_stats().lines_persisted, 0, "nothing flushed yet");
         s.commit(&mut ctx);
         let _ = ctx.into_cost();
         assert_eq!(s.session_stats().lines_persisted, 4);
         assert_eq!(mem.dirty_lines(), 0, "commit drained every dirty line");
+    }
+
+    #[test]
+    fn logged_session_undo_logs_each_line_once_and_wraps() {
+        let (mut mem, mut dev, cfg, lc) = fixture();
+        let a = mem.alloc(128 * (LOG_ENTRIES_PER_BLOCK + 1), 128);
+        let backend = EagerBackend::at_commit(&mut mem, 4);
+        let (log_base, log_len) = backend.transient_range().expect("logged eager has a log");
+        assert_eq!(log_len, 4 * LOG_SLOT_BYTES);
+        // Block 5 reuses ring slot 5 % 4.
+        let slot = Addr::new(log_base).index(1, LOG_SLOT_BYTES);
+        let mut s = backend.begin_block(5);
+        let before = mem.stats();
+        let mut ctx = BlockCtx::standalone(lc, 5, &mut mem, &mut dev, &cfg);
+        // Lines 0, 1, 2, then each again: three first touches, six stores.
+        store_lines(&mut ctx, s.as_mut(), a, (0..3).chain(0..3));
+        let _ = ctx.into_cost();
+        let delta = mem.stats() - before;
+        assert_eq!(delta.store_ops, 6 + 3 * 16, "one 16-word entry per line");
+        assert_eq!(
+            delta.explicit_flushes, 3,
+            "one log flush per line, no data flush"
+        );
+        assert_eq!(s.session_stats().lines_touched, 3);
+        for i in 0..3u64 {
+            let (entry, line) = (slot.index(i, LOG_ENTRY_BYTES), a.offset(128 * i).raw());
+            for w in 0..16u64 {
+                assert_eq!(mem.read_durable_u64(entry.offset(8 * w)), line ^ w);
+            }
+        }
+        assert_eq!(mem.read_durable_u64(slot.index(3, LOG_ENTRY_BYTES)), 0);
+        // Fill the block's log: entry LOG_ENTRIES_PER_BLOCK lands on entry 0.
+        let mut ctx = BlockCtx::standalone(lc, 5, &mut mem, &mut dev, &cfg);
+        store_lines(&mut ctx, s.as_mut(), a, 3..=LOG_ENTRIES_PER_BLOCK);
+        let _ = ctx.into_cost();
+        let last = a.offset(128 * LOG_ENTRIES_PER_BLOCK).raw();
+        assert_eq!(mem.read_durable_u64(slot), last, "wrapped onto entry 0");
+        assert_eq!(
+            mem.read_durable_u64(slot.offset(LOG_SLOT_BYTES)),
+            0,
+            "never past the block's slot"
+        );
     }
 
     #[test]

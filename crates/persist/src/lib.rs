@@ -11,8 +11,9 @@
 //!   cache eviction, and correctness from checksum validation +
 //!   re-execution. All checksum math stays in the LP runtime.
 //! * [`EagerBackend`] — Eager Persistency, the paper's §I/§II baseline:
-//!   `clwb` per protected store (or once per dirtied line for the logged
-//!   variant), persist barrier, durable commit token.
+//!   `clwb` per protected store (or, for the logged variant, one undo-log
+//!   entry plus one commit-time write-back per dirtied line), persist
+//!   barrier, durable commit token.
 //! * [`EpochBackend`] — strict/epoch persistency in the style of *Exploring
 //!   Memory Persistency Models for GPUs*: stores accumulate in an epoch
 //!   that a `__threadfence`-class fence closes by pushing every dirtied
@@ -43,51 +44,32 @@ pub use eager::{drain_line_with_retry, EagerBackend, EagerFlushPolicy, EagerSess
 pub use epoch::{EpochBackend, EpochSession};
 pub use sbrp::{SbrpBackend, SbrpConfig, SbrpSession};
 
-/// The LP-checksum backend: persistency by natural eviction.
+/// The LP-checksum backend: persistency by natural eviction, under the
+/// two kinds whose contract is checksum validation.
 ///
 /// Its sessions are deliberate no-ops — Lazy Persistency's whole point is
 /// that the kernel issues *zero* persist instructions (§IV: current GPUs do
 /// not even expose `clwb`). Durability is supplied by capacity evictions
 /// and verified after a crash by checksum validation; both live in the LP
 /// runtime, not here.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LpChecksumBackend;
+///
+/// Under [`BackendKind::Adaptive`] a policy engine (the `lp-policy` crate,
+/// driven by the LP runtime) picks one of the fixed disciplines per region:
+/// this object is what the ladder's checksummed rungs (LP at the bottom,
+/// checkpoint at the top) resolve to, and what gives the launch a kind and
+/// a contract to report — every rung the ladder ends on under device
+/// faults validates data by checksum, so the adaptive mode never waives
+/// the recovery oracle.
+#[derive(Debug, Clone, Copy)]
+pub struct LpChecksumBackend(BackendKind);
 
 impl PersistencyBackend for LpChecksumBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::LpChecksum
+        self.0
     }
 
     fn contract(&self) -> DurabilityContract {
-        DurabilityContract::of(BackendKind::LpChecksum)
-    }
-
-    fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
-        Box::new(NoopSession)
-    }
-}
-
-/// The adaptive meta-backend: a policy engine (the `lp-policy` crate,
-/// driven by the LP runtime) picks one of the fixed disciplines per region
-/// and may move regions between them across launches. Like
-/// [`LpChecksumBackend`], its sessions are no-ops — the runtime routes each
-/// region to the *chosen* discipline's machinery; this type exists so the
-/// launch has a kind and a durability contract to report.
-///
-/// The contract advertises checksum validation: every rung the policy
-/// ladder ends on under device faults (LP at the bottom, checkpoint at the
-/// top) validates data by checksum, so a device that lies about durability
-/// is always caught — the adaptive mode never waives the recovery oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveBackend;
-
-impl PersistencyBackend for AdaptiveBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Adaptive
-    }
-
-    fn contract(&self) -> DurabilityContract {
-        DurabilityContract::of(BackendKind::Adaptive)
+        DurabilityContract::of(self.0)
     }
 
     fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
@@ -98,11 +80,10 @@ impl PersistencyBackend for AdaptiveBackend {
 /// Constructs the backend for `kind` with default knobs.
 pub fn backend_for(kind: BackendKind) -> Box<dyn PersistencyBackend> {
     match kind {
-        BackendKind::LpChecksum => Box::new(LpChecksumBackend),
+        BackendKind::LpChecksum | BackendKind::Adaptive => Box::new(LpChecksumBackend(kind)),
         BackendKind::Eager => Box::new(EagerBackend::per_store()),
         BackendKind::Epoch => Box::new(EpochBackend),
         BackendKind::Sbrp => Box::new(SbrpBackend::new(SbrpConfig::default())),
-        BackendKind::Adaptive => Box::new(AdaptiveBackend),
     }
 }
 
@@ -112,10 +93,12 @@ mod tests {
 
     #[test]
     fn lp_backend_sessions_do_nothing() {
-        let b = LpChecksumBackend;
-        assert_eq!(b.kind(), BackendKind::LpChecksum);
-        let s = b.begin_block(0);
-        assert_eq!(s.session_stats(), SessionStats::default());
+        for kind in [BackendKind::LpChecksum, BackendKind::Adaptive] {
+            let b = backend_for(kind);
+            assert!(b.contract().checksum_validated, "{kind}");
+            let s = b.begin_block(0);
+            assert_eq!(s.session_stats(), SessionStats::default());
+        }
     }
 
     #[test]

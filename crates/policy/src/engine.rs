@@ -124,9 +124,10 @@ impl PolicyEngine {
         &self.cfg
     }
 
-    /// Current mode of `region`.
-    pub fn current(&self, region: u64) -> PolicyMode {
-        self.regions[region as usize].current
+    /// Current mode of `region` (`None` for a region the engine was not
+    /// built to cover).
+    pub fn current(&self, region: u64) -> Option<PolicyMode> {
+        self.regions.get(region as usize).map(|s| s.current)
     }
 
     /// The global device-fault floor (monotone over the engine's life).
@@ -193,11 +194,12 @@ impl PolicyEngine {
 
     /// Feeds one observation window for `region`. Returns `Some(target)`
     /// when the region should switch (hysteresis satisfied); the caller
-    /// journals the switch and then calls [`PolicyEngine::commit`].
+    /// journals the switch and then calls [`PolicyEngine::commit`]. A window
+    /// for an unknown region is dropped whole: `None`, no state touched.
     pub fn observe(&mut self, region: u64, s: &RegionSignals) -> Option<PolicyMode> {
+        let current = self.current(region)?;
         self.step += 1;
         self.ratchet_floor(s);
-        let current = self.regions[region as usize].current;
         let target = Self::max_by_rank(self.preferred(current, s), self.floor);
         let state = &mut self.regions[region as usize];
         if target == state.current {
@@ -213,10 +215,12 @@ impl PolicyEngine {
     }
 
     /// Records that `region` durably switched to `to` (the journal append
-    /// succeeded). Clears the pending proposal.
+    /// succeeded). Clears the pending proposal. An unknown region is ignored.
     pub fn commit(&mut self, region: u64, to: PolicyMode) {
         let step = self.step;
-        let state = &mut self.regions[region as usize];
+        let Some(state) = self.regions.get_mut(region as usize) else {
+            return;
+        };
         let from = state.current;
         state.current = to;
         state.pending = None;
@@ -229,9 +233,12 @@ impl PolicyEngine {
     }
 
     /// Resynchronises a region's current mode from the replayed journal
-    /// (reboot path). Clears pending state; does not touch the history.
+    /// (reboot path). Clears pending state; does not touch the history. An
+    /// unknown region is ignored.
     pub fn resync(&mut self, region: u64, mode: PolicyMode) {
-        let state = &mut self.regions[region as usize];
+        let Some(state) = self.regions.get_mut(region as usize) else {
+            return;
+        };
         state.current = mode;
         state.pending = None;
         // A region found above LP after a reboot got there because the
@@ -273,7 +280,7 @@ mod tests {
         // Second consecutive crashy window: proposal fires.
         assert_eq!(e.observe(0, &crashy(80)), Some(PolicyMode::Epoch));
         e.commit(0, PolicyMode::Epoch);
-        assert_eq!(e.current(0), PolicyMode::Epoch);
+        assert_eq!(e.current(0), Some(PolicyMode::Epoch));
         // Once there, the same signal is steady state.
         assert_eq!(e.observe(0, &crashy(80)), None);
     }
@@ -283,7 +290,7 @@ mod tests {
         let mut e = PolicyEngine::new(1, PolicyConfig::reactive());
         // Crash present but recovery is cheap relative to exec: stay LP.
         assert_eq!(e.observe(0, &crashy(10)), None);
-        assert_eq!(e.current(0), PolicyMode::Lp);
+        assert_eq!(e.current(0), Some(PolicyMode::Lp));
     }
 
     #[test]
@@ -295,7 +302,7 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(e.observe(0, &crashy(10)), None);
         }
-        assert_eq!(e.current(0), PolicyMode::Epoch);
+        assert_eq!(e.current(0), Some(PolicyMode::Epoch));
         // Only a crash-free window is evidence for LP again.
         assert_eq!(
             e.observe(0, &RegionSignals::default()),
@@ -314,7 +321,7 @@ mod tests {
             Some(PolicyMode::Lp)
         );
         e.commit(0, PolicyMode::Lp);
-        assert_eq!(e.current(0), PolicyMode::Lp);
+        assert_eq!(e.current(0), Some(PolicyMode::Lp));
     }
 
     #[test]
@@ -411,7 +418,25 @@ mod tests {
     fn resync_overrides_current_without_history() {
         let mut e = PolicyEngine::new(2, PolicyConfig::default());
         e.resync(1, PolicyMode::Eager);
-        assert_eq!(e.current(1), PolicyMode::Eager);
+        assert_eq!(e.current(1), Some(PolicyMode::Eager));
         assert!(e.history().is_empty());
+    }
+
+    #[test]
+    fn an_unknown_region_is_refused_without_touching_the_engine() {
+        let mut e = PolicyEngine::new(2, PolicyConfig::reactive());
+        assert_eq!(e.current(2), None);
+        // Even a window that would ratchet the floor is dropped whole.
+        let lying = RegionSignals {
+            torn_writebacks: 1,
+            ..RegionSignals::default()
+        };
+        assert_eq!(e.observe(2, &lying), None);
+        assert_eq!(e.floor(), PolicyMode::Lp);
+        e.commit(2, PolicyMode::Eager);
+        e.resync(u64::MAX, PolicyMode::Eager);
+        assert!(e.history().is_empty());
+        assert_eq!(e.current(0), Some(PolicyMode::Lp));
+        assert_eq!(e.current(1), Some(PolicyMode::Lp));
     }
 }

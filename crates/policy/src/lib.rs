@@ -20,7 +20,7 @@
 //!   one or the new one, never a hybrid.
 //!
 //! The LP runtime (`gpu-lp`) consumes all four to implement
-//! `PersistMode::Adaptive`; this crate deliberately depends only on `nvm`
+//! `BackendKind::Adaptive`; this crate deliberately depends only on `nvm`
 //! and `lp-persist` so the runtime can sit on top of it.
 
 #![forbid(unsafe_code)]

@@ -68,11 +68,6 @@ impl RegionSignals {
         self.torn_writebacks + self.silent_bit_errors
     }
 
-    /// Honest persist refusals: the caller saw the failure and could retry.
-    pub fn refusal_faults(&self) -> u64 {
-        self.transient_persist_fails + self.quarantined_lines
-    }
-
     /// Persist-refusal rate in basis points of all write-back attempts
     /// (refused + completed), or 0 when the window saw no attempts.
     pub fn refusal_rate_bp(&self) -> u32 {
@@ -115,7 +110,6 @@ mod tests {
         let s = RegionSignals::from_nvm(&delta);
         assert_eq!(s.store_ops, 100);
         assert_eq!(s.lying_faults(), 3);
-        assert_eq!(s.refusal_faults(), 8);
         assert_eq!(s.crashes, 0);
         assert_eq!(s.exec_ns, 0);
     }

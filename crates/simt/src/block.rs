@@ -160,21 +160,6 @@ impl<'a> BlockCtx<'a> {
         self.flat_block * self.threads_per_block() + t
     }
 
-    /// Warp index of flat thread `t`.
-    pub fn warp_of(&self, t: u64) -> u64 {
-        t / self.cfg.warp_size as u64
-    }
-
-    /// Lane index of flat thread `t` within its warp.
-    pub fn lane_of(&self, t: u64) -> u64 {
-        t % self.cfg.warp_size as u64
-    }
-
-    /// Number of warps in this block (rounded up).
-    pub fn warps_per_block(&self) -> u64 {
-        self.threads_per_block().div_ceil(self.cfg.warp_size as u64)
-    }
-
     /// The device configuration (geometry + cost table).
     pub fn device_config(&self) -> &DeviceConfig {
         self.cfg
@@ -650,9 +635,6 @@ mod tests {
         let ctx = BlockCtx::new(lc, 5, &mut mem, &mut dev, &cfg, None);
         assert_eq!(ctx.block_id(), 5);
         assert_eq!(ctx.global_thread_id(3), 5 * 64 + 3);
-        assert_eq!(ctx.warp_of(33), 1);
-        assert_eq!(ctx.lane_of(33), 1);
-        assert_eq!(ctx.warps_per_block(), 2);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl LaunchConfig {
     pub fn threads_per_block(&self) -> u64 {
         self.block.count()
     }
-
-    /// Total threads in the launch.
-    pub fn total_threads(&self) -> u64 {
-        self.num_blocks() * self.threads_per_block()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,7 @@ mod tests {
         let lc = LaunchConfig::linear(100, 32);
         assert_eq!(lc.num_blocks(), 4);
         assert_eq!(lc.threads_per_block(), 32);
-        assert!(lc.total_threads() >= 100);
+        assert!(lc.num_blocks() * lc.threads_per_block() >= 100);
     }
 
     #[test]

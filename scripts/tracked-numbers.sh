@@ -17,6 +17,10 @@ own() { find crates -name '*.rs' -not -path 'crates/vendor/*' "$@"; }
 lines_with() { { own -print0 | xargs -0 grep -hF -- "$1" || true; } | wc -l; }
 apps_lines_with() { { grep -rhF "${@:2}" -- "$1" crates/apps/src || true; } | wc -l; }
 
+# Lines of a file before its first top-level `#[cfg(test)]` (all, if none).
+non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
+non_test_under() { local n=0 f; for f in $(find "$@" -name '*.rs'); do n=$((n + $(non_test "$f"))); done; echo "$n"; }
+
 row() { printf '%-48s %s\n' "$1" "$2"; }
 row "rs lines under crates/ (vendor excluded):" "$(own -print0 | xargs -0 cat | wc -l)"
 row "pub fn:" "$(lines_with 'pub fn ')"
@@ -27,3 +31,7 @@ row "crates/apps/src 'RecoverableApp for':" "$(apps_lines_with 'RecoverableApp f
 row "crates/apps/src 'manifest.commit(' callers:" "$(apps_lines_with 'manifest.commit(' --exclude=manifest.rs)"
 row "crates/apps/src '.recover_reentrant(':" "$(apps_lines_with '.recover_reentrant(')"
 row "crates/apps/src 'ResilientRecovery::new':" "$(apps_lines_with 'ResilientRecovery::new')"
+row "PersistMode mentions (crates src tests examples):" "$({ grep -rw PersistMode crates src tests examples || true; } | wc -l)"
+row "crates/core/src Mutex|RwLock lines:" "$({ grep -rh 'Mutex\|RwLock' crates/core/src || true; } | wc -l)"
+row "crates/core/src/region.rs lines (total / non-test):" "$(wc -l <crates/core/src/region.rs) / $(non_test crates/core/src/region.rs)"
+row "core+persist src non-test lines:" "$(non_test_under crates/core/src crates/persist/src)"

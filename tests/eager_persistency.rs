@@ -5,7 +5,7 @@
 //! contrast that motivates the paper. Every test is parameterised over the
 //! explicit backends, so the three models are held to the same contract.
 
-use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, PersistMode, ResilientRecovery};
+use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_kernels::{workload_by_name, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
 use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
@@ -143,11 +143,11 @@ fn every_explicit_backend_is_slower_than_lazy() {
 
 #[test]
 fn backend_modes_are_wired() {
-    assert_eq!(LpConfig::eager().mode, PersistMode::Eager);
-    assert_eq!(LpConfig::epoch().mode, PersistMode::Epoch);
-    assert_eq!(LpConfig::sbrp().mode, PersistMode::Sbrp);
-    assert_eq!(LpConfig::recommended().mode, PersistMode::Lazy);
+    assert_eq!(LpConfig::eager().backend, BackendKind::Eager);
+    assert_eq!(LpConfig::epoch().backend, BackendKind::Epoch);
+    assert_eq!(LpConfig::sbrp().backend, BackendKind::Sbrp);
+    assert_eq!(LpConfig::recommended().backend, BackendKind::LpChecksum);
     for backend in BackendKind::ALL {
-        assert_eq!(LpConfig::for_backend(backend).mode.backend_kind(), backend);
+        assert_eq!(LpConfig::for_backend(backend).backend, backend);
     }
 }
