@@ -3,7 +3,7 @@
 //! prints it with the tool's usage line and exits 2.
 
 use gpu_lp::BackendKind;
-use lp_kernels::Scale;
+use lp_kernels::{subject, Scale, Subject};
 
 /// Why a run did not succeed; the driver maps it to the exit code.
 #[derive(Debug)]
@@ -191,21 +191,50 @@ impl Args {
         Ok(out)
     }
 
-    /// `--workload` resolved case-insensitively against an experiment's
-    /// subject names: the canonical name, or `None` when the flag was not
-    /// given.
-    pub(crate) fn workload_in<'a>(&self, valid: &[&'a str]) -> Result<Option<&'a str>, Failure> {
-        let Some(w) = &self.workload else {
-            return Ok(None);
-        };
-        match valid.iter().find(|v| v.eq_ignore_ascii_case(w)) {
-            Some(v) => Ok(Some(v)),
-            None => Err(Failure::Usage(format!(
-                "unknown workload {w:?} (one of {})",
-                valid.join(", ")
-            ))),
+    /// `--workload` resolved against an experiment's subjects (`valid`,
+    /// canonical names): its row of the subject table, or `None` when the
+    /// flag was not given.
+    pub(crate) fn workload_in(&self, valid: &[&str]) -> Result<Option<&'static Subject>, Failure> {
+        self.workload
+            .as_deref()
+            .map(|w| resolve(w, valid))
+            .transpose()
+    }
+
+    /// The one subject an experiment runs: `--workload`, else `default`.
+    pub(crate) fn workload_or(
+        &self,
+        valid: &[&str],
+        default: &str,
+    ) -> Result<&'static Subject, Failure> {
+        resolve(self.workload.as_deref().unwrap_or(default), valid)
+    }
+
+    /// The subjects an experiment sweeps: the one `--workload` names, else
+    /// all of `default`.
+    pub(crate) fn workloads(
+        &self,
+        valid: &[&str],
+        default: &[&str],
+    ) -> Result<Vec<&'static Subject>, Failure> {
+        match self.workload_in(valid)? {
+            Some(subject) => Ok(vec![subject]),
+            None => default.iter().map(|name| resolve(name, valid)).collect(),
         }
     }
+}
+
+/// A subject name through the subject table's one lookup (any case, any
+/// alias), accepted when the experiment runs it (`valid`).
+fn resolve(name: &str, valid: &[&str]) -> Result<&'static Subject, Failure> {
+    subject(name)
+        .filter(|s| valid.contains(&s.name))
+        .ok_or_else(|| {
+            Failure::Usage(format!(
+                "unknown workload {name:?} (one of {})",
+                valid.join(", ")
+            ))
+        })
 }
 
 fn number<T: std::str::FromStr>(flag: &str, v: &str, what: &str) -> Result<T, String> {
@@ -280,14 +309,28 @@ mod tests {
     }
 
     #[test]
-    fn workload_resolves_to_the_canonical_name() {
-        let a = parse(Flags::Sweep, "--workload spmv").unwrap();
-        assert_eq!(a.workload_in(&["TMM", "SPMV"]).unwrap(), Some("SPMV"));
-        let Err(Failure::Usage(msg)) = a.workload_in(&["queue", "train"]) else {
-            panic!("unknown workload must be a usage error");
-        };
-        assert!(msg.contains("queue, train"), "{msg}");
+    fn workload_resolves_to_its_row_of_the_subject_table() {
+        let named = |flag: &str| parse(Flags::Sweep, &format!("--workload {flag}")).unwrap();
+        for spelling in ["mri-q", "MRIQ", "MRI-Q"] {
+            let row = named(spelling).workload_in(&["TMM", "MRI-Q"]).unwrap();
+            assert_eq!(row.map(|s| s.name), Some("MRI-Q"), "{spelling}");
+        }
+        // A subject the experiment does not run is as unknown as no subject.
+        for flag in ["SPMV", "nope"] {
+            let Err(Failure::Usage(msg)) = named(flag).workload_in(&["TMM", "MRI-Q"]) else {
+                panic!("{flag} must be a usage error");
+            };
+            assert!(msg.contains("TMM, MRI-Q"), "{msg}");
+        }
         let none = parse(Flags::Sweep, "").unwrap();
-        assert_eq!(none.workload_in(&["TMM"]).unwrap(), None);
+        assert_eq!(none.workload_in(&["TMM"]).unwrap().map(|s| s.name), None);
+        assert_eq!(none.workload_or(&["TMM"], "tmm").unwrap().name, "TMM");
+        let swept = none.workloads(&["TMM", "SAD"], &["SAD", "TMM"]).unwrap();
+        assert_eq!(
+            swept.iter().map(|s| s.name).collect::<Vec<_>>(),
+            ["SAD", "TMM"]
+        );
+        let one = named("sad").workloads(&["TMM", "SAD"], &["TMM"]).unwrap();
+        assert_eq!(one.iter().map(|s| s.name).collect::<Vec<_>>(), ["SAD"]);
     }
 }

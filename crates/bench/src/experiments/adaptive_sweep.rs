@@ -16,13 +16,13 @@
 //! degradation floor (lp → epoch → eager → checkpoint). The run fails
 //! if either claim fails, so it gates CI like the fault campaigns do.
 
-use crate::{Args, Failure, Table, World};
+use crate::{Args, Failure, Table};
 use gpu_lp::{
     BackendKind, LpConfig, LpRuntime, PolicyConfig, PolicyMode, RegionSignals, ResilientRecovery,
 };
-use lp_kernels::{workload_by_name, Scale, WORKLOAD_NAMES};
-use nvm::FaultConfig;
-use simt::DeviceConfig;
+use lp_kernels::{world, Scale, Subject, WORKLOAD_NAMES};
+use nvm::{FaultConfig, PersistMemory};
+use simt::{DeviceConfig, Gpu};
 
 /// One phase of the lifecycle scenario.
 struct Phase {
@@ -90,11 +90,27 @@ impl PolicyRun {
     }
 }
 
-/// The scenario world: the test GPU and a cache small enough that natural
-/// evictions — LP's persistence mechanism and the adaptive engine's main
-/// signal source — happen even at test scale.
-fn scenario_world() -> World {
-    World::small_cache(DeviceConfig::test_gpu(), 32, 4)
+/// The scenario's machine and the one runtime — hence one policy engine —
+/// that spans every job in it (the grid shape is a function of the subject
+/// and scale only). The machine is the test GPU over a 32-line cache: small
+/// enough that natural evictions — LP's persistence mechanism and the
+/// adaptive engine's main signal source — happen even at test scale.
+fn scenario(
+    subject: &Subject,
+    scale: Scale,
+    seed: u64,
+    lp: &LpConfig,
+) -> (Gpu, PersistMemory, LpRuntime) {
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 32, 4);
+    let lc = (subject.build)(scale, seed).launch_config();
+    let rt = LpRuntime::setup(
+        &mut mem,
+        lc.num_blocks(),
+        lc.threads_per_block(),
+        lp.clone(),
+    );
+    mem.flush_all();
+    (gpu, mem, rt)
 }
 
 /// Runs the full three-phase scenario under one policy and returns its
@@ -102,17 +118,9 @@ fn scenario_world() -> World {
 /// buffer, seed varied per launch — because an idempotent relaunch over
 /// already-durable data would make every crash free. `adaptive`
 /// additionally feeds the per-launch signals to the policy engine.
-fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u64) -> PolicyRun {
+fn run_policy(label: &str, lp: &LpConfig, subject: &Subject, scale: Scale, seed: u64) -> PolicyRun {
     let adaptive = lp.backend == BackendKind::Adaptive;
-    let World { gpu, mut mem } = scenario_world();
-    // The grid shape is a function of (workload, scale) only, so one
-    // runtime — and one policy engine — spans every job in the scenario.
-    let lc = workload_by_name(workload, scale, seed)
-        .expect("known workload")
-        .launch_config();
-    let num_blocks = lc.num_blocks();
-    let rt = LpRuntime::setup(&mut mem, num_blocks, lc.threads_per_block(), lp.clone());
-    mem.flush_all();
+    let (gpu, mut mem, rt) = scenario(subject, scale, seed, lp);
 
     let mut phase_costs = Vec::new();
     let mut job = 0u64;
@@ -123,7 +131,7 @@ fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u6
             job += 1;
             // Fresh job: new inputs and a new output allocation, staged
             // durably (setup flushes) before the device faults arm.
-            let mut wj = workload_by_name(workload, scale, seed ^ job).expect("known workload");
+            let mut wj = (subject.build)(scale, seed ^ job);
             mem.set_fault_config(None);
             wj.setup(&mut mem);
             if phase.fault_bp > 0 {
@@ -173,7 +181,7 @@ fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u6
                 sig.validation_failed = reexecs > 0;
                 sig.recovery_ns = recovery_ns;
                 sig.exec_ns = exec_ns as u64;
-                for region in 0..num_blocks {
+                for region in 0..rt.num_regions() {
                     rt.adaptive_step(&mut mem, region, &sig);
                 }
             }
@@ -218,18 +226,9 @@ fn run_policy(label: &str, lp: &LpConfig, workload: &str, scale: Scale, seed: u6
 /// intensity and records the policy floor after each, demonstrating the
 /// monotone degradation ladder. The last rung injects *lying* faults (torn
 /// write-backs), which drive the floor straight to checkpoint mode.
-fn fault_ramp(workload: &str, scale: Scale, seed: u64) -> Vec<(String, PolicyMode)> {
-    let World { gpu, mut mem } = scenario_world();
-    let lc = workload_by_name(workload, scale, seed)
-        .expect("known workload")
-        .launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::adaptive().with_policy(PolicyConfig::reactive()),
-    );
-    mem.flush_all();
+fn fault_ramp(subject: &Subject, scale: Scale, seed: u64) -> Vec<(String, PolicyMode)> {
+    let lp = LpConfig::adaptive().with_policy(PolicyConfig::reactive());
+    let (gpu, mut mem, rt) = scenario(subject, scale, seed, &lp);
 
     let rungs: [(&str, Option<FaultConfig>); 4] = [
         ("clean", None),
@@ -244,8 +243,7 @@ fn fault_ramp(workload: &str, scale: Scale, seed: u64) -> Vec<(String, PolicyMod
     for (i, (name, fc)) in rungs.into_iter().enumerate() {
         // Fresh job per rung so each window produces real eviction
         // traffic for the fault model to act on.
-        let mut w =
-            workload_by_name(workload, scale, seed ^ (i as u64 + 101)).expect("known workload");
+        let mut w = (subject.build)(scale, seed ^ (i as u64 + 101));
         mem.set_fault_config(None);
         w.setup(&mut mem);
         mem.set_fault_config(fc);
@@ -254,7 +252,7 @@ fn fault_ramp(workload: &str, scale: Scale, seed: u64) -> Vec<(String, PolicyMod
         let out = gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
         let mut sig = RegionSignals::from_nvm(&mem.stats());
         sig.exec_ns = out.kernel_ns as u64;
-        for region in 0..lc.num_blocks() {
+        for region in 0..rt.num_regions() {
             rt.adaptive_step(&mut mem, region, &sig);
         }
         floors.push((
@@ -267,7 +265,8 @@ fn fault_ramp(workload: &str, scale: Scale, seed: u64) -> Vec<(String, PolicyMod
 }
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let workload = args.workload_in(&WORKLOAD_NAMES)?.unwrap_or("TMM");
+    let subject = args.workload_or(&WORKLOAD_NAMES, "TMM")?;
+    let workload = subject.name;
 
     let fixed: [BackendKind; 3] = [
         BackendKind::LpChecksum,
@@ -302,7 +301,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
 
     let runs: Vec<PolicyRun> = policies
         .iter()
-        .map(|(label, lp)| run_policy(label, lp, workload, args.scale, args.seed))
+        .map(|(label, lp)| run_policy(label, lp, subject, args.scale, args.seed))
         .collect();
 
     let mut table = Table::new(&[
@@ -385,7 +384,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     }
 
     println!("\nRising-fault-rate ramp (policy floor after each window):");
-    let floors = fault_ramp(workload, args.scale, args.seed);
+    let floors = fault_ramp(subject, args.scale, args.seed);
     let mut monotone = true;
     let mut last_rank = 0;
     for (name, floor) in &floors {

@@ -10,26 +10,39 @@
 //! the phase-change comparison lives in `adaptive_sweep`/E19);
 //! `--workload NAME` to one subject.
 
-use crate::measure::measure_megakv;
+use super::megakv_overhead;
 use crate::{fmt_overhead, geometric_mean, measure_configs, Args, Failure, Table};
 use gpu_lp::{BackendKind, LpConfig};
 use lp_fault::{run_trial, CrashSite, TrialId};
-use lp_kernels::WORKLOAD_NAMES;
+use lp_kernels::{Workload, SUBJECTS, WORKLOAD_NAMES};
 use megakv::app::OpKind;
 
-/// The MEGA-KV subject name understood by the fault crate's trial runner.
-const MEGAKV_SUBJECT: &str = "MEGAKV-INSERT";
+/// Builds a fresh instance of a row's workload.
+type Build = Box<dyn Fn() -> Box<dyn Workload>>;
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let backends: Vec<BackendKind> = match args.backend {
         Some(b) => vec![b],
         None => BackendKind::ALL.to_vec(),
     };
-    let all_subjects: Vec<&str> = [&WORKLOAD_NAMES[..], &[MEGAKV_SUBJECT]].concat();
+    // A row is the workload whose run-time overhead is measured; its
+    // recovery cost comes from the campaign's crash trial of the subject
+    // with the same name. The suite rows are the subject table's; the
+    // MEGA-KV (insert) row is the batch §VII-4 measures (E9), so its
+    // overhead is at that record count and its recovery at the campaign's.
+    let (scale, seed) = (args.scale, args.seed);
+    let mut rows: Vec<(&str, Build)> = SUBJECTS[..WORKLOAD_NAMES.len()]
+        .iter()
+        .map(|s| (s.name, Box::new(move || (s.build)(scale, seed)) as Build))
+        .collect();
+    let kv_insert = move || megakv_overhead::batch(OpKind::Insert, scale, seed);
+    rows.push((kv_insert().info().name, Box::new(kv_insert)));
+    let all_subjects: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
     let subjects = match args.workload_in(&all_subjects)? {
-        Some(w) => vec![w],
+        Some(only) => vec![only.name],
         None => all_subjects,
     };
+    rows.retain(|(name, _)| subjects.contains(name));
     let configs: Vec<LpConfig> = backends.iter().map(|&b| LpConfig::for_backend(b)).collect();
 
     println!(
@@ -55,20 +68,10 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let mut json_rows = Vec::new();
     let mut overheads: Vec<(BackendKind, f64)> = Vec::new();
 
-    for &name in &subjects {
-        // Run-time overhead per backend: (baseline ns, run ns, overhead).
-        let costs: Vec<(f64, f64, f64)> = if name == MEGAKV_SUBJECT {
-            configs
-                .iter()
-                .map(|c| measure_megakv(args.scale, args.seed, OpKind::Insert, c))
-                .collect()
-        } else {
-            measure_configs(name, args.scale, args.seed, false, &configs)
-                .iter()
-                .map(|m| (m.baseline.kernel_ns, m.lp.kernel_ns, m.overhead))
-                .collect()
-        };
-        for (&backend, (base_ns, run_ns, overhead)) in backends.iter().zip(costs) {
+    for (name, build) in &rows {
+        let costs = measure_configs(build, false, &configs);
+        for (&backend, m) in backends.iter().zip(&costs) {
+            let (base_ns, run_ns, overhead) = (m.baseline.kernel_ns, m.lp.kernel_ns, m.overhead);
             // Recovery cost: crash halfway through the store stream, then
             // recover and judge with the fault engine's oracles — each
             // backend is held to its own durability contract.

@@ -15,8 +15,9 @@ use crate::{Args, Failure};
 use gpu_lp::BackendKind;
 use lp_fault::{
     representative_trial, run_campaign, sanitize_sweep, CampaignReport, CampaignSpec, CrashSite,
-    TrialId, SABOTAGE_CONFIG, SUBJECT_NAMES,
+    TrialId, SABOTAGE_CONFIG,
 };
+use lp_kernels::SUBJECT_NAMES;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 
@@ -191,7 +192,7 @@ fn prune_smoke(args: &Args, workload: Option<&str>) -> Result<(), Failure> {
 }
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let workload = args.workload_in(&SUBJECT_NAMES)?;
+    let workload = args.workload_in(&SUBJECT_NAMES)?.map(|s| s.name);
     if args.prune_smoke {
         return prune_smoke(args, workload);
     }

@@ -26,10 +26,11 @@ fn class_sites(bp: u32) -> [(&'static str, CrashSite); 3] {
 }
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let workloads: Vec<&str> = match args.workload_in(&WORKLOADS)? {
-        Some(w) => vec![w],
-        None => WORKLOADS.to_vec(),
-    };
+    let workloads: Vec<&str> = args
+        .workloads(&WORKLOADS, &WORKLOADS)?
+        .iter()
+        .map(|s| s.name)
+        .collect();
 
     // An unknown `--backend` value already hard-errors in the parser; when
     // the flag is omitted entirely, say which backend was chosen rather

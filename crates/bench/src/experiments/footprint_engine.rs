@@ -15,7 +15,8 @@
 
 use crate::{Args, Failure, Table};
 use lp_directive::analysis::footprint::source_footprints;
-use lp_fault::{subject_footprint, subject_twin, CampaignSpec, SUBJECT_NAMES};
+use lp_fault::{subject_footprint, subject_twin, CampaignSpec};
+use lp_kernels::SUBJECT_NAMES;
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     println!("# E22: symbolic store-footprint engine\n");

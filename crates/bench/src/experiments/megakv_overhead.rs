@@ -2,32 +2,47 @@
 //! batched key-value store; the paper reports LP overheads of 3.4 %
 //! (search), 5.2 % (delete) and 2.1 % (insert) for 16 K-record batches.
 
-use crate::measure::{measure_megakv, megakv_records};
-use crate::{fmt_overhead, Args, Failure, Table};
+use crate::{fmt_overhead, measure_configs, Args, Failure, Table};
 use gpu_lp::LpConfig;
+use lp_kernels::{KvBatch, Scale, Workload};
 use megakv::app::OpKind;
 
+/// Records per batch (§VII-4: "insert, search & delete 16K recs") — the
+/// paper's sizing, which the crash campaign's subject rows do not share.
+fn records(scale: Scale) -> usize {
+    match scale {
+        Scale::Test => 2_048,
+        Scale::Bench | Scale::Paper => 16_384,
+    }
+}
+
+/// A §VII-4 batch of `op`.
+pub(crate) fn batch(op: OpKind, scale: Scale, seed: u64) -> Box<dyn Workload> {
+    Box::new(KvBatch::new(op, records(scale), seed))
+}
+
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let records = megakv_records(args.scale);
+    let records = records(args.scale);
 
     println!("# §VII-4 — MEGA-KV with LP (global array + shuffle), {records} records\n");
     let mut table = Table::new(&["Operation", "Baseline (ns)", "LP (ns)", "Overhead"]);
     let mut json_rows = Vec::new();
 
     for op in OpKind::ALL {
-        let (base_ns, lp_ns, overhead) =
-            measure_megakv(args.scale, args.seed, op, &LpConfig::recommended());
+        let build = || batch(op, args.scale, args.seed);
+        let m = &measure_configs(&build, false, &[LpConfig::recommended()])[0];
+        let (base_ns, lp_ns) = (m.baseline.kernel_ns, m.lp.kernel_ns);
         table.row(&[
             op.name().to_string(),
             format!("{base_ns:.0}"),
             format!("{lp_ns:.0}"),
-            fmt_overhead(overhead),
+            fmt_overhead(m.overhead),
         ]);
         json_rows.push(serde_json::json!({
             "operation": op.name(),
             "baseline_ns": base_ns,
             "lp_ns": lp_ns,
-            "overhead": overhead,
+            "overhead": m.overhead,
         }));
     }
     println!("{}", table.to_markdown());

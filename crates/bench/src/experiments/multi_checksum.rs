@@ -9,7 +9,8 @@ use gpu_lp::LpConfig;
 use lp_kernels::WORKLOAD_NAMES;
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let name = args.workload_in(&WORKLOAD_NAMES)?.unwrap_or("TMM");
+    let subject = args.workload_or(&WORKLOAD_NAMES, "TMM")?;
+    let name = subject.name;
 
     println!("# §VII-2 — single vs. simultaneous checksums ({name}, quadratic probing)\n");
     let variants: [(&str, ChecksumSet); 3] = [
@@ -28,7 +29,8 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
             ]
         })
         .collect();
-    let measured = measure_configs(name, args.scale, args.seed, false, &configs);
+    let build = || (subject.build)(args.scale, args.seed);
+    let measured = measure_configs(&build, false, &configs);
 
     let mut table = Table::new(&["Checksums", "Overhead (Quad)", "Overhead (GlobalArray)"]);
     let mut json_rows = Vec::new();

@@ -4,27 +4,28 @@
 //! validation finds lost and how long the re-execution takes relative to a
 //! clean run — plus the §IV-A checkpoint-interval arithmetic this feeds.
 
-use crate::measure::setup_lp;
-use crate::{Args, Failure, Table, World};
+use crate::{Args, Failure, Table};
 use gpu_lp::checkpoint::{availability, optimal_checkpoint_interval};
 use gpu_lp::{LpConfig, ResilientRecovery};
-use lp_kernels::{workload_by_name, WORKLOAD_NAMES};
+use lp_kernels::{stage, world, WORKLOAD_NAMES};
 use simt::{CrashPlan, DeviceConfig};
 
-/// Natural evictions happen within even small runs, so crash points land
-/// between "everything volatile" and "mostly persisted" — the gradient
-/// the sweep is about.
-fn small_cache_world() -> World {
-    World::small_cache(DeviceConfig::v100(), 1024, 8)
-}
-
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let name = args.workload_in(&WORKLOAD_NAMES)?.unwrap_or("SPMV");
+    let subject = args.workload_or(&WORKLOAD_NAMES, "SPMV")?;
+    let name = subject.name;
+    // A fresh instance staged on a V100 with a 1024-line cache: natural
+    // evictions happen within even small runs, so crash points land
+    // between "everything volatile" and "mostly persisted" — the gradient
+    // the sweep is about.
+    let staged = || {
+        let (gpu, mut mem) = world(DeviceConfig::v100(), 1024, 8);
+        let mut w = (subject.build)(args.scale, args.seed);
+        let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
+        (gpu, mem, w, rt)
+    };
 
     // A clean run to size the store stream and the baseline time.
-    let World { gpu, mut mem } = small_cache_world();
-    let mut w = workload_by_name(name, args.scale, args.seed).expect("validated above");
-    let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
+    let (gpu, mut mem, w, rt) = staged();
     let kernel = w.kernel(Some(&rt));
     let clean = gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
     let total_stores = clean.nvm.store_ops;
@@ -46,9 +47,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
 
     for pct in [0u64, 10, 25, 50, 75, 90, 100] {
         let crash_after = total_stores * pct / 100;
-        let World { gpu, mut mem } = small_cache_world();
-        let mut w = workload_by_name(name, args.scale, args.seed).expect("validated above");
-        let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
+        let (gpu, mut mem, w, rt) = staged();
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
             .launch_with_plan(

@@ -8,20 +8,14 @@
 //! factor in context: the observer fires once per access, so host overhead
 //! scales with the access volume, not with kernel complexity.
 
-use crate::measure::setup_lp;
-use crate::{geometric_mean, Args, Failure, Table, World};
+use crate::{geometric_mean, Args, Failure, Table};
 use gpu_lp::LpConfig;
-use lp_kernels::{all_workloads, WORKLOAD_NAMES};
+use lp_kernels::{stage, test_world, WORKLOAD_NAMES};
 use lp_sanitizer::sanitize_launch_exempt;
-use simt::DeviceConfig;
 use std::time::Instant;
 
-fn world() -> World {
-    World::small_cache(DeviceConfig::test_gpu(), 512, 8)
-}
-
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
-    let only = args.workload_in(&WORKLOAD_NAMES)?;
+    let subjects = args.workloads(&WORKLOAD_NAMES, &WORKLOAD_NAMES)?;
 
     println!("# E15: sanitizer overhead — plain vs. observed launches\n");
     let mut table = Table::new(&[
@@ -39,24 +33,26 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let mut json_rows = Vec::new();
     let mut overheads = Vec::new();
 
-    for mut w in all_workloads(args.scale, args.seed) {
-        let name = w.info().name;
-        if only.is_some_and(|only| only != name) {
-            continue;
-        }
+    for subject in subjects {
+        let name = subject.name;
+        // Both runs start from an identical state: a fresh instance staged
+        // in the small-cache test world.
+        let staged = || {
+            let (gpu, mut mem) = test_world();
+            let mut w = (subject.build)(args.scale, args.seed);
+            let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
+            (gpu, mem, w, rt)
+        };
 
         // Plain run.
-        let World { gpu, mut mem } = world();
-        let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
+        let (gpu, mut mem, w, rt) = staged();
         let kernel = w.kernel(Some(&rt));
         let t0 = Instant::now();
         let plain = gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
         let plain_ms = t0.elapsed().as_secs_f64() * 1e3;
-        drop(kernel);
 
-        // Sanitized run from an identical initial state.
-        let World { gpu, mut mem } = world();
-        let rt = setup_lp(&mut mem, w.as_mut(), &LpConfig::recommended());
+        // Sanitized run.
+        let (gpu, mut mem, w, rt) = staged();
         let kernel = w.kernel(Some(&rt));
         let t0 = Instant::now();
         let (observed, report) =

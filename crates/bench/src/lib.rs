@@ -8,9 +8,10 @@
 //! EXPERIMENTS.md. Each experiment is a module under `src/experiments/`;
 //! `lpcuda-lint` is the one that also ships under its own name.
 //!
-//! The rest of the library is the shared measurement machinery: build a
-//! fresh simulated world per run, launch the baseline and the LP variants
-//! of a workload, and report overheads plus the model's cost breakdown.
+//! The rest of the library is the shared measurement machinery: stage a
+//! fresh instance in a fresh simulated world per run (`lp_kernels::world`
+//! and `stage`), launch the baseline and the LP variants of a workload,
+//! and report overheads plus the model's cost breakdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,7 @@ mod measure;
 mod report;
 
 use cli::{Args, Failure};
-use measure::{geometric_mean, measure_configs, GeoMean, Sweep, World};
+use measure::{geometric_mean, measure_configs, GeoMean, Sweep};
 use report::{fmt_overhead, fmt_slowdown, Table};
 
 pub use driver::{lint_main, lp_main};

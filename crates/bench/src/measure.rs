@@ -3,54 +3,11 @@
 use crate::cli::{Args, Failure};
 use crate::report::Table;
 use gpu_lp::table::TableStatsSnapshot;
-use gpu_lp::{LpConfig, LpRuntime};
-use lp_kernels::{workload_by_name, Scale, Workload, WORKLOAD_NAMES};
-use megakv::app::OpKind;
-use megakv::MegaKv;
-use nvm::{NvmConfig, PersistMemory};
+use gpu_lp::LpConfig;
+use lp_kernels::{stage, stage_baseline, world, Scale, Subject, Workload, WORKLOAD_NAMES};
+use nvm::NvmConfig;
 use serde::{Deserialize, Serialize};
-use simt::{DeviceConfig, Gpu, LaunchStats};
-
-/// A fresh simulated machine (device + memory) for one run.
-#[derive(Debug)]
-pub(crate) struct World {
-    /// The simulated GPU.
-    pub gpu: Gpu,
-    /// The simulated persistent memory.
-    pub mem: PersistMemory,
-}
-
-impl World {
-    /// Builds a world from device/memory configurations.
-    pub(crate) fn new(dev: DeviceConfig, nvm: NvmConfig) -> Self {
-        World {
-            gpu: Gpu::new(dev),
-            mem: PersistMemory::new(nvm),
-        }
-    }
-
-    /// The default measurement world: V100 device, paper NVM cache model.
-    pub(crate) fn default_world() -> Self {
-        Self::new(DeviceConfig::v100(), NvmConfig::default())
-    }
-
-    /// The §VII-3 world: NVM-grade bandwidth.
-    pub(crate) fn nvm_world() -> Self {
-        Self::new(DeviceConfig::v100_nvm(), NvmConfig::paper_nvm())
-    }
-
-    /// A world whose cache is small enough (`cache_lines` lines,
-    /// `associativity` ways) that natural evictions — LP's persistence
-    /// mechanism — happen within even a test-scale run.
-    pub(crate) fn small_cache(dev: DeviceConfig, cache_lines: usize, associativity: usize) -> Self {
-        let nvm = NvmConfig {
-            cache_lines,
-            associativity,
-            ..NvmConfig::default()
-        };
-        Self::new(dev, nvm)
-    }
-}
+use simt::{DeviceConfig, LaunchStats};
 
 /// The result of one baseline-vs-LP comparison.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,51 +48,33 @@ impl Measurement {
     }
 }
 
-/// Stages `w`'s inputs in `mem` and sets up an LP runtime sized for its
-/// launch.
-pub(crate) fn setup_lp(
-    mem: &mut PersistMemory,
-    w: &mut dyn Workload,
-    config: &LpConfig,
-) -> LpRuntime {
-    w.setup(mem);
-    let lc = w.launch_config();
-    LpRuntime::setup(mem, lc.num_blocks(), lc.threads_per_block(), config.clone())
-}
-
-/// Measures one workload at `scale` under each of `configs`: one
-/// uninstrumented baseline run, then one LP run per config, every run in a
-/// fresh world on identical inputs (same seed).
-///
-/// # Panics
-///
-/// Panics on a name `workload_by_name` does not know; the experiments
-/// validate `--workload` before they get here.
+/// Measures the workload `build` makes under each of `configs`: one
+/// uninstrumented baseline run, then one LP run per config, every run on a
+/// fresh instance in a fresh world — the V100 over the paper's 6 MiB
+/// cache, or under `nvm_mode` its §VII-3 NVM-bandwidth variant.
 pub(crate) fn measure_configs(
-    name: &str,
-    scale: Scale,
-    seed: u64,
+    build: &dyn Fn() -> Box<dyn Workload>,
     nvm_mode: bool,
     configs: &[LpConfig],
 ) -> Vec<Measurement> {
     // One verified run in a fresh world: under `config`, or the
     // uninstrumented baseline for `None`.
     let run = |config: Option<&LpConfig>| {
-        let World { gpu, mut mem } = if nvm_mode {
-            World::nvm_world()
+        let dev = if nvm_mode {
+            DeviceConfig::v100_nvm()
         } else {
-            World::default_world()
+            DeviceConfig::v100()
         };
-        let mut w = workload_by_name(name, scale, seed).expect("unknown workload");
+        let cache = NvmConfig::default();
+        let (gpu, mut mem) = world(dev, cache.cache_lines, cache.associativity);
+        let mut w = build();
         let rt = match config {
-            Some(config) => Some(setup_lp(&mut mem, w.as_mut(), config)),
+            Some(config) => Some(stage(w.as_mut(), &gpu, &mut mem, config)),
             None => {
-                w.setup(&mut mem);
+                stage_baseline(w.as_mut(), &gpu, &mut mem);
                 None
             }
         };
-        mem.flush_all();
-        mem.reset_stats();
         let stats = gpu
             .launch(w.kernel(rt.as_ref()).as_ref(), &mut mem)
             .expect("launch");
@@ -143,7 +82,8 @@ pub(crate) fn measure_configs(
         let nvm = mem.stats();
         assert!(
             w.verify(&mut mem),
-            "{name}: {} verification failed",
+            "{}: {} verification failed",
+            w.info().name,
             if rt.is_some() { "LP" } else { "baseline" }
         );
         (w, stats, nvm, rt)
@@ -171,50 +111,18 @@ pub(crate) fn measure_configs(
         .collect()
 }
 
-/// [`measure_configs`] for a single config.
+/// [`measure_configs`] for one subject and a single config.
 pub fn measure_workload(
-    name: &str,
+    subject: &Subject,
     scale: Scale,
     seed: u64,
     config: &LpConfig,
     nvm_mode: bool,
 ) -> Measurement {
-    measure_configs(name, scale, seed, nvm_mode, std::slice::from_ref(config))
+    let build = || (subject.build)(scale, seed);
+    measure_configs(&build, nvm_mode, std::slice::from_ref(config))
         .pop()
         .expect("one config in, one measurement out")
-}
-
-/// Kernel time of one MEGA-KV batch of `op` without LP and under
-/// `config`, each in a fresh default world on identical streams, and the
-/// overhead between them: `(baseline ns, LP ns, overhead)`. Search and
-/// delete operate on a populated store, so the inserts run first
-/// (uninstrumented) and are persisted, like the pipeline warm-up would.
-pub(crate) fn measure_megakv(
-    scale: Scale,
-    seed: u64,
-    op: OpKind,
-    config: &LpConfig,
-) -> (f64, f64, f64) {
-    let run = |config: Option<&LpConfig>| {
-        let World { gpu, mut mem } = World::default_world();
-        let app = MegaKv::new(&mut mem, megakv_records(scale), seed);
-        if op != OpKind::Insert {
-            app.run(&gpu, &mut mem, OpKind::Insert, None);
-            mem.flush_all();
-        }
-        let rt = config.map(|c| app.lp_runtime(&mut mem, op, c.clone()));
-        app.run(&gpu, &mut mem, op, rt.as_ref()).kernel_ns
-    };
-    let (base_ns, lp_ns) = (run(None), run(Some(config)));
-    (base_ns, lp_ns, lp_ns / base_ns - 1.0)
-}
-
-/// Records per MEGA-KV batch (§VII-4: "insert, search & delete 16K recs").
-pub(crate) fn megakv_records(scale: Scale) -> usize {
-    match scale {
-        Scale::Test => 2_048,
-        Scale::Bench | Scale::Paper => 16_384,
-    }
 }
 
 /// The `Geo Mean` row of a [`Sweep`].
@@ -254,25 +162,24 @@ pub(crate) struct Sweep<'a> {
 impl Sweep<'_> {
     /// Measures, prints the table and, under `--json`, the rows.
     pub(crate) fn run(&self, args: &Args) -> Result<(), Failure> {
-        let names = match args.workload_in(&WORKLOAD_NAMES)? {
-            Some(w) => vec![w],
-            None => self.workloads.to_vec(),
-        };
+        let subjects = args.workloads(&WORKLOAD_NAMES, self.workloads)?;
 
         println!("{}\n", self.title);
         let header: Vec<&str> = [&["Benchmark"], self.header].concat();
         let mut table = Table::new(&header);
         let mut samples: Vec<Vec<f64>> = Vec::new();
         let mut json_rows = Vec::new();
-        for &name in &names {
-            let m = measure_configs(name, args.scale, args.seed, self.nvm_mode, self.configs);
+        for subject in &subjects {
+            let name = subject.name;
+            let build = || (subject.build)(args.scale, args.seed);
+            let m = measure_configs(&build, self.nvm_mode, self.configs);
             table.row(&[vec![name.to_string()], (self.cells)(&m)].concat());
             if let Some(geomean) = self.geomean {
                 samples.push((geomean.values)(&m));
             }
             json_rows.push((self.json)(name, &m));
         }
-        if let (Some(geomean), true) = (self.geomean, names.len() > 1) {
+        if let (Some(geomean), true) = (self.geomean, subjects.len() > 1) {
             let means: Vec<f64> = (0..samples[0].len())
                 .map(|col| geometric_mean(&samples.iter().map(|s| s[col]).collect::<Vec<_>>()))
                 .collect();
@@ -304,6 +211,7 @@ pub(crate) fn geometric_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lp_kernels::subject;
 
     #[test]
     fn geomean_basics() {
@@ -313,7 +221,8 @@ mod tests {
 
     #[test]
     fn measure_tmm_recommended_is_cheap() {
-        let m = measure_workload("TMM", Scale::Test, 1, &LpConfig::recommended(), false);
+        let tmm = subject("TMM").unwrap();
+        let m = measure_workload(tmm, Scale::Test, 1, &LpConfig::recommended(), false);
         assert!(m.slowdown >= 1.0, "LP cannot be faster than baseline");
         assert!(
             m.overhead < 0.5,
@@ -325,7 +234,8 @@ mod tests {
 
     #[test]
     fn measure_reports_space_and_write_amp() {
-        let m = measure_workload("HISTO", Scale::Test, 1, &LpConfig::recommended(), false);
+        let histo = subject("HISTO").unwrap();
+        let m = measure_workload(histo, Scale::Test, 1, &LpConfig::recommended(), false);
         assert!(m.space_overhead() > 0.0);
         assert!(m.write_amplification() >= 1.0);
         assert!(

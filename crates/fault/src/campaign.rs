@@ -13,9 +13,9 @@
 use crate::shrink::{shrink, ShrinkOutcome};
 use crate::site::CrashSite;
 use crate::stats::{percentiles, Percentiles};
-use crate::trial::{run_trial, TrialId, TrialResult, CONFIG_NAMES, SUBJECT_NAMES};
+use crate::trial::{run_trial, TrialId, TrialResult, CONFIG_NAMES};
 use gpu_lp::BackendKind;
-use lp_kernels::Scale;
+use lp_kernels::{subject, Scale, SUBJECT_NAMES};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,7 +26,8 @@ use std::time::Duration;
 pub struct CampaignSpec {
     /// Problem-size preset for every trial.
     pub scale: Scale,
-    /// Subject names ([`SUBJECT_NAMES`] by default).
+    /// Subject names ([`SUBJECT_NAMES`] by default), in any spelling
+    /// [`lp_kernels::subject`] resolves.
     pub workloads: Vec<String>,
     /// Config names resolvable by [`crate::trial_config`].
     pub configs: Vec<String>,
@@ -88,6 +89,12 @@ impl CampaignSpec {
     /// Like [`enumerate`](Self::enumerate), but also returns the prune
     /// ledger: one record per (cell, dropped site) with the representative
     /// trial that covers it. Empty unless `prune` is set.
+    ///
+    /// Every trial and record carries its subject's canonical name,
+    /// whatever spelling the spec used, so labels, tallies and the ledger
+    /// do not depend on it. A name the subject table does not know is kept
+    /// as given: its trials fail with `unknown workload` as their detail
+    /// (see [`run_trial`]) instead of vanishing from the report.
     pub fn enumerate_explained(&self) -> (Vec<TrialId>, Vec<PruneRecord>) {
         let mut all = Vec::new();
         let mut ledger = Vec::new();
@@ -96,6 +103,8 @@ impl CampaignSpec {
         let mut cache: BTreeMap<(String, BackendKind), crate::prune::PruneOutcome> =
             BTreeMap::new();
         for workload in &self.workloads {
+            let workload =
+                &subject(workload).map_or_else(|| workload.clone(), |s| s.name.to_string());
             for config in &self.configs {
                 for &backend in &self.backends {
                     for &seed in &self.seeds {
@@ -403,6 +412,52 @@ mod tests {
         assert_eq!(spec.enumerate().len(), 11 * 2 * 2 * 26);
         spec.backends = BackendKind::ALL.to_vec();
         assert_eq!(spec.enumerate().len(), 11 * 2 * 4 * 2 * 26);
+    }
+
+    #[test]
+    fn every_spelling_of_a_subject_enumerates_the_same_campaign() {
+        // Regression: the name resolvers used to disagree on case and
+        // aliases, so "spmv" lost the footprint family (20 prune records
+        // for SPMV's 28) and "MRIQ" enumerated trials that all panicked.
+        let enumerate = |name: &str| {
+            let spec = CampaignSpec {
+                workloads: vec![name.to_string()],
+                prune: true,
+                ..CampaignSpec::default_sweep(Scale::Test)
+            };
+            let (ids, ledger) = spec.enumerate_explained();
+            let labels: Vec<String> = ids.iter().map(TrialId::label).collect();
+            let ledger: Vec<String> = ledger
+                .iter()
+                .map(|r| format!("{}/{}/{:?}", r.workload, r.config, r.decision))
+                .collect();
+            (labels, ledger)
+        };
+        for (canonical, spellings) in [("SPMV", ["spmv", "Spmv"]), ("MRI-Q", ["MRIQ", "mri-q"])] {
+            let want = enumerate(canonical);
+            assert!(want.0.iter().all(|l| l.starts_with(canonical)));
+            assert!(
+                want.1.iter().any(|r| r.contains("footprint")),
+                "{canonical}"
+            );
+            for spelling in spellings {
+                assert_eq!(enumerate(spelling), want, "{spelling}");
+            }
+        }
+        // A name the table does not know still shows up, as failures.
+        let spec = CampaignSpec {
+            workloads: vec!["NO-SUCH".to_string()],
+            sites: vec![CrashSite::BetweenKernels],
+            prune: true,
+            max_shrinks: 0,
+            ..CampaignSpec::default_sweep(Scale::Test)
+        };
+        let report = run_campaign(&spec, |_, _| {});
+        assert_eq!((report.trials, report.passed), (4, 0));
+        assert!(report
+            .failures
+            .iter()
+            .all(|f| f.result.detail == "unknown workload \"NO-SUCH\""));
     }
 
     #[test]

@@ -60,5 +60,5 @@ pub use soak::{run_soak, soak_world, CrashMode, CycleRecord, SoakReport, SoakSpe
 pub use stats::{percentiles, Percentiles};
 pub use trial::{
     device_fault_config, fault_world, run_trial, trial_config, TrialConfig, TrialId, TrialResult,
-    CONFIG_NAMES, SABOTAGE_CONFIG, SUBJECT_NAMES,
+    CONFIG_NAMES, SABOTAGE_CONFIG,
 };

@@ -20,15 +20,13 @@
 //! pruned pairs at sampled scale to assert the verdicts really match.
 
 use crate::site::CrashSite;
-use crate::trial::{megakv_records, subject_kind, SubjectKind, TrialId};
+use crate::trial::TrialId;
 use gpu_lp::BackendKind;
 use lp_directive::analysis::footprint::source_footprints;
 use lp_directive::analysis::relevance::{
     block_boundary_after_blocks, contract_site_facts, SiteFact,
 };
-use lp_kernels::{workload_by_name, Scale};
-use megakv::app::OpKind;
-use megakv::kernels::OPS_PER_BLOCK;
+use lp_kernels::{subject, Scale};
 use serde::{Deserialize, Serialize};
 
 /// One pruned site and the evidence for dropping it.
@@ -53,24 +51,10 @@ pub struct PruneOutcome {
 
 /// The launch block count of `workload` at `scale` — the same geometry the
 /// injector reads off the built kernel, derived here without building the
-/// world (workload block counts are fixed at construction; MEGA-KV batch
-/// sizes are pure functions of the record count).
+/// world (a workload's launch geometry is fixed at construction).
 pub fn subject_num_blocks(workload: &str, scale: Scale, seed: u64) -> Option<u64> {
-    match subject_kind(workload)? {
-        SubjectKind::Suite(name) => Some(
-            workload_by_name(&name, scale, seed)?
-                .launch_config()
-                .num_blocks(),
-        ),
-        SubjectKind::Kv(op) => {
-            let records = megakv_records(scale) as u64;
-            let batch = match op {
-                OpKind::Insert | OpKind::Search => records,
-                OpKind::Delete => records.div_ceil(2),
-            };
-            Some(batch.div_ceil(u64::from(OPS_PER_BLOCK)))
-        }
-    }
+    let w = (subject(workload)?.build)(scale, seed);
+    Some(w.launch_config().num_blocks())
 }
 
 /// The static store-footprint certificate of one subject's kernel, read
@@ -97,32 +81,17 @@ impl SubjectFootprint {
     }
 }
 
-/// The annotated clean-twin source and kernel name for each campaign
-/// subject — the same corpus `lpcuda-lint --fixtures` checks, embedded so
-/// the pruner's footprint facts come from sources the lint CI keeps clean.
-/// The clean static twin of a campaign subject: the `.cu` source the
-/// footprint engine analyses in place of the Rust kernel, plus the kernel
-/// name inside it. Public so the differential tests can re-derive the
-/// byte-level claims a certificate rests on and check them against a
-/// dynamically observed launch.
+/// The clean static twin of a campaign subject: the annotated `.cu` source
+/// the footprint engine analyses in place of the Rust kernel — from the
+/// corpus `lpcuda-lint --fixtures` keeps clean — plus the kernel name
+/// inside it, as the subject table names them. Public so the differential
+/// tests can re-derive the byte-level claims a certificate rests on and
+/// check them against a dynamically observed launch.
 pub fn subject_twin(workload: &str) -> Option<(&'static str, &'static str)> {
-    const TWINS: [(&str, &str, &str); 11] = [
-        ("TPACF", "clean/tpacf.cu", "tpacf"),
-        ("HISTO", "clean/histo.cu", "histo"),
-        ("CUTCP", "clean/cutcp.cu", "cutcp"),
-        ("MRI-Q", "clean/mriq.cu", "mriq"),
-        ("SPMV", "clean/spmv.cu", "spmv_csr"),
-        ("TMM", "clean/tmm.cu", "tmm"),
-        ("MRI-GRIDDING", "clean/mrigridding.cu", "gridding"),
-        ("SAD", "clean/sad.cu", "sad"),
-        ("MEGAKV-INSERT", "clean/megakv.cu", "kv_insert"),
-        ("MEGAKV-SEARCH", "clean/megakv.cu", "kv_search"),
-        ("MEGAKV-DELETE", "clean/megakv.cu", "kv_delete"),
-    ];
-    let (_, file, kernel) = TWINS.iter().find(|(name, _, _)| *name == workload)?;
+    let (file, kernel) = subject(workload)?.twin;
     let (_, src) = lp_directive::fixtures::CLEAN
         .iter()
-        .find(|(name, _)| name == file)?;
+        .find(|(name, _)| *name == file)?;
     Some((src, kernel))
 }
 
@@ -271,35 +240,6 @@ pub fn representative_trial(id: &TrialId, decision: &PruneDecision) -> TrialId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geometry_matches_the_built_kernels_for_every_subject() {
-        use crate::trial::SUBJECT_NAMES;
-        // The static geometry must agree with what the injector will see;
-        // spot-check the table the pruning math depends on.
-        let expect = [
-            ("TPACF", 8),
-            ("HISTO", 8),
-            ("CUTCP", 8),
-            ("MRI-Q", 16),
-            ("SPMV", 16),
-            ("TMM", 64),
-            ("MRI-GRIDDING", 64),
-            ("SAD", 128),
-            ("MEGAKV-INSERT", 4),
-            ("MEGAKV-SEARCH", 4),
-            ("MEGAKV-DELETE", 2),
-        ];
-        for (name, blocks) in expect {
-            assert!(SUBJECT_NAMES.contains(&name));
-            assert_eq!(
-                subject_num_blocks(name, Scale::Test, 1),
-                Some(blocks),
-                "{name}"
-            );
-        }
-        assert_eq!(subject_num_blocks("NOT-A-SUBJECT", Scale::Test, 1), None);
-    }
 
     #[test]
     fn contract_facts_prune_switch_and_zero_checkpoint_sites() {

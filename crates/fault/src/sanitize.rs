@@ -9,8 +9,8 @@
 //! miss: a kernel that races or skips the checksum can pass every crash
 //! trial by luck and still lose data in the field.
 
-use crate::trial::{subject_kind, trial_config};
-use lp_kernels::Scale;
+use crate::trial::trial_config;
+use lp_kernels::{subject, Scale};
 use lp_sanitizer::{sanitize_launch_exempt, SanitizerReport};
 use serde::{Deserialize, Serialize};
 use simt::{AccessObserver, LaunchStats};
@@ -18,7 +18,7 @@ use simt::{AccessObserver, LaunchStats};
 /// One sanitized, crash-free execution of a campaign subject.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SanitizeRecord {
-    /// Subject name from [`crate::SUBJECT_NAMES`].
+    /// Subject name from [`lp_kernels::SUBJECT_NAMES`].
     pub workload: String,
     /// LP design point from [`crate::CONFIG_NAMES`].
     pub config: String,
@@ -44,10 +44,10 @@ pub fn sanitize_subject(
     scale: Scale,
     seed: u64,
 ) -> Option<(LaunchStats, SanitizerReport)> {
-    let kind = subject_kind(workload)?;
+    let subject = subject(workload)?;
     let cfg = trial_config(config)?;
     Some(crate::trial::with_instance(
-        &kind,
+        subject,
         scale,
         seed,
         &cfg.lp,
@@ -91,10 +91,10 @@ pub fn observe_subject(
     seed: u64,
     observer: &mut dyn AccessObserver,
 ) -> Option<ObservedSubject> {
-    let kind = subject_kind(workload)?;
+    let subject = subject(workload)?;
     let cfg = trial_config(config)?;
     Some(crate::trial::with_instance(
-        &kind,
+        subject,
         scale,
         seed,
         &cfg.lp,
@@ -142,7 +142,8 @@ pub fn sanitize_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::{CONFIG_NAMES, SUBJECT_NAMES};
+    use crate::trial::CONFIG_NAMES;
+    use lp_kernels::SUBJECT_NAMES;
 
     #[test]
     fn unknown_names_yield_none() {

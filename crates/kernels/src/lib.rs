@@ -1,6 +1,8 @@
-//! Benchmark kernels for the Lazy Persistency study: tiled matrix multiply
-//! plus the seven Parboil kernels of Table I, each with a baseline and an
-//! LP-instrumented variant behind a single code path.
+//! The subjects of the Lazy Persistency study: tiled matrix multiply plus
+//! the seven Parboil kernels of Table I, and §VII-4's three MEGA-KV batch
+//! operations, each with a baseline and an LP-instrumented variant behind
+//! a single code path. [`SUBJECTS`] is the one table of them; [`world`] and
+//! [`stage`] are the one way to put any of them on a simulated machine.
 //!
 //! Every workload follows the same contract ([`Workload`]):
 //!
@@ -25,15 +27,19 @@
 pub mod common;
 pub mod cutcp;
 pub mod histo;
+pub mod kv;
 pub mod mri_gridding;
 pub mod mri_q;
 pub mod sad;
 pub mod spmv;
-pub mod suite;
-pub mod testkit;
+pub mod subject;
 pub mod tmm;
 pub mod tpacf;
 pub mod workload;
 
-pub use suite::{all_workloads, workload_by_name, WORKLOAD_NAMES};
-pub use workload::{Bottleneck, LpKernel, Scale, Workload, WorkloadInfo};
+pub use kv::KvBatch;
+pub use subject::{
+    all_workloads, stage, stage_baseline, subject, test_world, workload_by_name, world, Subject,
+    SUBJECTS, SUBJECT_NAMES, WORKLOAD_NAMES,
+};
+pub use workload::{Bottleneck, Scale, Workload, WorkloadInfo};

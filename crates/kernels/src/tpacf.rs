@@ -7,7 +7,7 @@
 //! on the host — same privatisation argument as HISTO.
 
 use crate::common::{self, rng};
-use crate::workload::{Bottleneck, LpKernel, Scale, Workload, WorkloadInfo};
+use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
@@ -118,7 +118,7 @@ impl Workload for Tpacf {
         }
     }
 
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn LpKernel + 'a> {
+    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(TpacfKernel { w: self, lp })
     }
 
@@ -228,27 +228,6 @@ impl Recoverable for TpacfKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit;
-
-    #[test]
-    fn baseline_matches_reference() {
-        testkit::assert_baseline_correct(&mut Tpacf::new(Scale::Test, 1));
-    }
-
-    #[test]
-    fn lp_variant_matches_reference() {
-        testkit::assert_lp_correct(&mut Tpacf::new(Scale::Test, 2));
-    }
-
-    #[test]
-    fn crash_recovery_restores_output() {
-        testkit::assert_crash_recovery(&mut Tpacf::new(Scale::Test, 3), 100);
-    }
-
-    #[test]
-    fn clean_run_validates_clean() {
-        testkit::assert_clean_validation(&mut Tpacf::new(Scale::Test, 4));
-    }
 
     #[test]
     fn bins_cover_range() {

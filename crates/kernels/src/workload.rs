@@ -3,7 +3,7 @@
 use gpu_lp::{LpRuntime, Recoverable};
 use nvm::PersistMemory;
 use serde::{Deserialize, Serialize};
-use simt::LaunchConfig;
+use simt::{Gpu, LaunchConfig};
 
 /// The performance bottleneck class of a benchmark (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,19 +41,15 @@ pub enum Scale {
     Paper,
 }
 
-/// A Lazy-Persistency-capable kernel: a [`simt::Kernel`] that also knows
-/// how to recompute its per-block checksums for crash recovery.
-pub trait LpKernel: Recoverable {}
-
-impl<T: Recoverable + ?Sized> LpKernel for T {}
-
 /// A benchmark workload: input generation, kernel construction, and
 /// verification.
 ///
-/// Lifecycle: `setup(&mut mem)` (once), then any number of
-/// `kernel(lp)`-launches; `verify(&mut mem)` checks the device output
-/// against the CPU reference. Between repeated launches callers reset the
-/// output region with [`Workload::reset_output`] so runs are independent.
+/// Lifecycle: `setup(&mut mem)` (once), `warm_up(&gpu, &mut mem)`, then any
+/// number of `kernel(lp)`-launches; `verify(&mut mem)` checks the device
+/// output against the CPU reference. [`crate::stage`] runs the first two
+/// and everything else a measured launch needs. Between repeated launches
+/// callers reset the output region with [`Workload::reset_output`] so runs
+/// are independent.
 pub trait Workload {
     /// Static description.
     fn info(&self) -> WorkloadInfo;
@@ -63,13 +59,21 @@ pub trait Workload {
     /// called exactly once before `kernel`.
     fn setup(&mut self, mem: &mut PersistMemory);
 
-    /// Launch geometry (valid after `setup`).
+    /// Brings device state to where the measured launch starts from, after
+    /// `setup` and before the LP runtime exists. Only MEGA-KV's search and
+    /// delete batches need it (they run against a populated, durable
+    /// store); the default does nothing.
+    fn warm_up(&self, _gpu: &Gpu, _mem: &mut PersistMemory) {}
+
+    /// Launch geometry: a function of the constructor's arguments alone,
+    /// so it is valid before `setup` too.
     fn launch_config(&self) -> LaunchConfig;
 
-    /// Builds the kernel. `lp = None` is the uninstrumented baseline;
-    /// `lp = Some(rt)` routes every persistent store through an
+    /// Builds the kernel (a [`simt::Kernel`] that can also recompute its
+    /// per-block checksums for recovery). `lp = None` is the uninstrumented
+    /// baseline; `lp = Some(rt)` routes every persistent store through an
     /// [`gpu_lp::LpBlockSession`].
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn LpKernel + 'a>;
+    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a>;
 
     /// Zeroes the output region (for back-to-back measurement runs).
     fn reset_output(&self, mem: &mut PersistMemory);
@@ -80,16 +84,6 @@ pub trait Workload {
 
     /// Checks the device output against the CPU reference.
     fn verify(&self, mem: &mut PersistMemory) -> bool;
-}
-
-/// Number of thread blocks a workload launches.
-pub fn num_blocks(w: &dyn Workload) -> u64 {
-    w.launch_config().num_blocks()
-}
-
-/// Threads per block of a workload.
-pub fn threads_per_block(w: &dyn Workload) -> u64 {
-    w.launch_config().threads_per_block()
 }
 
 #[cfg(test)]

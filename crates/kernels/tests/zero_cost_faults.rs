@@ -5,31 +5,17 @@
 //! paths (fill, write-back, eviction), so any accidental PRNG draw or
 //! reordering on the zero-rate path shows up here as a stats mismatch.
 
-use gpu_lp::{LpConfig, LpRuntime};
-use lp_kernels::{workload_by_name, Scale, WORKLOAD_NAMES};
-use nvm::{FaultConfig, NvmConfig, NvmStats, PersistMemory};
-use simt::{DeviceConfig, Gpu};
+use gpu_lp::LpConfig;
+use lp_kernels::{stage, workload_by_name, world, Scale, WORKLOAD_NAMES};
+use nvm::{FaultConfig, NvmStats};
+use simt::DeviceConfig;
 
 /// Runs `name` to completion (launch + checkpoint flush) and returns the
 /// final stats plus a durability check.
 fn run_suite_workload(name: &str, faults: Option<FaultConfig>) -> (NvmStats, bool) {
-    let gpu = Gpu::new(DeviceConfig::test_gpu());
-    let mut mem = PersistMemory::new(NvmConfig {
-        cache_lines: 256,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
     let mut w = workload_by_name(name, Scale::Test, 7).expect("known workload");
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
-    mem.flush_all();
-    mem.reset_stats();
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
     mem.set_fault_config(faults);
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).expect("launch");

@@ -30,23 +30,15 @@
 //! fault campaign's pruning consults it.
 
 use gpu_lp::{LpConfig, LpRuntime};
+use lp_kernels::test_world as world;
 use lp_sanitizer::fixtures::{
     AtomicPlainMixFixture, CrossBlockWriteFixture, MissingSyncFixture, UncoveredStoreFixture,
 };
 use lp_sanitizer::{sanitize_launch, Finding, SanitizerReport};
-use nvm::{NvmConfig, PersistMemory};
-use simt::{DeviceConfig, Gpu, Kernel};
+use nvm::PersistMemory;
+use simt::{Gpu, Kernel};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-fn world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 512,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
-}
 
 fn directive_fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../directive/tests/fixtures")
@@ -66,8 +58,9 @@ fn dynamic_report(kernel: &dyn Kernel, mem: &mut PersistMemory, gpu: &Gpu) -> Sa
     report
 }
 
-#[test]
-fn uncovered_store_is_caught_by_both_sides() {
+/// The sanitizer's report on `UncoveredStoreFixture` (4 blocks × 8 threads
+/// under the recommended LP config).
+fn uncovered_store_report() -> SanitizerReport {
     let (gpu, mut mem) = world();
     let (blocks, tpb) = (4u32, 8u32);
     let out = mem.alloc(u64::from(blocks * tpb) * 4, 4);
@@ -83,7 +76,12 @@ fn uncovered_store_is_caught_by_both_sides() {
         blocks,
         tpb,
     };
-    let report = dynamic_report(&fixture, &mut mem, &gpu);
+    dynamic_report(&fixture, &mut mem, &gpu)
+}
+
+#[test]
+fn uncovered_store_is_caught_by_both_sides() {
+    let report = uncovered_store_report();
     assert!(
         report.count_for_pass("coverage") > 0,
         "dynamic side missed the uncovered store:\n{report}"
@@ -160,22 +158,7 @@ fn helper_escape_is_coverage_dynamically_and_lp016_statically() {
     // Dynamic side: the coverage pass has no notion of source functions —
     // an uncovered store is flagged whether the kernel or a helper issued
     // it. `UncoveredStoreFixture` stands in for the hazard class.
-    let (gpu, mut mem) = world();
-    let (blocks, tpb) = (4u32, 8u32);
-    let out = mem.alloc(u64::from(blocks * tpb) * 4, 4);
-    let rt = LpRuntime::setup(
-        &mut mem,
-        u64::from(blocks),
-        u64::from(tpb),
-        LpConfig::recommended(),
-    );
-    let fixture = UncoveredStoreFixture {
-        lp: &rt,
-        out,
-        blocks,
-        tpb,
-    };
-    let report = dynamic_report(&fixture, &mut mem, &gpu);
+    let report = uncovered_store_report();
     assert!(
         report.count_for_pass("coverage") > 0,
         "dynamic side missed the uncovered-store hazard class:\n{report}"

@@ -7,36 +7,19 @@
 //! perturb the simulated timing results.
 
 use gpu_lp::{LpConfig, LpRuntime};
-use lp_kernels::{all_workloads, Scale, Workload};
+use lp_kernels::{all_workloads, stage, test_world as world, Scale, Workload};
 use lp_sanitizer::fixtures::{MissingSyncFixture, UncoveredStoreFixture};
 use lp_sanitizer::{sanitize_launch, sanitize_launch_exempt, Finding, SanitizerReport};
-use nvm::{NvmConfig, PersistMemory};
 use proptest::prelude::*;
-use simt::{DeviceConfig, Gpu, LaunchStats};
+use simt::LaunchStats;
 
-/// Same small-cache world the kernel testkit uses: evictions happen early,
-/// which is the regime both LP and the coverage pass care about.
-fn world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 512,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
-}
-
-/// Runs one workload under the sanitizer with the recommended LP config and
-/// returns the (stats, report) pair.
+/// Runs one workload under the sanitizer with the recommended LP config, in
+/// the small-cache test world (evictions happen early, which is
+/// the regime both LP and the coverage pass care about), and returns the
+/// (stats, report) pair.
 fn sanitize_workload(w: &mut dyn Workload) -> (LaunchStats, SanitizerReport) {
     let (gpu, mut mem) = world();
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
+    let rt = stage(w, &gpu, &mut mem, &LpConfig::recommended());
     let kernel = w.kernel(Some(&rt));
     sanitize_launch_exempt(&gpu, kernel.as_ref(), &mut mem, &rt.table_ranges())
         .expect("sanitized launch failed")
@@ -82,14 +65,7 @@ fn observation_does_not_perturb_simulated_timing() {
             let name = a.info().name;
             let plain = {
                 let (gpu, mut mem) = world();
-                a.setup(&mut mem);
-                let lc = a.launch_config();
-                let rt = LpRuntime::setup(
-                    &mut mem,
-                    lc.num_blocks(),
-                    lc.threads_per_block(),
-                    LpConfig::recommended(),
-                );
+                let rt = stage(a.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
                 let kernel = a.kernel(Some(&rt));
                 gpu.launch(kernel.as_ref(), &mut mem)
                     .expect("launch failed")

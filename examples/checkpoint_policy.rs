@@ -10,30 +10,18 @@
 use lpgpu::gpu_lp::checkpoint::{
     availability, optimal_checkpoint_interval, CheckpointManager, CheckpointPolicy,
 };
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
-use lpgpu::lp_kernels::{workload_by_name, Scale};
-use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{DeviceConfig, Gpu};
+use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
+use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
+use lpgpu::simt::DeviceConfig;
 
 fn main() {
-    let gpu = Gpu::new(DeviceConfig::test_gpu());
-    let mut mem = PersistMemory::new(NvmConfig {
-        cache_lines: 256,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
 
     // An "iterative application": the same kernel launched repeatedly
     // (fresh output each round), checkpointed every 3 launches.
     let mut w = workload_by_name("SPMV", Scale::Test, 7).unwrap();
-    w.setup(&mut mem);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
     let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
     let mut ckpt = CheckpointManager::new(CheckpointPolicy::every(3));
 
     for round in 1..=7 {

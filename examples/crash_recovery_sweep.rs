@@ -8,13 +8,11 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery_sweep`
 
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
-use lpgpu::lp_kernels::{all_workloads, Scale};
-use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
+use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
+use lpgpu::lp_kernels::{all_workloads, stage, world, Scale};
+use lpgpu::simt::{CrashPlan, DeviceConfig};
 
 fn main() {
-    let gpu = Gpu::new(DeviceConfig::test_gpu());
     let crash_points = [0u64, 50, 500, 5_000, 50_000];
     let mut total_reexec = 0u64;
     let mut total_regions = 0u64;
@@ -22,19 +20,8 @@ fn main() {
     for point in crash_points {
         println!("== crash after {point} global stores ==");
         for mut w in all_workloads(Scale::Test, 7) {
-            let mut mem = PersistMemory::new(NvmConfig {
-                cache_lines: 256,
-                associativity: 8,
-                ..NvmConfig::default()
-            });
-            w.setup(&mut mem);
-            let lc = w.launch_config();
-            let rt = LpRuntime::setup(
-                &mut mem,
-                lc.num_blocks(),
-                lc.threads_per_block(),
-                LpConfig::recommended(),
-            );
+            let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
+            let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
             let kernel = w.kernel(Some(&rt));
 
             let outcome = gpu

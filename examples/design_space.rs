@@ -8,12 +8,20 @@
 //! Run with: `cargo run --release --example design_space [WORKLOAD]`
 
 use lpgpu::gpu_lp::{AtomicPolicy, LockPolicy, LpConfig, ReduceStrategy};
+use lpgpu::lp_kernels::Scale;
 
 fn main() {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "MRI-GRIDDING".to_string());
-    let scale = lpgpu::lp_kernels::Scale::Bench;
+    let Some(subject) = lpgpu::lp_kernels::subject(&name) else {
+        eprintln!(
+            "unknown workload {name:?} (one of {})",
+            lpgpu::lp_kernels::SUBJECT_NAMES.join(", ")
+        );
+        std::process::exit(2);
+    };
+    let name = subject.name;
 
     let points: Vec<(&str, LpConfig)> = vec![
         (
@@ -46,7 +54,7 @@ fn main() {
         "configuration", "overhead", "collisions", "atomics"
     );
     for (label, config) in points {
-        let m = lp_bench_measure(&name, scale, &config);
+        let m = lp_bench::measure_workload(subject, Scale::Bench, 42, &config, false);
         println!(
             "{:<42} {:>9.1}% {:>12} {:>12}",
             label,
@@ -58,12 +66,4 @@ fn main() {
     println!("\nthe paper's conclusion in one table: the hash-table-less global array");
     println!("with warp-shuffle reduction and no locks is the only configuration whose");
     println!("overhead stays in the low single digits at GPU thread-block counts.");
-}
-
-fn lp_bench_measure(
-    name: &str,
-    scale: lpgpu::lp_kernels::Scale,
-    config: &LpConfig,
-) -> lp_bench::Measurement {
-    lp_bench::measure_workload(name, scale, 42, config, false)
 }

@@ -5,19 +5,14 @@
 //! Run with: `cargo run --release --example megakv_store`
 
 use lpgpu::gpu_lp::LpConfig;
+use lpgpu::lp_kernels::world;
 use lpgpu::megakv::app::OpKind;
 use lpgpu::megakv::MegaKv;
-use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{DeviceConfig, Gpu};
+use lpgpu::simt::DeviceConfig;
 
 fn main() {
     let records = 8_192;
-    let gpu = Gpu::new(DeviceConfig::v100());
-    let mut mem = PersistMemory::new(NvmConfig {
-        cache_lines: 4096,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
+    let (gpu, mut mem) = world(DeviceConfig::v100(), 4096, 8);
     let app = MegaKv::new(&mut mem, records, 2026);
     println!(
         "store: {} buckets x {} slots",

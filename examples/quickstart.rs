@@ -5,8 +5,9 @@
 
 use lpgpu::gpu_lp::checksum::f32_store_image;
 use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
-use lpgpu::nvm::{Addr, NvmConfig, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, Gpu, Kernel, LaunchConfig};
+use lpgpu::lp_kernels::world;
+use lpgpu::nvm::{Addr, PersistMemory};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, Kernel, LaunchConfig};
 
 /// A toy kernel: `out[i] = sqrt(i) * 2`. Each thread block is one LP
 /// region; every store is folded into the block's checksums.
@@ -55,14 +56,9 @@ impl Recoverable for SqrtScale<'_> {
 
 fn main() {
     let n = 1 << 16;
-    let gpu = Gpu::new(DeviceConfig::v100());
-    // A small cache makes natural evictions (LP's persistence mechanism)
-    // visible quickly.
-    let mut mem = PersistMemory::new(NvmConfig {
-        cache_lines: 2048,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
+    // A V100 over a small (2048-line, 8-way) cache: natural evictions — LP's
+    // persistence mechanism — become visible quickly.
+    let (gpu, mut mem) = world(DeviceConfig::v100(), 2048, 8);
     let out = mem.alloc(4 * n, 8);
 
     // 1. Set up the LP runtime: the paper's recommended design — checksum

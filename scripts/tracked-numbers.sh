@@ -21,6 +21,19 @@ apps_lines_with() { { grep -rhF "${@:2}" -- "$1" crates/apps/src || true; } | wc
 non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 non_test_under() { local n=0 f; for f in $(find "$@" -name '*.rs'); do n=$((n + $(non_test "$f"))); done; echo "$n"; }
 
+# Own .rs files whose non-test source (not under a tests/ directory, before
+# the first top-level `#[cfg(test)]`) contains "SPMV" — the suite name every
+# subject table, default and name `match` spells, so the probe for hand-kept
+# ones. lp-kernels' table and the kernel's own `info()` are the floor of 2.
+suite_name_files() {
+  local n=0 f
+  for f in $(find crates src examples -name '*.rs' -not -path 'crates/vendor/*' -not -path '*/tests/*'); do
+    awk '/^#\[cfg\(test\)\]/ { exit } /"SPMV"/ { hit = 1; exit } END { exit !hit }' "$f" && n=$((n + 1))
+  done
+  echo "$n"
+}
+all_rs_lines_with() { { grep -rE --include='*.rs' --exclude-dir=vendor -- "$1" crates src tests examples || true; } | wc -l; }
+
 row() { printf '%-48s %s\n' "$1" "$2"; }
 row "rs lines under crates/ (vendor excluded):" "$(own -print0 | xargs -0 cat | wc -l)"
 row "pub fn:" "$(lines_with 'pub fn ')"
@@ -35,3 +48,6 @@ row "PersistMode mentions (crates src tests examples):" "$({ grep -rw PersistMod
 row "crates/core/src Mutex|RwLock lines:" "$({ grep -rh 'Mutex\|RwLock' crates/core/src || true; } | wc -l)"
 row "crates/core/src/region.rs lines (total / non-test):" "$(wc -l <crates/core/src/region.rs) / $(non_test crates/core/src/region.rs)"
 row "core+persist src non-test lines:" "$(non_test_under crates/core/src crates/persist/src)"
+row "files naming a suite workload in non-test source:" "$(suite_name_files)"
+row "'fn *world*(' definitions (crates src tests examples):" "$(all_rs_lines_with 'fn [a-z_]*world[a-z_]*\(')"
+row "'LpRuntime::setup(' call sites outside crates/core:" "$({ grep -rF --include='*.rs' 'LpRuntime::setup(' crates src tests examples || true; } | grep -vc '^crates/core/')"

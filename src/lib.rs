@@ -8,7 +8,8 @@
 //! * [`simt`] — deterministic SIMT GPU simulator with a timing model.
 //! * [`gpu_lp`] — the Lazy Persistency runtime (checksums, checksum tables,
 //!   reductions, recovery) — the paper's core contribution.
-//! * [`lp_kernels`] — the TMM + Parboil benchmark kernels.
+//! * [`lp_kernels`] — the subject table (TMM + Parboil kernels, MEGA-KV
+//!   batches) and the one way to stage a subject on a simulated machine.
 //! * [`megakv`] — a batched GPU key-value store (the paper's §VII-4 app).
 //! * [`lp_persist`] — the persistency-model spectrum: the
 //!   `PersistencyBackend` trait plus LP / eager / epoch / SBRP backends.

@@ -18,9 +18,9 @@
 use lpgpu::gpu_lp::{
     LpConfig, LpRuntime, PolicyConfig, PolicyMode, RegionSignals, ResilientRecovery,
 };
-use lpgpu::lp_kernels::{workload_by_name, Scale};
-use lpgpu::nvm::{Addr, BumpAllocator, NvmConfig, PersistMemory};
-use lpgpu::simt::{DeviceConfig, Gpu};
+use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
+use lpgpu::nvm::{Addr, BumpAllocator};
+use lpgpu::simt::DeviceConfig;
 use proptest::prelude::*;
 
 /// Where in the transition window the power dies.
@@ -51,31 +51,19 @@ struct Outcome {
     modes: Vec<PolicyMode>,
 }
 
-/// A small cache forces natural evictions at test scale, so the eviction
-/// trigger has cycles to land on (same scenario shape as E19).
-fn small_world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 32,
-        associativity: 4,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
-}
+/// Cache geometry (lines, ways) of both scenarios' machines: small enough
+/// to force natural evictions at test scale, so the eviction trigger has
+/// cycles to land on (same scenario shape as E19).
+const CACHE: (usize, usize) = (32, 4);
 
 /// Runs the transition-window scenario once: clean launch under all-LP,
 /// switch one region to `target`, relaunch, drain — with power dying at
 /// `at` — then recovers and returns the drained durable image.
 fn run_window(seed: u64, target: PolicyMode, at: CrashAt) -> Outcome {
-    let (gpu, mut mem) = small_world();
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), CACHE.0, CACHE.1);
     let mut w = workload_by_name("TMM", Scale::Test, seed).expect("known workload");
-    w.setup(&mut mem);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::adaptive());
     let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::adaptive(),
-    );
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
     mem.flush_all();
@@ -193,7 +181,7 @@ fn every_cycle_in_the_switch_window_recovers_to_one_contract() {
 /// Drives the E19-style crashy scenario and returns the committed switch
 /// schedule as `(step, region, from, to)` tuples.
 fn switch_schedule(seed: u64, launches: u64) -> Vec<(u64, u64, PolicyMode, PolicyMode)> {
-    let (gpu, mut mem) = small_world();
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), CACHE.0, CACHE.1);
     let lc = workload_by_name("TMM", Scale::Test, seed)
         .expect("known workload")
         .launch_config();

@@ -4,34 +4,24 @@
 
 use lpgpu::gpu_lp::checkpoint::{CheckpointManager, CheckpointPolicy};
 use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
-use lpgpu::lp_kernels::{workload_by_name, Scale};
-use lpgpu::nvm::{NvmConfig, PersistMemory};
+use lpgpu::lp_kernels::{stage, subject, world, Scale, Workload};
+use lpgpu::nvm::PersistMemory;
 use lpgpu::simt::{DeviceConfig, Gpu};
 
-fn world() -> (Gpu, PersistMemory) {
-    // Tiny cache: even a Test-scale kernel's dirty output exceeds it, so
-    // natural evictions are guaranteed mid-launch (the regime the
-    // between-checkpoints test needs).
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 16,
-        associativity: 4,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
+/// `name` at test scale, staged under the recommended config on a tiny
+/// (16-line) cache: even a Test-scale kernel's dirty output exceeds it, so
+/// natural evictions are guaranteed mid-launch (the regime the
+/// between-checkpoints test needs).
+fn staged(name: &str, seed: u64) -> (Gpu, PersistMemory, Box<dyn Workload>, LpRuntime) {
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 16, 4);
+    let mut w = (subject(name).expect("a suite name").build)(Scale::Test, seed);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
+    (gpu, mem, w, rt)
 }
 
 #[test]
 fn crash_right_after_checkpoint_needs_no_recovery() {
-    let (gpu, mut mem) = world();
-    let mut w = workload_by_name("HISTO", Scale::Test, 41).unwrap();
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
+    let (gpu, mut mem, w, rt) = staged("HISTO", 41);
     let mut ckpt = CheckpointManager::new(CheckpointPolicy::every_launch());
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
@@ -47,16 +37,8 @@ fn crash_right_after_checkpoint_needs_no_recovery() {
 
 #[test]
 fn crash_between_checkpoints_damages_only_the_suffix() {
-    let (gpu, mut mem) = world();
-    let mut w = workload_by_name("SPMV", Scale::Test, 42).unwrap();
-    w.setup(&mut mem);
+    let (gpu, mut mem, w, rt) = staged("SPMV", 42);
     let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
     let mut ckpt = CheckpointManager::new(CheckpointPolicy::every(2));
 
     // Launch 1: no checkpoint yet.

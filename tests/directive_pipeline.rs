@@ -3,11 +3,10 @@
 //! runtime computes.
 
 use lpgpu::gpu_lp::checksum::ChecksumSet;
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
+use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
 use lpgpu::lp_directive::{compile, ChecksumOp};
-use lpgpu::lp_kernels::{workload_by_name, Scale};
-use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
+use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
+use lpgpu::simt::{CrashPlan, DeviceConfig};
 
 const TMM_SOURCE: &str = r#"
 void host(dim3 grid, dim3 threads) {
@@ -46,17 +45,10 @@ fn compiled_plan_drives_the_runtime() {
 
     // Drive the actual TMM workload with the directive-derived config and
     // complete a crash/recovery cycle.
-    let gpu = Gpu::new(DeviceConfig::test_gpu());
-    let mut mem = PersistMemory::new(NvmConfig {
-        cache_lines: 256,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
     let mut w = workload_by_name("TMM", Scale::Test, 99).unwrap();
-    w.setup(&mut mem);
-    let lc = w.launch_config();
     let config = LpConfig::recommended().with_checksums(set);
-    let rt = LpRuntime::setup(&mut mem, lc.num_blocks(), lc.threads_per_block(), config);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &config);
     let kernel = w.kernel(Some(&rt));
     gpu.launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(400))
         .unwrap();

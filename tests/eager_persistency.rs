@@ -6,21 +6,25 @@
 //! explicit backends, so the three models are held to the same contract.
 
 use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, ResilientRecovery};
-use lpgpu::lp_kernels::{workload_by_name, Scale};
-use lpgpu::nvm::{NvmConfig, PersistMemory};
+use lpgpu::lp_kernels::{stage, subject, world, Scale, Workload};
+use lpgpu::nvm::PersistMemory;
 use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
 
 /// The backends that issue persist instructions (everything but LP).
 const EXPLICIT_BACKENDS: [BackendKind; 3] =
     [BackendKind::Eager, BackendKind::Epoch, BackendKind::Sbrp];
 
-fn world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 512,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
+/// `name` at test scale, staged under `config` on the test GPU with a
+/// 512-line cache.
+fn staged(
+    name: &str,
+    seed: u64,
+    config: &LpConfig,
+) -> (Gpu, PersistMemory, Box<dyn Workload>, LpRuntime) {
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 512, 8);
+    let mut w = (subject(name).expect("a suite name").build)(Scale::Test, seed);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, config);
+    (gpu, mem, w, rt)
 }
 
 #[test]
@@ -30,16 +34,7 @@ fn explicit_backends_survive_crash_with_no_recovery_work() {
     // need the cache to drain first.)
     for backend in EXPLICIT_BACKENDS {
         for name in ["TMM", "SPMV", "HISTO"] {
-            let (gpu, mut mem) = world();
-            let mut w = workload_by_name(name, Scale::Test, 31).unwrap();
-            w.setup(&mut mem);
-            let lc = w.launch_config();
-            let rt = LpRuntime::setup(
-                &mut mem,
-                lc.num_blocks(),
-                lc.threads_per_block(),
-                LpConfig::for_backend(backend),
-            );
+            let (gpu, mut mem, w, rt) = staged(name, 31, &LpConfig::for_backend(backend));
             let kernel = w.kernel(Some(&rt));
             gpu.launch(kernel.as_ref(), &mut mem).unwrap();
             // Power loss immediately after the kernel, no flush.
@@ -62,16 +57,7 @@ fn lazy_mode_does_lose_data_without_flush_in_the_same_scenario() {
     // Control for the test above: under LP with a small cache, a crash
     // right after the kernel *does* lose volatile regions — that is why LP
     // needs validation + recovery at all.
-    let (gpu, mut mem) = world();
-    let mut w = workload_by_name("TMM", Scale::Test, 31).unwrap();
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
+    let (gpu, mut mem, w, rt) = staged("TMM", 31, &LpConfig::recommended());
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
     mem.crash();
@@ -89,16 +75,7 @@ fn lazy_mode_does_lose_data_without_flush_in_the_same_scenario() {
 #[test]
 fn explicit_backends_recover_from_mid_kernel_crash() {
     for backend in EXPLICIT_BACKENDS {
-        let (gpu, mut mem) = world();
-        let mut w = workload_by_name("SPMV", Scale::Test, 32).unwrap();
-        w.setup(&mut mem);
-        let lc = w.launch_config();
-        let rt = LpRuntime::setup(
-            &mut mem,
-            lc.num_blocks(),
-            lc.threads_per_block(),
-            LpConfig::for_backend(backend),
-        );
+        let (gpu, mut mem, w, rt) = staged("SPMV", 32, &LpConfig::for_backend(backend));
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
             .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(300))
@@ -121,16 +98,13 @@ fn every_explicit_backend_is_slower_than_lazy() {
     // every explicit discipline pays for its persists/fences/drains at run
     // time; LP does not.
     for name in ["SPMV", "TMM"] {
-        let lazy =
-            lp_bench::measure_workload(name, Scale::Test, 33, &LpConfig::recommended(), false);
+        let measure = |config: &LpConfig| {
+            let subject = subject(name).expect("a suite name");
+            lpgpu::lp_bench::measure_workload(subject, Scale::Test, 33, config, false)
+        };
+        let lazy = measure(&LpConfig::recommended());
         for backend in EXPLICIT_BACKENDS {
-            let explicit = lp_bench::measure_workload(
-                name,
-                Scale::Test,
-                33,
-                &LpConfig::for_backend(backend),
-                false,
-            );
+            let explicit = measure(&LpConfig::for_backend(backend));
             assert!(
                 explicit.slowdown > lazy.slowdown,
                 "{name}: {backend} ({}) must cost more than lazy ({})",

@@ -2,27 +2,14 @@
 //! suite run under every LP design point, with crash injection and
 //! recovery, verified against CPU references.
 
-use lpgpu::gpu_lp::{
-    AtomicPolicy, LockPolicy, LpConfig, LpRuntime, ReduceStrategy, ResilientRecovery,
-};
-use lpgpu::lp_kernels::{all_workloads, workload_by_name, Scale, Workload};
-use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
-
-fn world() -> (Gpu, PersistMemory) {
-    let mem = PersistMemory::new(NvmConfig {
-        cache_lines: 512,
-        associativity: 8,
-        ..NvmConfig::default()
-    });
-    (Gpu::new(DeviceConfig::test_gpu()), mem)
-}
+use lpgpu::gpu_lp::{AtomicPolicy, LockPolicy, LpConfig, ReduceStrategy, ResilientRecovery};
+use lpgpu::lp_bench::Measurement;
+use lpgpu::lp_kernels::{all_workloads, stage, subject, workload_by_name, world, Scale, Workload};
+use lpgpu::simt::{CrashPlan, DeviceConfig};
 
 fn run_config(w: &mut dyn Workload, config: LpConfig, crash_after: Option<u64>) {
-    let (gpu, mut mem) = world();
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(&mut mem, lc.num_blocks(), lc.threads_per_block(), config);
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 512, 8);
+    let rt = stage(w, &gpu, &mut mem, &config);
     let kernel = w.kernel(Some(&rt));
     match crash_after {
         None => {
@@ -122,16 +109,9 @@ fn crash_at_the_very_first_store_recovers_everything() {
 fn repeated_crash_recover_cycles_converge() {
     // Crash, recover, crash the *recovered* state again (power loss during
     // later work), recover again: state must stay consistent.
-    let (gpu, mut mem) = world();
+    let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 512, 8);
     let mut w = workload_by_name("SPMV", Scale::Test, 19).unwrap();
-    w.setup(&mut mem);
-    let lc = w.launch_config();
-    let rt = LpRuntime::setup(
-        &mut mem,
-        lc.num_blocks(),
-        lc.threads_per_block(),
-        LpConfig::recommended(),
-    );
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
     let kernel = w.kernel(Some(&rt));
     gpu.launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(200))
         .expect("launch");
@@ -144,13 +124,19 @@ fn repeated_crash_recover_cycles_converge() {
     assert!(w.verify(&mut mem));
 }
 
+/// Baseline-vs-LP measurement of a suite workload at test scale.
+fn measure(name: &str, seed: u64, config: &LpConfig, nvm_mode: bool) -> Measurement {
+    let subject = subject(name).expect("a suite name");
+    lpgpu::lp_bench::measure_workload(subject, Scale::Test, seed, config, nvm_mode)
+}
+
 #[test]
 fn overhead_ordering_global_array_cheapest() {
     // The paper's core performance claim, at test scale: the global array
     // never costs more than the hash tables on contended workloads.
-    let m_arr = lp_bench::measure_workload("SAD", Scale::Test, 20, &LpConfig::recommended(), false);
-    let m_quad = lp_bench::measure_workload("SAD", Scale::Test, 20, &LpConfig::quad(), false);
-    let m_cuckoo = lp_bench::measure_workload("SAD", Scale::Test, 20, &LpConfig::cuckoo(), false);
+    let m_arr = measure("SAD", 20, &LpConfig::recommended(), false);
+    let m_quad = measure("SAD", 20, &LpConfig::quad(), false);
+    let m_cuckoo = measure("SAD", 20, &LpConfig::cuckoo(), false);
     assert!(
         m_arr.slowdown <= m_quad.slowdown * 1.01,
         "{} vs {}",
@@ -164,10 +150,9 @@ fn overhead_ordering_global_array_cheapest() {
 #[test]
 fn lock_free_beats_lock_based_on_every_workload() {
     for name in ["TMM", "SPMV", "HISTO"] {
-        let free = lp_bench::measure_workload(name, Scale::Test, 21, &LpConfig::quad(), false);
-        let locked = lp_bench::measure_workload(
+        let free = measure(name, 21, &LpConfig::quad(), false);
+        let locked = measure(
             name,
-            Scale::Test,
             21,
             &LpConfig::quad().with_lock(LockPolicy::GlobalLock),
             false,
@@ -183,7 +168,7 @@ fn lock_free_beats_lock_based_on_every_workload() {
 
 #[test]
 fn write_amplification_is_small_for_recommended_design() {
-    let m = lp_bench::measure_workload("SPMV", Scale::Test, 22, &LpConfig::recommended(), true);
+    let m = measure("SPMV", 22, &LpConfig::recommended(), true);
     let wa = m.write_amplification();
     assert!(
         (1.0..1.25).contains(&wa),

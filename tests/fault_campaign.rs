@@ -4,11 +4,13 @@
 //! mid-kernel *and again* during recovery — for one compute-bound (TMM)
 //! and one memory-bound (SPMV) workload.
 
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
-use lpgpu::lp_fault::{run_campaign, run_trial, CampaignSpec, CrashSite, TrialId, SABOTAGE_CONFIG};
-use lpgpu::lp_kernels::{workload_by_name, Scale};
-use lpgpu::nvm::{FaultConfig, NvmConfig, PersistMemory};
-use lpgpu::simt::{CrashPlan, DeviceConfig, Gpu};
+use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
+use lpgpu::lp_fault::{
+    fault_world, run_campaign, run_trial, CampaignSpec, CrashSite, TrialId, SABOTAGE_CONFIG,
+};
+use lpgpu::lp_kernels::{stage, workload_by_name, Scale};
+use lpgpu::nvm::FaultConfig;
+use lpgpu::simt::CrashPlan;
 use proptest::prelude::*;
 
 fn bounded_spec() -> CampaignSpec {
@@ -72,22 +74,9 @@ proptest! {
         seed in 0u64..100,
     ) {
         let name = ["SPMV", "TMM"][workload_pick];
-        let gpu = Gpu::new(DeviceConfig::test_gpu());
-        let mut mem = PersistMemory::new(NvmConfig {
-            cache_lines: 256,
-            associativity: 8,
-            ..NvmConfig::default()
-        });
+        let (gpu, mut mem) = fault_world();
         let mut w = workload_by_name(name, Scale::Test, seed).unwrap();
-        w.setup(&mut mem);
-        let lc = w.launch_config();
-        let rt = LpRuntime::setup(
-            &mut mem,
-            lc.num_blocks(),
-            lc.threads_per_block(),
-            LpConfig::recommended(),
-        );
-        mem.flush_all();
+        let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let plan = CrashPlan::after_stores(first_crash);
         let outcome = gpu.launch_with_plan(kernel.as_ref(), &mut mem, plan).expect("launch");
@@ -130,22 +119,9 @@ proptest! {
         (fault_seed, torn_bp, transient_bp) in (any::<u64>(), 0u32..800, 0u32..800),
     ) {
         let name = ["SPMV", "TMM"][workload_pick];
-        let gpu = Gpu::new(DeviceConfig::test_gpu());
-        let mut mem = PersistMemory::new(NvmConfig {
-            cache_lines: 256,
-            associativity: 8,
-            ..NvmConfig::default()
-        });
+        let (gpu, mut mem) = fault_world();
         let mut w = workload_by_name(name, Scale::Test, seed).unwrap();
-        w.setup(&mut mem);
-        let lc = w.launch_config();
-        let rt = LpRuntime::setup(
-            &mut mem,
-            lc.num_blocks(),
-            lc.threads_per_block(),
-            LpConfig::recommended(),
-        );
-        mem.flush_all();
+        let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
         mem.set_fault_config(Some(FaultConfig {
             torn_writeback_bp: torn_bp,
             transient_persist_bp: transient_bp,

@@ -7,10 +7,10 @@ use lpgpu::gpu_lp::checksum::{
     f32_from_ordered_bits, f32_ordered_bits, f64_from_ordered_bits, f64_ordered_bits, ChecksumSet,
 };
 use lpgpu::gpu_lp::table::{AtomicPolicy, ChecksumTableOps, LockPolicy, QuadraticProbeTable};
-use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
-use lpgpu::lp_kernels::{workload_by_name, Scale};
+use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
+use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, DeviceState, Dim3, Gpu, LaunchConfig};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, DeviceState, Dim3, LaunchConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -155,16 +155,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let name = ["SPMV", "HISTO"][workload_pick];
-        let gpu = Gpu::new(DeviceConfig::test_gpu());
-        let mut mem = PersistMemory::new(NvmConfig {
-            cache_lines: 256,
-            associativity: 8,
-            ..NvmConfig::default()
-        });
+        let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
         let mut w = workload_by_name(name, Scale::Test, seed).unwrap();
-        w.setup(&mut mem);
-        let lc = w.launch_config();
-        let rt = LpRuntime::setup(&mut mem, lc.num_blocks(), lc.threads_per_block(), LpConfig::recommended());
+        let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
         let kernel = w.kernel(Some(&rt));
         let outcome = gpu
             .launch_with_plan(kernel.as_ref(), &mut mem, CrashPlan::after_stores(crash_point))
