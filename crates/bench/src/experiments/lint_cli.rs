@@ -33,12 +33,10 @@
 //! or I/O errors.
 
 use crate::{Args, Failure};
-use lp_directive::analysis::footprint::source_footprints;
-use lp_directive::analysis::interproc::summarize_device_fns;
-use lp_directive::analysis::relevance::kernel_relevance;
+use lp_directive::analysis::footprint::KernelFootprint;
+use lp_directive::analysis::relevance::{kernel_relevance, KernelRelevance};
 use lp_directive::fixtures::{CLEAN, SEEDED};
-use lp_directive::kernel_scan::find_kernels;
-use lp_directive::lint::RULES;
+use lp_directive::lint::{lint_with, RULES};
 use lp_directive::{apply_fixes, lint, Diagnostic, Edit};
 use serde_json::json;
 
@@ -51,6 +49,10 @@ const SCHEMA_VERSION: u32 = 2;
 /// that still applies fixes after this many passes is oscillating, which
 /// the fixture self-check reports as a bug.
 const FIX_PASS_CAP: usize = 8;
+
+/// One input's display name and what the verifier saw in each of its
+/// kernels (none, for a source that does not scan).
+type Kernels<'a> = (&'a str, Vec<(KernelRelevance, KernelFootprint)>);
 
 pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let usage = |msg: &str| Err(Failure::Usage(msg.to_string()));
@@ -106,13 +108,20 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
         }
     }
 
-    // Collect everything first so machine output can be sorted
-    // deterministically, independent of CLI argument order.
+    // One analysis per input: the findings, and the JSON report's
+    // `relevance` and `footprints`, all come from it. Collect everything
+    // first so machine output can be sorted deterministically, independent
+    // of CLI argument order.
+    let mut kernels: Vec<Kernels<'_>> = Vec::new();
     let mut findings: Vec<(String, Diagnostic)> = Vec::new();
     for (name, src) in &inputs {
-        for d in lint(src) {
+        let mut seen = Vec::new();
+        for d in lint_with(src, |a, k| {
+            seen.push((kernel_relevance(&k, &a.fns), k.footprint))
+        }) {
             findings.push((name.clone(), d));
         }
+        kernels.push((name, seen));
     }
     findings.sort_by(|(fa, da), (fb, db)| {
         (fa, da.span.line, da.span.col, da.code).cmp(&(fb, db.span.line, db.span.col, db.code))
@@ -120,7 +129,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let total = findings.len();
 
     if args.json {
-        println!("{}", json_report(&inputs, &findings));
+        println!("{}", json_report(kernels, &findings));
     } else if args.sarif {
         println!("{}", sarif_report(&findings));
     } else {
@@ -251,7 +260,7 @@ fn edit_json(e: &Edit) -> serde_json::Value {
 /// suggestions, the per-kernel static `relevance` summary (what the
 /// campaign pruner sees), and the per-kernel symbolic store `footprints`
 /// the byte-precise rules are proved on.
-fn json_report(inputs: &[(String, String)], findings: &[(String, Diagnostic)]) -> String {
+fn json_report(mut kernels: Vec<Kernels<'_>>, findings: &[(String, Diagnostic)]) -> String {
     let findings_json: Vec<_> = findings
         .iter()
         .map(|(file, d)| {
@@ -273,26 +282,22 @@ fn json_report(inputs: &[(String, String)], findings: &[(String, Diagnostic)]) -
         })
         .collect();
 
-    let mut sorted_inputs: Vec<&(String, String)> = inputs.iter().collect();
-    sorted_inputs.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let relevance: Vec<_> = sorted_inputs
+    kernels.sort_by_key(|(name, _)| *name);
+    // Relevance is listed by kernel name, footprints in declaration order.
+    let relevance: Vec<_> = kernels
         .iter()
-        .map(|(name, src)| {
-            let lines: Vec<&str> = src.lines().collect();
-            let kernels = find_kernels(&lines).unwrap_or_default();
-            let fns = summarize_device_fns(&lines);
-            json!({
-                "file": name,
-                "kernels": kernel_relevance(&lines, &kernels, &fns),
-            })
+        .map(|(name, seen)| {
+            let mut by_name: Vec<_> = seen.iter().map(|(rel, _)| rel).collect();
+            by_name.sort_by(|a, b| a.kernel.cmp(&b.kernel));
+            json!({ "file": name, "kernels": by_name })
         })
         .collect();
-    let footprints: Vec<_> = sorted_inputs
+    let footprints: Vec<_> = kernels
         .iter()
-        .map(|(name, src)| {
-            let kernels: Vec<_> = source_footprints(src)
+        .map(|(name, seen)| {
+            let kernels: Vec<_> = seen
                 .iter()
-                .map(|fp| {
+                .map(|(_, fp)| {
                     let stores: Vec<_> = fp
                         .stores
                         .iter()
@@ -326,7 +331,7 @@ fn json_report(inputs: &[(String, String)], findings: &[(String, Diagnostic)]) -
 
     let report = json!({
         "schema_version": SCHEMA_VERSION,
-        "files": inputs.len(),
+        "files": kernels.len(),
         "total": findings.len(),
         "findings": findings_json,
         "relevance": relevance,

@@ -354,25 +354,19 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::ir::parse_kernel;
-    use crate::kernel_scan::find_kernels;
-
-    fn cfg_of(src: &str) -> Cfg {
-        let lines: Vec<&str> = src.lines().collect();
-        let ks = find_kernels(&lines).unwrap();
-        build(&parse_kernel(&lines, &ks[0]))
-    }
+    use crate::analysis::first_kernel;
 
     #[test]
     fn straight_line_chains_entry_to_exit() {
-        let cfg = cfg_of(
+        let cfg = first_kernel(
             r#"
 __global__ void k(float *out) {
     int i = blockIdx.x;
     out[i] = 1.0f;
 }
 "#,
-        );
+        )
+        .cfg;
         assert_eq!(cfg.nodes.len(), 4); // entry, def, store, exit
         assert_eq!(cfg.succs[cfg.entry], vec![1]);
         assert_eq!(cfg.succs[1], vec![2]);
@@ -385,7 +379,7 @@ __global__ void k(float *out) {
 
     #[test]
     fn if_without_else_has_fallthrough_edge() {
-        let cfg = cfg_of(
+        let cfg = first_kernel(
             r#"
 __global__ void k(float *p) {
     if (blockIdx.x == 0) {
@@ -394,7 +388,8 @@ __global__ void k(float *p) {
     p[blockIdx.x] = 2.0f;
 }
 "#,
-        );
+        )
+        .cfg;
         let branch = cfg
             .nodes
             .iter()
@@ -411,7 +406,7 @@ __global__ void k(float *p) {
 
     #[test]
     fn loop_head_gets_back_edge() {
-        let cfg = cfg_of(
+        let cfg = first_kernel(
             r#"
 __global__ void k(float *p, int n) {
     for (int i = 0; i < n; i++) {
@@ -419,7 +414,8 @@ __global__ void k(float *p, int n) {
     }
 }
 "#,
-        );
+        )
+        .cfg;
         let head = cfg
             .nodes
             .iter()
@@ -438,7 +434,7 @@ __global__ void k(float *p, int n) {
 
     #[test]
     fn fold_attaches_to_following_store() {
-        let cfg = cfg_of(
+        let cfg = first_kernel(
             r#"
 __global__ void k(float *out) {
     int i = blockIdx.x;
@@ -447,7 +443,8 @@ __global__ void k(float *out) {
     out[i + 1] = 4.0f;
 }
 "#,
-        );
+        )
+        .cfg;
         let folds: Vec<&Node> = cfg
             .nodes
             .iter()
@@ -470,7 +467,7 @@ __global__ void k(float *out) {
 
     #[test]
     fn fences_and_calls_lower_to_their_own_nodes() {
-        let cfg = cfg_of(
+        let cfg = first_kernel(
             r#"
 __global__ void k(float *p) {
     p[blockIdx.x] = 1.0f;
@@ -478,7 +475,8 @@ __global__ void k(float *p) {
     publish(p, blockIdx.x);
 }
 "#,
-        );
+        )
+        .cfg;
         assert!(cfg
             .nodes
             .iter()
@@ -491,7 +489,7 @@ __global__ void k(float *p) {
 
     #[test]
     fn shared_array_stores_are_not_global_stores() {
-        let cfg = cfg_of(
+        let cfg = first_kernel(
             r#"
 __global__ void k(float *p) {
     __shared__ float tile[32];
@@ -499,7 +497,8 @@ __global__ void k(float *p) {
     p[blockIdx.x] = tile[0];
 }
 "#,
-        );
+        )
+        .cfg;
         let stores: Vec<&Node> = cfg
             .nodes
             .iter()

@@ -23,34 +23,14 @@
 //! | LP020 | fold reachable from two divergent store paths                 |
 //! | LP021 | `lpcuda_mode` pin the kernel body provably cannot satisfy     |
 
-use super::cfg::{build, Cfg, NodeKind};
+use super::cfg::{Cfg, NodeKind};
 use super::interproc::{escaping_stores, FnSummary};
-use super::ir::{parse_kernel, FenceScope, KernelIr};
-use super::taint::{self, Taint};
-use crate::error::{Diagnostic, Span};
-use crate::kernel_scan::KernelSpan;
-use crate::pragma::{is_nvm_pragma, parse_pragma, Pragma};
+use super::ir::{FenceScope, KernelIr};
+use super::taint::Taint;
+use super::{span_at, KernelFacts};
+use crate::error::Diagnostic;
 use gpu_lp::{BackendKind, DurabilityContract};
 use std::collections::BTreeMap;
-
-/// The `lpcuda_mode` pin inside `span`'s body, as `(1-based line, mode)`.
-pub fn pinned_mode(lines: &[&str], span: &KernelSpan) -> Option<(usize, String)> {
-    let last = span.body_close_line.min(lines.len());
-    for (idx, line) in lines
-        .iter()
-        .enumerate()
-        .take(last)
-        .skip(span.body_open_line + 1)
-    {
-        if !is_nvm_pragma(line) {
-            continue;
-        }
-        if let Ok(Pragma::Mode { mode, .. }) = parse_pragma(idx + 1, line) {
-            return Some((idx + 1, mode));
-        }
-    }
-    None
-}
 
 /// Maps a pinned mode name to the backend whose contract the persist-order
 /// rules check. `checkpoint` and `adaptive` resolve to `None`: checkpoint
@@ -67,46 +47,38 @@ pub fn mode_backend(mode: &str) -> Option<BackendKind> {
 }
 
 /// Runs LP016–LP021 for one kernel.
-pub fn analyze_kernel(
+pub(crate) fn analyze_kernel(
     lines: &[&str],
-    span: &KernelSpan,
+    k: &KernelFacts,
     fns: &BTreeMap<String, FnSummary>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let ir = parse_kernel(lines, span);
-    let cfg = build(&ir);
-    let pin = pinned_mode(lines, span);
-    let backend = match &pin {
+    let cfg = &k.cfg;
+    let backend = match &k.pin {
         Some((_, mode)) => mode_backend(mode),
-        None if ir.is_protected() => Some(BackendKind::LpChecksum),
+        None if k.is_protected() => Some(BackendKind::LpChecksum),
         None => None,
     };
-    if let Some((pin_line, mode)) = &pin {
-        lp021_unsatisfiable_pin(&cfg, &ir, fns, lines, *pin_line, mode, out);
+    if let Some((pin_line, mode)) = &k.pin {
+        lp021_unsatisfiable_pin(k, fns, lines, *pin_line, mode, out);
     }
     let Some(backend) = backend else { return };
     match backend {
         BackendKind::LpChecksum => {
-            if ir.is_protected() {
-                lp016_store_escapes_fold(&cfg, &ir, fns, lines, out);
-                let thread = taint::analyze(&cfg, taint::THREAD);
-                lp020_divergent_fold_paths(&cfg, &thread, lines, out);
+            if k.is_protected() {
+                lp016_store_escapes_fold(cfg, &k.ir, fns, lines, out);
+                lp020_divergent_fold_paths(cfg, k.thread(), lines, out);
             }
         }
         BackendKind::Epoch | BackendKind::Sbrp => {
-            lp017_fence_scope_too_narrow(&cfg, fns, lines, backend, out);
-            lp019_epoch_open_across_back_edge(&cfg, fns, lines, backend, out);
+            lp017_fence_scope_too_narrow(cfg, fns, lines, backend, out);
+            lp019_epoch_open_across_back_edge(cfg, fns, lines, backend, out);
         }
         BackendKind::Eager => {
-            lp018_token_before_drain(&cfg, fns, lines, out);
+            lp018_token_before_drain(cfg, fns, lines, out);
         }
         BackendKind::Adaptive => {}
     }
-}
-
-fn span_at(lines: &[&str], line: usize, needle: &str) -> Span {
-    let text = lines.get(line.wrapping_sub(1)).copied().unwrap_or("");
-    Span::of(line, text, needle)
 }
 
 /// Fence rank of a node: 0 = none, 1 = block, 2 = device, 3 = system.
@@ -158,7 +130,7 @@ fn weakest_path_fence(cfg: &Cfg, fns: &BTreeMap<String, FnSummary>) -> Vec<u8> {
 
 /// Forward reachability from `from` (exclusive of `from` itself unless it
 /// sits on a cycle).
-pub(super) fn reachable_from(cfg: &Cfg, from: usize) -> Vec<bool> {
+pub(crate) fn reachable_from(cfg: &Cfg, from: usize) -> Vec<bool> {
     let mut seen = vec![false; cfg.nodes.len()];
     let mut stack: Vec<usize> = cfg.succs[from].clone();
     while let Some(n) = stack.pop() {
@@ -335,7 +307,7 @@ fn lp018_token_before_drain(
 
 /// A store target that names the commit-token side of the eager protocol.
 /// The heuristic is lexical by design — the verifier has no type system —
-/// and documented in DESIGN §3.14: a pointer parameter whose name contains
+/// and documented in DESIGN §3.6: a pointer parameter whose name contains
 /// `commit` or `token` (case-insensitive) publishes tokens.
 pub fn is_token_name(name: &str) -> bool {
     let lower = name.to_ascii_lowercase();
@@ -468,8 +440,7 @@ fn lp020_divergent_fold_paths(
 /// not merely slow (LP015's complaint); it is *unsound*, because the
 /// contract's durability point never executes.
 fn lp021_unsatisfiable_pin(
-    cfg: &Cfg,
-    ir: &KernelIr,
+    k: &KernelFacts,
     fns: &BTreeMap<String, FnSummary>,
     lines: &[&str],
     pin_line: usize,
@@ -479,6 +450,7 @@ fn lp021_unsatisfiable_pin(
     let Some(backend) = mode_backend(mode) else {
         return;
     };
+    let (cfg, ir) = (&k.cfg, &k.ir);
     let stores = cfg
         .nodes
         .iter()
@@ -492,7 +464,7 @@ fn lp021_unsatisfiable_pin(
     if !stores {
         return; // nothing persistent to order — any contract holds vacuously
     }
-    let has_fold = ir.is_protected()
+    let has_fold = k.is_protected()
         || cfg.nodes.iter().any(|n| match &n.kind {
             NodeKind::Call { name, .. } => fns.get(name).is_some_and(|s| s.has_fold),
             _ => false,
@@ -533,16 +505,14 @@ fn lp021_unsatisfiable_pin(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::interproc::summarize_device_fns;
-    use crate::kernel_scan::find_kernels;
+    use crate::analysis::SourceAnalysis;
 
+    /// The contract findings alone, over every kernel of `src`.
     fn diags(src: &str) -> Vec<Diagnostic> {
-        let lines: Vec<&str> = src.lines().collect();
-        let kernels = find_kernels(&lines).unwrap();
-        let fns = summarize_device_fns(&lines);
+        let a = SourceAnalysis::new(src).unwrap();
         let mut out = Vec::new();
-        for span in &kernels {
-            analyze_kernel(&lines, span, &fns, &mut out);
+        for k in a.kernels() {
+            analyze_kernel(&a.scan.lines, &k, &a.fns, &mut out);
         }
         out.sort_by_key(|d| (d.span, d.code));
         out

@@ -92,15 +92,8 @@ pub fn post_dominators(cfg: &Cfg) -> Vec<BitSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::cfg::{build, NodeKind};
-    use crate::analysis::ir::parse_kernel;
-    use crate::kernel_scan::find_kernels;
-
-    fn cfg_of(src: &str) -> Cfg {
-        let lines: Vec<&str> = src.lines().collect();
-        let ks = find_kernels(&lines).unwrap();
-        build(&parse_kernel(&lines, &ks[0]))
-    }
+    use crate::analysis::cfg::NodeKind;
+    use crate::analysis::first_kernel;
 
     fn find(cfg: &Cfg, pred: impl Fn(&NodeKind) -> bool) -> usize {
         cfg.nodes.iter().position(|n| pred(&n.kind)).unwrap()
@@ -108,7 +101,7 @@ mod tests {
 
     #[test]
     fn branch_arms_do_not_dominate_the_join() {
-        let cfg = cfg_of(
+        let k = first_kernel(
             r#"
 __global__ void k(float *p) {
     int i = blockIdx.x;
@@ -121,14 +114,15 @@ __global__ void k(float *p) {
 }
 "#,
         );
-        let dom = dominators(&cfg);
-        let branch = find(&cfg, |k| matches!(k, NodeKind::Branch { .. }));
+        let cfg = &k.cfg;
+        let dom = k.dom();
+        let branch = find(cfg, |k| matches!(k, NodeKind::Branch { .. }));
         let then_store = find(
-            &cfg,
+            cfg,
             |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "1.0f"),
         );
         let join_store = find(
-            &cfg,
+            cfg,
             |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "3.0f"),
         );
         assert!(dom[join_store].contains(branch));
@@ -138,7 +132,7 @@ __global__ void k(float *p) {
 
     #[test]
     fn post_dominators_see_through_loops() {
-        let cfg = cfg_of(
+        let k = first_kernel(
             r#"
 __global__ void k(float *p, int n) {
     for (int i = 0; i < n; i++) {
@@ -148,13 +142,14 @@ __global__ void k(float *p, int n) {
 }
 "#,
         );
-        let pdom = post_dominators(&cfg);
+        let cfg = &k.cfg;
+        let pdom = &k.pdom;
         let in_loop = find(
-            &cfg,
+            cfg,
             |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "1.0f"),
         );
         let after = find(
-            &cfg,
+            cfg,
             |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "2.0f"),
         );
         // The store after the loop post-dominates the store inside it; the
@@ -166,7 +161,7 @@ __global__ void k(float *p, int n) {
 
     #[test]
     fn guarded_node_does_not_post_dominate_entry() {
-        let cfg = cfg_of(
+        let k = first_kernel(
             r#"
 __global__ void k(float *p) {
     if (threadIdx.x == 0) {
@@ -175,8 +170,9 @@ __global__ void k(float *p) {
 }
 "#,
         );
-        let pdom = post_dominators(&cfg);
-        let store = find(&cfg, |k| matches!(k, NodeKind::Store { .. }));
+        let cfg = &k.cfg;
+        let pdom = &k.pdom;
+        let store = find(cfg, |k| matches!(k, NodeKind::Store { .. }));
         assert!(!pdom[cfg.entry].contains(store));
     }
 }

@@ -21,10 +21,11 @@
 //! coordinate ranges. A store under a guard the loop model does not
 //! explain is marked inexact and never grounds an out-of-bounds claim.
 
-use super::cfg::{build, Cfg, NodeKind};
-use super::dom::post_dominators;
-use super::ir::{parse_kernel, KernelIr, Stmt, StmtKind};
+use super::cfg::{Cfg, NodeKind};
+use super::dom::BitSet;
+use super::ir::{KernelIr, Stmt, StmtKind};
 use super::symbolic::{eval_expr, Affine, Lin};
+use super::SourceAnalysis;
 use crate::lexer::{tokenize, value_identifiers, Token};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,13 +75,6 @@ pub struct KernelFootprint {
 }
 
 impl KernelFootprint {
-    /// The inclusive range of `sym` — a modelled loop symbol, or a builtin
-    /// coordinate (`threadIdx.d` ∈ [0, blockDim.d−1], `blockIdx.d` ∈
-    /// [0, gridDim.d−1]).
-    pub fn range_of(&self, sym: &str) -> Option<(Lin, Lin)> {
-        range_of(sym, &self.ranges)
-    }
-
     /// The inclusive element-index range `[lo, hi]` of a store, when every
     /// coefficient/range product stays linear.
     pub fn elem_range(&self, store: &StoreFootprint) -> Option<(Lin, Lin)> {
@@ -140,7 +134,9 @@ impl KernelFootprint {
     }
 }
 
-/// The inclusive range of an index symbol under `ranges` + the builtins.
+/// The inclusive range of an index symbol: a modelled loop symbol from
+/// `ranges`, or a builtin coordinate (`threadIdx.d` ∈ [0, blockDim.d−1],
+/// `blockIdx.d` ∈ [0, gridDim.d−1]).
 fn range_of(sym: &str, ranges: &BTreeMap<String, (Lin, Lin)>) -> Option<(Lin, Lin)> {
     if let Some(r) = ranges.get(sym) {
         return Some(r.clone());
@@ -218,23 +214,15 @@ pub fn same_elements(a: &StoreFootprint, b: &StoreFootprint) -> bool {
 /// that does not scan yields no footprints (LP000 is the lint's to
 /// report).
 pub fn source_footprints(source: &str) -> Vec<KernelFootprint> {
-    let lines: Vec<&str> = source.lines().collect();
-    let Ok(kernels) = crate::kernel_scan::find_kernels(&lines) else {
-        return Vec::new();
-    };
-    kernels
-        .iter()
-        .map(|k| {
-            let ir = parse_kernel(&lines, k);
-            kernel_footprint(&ir, &build(&ir))
-        })
-        .collect()
+    SourceAnalysis::new(source)
+        .map(|a| a.kernels().map(|k| k.footprint).collect())
+        .unwrap_or_default()
 }
 
-/// Computes the footprint of one kernel from its IR and CFG.
-pub fn kernel_footprint(ir: &KernelIr, cfg: &Cfg) -> KernelFootprint {
+/// Computes the footprint of one kernel from its IR, CFG and
+/// post-dominator sets.
+pub(super) fn kernel_footprint(ir: &KernelIr, cfg: &Cfg, pdom: &[BitSet]) -> KernelFootprint {
     let mut env = EnvBuilder::collect(&ir.body);
-    let pdom = post_dominators(cfg);
     let directly_folded: Vec<usize> = cfg
         .nodes
         .iter()
@@ -582,27 +570,19 @@ impl KernelIr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::cfg::build;
-    use crate::analysis::ir::parse_kernel;
-    use crate::kernel_scan::find_kernels;
-
-    fn footprint_of(src: &str) -> KernelFootprint {
-        let lines: Vec<&str> = src.lines().collect();
-        let ks = find_kernels(&lines).unwrap();
-        let ir = parse_kernel(&lines, &ks[0]);
-        kernel_footprint(&ir, &build(&ir))
-    }
+    use crate::analysis::first_kernel;
 
     #[test]
     fn grid_stride_store_is_block_partitioned() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
     out[i] = 1.0f;
 }
 "#,
-        );
+        )
+        .footprint;
         assert_eq!(fp.stores.len(), 1);
         let s = &fp.stores[0];
         assert_eq!(s.ptr, "out");
@@ -616,7 +596,7 @@ __global__ void k(float *out) {
     #[test]
     fn per_block_loop_partition_proves_with_zero_slack() {
         // blockIdx.x * n + j with j < n: stride n exactly covers width n.
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out, int n) {
     for (int j = 0; j < n; j++) {
@@ -624,7 +604,8 @@ __global__ void k(float *out, int n) {
     }
 }
 "#,
-        );
+        )
+        .footprint;
         let s = &fp.stores[0];
         assert!(s.exact, "the loop guard is modelled");
         assert!(fp.block_partitioned);
@@ -641,13 +622,14 @@ __global__ void k(float *out, int n) {
 
     #[test]
     fn same_address_store_is_not_partitioned() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(int *flag) {
     flag[0] = 1;
 }
 "#,
-        );
+        )
+        .footprint;
         let s = &fp.stores[0];
         let a = s.index.as_ref().unwrap();
         assert!(a.coef.is_empty(), "constant index");
@@ -657,7 +639,7 @@ __global__ void k(int *flag) {
 
     #[test]
     fn data_dependent_index_is_opaque() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *dst, const int *ptr) {
     int row = blockIdx.x;
@@ -666,14 +648,15 @@ __global__ void k(float *dst, const int *ptr) {
     }
 }
 "#,
-        );
+        )
+        .footprint;
         assert!(fp.stores[0].index.is_none());
         assert!(!fp.block_partitioned);
     }
 
     #[test]
     fn post_dominating_rewrite_covers_the_earlier_store() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out) {
     int i = blockIdx.x;
@@ -682,7 +665,8 @@ __global__ void k(float *out) {
     out[i] = 2.0f;
 }
 "#,
-        );
+        )
+        .footprint;
         assert_eq!(fp.stores.len(), 2);
         assert!(!fp.stores[0].folded && fp.stores[0].covered);
         assert!(fp.stores[1].folded && fp.stores[1].covered);
@@ -691,7 +675,7 @@ __global__ void k(float *out) {
 
     #[test]
     fn divergent_rewrite_does_not_cover() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out, int n) {
     int i = blockIdx.x;
@@ -702,7 +686,8 @@ __global__ void k(float *out, int n) {
     }
 }
 "#,
-        );
+        )
+        .footprint;
         assert!(
             !fp.stores[0].covered,
             "the rewrite does not post-dominate the first store"
@@ -712,7 +697,7 @@ __global__ void k(float *out, int n) {
 
     #[test]
     fn element_sizes_follow_declared_types() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(double *d, unsigned char *c, short *s, float *f) {
     d[blockIdx.x] = 1.0;
@@ -721,14 +706,15 @@ __global__ void k(double *d, unsigned char *c, short *s, float *f) {
     f[blockIdx.x] = 1.0f;
 }
 "#,
-        );
+        )
+        .footprint;
         let sizes: Vec<u64> = fp.stores.iter().map(|s| s.elem_size).collect();
         assert_eq!(sizes, vec![8, 1, 2, 4]);
     }
 
     #[test]
     fn concretisation_enumerates_the_launch() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out, int n) {
     for (int j = 0; j < n; j++) {
@@ -736,7 +722,8 @@ __global__ void k(float *out, int n) {
     }
 }
 "#,
-        );
+        )
+        .footprint;
         let mut vals = BTreeMap::new();
         vals.insert("n".to_string(), 3);
         vals.insert("gridDim.x".to_string(), 2);
@@ -747,7 +734,7 @@ __global__ void k(float *out, int n) {
 
     #[test]
     fn stepped_loops_model_strided_elements() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out) {
     for (int j = 0; j < 8; j += 2) {
@@ -755,7 +742,8 @@ __global__ void k(float *out) {
     }
 }
 "#,
-        );
+        )
+        .footprint;
         let mut vals = BTreeMap::new();
         vals.insert("gridDim.x".to_string(), 1);
         vals.insert("blockDim.x".to_string(), 1);
@@ -765,7 +753,7 @@ __global__ void k(float *out) {
 
     #[test]
     fn multiply_assigned_variables_are_opaque() {
-        let fp = footprint_of(
+        let fp = first_kernel(
             r#"
 __global__ void k(float *out, int n) {
     int i = blockIdx.x;
@@ -775,7 +763,8 @@ __global__ void k(float *out, int n) {
     out[i] = 1.0f;
 }
 "#,
-        );
+        )
+        .footprint;
         assert!(fp.stores[0].index.is_none());
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The intra-kernel rules (LP010–LP014) see one `__global__` body at a
 //! time, so a store buried in a `__device__` helper is invisible to them —
-//! the classic escape hatch for a persist-order bug. This module scans the
-//! source for `__device__` function definitions, lowers each body through
-//! the same mini-IR/CFG pipeline as the kernels, and computes a
+//! the classic escape hatch for a persist-order bug. The source analysis
+//! lowers each `__device__` function definition through the same
+//! mini-IR/CFG pipeline as the kernels, and this module computes a
 //! **context-insensitive effect summary** per function:
 //!
 //! * which *parameters* the function stores through (directly or via its
@@ -20,45 +20,14 @@
 //! root identifier is a kernel pointer parameter, passed into a stored-to
 //! parameter slot, is an interprocedural persistent store.
 
-use super::cfg::{build, NodeKind};
-use super::ir::{parse_kernel, FenceScope};
-use crate::kernel_scan::{scan_function, FnScan, KernelSpan};
+use super::cfg::{Cfg, NodeKind};
+use super::ir::{FenceScope, KernelIr};
 use crate::lexer::{tokenize, value_identifiers};
 use std::collections::BTreeMap;
-
-/// Blanks `//` and `/* … */` comment content line by line (block state
-/// carries across lines), keeping line indices aligned with the input.
-fn strip_comments(lines: &[&str]) -> Vec<String> {
-    let mut out = Vec::with_capacity(lines.len());
-    let mut in_block = false;
-    for line in lines {
-        let mut kept = String::with_capacity(line.len());
-        let mut chars = line.chars().peekable();
-        while let Some(c) = chars.next() {
-            if in_block {
-                if c == '*' && chars.peek() == Some(&'/') {
-                    chars.next();
-                    in_block = false;
-                }
-            } else if c == '/' && chars.peek() == Some(&'/') {
-                break;
-            } else if c == '/' && chars.peek() == Some(&'*') {
-                chars.next();
-                in_block = true;
-            } else {
-                kept.push(c);
-            }
-        }
-        out.push(kept);
-    }
-    out
-}
 
 /// One call site recorded in a summary.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// 1-based source line of the call.
-    pub line: usize,
     /// Callee name.
     pub callee: String,
     /// Argument expressions, verbatim.
@@ -83,51 +52,11 @@ pub struct FnSummary {
     pub calls: Vec<CallSite>,
 }
 
-/// Scans `lines` for `__device__` function definitions. Declarations
-/// (prototypes ending in `;` before any `{`) and `__device__` variable
-/// qualifiers are skipped; a body that never closes is skipped rather than
-/// an error — the lint front end must not reject what nvcc accepts.
-pub fn find_device_fns(lines: &[&str]) -> Vec<KernelSpan> {
-    // Scan a comment-stripped view so a `__device__` inside a doc comment
-    // does not masquerade as a definition; indices map 1:1 to `lines`.
-    let stripped = strip_comments(lines);
-    let stripped_refs: Vec<&str> = stripped.iter().map(String::as_str).collect();
-    let lines = &stripped_refs[..];
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let Some(pos) = lines[i].find("__device__") else {
-            i += 1;
-            continue;
-        };
-        if lines[i].contains("__global__") {
-            // `__device__ __global__` never occurs; a `__global__` on the
-            // same line means this is the kernel scanner's business.
-            i += 1;
-            continue;
-        }
-        // A `;` before the `(` is a `__device__` variable, one before the
-        // `{` a prototype; neither is a definition.
-        i = match scan_function(lines, i, pos, true) {
-            FnScan::Definition(span) => {
-                let next = span.body_close_line + 1;
-                out.push(span);
-                next
-            }
-            FnScan::Declaration { end_line } => end_line + 1,
-            FnScan::Unbalanced { .. } => lines.len(),
-        };
-    }
-    out
-}
-
-/// Builds the transitively-closed summary map over every `__device__`
-/// function in `lines`.
-pub fn summarize_device_fns(lines: &[&str]) -> BTreeMap<String, FnSummary> {
+/// Builds the transitively-closed summary map over the lowered
+/// `__device__` functions of one source.
+pub(super) fn summarize_device_fns(fns: &[(KernelIr, Cfg)]) -> BTreeMap<String, FnSummary> {
     let mut out: BTreeMap<String, FnSummary> = BTreeMap::new();
-    for span in find_device_fns(lines) {
-        let ir = parse_kernel(lines, &span);
-        let cfg = build(&ir);
+    for (ir, cfg) in fns {
         let mut s = FnSummary {
             params: ir.param_names.clone(),
             ..FnSummary::default()
@@ -146,7 +75,6 @@ pub fn summarize_device_fns(lines: &[&str]) -> BTreeMap<String, FnSummary> {
                     s.max_fence = Some(s.max_fence.map_or(*scope, |m| m.max(*scope)));
                 }
                 NodeKind::Call { name, args } => s.calls.push(CallSite {
-                    line: node.line,
                     callee: name.clone(),
                     args: args.clone(),
                 }),
@@ -154,7 +82,7 @@ pub fn summarize_device_fns(lines: &[&str]) -> BTreeMap<String, FnSummary> {
             }
         }
         s.stores_to.sort_unstable();
-        out.insert(span.name.clone(), s);
+        out.insert(ir.name.clone(), s);
     }
     close_summaries(&mut out);
     out
@@ -243,9 +171,11 @@ pub fn escaping_stores(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::SourceAnalysis;
+    use crate::kernel_scan::scan;
 
-    fn lines(src: &str) -> Vec<&str> {
-        src.lines().collect()
+    fn summaries(src: &str) -> BTreeMap<String, FnSummary> {
+        SourceAnalysis::new(src).unwrap().fns
     }
 
     const HELPERS: &str = r#"
@@ -273,31 +203,28 @@ __global__ void k(float *out, float *in, int n) {
 
     #[test]
     fn finds_device_functions_not_kernels_or_prototypes() {
-        let src = lines(HELPERS);
-        let fns = find_device_fns(&src);
+        let fns = scan(HELPERS).unwrap().device_fns;
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["sink", "relay", "pure_read", "fenced"]);
     }
 
     #[test]
     fn prototypes_and_device_variables_are_skipped() {
-        let src = lines(
-            r#"
+        let src = r#"
 __device__ int counter;
 __device__ void proto(float *p, int i);
 __device__ void real(float *p) {
     p[0] = 1.0f;
 }
-"#,
-        );
-        let fns = find_device_fns(&src);
+"#;
+        let fns = scan(src).unwrap().device_fns;
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "real");
     }
 
     #[test]
     fn direct_store_summary() {
-        let fns = summarize_device_fns(&lines(HELPERS));
+        let fns = summaries(HELPERS);
         let sink = &fns["sink"];
         assert_eq!(sink.params, vec!["dst", "i", "v"]);
         assert_eq!(sink.stores_to, vec![0]);
@@ -307,14 +234,14 @@ __device__ void real(float *p) {
 
     #[test]
     fn stores_propagate_transitively_through_the_call_graph() {
-        let fns = summarize_device_fns(&lines(HELPERS));
+        let fns = summaries(HELPERS);
         let relay = &fns["relay"];
         assert_eq!(relay.stores_to, vec![0], "sink's store surfaces in relay");
     }
 
     #[test]
     fn fence_scope_propagates_to_callers() {
-        let src = lines(
+        let fns = summaries(
             r#"
 __device__ void leaf(float *p) {
     p[0] = 1.0f;
@@ -329,7 +256,6 @@ __device__ void top(float *p) {
 }
 "#,
         );
-        let fns = summarize_device_fns(&src);
         assert_eq!(fns["leaf"].max_fence, Some(FenceScope::Block));
         assert_eq!(fns["mid"].max_fence, Some(FenceScope::Device));
         assert_eq!(fns["top"].max_fence, Some(FenceScope::Device));
@@ -338,7 +264,7 @@ __device__ void top(float *p) {
 
     #[test]
     fn recursion_terminates() {
-        let src = lines(
+        let fns = summaries(
             r#"
 __device__ void ping(float *p, int i) {
     pong(p, i);
@@ -351,14 +277,13 @@ __device__ void pong(float *p, int i) {
 }
 "#,
         );
-        let fns = summarize_device_fns(&src);
         assert_eq!(fns["ping"].stores_to, vec![0]);
         assert_eq!(fns["pong"].stores_to, vec![0]);
     }
 
     #[test]
     fn escaping_stores_maps_arguments_to_caller_params() {
-        let fns = summarize_device_fns(&lines(HELPERS));
+        let fns = summaries(HELPERS);
         let esc = escaping_stores(
             &fns["relay"],
             &["out".to_string(), "threadIdx.x".to_string()],
@@ -391,8 +316,7 @@ __device__ void real(float *p, int i) {
     p[i] = 1.0f;
 }
 "#;
-        let lines: Vec<&str> = src.lines().collect();
-        let fns = summarize_device_fns(&lines);
+        let fns = summaries(src);
         assert_eq!(fns.len(), 1, "got: {fns:#?}");
         assert_eq!(fns["real"].stores_to, vec![0]);
     }

@@ -16,9 +16,9 @@
 //! front of the loop and the step clause appended to the body — so the CFG
 //! layer only ever sees one loop shape.
 
-use crate::kernel_scan::KernelSpan;
+use crate::kernel_scan::{KernelSpan, PragmaLine};
 use crate::lexer::{detokenize, tokenize, Token};
-use crate::pragma::{is_nvm_pragma, parse_pragma, Pragma};
+use crate::pragma::Pragma;
 
 /// One parsed kernel body plus the signature facts the rules need.
 #[derive(Debug, Clone)]
@@ -37,26 +37,6 @@ pub struct KernelIr {
     pub regions: Vec<(usize, String, String)>,
     /// The statement tree of the body.
     pub body: Vec<Stmt>,
-}
-
-impl KernelIr {
-    /// Whether the kernel contains at least one `lpcuda_checksum` fold —
-    /// i.e. it is an LP-protected kernel.
-    pub fn is_protected(&self) -> bool {
-        fn any_fold(stmts: &[Stmt]) -> bool {
-            stmts.iter().any(|s| match &s.kind {
-                StmtKind::Fold { .. } => true,
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => any_fold(then_branch) || any_fold(else_branch),
-                StmtKind::Loop { body, .. } => any_fold(body),
-                _ => false,
-            })
-        }
-        any_fold(&self.body)
-    }
 }
 
 /// One statement with its 1-based source line.
@@ -180,11 +160,16 @@ impl LTok {
     }
 }
 
-/// Parses the body of `span` out of the full source `lines` into an IR.
-pub fn parse_kernel(lines: &[&str], span: &KernelSpan) -> KernelIr {
+/// Parses the body of `span` out of the full source `lines` into an IR,
+/// reading the body's directives from the source's pragma table.
+pub(super) fn parse_kernel(lines: &[&str], span: &KernelSpan, pragmas: &[PragmaLine]) -> KernelIr {
     let mut toks = Vec::new();
     let mut regions = Vec::new();
     let last = span.body_close_line.min(lines.len());
+    let mut pragmas = pragmas
+        .iter()
+        .skip_while(|p| p.line <= span.body_open_line + 1)
+        .peekable();
     for (idx, raw) in lines
         .iter()
         .enumerate()
@@ -193,13 +178,13 @@ pub fn parse_kernel(lines: &[&str], span: &KernelSpan) -> KernelIr {
     {
         let raw = *raw;
         let line_no = idx + 1;
-        if is_nvm_pragma(raw) {
-            match parse_pragma(line_no, raw) {
+        if let Some(pragma) = pragmas.next_if(|p| p.line == line_no) {
+            match &pragma.parsed {
                 Ok(Pragma::Checksum { table, keys, .. }) => {
-                    toks.push(LTok::Fold(line_no, table, keys));
+                    toks.push(LTok::Fold(line_no, table.clone(), keys.clone()));
                 }
                 Ok(Pragma::Region { ptr, nelems, .. }) => {
-                    regions.push((line_no, ptr, nelems));
+                    regions.push((line_no, ptr.clone(), nelems.clone()));
                 }
                 _ => {} // malformed or host-side pragmas are compile's problem
             }
@@ -218,8 +203,12 @@ pub fn parse_kernel(lines: &[&str], span: &KernelSpan) -> KernelIr {
     KernelIr {
         name: span.name.clone(),
         param_names: decls.iter().map(|(_, n)| n.clone()).collect(),
+        pointer_params: decls
+            .iter()
+            .filter(|(ty, _)| ty.contains('*'))
+            .map(|(_, n)| n.clone())
+            .collect(),
         param_types: decls.into_iter().map(|(t, _)| t).collect(),
-        pointer_params: span.pointer_params(),
         regions,
         body,
     }
@@ -713,17 +702,11 @@ fn classify_assign(toks: &[Token], line: usize) -> Option<Stmt> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel_scan::find_kernels;
-
-    fn ir_of(src: &str) -> KernelIr {
-        let lines: Vec<&str> = src.lines().collect();
-        let ks = find_kernels(&lines).unwrap();
-        parse_kernel(&lines, &ks[0])
-    }
+    use crate::analysis::first_kernel;
 
     #[test]
     fn parses_straight_line_kernel() {
-        let ir = ir_of(
+        let k = first_kernel(
             r#"
 __global__ void k(float *out, float *in, int n) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -733,10 +716,11 @@ __global__ void k(float *out, float *in, int n) {
 }
 "#,
         );
+        let ir = &k.ir;
         assert_eq!(ir.name, "k");
         assert_eq!(ir.pointer_params, vec!["out".to_string(), "in".into()]);
         assert_eq!(ir.param_names.len(), 3);
-        assert!(ir.is_protected());
+        assert!(k.is_protected());
         assert_eq!(ir.body.len(), 4);
         assert!(
             matches!(&ir.body[0].kind, StmtKind::Decl { name, init: Some(_), .. } if name == "i")
@@ -748,7 +732,7 @@ __global__ void k(float *out, float *in, int n) {
 
     #[test]
     fn parses_if_else_and_sync() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p) {
     if (threadIdx.x < 16) {
@@ -758,7 +742,8 @@ __global__ void k(float *p) {
     }
 }
 "#,
-        );
+        )
+        .ir;
         let StmtKind::If {
             cond,
             then_branch,
@@ -774,7 +759,7 @@ __global__ void k(float *p) {
 
     #[test]
     fn desugars_for_loops() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p, int n) {
     for (int i = 0; i < n; i++) {
@@ -782,7 +767,8 @@ __global__ void k(float *p, int n) {
     }
 }
 "#,
-        );
+        )
+        .ir;
         assert!(
             matches!(&ir.body[0].kind, StmtKind::Decl { name, init: Some(z), .. } if name == "i" && z == "0")
         );
@@ -798,7 +784,7 @@ __global__ void k(float *p, int n) {
 
     #[test]
     fn normalises_compound_assignments() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p) {
     int s = 0;
@@ -807,7 +793,8 @@ __global__ void k(float *p) {
     s *= 3;
 }
 "#,
-        );
+        )
+        .ir;
         let rhss: Vec<String> = ir
             .body
             .iter()
@@ -821,7 +808,7 @@ __global__ void k(float *p) {
 
     #[test]
     fn multi_declarator_lines_split() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p) {
     int bx = blockIdx.x, by = blockIdx.y;
@@ -829,7 +816,8 @@ __global__ void k(float *p) {
     tile[bx] = 0.0f;
 }
 "#,
-        );
+        )
+        .ir;
         let names: Vec<(String, bool)> = ir
             .body
             .iter()
@@ -850,7 +838,7 @@ __global__ void k(float *p) {
 
     #[test]
     fn call_statements_are_recognised_and_return_stays_other() {
-        let ir = ir_of(
+        let k = first_kernel(
             r#"
 __global__ void k(int *bins, int x) {
     atomicAdd(&bins[x], 1);
@@ -858,6 +846,7 @@ __global__ void k(int *bins, int x) {
 }
 "#,
         );
+        let ir = &k.ir;
         assert_eq!(ir.body.len(), 2);
         let StmtKind::Call { name, args } = &ir.body[0].kind else {
             panic!("expected call, got {:?}", ir.body[0]);
@@ -866,12 +855,12 @@ __global__ void k(int *bins, int x) {
         assert_eq!(args.len(), 2);
         assert!(args[0].contains("bins"));
         assert!(matches!(&ir.body[1].kind, StmtKind::Other { text } if text == "return"));
-        assert!(!ir.is_protected());
+        assert!(!k.is_protected());
     }
 
     #[test]
     fn fences_parse_with_their_scopes() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p) {
     p[blockIdx.x] = 1.0f;
@@ -880,7 +869,8 @@ __global__ void k(float *p) {
     __threadfence_system();
 }
 "#,
-        );
+        )
+        .ir;
         let scopes: Vec<FenceScope> = ir
             .body
             .iter()
@@ -899,14 +889,15 @@ __global__ void k(float *p) {
 
     #[test]
     fn call_arguments_split_at_top_level_commas_only() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p, float *q, int n) {
     helper(p, f(q, n), n + 1);
     g();
 }
 "#,
-        );
+        )
+        .ir;
         let StmtKind::Call { name, args } = &ir.body[0].kind else {
             panic!("expected call, got {:?}", ir.body[0]);
         };
@@ -922,19 +913,20 @@ __global__ void k(float *p, float *q, int n) {
 
     #[test]
     fn expressions_mixing_calls_stay_other() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p) {
     f(1) + g(2);
 }
 "#,
-        );
+        )
+        .ir;
         assert!(matches!(&ir.body[0].kind, StmtKind::Other { .. }));
     }
 
     #[test]
     fn single_statement_bodies_without_braces() {
-        let ir = ir_of(
+        let ir = first_kernel(
             r#"
 __global__ void k(float *p, int n) {
     if (blockIdx.x == 0)
@@ -943,7 +935,8 @@ __global__ void k(float *p, int n) {
         p[blockIdx.x] = 2.0f;
 }
 "#,
-        );
+        )
+        .ir;
         let StmtKind::If { else_branch, .. } = &ir.body[0].kind else {
             panic!();
         };

@@ -23,11 +23,10 @@
 //! a verdict. The per-kernel [`KernelRelevance`] summary also rides along
 //! in `lpcuda-lint --json`, so CI can see *why* the campaign pruned.
 
-use super::cfg::{build, NodeKind};
-use super::contract::{mode_backend, pinned_mode};
+use super::cfg::NodeKind;
+use super::contract::mode_backend;
 use super::interproc::FnSummary;
-use super::ir::parse_kernel;
-use crate::kernel_scan::KernelSpan;
+use super::KernelFacts;
 use gpu_lp::BackendKind;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -112,53 +111,36 @@ pub struct KernelRelevance {
     pub helper_calls: usize,
 }
 
-/// Computes [`KernelRelevance`] for every kernel in `lines`.
-pub fn kernel_relevance(
-    lines: &[&str],
-    kernels: &[KernelSpan],
-    fns: &BTreeMap<String, FnSummary>,
-) -> Vec<KernelRelevance> {
-    let mut out: Vec<KernelRelevance> = kernels
-        .iter()
-        .map(|span| {
-            let ir = parse_kernel(lines, span);
-            let cfg = build(&ir);
-            let mode = match pinned_mode(lines, span) {
-                Some((_, mode)) if mode_backend(&mode).is_some() => mode,
-                _ => "auto".to_string(),
-            };
-            let mut rel = KernelRelevance {
-                kernel: ir.name.clone(),
-                mode,
-                protected: ir.is_protected(),
-                stores: 0,
-                folds: 0,
-                fences: 0,
-                helper_calls: 0,
-            };
-            for node in &cfg.nodes {
-                match &node.kind {
-                    NodeKind::Store { .. } => rel.stores += 1,
-                    NodeKind::Fold { .. } => rel.folds += 1,
-                    NodeKind::Fence { .. } => rel.fences += 1,
-                    NodeKind::Call { name, .. } if fns.contains_key(name) => {
-                        rel.helper_calls += 1;
-                    }
-                    _ => {}
-                }
-            }
-            rel
-        })
-        .collect();
-    out.sort_by(|a, b| a.kernel.cmp(&b.kernel));
-    out
+/// Summarises one kernel; `fns` are the source's `__device__` summaries.
+pub fn kernel_relevance(k: &KernelFacts, fns: &BTreeMap<String, FnSummary>) -> KernelRelevance {
+    let mode = match &k.pin {
+        Some((_, mode)) if mode_backend(mode).is_some() => mode.clone(),
+        _ => "auto".to_string(),
+    };
+    let mut rel = KernelRelevance {
+        kernel: k.ir.name.clone(),
+        mode,
+        protected: k.is_protected(),
+        stores: 0,
+        folds: 0,
+        fences: 0,
+        helper_calls: 0,
+    };
+    for node in &k.cfg.nodes {
+        match &node.kind {
+            NodeKind::Store { .. } => rel.stores += 1,
+            NodeKind::Fold { .. } => rel.folds += 1,
+            NodeKind::Fence { .. } => rel.fences += 1,
+            NodeKind::Call { name, .. } if fns.contains_key(name) => rel.helper_calls += 1,
+            _ => {}
+        }
+    }
+    rel
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::interproc::summarize_device_fns;
-    use crate::kernel_scan::find_kernels;
 
     #[test]
     fn fixed_backends_get_both_facts_adaptive_only_one() {
@@ -217,10 +199,9 @@ __global__ void pinned(float *out) {
     __threadfence();
 }
 "#;
-        let lines: Vec<&str> = src.lines().collect();
-        let kernels = find_kernels(&lines).unwrap();
-        let fns = summarize_device_fns(&lines);
-        let rels = kernel_relevance(&lines, &kernels, &fns);
+        let a = crate::analysis::SourceAnalysis::new(src).unwrap();
+        let mut rels: Vec<_> = a.kernels().map(|k| kernel_relevance(&k, &a.fns)).collect();
+        rels.sort_by(|a, b| a.kernel.cmp(&b.kernel));
         assert_eq!(rels.len(), 2);
         assert_eq!(rels[0].kernel, "pinned");
         assert_eq!(rels[0].mode, "epoch");

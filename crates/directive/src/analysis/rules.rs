@@ -1,25 +1,20 @@
 //! The flow-sensitive LP-safety rules, LP010–LP014 and LP022–LP024.
 //!
-//! Each rule consumes the kernel CFG plus the dominator/post-dominator and
-//! taint results and proves a *structural* property — no inputs, no
+//! Each rule reads one kernel's facts (CFG, dominators/post-dominators,
+//! taint, footprint) and proves a *structural* property — no inputs, no
 //! execution. The static rules deliberately mirror the dynamic sanitizer's
 //! passes where a structural proof exists (LP011 ↔ coverage, LP013/LP023 ↔
 //! global-conflict, LP022 ↔ bounds) and cover the divergence/ordering
 //! hazards the sanitizer can only witness on inputs that happen to trigger
-//! them (LP010, LP012, LP014). See `DESIGN.md` §3.11 for the coverage
-//! table and §3.16 for the footprint engine the byte-precise rules
-//! (LP011, LP013, LP022–LP024) are built on.
+//! them (LP010, LP012, LP014). See `DESIGN.md` §3.6 for the coverage
+//! table and the footprint engine the byte-precise rules (LP011, LP013,
+//! LP022–LP024) are built on.
 
-use super::cfg::{build, Cfg, NodeKind};
-use super::contract;
-use super::dom::{dominators, post_dominators};
-use super::footprint::{self, KernelFootprint, StoreFootprint};
-use super::interproc::summarize_device_fns;
-use super::ir::{parse_kernel, KernelIr};
+use super::cfg::NodeKind;
+use super::footprint::{self, StoreFootprint};
 use super::symbolic::Lin;
-use super::taint::{self, Taint};
-use crate::error::{Diagnostic, Edit, Span, Suggestion};
-use crate::kernel_scan::KernelSpan;
+use super::{contract, span_at, KernelFacts};
+use crate::error::{Diagnostic, Edit, Suggestion};
 use crate::lexer::{tokenize, value_identifiers};
 use std::collections::BTreeMap;
 
@@ -27,49 +22,25 @@ use std::collections::BTreeMap;
 /// local definition the dominance rules should demand.
 const BUILTINS: [&str; 5] = ["threadIdx", "blockIdx", "blockDim", "gridDim", "warpSize"];
 
-/// Runs LP010–LP014 and LP022–LP024 plus the interprocedural contract
-/// rules LP016–LP021 over every kernel in `lines`. The `__device__`
-/// helpers are summarised once and shared across kernels.
-pub fn analyze(lines: &[&str], kernels: &[KernelSpan]) -> Vec<Diagnostic> {
-    let fns = summarize_device_fns(lines);
-    let mut out = Vec::new();
-    for span in kernels {
-        let ir = parse_kernel(lines, span);
-        out.extend(analyze_kernel(lines, &ir));
-        contract::analyze_kernel(lines, span, &fns, &mut out);
-    }
-    out
-}
-
 /// Runs the flow-sensitive rules over one kernel.
-pub fn analyze_kernel(lines: &[&str], ir: &KernelIr) -> Vec<Diagnostic> {
-    let cfg = build(ir);
-    let thread = taint::analyze(&cfg, taint::THREAD);
-    let block = taint::analyze(&cfg, taint::BLOCK);
-    let fp = footprint::kernel_footprint(ir, &cfg);
-    let mut out = Vec::new();
-    lp010_barrier_divergence(&cfg, &thread, lines, &mut out);
-    if ir.is_protected() {
-        lp011_uncovered_store(&cfg, &fp, lines, ir, &mut out);
-        lp012_divergent_fold(&cfg, &thread, lines, &mut out);
-        lp014_fold_before_store(&cfg, lines, ir, &mut out);
-        lp024_fold_mismatch(&cfg, &fp, lines, &mut out);
+pub(crate) fn analyze_kernel(lines: &[&str], k: &KernelFacts, out: &mut Vec<Diagnostic>) {
+    lp010_barrier_divergence(k, lines, out);
+    if k.is_protected() {
+        lp011_uncovered_store(k, lines, out);
+        lp012_divergent_fold(k, lines, out);
+        lp014_fold_before_store(k, lines, out);
+        lp024_fold_mismatch(k, lines, out);
     }
-    lp013_cross_block_conflict(&cfg, &block, &fp, lines, ir, &mut out);
-    lp022_out_of_bounds(&fp, lines, ir, &mut out);
-    lp023_same_address_threads(&cfg, &thread, &fp, lines, ir, &mut out);
-    out
-}
-
-fn span_at(lines: &[&str], line: usize, needle: &str) -> Span {
-    let text = lines.get(line.wrapping_sub(1)).copied().unwrap_or("");
-    Span::of(line, text, needle)
+    lp013_cross_block_conflict(k, lines, out);
+    lp022_out_of_bounds(k, lines, out);
+    lp023_same_address_threads(k, lines, out);
 }
 
 /// LP010: `__syncthreads()` under a thread-dependent condition. Threads
 /// that take the other arm never reach the barrier — deadlock or undefined
 /// behaviour on real hardware.
-fn lp010_barrier_divergence(cfg: &Cfg, thread: &Taint, lines: &[&str], out: &mut Vec<Diagnostic>) {
+fn lp010_barrier_divergence(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, thread) = (&k.cfg, k.thread());
     for (id, node) in cfg.nodes.iter().enumerate() {
         if !matches!(node.kind, NodeKind::Sync) {
             continue;
@@ -100,14 +71,8 @@ fn lp010_barrier_divergence(cfg: &Cfg, thread: &Taint, lines: &[&str], out: &mut
 /// post-dominating folded store provably rewrites the same elements (the
 /// overwrite is what persists, and *it* is folded). Only genuinely
 /// unfolded final bytes are flagged.
-fn lp011_uncovered_store(
-    cfg: &Cfg,
-    fp: &KernelFootprint,
-    lines: &[&str],
-    ir: &KernelIr,
-    out: &mut Vec<Diagnostic>,
-) {
-    let pdom = post_dominators(cfg);
+fn lp011_uncovered_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, fp, pdom) = (&k.cfg, &k.footprint, &k.pdom);
     let folds: Vec<(usize, &str)> = cfg
         .nodes
         .iter()
@@ -132,7 +97,7 @@ fn lp011_uncovered_store(
              into a checksum: a crash that loses it still validates and \
              recovery silently drops the value; protect it with \
              `{fix_pragma}` immediately before the store",
-            ir.name
+            k.ir.name
         );
         if let Some((fid, _)) = folds
             .iter()
@@ -162,7 +127,8 @@ fn lp011_uncovered_store(
 /// LP012: a checksum fold under thread-dependent control. Threads that
 /// skip the fold leave their stores out of the block reduction, so the
 /// table entry is persistently wrong even without a crash.
-fn lp012_divergent_fold(cfg: &Cfg, thread: &Taint, lines: &[&str], out: &mut Vec<Diagnostic>) {
+fn lp012_divergent_fold(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, thread) = (&k.cfg, k.thread());
     for (id, node) in cfg.nodes.iter().enumerate() {
         let NodeKind::Fold { table, .. } = &node.kind else {
             continue;
@@ -196,14 +162,8 @@ fn lp012_divergent_fold(cfg: &Cfg, thread: &Taint, lines: &[&str], out: &mut Vec
 /// is disjointness (quiet), and an unprovable stride stays quiet — no
 /// claim without a proof. Only opaque indexes fall back to the old taint
 /// approximation.
-fn lp013_cross_block_conflict(
-    cfg: &Cfg,
-    block: &Taint,
-    fp: &KernelFootprint,
-    lines: &[&str],
-    ir: &KernelIr,
-    out: &mut Vec<Diagnostic>,
-) {
+fn lp013_cross_block_conflict(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, block, fp) = (&k.cfg, k.block(), &k.footprint);
     for store in &fp.stores {
         let node = &cfg.nodes[store.node];
         let NodeKind::Store {
@@ -241,7 +201,7 @@ fn lp013_cross_block_conflict(
                  every block: {detail}, so concurrent blocks race on the \
                  location; partition the buffer by blockIdx or guard the \
                  store with `if (blockIdx.x == 0)`",
-                ir.name
+                k.ir.name
             ),
             suggestion: None,
         });
@@ -252,8 +212,8 @@ fn lp013_cross_block_conflict(
 /// the fold site. On the paths that skip the definition, the checksum
 /// accumulates an indeterminate value, so validation can neither pass nor
 /// fail meaningfully.
-fn lp014_fold_before_store(cfg: &Cfg, lines: &[&str], ir: &KernelIr, out: &mut Vec<Diagnostic>) {
-    let dom = dominators(cfg);
+fn lp014_fold_before_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, dom) = (&k.cfg, k.dom());
     let declared: Vec<&str> = cfg
         .nodes
         .iter()
@@ -274,7 +234,7 @@ fn lp014_fold_before_store(cfg: &Cfg, lines: &[&str], ir: &KernelIr, out: &mut V
         };
         let store_line = cfg.nodes[*sid].line;
         for var in value_identifiers(&tokenize(rhs)) {
-            if BUILTINS.contains(&var.as_str()) || ir.param_names.contains(&var) {
+            if BUILTINS.contains(&var.as_str()) || k.ir.param_names.contains(&var) {
                 continue;
             }
             let defs: Vec<usize> = cfg
@@ -329,13 +289,9 @@ fn lp014_fold_before_store(cfg: &Cfg, lines: &[&str], ir: &KernelIr, out: &mut V
 /// maximum reachable element index is then compared symbolically against
 /// the bound. Under-declared regions are the common case — the fix widens
 /// the declaration to cover the proven maximum.
-fn lp022_out_of_bounds(
-    fp: &KernelFootprint,
-    lines: &[&str],
-    ir: &KernelIr,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (rline, ptr, nelems) in &ir.regions {
+fn lp022_out_of_bounds(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let fp = &k.footprint;
+    for (rline, ptr, nelems) in &k.ir.regions {
         let Some(bound) = pure_uniform(nelems) else {
             continue; // a bound the engine cannot compare against
         };
@@ -388,14 +344,8 @@ fn lp022_out_of_bounds(
 /// thread (no `threadIdx` term, no thread-dependent guard filtering the
 /// writers down to one), while the stored value differs per thread, so
 /// the final bytes depend on warp scheduling.
-fn lp023_same_address_threads(
-    cfg: &Cfg,
-    thread: &Taint,
-    fp: &KernelFootprint,
-    lines: &[&str],
-    ir: &KernelIr,
-    out: &mut Vec<Diagnostic>,
-) {
+fn lp023_same_address_threads(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, thread, fp) = (&k.cfg, k.thread(), &k.footprint);
     for store in &fp.stores {
         let Some(a) = &store.index else { continue };
         if a.depends_on_thread() {
@@ -421,7 +371,7 @@ fn lp023_same_address_threads(
                  bytes depend on warp scheduling and a crash can persist a \
                  torn line; index the store by threadIdx or restrict the \
                  writer with `if (threadIdx.x == 0)`",
-                ir.name
+                k.ir.name
             ),
             suggestion: None,
         });
@@ -434,7 +384,8 @@ fn lp023_same_address_threads(
 /// store at all (it claims bytes nothing writes), and a fold whose
 /// store's elements are provably rewritten later (folded value ≠ final
 /// value, so recovery validation false-fails even without a crash).
-fn lp024_fold_mismatch(cfg: &Cfg, fp: &KernelFootprint, lines: &[&str], out: &mut Vec<Diagnostic>) {
+fn lp024_fold_mismatch(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let (cfg, fp) = (&k.cfg, &k.footprint);
     let by_node: BTreeMap<usize, &StoreFootprint> = fp.stores.iter().map(|s| (s.node, s)).collect();
     for node in &cfg.nodes {
         let NodeKind::Fold { table, store, .. } = &node.kind else {
@@ -464,7 +415,7 @@ fn lp024_fold_mismatch(cfg: &Cfg, fp: &KernelFootprint, lines: &[&str], out: &mu
         // A later store that provably rewrites the folded elements makes
         // the folded value stale: validation recomputes from the final
         // bytes and can never match the accumulated checksum.
-        let reach = super::contract::reachable_from(cfg, *sid);
+        let reach = contract::reachable_from(cfg, *sid);
         let rewrite = fp.stores.iter().find(|later| {
             later.node != *sid && reach[later.node] && footprint::same_elements(later, folded)
         });

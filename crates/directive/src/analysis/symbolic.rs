@@ -20,7 +20,7 @@
 //! soundness story: the engine only ever *proves* facts (disjointness,
 //! bounds, equality) on forms it represents exactly, and stays silent
 //! otherwise. Comparisons assume uniform symbols are non-negative (sizes,
-//! counts) and launch dimensions are at least 1; DESIGN §3.16 states the
+//! counts) and launch dimensions are at least 1; DESIGN §3.6 states the
 //! assumption and its consequences.
 
 use crate::lexer::{tokenize, Token};

@@ -92,21 +92,11 @@ pub fn analyze(cfg: &Cfg, source: &'static str) -> Taint {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::analysis::cfg::build;
-    use crate::analysis::ir::parse_kernel;
-    use crate::kernel_scan::find_kernels;
-
-    fn taints(src: &str) -> (Taint, Taint) {
-        let lines: Vec<&str> = src.lines().collect();
-        let ks = find_kernels(&lines).unwrap();
-        let cfg = build(&parse_kernel(&lines, &ks[0]));
-        (analyze(&cfg, THREAD), analyze(&cfg, BLOCK))
-    }
+    use crate::analysis::first_kernel;
 
     #[test]
     fn data_flow_propagates_through_assignments() {
-        let (thread, block) = taints(
+        let k = first_kernel(
             r#"
 __global__ void k(float *p, int n) {
     int tid = threadIdx.x;
@@ -116,6 +106,8 @@ __global__ void k(float *p, int n) {
 }
 "#,
         );
+        let thread = k.thread();
+        let block = k.block();
         assert!(thread.expr_tainted("tid"));
         assert!(thread.expr_tainted("i"));
         assert!(!thread.expr_tainted("uniform"));
@@ -126,7 +118,7 @@ __global__ void k(float *p, int n) {
 
     #[test]
     fn control_flow_taints_divergent_loop_counters() {
-        let (thread, _) = taints(
+        let k = first_kernel(
             r#"
 __global__ void k(float *p, int n) {
     int count = 0;
@@ -137,6 +129,7 @@ __global__ void k(float *p, int n) {
 }
 "#,
         );
+        let thread = k.thread();
         // `count = count + 1` is not data-tainted, but it executes a
         // thread-dependent number of times.
         assert!(thread.expr_tainted("count"));
@@ -145,7 +138,7 @@ __global__ void k(float *p, int n) {
 
     #[test]
     fn member_selectors_do_not_alias_locals() {
-        let (thread, _) = taints(
+        let k = first_kernel(
             r#"
 __global__ void k(float *p) {
     int x = 7;
@@ -153,6 +146,7 @@ __global__ void k(float *p) {
 }
 "#,
         );
+        let thread = k.thread();
         assert!(!thread.expr_tainted("x"), "local x is uniform");
         assert!(thread.expr_tainted("threadIdx.x"));
     }

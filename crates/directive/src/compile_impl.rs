@@ -2,10 +2,10 @@
 
 use crate::codegen;
 use crate::error::CompileError;
-use crate::kernel_scan::{body_statements, find_kernels, KernelSpan};
+use crate::kernel_scan::{body_statements, scan, KernelSpan};
 use crate::lexer::{tokenize, used_identifiers};
 use crate::plan::{InitPlan, LpPlan};
-use crate::pragma::{is_nvm_pragma, parse_pragma, Pragma};
+use crate::pragma::Pragma;
 use crate::slice::backward_slice;
 
 /// A generated check-and-recovery kernel.
@@ -93,8 +93,8 @@ fn statement_at(lines: &[&str], start: usize) -> Option<(String, usize)> {
 /// Propagates the [`CompileError`] variants raised by pragma parsing,
 /// kernel scanning, and store-statement analysis.
 pub fn compile(source: &str) -> Result<CompiledLp, CompileError> {
-    let lines: Vec<&str> = source.lines().collect();
-    let kernels = find_kernels(&lines)?;
+    let found = scan(source)?;
+    let (lines, kernels) = (found.lines, found.kernels);
 
     let mut plans = Vec::new();
     let mut init_plans = Vec::new();
@@ -105,12 +105,10 @@ pub fn compile(source: &str) -> Result<CompiledLp, CompileError> {
     // Kernels that need the prologue/epilogue, by kernel index.
     let mut instrumented_kernels: Vec<(usize, LpPlan)> = Vec::new();
 
-    for (idx, raw) in lines.iter().enumerate() {
-        if !is_nvm_pragma(raw) {
-            continue;
-        }
-        let pragma = parse_pragma(idx + 1, raw)?;
-        match pragma {
+    for pragma in found.pragmas {
+        let (line, idx) = (pragma.line, pragma.line - 1);
+        let raw = lines[idx];
+        match pragma.parsed? {
             Pragma::Init {
                 table,
                 nelems,
@@ -128,17 +126,12 @@ pub fn compile(source: &str) -> Result<CompiledLp, CompileError> {
                 init_plans.push(plan);
             }
             Pragma::Checksum {
-                line,
-                ops,
-                table,
-                keys,
+                ops, table, keys, ..
             } => {
-                let kernel = kernels
-                    .iter()
-                    .enumerate()
-                    .find(|(_, k)| k.contains_line(idx))
+                let kidx = pragma
+                    .kernel
                     .ok_or(CompileError::ChecksumOutsideKernel { line })?;
-                let (kidx, kspan) = kernel;
+                let kspan = &kernels[kidx];
                 let (stmt, stmt_end) = statement_at(&lines, idx + 1)
                     .ok_or(CompileError::MissingProtectedStore { line })?;
                 let (lhs, rhs) =

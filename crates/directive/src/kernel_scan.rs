@@ -1,16 +1,18 @@
-//! Locating `__global__` kernel functions and splitting their bodies into
-//! statements.
+//! The one source scan — `__global__` kernels, `__device__` helpers and
+//! `#pragma nvm` lines found in a single walk — and the splitting of kernel
+//! bodies into statements.
 
-use crate::error::CompileError;
+use crate::error::{CompileError, Span};
+use crate::pragma::{is_nvm_pragma, parse_pragma, Pragma};
 
-/// A kernel function found in the source.
+/// A `__global__` or `__device__` function definition found in the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelSpan {
-    /// Kernel name.
+    /// Function name.
     pub name: String,
     /// Parameter list, verbatim (without parentheses).
     pub params: String,
-    /// 0-based source line of the `__global__` keyword.
+    /// 0-based source line of the qualifier.
     pub start_line: usize,
     /// 0-based source line of the opening `{`.
     pub body_open_line: usize,
@@ -27,137 +29,227 @@ impl KernelSpan {
     pub fn contains_line(&self, line: usize) -> bool {
         self.body_open_line < line && line < self.body_close_line
     }
+}
 
-    /// Names of the pointer-typed kernel parameters — the persistent
-    /// buffers a `__global__` kernel can store to.
-    pub fn pointer_params(&self) -> Vec<String> {
-        self.params
-            .split(',')
-            .filter(|p| p.contains('*'))
-            .filter_map(|p| {
-                p.rsplit(|c: char| !c.is_alphanumeric() && c != '_')
-                    .find(|s| !s.is_empty())
-                    .map(str::to_string)
-            })
-            .collect()
+/// One `#pragma nvm` line of the source, parsed once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PragmaLine {
+    /// 1-based source line.
+    pub line: usize,
+    /// The directive, or the error `compile` reports for it.
+    pub parsed: Result<Pragma, CompileError>,
+    /// Index into [`SourceScan::kernels`] of the kernel whose body holds
+    /// the line.
+    pub kernel: Option<usize>,
+}
+
+/// A `__global__` kernel whose body never opens or never closes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unbalanced {
+    /// Kernel name.
+    pub kernel: String,
+    /// The name on the kernel's `__global__` line.
+    pub span: Span,
+}
+
+impl From<Unbalanced> for CompileError {
+    fn from(e: Unbalanced) -> Self {
+        CompileError::UnbalancedBraces { kernel: e.kernel }
     }
 }
 
-/// Where [`scan_function`] stopped.
-pub(crate) enum FnScan {
-    /// A definition with a balanced body.
-    Definition(KernelSpan),
-    /// A `;` came before the `(` or before the `{`: a qualified variable or
-    /// a prototype, ending on `end_line`. Only reported when the scan was
-    /// asked to recognise declarations.
-    Declaration { end_line: usize },
-    /// The body never opens or never closes.
-    Unbalanced { name: String },
+/// What one walk over a source finds: its lines, every `#pragma nvm` line
+/// parsed, and the extents of every `__global__` and `__device__`
+/// function definition.
+#[derive(Debug)]
+pub struct SourceScan<'a> {
+    /// The source's lines, as written.
+    pub lines: Vec<&'a str>,
+    /// Every `#pragma nvm` line, in source order.
+    pub pragmas: Vec<PragmaLine>,
+    /// `__global__` kernel definitions, in source order.
+    pub kernels: Vec<KernelSpan>,
+    /// `__device__` function definitions, in source order.
+    pub device_fns: Vec<KernelSpan>,
 }
 
-/// Scans the function whose qualifier (`__global__`, `__device__`) sits at
-/// `lines[start][pos..]`: gathers the header (which may span lines) for the
-/// name and the verbatim parameter list, then matches the body braces line
-/// by line. With `declarations` set a `;` ahead of the `(` or the `{` ends
-/// the scan as a [`FnScan::Declaration`] instead of being read through.
-pub(crate) fn scan_function(
-    lines: &[&str],
-    start: usize,
-    pos: usize,
-    declarations: bool,
-) -> FnScan {
-    /// Appends following lines to `header` until `done` holds.
-    fn gather(lines: &[&str], header: &mut String, j: &mut usize, done: impl Fn(&str) -> bool) {
-        while !done(header) && *j + 1 < lines.len() {
-            *j += 1;
-            header.push(' ');
-            header.push_str(lines[*j]);
-        }
-    }
-    let mut header = lines[start][pos..].to_string();
-    let mut j = start;
-    gather(lines, &mut header, &mut j, |h| {
-        h.contains('(') || (declarations && h.contains(';'))
-    });
-    let paren = header.find('(');
-    if declarations && (paren.is_none() || header.find(';').is_some_and(|s| Some(s) < paren)) {
-        return FnScan::Declaration { end_line: j };
-    }
-    let name = header
-        .split('(')
-        .next()
-        .unwrap_or("")
-        .split_whitespace()
-        .last()
-        .unwrap_or("")
-        .trim_matches('*')
-        .to_string();
-    gather(lines, &mut header, &mut j, |h| h.contains(')'));
-    let params = header
-        .split_once('(')
-        .map(|(_, rest)| rest)
-        .and_then(|r| r.rsplit_once(')').map(|(p, _)| p))
-        .unwrap_or("")
-        .trim()
-        .to_string();
-    let mut depth = 0i64;
-    let mut open_line = None;
-    for (k, line) in lines.iter().enumerate().skip(j) {
-        // The three delimiters are ASCII, so bytes suffice.
-        for c in line.bytes() {
-            match c {
-                b';' if declarations && open_line.is_none() => {
-                    return FnScan::Declaration { end_line: k };
-                }
-                b'{' => {
-                    open_line.get_or_insert(k);
-                    depth += 1;
-                }
-                b'}' => {
-                    depth -= 1;
-                    if let (0, Some(open)) = (depth, open_line) {
-                        return FnScan::Definition(KernelSpan {
-                            name,
-                            params,
-                            start_line: start,
-                            body_open_line: open,
-                            body_close_line: k,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    FnScan::Unbalanced { name }
-}
-
-/// Scans the source for `__global__ void name(params) { … }` functions.
+/// Scans `source` for function definitions and `#pragma nvm` lines.
+///
+/// Functions are found on a view of the source with comments and literal
+/// contents blanked, so a qualifier, brace or parenthesis inside either is
+/// never read as code. Prototypes and `__device__` variables (a `;` ahead
+/// of the body's `{`) are skipped, and so is a `__device__` body that never
+/// closes — the lint front end must not reject what it can still analyse.
+/// Pragmas are parsed from the lines as written.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::UnbalancedBraces`] when a kernel body never
-/// closes.
-pub fn find_kernels(lines: &[&str]) -> Result<Vec<KernelSpan>, CompileError> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let Some(pos) = lines[i].find("__global__") else {
-            i += 1;
+/// Returns [`Unbalanced`] when a `__global__` body never opens or closes.
+pub fn scan(source: &str) -> Result<SourceScan<'_>, Unbalanced> {
+    let lines: Vec<&str> = source.lines().collect();
+    let code = blank_comments_and_literals(source);
+    let mut qualifiers: Vec<usize> = ["__global__", "__device__"]
+        .iter()
+        .flat_map(|q| code.match_indices(q).map(|(at, _)| at))
+        .collect();
+    qualifiers.sort_unstable();
+    // The 0-based line of a byte offset. Offsets are asked for in rising
+    // order, so each line break is counted once.
+    let mut counted = (0, 0);
+    let mut line_of = |at: usize| {
+        counted.1 += code[counted.0..at].matches('\n').count();
+        counted.0 = at;
+        counted.1
+    };
+    let mut kernels = Vec::new();
+    let mut device_fns = Vec::new();
+    let mut resume = 0;
+    for at in qualifiers {
+        if at < resume {
+            continue; // inside the function just scanned
+        }
+        let rest = &code[at..];
+        // The header runs to the body's `{`; a `;` first makes this a
+        // prototype or a qualified variable.
+        let stop = rest.find(['{', ';']).unwrap_or(rest.len());
+        if rest[stop..].starts_with(';') {
+            resume = at + stop + 1;
+            continue;
+        }
+        let header = &rest[..stop];
+        let Some((name, params)) = signature(header) else {
+            continue; // `__device__ int lut[2] = {1, 2};`
+        };
+        // `__device__ __global__` qualifies a kernel.
+        let is_kernel = header.contains("__global__");
+        let start_line = line_of(at);
+        let Some(close) = matching_brace(rest, stop) else {
+            if is_kernel {
+                return Err(Unbalanced {
+                    span: Span::of(start_line + 1, lines[start_line], &name),
+                    kernel: name,
+                });
+            }
             continue;
         };
-        match scan_function(lines, i, pos, false) {
-            FnScan::Definition(span) => {
-                i = span.body_close_line + 1;
-                out.push(span);
-            }
-            FnScan::Unbalanced { name } => {
-                return Err(CompileError::UnbalancedBraces { kernel: name })
-            }
-            FnScan::Declaration { .. } => unreachable!("declarations were not asked for"),
+        let span = KernelSpan {
+            name,
+            params,
+            start_line,
+            body_open_line: line_of(at + stop),
+            body_close_line: line_of(at + close),
+        };
+        resume = at + close + 1;
+        if is_kernel {
+            kernels.push(span);
+        } else {
+            device_fns.push(span);
         }
     }
-    Ok(out)
+    let pragmas = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, raw)| is_nvm_pragma(raw))
+        .map(|(idx, raw)| PragmaLine {
+            line: idx + 1,
+            parsed: parse_pragma(idx + 1, raw),
+            kernel: kernels.iter().position(|k| k.contains_line(idx)),
+        })
+        .collect();
+    Ok(SourceScan {
+        lines,
+        pragmas,
+        kernels,
+        device_fns,
+    })
+}
+
+/// Copies `source` with every byte of a `//` or `/* … */` comment and of a
+/// string or character literal's contents replaced by a space. Line breaks
+/// stay, so the copy has the same lines at the same byte offsets. A literal
+/// left open ends with its line.
+fn blank_comments_and_literals(source: &str) -> String {
+    #[derive(Clone, Copy)]
+    enum State {
+        Code,
+        LineComment,
+        BlockComment,
+        Literal(u8),
+    }
+    use State::{BlockComment, Code, LineComment, Literal};
+    let mut out = source.as_bytes().to_vec();
+    let mut state = Code;
+    let mut i = 0;
+    while i < out.len() {
+        let (c, next) = (out[i], out.get(i + 1).copied());
+        // How many bytes from `i` are comment or literal content, and the
+        // state after them.
+        let (content, after) = match state {
+            Code => match (c, next) {
+                (b'/', Some(b'/')) => (2, LineComment),
+                (b'/', Some(b'*')) => (2, BlockComment),
+                (b'"' | b'\'', _) => (0, Literal(c)),
+                _ => (0, Code),
+            },
+            LineComment | Literal(_) if c == b'\n' => (0, Code),
+            LineComment => (1, LineComment),
+            BlockComment if c == b'*' && next == Some(b'/') => (2, Code),
+            BlockComment => (1, BlockComment),
+            Literal(quote) if c == quote => (0, Code),
+            Literal(_) if c == b'\\' => (2, state), // an escape, `\"` included
+            Literal(_) => (1, state),
+        };
+        let content_end = out.len().min(i + content);
+        for b in &mut out[i..content_end] {
+            if !matches!(*b, b'\n' | b'\r') {
+                *b = b' ';
+            }
+        }
+        i = content_end.max(i + 1);
+        state = after;
+    }
+    // States change on ASCII bytes alone, so only whole non-ASCII
+    // sequences are overwritten, each byte by an ASCII space.
+    String::from_utf8(out).expect("blanking keeps the source valid UTF-8")
+}
+
+/// The offset in `code` of the `}` closing the `{` at `open`, if the body
+/// closes (and `open` is not the end of `code`: the body opened at all).
+fn matching_brace(code: &str, open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    // The delimiters are ASCII, so bytes suffice.
+    for (at, c) in code.bytes().enumerate().skip(open) {
+        match c {
+            b'{' => depth += 1,
+            b'}' if depth == 1 => return Some(at),
+            b'}' => depth -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The function name and the verbatim parameter list (without parentheses,
+/// lines joined by one space) of a header: the parenthesis group its last
+/// `)` closes — attributes such as `__launch_bounds__(256)` come before
+/// it — and the word in front of that.
+fn signature(header: &str) -> Option<(String, String)> {
+    let close = header.rfind(')')?;
+    let mut depth = 0usize;
+    let open = header[..=close].bytes().rposition(|c| {
+        match c {
+            b')' => depth += 1,
+            b'(' => depth -= 1,
+            _ => {}
+        }
+        depth == 0
+    })?;
+    let name = header[..open].split_whitespace().last().unwrap_or("");
+    let params: Vec<&str> = header[open + 1..close].lines().collect();
+    Some((
+        name.trim_matches('*').to_string(),
+        params.join(" ").trim().to_string(),
+    ))
 }
 
 /// Splits a kernel body (the given 0-based line range, exclusive of the
@@ -223,7 +315,7 @@ __global__ void other(int *p) {
 
     #[test]
     fn finds_both_kernels() {
-        let ks = find_kernels(&lines()).unwrap();
+        let ks = scan(SRC).unwrap().kernels;
         assert_eq!(ks.len(), 2);
         assert_eq!(ks[0].name, "MatrixMulCUDA");
         assert_eq!(ks[1].name, "other");
@@ -233,7 +325,7 @@ __global__ void other(int *p) {
 
     #[test]
     fn body_range_is_sane() {
-        let ks = find_kernels(&lines()).unwrap();
+        let ks = scan(SRC).unwrap().kernels;
         let k = &ks[0];
         assert!(k.body_close_line > k.body_open_line);
         assert!(k.contains_line(k.body_open_line + 1));
@@ -242,7 +334,7 @@ __global__ void other(int *p) {
 
     #[test]
     fn contains_line_excludes_the_brace_lines() {
-        let ks = find_kernels(&lines()).unwrap();
+        let ks = scan(SRC).unwrap().kernels;
         for k in &ks {
             assert!(!k.contains_line(k.body_open_line), "{}: open brace", k.name);
             assert!(
@@ -259,17 +351,18 @@ __global__ void other(int *p) {
 
     #[test]
     fn pointer_params_extracted() {
-        let ks = find_kernels(&lines()).unwrap();
+        let analysis = crate::analysis::SourceAnalysis::new(SRC).unwrap();
+        let ks: Vec<_> = analysis.kernels().collect();
         assert_eq!(
-            ks[0].pointer_params(),
+            ks[0].ir.pointer_params,
             vec!["C".to_string(), "A".into(), "B".into()]
         );
-        assert_eq!(ks[1].pointer_params(), vec!["p".to_string()]);
+        assert_eq!(ks[1].ir.pointer_params, vec!["p".to_string()]);
     }
 
     #[test]
     fn statements_split_on_semicolons() {
-        let ks = find_kernels(&lines()).unwrap();
+        let ks = scan(SRC).unwrap().kernels;
         let k = &ks[0];
         let stmts = body_statements(&lines(), k.body_open_line, k.body_close_line);
         assert_eq!(stmts.len(), 3);
@@ -279,16 +372,47 @@ __global__ void other(int *p) {
 
     #[test]
     fn unbalanced_braces_error() {
-        let src = ["__global__ void bad(int *p) {", "    p[0] = 1;"];
+        let err = scan("\n__global__ void bad(int *p) {\n    p[0] = 1;").unwrap_err();
+        assert_eq!((err.kernel.as_str(), err.span.line), ("bad", 2));
         assert!(matches!(
-            find_kernels(&src),
-            Err(CompileError::UnbalancedBraces { .. })
+            CompileError::from(err),
+            CompileError::UnbalancedBraces { .. }
         ));
     }
 
     #[test]
     fn host_functions_ignored() {
-        let src = ["int main() {", "  return 0;", "}"];
-        assert!(find_kernels(&src).unwrap().is_empty());
+        assert!(scan("int main() {\n  return 0;\n}")
+            .unwrap()
+            .kernels
+            .is_empty());
+    }
+
+    #[test]
+    fn blanking_keeps_every_byte_offset_and_line_break() {
+        let src = "a /* {\r\n } */ b // }\n\"x\\\"}\" '}' '\\'' é /* é */ \"open\n}";
+        let blanked = blank_comments_and_literals(src);
+        assert_eq!(
+            blanked,
+            "a     \r\n      b     \n\"    \" ' ' '  ' é          \"    \n}"
+        );
+        assert_eq!(blanked.len(), src.len());
+    }
+
+    #[test]
+    fn pragma_table_records_the_enclosing_kernel() {
+        let src = "#pragma nvm lpcuda_init(t, n, 1)\n__global__ void k(int *p) {\n\
+                   #pragma nvm lpcuda_checksum(+, t, blockIdx.x)\n    p[0] = 1;\n}\n\
+                   #pragma nvm lpcuda_mode(eagre)\n";
+        let found = scan(src).unwrap();
+        let table: Vec<_> = found
+            .pragmas
+            .iter()
+            .map(|p| (p.line, p.kernel, p.parsed.is_ok()))
+            .collect();
+        assert_eq!(
+            table,
+            vec![(1, None, true), (3, Some(0), true), (6, None, false)]
+        );
     }
 }

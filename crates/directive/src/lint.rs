@@ -8,12 +8,12 @@
 //! the CUDA compiler would silently ignore (unknown pragmas don't warn,
 //! which is exactly how these bugs ship).
 //!
-//! The flow-sensitive rules (LP010–LP015) live in [`crate::analysis`] and
-//! run from here too: they parse each kernel into a mini-IR, build a CFG,
-//! and prove divergence/coverage/ordering properties from structure. The
-//! interprocedural contract rules (LP016–LP021, `analysis::contract`)
-//! additionally summarise `__device__` helpers and check each kernel
-//! against its persistency backend's durability point.
+//! This module is the driver and the pragma rules (LP001–LP005 over the
+//! pragma table, LP015 over a kernel's pin and CFG). One
+//! [`SourceAnalysis`] per source feeds everything: the flow-sensitive
+//! rules (LP010–LP014, LP022–LP024, `analysis::rules`) and the
+//! interprocedural contract rules (LP016–LP021, `analysis::contract`) read
+//! each kernel's facts from it and compute none of their own.
 //!
 //! Rules:
 //!
@@ -49,10 +49,11 @@
 //!
 //! Diagnostics are ordered by source position, then rule code.
 
-use crate::analysis;
+use crate::analysis::cfg::{Node, NodeKind};
+use crate::analysis::{contract, rules, KernelFacts, SourceAnalysis};
 use crate::error::{CompileError, Diagnostic, Span};
-use crate::kernel_scan::find_kernels;
-use crate::pragma::{is_nvm_pragma, parse_pragma, Pragma};
+use crate::kernel_scan::Unbalanced;
+use crate::pragma::Pragma;
 
 /// The two directives §VI of the paper defines, plus the persist-mode pin
 /// and the persist-region bound declaration this runtime adds on top of
@@ -216,25 +217,45 @@ pub const RULES: &[RuleMeta] = &[
 /// Lints `source` and returns every finding, ordered by source position.
 /// A clean program — including a pragma-free one — yields an empty vector.
 pub fn lint(source: &str) -> Vec<Diagnostic> {
-    let lines: Vec<&str> = source.lines().collect();
-    let kernels = match find_kernels(&lines) {
-        Ok(kernels) => kernels,
-        // A source that does not scan gets exactly one LP000 finding: with
-        // no kernel extents, every body-sensitive rule would misfire, so
-        // reporting the scan failure alone is the only honest output.
-        Err(e) => return vec![lp000(&lines, &e)],
+    lint_with(source, |_, _| {})
+}
+
+/// [`lint`], handing each kernel's facts to `each_kernel` once its rules
+/// have run, so a tool can report on the kernels from the same analysis.
+///
+/// A source that does not scan gets exactly one LP000 finding: with no
+/// kernel extents, every body-sensitive rule would misfire, so reporting
+/// the scan failure alone is the only honest output.
+pub fn lint_with(
+    source: &str,
+    mut each_kernel: impl FnMut(&SourceAnalysis<'_>, KernelFacts),
+) -> Vec<Diagnostic> {
+    let a = match SourceAnalysis::new(source) {
+        Ok(a) => a,
+        Err(e) => return vec![lp000(&e)],
     };
     let mut out = Vec::new();
+    pragma_rules(&a, &mut out);
+    for k in a.kernels() {
+        lp015_dominated_pin(&k, &a.scan.lines, &mut out);
+        rules::analyze_kernel(&a.scan.lines, &k, &mut out);
+        contract::analyze_kernel(&a.scan.lines, &k, &a.fns, &mut out);
+        each_kernel(&a, k);
+    }
+    out.sort_by_key(|d| (d.span, d.code));
+    out
+}
 
-    // (table, line, raw-line-text) of every successfully parsed directive.
-    let mut inits: Vec<(String, usize)> = Vec::new();
-    let mut checksum_tables: Vec<String> = Vec::new();
+/// LP001–LP005: the rules over the pragma table alone.
+fn pragma_rules(a: &SourceAnalysis<'_>, out: &mut Vec<Diagnostic>) {
+    // (table, line) of every first `lpcuda_init`.
+    let mut inits: Vec<(&str, usize)> = Vec::new();
+    // (table, line) of every `lpcuda_checksum`.
+    let mut checksums: Vec<(&str, usize)> = Vec::new();
 
-    for (idx, raw) in lines.iter().enumerate() {
-        let line_no = idx + 1;
-        if !is_nvm_pragma(raw) {
-            continue;
-        }
+    for p in &a.scan.pragmas {
+        let line_no = p.line;
+        let raw = a.scan.lines[line_no - 1];
         let name = directive_name(raw);
         if !KNOWN.contains(&name.as_str()) {
             let mut message = format!("unknown directive `{name}`");
@@ -249,17 +270,17 @@ pub fn lint(source: &str) -> Vec<Diagnostic> {
             });
             continue;
         }
-        let Ok(pragma) = parse_pragma(line_no, raw) else {
+        let Ok(pragma) = &p.parsed else {
             // Malformed arity/operator errors are `compile`'s to report;
             // the lint pass only reasons about well-formed directives.
             continue;
         };
         match pragma {
             Pragma::Init { table, .. } => {
-                if let Some((_, first)) = inits.iter().find(|(t, _)| *t == table) {
+                if let Some((_, first)) = inits.iter().find(|(t, _)| t == table) {
                     out.push(Diagnostic {
                         code: "LP003",
-                        span: Span::of(line_no, raw, &table),
+                        span: Span::of(line_no, raw, table),
                         message: format!(
                             "duplicate lpcuda_init for table `{table}` \
                              (first initialised on line {first}); \
@@ -272,7 +293,7 @@ pub fn lint(source: &str) -> Vec<Diagnostic> {
                 }
             }
             Pragma::Checksum { table, .. } => {
-                if !kernels.iter().any(|k| k.contains_line(idx)) {
+                if p.kernel.is_none() {
                     out.push(Diagnostic {
                         code: "LP002",
                         span: Span::of(line_no, raw, "lpcuda_checksum"),
@@ -282,10 +303,10 @@ pub fn lint(source: &str) -> Vec<Diagnostic> {
                         suggestion: None,
                     });
                 }
-                checksum_tables.push(table);
+                checksums.push((table, line_no));
             }
             Pragma::Region { ptr, .. } => {
-                if !kernels.iter().any(|k| k.contains_line(idx)) {
+                if p.kernel.is_none() {
                     out.push(Diagnostic {
                         code: "LP002",
                         span: Span::of(line_no, raw, "lpcuda_region"),
@@ -297,43 +318,15 @@ pub fn lint(source: &str) -> Vec<Diagnostic> {
                     });
                 }
             }
-            Pragma::Mode { mode, .. } => {
-                // LP015: eager pinned on a write-dense kernel. A store
-                // inside a loop pays one synchronous flush per iteration
-                // under `eager`; the lazy-checksum modes amortise the same
-                // durability to one table write per region, so the pin is
-                // dominated on every execution, not just unlucky ones.
-                let Some(k) = kernels.iter().find(|k| k.contains_line(idx)) else {
-                    continue;
-                };
-                if mode != "eager" {
-                    continue;
-                }
-                let ir = analysis::ir::parse_kernel(&lines, k);
-                let looped = looped_global_stores(&ir.body, &ir.pointer_params, false);
-                if looped > 0 {
-                    out.push(Diagnostic {
-                        code: "LP015",
-                        span: Span::of(line_no, raw, &mode),
-                        message: format!(
-                            "kernel `{}` pins persist mode `eager` but makes {looped} global \
-                             store(s) inside loops; a synchronous flush per iteration is \
-                             provably dominated by lazy checksums on this write profile; \
-                             did you mean `lpcuda_mode(adaptive)`?",
-                            ir.name
-                        ),
-                        suggestion: None,
-                    });
-                }
-            }
+            Pragma::Mode { .. } => {} // LP015 needs the kernel's facts
         }
     }
 
     for (table, line_no) in &inits {
-        if !checksum_tables.iter().any(|t| t == table) {
+        if !checksums.iter().any(|(t, _)| t == table) {
             out.push(Diagnostic {
                 code: "LP004",
-                span: Span::of(*line_no, lines[line_no - 1], table),
+                span: Span::of(*line_no, a.scan.lines[line_no - 1], table),
                 message: format!(
                     "table `{table}` is initialised but no lpcuda_checksum references it; \
                      the LP region protects no persistent stores"
@@ -342,92 +335,67 @@ pub fn lint(source: &str) -> Vec<Diagnostic> {
             });
         }
     }
-    let mut flagged: Vec<String> = Vec::new();
-    for (idx, raw) in lines.iter().enumerate() {
-        let line_no = idx + 1;
-        if !is_nvm_pragma(raw) {
-            continue;
-        }
-        if let Ok(Pragma::Checksum { table, .. }) = parse_pragma(line_no, raw) {
-            if !inits.iter().any(|(t, _)| *t == table) && !flagged.contains(&table) {
-                out.push(Diagnostic {
-                    code: "LP005",
-                    span: Span::of(line_no, raw, &table),
-                    message: format!(
-                        "lpcuda_checksum writes into table `{table}` \
-                         but no lpcuda_init declares it; the host never sizes the table"
-                    ),
-                    suggestion: None,
-                });
-                flagged.push(table);
-            }
+    let mut flagged: Vec<&str> = Vec::new();
+    for (table, line_no) in &checksums {
+        if !inits.iter().any(|(t, _)| t == table) && !flagged.contains(table) {
+            out.push(Diagnostic {
+                code: "LP005",
+                span: Span::of(*line_no, a.scan.lines[line_no - 1], table),
+                message: format!(
+                    "lpcuda_checksum writes into table `{table}` \
+                     but no lpcuda_init declares it; the host never sizes the table"
+                ),
+                suggestion: None,
+            });
+            flagged.push(table);
         }
     }
-
-    out.extend(analysis::analyze(&lines, &kernels));
-
-    out.sort_by_key(|d| (d.span, d.code));
-    out
 }
 
-/// The LP000 diagnostic for a source `find_kernels` rejects, anchored to
-/// the offending kernel's `__global__` line where it can be found.
-fn lp000(lines: &[&str], err: &CompileError) -> Diagnostic {
-    let (line_no, raw, needle) = match err {
-        CompileError::UnbalancedBraces { kernel } => lines
-            .iter()
-            .enumerate()
-            .find(|(_, l)| l.contains("__global__") && l.contains(kernel.as_str()))
-            .map(|(idx, l)| (idx + 1, *l, kernel.as_str()))
-            .unwrap_or((1, lines.first().copied().unwrap_or(""), "")),
-        _ => (1, lines.first().copied().unwrap_or(""), ""),
+/// LP015: eager pinned on a write-dense kernel. A store inside a loop pays
+/// one synchronous flush per iteration under `eager`; the lazy-checksum
+/// modes amortise the same durability to one table write per region, so
+/// the pin is dominated on every execution, not just unlucky ones.
+fn lp015_dominated_pin(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
+    let Some((line, "eager")) = k.pin.as_ref().map(|(l, m)| (*l, m.as_str())) else {
+        return;
     };
+    // The static write-density profile: a store node that reaches itself
+    // sits in a loop and repeats per iteration, so per-store persist costs
+    // multiply where per-region costs do not.
+    let is_store = |n: &Node| matches!(n.kind, NodeKind::Store { .. });
+    let looped = (0..k.cfg.nodes.len())
+        .filter(|id| is_store(&k.cfg.nodes[*id]))
+        .filter(|id| contract::reachable_from(&k.cfg, *id)[*id])
+        .count();
+    if looped > 0 {
+        out.push(Diagnostic {
+            code: "LP015",
+            span: Span::of(line, lines[line - 1], "eager"),
+            message: format!(
+                "kernel `{}` pins persist mode `eager` but makes {looped} global \
+                 store(s) inside loops; a synchronous flush per iteration is \
+                 provably dominated by lazy checksums on this write profile; \
+                 did you mean `lpcuda_mode(adaptive)`?",
+                k.ir.name
+            ),
+            suggestion: None,
+        });
+    }
+}
+
+/// The LP000 diagnostic for a source the scan rejects, anchored to the
+/// offending kernel's name on its `__global__` line.
+fn lp000(err: &Unbalanced) -> Diagnostic {
     Diagnostic {
         code: "LP000",
-        span: Span::of(line_no, raw, needle),
-        message: format!("{err}; the lint pass cannot see kernel bodies until the source scans"),
+        span: err.span,
+        message: format!(
+            "{}; the lint pass cannot see kernel bodies until the source scans",
+            CompileError::from(err.clone())
+        ),
         suggestion: None,
     }
-}
-
-/// Counts global stores — assignments through a pointer parameter's
-/// indexed element — that sit inside at least one loop. This is the static
-/// write-density profile LP015 reasons about: each such store repeats per
-/// iteration, so per-store persist costs multiply where per-region costs
-/// do not.
-fn looped_global_stores(
-    stmts: &[analysis::ir::Stmt],
-    pointer_params: &[String],
-    in_loop: bool,
-) -> usize {
-    use analysis::ir::StmtKind;
-    let mut n = 0;
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign { lhs, .. } if in_loop => {
-                let base: String = lhs
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if lhs.contains('[') && pointer_params.contains(&base) {
-                    n += 1;
-                }
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                n += looped_global_stores(then_branch, pointer_params, in_loop);
-                n += looped_global_stores(else_branch, pointer_params, in_loop);
-            }
-            StmtKind::Loop { body, .. } => {
-                n += looped_global_stores(body, pointer_params, true);
-            }
-            _ => {}
-        }
-    }
-    n
 }
 
 /// The identifier after `#pragma nvm`, or an empty string.
@@ -741,6 +709,12 @@ __global__ void hot(float *out) {
         assert!(d.message.contains("kernel `hot` pins persist mode `eager`"));
         assert!(d.message.contains("1 global store(s) inside loops"));
         assert!(d.message.contains("did you mean `lpcuda_mode(adaptive)`?"));
+        // The profile counts the CFG's store nodes, so a store through a
+        // plain dereference in the loop is one more.
+        let deref = src.replace("1.0f;\n", "1.0f;\n        *out = 2.0f;\n");
+        let ds = lint(&deref);
+        let lp015 = ds.iter().find(|d| d.code == "LP015").expect("LP015");
+        assert!(lp015.message.contains("2 global store(s) inside loops"));
     }
 
     #[test]

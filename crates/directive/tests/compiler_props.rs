@@ -2,9 +2,10 @@
 //! parser must be total (never panic) on arbitrary input, and compilation
 //! must be idempotent in the ways the §VI contract promises.
 
-use lp_directive::compile;
+use lp_directive::fixtures::{CLEAN, SEEDED};
 use lp_directive::lexer::{detokenize, tokenize};
 use lp_directive::pragma::{is_nvm_pragma, parse_pragma};
+use lp_directive::{compile, lint};
 use proptest::prelude::*;
 
 proptest! {
@@ -57,4 +58,41 @@ proptest! {
         prop_assert_eq!(&out.plans[0].keys[0], &key);
         prop_assert!(out.recovery_kernels[0].source.contains(&tab));
     }
+
+    /// A whole-line `//` comment is as inert as a blank line wherever it is
+    /// inserted, whatever scanner-significant words it carries: every
+    /// finding keeps its rule and columns, and those at or after the
+    /// insertion move down one line.
+    #[test]
+    fn a_comment_line_never_changes_the_findings(
+        fixture in 0usize..CLEAN.len() + SEEDED.len(),
+        at in any::<prop::sample::Index>(),
+        words in prop::collection::vec(0usize..COMMENT_WORDS.len(), 1..5),
+    ) {
+        let (name, src) = CLEAN.iter().chain(SEEDED).nth(fixture).unwrap();
+        let lines: Vec<&str> = src.lines().collect();
+        let at = at.index(lines.len() + 1);
+        let words: Vec<&str> = words.iter().map(|w| COMMENT_WORDS[*w]).collect();
+        let with_line = |text: &str| {
+            let mut edited = lines.clone();
+            edited.insert(at, text);
+            edited.join("\n") + "\n"
+        };
+        let commented = lint(&with_line(&format!("// {}", words.join(" "))));
+        // Line numbers inside messages and fixes move too, so the exact
+        // expectation is the same source with a blank line there instead.
+        prop_assert_eq!(&commented, &lint(&with_line("")), "{} line {}: {:?}", name, at + 1, words);
+        let moved: Vec<_> = lint(src)
+            .iter()
+            .map(|d| (d.code, d.span.line + usize::from(d.span.line > at), d.span.col, d.span.end_col))
+            .collect();
+        let got: Vec<_> = commented
+            .iter()
+            .map(|d| (d.code, d.span.line, d.span.col, d.span.end_col))
+            .collect();
+        prop_assert_eq!(got, moved, "{} line {}: {:?}", name, at + 1, words);
+    }
 }
+
+/// What the function scanner reacts to, were it to read comments as code.
+const COMMENT_WORDS: [&str; 8] = ["__global__", "__device__", "{", "}", ";", "(", ")", "\""];

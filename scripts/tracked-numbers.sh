@@ -32,6 +32,14 @@ suite_name_files() {
   done
   echo "$n"
 }
+# Code lines of non-test source under crates/*/src (before the first
+# top-level `#[cfg(test)]`, `//` comment lines dropped) matching ERE $1 and
+# not ERE $2 — $2 is how a call-site count leaves out the definition.
+src_code_lines() {
+  local f
+  for f in $(find crates/*/src -name '*.rs'); do awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print }' "$f"; done |
+    { grep -E -- "$1" || true; } | { grep -vE -- "${2:-^$}" || true; } | wc -l
+}
 all_rs_lines_with() { { grep -rE --include='*.rs' --exclude-dir=vendor -- "$1" crates src tests examples || true; } | wc -l; }
 
 row() { printf '%-48s %s\n' "$1" "$2"; }
@@ -51,3 +59,10 @@ row "core+persist src non-test lines:" "$(non_test_under crates/core/src crates/
 row "files naming a suite workload in non-test source:" "$(suite_name_files)"
 row "'fn *world*(' definitions (crates src tests examples):" "$(all_rs_lines_with 'fn [a-z_]*world[a-z_]*\(')"
 row "'LpRuntime::setup(' call sites outside crates/core:" "$({ grep -rF --include='*.rs' 'LpRuntime::setup(' crates src tests examples || true; } | grep -vc '^crates/core/')"
+row "'parse_kernel(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_kernel\(' 'fn parse_kernel\(')"
+row "'cfg::build' call sites (crates/*/src non-test):" "$(src_code_lines 'build\((&|ir)' 'fn build\(')"
+row "'parse_pragma(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_pragma\(' 'fn parse_pragma\(')"
+row "'find_kernels(' call sites (crates/*/src non-test):" "$(src_code_lines 'find_kernels\(' 'fn find_kernels\(')"
+row "'fn span_at' definitions (crates/*/src non-test):" "$(src_code_lines 'fn span_at')"
+row "crates/directive/src non-test lines:" "$(non_test_under crates/directive/src)"
+row "crates/directive/src pub fn:" "$({ grep -rhF 'pub fn ' crates/directive/src || true; } | wc -l)"
