@@ -40,6 +40,7 @@ impl ChecksumKind {
     }
 
     /// Folds one store value into an accumulator.
+    #[inline]
     pub fn update(self, acc: u64, value: u64) -> u64 {
         match self {
             ChecksumKind::Modular => acc.wrapping_add(value),
@@ -72,6 +73,7 @@ impl ChecksumKind {
 
     /// ALU operations one `update` costs on the simulated GPU (used by the
     /// timing model; Adler-32 is markedly more expensive, §IV-B).
+    #[inline]
     pub fn update_alu_ops(self) -> u64 {
         match self {
             ChecksumKind::Modular => 1,
@@ -134,6 +136,7 @@ impl ChecksumSet {
     }
 
     /// Folds one store value into every accumulator.
+    #[inline]
     pub fn update(&self, acc: &mut [u64], value: u64) {
         for (a, k) in acc.iter_mut().zip(&self.kinds) {
             *a = k.update(*a, value);
@@ -159,6 +162,7 @@ impl ChecksumSet {
     }
 
     /// Total ALU cost of one `update` across the set.
+    #[inline]
     pub fn update_alu_ops(&self) -> u64 {
         self.kinds.iter().map(|k| k.update_alu_ops()).sum()
     }
@@ -258,11 +262,13 @@ pub fn f64_from_ordered_bits(bits: u64) -> f64 {
 /// ```
 /// assert_eq!(gpu_lp::checksum::f32_store_image(3.5), 1_080_033_280);
 /// ```
+#[inline]
 pub fn f32_store_image(v: f32) -> u64 {
     v.to_bits() as u64
 }
 
 /// The 64-bit image of an `f64` store used for checksum updates.
+#[inline]
 pub fn f64_store_image(v: f64) -> u64 {
     v.to_bits()
 }

@@ -658,6 +658,7 @@ impl<'rt> LpBlockSession<'rt> {
     /// Folds an explicit 64-bit store image into thread `t`'s accumulators
     /// (`UpdateCheckSum()` in Listing 1) without performing a store.
     /// A no-op in an explicit (commit-token) region: no checksums there.
+    #[inline]
     pub fn update(&mut self, ctx: &mut BlockCtx<'_>, t: u64, value_image: u64) {
         if let Some(rt) = self.rt {
             if self.acc.is_empty() {
@@ -675,6 +676,7 @@ impl<'rt> LpBlockSession<'rt> {
     /// announces it to its backend session (flush, epoch bookkeeping,
     /// persist-buffer insertion, undo logging — whatever the model does);
     /// a plain checksummed region does nothing at all.
+    #[inline]
     fn persist_store(&mut self, ctx: &mut BlockCtx<'_>, addr: Addr) {
         if let Some(lines) = self.ckpt_lines.as_mut() {
             // Checkpoint rung: remember the dirtied line for the finalize
@@ -700,6 +702,7 @@ impl<'rt> LpBlockSession<'rt> {
     /// Marks `addr` as folded into the region's checksum accumulation for
     /// an attached access observer (checksummed regions only — explicit
     /// ones have no checksum coverage to check).
+    #[inline]
     fn note_covered(&self, ctx: &mut BlockCtx<'_>, addr: Addr) {
         if self.rt.is_some() && !self.acc.is_empty() {
             ctx.note_protected_store(addr);
@@ -708,6 +711,7 @@ impl<'rt> LpBlockSession<'rt> {
 
     /// Protected `f32` store by thread `t`: performs the global store and
     /// folds the value into the thread's checksums.
+    #[inline]
     pub fn store_f32(&mut self, ctx: &mut BlockCtx<'_>, t: u64, addr: Addr, v: f32) {
         ctx.store_f32(addr, v);
         self.update(ctx, t, f32_store_image(v));
@@ -716,6 +720,7 @@ impl<'rt> LpBlockSession<'rt> {
     }
 
     /// Protected `f64` store by thread `t`.
+    #[inline]
     pub fn store_f64(&mut self, ctx: &mut BlockCtx<'_>, t: u64, addr: Addr, v: f64) {
         ctx.store_f64(addr, v);
         self.update(ctx, t, f64_store_image(v));
@@ -724,6 +729,7 @@ impl<'rt> LpBlockSession<'rt> {
     }
 
     /// Protected `u32` store by thread `t`.
+    #[inline]
     pub fn store_u32(&mut self, ctx: &mut BlockCtx<'_>, t: u64, addr: Addr, v: u32) {
         ctx.store_u32(addr, v);
         self.update(ctx, t, v as u64);
@@ -732,6 +738,7 @@ impl<'rt> LpBlockSession<'rt> {
     }
 
     /// Protected `u64` store by thread `t`.
+    #[inline]
     pub fn store_u64(&mut self, ctx: &mut BlockCtx<'_>, t: u64, addr: Addr, v: u64) {
         ctx.store_u64(addr, v);
         self.update(ctx, t, v);

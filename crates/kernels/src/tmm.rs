@@ -50,8 +50,26 @@ impl Tmm {
     fn reference(&self) -> Vec<f32> {
         let n = self.n;
         let mut c = vec![0.0f32; n * n];
-        // Same k-ascending accumulation order as the kernel, so results are
-        // bit-comparable (we still verify with tolerance).
+        // Row updates (i-k-j): every element still accumulates its products
+        // from 0.0 in ascending k, the kernel's order, so results are
+        // bit-comparable (we still verify with tolerance) — and the inner
+        // loop walks B and C by row, which vectorises.
+        for (a_row, c_row) in self.host_a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
+            for (&a, b_row) in a_row.iter().zip(self.host_b.chunks_exact(n)) {
+                for (acc, &b) in c_row.iter_mut().zip(b_row) {
+                    *acc += a * b;
+                }
+            }
+        }
+        c
+    }
+
+    /// The textbook dot-product form of [`Tmm::reference`] (i-j-k, reading
+    /// `B` by column): the oracle the row-update loop must match bit for bit.
+    #[cfg(test)]
+    fn reference_by_dot_products(&self) -> Vec<f32> {
+        let n = self.n;
+        let mut c = vec![0.0f32; n * n];
         for i in 0..n {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -216,5 +234,16 @@ mod tests {
         let w = Tmm::new(Scale::Test, 5);
         assert_eq!(w.launch_config().num_blocks(), 64); // (32/4)²
         assert_eq!(w.launch_config().threads_per_block(), 16);
+    }
+
+    #[test]
+    fn reference_matches_the_dot_product_oracle_bit_for_bit() {
+        for scale in [Scale::Test, Scale::Bench] {
+            let mut w = Tmm::new(scale, 5);
+            w.host_a = random_f32s(1, w.n * w.n, -1.0, 1.0);
+            w.host_b = random_f32s(2, w.n * w.n, -1.0, 1.0);
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(w.reference()), bits(w.reference_by_dot_products()));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-thread-block execution context: memory, shared memory, atomics,
 //! warp collectives, locks, and cost accounting.
 
-use crate::config::DeviceConfig;
+use crate::config::{CostModel, DeviceConfig};
 use crate::device::DeviceState;
 use crate::dim::LaunchConfig;
 use crate::observe::{AccessKind, AccessObserver};
@@ -60,14 +60,42 @@ impl ShmHandle {
 pub struct BlockCtx<'a> {
     launch: LaunchConfig,
     flat_block: u64,
+    block_idx: (u32, u32, u32),
+    threads_per_block: u64,
     mem: &'a mut PersistMemory,
     dev: &'a mut DeviceState,
     cfg: &'a DeviceConfig,
-    cost: BlockCost,
-    shared: Vec<u64>,
+    ops: ParallelOps,
+    serial_cycles: f64,
+    global_bytes: u64,
     lock_snapshot: Option<(u64, f64)>,
     obs: ObsSlot<'a>,
     cur_thread: u64,
+}
+
+/// How many times the block charged each parallel-bucket [`CostModel`]
+/// entry. `parallel_cycles` is `Σ count × entry`, materialised only where
+/// it is read: the per-operation path adds integers, and the block's
+/// parallel cost does not depend on the order its operations ran in.
+#[derive(Debug, Clone, Copy, Default)]
+struct ParallelOps {
+    alu: u64,
+    shuffle_step: u64,
+    shmem_access: u64,
+    global_access: u64,
+    atomic_op: u64,
+    barrier: u64,
+}
+
+impl ParallelOps {
+    fn cycles(&self, c: &CostModel) -> f64 {
+        self.alu as f64 * c.alu
+            + self.shuffle_step as f64 * c.shuffle_step
+            + self.shmem_access as f64 * c.shmem_access
+            + self.global_access as f64 * c.global_access
+            + self.atomic_op as f64 * c.atomic_op
+            + self.barrier as f64 * c.barrier
+    }
 }
 
 impl<'a> BlockCtx<'a> {
@@ -109,14 +137,20 @@ impl<'a> BlockCtx<'a> {
         // Tag every store this block issues so the NVM can attribute lost
         // cache lines to the blocks that wrote them (crash-loss forensics).
         mem.set_writer(Some(flat_block));
+        // The launch's shared-memory arena is reused block after block;
+        // `shared_alloc` zero-fills what it hands out.
+        dev.shared.clear();
         Self {
             launch,
             flat_block,
+            block_idx: launch.grid.unflatten(flat_block),
+            threads_per_block: launch.threads_per_block(),
             mem,
             dev,
             cfg,
-            cost: BlockCost::default(),
-            shared: Vec::new(),
+            ops: ParallelOps::default(),
+            serial_cycles: 0.0,
+            global_bytes: 0,
             lock_snapshot: None,
             obs: ObsSlot(obs),
             cur_thread: 0,
@@ -124,48 +158,54 @@ impl<'a> BlockCtx<'a> {
     }
 
     pub(crate) fn finish(self) -> BlockCost {
-        self.mem.set_writer(None);
         assert!(
             self.lock_snapshot.is_none(),
             "block {} ended while holding a global lock",
             self.flat_block
         );
-        self.cost
+        self.cost_so_far()
     }
 
     // ---- identity ----------------------------------------------------
 
     /// Flat index of this block in the grid.
+    #[inline]
     pub fn block_id(&self) -> u64 {
         self.flat_block
     }
 
     /// `(blockIdx.x, blockIdx.y, blockIdx.z)`.
+    #[inline]
     pub fn block_idx(&self) -> (u32, u32, u32) {
-        self.launch.grid.unflatten(self.flat_block)
+        self.block_idx
     }
 
     /// Threads in this block.
+    #[inline]
     pub fn threads_per_block(&self) -> u64 {
-        self.launch.threads_per_block()
+        self.threads_per_block
     }
 
     /// `(threadIdx.x, threadIdx.y, threadIdx.z)` for flat thread `t`.
+    #[inline]
     pub fn thread_idx(&self, t: u64) -> (u32, u32, u32) {
         self.launch.block.unflatten(t)
     }
 
     /// Grid-global flat id of thread `t` of this block.
+    #[inline]
     pub fn global_thread_id(&self, t: u64) -> u64 {
-        self.flat_block * self.threads_per_block() + t
+        self.flat_block * self.threads_per_block + t
     }
 
     /// The device configuration (geometry + cost table).
+    #[inline]
     pub fn device_config(&self) -> &DeviceConfig {
         self.cfg
     }
 
     /// Whether the injected crash point has been reached.
+    #[inline]
     pub fn crashed(&self) -> bool {
         self.dev.crashed
     }
@@ -173,6 +213,7 @@ impl<'a> BlockCtx<'a> {
     /// Number of thread blocks executing concurrently device-wide
     /// (occupancy-limited). This is the contention level hot atomics, racy
     /// updates, and locks experience.
+    #[inline]
     pub fn concurrency(&self) -> u64 {
         self.dev.concurrency
     }
@@ -184,16 +225,19 @@ impl<'a> BlockCtx<'a> {
     /// charges nothing and has no effect on execution, and without an
     /// observer it is a no-op. Kernels call this at the top of each
     /// per-thread loop iteration.
+    #[inline]
     pub fn set_active_thread(&mut self, t: u64) {
         self.cur_thread = t;
     }
 
+    #[inline]
     fn note_shared(&mut self, word: usize, kind: AccessKind) {
         if let Some(o) = self.obs.0.as_deref_mut() {
             o.on_shared_access(self.flat_block, self.cur_thread, word, kind);
         }
     }
 
+    #[inline]
     fn note_global(&mut self, addr: Addr, bytes: u64, kind: AccessKind) {
         let locked = self.lock_snapshot.is_some();
         if let Some(o) = self.obs.0.as_deref_mut() {
@@ -210,6 +254,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Reports that this block opened a checksummed LP region. Called by
     /// the LP runtime; zero-cost, observer-only.
+    #[inline]
     pub fn note_region_begin(&mut self) {
         if let Some(o) = self.obs.0.as_deref_mut() {
             o.on_region_begin(self.flat_block);
@@ -219,6 +264,7 @@ impl<'a> BlockCtx<'a> {
     /// Reports that this block is committing its LP region. Called by the
     /// LP runtime before it reduces and publishes the checksum; zero-cost,
     /// observer-only.
+    #[inline]
     pub fn note_region_end(&mut self) {
         if let Some(o) = self.obs.0.as_deref_mut() {
             o.on_region_end(self.flat_block);
@@ -228,6 +274,7 @@ impl<'a> BlockCtx<'a> {
     /// Reports that the store at `addr` was folded into the open region's
     /// checksum accumulation. Called by the LP runtime; zero-cost,
     /// observer-only.
+    #[inline]
     pub fn note_protected_store(&mut self, addr: Addr) {
         if let Some(o) = self.obs.0.as_deref_mut() {
             o.on_protected_store(self.flat_block, addr.raw());
@@ -237,24 +284,28 @@ impl<'a> BlockCtx<'a> {
     // ---- cost charging -------------------------------------------------
 
     /// Charges `ops` thread-level ALU operations (parallel bucket).
+    #[inline]
     pub fn charge_alu(&mut self, ops: u64) {
-        self.cost.parallel_cycles += ops as f64 * self.cfg.cost.alu;
+        self.ops.alu += ops;
     }
 
     /// Charges `ops` ALU operations on the block's *serial* critical path
     /// (e.g. a loop run by a single thread while the rest idle).
+    #[inline]
     pub fn charge_serial_alu(&mut self, ops: u64) {
-        self.cost.serial_cycles += ops as f64 * self.cfg.cost.alu;
+        self.serial_cycles += ops as f64 * self.cfg.cost.alu;
     }
 
     /// Charges `steps` warp-shuffle steps executed by `lanes` lanes.
+    #[inline]
     pub fn charge_shuffle(&mut self, steps: u64, lanes: u64) {
-        self.cost.parallel_cycles += (steps * lanes) as f64 * self.cfg.cost.shuffle_step;
+        self.ops.shuffle_step += steps * lanes;
     }
 
     /// `__syncthreads()`: barrier cost for every thread in the block.
+    #[inline]
     pub fn sync_threads(&mut self) {
-        self.cost.parallel_cycles += self.threads_per_block() as f64 * self.cfg.cost.barrier;
+        self.ops.barrier += self.threads_per_block;
         if let Some(o) = self.obs.0.as_deref_mut() {
             o.on_barrier(self.flat_block);
         }
@@ -262,7 +313,12 @@ impl<'a> BlockCtx<'a> {
 
     /// Cost accumulated so far (for tests and instrumentation).
     pub fn cost_so_far(&self) -> BlockCost {
-        self.cost
+        BlockCost {
+            parallel_cycles: self.ops.cycles(&self.cfg.cost),
+            serial_cycles: self.serial_cycles,
+            global_bytes: self.global_bytes,
+            atomic_ops: self.ops.atomic_op,
+        }
     }
 
     // ---- shared memory ---------------------------------------------------
@@ -270,8 +326,8 @@ impl<'a> BlockCtx<'a> {
     /// Allocates `words` 64-bit words of shared memory, zero-initialised.
     /// Shared memory lives only for the duration of the block.
     pub fn shared_alloc(&mut self, words: usize) -> ShmHandle {
-        let base = self.shared.len();
-        self.shared.resize(base + words, 0);
+        let base = self.dev.shared.len();
+        self.dev.shared.resize(base + words, 0);
         ShmHandle { base, len: words }
     }
 
@@ -280,11 +336,12 @@ impl<'a> BlockCtx<'a> {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn shm_read(&mut self, h: ShmHandle, i: usize) -> u64 {
         assert!(i < h.len, "shared-memory read out of bounds");
-        self.cost.parallel_cycles += self.cfg.cost.shmem_access;
+        self.ops.shmem_access += 1;
         self.note_shared(h.base + i, AccessKind::Load);
-        self.shared[h.base + i]
+        self.dev.shared[h.base + i]
     }
 
     /// Writes word `i` of a shared array.
@@ -292,11 +349,12 @@ impl<'a> BlockCtx<'a> {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn shm_write(&mut self, h: ShmHandle, i: usize, v: u64) {
         assert!(i < h.len, "shared-memory write out of bounds");
-        self.cost.parallel_cycles += self.cfg.cost.shmem_access;
+        self.ops.shmem_access += 1;
         self.note_shared(h.base + i, AccessKind::Store);
-        self.shared[h.base + i] = v;
+        self.dev.shared[h.base + i] = v;
     }
 
     /// `atomicAdd` on shared-memory word `i`; returns the old value.
@@ -309,35 +367,40 @@ impl<'a> BlockCtx<'a> {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn shm_atomic_add(&mut self, h: ShmHandle, i: usize, v: u64) -> u64 {
         assert!(i < h.len, "shared-memory atomic out of bounds");
-        self.cost.parallel_cycles += 2.0 * self.cfg.cost.shmem_access;
+        self.ops.shmem_access += 2;
         self.note_shared(h.base + i, AccessKind::Atomic);
-        let old = self.shared[h.base + i];
-        self.shared[h.base + i] = old.wrapping_add(v);
+        let old = self.dev.shared[h.base + i];
+        self.dev.shared[h.base + i] = old.wrapping_add(v);
         old
     }
 
     /// Reads an `f32` stored in a shared word.
+    #[inline]
     pub fn shm_read_f32(&mut self, h: ShmHandle, i: usize) -> f32 {
         f32::from_bits(self.shm_read(h, i) as u32)
     }
 
     /// Writes an `f32` into a shared word.
+    #[inline]
     pub fn shm_write_f32(&mut self, h: ShmHandle, i: usize, v: f32) {
         self.shm_write(h, i, v.to_bits() as u64);
     }
 
     // ---- global memory -------------------------------------------------
 
+    #[inline]
     fn charge_global(&mut self, bytes: u64) {
-        self.cost.parallel_cycles += self.cfg.cost.global_access;
-        self.cost.global_bytes += bytes;
+        self.ops.global_access += 1;
+        self.global_bytes += bytes;
     }
 
     /// Propagates a power failure tripped inside the memory (an armed
     /// eviction/predicate/flush trigger) to the device crash flag so the
     /// launch loop stops scheduling blocks.
+    #[inline]
     fn sync_power(&mut self) {
         if self.mem.power_failed() {
             self.dev.crashed = true;
@@ -345,6 +408,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Loads a `u32` from global memory.
+    #[inline]
     pub fn load_u32(&mut self, addr: Addr) -> u32 {
         self.charge_global(4);
         self.note_global(addr, 4, AccessKind::Load);
@@ -352,6 +416,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Loads a `u64` from global memory.
+    #[inline]
     pub fn load_u64(&mut self, addr: Addr) -> u64 {
         self.charge_global(8);
         self.note_global(addr, 8, AccessKind::Load);
@@ -359,6 +424,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Loads an `f32` from global memory.
+    #[inline]
     pub fn load_f32(&mut self, addr: Addr) -> f32 {
         self.charge_global(4);
         self.note_global(addr, 4, AccessKind::Load);
@@ -366,6 +432,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Stores a `u32` to global memory (dropped after the crash point).
+    #[inline]
     pub fn store_u32(&mut self, addr: Addr, v: u32) {
         self.charge_global(4);
         self.note_global(addr, 4, AccessKind::Store);
@@ -376,6 +443,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Stores a `u64` to global memory (dropped after the crash point).
+    #[inline]
     pub fn store_u64(&mut self, addr: Addr, v: u64) {
         self.charge_global(8);
         self.note_global(addr, 8, AccessKind::Store);
@@ -386,6 +454,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Stores an `f32` to global memory (dropped after the crash point).
+    #[inline]
     pub fn store_f32(&mut self, addr: Addr, v: f32) {
         self.charge_global(4);
         self.note_global(addr, 4, AccessKind::Store);
@@ -396,6 +465,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Stores an `f64` to global memory (dropped after the crash point).
+    #[inline]
     pub fn store_f64(&mut self, addr: Addr, v: f64) {
         self.charge_global(8);
         self.note_global(addr, 8, AccessKind::Store);
@@ -431,9 +501,9 @@ impl<'a> BlockCtx<'a> {
     /// LP's practical advantages. Charges the store-queue cost and, when a
     /// dirty line is actually written back, the full line's bandwidth.
     pub fn flush_line(&mut self, addr: Addr) {
-        self.cost.parallel_cycles += self.cfg.cost.global_access;
+        self.ops.global_access += 1;
         if self.mem.flush_line(addr) {
-            self.cost.global_bytes += self.mem.config().line_size as u64;
+            self.global_bytes += self.mem.config().line_size as u64;
         }
         self.sync_power();
     }
@@ -442,7 +512,7 @@ impl<'a> BlockCtx<'a> {
     /// its outstanding flushes are durable. Serial — nothing in the block
     /// overlaps the drain.
     pub fn persist_barrier(&mut self) {
-        self.cost.serial_cycles += self.cfg.cost.persist_barrier_ns * self.cfg.clock_ghz;
+        self.serial_cycles += self.cfg.cost.persist_barrier_ns * self.cfg.clock_ghz;
     }
 
     /// `__threadfence`-class epoch fence: orders this block's stores into
@@ -450,7 +520,7 @@ impl<'a> BlockCtx<'a> {
     /// it does not wait for the device — which is exactly the cost gap the
     /// epoch/SBRP persistency models exploit.
     pub fn threadfence(&mut self) {
-        self.cost.serial_cycles += self.cfg.cost.epoch_fence_ns * self.cfg.clock_ghz;
+        self.serial_cycles += self.cfg.cost.epoch_fence_ns * self.cfg.clock_ghz;
     }
 
     /// Pushes the line containing `addr` into the ADR-backed memory queue
@@ -460,10 +530,10 @@ impl<'a> BlockCtx<'a> {
     /// fence cost is charged separately by [`BlockCtx::threadfence`].
     /// Returns whether a dirty line was actually accepted.
     pub fn adr_accept(&mut self, addr: Addr) -> bool {
-        self.cost.parallel_cycles += self.cfg.cost.global_access;
+        self.ops.global_access += 1;
         let accepted = self.mem.adr_accept(addr);
         if accepted {
-            self.cost.global_bytes += self.mem.config().line_size as u64;
+            self.global_bytes += self.mem.config().line_size as u64;
         }
         self.sync_power();
         accepted
@@ -483,7 +553,7 @@ impl<'a> BlockCtx<'a> {
     pub fn persist_line_reliably(&mut self, addr: Addr, adr: bool) -> bool {
         const PERSIST_RETRIES: u32 = 6;
         for _ in 0..PERSIST_RETRIES {
-            self.cost.parallel_cycles += self.cfg.cost.global_access;
+            self.ops.global_access += 1;
             let outcome = if adr {
                 self.mem.adr_accept_checked(addr)
             } else {
@@ -495,13 +565,13 @@ impl<'a> BlockCtx<'a> {
                     return false;
                 }
                 FlushOutcome::Persisted => {
-                    self.cost.global_bytes += self.mem.config().line_size as u64;
+                    self.global_bytes += self.mem.config().line_size as u64;
                     self.sync_power();
                     return true;
                 }
                 FlushOutcome::TransientFail => {
                     // Retry backoff: the refused drain stalls the block.
-                    self.cost.serial_cycles += self.cfg.cost.buffer_drain_ns * self.cfg.clock_ghz;
+                    self.serial_cycles += self.cfg.cost.buffer_drain_ns * self.cfg.clock_ghz;
                 }
             }
         }
@@ -515,11 +585,11 @@ impl<'a> BlockCtx<'a> {
     /// Stalls the block for `lines` persist-buffer drain steps (SBRP: an
     /// entry leaving the SM-level or L2-level persist buffer).
     pub fn buffer_drain_stall(&mut self, lines: u64) {
-        self.cost.serial_cycles +=
-            lines as f64 * self.cfg.cost.buffer_drain_ns * self.cfg.clock_ghz;
+        self.serial_cycles += lines as f64 * self.cfg.cost.buffer_drain_ns * self.cfg.clock_ghz;
     }
 
     /// Cache-line size of the attached memory, in bytes.
+    #[inline]
     pub fn line_size(&self) -> u64 {
         self.mem.config().line_size as u64
     }
@@ -527,9 +597,8 @@ impl<'a> BlockCtx<'a> {
     // ---- atomics ---------------------------------------------------------
 
     fn charge_atomic(&mut self, addr: Addr, bytes: u64) {
-        self.cost.parallel_cycles += self.cfg.cost.atomic_op;
-        self.cost.atomic_ops += 1;
-        self.cost.global_bytes += bytes;
+        self.ops.atomic_op += 1;
+        self.global_bytes += bytes;
         self.dev
             .record_atomic(addr.raw(), self.cfg.cost.atomic_channel_ns);
     }
@@ -590,7 +659,7 @@ impl<'a> BlockCtx<'a> {
             "nested global locks not supported"
         );
         self.charge_atomic(lock_addr, 4);
-        let now = self.cost.parallel_cycles + self.cost.serial_cycles;
+        let now = self.ops.cycles(&self.cfg.cost) + self.serial_cycles;
         self.lock_snapshot = Some((lock_addr.raw(), now));
     }
 
@@ -604,7 +673,7 @@ impl<'a> BlockCtx<'a> {
         let (held, snapshot) = self.lock_snapshot.take().expect("unlock without lock");
         assert_eq!(held, lock_addr.raw(), "unlocking a different lock");
         self.charge_atomic(lock_addr, 4);
-        let now = self.cost.parallel_cycles + self.cost.serial_cycles;
+        let now = self.ops.cycles(&self.cfg.cost) + self.serial_cycles;
         let crit_cycles = now - snapshot;
         let crit_ns = self.cfg.cycles_to_ns(crit_cycles);
         let contenders = self
@@ -613,6 +682,16 @@ impl<'a> BlockCtx<'a> {
             .saturating_sub(1)
             .min(self.cfg.cost.lock_contender_cap) as f64;
         self.dev.lock_serial_ns += crit_ns + contenders * self.cfg.cost.lock_handoff_ns;
+    }
+}
+
+impl Drop for BlockCtx<'_> {
+    /// Ends the block's store attribution however the context ends — a
+    /// launch's `finish`, `into_cost`, an unwinding kernel, or a standalone
+    /// context that is simply dropped — so host writes that follow are not
+    /// tagged with this block in the crash-loss record.
+    fn drop(&mut self) {
+        self.mem.set_writer(None);
     }
 }
 
@@ -714,6 +793,28 @@ mod tests {
         let _ = ctx.finish();
         assert_eq!(mem.read_u64(a), 1);
         assert_eq!(mem.read_u64(a.offset(8)), 0);
+    }
+
+    #[test]
+    fn a_dropped_context_stops_tagging_stores() {
+        let (mut mem, mut dev, cfg, lc) = fixture();
+        let a = mem.alloc(256, 128);
+        let mut ctx = BlockCtx::standalone(lc, 5, &mut mem, &mut dev, &cfg);
+        ctx.store_u64(a, 1);
+        drop(ctx); // never reaches `into_cost`
+        let host_line = a.offset(128);
+        mem.write_u64(host_line, 2);
+        mem.crash();
+        let loss = mem.take_crash_loss().expect("crash captures a loss record");
+        let writers_of = |addr: Addr| {
+            let line = loss.lines.iter().find(|l| l.base == addr.raw());
+            line.expect("the dirty line was lost").writers.clone()
+        };
+        assert_eq!(writers_of(a), [5]);
+        assert!(
+            writers_of(host_line).is_empty(),
+            "a host write after the block ended must carry no block tag"
+        );
     }
 
     #[test]

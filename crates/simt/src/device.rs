@@ -19,6 +19,10 @@ use crate::config::DeviceConfig;
 pub struct DeviceState {
     line_size: u64,
     channels: Vec<f64>,
+    /// Shared-memory arena of the block currently executing. It lives here,
+    /// not in the block's context, so a launch allocates it once: each
+    /// block clears it and reuses the capacity.
+    pub(crate) shared: Vec<u64>,
     /// Fraction of peak occupancy this launch reaches (0..1]; sparse
     /// launches issue atomics too slowly to queue at the partitions.
     pub occupancy: f64,
@@ -46,6 +50,7 @@ impl DeviceState {
         Self {
             line_size,
             channels: vec![0.0; cfg.atomic_channels as usize],
+            shared: Vec::new(),
             lock_serial_ns: 0.0,
             occupancy: concurrency as f64 / cfg.max_concurrent_blocks() as f64,
             concurrency,
@@ -80,6 +85,7 @@ impl DeviceState {
 
     /// Advances the crash clock by one store; returns `true` if the store
     /// should still take effect (no crash yet).
+    #[inline]
     pub fn store_tick(&mut self) -> bool {
         if self.crashed {
             return false;

@@ -586,6 +586,41 @@ mod tests {
     }
 
     #[test]
+    fn shared_memory_starts_zeroed_in_every_block() {
+        /// Every block checks its arrays read 0, then fills them.
+        struct Dirty;
+        impl Kernel for Dirty {
+            fn name(&self) -> &str {
+                "dirty"
+            }
+            fn config(&self) -> LaunchConfig {
+                LaunchConfig::linear(2 * 64, 64)
+            }
+            fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+                // Block 1 allocates differently from block 0, so its arrays
+                // straddle the words block 0 left behind.
+                let sizes = if ctx.block_id() == 0 {
+                    [48, 16]
+                } else {
+                    [8, 56]
+                };
+                for words in sizes {
+                    let h = ctx.shared_alloc(words);
+                    for i in 0..words {
+                        assert_eq!(ctx.shm_read(h, i), 0, "block {}", ctx.block_id());
+                        ctx.shm_write(h, i, u64::MAX);
+                    }
+                }
+            }
+        }
+        let mut mem = PersistMemory::new(NvmConfig::default());
+        let stats = Gpu::new(DeviceConfig::test_gpu())
+            .launch(&Dirty, &mut mem)
+            .unwrap();
+        assert_eq!(stats.blocks_executed, 2);
+    }
+
+    #[test]
     fn empty_launch_rejected() {
         struct Empty;
         impl Kernel for Empty {

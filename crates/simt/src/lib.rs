@@ -54,6 +54,8 @@
 
 mod block;
 mod config;
+#[cfg(test)]
+mod cost_reference;
 mod device;
 mod dim;
 mod gpu;
