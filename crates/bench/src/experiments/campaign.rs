@@ -1,9 +1,12 @@
 //! E14 — the systematic crash-injection campaign.
 //!
 //! Sweeps `{workload} × {LP config} × {backend} × {seed} × {crash site}` with the
-//! `lp-fault` engine: every trial crashes a fresh simulated machine at one
+//! `lp-fault` engine: every trial crashes a simulated machine at one
 //! taxonomy site, recovers, and is judged by three oracles (output
-//! correctness, no phantom validation failures, no false negatives).
+//! correctness, no phantom validation failures, no false negatives). The
+//! trials of one `(workload, config, backend, seed)` cell fork off one
+//! shared execution, each with the result a from-scratch replay of its
+//! `TrialId` gives.
 //! Failures are shrunk to minimal reproducers. `--sabotage` swaps in the
 //! deliberately-broken `broken-skip-recovery` config to demonstrate the
 //! campaign catching (and shrinking) a real persistency bug.

@@ -208,14 +208,14 @@ impl Default for LpConfig {
 }
 
 /// The policy engine and the durable journal its rungs are rebuilt from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PolicyState {
     engine: PolicyEngine,
     journal: PolicyJournal,
 }
 
 /// Everything [`BackendKind::Adaptive`] adds to a runtime.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct AdaptiveState {
     /// A region's rung lives in the engine and nowhere else in memory. It
     /// moves only *after* the journal has durably recorded the switch, and
@@ -236,7 +236,12 @@ struct AdaptiveState {
 /// One `LpRuntime` protects one kernel launch (its keys are the launch's
 /// thread-block IDs). Applications with several kernels create one runtime
 /// per kernel.
-#[derive(Debug)]
+///
+/// A clone forks the runtime's host-side state — the table's counters and
+/// cuckoo hash seeds, the policy engine and the journal cursor — so it and
+/// the original evolve independently from there; the device-side state
+/// lives in the [`PersistMemory`] and forks with it.
+#[derive(Debug, Clone)]
 pub struct LpRuntime {
     config: LpConfig,
     num_regions: u64,
@@ -840,6 +845,59 @@ mod tests {
         // The published checksums must equal the sealed digest of the values.
         let want = rt.digest_region(3, (0..64u64).map(|t| f32_store_image(t as f32 * 1.5)));
         assert_eq!(rt.lookup(&mut rig.mem, 3), Some(want));
+    }
+
+    #[test]
+    fn a_cloned_runtime_forks_its_cuckoo_seeds_and_counters() {
+        // Two displacements before a rehash: inserting keeps rehashing, so
+        // the hash seeds move (no test-scale subject ever rehashes).
+        let config = LpConfig {
+            table: TableKind::Cuckoo {
+                load_factor: 0.7,
+                max_displacements: 2,
+            },
+            ..LpConfig::cuckoo()
+        };
+        let mut rig = Rig::new();
+        let rt = runtime(&mut rig, config);
+        let publish = |rt: &LpRuntime, rig: &mut Rig, keys: std::ops::Range<u64>| {
+            for b in keys {
+                let mut ctx =
+                    simt::BlockCtx::standalone(rig.lc, b, &mut rig.mem, &mut rig.dev, &rig.cfg);
+                let mut lp = LpBlockSession::begin(rt, &mut ctx);
+                lp.update(&mut ctx, 0, b * 31);
+                lp.finalize(&mut ctx);
+                let _ = ctx.into_cost();
+            }
+        };
+        publish(&rt, &mut rig, 0..32);
+        let before = rt.table_stats();
+        assert!(before.rehashes > 0, "{before:?}");
+
+        let fork = rt.clone();
+        let mut fork_rig = Rig::new();
+        fork_rig.mem = rig.mem.clone();
+        for b in 0..32 {
+            let want = Some(rt.digest_region(b, [b * 31]));
+            assert_eq!(rt.lookup(&mut rig.mem, b), want, "original, key {b}");
+            assert_eq!(fork.lookup(&mut fork_rig.mem, b), want, "clone, key {b}");
+        }
+        assert_eq!(fork.table_stats(), before);
+
+        // Only the clone goes on: it rehashes again under new seeds, while
+        // the original keeps its counters and still finds every key under
+        // the seeds it had.
+        publish(&fork, &mut fork_rig, 32..64);
+        assert!(fork.table_stats().rehashes > before.rehashes);
+        assert_eq!(rt.table_stats(), before);
+        for b in 0..64 {
+            let want = Some(fork.digest_region(b, [b * 31]));
+            assert_eq!(fork.lookup(&mut fork_rig.mem, b), want, "clone, key {b}");
+        }
+        for b in 0..32 {
+            let want = Some(rt.digest_region(b, [b * 31]));
+            assert_eq!(rt.lookup(&mut rig.mem, b), want, "original, key {b}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use simt::BlockCtx;
 /// entry), supports a 100 % load factor (minimum space), and is race-free
 /// by construction — the observations that give the paper its 2.1 %
 /// geometric-mean overhead (Table V).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GlobalArrayTable {
     base: Addr,
     entries: u64,

@@ -15,7 +15,7 @@ use std::cell::Cell;
 ///
 /// Lookup is two probes — one per table — but lookups only happen during
 /// crash recovery, off the critical path (§IV-C).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CuckooTable {
     bases: [Addr; 2],
     entries_per_table: u64,

@@ -104,7 +104,7 @@ pub enum AtomicPolicy {
 }
 
 /// Host-side instrumentation counters (not part of the timing model).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TableStats {
     /// Probes/displacements beyond the first slot attempt.
     pub collisions: Cell<u64>,
@@ -153,7 +153,7 @@ pub struct TableStatsSnapshot {
 ///
 /// Constructed by [`crate::LpRuntime::setup`]; kernels call
 /// [`ChecksumTableOps::insert`] through their [`crate::LpBlockSession`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum TableInstance {
     /// Quadratic-probing open addressing.
     Quad(QuadraticProbeTable),

@@ -18,7 +18,7 @@ const RACY_WINNER_BIT: u64 = 1 << 63;
 ///
 /// The paper's Table II instruments exactly the `collisions` counter this
 /// type maintains.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QuadraticProbeTable {
     base: Addr,
     entries: u64,

@@ -3,22 +3,30 @@
 //! A campaign is the cross product `{workload} × {config} × {backend} ×
 //! {seed} × {crash site}`, optionally down-sampled to a trial budget by
 //! deterministic striding (so two runs of the same spec execute the same
-//! trials). Trials are independent full-machine simulations, so the runner
-//! fans them out over OS threads; each trial is wrapped in
-//! `catch_unwind` so a panicking simulation is recorded as a failure
-//! instead of killing the campaign. Every failure is then shrunk
+//! trials). The trials that differ only in their site form a *cell*: they
+//! share a staged machine and, up to each one's cut, a forward execution,
+//! so a cell runs them off one staging, one clean run and one forward
+//! execution (`crate::cell`). Cells are independent, so the runner fans
+//! them out over OS threads, each worker pulling whole cells from a shared
+//! counter; each trial is wrapped in `catch_unwind` so a panicking
+//! simulation is recorded as a failure instead of killing the campaign.
+//! Results come out in trial order, each the result [`crate::run_trial`]
+//! gives its `TrialId` on its own. Every failure is then shrunk
 //! ([`crate::shrink`]) to a minimal reproducer, and the whole thing is
 //! serialized as a JSON [`CampaignReport`].
 
+use crate::cell::{run_cell, run_one, Event};
 use crate::shrink::{shrink, ShrinkOutcome};
 use crate::site::CrashSite;
 use crate::stats::{percentiles, Percentiles};
-use crate::trial::{run_trial, TrialId, TrialResult, CONFIG_NAMES};
+use crate::trial::{TrialId, TrialResult, CONFIG_NAMES};
 use gpu_lp::BackendKind;
 use lp_kernels::{subject, Scale, SUBJECT_NAMES};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// What to sweep. Build with [`CampaignSpec::default_sweep`] and adjust.
@@ -52,9 +60,9 @@ pub struct CampaignSpec {
     /// Cap on failures that get shrunk (shrinking re-runs trials).
     pub max_shrinks: usize,
     /// Per-trial wall-clock watchdog in milliseconds. A trial exceeding it
-    /// is abandoned and recorded as a `TimedOut` verdict (its worker
-    /// thread is detached, not killed — the simulation is pure compute, so
-    /// an abandoned one only wastes a core until it finishes or the
+    /// is abandoned and recorded as a `TimedOut` verdict (the thread
+    /// running it is detached, not killed — the simulation is pure compute,
+    /// so an abandoned one only wastes a core until it finishes or the
     /// process exits). `None` disables the watchdog (library default; the
     /// campaign binary defaults to 120 s via `--trial-timeout`).
     pub trial_timeout_ms: Option<u64>,
@@ -94,7 +102,7 @@ impl CampaignSpec {
     /// whatever spelling the spec used, so labels, tallies and the ledger
     /// do not depend on it. A name the subject table does not know is kept
     /// as given: its trials fail with `unknown workload` as their detail
-    /// (see [`run_trial`]) instead of vanishing from the report.
+    /// (see [`crate::run_trial`]) instead of vanishing from the report.
     pub fn enumerate_explained(&self) -> (Vec<TrialId>, Vec<PruneRecord>) {
         let mut all = Vec::new();
         let mut ledger = Vec::new();
@@ -252,87 +260,83 @@ impl CampaignReport {
     }
 }
 
-/// A non-verdict [`TrialResult`] for trials that never produced one.
-fn aborted_result(id: &TrialId, timed_out: bool, detail: String) -> TrialResult {
-    TrialResult {
-        timed_out,
-        ..TrialResult::unjudged(id, false, 0, &Default::default(), detail)
+/// Runs `cell`'s trials ([`run_cell`]) and hands each result to `out` with
+/// its position in `cell`.
+///
+/// Under the per-trial watchdog the cell runs on a helper thread, and each
+/// of its trials must report back within `timeout_ms` of the last thing the
+/// cell reported. One that does not is recorded as a distinct `TimedOut`
+/// verdict against its [`TrialId`] and abandoned with the helper (the thread
+/// is detached — a pure-compute simulation cannot be killed safely, so it
+/// is left to run into a dropped channel); the cell's remaining trials then
+/// run one at a time, each on a thread of its own under the same watchdog.
+fn run_cell_timed(
+    cell: &[TrialId],
+    scale: Scale,
+    timeout_ms: Option<u64>,
+    out: &mut dyn FnMut(usize, TrialResult),
+) {
+    let Some(ms) = timeout_ms else {
+        run_cell(cell, scale, &mut |e| {
+            if let Event::Finished(i, r) = e {
+                out(i, r);
+            }
+            true
+        });
+        return;
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let owned = cell.to_vec();
+    std::thread::spawn(move || run_cell(&owned, scale, &mut |e| tx.send(e).is_ok()));
+    let mut pending: BTreeSet<usize> = (0..cell.len()).collect();
+    let mut running = None;
+    while let Some(&next) = pending.first() {
+        match rx.recv_timeout(Duration::from_millis(ms)) {
+            Ok(Event::Started(i)) => running = Some(i),
+            Ok(Event::Finished(i, r)) => {
+                pending.remove(&i);
+                out(i, r);
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                let i = running.filter(|i| pending.contains(i)).unwrap_or(next);
+                pending.remove(&i);
+                out(i, timed_out(&cell[i], ms));
+                break;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    drop(rx);
+    for i in pending {
+        out(i, run_one_timed(&cell[i], scale, ms));
     }
 }
 
-/// A panicking trial still yields a (failing) result.
-fn run_one(id: &TrialId, scale: Scale) -> TrialResult {
-    catch_unwind(AssertUnwindSafe(|| run_trial(id, scale))).unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("non-string panic payload");
-        aborted_result(id, false, format!("panic: {msg}"))
-    })
+/// The verdict of a trial the watchdog abandoned after `ms` milliseconds.
+fn timed_out(id: &TrialId, ms: u64) -> TrialResult {
+    TrialResult::aborted(id, true, format!("TimedOut: exceeded {ms} ms wall clock"))
 }
 
-/// [`run_one`] under the per-trial watchdog: the trial runs on its own
-/// thread; if it does not report back within `timeout_ms` it is abandoned
-/// (the thread is detached — a pure-compute simulation cannot be killed
-/// safely, so it is left to finish into a dropped channel) and a distinct
-/// `TimedOut` verdict is recorded against the [`TrialId`].
-fn run_one_timed(id: &TrialId, scale: Scale, timeout_ms: Option<u64>) -> TrialResult {
-    let Some(ms) = timeout_ms else {
-        return run_one(id, scale);
-    };
+/// [`run_one`] on a thread of its own under the per-trial watchdog.
+fn run_one_timed(id: &TrialId, scale: Scale, ms: u64) -> TrialResult {
     let (tx, rx) = std::sync::mpsc::sync_channel(1);
     let thread_id = id.clone();
     std::thread::spawn(move || {
         // The receiver may be gone (watchdog fired); a failed send is fine.
         let _ = tx.send(run_one(&thread_id, scale));
     });
-    match rx.recv_timeout(Duration::from_millis(ms)) {
-        Ok(result) => result,
-        Err(_) => aborted_result(id, true, format!("TimedOut: exceeded {ms} ms wall clock")),
-    }
+    rx.recv_timeout(Duration::from_millis(ms))
+        .unwrap_or_else(|_| timed_out(id, ms))
 }
 
-/// Runs every trial of `spec`, fanned out over threads, and assembles the
-/// report. `progress` is called after each finished trial with
+/// Runs every trial of `spec` and assembles the report. Trials are grouped
+/// into cells (see the module docs); worker threads pull whole cells from a
+/// shared counter. `progress` is called after each finished trial with
 /// `(done, total)` — pass `|_, _| {}` when no live feedback is wanted.
 pub fn run_campaign(spec: &CampaignSpec, progress: impl Fn(usize, usize) + Sync) -> CampaignReport {
     let (ids, prune_ledger) = spec.enumerate_explained();
     let total = ids.len();
-    let threads = if spec.threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        spec.threads
-    }
-    .max(1);
-
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<(usize, TrialResult)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let ids = &ids;
-            let done = &done;
-            let progress = &progress;
-            handles.push(scope.spawn(move || {
-                let mut mine = Vec::new();
-                for (i, id) in ids.iter().enumerate() {
-                    if i % threads != t {
-                        continue;
-                    }
-                    mine.push((i, run_one_timed(id, spec.scale, spec.trial_timeout_ms)));
-                    let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                    progress(n, total);
-                }
-                mine
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    results.sort_by_key(|(i, _)| *i);
-
+    let results = run_trials(&ids, spec, &progress);
     let mut report = CampaignReport {
         spec: spec.clone(),
         trials: total as u64,
@@ -350,7 +354,7 @@ pub fn run_campaign(spec: &CampaignSpec, progress: impl Fn(usize, usize) + Sync)
     let mut by_site: BTreeMap<String, Tally> = BTreeMap::new();
     let mut by_workload: BTreeMap<String, Tally> = BTreeMap::new();
     let mut recovery_latencies = Vec::new();
-    for (_, r) in &results {
+    for r in &results {
         let site_tally = by_site.entry(r.id.site.label()).or_default();
         let wl_tally = by_workload.entry(r.id.workload.clone()).or_default();
         for tally in [site_tally, wl_tally] {
@@ -374,7 +378,7 @@ pub fn run_campaign(spec: &CampaignSpec, progress: impl Fn(usize, usize) + Sync)
     };
     report.by_site = labelled(by_site);
     report.by_workload = labelled(by_workload);
-    for (_, r) in results {
+    for r in results {
         if r.passed {
             continue;
         }
@@ -387,10 +391,61 @@ pub fn run_campaign(spec: &CampaignSpec, progress: impl Fn(usize, usize) + Sync)
     report
 }
 
+/// Every trial of `ids` — the campaign `spec` enumerates — fanned out over
+/// `spec.threads` workers, in `ids` order. The trials of a cell are
+/// adjacent in enumeration order (the site varies fastest, and budget
+/// sampling keeps the order), so a cell is a maximal run of trials that
+/// agree on everything but the site.
+fn run_trials(
+    ids: &[TrialId],
+    spec: &CampaignSpec,
+    progress: &(impl Fn(usize, usize) + Sync),
+) -> Vec<TrialResult> {
+    let threads = if spec.threads == 0 {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        spec.threads
+    }
+    .max(1);
+    let mut cells = Vec::new();
+    let mut first = 0;
+    for cell in ids.chunk_by(|a, b| {
+        (&a.workload, &a.config, a.backend, a.seed) == (&b.workload, &b.config, b.backend, b.seed)
+    }) {
+        cells.push((first, cell));
+        first += cell.len();
+    }
+
+    let next = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    let results = Mutex::new(vec![None; ids.len()]);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                while let Some(&(first, cell)) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    run_cell_timed(cell, spec.scale, spec.trial_timeout_ms, &mut |i, r| {
+                        results
+                            .lock()
+                            .expect("no thread panics holding the result table")[first + i] =
+                            Some(r);
+                        progress(done.fetch_add(1, Ordering::Relaxed) + 1, ids.len());
+                    });
+                }
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("no thread panics holding the result table")
+        .into_iter()
+        .map(|r| r.expect("every trial reports a result"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::SABOTAGE_CONFIG;
+    use crate::trial::{run_trial, SABOTAGE_CONFIG};
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -403,6 +458,56 @@ mod tests {
                 CrashSite::MidCheckpoint { pct: 50 },
             ],
             ..CampaignSpec::default_sweep(Scale::Test)
+        }
+    }
+
+    #[test]
+    fn every_campaign_result_is_the_from_scratch_trial() {
+        // Six cells of the whole site catalog (so forks start at every
+        // kind of boundary), together every config and every backend.
+        let cells = [
+            ("SPMV", SABOTAGE_CONFIG, BackendKind::LpChecksum),
+            ("TMM", "quad", BackendKind::Adaptive),
+            ("MEGAKV-INSERT", "cuckoo", BackendKind::Eager),
+            ("MRI-GRIDDING", "seq-reduce", BackendKind::Sbrp),
+            ("HISTO", "recommended", BackendKind::Epoch),
+            ("CUTCP", "cuckoo", BackendKind::LpChecksum),
+        ];
+        let ids: Vec<TrialId> = cells
+            .iter()
+            .flat_map(|&(workload, config, backend)| {
+                CampaignSpec {
+                    workloads: vec![workload.to_string()],
+                    configs: vec![config.to_string()],
+                    backends: vec![backend],
+                    seeds: vec![2],
+                    ..CampaignSpec::default_sweep(Scale::Test)
+                }
+                .enumerate()
+            })
+            .collect();
+        let line = |r: &TrialResult| serde_json::to_string(r).expect("serialises");
+        let want: Vec<String> = ids
+            .iter()
+            .map(|id| line(&run_trial(id, Scale::Test)))
+            .collect();
+        assert!(want.iter().any(|l| l.contains("\"passed\":false")));
+        // With and without the watchdog: the cell runs on the worker or
+        // on a helper thread, and must not notice.
+        for trial_timeout_ms in [None, Some(600_000)] {
+            let spec = CampaignSpec {
+                threads: 2,
+                trial_timeout_ms,
+                ..CampaignSpec::default_sweep(Scale::Test)
+            };
+            let got: Vec<String> = run_trials(&ids, &spec, &|_, _| {})
+                .iter()
+                .map(line)
+                .collect();
+            assert_eq!(got.len(), want.len());
+            for (got, want) in got.iter().zip(&want) {
+                assert_eq!(got, want, "{trial_timeout_ms:?}");
+            }
         }
     }
 

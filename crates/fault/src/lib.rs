@@ -16,15 +16,19 @@
 //!   determines one trial — including which persistency backend the
 //!   subject runs under — so every result in a report is replayable
 //!   bit-for-bit;
-//! * [`run_trial`] executes one trial on a fresh simulated machine and
-//!   judges it with three oracles: **O1** the recovered output matches the
-//!   CPU reference, **O2** no region failed validation that the crash
-//!   cannot explain (no phantom failures), **O3** no region validated
-//!   despite demonstrably losing its own data (no false negatives) — the
-//!   last two powered by the NVM's crash-loss forensics
-//!   ([`nvm::CrashLoss`]);
-//! * [`run_campaign`] fans the cross product over worker threads, tallies
-//!   by site and workload, and emits a JSON [`CampaignReport`];
+//! * [`run_trial`] executes one trial from scratch — a freshly staged
+//!   machine, one launch from block 0 — and judges it with three oracles:
+//!   **O1** the recovered output matches the CPU reference, **O2** no
+//!   region failed validation that the crash cannot explain (no phantom
+//!   failures), **O3** no region validated despite demonstrably losing its
+//!   own data (no false negatives) — the last two powered by the NVM's
+//!   crash-loss forensics ([`nvm::CrashLoss`]);
+//! * [`run_campaign`] groups the cross product into cells — the trials that
+//!   share workload, config, backend and seed — and fans the cells over
+//!   worker threads. A cell stages its machine once, runs one clean launch
+//!   and one forward execution, and forks each trial off that execution at
+//!   its cut, with the same result [`run_trial`] gives; it tallies by site
+//!   and workload and emits a JSON [`CampaignReport`];
 //! * [`shrink`] reduces every failure to a minimal reproducer by re-running
 //!   progressively simpler trials.
 //!
@@ -36,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+mod cell;
 pub mod oracle;
 pub mod prune;
 pub mod sanitize;

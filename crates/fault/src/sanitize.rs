@@ -9,11 +9,11 @@
 //! miss: a kernel that races or skips the checksum can pass every crash
 //! trial by luck and still lose data in the field.
 
-use crate::trial::trial_config;
-use lp_kernels::{subject, Scale};
+use crate::trial::{stage_instance, trial_config, Instance};
+use lp_kernels::{subject, Scale, Workload};
 use lp_sanitizer::{sanitize_launch_exempt, SanitizerReport};
 use serde::{Deserialize, Serialize};
-use simt::{AccessObserver, LaunchStats};
+use simt::{AccessObserver, Gpu, LaunchStats};
 
 /// One sanitized, crash-free execution of a campaign subject.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,21 +44,27 @@ pub fn sanitize_subject(
     scale: Scale,
     seed: u64,
 ) -> Option<(LaunchStats, SanitizerReport)> {
-    let subject = subject(workload)?;
+    let (gpu, w, mut inst) = instance(workload, config, scale, seed)?;
+    let kernel = w.kernel(Some(&inst.rt));
+    // The checksum table is shared by design (cuckoo displacement rewrites
+    // other blocks' entries); exempt it from the cross-block conflict rule.
+    let table = inst.rt.table_ranges();
+    Some(
+        sanitize_launch_exempt(&gpu, kernel.as_ref(), &mut inst.mem, &table)
+            .expect("sanitized launch failed"),
+    )
+}
+
+/// A crash-free instance of a campaign subject, built the way every trial
+/// builds one. `None` for unknown subject or config names.
+fn instance(
+    workload: &str,
+    config: &str,
+    scale: Scale,
+    seed: u64,
+) -> Option<(Gpu, Box<dyn Workload>, Instance)> {
     let cfg = trial_config(config)?;
-    Some(crate::trial::with_instance(
-        subject,
-        scale,
-        seed,
-        &cfg.lp,
-        |gpu, mem, kernel, rt, _verify| {
-            // The checksum table is shared by design (cuckoo displacement
-            // rewrites other blocks' entries); exempt it from the
-            // cross-block conflict rule.
-            sanitize_launch_exempt(gpu, kernel, mem, &rt.table_ranges())
-                .expect("sanitized launch failed")
-        },
-    ))
+    Some(stage_instance(subject(workload)?, scale, seed, &cfg.lp))
 }
 
 /// The launch geometry and instrumentation layout of one observed,
@@ -91,26 +97,18 @@ pub fn observe_subject(
     seed: u64,
     observer: &mut dyn AccessObserver,
 ) -> Option<ObservedSubject> {
-    let subject = subject(workload)?;
-    let cfg = trial_config(config)?;
-    Some(crate::trial::with_instance(
-        subject,
-        scale,
-        seed,
-        &cfg.lp,
-        |gpu, mem, kernel, rt, _verify| {
-            let stats = gpu
-                .launch_observed(kernel, mem, observer)
-                .expect("observed launch failed");
-            let lc = kernel.config();
-            ObservedSubject {
-                stats,
-                num_blocks: lc.num_blocks(),
-                threads_per_block: lc.threads_per_block(),
-                table_ranges: rt.table_ranges(),
-            }
-        },
-    ))
+    let (gpu, w, mut inst) = instance(workload, config, scale, seed)?;
+    let kernel = w.kernel(Some(&inst.rt));
+    let stats = gpu
+        .launch_observed(kernel.as_ref(), &mut inst.mem, observer)
+        .expect("observed launch failed");
+    let lc = kernel.config();
+    Some(ObservedSubject {
+        stats,
+        num_blocks: lc.num_blocks(),
+        threads_per_block: lc.threads_per_block(),
+        table_ranges: inst.rt.table_ranges(),
+    })
 }
 
 /// Sweeps `{workload} × {config} × {seed}` under the sanitizer. Unknown

@@ -6,10 +6,12 @@
 //! deterministically. Campaign reports carry `TrialId`s so any failure can
 //! be replayed (and shrunk) in isolation.
 //!
-//! [`run_trial`] executes one trial end to end: build a fresh world, run
-//! the subject under Lazy Persistency, lose power at the requested
+//! [`run_trial`] executes one trial end to end: stage the subject on a
+//! fresh world, run it under Lazy Persistency, lose power at the requested
 //! [`CrashSite`], recover, and judge the outcome with the three oracles of
-//! [`crate::oracle`].
+//! [`crate::oracle`]. The execution itself (`execute`) takes the machine
+//! and a launch standing at some block boundary, so a campaign cell runs the
+//! same code on a fork of its shared execution (see `crate::cell`).
 
 use crate::oracle::{self, OracleInput};
 use crate::site::CrashSite;
@@ -17,10 +19,10 @@ use gpu_lp::{
     BackendKind, LpConfig, LpRuntime, PolicyMode, Recoverable, ReduceStrategy, ResilientRecovery,
     ResilientReport, TableKind,
 };
-use lp_kernels::{stage, subject, world, Scale, Subject};
+use lp_kernels::{stage, subject, world, Scale, Subject, Workload};
 use nvm::{CrashLoss, FaultConfig, PersistMemory};
 use serde::{Deserialize, Serialize};
-use simt::{CrashPlan, DeviceConfig, Gpu};
+use simt::{CrashPlan, DeviceConfig, Gpu, Launch};
 
 /// LP design points a campaign sweeps by default.
 pub const CONFIG_NAMES: [&str; 4] = ["recommended", "quad", "cuckoo", "seq-reduce"];
@@ -173,6 +175,16 @@ impl TrialResult {
             detail,
         }
     }
+
+    /// A non-verdict result for a trial that never produced one: it named
+    /// an unknown workload or config, it panicked, or (`timed_out`) the
+    /// watchdog abandoned it.
+    pub(crate) fn aborted(id: &TrialId, timed_out: bool, detail: String) -> Self {
+        Self {
+            timed_out,
+            ..Self::unjudged(id, false, 0, &ResilientReport::default(), detail)
+        }
+    }
 }
 
 /// The recovery report of a sabotaged trial: claims success without
@@ -204,28 +216,32 @@ pub fn fault_world() -> (Gpu, PersistMemory) {
     world(DeviceConfig::test_gpu(), 256, 8)
 }
 
-/// Builds a fresh instance of `subject` — world, staged inputs, LP runtime,
-/// kernel — and hands it to `f`. Everything in the instance is derived
-/// from `(subject, scale, seed, lp)`, so two calls see identical machines.
-pub(crate) fn with_instance<R>(
+/// One machine a trial runs on: a staged memory and the LP runtime staged
+/// with it. Cloning it — with the [`Launch`] running on it — forks the
+/// machine: everything a power cut can keep is in the memory, and what the
+/// runtime accumulates on the host forks with the runtime.
+#[derive(Debug, Clone)]
+pub(crate) struct Instance {
+    pub(crate) mem: PersistMemory,
+    pub(crate) rt: LpRuntime,
+}
+
+/// `subject` staged under `lp` on a fresh [`fault_world`]
+/// ([`lp_kernels::stage`]): the device, the workload, and the instance
+/// every trial of `(subject, scale, seed, lp)` starts from — the only way
+/// `lp-fault` puts a subject on a machine. Everything in it is derived from
+/// the arguments, so a copy of the instance is the instance a second call
+/// would build.
+pub(crate) fn stage_instance(
     subject: &Subject,
     scale: Scale,
     seed: u64,
     lp: &LpConfig,
-    f: impl FnOnce(
-        &Gpu,
-        &mut PersistMemory,
-        &dyn Recoverable,
-        &LpRuntime,
-        &mut dyn FnMut(&mut PersistMemory) -> bool,
-    ) -> R,
-) -> R {
+) -> (Gpu, Box<dyn Workload>, Instance) {
     let (gpu, mut mem) = fault_world();
     let mut w = (subject.build)(scale, seed);
     let rt = stage(w.as_mut(), &gpu, &mut mem, lp);
-    let kernel = w.kernel(Some(&rt));
-    let mut verify = |m: &mut PersistMemory| w.verify(m);
-    f(&gpu, &mut mem, kernel.as_ref(), &rt, &mut verify)
+    (gpu, w, Instance { mem, rt })
 }
 
 /// What the injection phase of a trial produced.
@@ -247,10 +263,14 @@ fn reboot(mem: &mut PersistMemory) -> Option<CrashLoss> {
     mem.take_crash_loss()
 }
 
+/// Loses power at `site`. `launch` is the subject's launch standing at a
+/// block boundary the site's crash point is not behind — block 0, or a
+/// later one when the trial is a fork of a shared execution.
 fn inject(
     site: CrashSite,
     gpu: &Gpu,
     mem: &mut PersistMemory,
+    mut launch: Launch<'_>,
     kernel: &dyn Recoverable,
     rt: &LpRuntime,
     clean_stores: Option<u64>,
@@ -260,8 +280,8 @@ fn inject(
     let (crashed, blocks_executed, loss, loss_oracles) = match site {
         CrashSite::AfterStores { pct } => {
             let total = clean_stores.expect("AfterStores needs the clean store count");
-            let plan = CrashPlan::after_stores(total * pct / 100);
-            let out = gpu.launch_with_plan(kernel, mem, plan).expect("launch");
+            launch.arm(CrashPlan::after_stores(total * pct / 100));
+            let out = launch.finish(kernel, mem);
             let crashed = out.crashed();
             if !crashed {
                 mem.flush_all();
@@ -269,21 +289,24 @@ fn inject(
             (crashed, out.stats().blocks_executed, reboot(mem), true)
         }
         CrashSite::AfterEvictions { nth } => {
-            mem.arm_crash_after_evictions(nth);
-            let out = gpu.launch(kernel, mem).expect("launch");
+            // The launch's `nth` natural eviction: staging zeroed the
+            // counters, so the memory's count is the launch's.
+            mem.arm_crash_after_evictions(nth.saturating_sub(mem.stats().natural_evictions));
+            let out = launch.finish(kernel, mem);
             mem.disarm_crash();
-            if !out.crashed {
+            let crashed = out.crashed();
+            if !crashed {
                 note.push_str("site missed: kernel finished without enough evictions; ");
                 mem.flush_all();
             }
-            (out.crashed, out.blocks_executed, reboot(mem), true)
+            (crashed, out.stats().blocks_executed, reboot(mem), true)
         }
         CrashSite::BlockBoundary { pct } => {
-            let plan = CrashPlan {
+            launch.arm(CrashPlan {
                 after_global_stores: None,
                 after_blocks: Some(num_blocks * pct / 100),
-            };
-            let out = gpu.launch_with_plan(kernel, mem, plan).expect("launch");
+            });
+            let out = launch.finish(kernel, mem);
             let crashed = out.crashed();
             if !crashed {
                 mem.flush_all();
@@ -291,50 +314,51 @@ fn inject(
             (crashed, out.stats().blocks_executed, reboot(mem), true)
         }
         CrashSite::BetweenKernels => {
-            let out = gpu.launch(kernel, mem).expect("launch");
+            let out = launch.finish(kernel, mem);
             // The kernel finished but no checkpoint ran: whatever is still
             // in cache vanishes. `crash()` models the instant reboot.
             mem.crash();
-            (true, out.blocks_executed, reboot(mem), true)
+            (true, out.stats().blocks_executed, reboot(mem), true)
         }
         CrashSite::MidCheckpoint { pct } => {
-            let out = gpu.launch(kernel, mem).expect("launch");
+            let out = launch.finish(kernel, mem);
+            let blocks_executed = out.stats().blocks_executed;
             let dirty = mem.dirty_lines() as u64;
             if dirty == 0 {
                 note.push_str("site missed: nothing dirty at checkpoint; ");
-                (false, out.blocks_executed, None, true)
+                (false, blocks_executed, None, true)
             } else {
                 mem.arm_crash_during_flush(dirty * pct / 100);
                 mem.flush_all();
                 mem.disarm_crash();
                 let crashed = mem.power_failed();
-                (crashed, out.blocks_executed, reboot(mem), true)
+                (crashed, blocks_executed, reboot(mem), true)
             }
         }
         CrashSite::TornWriteback { .. }
         | CrashSite::TransientPersist { .. }
         | CrashSite::MediaBitErrors { .. } => {
-            // The fault model is already attached (see `run_trial`). Run
-            // to completion under device faults, then lose power before
-            // any checkpoint: natural evictions were the only persists,
-            // and some of them tore, failed, or read back corrupted. The
-            // loss record cannot attribute torn lines (the device claimed
+            // The fault model is already attached (see `execute`). Run to
+            // completion under device faults, then lose power before any
+            // checkpoint: natural evictions were the only persists, and
+            // some of them tore, failed, or read back corrupted. The loss
+            // record cannot attribute torn lines (the device claimed
             // success for them), so O2/O3 are replaced by O4.
-            let out = gpu.launch(kernel, mem).expect("launch");
+            let out = launch.finish(kernel, mem);
             mem.crash();
             let _ = reboot(mem);
-            (true, out.blocks_executed, None, false)
+            (true, out.stats().blocks_executed, None, false)
         }
         CrashSite::MidPolicySwitch { .. } => {
             // Fixed backends have no policy engine to switch, so the site
             // degenerates to a between-kernels power loss: the backend
             // still pays for a crash at that instant. Adaptive trials
-            // never reach here — `run_trial` routes them to the dedicated
+            // never reach here — `execute` routes them to the dedicated
             // switch-window path.
             note.push_str("no policy engine: degraded to between-kernels; ");
-            let out = gpu.launch(kernel, mem).expect("launch");
+            let out = launch.finish(kernel, mem);
             mem.crash();
-            (true, out.blocks_executed, reboot(mem), true)
+            (true, out.stats().blocks_executed, reboot(mem), true)
         }
         CrashSite::DuringRecovery { nth } => {
             // First crash mid-kernel, then a second power loss while the
@@ -342,8 +366,8 @@ fn inject(
             // checked: two overlapping loss records defeat line-level
             // attribution.
             let total = clean_stores.expect("DuringRecovery needs the clean store count");
-            let plan = CrashPlan::after_stores(total * 2 / 5);
-            let out = gpu.launch_with_plan(kernel, mem, plan).expect("launch");
+            launch.arm(CrashPlan::after_stores(total * 2 / 5));
+            let out = launch.finish(kernel, mem);
             let crashed = out.crashed();
             if crashed {
                 let _first = reboot(mem);
@@ -375,240 +399,259 @@ fn inject(
     }
 }
 
-/// Runs one trial end to end at `scale`. An `id` naming a workload or
-/// config that does not exist runs nothing and fails with that as its
-/// detail.
+/// Runs one trial end to end at `scale`, from scratch: a fresh world, the
+/// subject staged on it, one launch from block 0. This is the reference a
+/// campaign's shared executions are held to, and the replay path of every
+/// reported `TrialId`. An `id` naming a workload or config that does not
+/// exist runs nothing and fails with that as its detail.
 ///
 /// # Panics
 ///
 /// Panics on simulator-level launch failures — campaign drivers catch
 /// panics and record them as failures.
 pub fn run_trial(id: &TrialId, scale: Scale) -> TrialResult {
-    let unknown = |what: &str, name: &str| {
-        let detail = format!("unknown {what} {name:?}");
-        TrialResult::unjudged(id, false, 0, &ResilientReport::default(), detail)
+    let (subject, cfg) = match resolve(id) {
+        Ok(found) => found,
+        Err(unknown) => return TrialResult::aborted(id, false, unknown),
     };
-    let Some(subject) = subject(&id.workload) else {
-        return unknown("workload", &id.workload);
-    };
-    let Some(mut cfg) = trial_config(&id.config) else {
-        return unknown("config", &id.config);
-    };
+    let (gpu, w, mut inst) = stage_instance(subject, scale, id.seed, &cfg.lp);
+    // Sites defined relative to the store stream need the clean run's
+    // length, measured on an identical instance.
+    let clean_stores = id.site.needs_store_count().then(|| {
+        let mut clean = inst.clone();
+        let kernel = w.kernel(Some(&clean.rt));
+        let stats = gpu
+            .launch(kernel.as_ref(), &mut clean.mem)
+            .expect("clean launch");
+        stats.nvm.store_ops
+    });
+    let launch = start(&gpu, w.as_ref(), &inst);
+    execute(id, &cfg, &gpu, w.as_ref(), &mut inst, launch, clean_stores)
+}
+
+/// The subject and config `id` names, with the trial's backend swapped
+/// in — or which name is unknown.
+pub(crate) fn resolve(id: &TrialId) -> Result<(&'static Subject, TrialConfig), String> {
+    let unknown = |what: &str, name: &str| format!("unknown {what} {name:?}");
+    let subject = subject(&id.workload).ok_or_else(|| unknown("workload", &id.workload))?;
+    let mut cfg = trial_config(&id.config).ok_or_else(|| unknown("config", &id.config))?;
     cfg.lp = cfg.lp.with_backend(id.backend);
+    Ok((subject, cfg))
+}
+
+/// A crash-free launch of `w`'s kernel on `inst`, standing at block 0.
+pub(crate) fn start<'g>(gpu: &'g Gpu, w: &dyn Workload, inst: &Instance) -> Launch<'g> {
+    gpu.start(
+        w.kernel(Some(&inst.rt)).as_ref(),
+        &inst.mem,
+        CrashPlan::never(),
+    )
+    .expect("launch")
+}
+
+/// Runs trial `id` on `inst` and judges it. `launch` is the subject's
+/// crash-free launch on `inst` standing at a block boundary the trial's
+/// crash point is not behind: block 0 from scratch, a later one in a fork.
+/// `clean_stores` is the clean run's store count, for the sites that need
+/// it.
+pub(crate) fn execute(
+    id: &TrialId,
+    cfg: &TrialConfig,
+    gpu: &Gpu,
+    w: &dyn Workload,
+    inst: &mut Instance,
+    launch: Launch<'_>,
+    clean_stores: Option<u64>,
+) -> TrialResult {
+    let Instance { mem, rt } = inst;
+    let kernel = w.kernel(Some(rt));
+    let kernel = kernel.as_ref();
+    let mut verify = |m: &mut PersistMemory| w.verify(m);
+    let num_blocks = kernel.config().num_blocks();
 
     // The switch window only exists on the adaptive backend, where the
     // trial must drive the policy engine explicitly; every other backend
     // degrades the site inside `inject`.
     if let CrashSite::MidPolicySwitch { step } = id.site {
         if id.backend == BackendKind::Adaptive {
-            return run_policy_switch_trial(id, subject, &cfg, step, scale);
+            return policy_switch_trial(id, step, gpu, mem, launch, kernel, rt, &mut verify);
         }
     }
 
-    // Sites defined relative to the store stream need the clean run's
-    // length, measured on an identical (fresh) instance.
-    let clean_stores = if id.site.needs_store_count() {
-        Some(with_instance(
-            subject,
-            scale,
-            id.seed,
-            &cfg.lp,
-            |gpu, mem, kernel, _rt, _v| {
-                let out = gpu.launch(kernel, mem).expect("clean launch");
-                out.nvm.store_ops
-            },
-        ))
+    if let Some(fc) = device_fault_config(&id.site, id.seed) {
+        mem.set_fault_config(Some(fc));
+    }
+    let injected = inject(id.site, gpu, mem, launch, kernel, rt, clean_stores);
+    let mut detail = injected.note.clone();
+
+    if id.site.is_device_fault() {
+        return judge_device_trial(id, cfg, gpu, mem, kernel, rt, &mut verify, &injected);
+    }
+
+    let failed = rt.failing_regions(kernel, mem);
+    let report = if cfg.skip_recovery {
+        detail.push_str("sabotage: recovery skipped; ");
+        sabotage_report(num_blocks)
     } else {
-        None
+        ResilientRecovery::new(gpu).recover(kernel, rt, mem)
     };
 
-    with_instance(
-        subject,
-        scale,
-        id.seed,
-        &cfg.lp,
-        |gpu, mem, kernel, rt, verify| {
-            let num_blocks = kernel.config().num_blocks();
-            if let Some(fc) = device_fault_config(&id.site, id.seed) {
-                mem.set_fault_config(Some(fc));
-            }
-            let injected = inject(id.site, gpu, mem, kernel, rt, clean_stores);
-            let mut detail = injected.note.clone();
+    // O2/O3 attribute validation failures to the crash-loss record line by
+    // line, which presumes LP semantics: checksummed data persisting only
+    // through natural eviction. The explicit backends persist (some) lines
+    // on their own schedule, so the attribution logic does not apply —
+    // they are judged by O1 against their own durability contract instead.
+    let loss_oracles = injected.loss_oracles && id.backend == BackendKind::LpChecksum;
+    let verdict = if loss_oracles {
+        oracle::check(&OracleInput {
+            loss: injected.loss.as_ref(),
+            failed: &failed,
+            incomplete_from: injected.blocks_executed,
+            num_blocks,
+            transient: rt.transient_ranges(),
+            table: rt.table_ranges(),
+            line_size: mem.config().line_size as u64,
+            hash_table: !matches!(rt.config().table, TableKind::GlobalArray),
+        })
+    } else {
+        detail.push_str(if injected.loss_oracles {
+            "loss oracles skipped (non-LP backend); "
+        } else {
+            "loss oracles skipped (double crash); "
+        });
+        Default::default()
+    };
+    detail.push_str(&verdict.detail);
 
-            if id.site.is_device_fault() {
-                return judge_device_trial(id, &cfg, gpu, mem, kernel, rt, verify, &injected);
-            }
-
-            let failed = rt.failing_regions(kernel, mem);
-            let report = if cfg.skip_recovery {
-                detail.push_str("sabotage: recovery skipped; ");
-                sabotage_report(num_blocks)
-            } else {
-                ResilientRecovery::new(gpu).recover(kernel, rt, mem)
-            };
-
-            // O2/O3 attribute validation failures to the crash-loss record
-            // line by line, which presumes LP semantics: checksummed data
-            // persisting only through natural eviction. The explicit
-            // backends persist (some) lines on their own schedule, so the
-            // attribution logic does not apply — they are judged by O1
-            // against their own durability contract instead.
-            let loss_oracles = injected.loss_oracles && id.backend == BackendKind::LpChecksum;
-            let verdict = if loss_oracles {
-                oracle::check(&OracleInput {
-                    loss: injected.loss.as_ref(),
-                    failed: &failed,
-                    incomplete_from: injected.blocks_executed,
-                    num_blocks,
-                    transient: rt.transient_ranges(),
-                    table: rt.table_ranges(),
-                    line_size: mem.config().line_size as u64,
-                    hash_table: !matches!(rt.config().table, TableKind::GlobalArray),
-                })
-            } else {
-                detail.push_str(if injected.loss_oracles {
-                    "loss oracles skipped (non-LP backend); "
-                } else {
-                    "loss oracles skipped (double crash); "
-                });
-                Default::default()
-            };
-            detail.push_str(&verdict.detail);
-
-            let o1 = report.all_durable && verify(mem);
-            if !o1 {
-                detail.push_str("O1: output wrong after recovery; ");
-            }
-            TrialResult {
-                o1_output: o1,
-                o2: verdict.o2,
-                o3: verdict.o3,
-                passed: o1 && verdict.ok(),
-                ..TrialResult::unjudged(id, injected.crashed, failed.len(), &report, detail)
-            }
-        },
-    )
+    let o1 = report.all_durable && verify(mem);
+    if !o1 {
+        detail.push_str("O1: output wrong after recovery; ");
+    }
+    TrialResult {
+        o1_output: o1,
+        o2: verdict.o2,
+        o3: verdict.o3,
+        passed: o1 && verdict.ok(),
+        ..TrialResult::unjudged(id, injected.crashed, failed.len(), &report, detail)
+    }
 }
 
 /// Runs a mid-policy-switch trial on the adaptive backend.
 ///
-/// The subject first completes one launch under the initial all-LP policy
-/// and drains it to media, so the switch window is the only thing under
-/// test. One region (seed-derived) is then switched to a deterministic
-/// non-LP rung, with power lost at the requested step of the window:
-/// before the journal record, while the record's write-back tears, after
-/// the record is durable, or mid-run under the new mode. Recovery must
-/// restore the output under exactly the old or the new contract (O1), and
-/// a post-recovery power cycle must find the journal and the data in full
-/// agreement — zero failing regions on a fresh validation (O5).
-fn run_policy_switch_trial(
+/// The subject first completes one launch (`launch`, finished) under the
+/// initial all-LP policy and drains it to media, so the switch window is
+/// the only thing under test. One region (seed-derived) is then switched to
+/// a deterministic non-LP rung, with power lost at the requested step of
+/// the window: before the journal record, while the record's write-back
+/// tears, after the record is durable, or mid-run under the new mode.
+/// Recovery must restore the output under exactly the old or the new
+/// contract (O1), and a post-recovery power cycle must find the journal and
+/// the data in full agreement — zero failing regions on a fresh validation
+/// (O5).
+#[allow(clippy::too_many_arguments)]
+fn policy_switch_trial(
     id: &TrialId,
-    subject: &Subject,
-    cfg: &TrialConfig,
     step: u8,
-    scale: Scale,
+    gpu: &Gpu,
+    mem: &mut PersistMemory,
+    launch: Launch<'_>,
+    kernel: &dyn Recoverable,
+    rt: &LpRuntime,
+    verify: &mut dyn FnMut(&mut PersistMemory) -> bool,
 ) -> TrialResult {
-    with_instance(
-        subject,
-        scale,
-        id.seed,
-        &cfg.lp,
-        |gpu, mem, kernel, rt, verify| {
-            assert!(
-                rt.is_adaptive(),
-                "policy-switch trials need the adaptive backend"
-            );
-            let num_blocks = kernel.config().num_blocks();
-            gpu.launch(kernel, mem).expect("launch");
-            mem.flush_all();
+    assert!(
+        rt.is_adaptive(),
+        "policy-switch trials need the adaptive backend"
+    );
+    let num_blocks = kernel.config().num_blocks();
+    launch.finish(kernel, mem);
+    mem.flush_all();
 
-            // Deterministic transition: region and target rung are
-            // functions of the seed, so the trial is fully replayable.
-            let region = id.seed % num_blocks;
-            let target = [PolicyMode::Epoch, PolicyMode::Eager, PolicyMode::Checkpoint]
-                [(id.seed % 3) as usize];
-            let mut detail = format!("switch r{region} -> {target}; ");
-            match step {
-                0 => {
-                    // Power dies before the journal record is attempted:
-                    // recovery must see the old (all-LP) policy untouched.
-                    mem.crash();
-                }
-                1 => {
-                    // Every write-back tears while the record is appended.
-                    // The append either survives (the torn prefix kept the
-                    // whole record) or is refused after retries — both are
-                    // legal, and replay must land on whichever happened.
-                    mem.set_fault_config(Some(FaultConfig::torn(id.seed ^ 0xFA17_C0DE, 10_000)));
-                    let committed = rt.switch_region(mem, region, target);
-                    mem.set_fault_config(None);
-                    detail.push_str(if committed {
-                        "journal survived the tears; "
-                    } else {
-                        "journal append refused under tears; "
-                    });
-                    mem.crash();
-                }
-                2 => {
-                    // The record is durable but the region never runs
-                    // under the new mode before power dies.
-                    assert!(
-                        rt.switch_region(mem, region, target),
-                        "clean switch must commit"
-                    );
-                    mem.crash();
-                }
-                3 => {
-                    // Mid-run under the new mode.
-                    assert!(
-                        rt.switch_region(mem, region, target),
-                        "clean switch must commit"
-                    );
-                    mem.arm_crash_after_evictions(2);
-                    gpu.launch(kernel, mem).expect("relaunch");
-                    mem.disarm_crash();
-                    if !mem.power_failed() {
-                        detail.push_str("site missed mid-run, crashing between kernels; ");
-                        mem.crash();
-                    }
-                }
-                _ => unreachable!("the switch window has steps 0-3"),
-            }
-            let _ = reboot(mem);
-
-            // Recovery reloads the journal before judging any region, so
-            // each region is validated under exactly one contract — the
-            // old or the new, never a hybrid.
-            let failed = rt.failing_regions(kernel, mem);
-            let report = ResilientRecovery::new(gpu).recover(kernel, rt, mem);
-            let o1 = report.all_durable && verify(mem);
-            if !o1 {
-                detail.push_str("O1: output wrong after recovery; ");
-            }
-
-            // O5: journal/data agreement. Drain everything, power-cycle,
-            // and re-validate from the durable image alone — a fresh
-            // journal replay must agree with the data it governs.
-            mem.flush_all();
+    // Deterministic transition: region and target rung are functions of
+    // the seed, so the trial is fully replayable.
+    let region = id.seed % num_blocks;
+    let target =
+        [PolicyMode::Epoch, PolicyMode::Eager, PolicyMode::Checkpoint][(id.seed % 3) as usize];
+    let mut detail = format!("switch r{region} -> {target}; ");
+    match step {
+        0 => {
+            // Power dies before the journal record is attempted: recovery
+            // must see the old (all-LP) policy untouched.
             mem.crash();
-            let _ = reboot(mem);
-            let disagreements = rt.failing_regions(kernel, mem);
-            let o5 = disagreements.is_empty();
-            if !o5 {
-                detail.push_str(&format!(
-                    "O5: journal/data disagreement in {} region(s) after a clean power cycle; ",
-                    disagreements.len()
-                ));
+        }
+        1 => {
+            // Every write-back tears while the record is appended. The
+            // append either survives (the torn prefix kept the whole
+            // record) or is refused after retries — both are legal, and
+            // replay must land on whichever happened.
+            mem.set_fault_config(Some(FaultConfig::torn(id.seed ^ 0xFA17_C0DE, 10_000)));
+            let committed = rt.switch_region(mem, region, target);
+            mem.set_fault_config(None);
+            detail.push_str(if committed {
+                "journal survived the tears; "
+            } else {
+                "journal append refused under tears; "
+            });
+            mem.crash();
+        }
+        2 => {
+            // The record is durable but the region never runs under the
+            // new mode before power dies.
+            assert!(
+                rt.switch_region(mem, region, target),
+                "clean switch must commit"
+            );
+            mem.crash();
+        }
+        3 => {
+            // Mid-run under the new mode.
+            assert!(
+                rt.switch_region(mem, region, target),
+                "clean switch must commit"
+            );
+            mem.arm_crash_after_evictions(2);
+            gpu.launch(kernel, mem).expect("relaunch");
+            mem.disarm_crash();
+            if !mem.power_failed() {
+                detail.push_str("site missed mid-run, crashing between kernels; ");
+                mem.crash();
             }
+        }
+        _ => unreachable!("the switch window has steps 0-3"),
+    }
+    let _ = reboot(mem);
 
-            TrialResult {
-                o1_output: o1,
-                o5_journal_agreement: Some(o5),
-                passed: o1 && o5,
-                ..TrialResult::unjudged(id, true, failed.len(), &report, detail)
-            }
-        },
-    )
+    // Recovery reloads the journal before judging any region, so each
+    // region is validated under exactly one contract — the old or the new,
+    // never a hybrid.
+    let failed = rt.failing_regions(kernel, mem);
+    let report = ResilientRecovery::new(gpu).recover(kernel, rt, mem);
+    let o1 = report.all_durable && verify(mem);
+    if !o1 {
+        detail.push_str("O1: output wrong after recovery; ");
+    }
+
+    // O5: journal/data agreement. Drain everything, power-cycle, and
+    // re-validate from the durable image alone — a fresh journal replay
+    // must agree with the data it governs.
+    mem.flush_all();
+    mem.crash();
+    let _ = reboot(mem);
+    let disagreements = rt.failing_regions(kernel, mem);
+    let o5 = disagreements.is_empty();
+    if !o5 {
+        detail.push_str(&format!(
+            "O5: journal/data disagreement in {} region(s) after a clean power cycle; ",
+            disagreements.len()
+        ));
+    }
+
+    TrialResult {
+        o1_output: o1,
+        o5_journal_agreement: Some(o5),
+        passed: o1 && o5,
+        ..TrialResult::unjudged(id, true, failed.len(), &report, detail)
+    }
 }
 
 /// Judges a device-fault trial with the O4 (no-silent-corruption) oracle:

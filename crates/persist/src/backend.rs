@@ -246,12 +246,23 @@ pub trait PersistencyBackend: std::fmt::Debug + Send + Sync {
     /// Opens the per-block session for region `block`.
     fn begin_block(&self, block: u64) -> Box<dyn BlockPersistSession>;
 
+    /// A boxed copy of this backend. Every backend is plain `Copy` data
+    /// (its per-block state lives in the sessions), so a runtime that owns
+    /// one boxed can be cloned.
+    fn boxed(&self) -> Box<dyn PersistencyBackend>;
+
     /// Byte range `(base, len)` of device memory holding the model's own
     /// *transient* state, consumed within the region that writes it (the
     /// logged-eager undo log). Crash-loss oracles exclude it when
     /// attributing lost lines to blocks.
     fn transient_range(&self) -> Option<(u64, u64)> {
         None
+    }
+}
+
+impl Clone for Box<dyn PersistencyBackend> {
+    fn clone(&self) -> Self {
+        self.boxed()
     }
 }
 

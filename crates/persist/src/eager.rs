@@ -72,6 +72,10 @@ impl PersistencyBackend for EagerBackend {
         DurabilityContract::of(BackendKind::Eager)
     }
 
+    fn boxed(&self) -> Box<dyn PersistencyBackend> {
+        Box::new(*self)
+    }
+
     fn begin_block(&self, block: u64) -> Box<dyn BlockPersistSession> {
         Box::new(EagerSession {
             log: self

@@ -32,6 +32,10 @@ impl PersistencyBackend for EpochBackend {
         DurabilityContract::of(BackendKind::Epoch)
     }
 
+    fn boxed(&self) -> Box<dyn PersistencyBackend> {
+        Box::new(*self)
+    }
+
     fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
         Box::new(EpochSession {
             epoch: BTreeSet::new(),

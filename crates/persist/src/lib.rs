@@ -72,6 +72,10 @@ impl PersistencyBackend for LpChecksumBackend {
         DurabilityContract::of(self.0)
     }
 
+    fn boxed(&self) -> Box<dyn PersistencyBackend> {
+        Box::new(*self)
+    }
+
     fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
         Box::new(NoopSession)
     }

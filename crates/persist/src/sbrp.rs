@@ -80,6 +80,10 @@ impl PersistencyBackend for SbrpBackend {
         DurabilityContract::of(BackendKind::Sbrp)
     }
 
+    fn boxed(&self) -> Box<dyn PersistencyBackend> {
+        Box::new(*self)
+    }
+
     fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
         Box::new(SbrpSession {
             cfg: self.cfg,

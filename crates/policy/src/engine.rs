@@ -92,7 +92,7 @@ struct RegionState {
 ///
 /// The engine is deterministic: identical observation sequences produce
 /// identical switch schedules (no randomness, no clocks).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PolicyEngine {
     cfg: PolicyConfig,
     regions: Vec<RegionState>,

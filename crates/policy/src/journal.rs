@@ -47,7 +47,7 @@ pub struct JournalRecord {
 }
 
 /// A fixed-capacity journal of mode-switch records in device NVM.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PolicyJournal {
     base: Addr,
     capacity: u64,

@@ -7,7 +7,7 @@ use crate::dim::LaunchConfig;
 use crate::kernel::Kernel;
 use crate::observe::AccessObserver;
 use crate::stats::LaunchStats;
-use nvm::PersistMemory;
+use nvm::{NvmStats, PersistMemory};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -184,6 +184,42 @@ impl Gpu {
         Ok(outcome.stats().clone())
     }
 
+    /// Starts a launch of `kernel` under `plan` without running any block:
+    /// the [`Launch`] steps it one block at a time. Every `launch*` entry
+    /// point above is `start`, then [`Launch::step`] until it reports no
+    /// block ran, then [`Launch::finish`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LaunchError::EmptyLaunch`] for an empty grid/block.
+    pub fn start(
+        &self,
+        kernel: &dyn Kernel,
+        mem: &PersistMemory,
+        plan: CrashPlan,
+    ) -> Result<Launch<'_>, LaunchError> {
+        let lc = kernel.config();
+        if lc.num_blocks() == 0 || lc.threads_per_block() == 0 {
+            return Err(LaunchError::EmptyLaunch);
+        }
+        let line = mem.config().line_size as u64;
+        let mut launch = Launch {
+            gpu: self,
+            lc,
+            dev: DeviceState::new(&self.cfg, lc.num_blocks(), line),
+            plan: CrashPlan::never(),
+            sm_busy: vec![0.0; self.cfg.num_sms as usize],
+            total_parallel: 0.0,
+            total_serial: 0.0,
+            global_bytes: 0,
+            atomic_ops: 0,
+            blocks_executed: 0,
+            nvm_before: mem.stats(),
+        };
+        launch.arm(plan);
+        Ok(launch)
+    }
+
     /// Re-executes a single thread block of `kernel` in isolation and
     /// returns its cost, reporting every access to `obs` if one is given.
     ///
@@ -202,13 +238,13 @@ impl Gpu {
         kernel: &dyn Kernel,
         mem: &mut PersistMemory,
         block_id: u64,
-        mut obs: Option<&mut dyn AccessObserver>,
+        obs: Option<&mut dyn AccessObserver>,
     ) -> crate::BlockCost {
         let lc = kernel.config();
         assert!(block_id < lc.num_blocks(), "block id outside grid");
         let line = mem.config().line_size as u64;
         let mut dev = DeviceState::new(&self.cfg, 1, line);
-        self.run_block(kernel, lc, block_id, mem, &mut dev, &mut obs)
+        self.run_block(kernel, lc, block_id, mem, &mut dev, obs)
     }
 
     /// Runs block `b` to completion, bracketing it with the observer's
@@ -220,7 +256,7 @@ impl Gpu {
         b: u64,
         mem: &mut PersistMemory,
         dev: &mut DeviceState,
-        obs: &mut Option<&mut dyn AccessObserver>,
+        mut obs: Option<&mut dyn AccessObserver>,
     ) -> crate::BlockCost {
         if let Some(o) = obs.as_deref_mut() {
             o.on_block_begin(b);
@@ -232,7 +268,7 @@ impl Gpu {
         let mut ctx = BlockCtx::new(lc, b, mem, dev, &self.cfg, o);
         kernel.run_block(&mut ctx);
         let cost = ctx.finish();
-        if let Some(o) = obs.as_deref_mut() {
+        if let Some(o) = obs {
             o.on_block_end(b);
         }
         cost
@@ -243,83 +279,145 @@ impl Gpu {
         kernel: &dyn Kernel,
         mem: &mut PersistMemory,
         plan: CrashPlan,
-        mut obs: Option<&mut dyn AccessObserver>,
+        obs: Option<&mut dyn AccessObserver>,
     ) -> Result<LaunchOutcome, LaunchError> {
-        let lc = kernel.config();
-        if lc.num_blocks() == 0 || lc.threads_per_block() == 0 {
-            return Err(LaunchError::EmptyLaunch);
-        }
-        if let Some(o) = obs.as_deref_mut() {
-            o.on_launch_begin(kernel.name(), &lc);
-        }
-        let nvm_before = mem.stats();
-        let line = mem.config().line_size as u64;
-        let mut dev = DeviceState::new(&self.cfg, lc.num_blocks(), line);
-        dev.crash_after_stores = plan.after_global_stores;
+        let mut launch = self.start(kernel, mem, plan)?;
+        let Some(o) = obs else {
+            return Ok(launch.finish(kernel, mem));
+        };
+        o.on_launch_begin(kernel.name(), &launch.lc);
+        while launch.step(kernel, mem, Some(&mut *o)) {}
+        let outcome = launch.finish(kernel, mem);
+        o.on_launch_end();
+        Ok(outcome)
+    }
+}
 
-        let mut sm_busy = vec![0.0f64; self.cfg.num_sms as usize];
-        let mut total_parallel = 0.0;
-        let mut total_serial = 0.0;
-        let mut global_bytes = 0u64;
-        let mut atomic_ops = 0u64;
-        let mut blocks_executed = 0u64;
+/// One kernel launch in flight, run one thread block at a time.
+///
+/// Made by [`Gpu::start`]; [`Launch::step`] runs the next block and
+/// [`Launch::finish`] runs whatever is left and totals the launch. It holds
+/// everything the launch accumulates between blocks — the device state
+/// (atomic channels, lock timeline, store clock, crash flag), per-SM busy
+/// time, running totals, the blocks executed, the NVM stats it started
+/// from and its [`CrashPlan`] — and nothing else, so it is `Clone`: a
+/// `Launch` cloned together with its [`PersistMemory`] at a block boundary
+/// is a fork of the execution. A fork re-[`arm`](Launch::arm)ed with a plan
+/// whose crash point is not behind it finishes exactly as a launch that ran
+/// under that plan from block 0: same memory image, [`NvmStats`],
+/// [`nvm::CrashLoss`] and [`LaunchStats`].
+///
+/// [`NvmStats`]: nvm::NvmStats
+#[derive(Debug, Clone)]
+pub struct Launch<'g> {
+    gpu: &'g Gpu,
+    lc: LaunchConfig,
+    dev: DeviceState,
+    plan: CrashPlan,
+    sm_busy: Vec<f64>,
+    total_parallel: f64,
+    total_serial: f64,
+    global_bytes: u64,
+    atomic_ops: u64,
+    blocks_executed: u64,
+    nvm_before: NvmStats,
+}
 
-        if plan.after_blocks == Some(0) {
-            dev.crashed = true;
+impl Launch<'_> {
+    /// The block boundary the launch stands at: blocks completed so far,
+    /// which is also the id of the next block [`Launch::step`] runs.
+    pub fn next_block(&self) -> u64 {
+        self.blocks_executed
+    }
+
+    /// The store clock: global stores (and atomic writes) issued so far —
+    /// what [`CrashPlan::after_global_stores`] counts against.
+    pub fn store_clock(&self) -> u64 {
+        self.dev.stores_seen
+    }
+
+    /// Replaces the crash plan from here on. A block-count crash point
+    /// equal to [`Launch::next_block`] fires at once, as it would have at
+    /// this boundary. A crash point already behind the launch (a store
+    /// count below [`Launch::store_clock`], a block count below
+    /// `next_block`) cannot fire where it would have from the start; arm
+    /// only plans that lie ahead.
+    pub fn arm(&mut self, plan: CrashPlan) {
+        self.plan = plan;
+        self.dev.crash_after_stores = plan.after_global_stores;
+        if plan.after_blocks == Some(self.blocks_executed) {
+            self.dev.crashed = true;
         }
+    }
 
-        for b in 0..lc.num_blocks() {
-            if dev.crashed {
-                break;
+    /// Runs the next thread block, reporting its accesses to `obs` if one
+    /// is given. Returns whether a block ran: `false` once every block has
+    /// run or the launch has crashed.
+    pub fn step(
+        &mut self,
+        kernel: &dyn Kernel,
+        mem: &mut PersistMemory,
+        obs: Option<&mut dyn AccessObserver>,
+    ) -> bool {
+        if self.dev.crashed || self.blocks_executed == self.lc.num_blocks() {
+            return false;
+        }
+        let cfg = &self.gpu.cfg;
+        let b = self.blocks_executed;
+        let cost = self
+            .gpu
+            .run_block(kernel, self.lc, b, mem, &mut self.dev, obs);
+        let sm = (b % cfg.num_sms as u64) as usize;
+        self.sm_busy[sm] += cost.time_ns(cfg.sm_width, cfg.clock_ghz);
+        self.total_parallel += cost.parallel_cycles;
+        self.total_serial += cost.serial_cycles;
+        self.global_bytes += cost.global_bytes;
+        self.atomic_ops += cost.atomic_ops;
+        if !self.dev.crashed {
+            self.blocks_executed += 1;
+            if self.plan.after_blocks == Some(self.blocks_executed) {
+                self.dev.crashed = true;
             }
-            let cost = self.run_block(kernel, lc, b, mem, &mut dev, &mut obs);
-            let sm = (b % self.cfg.num_sms as u64) as usize;
-            sm_busy[sm] += cost.time_ns(self.cfg.sm_width, self.cfg.clock_ghz);
-            total_parallel += cost.parallel_cycles;
-            total_serial += cost.serial_cycles;
-            global_bytes += cost.global_bytes;
-            atomic_ops += cost.atomic_ops;
-            if dev.crashed {
-                break;
-            }
-            blocks_executed += 1;
-            if plan.after_blocks == Some(blocks_executed) {
-                dev.crashed = true;
-            }
         }
+        true
+    }
 
-        let compute_ns = sm_busy.iter().fold(0.0f64, |a, &b| a.max(b));
-        let bandwidth_ns = global_bytes as f64 / self.cfg.mem_bandwidth_gbps;
+    /// Runs the remaining blocks (unobserved) and totals the launch. If it
+    /// crashed — at the plan's store count or block boundary, or at a
+    /// trigger armed on the memory — the memory's volatile cache is
+    /// discarded, as a real power loss would.
+    pub fn finish(mut self, kernel: &dyn Kernel, mem: &mut PersistMemory) -> LaunchOutcome {
+        while self.step(kernel, mem, None) {}
+        let cfg = &self.gpu.cfg;
+        let dev = &self.dev;
+        let compute_ns = self.sm_busy.iter().fold(0.0f64, |a, &b| a.max(b));
+        let bandwidth_ns = self.global_bytes as f64 / cfg.mem_bandwidth_gbps;
         let atomic_ns = dev.max_channel_ns();
         // Atomics and bulk traffic share the memory partitions: an atomic
         // RMW occupies its partition's pipeline, so the two serialise
         // *with each other* (additive), while compute can overlap either.
         let memory_ns = bandwidth_ns + atomic_ns;
         let kernel_ns =
-            self.cfg.cost.launch_overhead_ns + compute_ns.max(memory_ns) + dev.lock_serial_ns;
+            cfg.cost.launch_overhead_ns + compute_ns.max(memory_ns) + dev.lock_serial_ns;
 
         let stats = LaunchStats {
             kernel: kernel.name().to_string(),
-            num_blocks: lc.num_blocks(),
-            threads_per_block: lc.threads_per_block(),
+            num_blocks: self.lc.num_blocks(),
+            threads_per_block: self.lc.threads_per_block(),
             compute_ns,
             bandwidth_ns,
             atomic_ns,
             lock_serial_ns: dev.lock_serial_ns,
             kernel_ns,
-            total_parallel_cycles: total_parallel,
-            total_serial_cycles: total_serial,
-            global_bytes,
-            atomic_ops,
+            total_parallel_cycles: self.total_parallel,
+            total_serial_cycles: self.total_serial,
+            global_bytes: self.global_bytes,
+            atomic_ops: self.atomic_ops,
             contended_atomics: dev.contended_atomics,
-            blocks_executed,
+            blocks_executed: self.blocks_executed,
             crashed: dev.crashed,
-            nvm: mem.stats() - nvm_before,
+            nvm: mem.stats() - self.nvm_before,
         };
-
-        if let Some(o) = obs {
-            o.on_launch_end();
-        }
 
         if dev.crashed {
             // A memory-armed trigger has already powered the NVM off and
@@ -328,9 +426,9 @@ impl Gpu {
             if !mem.power_failed() {
                 mem.crash();
             }
-            Ok(LaunchOutcome::Crashed(stats))
+            LaunchOutcome::Crashed(stats)
         } else {
-            Ok(LaunchOutcome::Completed(stats))
+            LaunchOutcome::Completed(stats)
         }
     }
 }

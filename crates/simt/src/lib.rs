@@ -68,7 +68,7 @@ pub use block::{BlockCtx, ShmHandle};
 pub use config::{CostModel, DeviceConfig};
 pub use device::DeviceState;
 pub use dim::{Dim3, LaunchConfig};
-pub use gpu::{CrashPlan, Gpu, LaunchError, LaunchOutcome};
+pub use gpu::{CrashPlan, Gpu, Launch, LaunchError, LaunchOutcome};
 pub use kernel::Kernel;
 pub use observe::{AccessKind, AccessObserver};
 pub use stats::{BlockCost, LaunchStats};
