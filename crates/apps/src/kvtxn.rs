@@ -24,7 +24,7 @@
 //! the window, and only otherwise claims the first empty *or tombstoned*
 //! slot.
 //!
-//! The audit replays the committed transaction history into a host
+//! The audit keeps the committed transaction history applied to a host
 //! `BTreeMap` and compares the entire key universe (presence, value, and
 //! live-entry count — the count catches duplicate-key corruption that
 //! per-key lookups cannot see).
@@ -213,41 +213,6 @@ impl KvTxn {
         };
         Service::start(mem, manifest, params.max_steps, kv)
     }
-
-    /// Applies step `step` to a host reference model.
-    fn apply_to_model(
-        model: &mut BTreeMap<u64, u64>,
-        seed: u64,
-        step: u64,
-        universe: u64,
-        batch: u64,
-    ) {
-        for i in 0..batch {
-            match txn_of(seed, step, universe, i) {
-                TxnOp::Put { key, value } => {
-                    model.insert(key, value);
-                }
-                TxnOp::Delete { key } => {
-                    model.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Rebuilds the reference model of the committed prefix from scratch.
-    fn replay_model(&self, committed: u64) -> BTreeMap<u64, u64> {
-        let mut model = BTreeMap::new();
-        for s in 1..=committed {
-            Self::apply_to_model(
-                &mut model,
-                self.params.seed,
-                s,
-                self.universe,
-                self.params.width,
-            );
-        }
-        model
-    }
 }
 
 impl Protocol for KvTxn {
@@ -279,14 +244,34 @@ impl Protocol for KvTxn {
         2 * k.batch
     }
 
+    /// The live keys and their values.
+    type Reference = BTreeMap<u64, u64>;
+
+    fn reference(&self) -> BTreeMap<u64, u64> {
+        BTreeMap::new()
+    }
+
+    fn apply(&self, model: &mut BTreeMap<u64, u64>, step: u64) {
+        for i in 0..self.params.width {
+            match txn_of(self.params.seed, step, self.universe, i) {
+                TxnOp::Put { key, value } => {
+                    model.insert(key, value);
+                }
+                TxnOp::Delete { key } => {
+                    model.remove(&key);
+                }
+            }
+        }
+    }
+
     fn audit(
         &self,
         mem: &mut PersistMemory,
         committed: u64,
         _: [u64; 0],
+        model: &BTreeMap<u64, u64>,
         violations: &mut Vec<String>,
     ) {
-        let model = self.replay_model(committed);
         // Whole-universe sweep: presence and value of every possible key.
         for key in 1..=self.universe {
             let got = self.store.lookup_host(mem, key);

@@ -17,8 +17,8 @@
 //!   idempotent, and a crash resumes from the last durable epoch;
 //! * [`AppKind::KvTxn`] — a durable-transaction variant of the MEGA-KV
 //!   store: each step is an all-or-nothing batch of put/delete
-//!   transactions over a bounded key universe, judged against a replayed
-//!   CPU model.
+//!   transactions over a bounded key universe, judged against a CPU model
+//!   of the committed transactions.
 //!
 //! Each is a kernel, a seeded generator and an audit behind the one
 //! [`RecoverableApp`] implementation, the crate-private driver in
@@ -40,10 +40,14 @@
 //!    regions validate against durable data — even if power fails again
 //!    *during* the restore. The window is then committed, so progress is
 //!    strictly monotone across crash cycles.
-//! 3. **Audit from durable state.** `verify_invariants` re-derives every
-//!    expected value from the seed and the committed counters and compares
-//!    against memory — zero data loss and zero silent corruption are
-//!    checked, not assumed.
+//! 3. **Audit from durable state.** `verify_invariants` compares memory
+//!    against a host reference model of the committed prefix — zero data
+//!    loss and zero silent corruption are checked, not assumed. The model
+//!    is derived from the seed alone: each service keeps one, advances it
+//!    by the steps committed since the previous audit, and rebuilds it from
+//!    step 1 only when the durable counter moved backwards. It belongs to
+//!    the oracle, not the service — `step` and `restore` never read it, so
+//!    `crash` keeps it.
 //!
 //! The chaos-soak engine in `lp-fault` (`soak.rs`) drives these apps
 //! through seeded crash→recover→resume schedules and aggregates the
@@ -201,7 +205,9 @@ pub trait RecoverableApp {
 
     /// Models process death + power loss: cuts power if an armed trigger
     /// has not already done so, and drops every volatile host-side cache
-    /// so `restore` can only rely on durable state.
+    /// so `restore` can only rely on durable state. The audit's reference
+    /// model (see `verify_invariants`) is kept: it is derived from the seed
+    /// alone and nothing but the audit reads it.
     fn crash(&mut self, mem: &mut PersistMemory);
 
     /// Reboots, reloads the manifest from durable truth, rolls the
@@ -212,9 +218,13 @@ pub trait RecoverableApp {
 
     /// Audits every invariant the service promises (no data loss, no
     /// silent corruption, cursor consistency) against memory, returning a
-    /// human-readable violation list — empty means healthy. Callers
-    /// disable device fault injection around the audit so the audit's own
-    /// reads cannot corrupt.
+    /// human-readable violation list — empty means healthy. The expected
+    /// state is a host reference model the service keeps across calls and
+    /// crashes, advanced by the steps committed since the previous audit
+    /// (rebuilt from step 1 if the durable counter went backwards), so an
+    /// audit costs the new steps, not the whole history. Callers disable
+    /// device fault injection around the audit so the audit's own reads
+    /// cannot corrupt.
     fn verify_invariants(&mut self, mem: &mut PersistMemory) -> Vec<String>;
 
     /// Modelled restoration latency (ns) of the most recent `restore` —

@@ -65,6 +65,13 @@ fn batch_for(seed: u64, step: u64, width: u64, tail: u64, head: u64) -> StepBatc
     StepBatch { enqueue, consume }
 }
 
+impl StepBatch {
+    /// The cursors `[tail, head]` after this batch.
+    fn after(self, [tail, head]: [u64; 2]) -> [u64; 2] {
+        [tail + self.enqueue, head + self.consume]
+    }
+}
+
 /// One queue step: threads `< enqueue` append records at `tail`, the rest
 /// write consume receipts at `head`.
 pub(crate) struct QueueStepKernel<'rt> {
@@ -191,28 +198,35 @@ impl Protocol for DurableQueue {
         }
     }
 
-    fn advance(&self, k: &QueueStepKernel<'_>, [tail, head]: [u64; 2]) -> [u64; 2] {
-        [tail + k.batch.enqueue, head + k.batch.consume]
+    fn advance(&self, k: &QueueStepKernel<'_>, cursors: [u64; 2]) -> [u64; 2] {
+        k.batch.after(cursors)
     }
 
     fn images(&self, k: &QueueStepKernel<'_>) -> u64 {
         k.items()
     }
 
+    /// The seeded schedule's `[tail, head]`.
+    type Reference = [u64; 2];
+
+    fn reference(&self) -> [u64; 2] {
+        [0, 0]
+    }
+
+    fn apply(&self, r: &mut [u64; 2], step: u64) {
+        let [tail, head] = *r;
+        *r = batch_for(self.params.seed, step, self.params.width, tail, head).after(*r);
+    }
+
     fn audit(
         &self,
         mem: &mut PersistMemory,
-        committed: u64,
+        _committed: u64,
         [tail, head]: [u64; 2],
+        &[et, eh]: &[u64; 2],
         violations: &mut Vec<String>,
     ) {
-        // Cursor audit: replay the seeded schedule from step 1.
-        let (mut et, mut eh) = (0u64, 0u64);
-        for s in 1..=committed {
-            let b = batch_for(self.params.seed, s, self.params.width, et, eh);
-            et += b.enqueue;
-            eh += b.consume;
-        }
+        // Cursor audit: the durable cursors against the seeded schedule.
         if (et, eh) != (tail, head) || head > tail || tail > self.capacity {
             violations.push(format!(
                 "cursor mismatch: durable (tail={tail}, head={head}), replay (tail={et}, head={eh})"

@@ -86,13 +86,24 @@ pub(crate) trait Protocol {
     /// restoration charge's work term).
     fn images(&self, kernel: &Self::Kernel<'_>) -> u64;
 
-    /// Audits the data of the `committed`-step prefix against a host replay
-    /// from the seed, appending one line per kind of violation.
+    /// The audit's host model of a committed prefix, derived from the seed
+    /// alone.
+    type Reference;
+
+    /// The model before step 1.
+    fn reference(&self) -> Self::Reference;
+
+    /// Applies step `step` to the model of the steps before it.
+    fn apply(&self, reference: &mut Self::Reference, step: u64);
+
+    /// Audits the data of the `committed`-step prefix against `reference`,
+    /// its model, appending one line per kind of violation.
     fn audit(
         &self,
         mem: &mut PersistMemory,
         committed: u64,
         cursors: Self::Cursors,
+        reference: &Self::Reference,
         violations: &mut Vec<String>,
     );
 }
@@ -109,6 +120,11 @@ pub(crate) struct Service<P: Protocol> {
     committed: u64,
     cursors: P::Cursors,
     last_restore_ns: u64,
+    /// The audit's reference model and the step it models, built by the
+    /// first `verify_invariants` and advanced by every later one. Oracle
+    /// state derived from the seed alone: `step` and `restore` never read
+    /// it, so `crash` keeps it.
+    audited: Option<(u64, P::Reference)>,
 }
 
 impl<P: Protocol> Service<P> {
@@ -142,6 +158,7 @@ impl<P: Protocol> Service<P> {
             committed: 0,
             cursors: P::Cursors::default(),
             last_restore_ns: 0,
+            audited: None,
         }
     }
 
@@ -244,7 +261,8 @@ impl<P: Protocol> RecoverableApp for Service<P> {
             mem.crash();
         }
         // Drop every volatile host cache: restore may trust durable state
-        // only.
+        // only. The audit's memo is the oracle's, not the service's, and
+        // stays.
         (self.completed, self.committed, self.cursors) = (0, 0, P::Cursors::default());
     }
 
@@ -312,7 +330,9 @@ impl<P: Protocol> RecoverableApp for Service<P> {
                 P::IN_FLIGHT
             ));
         }
-        self.app.audit(mem, committed, cursors, &mut violations);
+        let reference = reference_at(&self.app, &mut self.audited, committed);
+        self.app
+            .audit(mem, committed, cursors, reference, &mut violations);
         violations
     }
 
@@ -323,6 +343,25 @@ impl<P: Protocol> RecoverableApp for Service<P> {
     fn progress(&self, mem: &mut PersistMemory) -> u64 {
         Self::decode(&self.manifest.read(mem).1).0
     }
+}
+
+/// The reference model of the `committed`-step prefix: `memo` advanced
+/// over the steps committed since it was last asked for, or rebuilt from
+/// step 1 when a reverted manifest moved progress below it.
+fn reference_at<'m, P: Protocol>(
+    app: &P,
+    memo: &'m mut Option<(u64, P::Reference)>,
+    committed: u64,
+) -> &'m P::Reference {
+    if memo.as_ref().is_some_and(|(at, _)| *at > committed) {
+        *memo = None;
+    }
+    let (at, reference) = memo.get_or_insert_with(|| (0, app.reference()));
+    for step in *at + 1..=committed {
+        app.apply(reference, step);
+    }
+    *at = committed;
+    reference
 }
 
 /// Drains the whole cache with bounded retries; lines the device keeps
@@ -443,6 +482,40 @@ mod tests {
         }
         assert_eq!((DurableQueue::WINDOW, KvTxn::WINDOW), (1, 1));
         assert_eq!(TrainingLoop::WINDOW, 4);
+        check(DurableQueue::create);
+        check(TrainingLoop::create);
+        check(KvTxn::create);
+    }
+
+    #[test]
+    fn the_audit_memo_equals_a_fold_from_step_1_at_every_committed_value() {
+        fn check<P: Protocol>(create: fn(&mut PersistMemory, AppParams) -> Service<P>)
+        where
+            P::Reference: PartialEq + std::fmt::Debug,
+        {
+            let (_gpu, mut mem) = world(None);
+            let app = create(&mut mem, params(23, 16)).app;
+            let mut memo = None;
+            let (mut committed, mut drops) = (0u64, 0);
+            for i in 0..80 {
+                // Mostly forward by 0..=3 steps, one time in five back to
+                // an earlier value (a reverted manifest).
+                let r = nvm::splitmix64(0x3E30 ^ i);
+                committed = if r.is_multiple_of(5) {
+                    drops += 1;
+                    (r >> 8) % (committed + 1)
+                } else {
+                    committed + (r >> 8) % 4
+                };
+                let fresh = (1..=committed).fold(app.reference(), |mut reference, step| {
+                    app.apply(&mut reference, step);
+                    reference
+                });
+                let memoised = reference_at(&app, &mut memo, committed);
+                assert_eq!(memoised, &fresh, "{} at step {committed}", P::NAME);
+            }
+            assert!(drops > 0 && committed > 0, "{}", P::NAME);
+        }
         check(DurableQueue::create);
         check(TrainingLoop::create);
         check(KvTxn::create);

@@ -3,7 +3,8 @@
 //! The model is a dense `f32` weight vector updated once per epoch by a
 //! deterministic rule (`w' = w/2 + grad(seed, epoch, i)`), so any epoch's
 //! weights are bit-exactly replayable on the host from the seed alone —
-//! the audit in `verify_invariants` exploits exactly that.
+//! the audit in `verify_invariants` exploits exactly that, advancing its
+//! host copy one epoch per committed epoch.
 //!
 //! Durability layout:
 //!
@@ -49,8 +50,8 @@ fn grad(seed: u64, epoch: u64, i: u64) -> f32 {
     (mix3(seed, epoch, i) % 1024) as f32 / 1024.0
 }
 
-/// The per-element update rule — shared by the kernel and the host replay,
-/// so the audit is bit-exact by construction.
+/// The per-element update rule — shared by the kernel and the audit's host
+/// reference, so the audit is bit-exact by construction.
 fn update(w: f32, seed: u64, epoch: u64, i: u64) -> f32 {
     w * 0.5 + grad(seed, epoch, i)
 }
@@ -144,20 +145,6 @@ impl TrainingLoop {
         };
         Service::start(mem, manifest, params.max_steps, train)
     }
-
-    /// Host replay of the committed prefix: the reference weights after
-    /// `epochs` epochs, bit-exact.
-    fn replay(&self, epochs: u64) -> Vec<f32> {
-        let mut w: Vec<f32> = (0..self.n)
-            .map(|i| init_weight(self.params.seed, i))
-            .collect();
-        for e in 1..=epochs {
-            for (i, x) in w.iter_mut().enumerate() {
-                *x = update(*x, self.params.seed, e, i as u64);
-            }
-        }
-        w
-    }
 }
 
 impl Protocol for TrainingLoop {
@@ -192,14 +179,29 @@ impl Protocol for TrainingLoop {
         self.n
     }
 
+    /// The weights, bit-exact.
+    type Reference = Vec<f32>;
+
+    fn reference(&self) -> Vec<f32> {
+        (0..self.n)
+            .map(|i| init_weight(self.params.seed, i))
+            .collect()
+    }
+
+    fn apply(&self, w: &mut Vec<f32>, epoch: u64) {
+        for (i, x) in w.iter_mut().enumerate() {
+            *x = update(*x, self.params.seed, epoch, i as u64);
+        }
+    }
+
     fn audit(
         &self,
         mem: &mut PersistMemory,
         committed: u64,
         _: [u64; 0],
+        expect: &Vec<f32>,
         violations: &mut Vec<String>,
     ) {
-        let expect = self.replay(committed);
         let buf = self.bufs[(committed % (K + 1)) as usize];
         for (i, e) in expect.iter().enumerate() {
             let got = mem.read_f32(buf.index(i as u64, 4));

@@ -241,8 +241,9 @@ pub fn run_soak(spec: &SoakSpec) -> SoakReport {
                 waived_cycle = Some(cycle);
             }
         }
+        let passed = rec.passed;
         cycles.push(rec);
-        if !cycles.last().unwrap().passed {
+        if !passed {
             // A failed (or waived) oracle means the durable state can no
             // longer be trusted; later cycles would only compound it.
             break;

@@ -6,14 +6,15 @@
 //! * `restore` rolls an interrupted step forward and reports a nonzero
 //!   restoration latency;
 //! * `verify_invariants` audits the durable state against a bit-exact
-//!   host replay (exactly-once consumes, checkpointed weights, the full
-//!   key universe);
+//!   host reference model (exactly-once consumes, checkpointed weights,
+//!   the full key universe), and names a corrupted committed word even
+//!   after a long soak;
 //! * the same service runs unmodified under every persistency backend.
 
 use gpu_lp::BackendKind;
-use lp_apps::{build_app, AppKind, AppParams};
+use lp_apps::{build_app, AppKind, AppParams, RecoverableApp};
 use lp_fault::soak_world;
-use nvm::PersistMemory;
+use nvm::{Addr, BumpAllocator, PersistMemory};
 use simt::Gpu;
 
 fn params(backend: BackendKind, seed: u64) -> AppParams {
@@ -26,11 +27,7 @@ fn params(backend: BackendKind, seed: u64) -> AppParams {
 }
 
 /// Steps until one commits (a clean boundary for the scenario to build on).
-fn step_committed(
-    app: &mut dyn lp_apps::RecoverableApp,
-    gpu: &Gpu,
-    mem: &mut PersistMemory,
-) -> u64 {
+fn step_committed(app: &mut dyn RecoverableApp, gpu: &Gpu, mem: &mut PersistMemory) -> u64 {
     let rep = app.step(gpu, mem);
     assert!(rep.committed, "clean step must commit: {rep:?}");
     rep.step
@@ -177,5 +174,75 @@ fn double_crash_during_restore_converges_at_the_app_level() {
         );
         let violations = app.verify_invariants(&mut mem);
         assert!(violations.is_empty(), "{kind}: {violations:?}");
+    }
+}
+
+/// Runs `cycles` crash→restore cycles — a committed step, then a step with
+/// power armed to fail inside a drain — and requires a clean audit after
+/// every restore, so the audit's reference model is warm.
+fn soak(app: &mut dyn RecoverableApp, gpu: &Gpu, mem: &mut PersistMemory, cycles: u64) {
+    for cycle in 0..cycles {
+        step_committed(app, gpu, mem);
+        mem.arm_crash_during_flush(1 + cycle % 3);
+        app.step(gpu, mem);
+        app.crash(mem);
+        mem.disarm_crash();
+        let restore = app.restore(gpu, mem);
+        assert!(restore.all_durable, "cycle {cycle}: {restore:?}");
+        let violations = app.verify_invariants(mem);
+        assert!(violations.is_empty(), "cycle {cycle}: {violations:?}");
+    }
+}
+
+/// Overwrites the word at `addr` and flushes it, so the corruption is
+/// durable as well as cached.
+fn corrupt(mem: &mut PersistMemory, addr: Addr) {
+    let v = mem.read_u64(addr);
+    mem.write_u64(addr, v ^ 0x10);
+    assert!(mem.flush_line(addr), "the corrupting write must persist");
+}
+
+#[test]
+fn the_audit_names_a_corrupted_committed_word_after_a_long_soak() {
+    // Every service allocates its data arena first, so it starts at the
+    // allocator's base: the queue's record log, the trainer's ring of
+    // `K + 1 = 5` weight buffers (`width * 8` f32 each, back to back), the
+    // store's bucket-major `(key, value)` pairs.
+    let base = Addr::new(BumpAllocator::BASE);
+    for kind in AppKind::ALL {
+        let (gpu, mut mem) = soak_world();
+        let p = params(BackendKind::LpChecksum, 23);
+        let mut app = build_app(kind, p, &mut mem);
+        soak(app.as_mut(), &gpu, &mut mem, 24);
+        let committed = app.progress(&mut mem);
+        let named = match kind {
+            // Record 0 is step 1's first enqueue.
+            AppKind::Queue => {
+                corrupt(&mut mem, base);
+                "record 0 corrupt".to_string()
+            }
+            AppKind::Train => {
+                let buf = base.index(committed % 5, p.width * 8 * 4);
+                let w = buf.index(7, 4);
+                let v = mem.read_f32(w);
+                mem.write_f32(w, v + 1.0);
+                assert!(mem.flush_line(w), "the corrupting write must persist");
+                format!("weight 7 diverged at epoch {committed}")
+            }
+            AppKind::KvTxn => {
+                let live = (0..)
+                    .map(|slot| base.index(slot, 16))
+                    .find(|&k| !matches!(mem.read_u64(k), 0 | u64::MAX))
+                    .expect("a live key after the soak");
+                let key = mem.read_u64(live);
+                corrupt(&mut mem, live.offset(8));
+                format!("key {key} after step {committed}")
+            }
+        };
+        let violations = app.verify_invariants(&mut mem);
+        assert!(
+            violations.iter().any(|v| v.starts_with(&named)),
+            "{kind}: the audit must report {named:?}, got {violations:?}"
+        );
     }
 }
