@@ -69,10 +69,13 @@ impl Pragma {
     }
 }
 
-/// Detects whether a source line is an `nvm` pragma.
+/// Detects whether a source line is an `nvm` pragma: `nvm` opens the
+/// pragma's text, as [`parse_pragma`] expects (a trailing `// … nvm`
+/// comment on another pragma does not count).
 pub fn is_nvm_pragma(line: &str) -> bool {
-    let t = line.trim_start();
-    t.starts_with("#pragma") && t.contains("nvm")
+    line.trim_start()
+        .strip_prefix("#pragma")
+        .is_some_and(|rest| rest.trim_start().starts_with("nvm"))
 }
 
 /// Splits a top-level comma-separated argument list (no nested-paren
@@ -382,7 +385,8 @@ mod tests {
     fn detects_pragma_lines() {
         assert!(is_nvm_pragma("  #pragma nvm lpcuda_init(a, b, c)"));
         assert!(!is_nvm_pragma("#pragma unroll"));
-        assert!(!is_nvm_pragma("int x = 1;"));
+        assert!(!is_nvm_pragma("#pragma unroll // tuned for nvm"));
+        assert!(!is_nvm_pragma("int x = 1; // nvm"));
     }
 
     #[test]
