@@ -87,7 +87,7 @@ fn fence_rank(node: &NodeKind, fns: &BTreeMap<String, FnSummary>) -> u8 {
     match node {
         NodeKind::Fence { scope } => scope_rank(*scope),
         NodeKind::Call { name, .. } => fns
-            .get(name)
+            .get(*name)
             .and_then(|s| s.max_fence)
             .map_or(0, scope_rank),
         _ => 0,
@@ -160,7 +160,7 @@ fn lp016_store_escapes_fold(
         let NodeKind::Call { name, args } = &node.kind else {
             continue;
         };
-        let Some(callee) = fns.get(name) else {
+        let Some(callee) = fns.get(*name) else {
             continue;
         };
         for (caller_param, callee_param) in escaping_stores(callee, args, &ir.pointer_params) {
@@ -221,7 +221,7 @@ fn lp017_fence_scope_too_narrow(
         flagged.push(fid);
         let fence = &cfg.nodes[fid];
         let needle = match &fence.kind {
-            NodeKind::Call { name, .. } => name.as_str(),
+            NodeKind::Call { name, .. } => *name,
             _ => "__threadfence_block",
         };
         let point = DurabilityContract::of(backend).durability_point();
@@ -456,7 +456,7 @@ fn lp021_unsatisfiable_pin(
         .iter()
         .any(|n| matches!(n.kind, NodeKind::Store { .. }))
         || cfg.nodes.iter().any(|n| match &n.kind {
-            NodeKind::Call { name, args } => fns.get(name).is_some_and(|callee| {
+            NodeKind::Call { name, args } => fns.get(*name).is_some_and(|callee| {
                 !escaping_stores(callee, args, &ir.pointer_params).is_empty()
             }),
             _ => false,
@@ -466,7 +466,7 @@ fn lp021_unsatisfiable_pin(
     }
     let has_fold = k.is_protected()
         || cfg.nodes.iter().any(|n| match &n.kind {
-            NodeKind::Call { name, .. } => fns.get(name).is_some_and(|s| s.has_fold),
+            NodeKind::Call { name, .. } => fns.get(*name).is_some_and(|s| s.has_fold),
             _ => false,
         });
     let has_fence = cfg.nodes.iter().any(|n| fence_rank(&n.kind, fns) >= 1);

@@ -24,10 +24,18 @@ impl BitSet {
     /// The full set over `n` ids.
     pub fn full(n: usize) -> Self {
         let mut s = Self::empty(n);
-        for i in 0..n {
-            s.insert(i);
-        }
+        s.fill(n);
         s
+    }
+
+    /// Makes this set (over `n` ids) full again, in place.
+    fn fill(&mut self, n: usize) {
+        self.words.fill(!0);
+        if !n.is_multiple_of(64) {
+            if let Some(last) = self.words.last_mut() {
+                *last = (1 << (n % 64)) - 1;
+            }
+        }
     }
 
     /// Inserts `i`.
@@ -56,6 +64,9 @@ fn solve(n_nodes: usize, root: usize, edges_in: &[Vec<usize>]) -> Vec<BitSet> {
     let mut dom: Vec<BitSet> = (0..n_nodes).map(|_| BitSet::full(n_nodes)).collect();
     dom[root] = BitSet::empty(n_nodes);
     dom[root].insert(root);
+    // Each round's candidate is built in `next`; a changed set trades
+    // places with it, so the rounds allocate nothing.
+    let mut next = BitSet::empty(n_nodes);
     let mut changed = true;
     while changed {
         changed = false;
@@ -63,13 +74,13 @@ fn solve(n_nodes: usize, root: usize, edges_in: &[Vec<usize>]) -> Vec<BitSet> {
             if v == root {
                 continue;
             }
-            let mut next = BitSet::full(n_nodes);
+            next.fill(n_nodes);
             for &p in &edges_in[v] {
                 next.intersect_with(&dom[p]);
             }
             next.insert(v);
             if next != dom[v] {
-                dom[v] = next;
+                std::mem::swap(&mut dom[v], &mut next);
                 changed = true;
             }
         }
@@ -119,11 +130,11 @@ __global__ void k(float *p) {
         let branch = find(cfg, |k| matches!(k, NodeKind::Branch { .. }));
         let then_store = find(
             cfg,
-            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "1.0f"),
+            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs.text == "1.0f"),
         );
         let join_store = find(
             cfg,
-            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "3.0f"),
+            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs.text == "3.0f"),
         );
         assert!(dom[join_store].contains(branch));
         assert!(!dom[join_store].contains(then_store));
@@ -146,11 +157,11 @@ __global__ void k(float *p, int n) {
         let pdom = &k.pdom;
         let in_loop = find(
             cfg,
-            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "1.0f"),
+            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs.text == "1.0f"),
         );
         let after = find(
             cfg,
-            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs == "2.0f"),
+            |k| matches!(k, NodeKind::Store { rhs, .. } if rhs.text == "2.0f"),
         );
         // The store after the loop post-dominates the store inside it; the
         // converse is false (the loop may run zero times).

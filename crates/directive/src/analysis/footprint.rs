@@ -26,7 +26,7 @@ use super::dom::BitSet;
 use super::ir::{KernelIr, Stmt, StmtKind};
 use super::symbolic::{eval_expr, Affine, Lin};
 use super::SourceAnalysis;
-use crate::lexer::{tokenize, value_identifiers, Token};
+use crate::lexer::{value_identifiers, Expr, Kind, Token};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -221,8 +221,13 @@ pub fn source_footprints(source: &str) -> Vec<KernelFootprint> {
 
 /// Computes the footprint of one kernel from its IR, CFG and
 /// post-dominator sets.
-pub(super) fn kernel_footprint(ir: &KernelIr, cfg: &Cfg, pdom: &[BitSet]) -> KernelFootprint {
+pub(super) fn kernel_footprint(
+    ir: &KernelIr<'_>,
+    cfg: &Cfg<'_>,
+    pdom: &[BitSet],
+) -> KernelFootprint {
     let mut env = EnvBuilder::collect(&ir.body);
+    let param_sizes: Vec<u64> = ir.param_types.iter().map(|t| elem_size(&t.toks)).collect();
     let directly_folded: Vec<usize> = cfg
         .nodes
         .iter()
@@ -239,13 +244,20 @@ pub(super) fn kernel_footprint(ir: &KernelIr, cfg: &Cfg, pdom: &[BitSet]) -> Ker
         else {
             continue;
         };
-        let affine = env.eval(index);
-        let exact = node.guards.iter().all(|g| env.modelled_conds.contains(g));
+        let affine = env.eval(&index.toks);
+        let exact = cfg
+            .guards(id)
+            .all(|(_, g)| env.modelled_conds.contains(g.text.as_str()));
+        let elem_size = ir
+            .param_names
+            .iter()
+            .position(|p| p == ptr)
+            .and_then(|i| param_sizes.get(i).copied());
         stores.push(StoreFootprint {
             line: node.line,
-            ptr: ptr.clone(),
-            lhs: lhs.clone(),
-            elem_size: elem_size(ir.param_type(ptr)),
+            ptr: ptr.to_string(),
+            lhs: lhs.text.clone(),
+            elem_size: elem_size.unwrap_or(4),
             index: affine,
             folded: directly_folded.contains(&id),
             covered: false,
@@ -281,26 +293,18 @@ pub(super) fn kernel_footprint(ir: &KernelIr, cfg: &Cfg, pdom: &[BitSet]) -> Ker
     }
 }
 
-/// Element size in bytes for a parameter type's text, defaulting to 4
+/// Element size in bytes for a parameter's declared type, defaulting to 4
 /// (the `float`/`int` workhorse width) when no keyword matches.
-pub fn elem_size(ty: Option<&str>) -> u64 {
-    let Some(ty) = ty else { return 4 };
-    let has = |kw: &str| {
-        tokenize(ty)
-            .iter()
-            .any(|t| matches!(t, Token::Ident(n) if n == kw))
-    };
+pub fn elem_size(ty: &[Token<'_>]) -> u64 {
+    let has = |kw: &&str| ty.iter().any(|t| t.is_ident(kw));
     if ["double", "long", "int64_t", "uint64_t", "size_t"]
         .iter()
-        .any(|k| has(k))
+        .any(has)
     {
         8
-    } else if ["short", "half", "int16_t", "uint16_t"]
-        .iter()
-        .any(|k| has(k))
-    {
+    } else if ["short", "half", "int16_t", "uint16_t"].iter().any(has) {
         2
-    } else if ["char", "int8_t", "uint8_t", "bool"].iter().any(|k| has(k)) {
+    } else if ["char", "int8_t", "uint8_t", "bool"].iter().any(has) {
         1
     } else {
         4
@@ -308,36 +312,37 @@ pub fn elem_size(ty: Option<&str>) -> u64 {
 }
 
 /// A loop whose induction variable the engine models.
-#[derive(Debug, Clone)]
-struct Induction {
-    init_expr: String,
-    bound_expr: String,
+#[derive(Debug, Clone, Copy)]
+struct Induction<'e> {
+    init: &'e [Token<'e>],
+    bound: &'e [Token<'e>],
     /// Constant positive step.
     step: i64,
     /// `i <= bound` instead of `i < bound`.
     inclusive: bool,
     /// The loop's condition text, for guard-exactness matching.
-    cond: String,
+    cond: &'e str,
 }
 
 /// Lazily resolves body variables to affine forms: single-definition
 /// variables substitute their defining expression; induction variables of
 /// modelled loops bind to `init + step·t` with `t` a fresh range symbol;
-/// everything else (multiple defs, never-assigned decls) is opaque.
-struct EnvBuilder {
-    defs: BTreeMap<String, Vec<String>>,
-    decls: BTreeSet<String>,
-    inductions: BTreeMap<String, Induction>,
-    cache: BTreeMap<String, Option<Affine>>,
-    resolving: Vec<String>,
+/// everything else (multiple defs, never-assigned decls) is opaque. It
+/// reads the IR's expressions in place (`'e`).
+struct EnvBuilder<'e> {
+    defs: BTreeMap<&'e str, Vec<&'e [Token<'e>]>>,
+    decls: BTreeSet<&'e str>,
+    inductions: BTreeMap<&'e str, Induction<'e>>,
+    cache: BTreeMap<&'e str, Option<Affine>>,
+    resolving: Vec<&'e str>,
     ranges: BTreeMap<String, (Lin, Lin)>,
     /// Conditions of loops whose trip space the ranges fully model — a
     /// guard matching one of these does not make a footprint inexact.
-    modelled_conds: BTreeSet<String>,
+    modelled_conds: BTreeSet<&'e str>,
 }
 
-impl EnvBuilder {
-    fn collect(body: &[Stmt]) -> Self {
+impl<'e> EnvBuilder<'e> {
+    fn collect(body: &'e [Stmt<'e>]) -> Self {
         let mut b = EnvBuilder {
             defs: BTreeMap::new(),
             decls: BTreeSet::new(),
@@ -350,17 +355,13 @@ impl EnvBuilder {
         b.walk(body);
         // An induction candidate stays modelled only while its variable
         // has exactly the init definition plus the step (two in total).
-        let ok: Vec<String> = b
-            .inductions
-            .iter()
-            .filter(|(v, _)| b.defs.get(*v).is_some_and(|d| d.len() == 2))
-            .map(|(v, _)| v.clone())
-            .collect();
-        b.inductions.retain(|v, _| ok.contains(v));
+        let defs = &b.defs;
+        b.inductions
+            .retain(|v, _| defs.get(v).is_some_and(|d| d.len() == 2));
         b
     }
 
-    fn walk(&mut self, stmts: &[Stmt]) {
+    fn walk(&mut self, stmts: &'e [Stmt<'e>]) {
         for s in stmts {
             match &s.kind {
                 StmtKind::Decl {
@@ -370,14 +371,14 @@ impl EnvBuilder {
                     shared: false,
                 } => {
                     match init {
-                        Some(e) => self.defs.entry(name.clone()).or_default().push(e.clone()),
+                        Some(e) => self.defs.entry(name).or_default().push(&e.toks),
                         None => {
-                            self.decls.insert(name.clone());
+                            self.decls.insert(name);
                         }
                     };
                 }
-                StmtKind::Assign { lhs, rhs } if is_plain_ident(lhs) => {
-                    self.defs.entry(lhs.clone()).or_default().push(rhs.clone());
+                StmtKind::Assign { lhs, rhs } if is_plain_ident(&lhs.text) => {
+                    self.defs.entry(&lhs.text).or_default().push(&rhs.toks);
                 }
                 StmtKind::If {
                     then_branch,
@@ -399,73 +400,73 @@ impl EnvBuilder {
     /// Registers `var` as an induction candidate when the loop has the
     /// shape `cond: var </<= bound` with a top-level `var = var + c` step
     /// in its body (the `for` desugaring appends exactly that).
-    fn candidate_induction(&mut self, cond: &str, body: &[Stmt]) {
-        let Some((var, inclusive, bound)) = parse_loop_cond(cond) else {
+    fn candidate_induction(&mut self, cond: &'e Expr<'e>, body: &'e [Stmt<'e>]) {
+        let Some((var, inclusive, bound)) = parse_loop_cond(&cond.toks) else {
             return;
         };
         let step = body.iter().find_map(|s| match &s.kind {
-            StmtKind::Assign { lhs, rhs } if *lhs == var => parse_step(&var, rhs),
+            StmtKind::Assign { lhs, rhs } if lhs.text == var => parse_step(var, &rhs.toks),
             _ => None,
         });
         let Some(step) = step.filter(|c| *c >= 1) else {
             return;
         };
         // Two loops driving the same variable: model neither.
-        if self.inductions.remove(&var).is_some() {
+        if self.inductions.remove(var).is_some() {
             return;
         }
         // The init is whichever definition is not the step itself; demand
         // exactly one such definition (checked again after the walk).
-        let Some(init_expr) = self
+        let Some(init) = self
             .defs
-            .get(&var)
-            .and_then(|d| d.iter().find(|e| parse_step(&var, e) != Some(step)))
-            .cloned()
+            .get(var)
+            .and_then(|d| d.iter().find(|e| parse_step(var, e) != Some(step)))
+            .copied()
         else {
             return;
         };
         self.inductions.insert(
             var,
             Induction {
-                init_expr,
-                bound_expr: bound,
+                init,
+                bound,
                 step,
                 inclusive,
-                cond: cond.to_string(),
+                cond: &cond.text,
             },
         );
     }
 
     /// Evaluates an expression, resolving body variables recursively.
-    fn eval(&mut self, expr: &str) -> Option<Affine> {
+    fn eval(&mut self, toks: &'e [Token<'e>]) -> Option<Affine> {
         let mut env = BTreeMap::new();
-        for id in value_identifiers(&tokenize(expr)) {
-            if self.defs.contains_key(&id) || self.decls.contains(&id) {
-                let bound = self.resolve(&id);
+        for id in value_identifiers(toks) {
+            if self.defs.contains_key(id) || self.decls.contains(id) {
+                let bound = self.resolve(id);
                 env.insert(id, bound);
             }
         }
-        eval_expr(expr, &env)
+        eval_expr(toks, &env)
     }
 
-    fn resolve(&mut self, var: &str) -> Option<Affine> {
+    fn resolve(&mut self, var: &'e str) -> Option<Affine> {
         if let Some(c) = self.cache.get(var) {
             return c.clone();
         }
-        if self.resolving.iter().any(|v| v == var) {
+        if self.resolving.contains(&var) {
             return None; // cycle through mutually-defined variables
         }
-        self.resolving.push(var.to_string());
+        self.resolving.push(var);
         let r = self.resolve_inner(var);
         self.resolving.pop();
-        self.cache.insert(var.to_string(), r.clone());
+        self.cache.insert(var, r.clone());
         r
     }
 
-    fn resolve_inner(&mut self, var: &str) -> Option<Affine> {
-        if let Some(ind) = self.inductions.get(var).cloned() {
-            let init = self.eval(&ind.init_expr)?;
-            let bound = self.eval(&ind.bound_expr)?;
+    fn resolve_inner(&mut self, var: &'e str) -> Option<Affine> {
+        if let Some(ind) = self.inductions.get(var).copied() {
+            let init = self.eval(ind.init)?;
+            let bound = self.eval(ind.bound)?;
             let mut trip_span = bound.sub(&init);
             if ind.inclusive {
                 trip_span = trip_span.add(&Affine::uniform(Lin::constant(1)));
@@ -483,16 +484,13 @@ impl EnvBuilder {
                 sym.clone(),
                 (Lin::constant(0), trips.sub(&Lin::constant(1))),
             );
-            self.modelled_conds.insert(ind.cond.clone());
+            self.modelled_conds.insert(ind.cond);
             let mut stride = Affine::index(&sym);
             stride.coef.insert(sym, Lin::constant(ind.step));
             return Some(init.add(&stride));
         }
         match self.defs.get(var).map(Vec::as_slice) {
-            Some([only]) => {
-                let only = only.clone();
-                self.eval(&only)
-            }
+            Some(&[only]) => self.eval(only),
             _ => None, // never assigned, or multiply assigned outside a modelled loop
         }
     }
@@ -521,49 +519,38 @@ fn is_plain_ident(lhs: &str) -> bool {
         && !lhs.starts_with(|c: char| c.is_ascii_digit())
 }
 
-/// Parses a loop condition of the shape `var < bound` / `var <= bound`.
-fn parse_loop_cond(cond: &str) -> Option<(String, bool, String)> {
-    let toks = tokenize(cond);
-    let Some(Token::Ident(var)) = toks.first() else {
+/// Splits a loop condition of the shape `var < bound` / `var <= bound`.
+fn parse_loop_cond<'e>(cond: &'e [Token<'e>]) -> Option<(&'e str, bool, &'e [Token<'e>])> {
+    let [var, op, bound @ ..] = cond else {
         return None;
     };
-    let inclusive = match toks.get(1) {
-        Some(t) if t.is_punct("<") => false,
-        Some(t) if t.is_punct("<=") => true,
-        _ => return None,
-    };
-    let bound = crate::lexer::detokenize(&toks[2..]);
-    (!bound.is_empty()).then(|| (var.clone(), inclusive, bound))
-}
-
-/// Parses a self-step `var + c` / `var + (c)` (the normalised forms of
-/// `var++`, `var += c`), returning the constant step.
-fn parse_step(var: &str, rhs: &str) -> Option<i64> {
-    let toks = tokenize(rhs);
-    let mut it = toks.iter();
-    if !it.next()?.is_ident(var) || !it.next()?.is_punct("+") {
+    if var.kind != Kind::Ident || bound.is_empty() {
         return None;
     }
-    let rest: Vec<Token> = it.cloned().collect();
-    let inner: &[Token] = match rest.as_slice() {
+    let inclusive = match op.text {
+        "<" if op.kind == Kind::Punct => false,
+        "<=" if op.kind == Kind::Punct => true,
+        _ => return None,
+    };
+    Some((var.text, inclusive, bound))
+}
+
+/// Reads a self-step `var + c` / `var + (c)` (the normalised forms of
+/// `var++`, `var += c`), returning the constant step.
+fn parse_step(var: &str, rhs: &[Token<'_>]) -> Option<i64> {
+    let [v, plus, rest @ ..] = rhs else {
+        return None;
+    };
+    if !v.is_ident(var) || !plus.is_punct("+") {
+        return None;
+    }
+    let inner = match rest {
         [open, mid @ .., close] if open.is_punct("(") && close.is_punct(")") => mid,
         other => other,
     };
     match inner {
-        [Token::Number(n)] => n.parse().ok(),
+        [n] if n.kind == Kind::Number => n.text.parse().ok(),
         _ => None,
-    }
-}
-
-impl KernelIr {
-    /// The declared type text of parameter `name`, when the signature
-    /// recorded one.
-    pub fn param_type(&self, name: &str) -> Option<&str> {
-        self.param_names
-            .iter()
-            .position(|p| p == name)
-            .and_then(|i| self.param_types.get(i))
-            .map(String::as_str)
     }
 }
 

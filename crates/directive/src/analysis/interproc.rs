@@ -22,7 +22,7 @@
 
 use super::cfg::{Cfg, NodeKind};
 use super::ir::{FenceScope, KernelIr};
-use crate::lexer::{tokenize, value_identifiers};
+use crate::lexer::{value_identifiers, Expr, Token};
 use std::collections::BTreeMap;
 
 /// One call site recorded in a summary.
@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 pub struct CallSite {
     /// Callee name.
     pub callee: String,
-    /// Argument expressions, verbatim.
-    pub args: Vec<String>,
+    /// The root identifier of each argument ([`arg_root`]).
+    pub arg_roots: Vec<Option<String>>,
 }
 
 /// The transitive effect summary of one `__device__` function.
@@ -54,7 +54,7 @@ pub struct FnSummary {
 
 /// Builds the transitively-closed summary map over the lowered
 /// `__device__` functions of one source.
-pub(super) fn summarize_device_fns(fns: &[(KernelIr, Cfg)]) -> BTreeMap<String, FnSummary> {
+pub(super) fn summarize_device_fns(fns: &[(KernelIr<'_>, Cfg<'_>)]) -> BTreeMap<String, FnSummary> {
     let mut out: BTreeMap<String, FnSummary> = BTreeMap::new();
     for (ir, cfg) in fns {
         let mut s = FnSummary {
@@ -75,8 +75,11 @@ pub(super) fn summarize_device_fns(fns: &[(KernelIr, Cfg)]) -> BTreeMap<String, 
                     s.max_fence = Some(s.max_fence.map_or(*scope, |m| m.max(*scope)));
                 }
                 NodeKind::Call { name, args } => s.calls.push(CallSite {
-                    callee: name.clone(),
-                    args: args.clone(),
+                    callee: name.to_string(),
+                    arg_roots: args
+                        .iter()
+                        .map(|a| arg_root(&a.toks).map(str::to_string))
+                        .collect(),
                 }),
                 _ => {}
             }
@@ -109,13 +112,10 @@ fn close_summaries(fns: &mut BTreeMap<String, FnSummary>) {
                     max_fence = Some(max_fence.map_or(f, |m| m.max(f)));
                 }
                 for &slot in &callee.stores_to {
-                    let Some(arg) = call.args.get(slot) else {
+                    let Some(Some(root)) = call.arg_roots.get(slot) else {
                         continue;
                     };
-                    let Some(root) = arg_root(arg) else {
-                        continue;
-                    };
-                    if let Some(idx) = caller.params.iter().position(|p| *p == root) {
+                    if let Some(idx) = caller.params.iter().position(|p| p == root) {
                         if !stores_to.contains(&idx) {
                             stores_to.push(idx);
                         }
@@ -140,8 +140,8 @@ fn close_summaries(fns: &mut BTreeMap<String, FnSummary>) {
 /// The root identifier of an argument expression: the first value
 /// identifier (`out` for `&out[i]`, `out + 4`, `out`). `None` for
 /// literal-only arguments.
-pub fn arg_root(arg: &str) -> Option<String> {
-    value_identifiers(&tokenize(arg)).into_iter().next()
+pub fn arg_root<'a>(arg: &[Token<'a>]) -> Option<&'a str> {
+    value_identifiers(arg).first().copied()
 }
 
 /// The stores a call makes through the *caller's* pointer parameters:
@@ -149,20 +149,22 @@ pub fn arg_root(arg: &str) -> Option<String> {
 /// argument is rooted at. Returns `(caller_param, callee_param)` pairs.
 pub fn escaping_stores(
     callee: &FnSummary,
-    args: &[String],
+    args: &[Expr<'_>],
     caller_pointer_params: &[String],
 ) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for &slot in &callee.stores_to {
         let Some(arg) = args.get(slot) else { continue };
-        let Some(root) = arg_root(arg) else { continue };
-        if caller_pointer_params.contains(&root) {
+        let Some(root) = arg_root(&arg.toks) else {
+            continue;
+        };
+        if caller_pointer_params.iter().any(|p| p == root) {
             let callee_param = callee
                 .params
                 .get(slot)
                 .cloned()
                 .unwrap_or_else(|| format!("#{slot}"));
-            out.push((root, callee_param));
+            out.push((root.to_string(), callee_param));
         }
     }
     out
@@ -173,6 +175,7 @@ mod tests {
     use super::*;
     use crate::analysis::SourceAnalysis;
     use crate::kernel_scan::scan;
+    use crate::lexer::tokenize;
 
     fn summaries(src: &str) -> BTreeMap<String, FnSummary> {
         SourceAnalysis::new(src).unwrap().fns
@@ -286,14 +289,14 @@ __device__ void pong(float *p, int i) {
         let fns = summaries(HELPERS);
         let esc = escaping_stores(
             &fns["relay"],
-            &["out".to_string(), "threadIdx.x".to_string()],
+            &[Expr::lex("out", 1), Expr::lex("threadIdx.x", 1)],
             &["out".to_string(), "in".to_string()],
         );
         assert_eq!(esc, vec![("out".to_string(), "buf".to_string())]);
         // A literal or local argument escapes nothing.
         let esc = escaping_stores(
             &fns["relay"],
-            &["tmp".to_string(), "0".to_string()],
+            &[Expr::lex("tmp", 1), Expr::lex("0", 1)],
             &["out".to_string()],
         );
         assert!(esc.is_empty());
@@ -301,9 +304,9 @@ __device__ void pong(float *p, int i) {
 
     #[test]
     fn arg_roots() {
-        assert_eq!(arg_root("&out[i]"), Some("out".to_string()));
-        assert_eq!(arg_root("out + 4"), Some("out".to_string()));
-        assert_eq!(arg_root("42"), None);
+        assert_eq!(arg_root(&tokenize("&out[i]")), Some("out"));
+        assert_eq!(arg_root(&tokenize("out + 4")), Some("out"));
+        assert_eq!(arg_root(&tokenize("42")), None);
     }
 
     #[test]

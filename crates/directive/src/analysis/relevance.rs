@@ -131,7 +131,7 @@ pub fn kernel_relevance(k: &KernelFacts, fns: &BTreeMap<String, FnSummary>) -> K
             NodeKind::Store { .. } => rel.stores += 1,
             NodeKind::Fold { .. } => rel.folds += 1,
             NodeKind::Fence { .. } => rel.fences += 1,
-            NodeKind::Call { name, .. } if fns.contains_key(name) => rel.helper_calls += 1,
+            NodeKind::Call { name, .. } if fns.contains_key(*name) => rel.helper_calls += 1,
             _ => {}
         }
     }

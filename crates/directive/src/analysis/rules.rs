@@ -15,7 +15,7 @@ use super::footprint::{self, StoreFootprint};
 use super::symbolic::Lin;
 use super::{contract, span_at, KernelFacts};
 use crate::error::{Diagnostic, Edit, Suggestion};
-use crate::lexer::{tokenize, value_identifiers};
+use crate::lexer::{value_identifiers, Token};
 use std::collections::BTreeMap;
 
 /// Built-in index variables — uniform or defined by the launch, never a
@@ -78,7 +78,7 @@ fn lp011_uncovered_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnost
         .iter()
         .enumerate()
         .filter_map(|(id, n)| match &n.kind {
-            NodeKind::Fold { table, .. } => Some((id, table.as_str())),
+            NodeKind::Fold { table, .. } => Some((id, *table)),
             _ => None,
         })
         .collect();
@@ -180,7 +180,7 @@ fn lp013_cross_block_conflict(k: &KernelFacts, lines: &[&str], out: &mut Vec<Dia
             // provable full overlap (no blockIdx dependence at all).
             Some(a) => a.coef.keys().all(|s| !s.starts_with("blockIdx.")),
             // Opaque index: the conservative taint approximation.
-            None => !block.expr_tainted(index),
+            None => !block.expr_tainted(&index.toks),
         };
         if !overlaps {
             continue;
@@ -218,7 +218,7 @@ fn lp014_fold_before_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagno
         .nodes
         .iter()
         .filter_map(|n| match &n.kind {
-            NodeKind::DeclOnly { var } => Some(var.as_str()),
+            NodeKind::DeclOnly { var } => Some(*var),
             _ => None,
         })
         .collect();
@@ -233,8 +233,8 @@ fn lp014_fold_before_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagno
             continue;
         };
         let store_line = cfg.nodes[*sid].line;
-        for var in value_identifiers(&tokenize(rhs)) {
-            if BUILTINS.contains(&var.as_str()) || k.ir.param_names.contains(&var) {
+        for var in value_identifiers(&rhs.toks) {
+            if BUILTINS.contains(&var) || k.ir.param_names.iter().any(|p| p == var) {
                 continue;
             }
             let defs: Vec<usize> = cfg
@@ -246,7 +246,7 @@ fn lp014_fold_before_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagno
                     _ => None,
                 })
                 .collect();
-            if defs.is_empty() && !declared.contains(&var.as_str()) {
+            if defs.is_empty() && !declared.contains(&var) {
                 continue; // an external constant or macro, not a local
             }
             if defs.iter().any(|d| dom[*sid].contains(*d)) {
@@ -266,7 +266,7 @@ fn lp014_fold_before_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagno
             };
             out.push(Diagnostic {
                 code: "LP014",
-                span: span_at(lines, store_line, &var),
+                span: span_at(lines, store_line, var),
                 message: format!(
                     "checksum folds `{var}` but no definition of `{var}` \
                      dominates the fold — {detail}; on the paths that skip \
@@ -292,7 +292,7 @@ fn lp014_fold_before_store(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagno
 fn lp022_out_of_bounds(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic>) {
     let fp = &k.footprint;
     for (rline, ptr, nelems) in &k.ir.regions {
-        let Some(bound) = pure_uniform(nelems) else {
+        let Some(bound) = pure_uniform(&nelems.toks) else {
             continue; // a bound the engine cannot compare against
         };
         for store in fp.stores.iter().filter(|s| s.ptr == *ptr) {
@@ -358,7 +358,7 @@ fn lp023_same_address_threads(k: &KernelFacts, lines: &[&str], out: &mut Vec<Dia
         if thread.tainted_guard(cfg, store.node).is_some() {
             continue; // a thread-dependent guard restricts the writers
         }
-        if !thread.expr_tainted(rhs) {
+        if !thread.expr_tainted(&rhs.toks) {
             continue; // every thread writes the same value — benign
         }
         out.push(Diagnostic {
@@ -460,7 +460,7 @@ fn lp024_fold_mismatch(k: &KernelFacts, lines: &[&str], out: &mut Vec<Diagnostic
 
 /// Evaluates an expression as a pure launch-uniform linear form (no
 /// `threadIdx`/`blockIdx`/loop terms) — region bounds must be uniform.
-fn pure_uniform(expr: &str) -> Option<Lin> {
+fn pure_uniform(expr: &[Token<'_>]) -> Option<Lin> {
     let a = super::symbolic::eval_expr(expr, &BTreeMap::new())?;
     a.coef.is_empty().then_some(a.base)
 }

@@ -23,8 +23,9 @@
 //! counts) and launch dimensions are at least 1; DESIGN §3.6 states the
 //! assumption and its consequences.
 
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Kind, Token};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -302,25 +303,20 @@ impl fmt::Display for Affine {
 ///   dimensions, and body-undefined names (macro constants). The caller
 ///   guarantees body-*defined* variables are always present in `env`, so
 ///   a name falling through really is launch-uniform.
-pub fn eval_expr(expr: &str, env: &BTreeMap<String, Option<Affine>>) -> Option<Affine> {
-    let toks = tokenize(expr);
-    let mut p = ExprParser {
-        toks: &toks,
-        pos: 0,
-        env,
-    };
+pub fn eval_expr(toks: &[Token<'_>], env: &BTreeMap<&str, Option<Affine>>) -> Option<Affine> {
+    let mut p = ExprParser { toks, pos: 0, env };
     let v = p.expr()?;
     (p.pos == toks.len()).then_some(v)
 }
 
-struct ExprParser<'a> {
-    toks: &'a [Token],
+struct ExprParser<'t, 'a> {
+    toks: &'t [Token<'a>],
     pos: usize,
-    env: &'a BTreeMap<String, Option<Affine>>,
+    env: &'t BTreeMap<&'t str, Option<Affine>>,
 }
 
-impl ExprParser<'_> {
-    fn peek(&self) -> Option<&Token> {
+impl<'t, 'a> ExprParser<'t, 'a> {
+    fn peek(&self) -> Option<&'t Token<'a>> {
         self.toks.get(self.pos)
     }
 
@@ -356,9 +352,9 @@ impl ExprParser<'_> {
     }
 
     fn factor(&mut self) -> Option<Affine> {
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
+        self.pos += 1;
         if t.is_punct("(") {
-            self.pos += 1;
             let v = self.expr()?;
             if !self.peek()?.is_punct(")") {
                 return None;
@@ -367,26 +363,24 @@ impl ExprParser<'_> {
             return Some(v);
         }
         if t.is_punct("-") {
-            self.pos += 1;
             return Some(self.factor()?.neg());
         }
-        match t {
-            Token::Number(n) => {
-                self.pos += 1;
-                let k: i64 = n.parse().ok()?; // float/suffixed literals fail
+        match t.kind {
+            Kind::Number => {
+                let k: i64 = t.text.parse().ok()?; // float/suffixed literals fail
                 Some(Affine::uniform(Lin::constant(k)))
             }
-            Token::Ident(name) => {
-                self.pos += 1;
+            Kind::Ident => {
                 // Member access composes the symbol: `blockIdx . x`.
                 let full = if self.peek().is_some_and(|t| t.is_punct(".")) {
-                    let Some(Token::Ident(field)) = self.toks.get(self.pos + 1) else {
-                        return None;
-                    };
+                    let field = self
+                        .toks
+                        .get(self.pos + 1)
+                        .filter(|f| f.kind == Kind::Ident)?;
                     self.pos += 2;
-                    format!("{name}.{field}")
+                    Cow::Owned(format!("{}.{}", t.text, field.text))
                 } else {
-                    name
+                    Cow::Borrowed(t.text)
                 };
                 if self
                     .peek()
@@ -394,7 +388,7 @@ impl ExprParser<'_> {
                 {
                     return None; // calls and loads are opaque
                 }
-                if let Some(bound) = self.env.get(&full) {
+                if let Some(bound) = self.env.get(full.as_ref()) {
                     return bound.clone();
                 }
                 if full.starts_with("threadIdx.") || full.starts_with("blockIdx.") {
@@ -410,14 +404,19 @@ impl ExprParser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::tokenize;
 
-    fn env() -> BTreeMap<String, Option<Affine>> {
+    fn env() -> BTreeMap<&'static str, Option<Affine>> {
         BTreeMap::new()
+    }
+
+    fn eval(src: &str, env: &BTreeMap<&str, Option<Affine>>) -> Option<Affine> {
+        eval_expr(&tokenize(src), env)
     }
 
     #[test]
     fn canonical_grid_stride_index_is_affine() {
-        let a = eval_expr("blockIdx.x * blockDim.x + threadIdx.x", &env()).unwrap();
+        let a = eval("blockIdx.x * blockDim.x + threadIdx.x", &env()).unwrap();
         assert_eq!(a.coef_of("blockIdx.x"), Lin::sym("blockDim.x"));
         assert_eq!(a.coef_of("threadIdx.x"), Lin::constant(1));
         assert!(a.base.is_zero());
@@ -426,7 +425,7 @@ mod tests {
 
     #[test]
     fn parameters_become_uniform_symbols() {
-        let a = eval_expr("blockIdx.x * n + 2", &env()).unwrap();
+        let a = eval("blockIdx.x * n + 2", &env()).unwrap();
         assert_eq!(a.coef_of("blockIdx.x"), Lin::sym("n"));
         assert_eq!(a.base, Lin::constant(2).add(&Lin::constant(0)));
         assert_eq!(a.base.as_const(), Some(2));
@@ -435,31 +434,28 @@ mod tests {
     #[test]
     fn env_bindings_substitute() {
         let mut e = env();
-        e.insert(
-            "i".into(),
-            Some(eval_expr("blockIdx.x * n", &env()).unwrap()),
-        );
-        let a = eval_expr("i + 1", &e).unwrap();
+        e.insert("i", Some(eval("blockIdx.x * n", &env()).unwrap()));
+        let a = eval("i + 1", &e).unwrap();
         assert_eq!(a.coef_of("blockIdx.x"), Lin::sym("n"));
         assert_eq!(a.base.as_const(), Some(1));
         // A variable marked opaque poisons every use.
-        e.insert("j".into(), None);
-        assert!(eval_expr("j + 1", &e).is_none());
+        e.insert("j", None);
+        assert!(eval("j + 1", &e).is_none());
     }
 
     #[test]
     fn out_of_domain_forms_are_none() {
-        assert!(eval_expr("n / 2", &env()).is_none());
-        assert!(eval_expr("threadIdx.x * threadIdx.x", &env()).is_none());
-        assert!(eval_expr("f(x)", &env()).is_none());
-        assert!(eval_expr("a[i]", &env()).is_none());
-        assert!(eval_expr("2.0f", &env()).is_none());
+        assert!(eval("n / 2", &env()).is_none());
+        assert!(eval("threadIdx.x * threadIdx.x", &env()).is_none());
+        assert!(eval("f(x)", &env()).is_none());
+        assert!(eval("a[i]", &env()).is_none());
+        assert!(eval("2.0f", &env()).is_none());
     }
 
     #[test]
     fn subtraction_cancels_terms() {
-        let a = eval_expr("threadIdx.x + n", &env()).unwrap();
-        let b = eval_expr("threadIdx.x", &env()).unwrap();
+        let a = eval("threadIdx.x + n", &env()).unwrap();
+        let b = eval("threadIdx.x", &env()).unwrap();
         let d = a.sub(&b);
         assert!(d.coef.is_empty());
         assert_eq!(d.base, Lin::sym("n"));
@@ -480,7 +476,7 @@ mod tests {
 
     #[test]
     fn concrete_evaluation() {
-        let a = eval_expr("blockIdx.x * blockDim.x + threadIdx.x", &env()).unwrap();
+        let a = eval("blockIdx.x * blockDim.x + threadIdx.x", &env()).unwrap();
         let mut vals = BTreeMap::new();
         vals.insert("blockIdx.x".to_string(), 3);
         vals.insert("blockDim.x".to_string(), 8);
@@ -495,7 +491,7 @@ mod tests {
             Lin::sym("n").scale(2).add(&Lin::constant(-1)).to_string(),
             "2*n - 1"
         );
-        let a = eval_expr("2 * blockIdx.x + 3", &env()).unwrap();
+        let a = eval("2 * blockIdx.x + 3", &env()).unwrap();
         assert_eq!(a.to_string(), "2*blockIdx.x + 3");
     }
 }

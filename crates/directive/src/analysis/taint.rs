@@ -22,14 +22,17 @@
 //! named `x` is not confused with the `.x` of `threadIdx.x`.
 
 use super::cfg::{Cfg, NodeKind};
-use crate::lexer::{tokenize, value_identifiers};
+use crate::lexer::{value_identifiers, Token};
 use std::collections::BTreeSet;
 
 /// The result of one taint fixpoint: which variables depend on `source`.
 #[derive(Debug)]
-pub struct Taint {
+pub struct Taint<'s> {
     source: &'static str,
-    tainted: BTreeSet<String>,
+    tainted: BTreeSet<&'s str>,
+    /// Per CFG node: whether it is a branch or loop head whose condition
+    /// depends on the source.
+    tainted_cond: Vec<bool>,
 }
 
 /// `threadIdx` — seeds thread-dependence (divergence) analysis.
@@ -37,62 +40,80 @@ pub const THREAD: &str = "threadIdx";
 /// `blockIdx` — seeds block-dependence analysis.
 pub const BLOCK: &str = "blockIdx";
 
-impl Taint {
-    /// Whether `expr` depends on the taint source.
-    pub fn expr_tainted(&self, expr: &str) -> bool {
-        value_identifiers(&tokenize(expr))
-            .iter()
-            .any(|id| id == self.source || self.tainted.contains(id))
+impl Taint<'_> {
+    /// Whether the expression `toks` depends on the taint source.
+    pub fn expr_tainted(&self, toks: &[Token<'_>]) -> bool {
+        self.any_tainted(&value_identifiers(toks))
     }
 
-    /// The first enclosing guard of `node` that depends on the source,
+    fn any_tainted(&self, ids: &[&str]) -> bool {
+        ids.iter()
+            .any(|id| *id == self.source || self.tainted.contains(id))
+    }
+
+    /// The outermost enclosing guard of `node` that depends on the source,
     /// if any — the witness the divergence rules print.
-    pub fn tainted_guard<'a>(&self, cfg: &'a Cfg, node: usize) -> Option<&'a str> {
-        cfg.nodes[node]
-            .guards
-            .iter()
-            .find(|g| self.expr_tainted(g))
-            .map(String::as_str)
+    pub fn tainted_guard<'c>(&self, cfg: &'c Cfg<'_>, node: usize) -> Option<&'c str> {
+        cfg.guards(node)
+            .filter(|(g, _)| self.tainted_cond[*g])
+            .last()
+            .map(|(_, cond)| cond.text.as_str())
     }
 }
 
 /// Runs the taint fixpoint over `cfg` from the given `source` root
 /// (`THREAD` or `BLOCK`).
-pub fn analyze(cfg: &Cfg, source: &'static str) -> Taint {
+pub fn analyze<'s>(cfg: &Cfg<'s>, source: &'static str) -> Taint<'s> {
+    // Every definition's and every condition's identifiers, read once.
+    let ids: Vec<Vec<&'s str>> = cfg
+        .nodes
+        .iter()
+        .map(|n| match &n.kind {
+            NodeKind::Def { expr: e, .. }
+            | NodeKind::Branch { cond: e }
+            | NodeKind::LoopHead { cond: e } => value_identifiers(&e.toks),
+            _ => Vec::new(),
+        })
+        .collect();
     let mut t = Taint {
         source,
         tainted: BTreeSet::new(),
+        tainted_cond: Vec::new(),
     };
-    let defs: Vec<(&str, &str, usize)> = cfg
-        .nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(id, n)| match &n.kind {
-            NodeKind::Def { var, expr } => Some((var.as_str(), expr.as_str(), id)),
-            _ => None,
-        })
-        .collect();
     let mut changed = true;
     while changed {
         changed = false;
-        for &(var, expr, id) in &defs {
+        for (id, node) in cfg.nodes.iter().enumerate() {
+            let NodeKind::Def { var, .. } = node.kind else {
+                continue;
+            };
             if t.tainted.contains(var) {
                 continue;
             }
-            let data = t.expr_tainted(expr);
-            let control = cfg.nodes[id].guards.iter().any(|g| t.expr_tainted(g));
-            if data || control {
-                t.tainted.insert(var.to_string());
+            let data = t.any_tainted(&ids[id]);
+            let control = || cfg.guards(id).any(|(g, _)| t.any_tainted(&ids[g]));
+            if data || control() {
+                t.tainted.insert(var);
                 changed = true;
             }
         }
     }
+    t.tainted_cond = cfg
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(id, n)| {
+            matches!(n.kind, NodeKind::Branch { .. } | NodeKind::LoopHead { .. })
+                && t.any_tainted(&ids[id])
+        })
+        .collect();
     t
 }
 
 #[cfg(test)]
 mod tests {
     use crate::analysis::first_kernel;
+    use crate::lexer::tokenize;
 
     #[test]
     fn data_flow_propagates_through_assignments() {
@@ -108,12 +129,12 @@ __global__ void k(float *p, int n) {
         );
         let thread = k.thread();
         let block = k.block();
-        assert!(thread.expr_tainted("tid"));
-        assert!(thread.expr_tainted("i"));
-        assert!(!thread.expr_tainted("uniform"));
-        assert!(!thread.expr_tainted("n"));
-        assert!(block.expr_tainted("i"));
-        assert!(!block.expr_tainted("tid"));
+        assert!(thread.expr_tainted(&tokenize("tid")));
+        assert!(thread.expr_tainted(&tokenize("i")));
+        assert!(!thread.expr_tainted(&tokenize("uniform")));
+        assert!(!thread.expr_tainted(&tokenize("n")));
+        assert!(block.expr_tainted(&tokenize("i")));
+        assert!(!block.expr_tainted(&tokenize("tid")));
     }
 
     #[test]
@@ -132,8 +153,8 @@ __global__ void k(float *p, int n) {
         let thread = k.thread();
         // `count = count + 1` is not data-tainted, but it executes a
         // thread-dependent number of times.
-        assert!(thread.expr_tainted("count"));
-        assert!(thread.expr_tainted("i"));
+        assert!(thread.expr_tainted(&tokenize("count")));
+        assert!(thread.expr_tainted(&tokenize("i")));
     }
 
     #[test]
@@ -147,7 +168,7 @@ __global__ void k(float *p) {
 "#,
         );
         let thread = k.thread();
-        assert!(!thread.expr_tainted("x"), "local x is uniform");
-        assert!(thread.expr_tainted("threadIdx.x"));
+        assert!(!thread.expr_tainted(&tokenize("x")), "local x is uniform");
+        assert!(thread.expr_tainted(&tokenize("threadIdx.x")));
     }
 }

@@ -228,7 +228,7 @@ pub fn lint(source: &str) -> Vec<Diagnostic> {
 /// the scan failure alone is the only honest output.
 pub fn lint_with(
     source: &str,
-    mut each_kernel: impl FnMut(&SourceAnalysis<'_>, KernelFacts),
+    mut each_kernel: impl FnMut(&SourceAnalysis<'_>, KernelFacts<'_>),
 ) -> Vec<Diagnostic> {
     let a = match SourceAnalysis::new(source) {
         Ok(a) => a,

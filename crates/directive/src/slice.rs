@@ -5,7 +5,7 @@
 //! the protected store's address, so it needs exactly the statements the
 //! address expression (transitively) depends on.
 
-use crate::lexer::{tokenize, used_identifiers, Token};
+use crate::lexer::{tokenize, used_identifiers, Kind};
 
 /// A statement's def/use summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,10 +36,8 @@ pub fn def_use(stmt: &str) -> DefUse {
             } else {
                 lhs.iter()
                     .rev()
-                    .find_map(|t| match t {
-                        Token::Ident(s) => Some(s.clone()),
-                        _ => None,
-                    })
+                    .find(|t| t.kind == Kind::Ident)
+                    .map(|t| t.text.to_string())
                     .filter(|s| !is_type_word(s))
             };
             DefUse {

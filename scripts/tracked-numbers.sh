@@ -32,12 +32,13 @@ suite_name_files() {
   done
   echo "$n"
 }
-# Code lines of non-test source under crates/*/src (before the first
-# top-level `#[cfg(test)]`, `//` comment lines dropped) matching ERE $1 and
-# not ERE $2 — $2 is how a call-site count leaves out the definition.
+# Code lines of non-test source under crates/*/src, or under directory $3
+# (before the first top-level `#[cfg(test)]`, `//` comment lines dropped)
+# matching ERE $1 and not ERE $2 — $2 is how a call-site count leaves out
+# the definition.
 src_code_lines() {
   local f
-  for f in $(find crates/*/src -name '*.rs'); do awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print }' "$f"; done |
+  for f in $(find ${3:-crates/*/src} -name '*.rs'); do awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print }' "$f"; done |
     { grep -E -- "$1" || true; } | { grep -vE -- "${2:-^$}" || true; } | wc -l
 }
 all_rs_lines_with() { { grep -rE --include='*.rs' --exclude-dir=vendor -- "$1" crates src tests examples || true; } | wc -l; }
@@ -64,5 +65,8 @@ row "'cfg::build' call sites (crates/*/src non-test):" "$(src_code_lines 'build\
 row "'parse_pragma(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_pragma\(' 'fn parse_pragma\(')"
 row "'find_kernels(' call sites (crates/*/src non-test):" "$(src_code_lines 'find_kernels\(' 'fn find_kernels\(')"
 row "'fn span_at' definitions (crates/*/src non-test):" "$(src_code_lines 'fn span_at')"
+# Lexing calls: `tokenize(` but not `detokenize(`.
+row "'tokenize(' call sites (directive/src/analysis non-test):" "$(src_code_lines '(^|[^[:alnum:]_])tokenize\(' 'fn tokenize\(' crates/directive/src/analysis)"
+row "'tokenize(' call sites (directive/src non-test):" "$(src_code_lines '(^|[^[:alnum:]_])tokenize\(' 'fn tokenize\(' crates/directive/src)"
 row "crates/directive/src non-test lines:" "$(non_test_under crates/directive/src)"
 row "crates/directive/src pub fn:" "$({ grep -rhF 'pub fn ' crates/directive/src || true; } | wc -l)"
