@@ -167,21 +167,29 @@ pub fn scan(source: &str) -> Result<SourceScan<'_>, Unbalanced> {
 /// Copies `source` with every byte of a `//` or `/* … */` comment and of a
 /// string or character literal's contents replaced by a space. Line breaks
 /// stay, so the copy has the same lines at the same byte offsets. A literal
-/// left open ends with its line.
+/// left open ends with its line, and a digit separator (`1'000`) opens none.
 fn blank_comments_and_literals(source: &str) -> String {
     #[derive(Clone, Copy)]
     enum State {
         Code,
+        Number,
         LineComment,
         BlockComment,
         Literal(u8),
     }
-    use State::{BlockComment, Code, LineComment, Literal};
+    use State::{BlockComment, Code, LineComment, Literal, Number};
     let mut out = source.as_bytes().to_vec();
     let mut state = Code;
     let mut i = 0;
     while i < out.len() {
         let (c, next) = (out[i], out.get(i + 1).copied());
+        // A number runs over letters, digits and `.`s, and over a `'` in
+        // front of a letter or digit: a digit separator (`1'000`), not a
+        // character literal.
+        let separator = c == b'\'' && next.is_some_and(|n| n.is_ascii_alphanumeric());
+        if matches!(state, Number) && !(c.is_ascii_alphanumeric() || c == b'.' || separator) {
+            state = Code;
+        }
         // How many bytes from `i` are comment or literal content, and the
         // state after them.
         let (content, after) = match state {
@@ -189,8 +197,10 @@ fn blank_comments_and_literals(source: &str) -> String {
                 (b'/', Some(b'/')) => (2, LineComment),
                 (b'/', Some(b'*')) => (2, BlockComment),
                 (b'"' | b'\'', _) => (0, Literal(c)),
+                (b'0'..=b'9', _) if i == 0 || !is_ident_byte(out[i - 1]) => (0, Number),
                 _ => (0, Code),
             },
+            Number => (0, Number),
             LineComment | Literal(_) if c == b'\n' => (0, Code),
             LineComment => (1, LineComment),
             BlockComment if c == b'*' && next == Some(b'/') => (2, Code),
@@ -211,6 +221,11 @@ fn blank_comments_and_literals(source: &str) -> String {
     // States change on ASCII bytes alone, so only whole non-ASCII
     // sequences are overwritten, each byte by an ASCII space.
     String::from_utf8(out).expect("blanking keeps the source valid UTF-8")
+}
+
+/// Whether `b` continues an identifier, so a digit after it is no number.
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// The offset in `code` of the `}` closing the `{` at `open`, if the body
@@ -397,6 +412,15 @@ __global__ void other(int *p) {
             "a     \r\n      b     \n\"    \" ' ' '  ' é          \"    \n}"
         );
         assert_eq!(blanked.len(), src.len());
+    }
+
+    #[test]
+    fn a_digit_separator_opens_no_literal() {
+        let src = "n < 1'000 && m < 0xFF'FF) { x1'{' + u8'}' + 2.5'0 }";
+        assert_eq!(
+            blank_comments_and_literals(src),
+            "n < 1'000 && m < 0xFF'FF) { x1' ' + u8' ' + 2.5'0 }"
+        );
     }
 
     #[test]
