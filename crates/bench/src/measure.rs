@@ -2,8 +2,8 @@
 
 use crate::cli::{Args, Failure};
 use crate::report::Table;
-use gpu_lp::table::TableStatsSnapshot;
 use gpu_lp::LpConfig;
+use gpu_lp::TableStats;
 use lp_kernels::{stage, stage_baseline, world, Scale, Subject, Workload, WORKLOAD_NAMES};
 use nvm::NvmConfig;
 use serde::{Deserialize, Serialize};
@@ -25,7 +25,7 @@ pub struct Measurement {
     /// `slowdown − 1` (0.021 = 2.1 %).
     pub overhead: f64,
     /// Checksum-table counters from the LP run (Table II data).
-    pub table_stats: TableStatsSnapshot,
+    pub table_stats: TableStats,
     /// Device bytes of the checksum table.
     pub table_bytes: u64,
     /// Persistent payload bytes of the workload (space-overhead denominator).

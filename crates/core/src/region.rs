@@ -20,8 +20,7 @@ use crate::checksum::{f32_store_image, f64_store_image, ChecksumSet};
 use crate::recovery::Recoverable;
 use crate::reduce::{block_reduce, scratch_words, ReduceStrategy};
 use crate::table::{
-    AtomicPolicy, ChecksumTableOps, CuckooTable, GlobalArrayTable, LockPolicy, QuadraticProbeTable,
-    TableInstance, TableKind, TableStatsSnapshot,
+    AtomicPolicy, ChecksumTable, ChecksumTableOps, LockPolicy, TableKind, TableStats,
 };
 use lp_persist::{
     backend_for, BackendKind, BlockPersistSession, DurabilityContract, EagerBackend,
@@ -246,7 +245,7 @@ pub struct LpRuntime {
     config: LpConfig,
     num_regions: u64,
     threads_per_block: u64,
-    table: TableInstance,
+    table: ChecksumTable,
     scratch: Option<Addr>,
     /// The persistency model of this launch: what every region resolves to
     /// unless an adaptive rung says otherwise.
@@ -273,35 +272,21 @@ impl LpRuntime {
         config.validate().expect("invalid LpConfig");
         assert!(num_regions > 0 && threads_per_block > 0, "empty launch");
         let arity = config.checksums.arity();
-        let table = match config.table {
-            TableKind::QuadraticProbing { load_factor } => {
-                TableInstance::Quad(QuadraticProbeTable::create(
-                    mem,
-                    num_regions,
-                    load_factor,
-                    arity,
-                    config.lock,
-                    config.atomic,
-                    0x1EAF_5EED,
-                ))
-            }
-            TableKind::Cuckoo {
-                load_factor,
-                max_displacements,
-            } => TableInstance::Cuckoo(CuckooTable::create(
-                mem,
-                num_regions,
-                load_factor,
-                max_displacements,
-                arity,
-                config.lock,
-                config.atomic,
-                0xC0C2_005E,
-            )),
-            TableKind::GlobalArray => {
-                TableInstance::Array(GlobalArrayTable::create(mem, num_regions, arity))
-            }
+        // The hash functions' seeds (the array hashes nothing).
+        let seed = match config.table {
+            TableKind::QuadraticProbing { .. } => 0x1EAF_5EED,
+            TableKind::Cuckoo { .. } => 0xC0C2_005E,
+            TableKind::GlobalArray => 0,
         };
+        let table = ChecksumTable::create(
+            mem,
+            config.table,
+            num_regions,
+            arity,
+            config.lock,
+            config.atomic,
+            seed,
+        );
         let scratch = (config.reduce == ReduceStrategy::SequentialMemory).then(|| {
             let slots = num_regions.min(SCRATCH_SLOTS);
             mem.alloc(slots * scratch_words(threads_per_block, arity) * 8, 8)
@@ -348,13 +333,13 @@ impl LpRuntime {
     }
 
     /// The checksum table.
-    pub fn table(&self) -> &TableInstance {
+    pub fn table(&self) -> &ChecksumTable {
         &self.table
     }
 
     /// Table instrumentation counters (collisions etc. — Table II data).
-    pub fn table_stats(&self) -> TableStatsSnapshot {
-        self.table.stats().snapshot()
+    pub fn table_stats(&self) -> TableStats {
+        self.table.stats()
     }
 
     /// Clears the table (and its counters) for a fresh launch epoch.

@@ -6,7 +6,7 @@
 use lpgpu::gpu_lp::checksum::{
     f32_from_ordered_bits, f32_ordered_bits, f64_from_ordered_bits, f64_ordered_bits, ChecksumSet,
 };
-use lpgpu::gpu_lp::table::{AtomicPolicy, ChecksumTableOps, LockPolicy, QuadraticProbeTable};
+use lpgpu::gpu_lp::table::{AtomicPolicy, ChecksumTable, ChecksumTableOps, LockPolicy, TableKind};
 use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
 use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
 use lpgpu::nvm::{NvmConfig, PersistMemory};
@@ -91,10 +91,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut mem = PersistMemory::new(NvmConfig::default());
-        let t = QuadraticProbeTable::create(
+        let t = ChecksumTable::create(
             &mut mem,
+            TableKind::QuadraticProbing { load_factor },
             keys.len() as u64,
-            load_factor,
             2,
             LockPolicy::LockFree,
             AtomicPolicy::Atomic,
