@@ -5,6 +5,7 @@
 use lpgpu::gpu_lp::{AtomicPolicy, LockPolicy, LpConfig, ReduceStrategy, ResilientRecovery};
 use lpgpu::lp_bench::Measurement;
 use lpgpu::lp_kernels::{all_workloads, stage, subject, workload_by_name, world, Scale, Workload};
+use lpgpu::nvm::NvmConfig;
 use lpgpu::simt::{CrashPlan, DeviceConfig};
 
 fn run_config(w: &mut dyn Workload, config: LpConfig, crash_after: Option<u64>) {
@@ -69,6 +70,25 @@ fn lock_based_config_is_slow_but_correct() {
 
 #[test]
 fn racy_config_is_correct_despite_conflicts() {
+    // The test GPU runs at most 32 blocks at once, too few to lose a
+    // modelled race; the V100 world E3 measures in runs 2 560. There SAD's
+    // inserts do lose races, and a clean run must still publish every
+    // region's checksums.
+    let racy = [LpConfig::quad(), LpConfig::cuckoo()].map(|c| c.with_atomic(AtomicPolicy::Racy));
+    for config in racy {
+        let cache = NvmConfig::default();
+        let (gpu, mut mem) = world(DeviceConfig::v100(), cache.cache_lines, cache.associativity);
+        let mut w = workload_by_name("SAD", Scale::Test, 16).unwrap();
+        let rt = stage(w.as_mut(), &gpu, &mut mem, &config);
+        let kernel = w.kernel(Some(&rt));
+        gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
+        let stats = rt.table_stats();
+        assert!(stats.racy_conflicts > 0, "{:?}: {stats:?}", config.table);
+        let failing = rt.failing_regions(kernel.as_ref(), &mut mem);
+        assert!(failing.is_empty(), "{:?}: {failing:?}", config.table);
+        drop(kernel);
+        assert!(w.verify(&mut mem), "SAD: output mismatch");
+    }
     for name in ["TMM", "HISTO"] {
         let mut w = workload_by_name(name, Scale::Test, 16).unwrap();
         run_config(
