@@ -101,52 +101,30 @@ impl Kernel for TxnStepKernel<'_> {
                 TxnOp::Put { key, value } => {
                     // Pass 1: the key may already live anywhere in its
                     // probe window — update in place so it never exists
-                    // twice.
-                    let mut placed = false;
-                    'find: for b in self.store.probe_buckets(key) {
-                        for s in 0..self.store.slots() {
-                            if ctx.load_u64(self.store.key_addr(b, s)) == key {
-                                lp.update(ctx, t, key);
-                                lp.store_u64(ctx, t, self.store.value_addr(b, s), value);
-                                placed = true;
-                                break 'find;
+                    // twice. Pass 2: claim the first reusable slot (empty
+                    // or tombstoned) — churn reclaims its own garbage.
+                    let slot = self.store.probe(ctx, key, |_, k, _| k == key).or_else(|| {
+                        self.store.probe(ctx, key, |ctx, k, kaddr| {
+                            if k != EMPTY && k != TOMBSTONE {
+                                return false;
                             }
-                            ctx.charge_alu(1);
-                        }
-                    }
-                    // Pass 2: claim the first reusable slot (empty or
-                    // tombstoned) — churn reclaims its own garbage.
-                    if !placed {
-                        'claim: for b in self.store.probe_buckets(key) {
-                            for s in 0..self.store.slots() {
-                                let kaddr = self.store.key_addr(b, s);
-                                let k = ctx.load_u64(kaddr);
-                                if k == EMPTY || k == TOMBSTONE {
-                                    let old = lp.atomic_cas_u64(ctx, kaddr, k, key);
-                                    if old == k || old == key {
-                                        lp.update(ctx, t, key);
-                                        lp.store_u64(ctx, t, self.store.value_addr(b, s), value);
-                                        placed = true;
-                                        break 'claim;
-                                    }
-                                }
-                                ctx.charge_alu(1);
-                            }
-                        }
-                    }
-                    assert!(placed, "kv-txn probe window exhausted for key {key}");
+                            let old = lp.atomic_cas_u64(ctx, kaddr, k, key);
+                            old == k || old == key
+                        })
+                    });
+                    let Some(value_addr) = slot else {
+                        panic!("kv-txn probe window exhausted for key {key}");
+                    };
+                    lp.update(ctx, t, key);
+                    lp.store_u64(ctx, t, value_addr, value);
                 }
                 TxnOp::Delete { key } => {
-                    'probe: for b in self.store.probe_buckets(key) {
-                        for s in 0..self.store.slots() {
-                            let kaddr = self.store.key_addr(b, s);
-                            if ctx.load_u64(kaddr) == key {
-                                lp.atomic_cas_u64(ctx, kaddr, key, TOMBSTONE);
-                                break 'probe;
-                            }
-                            ctx.charge_alu(1);
+                    self.store.probe(ctx, key, |ctx, k, kaddr| {
+                        if k == key {
+                            lp.atomic_cas_u64(ctx, kaddr, key, TOMBSTONE);
                         }
-                    }
+                        k == key
+                    });
                     lp.update(ctx, t, DELETED_TAG ^ key);
                 }
             }

@@ -56,41 +56,25 @@ impl Kernel for InsertKernel<'_> {
             // MEGA-KV insert pipeline work per op: two hash functions,
             // signature construction, slot scoring, value serialisation.
             ctx.charge_alu(1600);
-            let mut placed = false;
-            'probe: for b in self.store.probe_buckets(key) {
-                for s in 0..self.store.slots() {
-                    let kaddr = self.store.key_addr(b, s);
-                    // Cheap non-atomic peek first; CAS only to claim.
-                    let k = ctx.load_u64(kaddr);
-                    if k == key {
-                        // Re-insert (e.g. recovery re-execution): refresh
-                        // the value.
-                        lp.update(ctx, t, key);
-                        lp.store_u64(ctx, t, self.store.value_addr(b, s), value);
-                        placed = true;
-                        break 'probe;
-                    }
-                    if k == EMPTY {
-                        let old = lp.atomic_cas_u64(ctx, kaddr, EMPTY, key);
-                        if old == EMPTY || old == key {
-                            // Claimed: the key and value stores are this
-                            // op's persistent effect.
-                            lp.update(ctx, t, key);
-                            lp.store_u64(ctx, t, self.store.value_addr(b, s), value);
-                            placed = true;
-                            break 'probe;
-                        }
-                    }
-                    ctx.charge_alu(1);
+            // Cheap non-atomic peek first; CAS only to claim. A slot that
+            // already holds the key is a re-insert (e.g. recovery
+            // re-execution), which refreshes the value.
+            let slot = self.store.probe(ctx, key, |ctx, k, kaddr| {
+                if k != EMPTY {
+                    return k == key;
                 }
-            }
+                let old = lp.atomic_cas_u64(ctx, kaddr, EMPTY, key);
+                old == EMPTY || old == key
+            });
             // Dropping a record silently would corrupt the store (and was
             // caught by the crash-property suite at an unlucky seed): the
             // probe window must never be exhausted at this load factor.
-            assert!(
-                placed,
-                "KV store probe window exhausted for key {key}: resize the store"
-            );
+            let Some(value_addr) = slot else {
+                panic!("KV store probe window exhausted for key {key}: resize the store");
+            };
+            // The key and value stores are this op's persistent effect.
+            lp.update(ctx, t, key);
+            lp.store_u64(ctx, t, value_addr, value);
         }
         lp.finalize(ctx);
     }
@@ -160,15 +144,8 @@ impl Kernel for SearchKernel<'_> {
             let mut result = NOT_FOUND;
             // Hashing + signature comparison + result marshalling per op.
             ctx.charge_alu(900);
-            'probe: for b in self.store.probe_buckets(key) {
-                for s in 0..self.store.slots() {
-                    let k = ctx.load_u64(self.store.key_addr(b, s));
-                    if k == key {
-                        result = ctx.load_u64(self.store.value_addr(b, s));
-                        break 'probe;
-                    }
-                    ctx.charge_alu(1);
-                }
+            if let Some(value_addr) = self.store.probe(ctx, key, |_, k, _| k == key) {
+                result = ctx.load_u64(value_addr);
             }
             lp.store_u64(ctx, t, self.batch.out.index(i, 8), result);
         }
@@ -222,17 +199,12 @@ impl Kernel for DeleteKernel<'_> {
             let key = ctx.load_u64(self.batch.keys.index(i, 8));
             // Hashing + signature match per op (deletes skip the value path).
             ctx.charge_alu(600);
-            'probe: for b in self.store.probe_buckets(key) {
-                for s in 0..self.store.slots() {
-                    let kaddr = self.store.key_addr(b, s);
-                    let k = ctx.load_u64(kaddr);
-                    if k == key {
-                        lp.atomic_cas_u64(ctx, kaddr, key, TOMBSTONE);
-                        break 'probe;
-                    }
-                    ctx.charge_alu(1);
+            self.store.probe(ctx, key, |ctx, k, kaddr| {
+                if k == key {
+                    lp.atomic_cas_u64(ctx, kaddr, key, TOMBSTONE);
                 }
-            }
+                k == key
+            });
             // Post-state image: the key is absent, whether or not it was
             // ever present (deletes are idempotent).
             lp.update(ctx, t, DELETED_IMAGE);
