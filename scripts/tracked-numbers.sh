@@ -78,9 +78,12 @@ row "PersistMode mentions (crates src tests examples):" "$({ grep -rw PersistMod
 row "crates/core/src Mutex|RwLock lines:" "$({ grep -rh 'Mutex\|RwLock' crates/core/src || true; } | wc -l)"
 row "crates/core/src/region.rs lines (total / non-test):" "$(wc -l <crates/core/src/region.rs) / $(non_test crates/core/src/region.rs)"
 row "core+persist src non-test lines:" "$(non_test_under crates/core/src crates/persist/src)"
+row "crates/core/src/table non-test lines:" "$(non_test_under crates/core/src/table)"
+row "'impl ChecksumTableOps for' (crates src):" "$(src_code_lines 'impl ChecksumTableOps for')"
 row "files naming a suite workload in non-test source:" "$(suite_name_files)"
 row "'fn *world*(' definitions (crates src tests examples):" "$(all_rs_lines_with 'fn [a-z_]*world[a-z_]*\(')"
 row "'LpRuntime::setup(' call sites outside crates/core:" "$({ grep -rF --include='*.rs' 'LpRuntime::setup(' crates src tests examples || true; } | grep -vc '^crates/core/')"
+row "'probe_buckets(' non-test call sites:" "$(src_code_lines 'probe_buckets\(' 'fn probe_buckets\(')"
 row "'parse_kernel(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_kernel\(' 'fn parse_kernel\(')"
 row "'cfg::build' call sites (crates/*/src non-test):" "$(src_code_lines 'build\((&|ir)' 'fn build\(')"
 row "'parse_pragma(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_pragma\(' 'fn parse_pragma\(')"
