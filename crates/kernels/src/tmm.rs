@@ -174,18 +174,13 @@ impl Kernel for TmmKernel<'_> {
                 ctx.shm_write_f32(b_s, ty * tile + tx, bv);
             }
             ctx.sync_threads();
-            // Multiply the tiles.
+            // Multiply the tiles: row `ty` of A's tile by column `tx` of B's.
             for t in 0..tpb {
                 ctx.set_active_thread(t);
                 let (_, _, tx, ty) = self.coords(ctx, t);
-                let mut sum = acc[t as usize];
-                for k in 0..tile {
-                    let av = ctx.shm_read_f32(a_s, ty * tile + k);
-                    let bv = ctx.shm_read_f32(b_s, k * tile + tx);
-                    sum += av * bv;
-                    ctx.charge_alu(2);
-                }
-                acc[t as usize] = sum;
+                let sum = acc[t as usize];
+                acc[t as usize] = ctx.shm_dot_f32((a_s, ty * tile, 1), (b_s, tx, tile), tile, sum);
+                ctx.charge_alu(2 * tile as u64);
             }
             ctx.sync_threads();
         }

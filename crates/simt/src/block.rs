@@ -389,6 +389,57 @@ impl<'a> BlockCtx<'a> {
         self.shm_write(h, i, v.to_bits() as u64);
     }
 
+    /// Strided dot product of two shared `f32` arrays: each operand is
+    /// `(handle, start, stride)`, and the result is `acc + Σ a[start_a +
+    /// k·stride_a] · b[start_b + k·stride_b]` over `k in 0..n`, added one
+    /// product at a time in ascending `k` — bit for bit what a loop of `n`
+    /// [`BlockCtx::shm_read_f32`] pairs computes, and charged as those `2n`
+    /// reads. It tests the observer once, not per element: unobserved, it
+    /// bounds-checks each range once and reads the arena directly; observed,
+    /// it runs the per-element reads, so an observer sees the same
+    /// `a[k]`, `b[k]` event sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either strided range leaves its array.
+    #[inline]
+    pub fn shm_dot_f32(
+        &mut self,
+        a: (ShmHandle, usize, usize),
+        b: (ShmHandle, usize, usize),
+        n: usize,
+        mut acc: f32,
+    ) -> f32 {
+        let in_bounds = |(h, start, stride): (ShmHandle, usize, usize)| {
+            n == 0
+                || (n - 1)
+                    .checked_mul(stride)
+                    .and_then(|last| last.checked_add(start))
+                    .is_some_and(|last| last < h.len)
+        };
+        assert!(
+            in_bounds(a) && in_bounds(b),
+            "shared-memory read out of bounds"
+        );
+        if self.obs.0.is_some() {
+            for k in 0..n {
+                let av = self.shm_read_f32(a.0, a.1 + k * a.2);
+                let bv = self.shm_read_f32(b.0, b.1 + k * b.2);
+                acc += av * bv;
+            }
+            return acc;
+        }
+        self.ops.shmem_access += 2 * n as u64;
+        let shared = &self.dev.shared[..];
+        let (a_base, b_base) = (a.0.base + a.1, b.0.base + b.1);
+        for k in 0..n {
+            let av = f32::from_bits(shared[a_base + k * a.2] as u32);
+            let bv = f32::from_bits(shared[b_base + k * b.2] as u32);
+            acc += av * bv;
+        }
+        acc
+    }
+
     // ---- global memory -------------------------------------------------
 
     #[inline]
@@ -699,6 +750,7 @@ impl Drop for BlockCtx<'_> {
 mod tests {
     use super::*;
     use nvm::NvmConfig;
+    use proptest::prelude::*;
 
     fn fixture() -> (PersistMemory, DeviceState, DeviceConfig, LaunchConfig) {
         let cfg = DeviceConfig::test_gpu();
@@ -747,6 +799,174 @@ mod tests {
         let mut ctx = BlockCtx::new(lc, 0, &mut mem, &mut dev, &cfg, None);
         let h = ctx.shared_alloc(4);
         ctx.shm_read(h, 4);
+    }
+
+    /// Records every shared-memory access event, in order.
+    #[derive(Debug, Default)]
+    struct SharedEvents(Vec<(u64, u64, usize, AccessKind)>);
+
+    impl AccessObserver for SharedEvents {
+        fn on_shared_access(&mut self, block: u64, thread: u64, word: usize, kind: AccessKind) {
+            self.0.push((block, thread, word, kind));
+        }
+    }
+
+    /// One `shm_dot_f32` case: the arena's two arrays, and each operand as
+    /// `(array, start, stride)`.
+    #[derive(Debug, Clone)]
+    struct DotCase {
+        arrays: [Vec<u64>; 2],
+        a: (usize, usize, usize),
+        b: (usize, usize, usize),
+        n: usize,
+        acc: u32,
+    }
+
+    /// Runs `case` on a fresh block (thread 3 active), through the tile op
+    /// or the per-element loop it replaces, observed or not. Returns the
+    /// result's bits, the cost's bits and the observed events.
+    fn run_dot(case: &DotCase, tile_op: bool, observed: bool) -> (u32, [u64; 4], SharedEvents) {
+        let (mut mem, mut dev, cfg, lc) = fixture();
+        let mut events = SharedEvents::default();
+        let obs = observed.then_some(&mut events as &mut dyn AccessObserver);
+        let mut ctx = BlockCtx::new(lc, 2, &mut mem, &mut dev, &cfg, obs);
+        let handles = case.arrays.clone().map(|words| {
+            let h = ctx.shared_alloc(words.len());
+            for (i, &w) in words.iter().enumerate() {
+                ctx.dev.shared[h.base + i] = w;
+            }
+            h
+        });
+        ctx.set_active_thread(3);
+        let (a, b) = (
+            (handles[case.a.0], case.a.1, case.a.2),
+            (handles[case.b.0], case.b.1, case.b.2),
+        );
+        let mut acc = f32::from_bits(case.acc);
+        if tile_op {
+            acc = ctx.shm_dot_f32(a, b, case.n, acc);
+        } else {
+            for k in 0..case.n {
+                let av = ctx.shm_read_f32(a.0, a.1 + k * a.2);
+                let bv = ctx.shm_read_f32(b.0, b.1 + k * b.2);
+                acc += av * bv;
+            }
+        }
+        let c = ctx.finish();
+        let cost = [
+            c.parallel_cycles.to_bits(),
+            c.serial_cycles.to_bits(),
+            c.global_bytes,
+            c.atomic_ops,
+        ];
+        (acc.to_bits(), cost, events)
+    }
+
+    /// Bit patterns float arithmetic treats specially.
+    const SPECIAL_F32: [u32; 10] = [
+        0x7fc0_0000, // NaN
+        0xffc0_0001, // a negative NaN with a payload
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x7f80_0000, // +∞
+        0xff80_0000, // -∞
+        0x0000_0001, // the smallest subnormal
+        0x807f_ffff, // the largest negative subnormal
+        0x7f7f_ffff, // f32::MAX
+        0x3f80_0000, // 1.0
+    ];
+
+    /// A shared word holding an `f32` in its low half: one of
+    /// [`SPECIAL_F32`] when `pick` names one, else `raw`'s low bits, under
+    /// `raw`'s high bits (which `shm_read_f32` drops).
+    fn f32_word(raw: u64, pick: usize) -> u64 {
+        match SPECIAL_F32.get(pick) {
+            Some(&lo) => raw & !0xffff_ffff | u64::from(lo),
+            None => raw,
+        }
+    }
+
+    /// A case whose ranges fit: each array is as long as the operands that
+    /// read it need, plus `spare` words; the words come from `raw`/`picks`.
+    fn dot_case(
+        (a, b): ((usize, usize, usize), (usize, usize, usize)),
+        n: usize,
+        spare: (usize, usize),
+        raw: &[u64],
+        picks: &[usize],
+    ) -> DotCase {
+        let need = |array: usize| {
+            [a, b]
+                .iter()
+                .filter(|op| op.0 == array)
+                .map(|&(_, start, stride)| start + n.saturating_sub(1) * stride + 1)
+                .max()
+                .unwrap_or(0)
+        };
+        let mut words = raw.iter().zip(picks).map(|(&r, &p)| f32_word(r, p));
+        let mut array = |len| words.by_ref().take(len).collect::<Vec<_>>();
+        let arrays = [array(need(0) + spare.0), array(need(1) + spare.1)];
+        DotCase {
+            arrays,
+            a,
+            b,
+            n,
+            acc: f32_word(raw[raw.len() - 1], picks[picks.len() - 1]) as u32,
+        }
+    }
+
+    proptest! {
+        /// The tile op is the per-element loop: the same result bits and
+        /// `BlockCost` unobserved, and under an observer the same events.
+        #[test]
+        fn shm_dot_equals_the_per_element_loop(
+            a in (0usize..2, 0usize..6, 0usize..5),
+            b in (0usize..2, 0usize..6, 0usize..5),
+            n in 0usize..17,
+            spare in (0usize..4, 0usize..4),
+            raw in prop::collection::vec(any::<u64>(), 160),
+            picks in prop::collection::vec(0usize..20, 160),
+        ) {
+            let case = dot_case((a, b), n, spare, &raw, &picks);
+            let (want, want_cost, want_events) = run_dot(&case, false, true);
+            let (got, got_cost, got_events) = run_dot(&case, true, true);
+            prop_assert_eq!((got, got_cost), (want, want_cost));
+            prop_assert_eq!(&got_events.0, &want_events.0);
+            prop_assert_eq!(want_events.0.len(), 2 * n);
+            let (plain, plain_cost, _) = run_dot(&case, true, false);
+            prop_assert_eq!((plain, plain_cost), (want, want_cost));
+        }
+    }
+
+    #[test]
+    fn shm_dot_out_of_range_panics_like_shm_read() {
+        let array = vec![0u64; 4];
+        let arrays = [array.clone(), array];
+        // (a, b, n): a last element one past the end, and a stride whose
+        // offset overflows `usize`.
+        let cases = [
+            ((0, 0, 1), (1, 1, 1), 4),
+            ((0, 3, 1), (1, 0, 0), 2),
+            ((0, 0, 0), (1, 1, usize::MAX), 2),
+        ];
+        for (a, b, n) in cases {
+            let case = DotCase {
+                arrays: arrays.clone(),
+                a,
+                b,
+                n,
+                acc: 0,
+            };
+            for observed in [false, true] {
+                let err = std::panic::catch_unwind(|| run_dot(&case, true, observed))
+                    .expect_err("an out-of-range operand must panic");
+                assert_eq!(
+                    err.downcast_ref::<&str>(),
+                    Some(&"shared-memory read out of bounds"),
+                    "{case:?}, observed: {observed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,8 +54,6 @@
 
 mod block;
 mod config;
-#[cfg(test)]
-mod cost_reference;
 mod device;
 mod dim;
 mod gpu;

@@ -94,5 +94,8 @@ row "'tokenize(' call sites (directive/src/analysis non-test):" "$(src_code_line
 row "'tokenize(' call sites (directive/src non-test):" "$(src_code_lines '(^|[^[:alnum:]_])tokenize\(' 'fn tokenize\(' crates/directive/src)"
 # Where a `/*` comment opener is recognised: a '/' char literal, then a '*'.
 row "'/*' comment openers (directive/src non-test):" "$(src_code_lines "'/'[^']*'\\*'" '' crates/directive/src)"
+# Per-element shared-memory reads in kernel bodies: each one tests the
+# observer; a hot loop of them belongs in a tile op (`shm_dot_f32`).
+row "'shm_read(' / 'shm_read_f32(' call sites (kernels/src non-test):" "$(src_code_lines 'shm_read(_f32)?\(' '' crates/kernels/src)"
 row "crates/directive/src non-test lines:" "$(non_test_under crates/directive/src)"
 row "crates/directive/src pub fn:" "$({ grep -rhF 'pub fn ' crates/directive/src || true; } | wc -l)"
