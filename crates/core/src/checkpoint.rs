@@ -1,102 +1,14 @@
-//! Periodic checkpointing and the MTBF/availability arithmetic of §IV-A.
+//! The checkpoint-interval and availability arithmetic of §IV-A.
 //!
 //! LP validation may otherwise have to examine arbitrarily old regions
 //! (nothing guarantees *when* a region's lines evict). The paper's remedy:
 //! combine LP with periodic whole-cache flushing or checkpointing, so only
 //! regions newer than the last checkpoint need validation, and pick the
 //! interval from the crash probability and recovery time to meet an MTBF
-//! or availability target.
-
-use nvm::PersistMemory;
-use serde::{Deserialize, Serialize};
-
-/// When to force a whole-cache flush (the checkpoint boundary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CheckpointPolicy {
-    /// Flush after this many kernel launches.
-    pub interval_launches: u32,
-}
-
-impl CheckpointPolicy {
-    /// Checkpoint after every launch (maximum durability, maximum cost).
-    pub fn every_launch() -> Self {
-        Self {
-            interval_launches: 1,
-        }
-    }
-
-    /// Checkpoint every `n` launches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn every(n: u32) -> Self {
-        assert!(n > 0, "interval must be positive");
-        Self {
-            interval_launches: n,
-        }
-    }
-}
-
-/// Tracks launches and flushes at the policy's cadence.
-///
-/// # Examples
-///
-/// ```
-/// use gpu_lp::checkpoint::{CheckpointManager, CheckpointPolicy};
-/// use nvm::{NvmConfig, PersistMemory};
-///
-/// let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
-/// let a = mem.alloc(8, 8);
-/// let mut ckpt = CheckpointManager::new(CheckpointPolicy::every(2));
-/// mem.write_u64(a, 7);
-/// assert!(!ckpt.after_launch(&mut mem)); // launch 1: no flush yet
-/// assert!(ckpt.after_launch(&mut mem));  // launch 2: flushed
-/// mem.crash();
-/// assert_eq!(mem.read_u64(a), 7);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CheckpointManager {
-    policy: CheckpointPolicy,
-    launches_since_checkpoint: u32,
-    checkpoints_taken: u64,
-}
-
-impl CheckpointManager {
-    /// Creates a manager with the given policy.
-    pub fn new(policy: CheckpointPolicy) -> Self {
-        Self {
-            policy,
-            launches_since_checkpoint: 0,
-            checkpoints_taken: 0,
-        }
-    }
-
-    /// Reports a finished launch; flushes the cache if the interval is
-    /// reached. Returns whether a checkpoint was taken.
-    pub fn after_launch(&mut self, mem: &mut PersistMemory) -> bool {
-        self.launches_since_checkpoint += 1;
-        if self.launches_since_checkpoint >= self.policy.interval_launches {
-            mem.flush_all();
-            self.launches_since_checkpoint = 0;
-            self.checkpoints_taken += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total checkpoints taken so far.
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.checkpoints_taken
-    }
-
-    /// Launches since the last checkpoint (the validation horizon: only
-    /// regions from these launches can have non-durable state).
-    pub fn validation_horizon(&self) -> u32 {
-        self.launches_since_checkpoint
-    }
-}
+//! or availability target. At run time a service's checkpoint window
+//! (`lp-apps`) and the adaptive policy's `Checkpoint` rung take the
+//! checkpoints; between plain launches the boundary is
+//! `PersistMemory::flush_all`.
 
 /// Young's approximation for the optimal checkpoint interval:
 /// `τ* ≈ sqrt(2 · δ · MTBF)` where `δ` is the cost of taking one
@@ -137,30 +49,6 @@ pub fn availability(tau: f64, delta: f64, mtbf: f64, recovery: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvm::NvmConfig;
-
-    #[test]
-    fn manager_checkpoints_on_schedule() {
-        let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
-        let mut ckpt = CheckpointManager::new(CheckpointPolicy::every(3));
-        assert!(!ckpt.after_launch(&mut mem));
-        assert!(!ckpt.after_launch(&mut mem));
-        assert_eq!(ckpt.validation_horizon(), 2);
-        assert!(ckpt.after_launch(&mut mem));
-        assert_eq!(ckpt.validation_horizon(), 0);
-        assert_eq!(ckpt.checkpoints_taken(), 1);
-    }
-
-    #[test]
-    fn checkpoint_makes_state_durable() {
-        let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
-        let a = mem.alloc(8, 8);
-        let mut ckpt = CheckpointManager::new(CheckpointPolicy::every_launch());
-        mem.write_u64(a, 99);
-        ckpt.after_launch(&mut mem);
-        mem.crash();
-        assert_eq!(mem.read_u64(a), 99);
-    }
 
     #[test]
     fn youngs_formula() {
@@ -191,11 +79,5 @@ mod tests {
     #[test]
     fn availability_degrades_with_flaky_hardware() {
         assert!(availability(10.0, 1.0, 100_000.0, 5.0) > availability(10.0, 1.0, 100.0, 5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_rejected() {
-        CheckpointPolicy::every(0);
     }
 }

@@ -7,8 +7,8 @@
 //! the paper recommends using **simultaneously**:
 //!
 //! * **modular** — wrapping integer addition;
-//! * **parity** — bitwise XOR (floats are converted to their ordered
-//!   integer image first, Fig. 2).
+//! * **parity** — bitwise XOR (a float enters as the integer its sign,
+//!   exponent and mantissa bits form, Fig. 2).
 //!
 //! Adler-32 is also provided for parity with the CPU work it cites, but it
 //! is order-*sensitive*, so it only composes with sequential reduction.
@@ -202,59 +202,6 @@ pub fn adler32(bytes: &[u8]) -> u32 {
     adler32_update(1, bytes)
 }
 
-/// Converts an `f32` to the "ordered integer" image the paper XORs
-/// (Fig. 2): the sign/exponent/mantissa bits taken as one integer, adjusted
-/// so the mapping is *monotone* (order-preserving) across negative values.
-///
-/// Monotonicity is not needed for checksumming — any injective image works —
-/// but it makes the conversion reusable (e.g. for radix-sorting floats) and
-/// is cheap: one branch and one XOR.
-///
-/// # Examples
-///
-/// ```
-/// use gpu_lp::checksum::f32_ordered_bits;
-/// assert!(f32_ordered_bits(-1.0) < f32_ordered_bits(-0.5));
-/// assert!(f32_ordered_bits(-0.5) < f32_ordered_bits(0.5));
-/// assert!(f32_ordered_bits(0.5) < f32_ordered_bits(1.0));
-/// ```
-pub fn f32_ordered_bits(v: f32) -> u32 {
-    let bits = v.to_bits();
-    if bits & 0x8000_0000 != 0 {
-        !bits
-    } else {
-        bits ^ 0x8000_0000
-    }
-}
-
-/// Inverse of [`f32_ordered_bits`].
-pub fn f32_from_ordered_bits(bits: u32) -> f32 {
-    if bits & 0x8000_0000 != 0 {
-        f32::from_bits(bits ^ 0x8000_0000)
-    } else {
-        f32::from_bits(!bits)
-    }
-}
-
-/// `f64` version of [`f32_ordered_bits`].
-pub fn f64_ordered_bits(v: f64) -> u64 {
-    let bits = v.to_bits();
-    if bits & 0x8000_0000_0000_0000 != 0 {
-        !bits
-    } else {
-        bits ^ 0x8000_0000_0000_0000
-    }
-}
-
-/// Inverse of [`f64_ordered_bits`].
-pub fn f64_from_ordered_bits(bits: u64) -> f64 {
-    if bits & 0x8000_0000_0000_0000 != 0 {
-        f64::from_bits(bits ^ 0x8000_0000_0000_0000)
-    } else {
-        f64::from_bits(!bits)
-    }
-}
-
 /// The 64-bit image of an `f32` store used for checksum updates: the
 /// paper's example (Fig. 2) concatenates sign, exponent, and mantissa into
 /// an integer — e.g. `3.5f32` becomes `1080033280`.
@@ -386,29 +333,6 @@ mod tests {
     #[should_panic(expected = "checksum set needs")]
     fn empty_set_rejected() {
         ChecksumSet::new(vec![]);
-    }
-
-    #[test]
-    fn ordered_bits_monotone_f32() {
-        let vals = [-f32::MAX, -2.5, -1.0, -0.0, 0.0, 1e-20, 0.5, 2.0, f32::MAX];
-        for w in vals.windows(2) {
-            assert!(
-                f32_ordered_bits(w[0]) <= f32_ordered_bits(w[1]),
-                "order violated between {} and {}",
-                w[0],
-                w[1]
-            );
-        }
-    }
-
-    #[test]
-    fn ordered_bits_roundtrip() {
-        for v in [-123.456f32, 0.0, 7.25, f32::MIN_POSITIVE] {
-            assert_eq!(f32_from_ordered_bits(f32_ordered_bits(v)), v);
-        }
-        for v in [-123.456f64, 0.0, 7.25] {
-            assert_eq!(f64_from_ordered_bits(f64_ordered_bits(v)), v);
-        }
     }
 
     #[test]

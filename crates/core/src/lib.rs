@@ -12,7 +12,7 @@
 //! The crate covers the paper's full design space:
 //!
 //! * [`checksum`] — parity / modular / Adler-32 checksums, simultaneous
-//!   checksum sets, and the float → ordered-integer conversion (Fig. 2);
+//!   checksum sets, and the float → integer store image (Fig. 2);
 //! * [`reduce`] — block-level checksum reduction, either the
 //!   warp-shuffle tree of Listings 3–4 or the sequential through-memory
 //!   fallback (the Table IV ablation);
@@ -54,11 +54,9 @@ pub mod reduce;
 pub mod region;
 pub mod table;
 
-pub use checkpoint::{CheckpointManager, CheckpointPolicy};
 pub use checksum::{ChecksumKind, ChecksumSet, MAX_CHECKSUMS};
 pub use lp_persist::{
-    BackendKind, BlockPersistSession, DurabilityContract, EagerFlushPolicy, PersistScope,
-    PersistencyBackend, SessionStats,
+    BackendKind, BlockPersistSession, DurabilityContract, EagerFlushPolicy, PersistencyBackend,
 };
 pub use lp_policy::{
     JournalRecord, PolicyConfig, PolicyEngine, PolicyJournal, PolicyMode, RegionSignals,

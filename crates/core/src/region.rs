@@ -24,7 +24,7 @@ use crate::table::{
 };
 use lp_persist::{
     backend_for, BackendKind, BlockPersistSession, DurabilityContract, EagerBackend,
-    EagerFlushPolicy, EpochBackend, PersistScope, PersistencyBackend,
+    EagerFlushPolicy, EpochBackend, PersistencyBackend,
 };
 use lp_policy::{
     PolicyConfig, PolicyEngine, PolicyJournal, PolicyMode, RegionSignals, SwitchEvent,
@@ -115,7 +115,8 @@ impl LpConfig {
         Self::for_backend(BackendKind::Epoch)
     }
 
-    /// SBRP-style scoped buffered persistency with default buffer knobs.
+    /// SBRP-style buffered release persistency (64/1024-entry persist
+    /// buffers drained at region commit).
     pub fn sbrp() -> Self {
         Self::for_backend(BackendKind::Sbrp)
     }
@@ -678,14 +679,6 @@ impl<'rt> LpBlockSession<'rt> {
             }
         } else if let Some(s) = self.psession.as_deref_mut() {
             s.on_store(ctx, addr);
-        }
-    }
-
-    /// Issues a `__threadfence`-class fence at `scope` through the active
-    /// backend (a no-op on the checksummed path — LP has no fences to issue).
-    pub fn fence(&mut self, ctx: &mut BlockCtx<'_>, scope: PersistScope) {
-        if let Some(s) = self.psession.as_deref_mut() {
-            s.fence(ctx, scope);
         }
     }
 

@@ -67,17 +67,6 @@ pub enum FenceScope {
     System,
 }
 
-impl FenceScope {
-    /// The intrinsic name for this scope, for diagnostics.
-    pub fn intrinsic(self) -> &'static str {
-        match self {
-            FenceScope::Block => "__threadfence_block",
-            FenceScope::Device => "__threadfence",
-            FenceScope::System => "__threadfence_system",
-        }
-    }
-}
-
 /// The statement forms the analysis distinguishes.
 #[derive(Debug, Clone)]
 pub enum StmtKind<'s> {

@@ -32,11 +32,6 @@ pub struct NvmConfig {
 }
 
 impl NvmConfig {
-    /// The paper's simulated NVM device (§VII-3).
-    pub fn paper_nvm() -> Self {
-        Self::default()
-    }
-
     /// A tiny cache configuration that forces frequent evictions; useful in
     /// tests that want to observe natural write-back quickly.
     pub fn tiny_cache() -> Self {
@@ -116,7 +111,7 @@ mod tests {
 
     #[test]
     fn default_matches_paper_parameters() {
-        let cfg = NvmConfig::paper_nvm();
+        let cfg = NvmConfig::default();
         assert_eq!(cfg.read_latency_ns, 160.0);
         assert_eq!(cfg.write_latency_ns, 480.0);
         assert_eq!(cfg.bandwidth_gbps, 326.4);

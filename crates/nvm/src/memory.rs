@@ -663,12 +663,6 @@ impl PersistMemory {
         self.write_u32(addr, v.to_bits());
     }
 
-    /// Reads an `f64` (volatile view).
-    #[inline]
-    pub fn read_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
     /// Writes an `f64`.
     #[inline]
     pub fn write_f64(&mut self, addr: Addr, v: f64) {
@@ -709,7 +703,7 @@ mod tests {
         assert_eq!(m.read_u32(a), 0xDEAD_BEEF);
         assert_eq!(m.read_u64(a.offset(8)), u64::MAX - 3);
         assert_eq!(m.read_f32(a.offset(16)), -1.5);
-        assert_eq!(m.read_f64(a.offset(24)), 6.02e23);
+        assert_eq!(f64::from_bits(m.read_u64(a.offset(24))), 6.02e23);
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub enum BackendKind {
     /// Strict/epoch persistency: `__threadfence`-class fences close epochs
     /// by pushing dirtied lines into the ADR-backed memory queue.
     Epoch,
-    /// SBRP-style scoped buffered release persistency: per-SM + L2-level
-    /// persist buffers with scope-aware release persists.
+    /// SBRP-style buffered release persistency: per-SM + L2-level persist
+    /// buffers that a region commit's device-scope release drains.
     Sbrp,
     /// Adaptive: a policy engine picks one of the fixed disciplines per
     /// region at runtime (and may change its mind between launches). Not
@@ -88,20 +88,6 @@ impl Deserialize for BackendKind {
     }
 }
 
-/// Visibility scope a release persist applies to (SBRP's scope axis,
-/// mirroring CUDA's `cta` / `gpu` / `sys` fence scopes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum PersistScope {
-    /// Block (CTA) scope: drain the SM-local persist buffer to the L2 one.
-    Block,
-    /// Device (GPU) scope: additionally push L2-buffered lines into the
-    /// ADR-backed memory queue.
-    Device,
-    /// System scope: flush all the way to the persistence domain, ignoring
-    /// any ADR guarantee (the deep-flush path).
-    System,
-}
-
 /// What a backend promises about crash-time durability — the contract the
 /// fault campaign's oracles judge each model by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,8 +146,8 @@ impl DurabilityContract {
                 commit_token_durable: true,
                 buffered_window: true,
                 summary: "persists buffer in per-SM and L2-level persist buffers; \
-                          scope-aware release persists drain them; buffered-but-\
-                          undrained persists do not survive a crash",
+                          a region commit's device-scope release drains them; \
+                          buffered-but-undrained persists do not survive a crash",
             },
             BackendKind::Adaptive => DurabilityContract {
                 kind,
@@ -189,19 +175,6 @@ impl DurabilityContract {
     }
 }
 
-/// Counters a session accumulates; purely informational (tests, reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SessionStats {
-    /// Protected stores routed through the session.
-    pub stores: u64,
-    /// Distinct cache lines those stores dirtied.
-    pub lines_touched: u64,
-    /// Lines this session explicitly persisted (flush or ADR acceptance).
-    pub lines_persisted: u64,
-    /// Fences/epoch boundaries the session executed.
-    pub fences: u64,
-}
-
 /// Per-block persistency actions for one region, created by
 /// [`PersistencyBackend::begin_block`] and driven by the LP runtime's
 /// block session. Implementations charge their costs through the
@@ -211,10 +184,6 @@ pub trait BlockPersistSession: std::fmt::Debug + Send {
     /// the first store of the region touching `addr`'s cache line.
     fn on_store(&mut self, ctx: &mut BlockCtx<'_>, addr: Addr) -> bool;
 
-    /// `__threadfence`-class fence at `scope`: orders (and, depending on
-    /// the model, persists) the stores issued so far.
-    fn fence(&mut self, ctx: &mut BlockCtx<'_>, scope: PersistScope);
-
     /// Region commit: make every protected store of the region durable per
     /// the model's contract. Runs after the kernel's last protected store
     /// and before the commit token is published.
@@ -223,9 +192,6 @@ pub trait BlockPersistSession: std::fmt::Debug + Send {
     /// Persists the just-published commit token at `addr` (`None` when the
     /// table organisation has no stable per-region entry address).
     fn persist_token(&mut self, ctx: &mut BlockCtx<'_>, addr: Option<Addr>);
-
-    /// Counters accumulated so far.
-    fn session_stats(&self) -> SessionStats;
 }
 
 /// A persistency model: how protected stores become durable and what a
@@ -234,11 +200,6 @@ pub trait BlockPersistSession: std::fmt::Debug + Send {
 pub trait PersistencyBackend: std::fmt::Debug + Send + Sync {
     /// Which model this is.
     fn kind(&self) -> BackendKind;
-
-    /// Stable display name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
 
     /// The durability contract crash oracles judge this model by.
     fn contract(&self) -> DurabilityContract;
@@ -267,23 +228,17 @@ impl Clone for Box<dyn PersistencyBackend> {
 }
 
 /// The do-nothing session (LP: no persist instructions, ever).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSession;
+#[derive(Debug)]
+pub(crate) struct NoopSession;
 
 impl BlockPersistSession for NoopSession {
     fn on_store(&mut self, _ctx: &mut BlockCtx<'_>, _addr: Addr) -> bool {
         false
     }
 
-    fn fence(&mut self, _ctx: &mut BlockCtx<'_>, _scope: PersistScope) {}
-
     fn commit(&mut self, _ctx: &mut BlockCtx<'_>) {}
 
     fn persist_token(&mut self, _ctx: &mut BlockCtx<'_>, _addr: Option<Addr>) {}
-
-    fn session_stats(&self) -> SessionStats {
-        SessionStats::default()
-    }
 }
 
 #[cfg(test)]
@@ -333,11 +288,5 @@ mod tests {
             assert_eq!(back, kind);
         }
         assert_eq!(BackendKind::default(), BackendKind::LpChecksum);
-    }
-
-    #[test]
-    fn scopes_order_by_strength() {
-        assert!(PersistScope::Block < PersistScope::Device);
-        assert!(PersistScope::Device < PersistScope::System);
     }
 }

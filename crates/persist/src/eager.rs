@@ -2,10 +2,7 @@
 //! barrier, durable commit token — the baseline the paper's §I/§II
 //! slowdown numbers come from.
 
-use crate::backend::{
-    BackendKind, BlockPersistSession, DurabilityContract, PersistScope, PersistencyBackend,
-    SessionStats,
-};
+use crate::backend::{BackendKind, BlockPersistSession, DurabilityContract, PersistencyBackend};
 use nvm::{Addr, FlushOutcome, PersistMemory};
 use serde::{Deserialize, Serialize};
 use simt::BlockCtx;
@@ -83,7 +80,6 @@ impl PersistencyBackend for EagerBackend {
                 .map(|(base, slots)| base.index(block % slots, LOG_SLOT_BYTES)),
             log_cursor: 0,
             dirtied: BTreeSet::new(),
-            stats: SessionStats::default(),
         })
     }
 
@@ -104,21 +100,15 @@ pub struct EagerSession {
     /// Line bases dirtied by this region, in address order (deterministic
     /// commit-time write-back order).
     dirtied: BTreeSet<u64>,
-    stats: SessionStats,
 }
 
 impl BlockPersistSession for EagerSession {
     fn on_store(&mut self, ctx: &mut BlockCtx<'_>, addr: Addr) -> bool {
-        self.stats.stores += 1;
         let line = addr.raw() & !(ctx.line_size() - 1);
         let first = self.dirtied.insert(line);
-        if first {
-            self.stats.lines_touched += 1;
-        }
         let Some(log) = self.log else {
             // Strict eager: `clwb` right behind the store.
             ctx.persist_line_reliably(addr, false);
-            self.stats.lines_persisted += 1;
             return first;
         };
         if first {
@@ -136,36 +126,21 @@ impl BlockPersistSession for EagerSession {
         first
     }
 
-    fn fence(&mut self, ctx: &mut BlockCtx<'_>, _scope: PersistScope) {
-        // Eager persistency has no buffering to scope: every fence is a
-        // full persist barrier.
-        self.stats.fences += 1;
-        ctx.persist_barrier();
-    }
-
     fn commit(&mut self, ctx: &mut BlockCtx<'_>) {
         if self.log.is_some() {
             for line in std::mem::take(&mut self.dirtied) {
                 ctx.persist_line_reliably(Addr::new(line), false);
-                self.stats.lines_persisted += 1;
             }
         }
         ctx.sync_threads();
-        self.stats.fences += 1;
         ctx.persist_barrier();
     }
 
     fn persist_token(&mut self, ctx: &mut BlockCtx<'_>, addr: Option<Addr>) {
         if let Some(addr) = addr {
             ctx.persist_line_reliably(addr, false);
-            self.stats.lines_persisted += 1;
         }
-        self.stats.fences += 1;
         ctx.persist_barrier();
-    }
-
-    fn session_stats(&self) -> SessionStats {
-        self.stats
     }
 }
 
@@ -227,10 +202,10 @@ mod tests {
         let mut s = EagerBackend::per_store().begin_block(0);
         ctx.store_u64(a, 7);
         assert!(s.on_store(&mut ctx, a), "first touch of the line");
+        ctx.store_u64(a.offset(8), 8);
         assert!(!s.on_store(&mut ctx, a.offset(8)), "same line");
         let _ = ctx.into_cost();
-        assert_eq!(s.session_stats().lines_persisted, 2, "one clwb per store");
-        assert_eq!(s.session_stats().lines_touched, 1);
+        assert_eq!(mem.stats().explicit_flushes, 2, "one clwb per store");
         assert_eq!(mem.dirty_lines(), 0, "store is durable right away");
     }
 
@@ -241,10 +216,12 @@ mod tests {
         let mut s = EagerBackend::at_commit(&mut mem, 4).begin_block(0);
         let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
         store_lines(&mut ctx, s.as_mut(), a, 0..4);
-        assert_eq!(s.session_stats().lines_persisted, 0, "nothing flushed yet");
+        let _ = ctx.into_cost();
+        assert_eq!(mem.dirty_lines(), 4, "only the undo log is flushed yet");
+        let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
         s.commit(&mut ctx);
         let _ = ctx.into_cost();
-        assert_eq!(s.session_stats().lines_persisted, 4);
+        assert_eq!(mem.stats().explicit_flushes, 4 + 4, "four log, four data");
         assert_eq!(mem.dirty_lines(), 0, "commit drained every dirty line");
     }
 
@@ -269,7 +246,6 @@ mod tests {
             delta.explicit_flushes, 3,
             "one log flush per line, no data flush"
         );
-        assert_eq!(s.session_stats().lines_touched, 3);
         for i in 0..3u64 {
             let (entry, line) = (slot.index(i, LOG_ENTRY_BYTES), a.offset(128 * i).raw());
             for w in 0..16u64 {

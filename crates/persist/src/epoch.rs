@@ -9,12 +9,9 @@
 //! durability* — residual energy drains the queue on power loss — so
 //! acceptance into the queue is modelled as an immediate durable
 //! write-back ([`simt::BlockCtx::adr_accept`]) at a fence cost well below
-//! a full persist barrier.
+//! a full persist barrier. A region is one epoch: its commit closes it.
 
-use crate::backend::{
-    BackendKind, BlockPersistSession, DurabilityContract, PersistScope, PersistencyBackend,
-    SessionStats,
-};
+use crate::backend::{BackendKind, BlockPersistSession, DurabilityContract, PersistencyBackend};
 use nvm::Addr;
 use simt::BlockCtx;
 use std::collections::BTreeSet;
@@ -39,50 +36,30 @@ impl PersistencyBackend for EpochBackend {
     fn begin_block(&self, _block: u64) -> Box<dyn BlockPersistSession> {
         Box::new(EpochSession {
             epoch: BTreeSet::new(),
-            seen: BTreeSet::new(),
-            stats: SessionStats::default(),
         })
     }
 }
 
-/// Per-block epoch session: the open epoch's dirtied lines.
+/// Per-block epoch session: the open epoch's dirtied lines. The region is
+/// one epoch; its commit closes it.
 #[derive(Debug)]
 pub struct EpochSession {
-    /// Line bases dirtied since the last fence, in address order.
+    /// Line bases the region has dirtied, in address order.
     epoch: BTreeSet<u64>,
-    /// Every line base the region has touched (first-touch tracking).
-    seen: BTreeSet<u64>,
-    stats: SessionStats,
 }
 
 impl EpochSession {
     fn close_epoch(&mut self, ctx: &mut BlockCtx<'_>) {
         for line in std::mem::take(&mut self.epoch) {
-            if ctx.persist_line_reliably(Addr::new(line), true) {
-                self.stats.lines_persisted += 1;
-            }
+            ctx.persist_line_reliably(Addr::new(line), true);
         }
-        self.stats.fences += 1;
         ctx.threadfence();
     }
 }
 
 impl BlockPersistSession for EpochSession {
     fn on_store(&mut self, ctx: &mut BlockCtx<'_>, addr: Addr) -> bool {
-        self.stats.stores += 1;
-        let line = addr.raw() & !(ctx.line_size() - 1);
-        self.epoch.insert(line);
-        let first = self.seen.insert(line);
-        if first {
-            self.stats.lines_touched += 1;
-        }
-        first
-    }
-
-    fn fence(&mut self, ctx: &mut BlockCtx<'_>, _scope: PersistScope) {
-        // Epoch persistency has one fence strength: every scope closes the
-        // epoch at the memory queue.
-        self.close_epoch(ctx);
+        self.epoch.insert(addr.raw() & !(ctx.line_size() - 1))
     }
 
     fn commit(&mut self, ctx: &mut BlockCtx<'_>) {
@@ -92,16 +69,9 @@ impl BlockPersistSession for EpochSession {
 
     fn persist_token(&mut self, ctx: &mut BlockCtx<'_>, addr: Option<Addr>) {
         if let Some(addr) = addr {
-            if ctx.persist_line_reliably(addr, true) {
-                self.stats.lines_persisted += 1;
-            }
+            ctx.persist_line_reliably(addr, true);
         }
-        self.stats.fences += 1;
         ctx.threadfence();
-    }
-
-    fn session_stats(&self) -> SessionStats {
-        self.stats
     }
 }
 
@@ -120,19 +90,21 @@ mod tests {
     }
 
     #[test]
-    fn stores_buffer_until_the_fence() {
+    fn stores_buffer_until_the_commit() {
         let (mut mem, mut dev, cfg, lc) = fixture();
         let a = mem.alloc(512, 8);
         let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
         let mut s = EpochBackend.begin_block(0);
         for i in 0..3u64 {
             ctx.store_u64(a.offset(128 * i), i + 1);
-            s.on_store(&mut ctx, a.offset(128 * i));
+            assert!(s.on_store(&mut ctx, a.offset(128 * i)), "first touch");
         }
-        assert_eq!(s.session_stats().lines_persisted, 0, "epoch still open");
-        s.fence(&mut ctx, PersistScope::Device);
+        assert!(!s.on_store(&mut ctx, a), "line 0 again");
         let _ = ctx.into_cost();
-        assert_eq!(s.session_stats().lines_persisted, 3);
+        assert_eq!(mem.dirty_lines(), 3, "epoch still open");
+        let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
+        s.commit(&mut ctx);
+        let _ = ctx.into_cost();
         assert_eq!(mem.dirty_lines(), 0, "queue acceptance is durable");
         assert_eq!(mem.stats().adr_accepts, 3);
     }

@@ -15,12 +15,19 @@
 //!   entry plus one commit-time write-back per dirtied line), persist
 //!   barrier, durable commit token.
 //! * [`EpochBackend`] — strict/epoch persistency in the style of *Exploring
-//!   Memory Persistency Models for GPUs*: stores accumulate in an epoch
-//!   that a `__threadfence`-class fence closes by pushing every dirtied
-//!   line into the ADR-backed memory queue (acceptance = durability).
-//! * [`SbrpBackend`] — SBRP-style scoped buffered release persistency:
-//!   per-SM (L1) persist buffers draining into an L2-level buffer,
-//!   scope-aware release persists, and eager-drain / deep-flush knobs.
+//!   Memory Persistency Models for GPUs*: a region's stores accumulate in
+//!   one epoch that the commit's `__threadfence`-class fence closes by
+//!   pushing every dirtied line into the ADR-backed memory queue
+//!   (acceptance = durability).
+//! * [`SbrpBackend`] — SBRP-style buffered release persistency: a 64-entry
+//!   per-SM (L1) persist buffer draining into a 1024-entry L2-level one,
+//!   both drained into the ADR-backed memory queue by the device-scope
+//!   release a region commit performs.
+//!
+//! LP issues no persist instructions, and the runtime drives every explicit
+//! model only through a region's three session calls: `on_store` after each
+//! protected store, `commit` after the last one, `persist_token` on the
+//! published commit token ([`BlockPersistSession`]).
 //!
 //! Every backend produces the *same functional memory image* for a given
 //! kernel — they differ only in durability timing and cost. That invariant
@@ -36,13 +43,11 @@ pub mod eager;
 pub mod epoch;
 pub mod sbrp;
 
-pub use backend::{
-    BackendKind, BlockPersistSession, DurabilityContract, NoopSession, PersistScope,
-    PersistencyBackend, SessionStats,
-};
+use backend::NoopSession;
+pub use backend::{BackendKind, BlockPersistSession, DurabilityContract, PersistencyBackend};
 pub use eager::{drain_line_with_retry, EagerBackend, EagerFlushPolicy, EagerSession};
 pub use epoch::{EpochBackend, EpochSession};
-pub use sbrp::{SbrpBackend, SbrpConfig, SbrpSession};
+pub use sbrp::{SbrpBackend, SbrpSession};
 
 /// The LP-checksum backend: persistency by natural eviction, under the
 /// two kinds whose contract is checksum validation.
@@ -81,13 +86,14 @@ impl PersistencyBackend for LpChecksumBackend {
     }
 }
 
-/// Constructs the backend for `kind` with default knobs.
+/// Constructs the backend for `kind` (strict per-store flushing for
+/// [`BackendKind::Eager`]).
 pub fn backend_for(kind: BackendKind) -> Box<dyn PersistencyBackend> {
     match kind {
         BackendKind::LpChecksum | BackendKind::Adaptive => Box::new(LpChecksumBackend(kind)),
         BackendKind::Eager => Box::new(EagerBackend::per_store()),
         BackendKind::Epoch => Box::new(EpochBackend),
-        BackendKind::Sbrp => Box::new(SbrpBackend::new(SbrpConfig::default())),
+        BackendKind::Sbrp => Box::new(SbrpBackend),
     }
 }
 
@@ -97,11 +103,25 @@ mod tests {
 
     #[test]
     fn lp_backend_sessions_do_nothing() {
+        use nvm::{NvmConfig, PersistMemory};
+        use simt::{BlockCtx, DeviceConfig, DeviceState, LaunchConfig};
+        let cfg = DeviceConfig::test_gpu();
+        let mut mem = PersistMemory::new(NvmConfig::default());
+        let mut dev = DeviceState::new(&cfg, 4, 128);
+        let a = mem.alloc(128, 128);
         for kind in [BackendKind::LpChecksum, BackendKind::Adaptive] {
             let b = backend_for(kind);
             assert!(b.contract().checksum_validated, "{kind}");
-            let s = b.begin_block(0);
-            assert_eq!(s.session_stats(), SessionStats::default());
+            let mut s = b.begin_block(0);
+            let lc = LaunchConfig::linear(4 * 64, 64);
+            let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
+            ctx.store_u64(a, 1);
+            assert!(!s.on_store(&mut ctx, a), "{kind}");
+            s.commit(&mut ctx);
+            s.persist_token(&mut ctx, Some(a));
+            let _ = ctx.into_cost();
+            assert_eq!(mem.dirty_lines(), 1, "{kind}: nothing persisted");
+            assert_eq!(mem.stats().explicit_flushes + mem.stats().adr_accepts, 0);
         }
     }
 
@@ -111,7 +131,6 @@ mod tests {
             let b = backend_for(kind);
             assert_eq!(b.kind(), kind);
             assert_eq!(b.contract().kind, kind);
-            assert!(!b.name().is_empty());
         }
     }
 

@@ -97,5 +97,8 @@ row "'/*' comment openers (directive/src non-test):" "$(src_code_lines "'/'[^']*
 # Per-element shared-memory reads in kernel bodies: each one tests the
 # observer; a hot loop of them belongs in a tile op (`shm_dot_f32`).
 row "'shm_read(' / 'shm_read_f32(' call sites (kernels/src non-test):" "$(src_code_lines 'shm_read(_f32)?\(' '' crates/kernels/src)"
+row "crates/persist/src non-test lines:" "$(non_test_under crates/persist/src)"
+# Methods the per-region persist session declares (the runtime calls three).
+row "BlockPersistSession trait methods:" "$(awk '/^pub trait BlockPersistSession/ { t = 1 } t && /^[[:space:]]*fn / { n++ } t && /^}/ { exit } END { print n + 0 }' crates/persist/src/backend.rs)"
 row "crates/directive/src non-test lines:" "$(non_test_under crates/directive/src)"
 row "crates/directive/src pub fn:" "$({ grep -rhF 'pub fn ' crates/directive/src || true; } | wc -l)"

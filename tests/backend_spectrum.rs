@@ -6,11 +6,11 @@
 //!    under every backend. The models differ in *when* stores become
 //!    durable and what that costs, never in *what* the kernel computes.
 //! 2. **Crash honesty** — a buffered persist must not survive a crash the
-//!    model says it shouldn't: SBRP persists buffered below the released
-//!    scope are lost, an open epoch's stores are lost, and conversely a
-//!    release strong enough to reach the memory queue makes them durable.
+//!    model says it shouldn't: SBRP persists still in the persist buffers
+//!    are lost, an open epoch's stores are lost, and conversely the region
+//!    commit, which reaches the memory queue, makes them durable.
 
-use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, PersistScope, PersistencyBackend};
+use lpgpu::gpu_lp::{BackendKind, LpConfig, LpRuntime, PersistencyBackend};
 use lpgpu::lp_kernels::{workload_by_name, Scale, WORKLOAD_NAMES};
 use lpgpu::lp_persist::{EpochBackend, SbrpBackend};
 use lpgpu::nvm::{Addr, BumpAllocator, NvmConfig, PersistMemory};
@@ -94,46 +94,36 @@ proptest! {
         }
     }
 
-    /// SBRP crash contract: persists buffered below the released scope
-    /// never survive a crash, and persists released to the memory queue
-    /// always do. `release` draws the whole spectrum — no release at all,
-    /// block scope (reaches only the L2 buffer), device scope (ADR queue),
-    /// system scope (deep flush).
+    /// SBRP crash contract: persists still buffered when power fails never
+    /// survive, and a region commit's release (device scope: both buffers
+    /// into the ADR-backed memory queue) makes every one durable. Up to 99
+    /// lines: past the 64-entry L1 buffer, the overflow sits in the L2 one.
     #[test]
     fn sbrp_buffered_persists_never_survive_an_unreleased_crash(
-        lines in 1u64..48,
-        release in 0usize..4,
+        lines in 1u64..100,
+        commit in any::<bool>(),
     ) {
         let (mut mem, mut dev, cfg, lc) = standalone();
-        let a = mem.alloc(48 * 128, 128);
+        let a = mem.alloc(100 * 128, 128);
         {
             let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
-            let mut s = SbrpBackend::default().begin_block(0);
+            let mut s = SbrpBackend.begin_block(0);
             for i in 0..lines {
                 ctx.store_u64(a.offset(128 * i), i + 1);
                 s.on_store(&mut ctx, a.offset(128 * i));
             }
-            match release {
-                0 => {} // power fails inside the buffered window
-                1 => s.fence(&mut ctx, PersistScope::Block),
-                2 => s.fence(&mut ctx, PersistScope::Device),
-                _ => s.fence(&mut ctx, PersistScope::System),
-            }
-            let durable_now = s.session_stats().lines_persisted;
+            if commit {
+                s.commit(&mut ctx);
+            } // else: power fails inside the buffered window
             let _ = ctx.into_cost();
-            // The model's own accounting must match the scope semantics:
-            // only device/system releases reach durability.
-            if release >= 2 {
-                prop_assert_eq!(durable_now, lines);
-            } else {
-                prop_assert_eq!(durable_now, 0);
-            }
         }
+        // Only a release reaches the memory queue, and it takes every line.
+        prop_assert_eq!(mem.stats().adr_accepts, if commit { lines } else { 0 });
+        prop_assert_eq!(mem.dirty_lines() as u64, if commit { 0 } else { lines });
         mem.crash();
-        let should_survive = release >= 2;
         for i in 0..lines {
             let durable = mem.read_durable_u64(a.offset(128 * i));
-            if should_survive {
+            if commit {
                 prop_assert!(
                     durable == i + 1,
                     "line {} released to the memory queue but lost (read {})",
@@ -142,15 +132,16 @@ proptest! {
             } else {
                 prop_assert!(
                     durable == 0,
-                    "line {} was buffered (release={}) yet survived the crash",
-                    i, release
+                    "line {} was buffered yet survived the crash",
+                    i
                 );
             }
         }
     }
 
-    /// Epoch crash contract: an open epoch's stores are volatile; a closed
-    /// epoch's stores are durable (ADR queue acceptance).
+    /// Epoch crash contract: an open epoch's stores are volatile; the
+    /// region commit closes it, and a closed epoch's stores are durable
+    /// (ADR queue acceptance).
     #[test]
     fn epoch_stores_survive_iff_the_epoch_closed(
         lines in 1u64..48,
@@ -166,7 +157,7 @@ proptest! {
                 s.on_store(&mut ctx, a.offset(128 * i));
             }
             if close_epoch {
-                s.fence(&mut ctx, PersistScope::Device);
+                s.commit(&mut ctx);
             }
             let _ = ctx.into_cost();
         }

@@ -1,8 +1,7 @@
-//! Integration of the checkpoint manager (§IV-A) with the LP pipeline:
-//! flushing bounds the validation horizon, and crashes between checkpoints
-//! damage only the unflushed suffix.
+//! Checkpoints (§IV-A: a whole-cache flush between launches) in the LP
+//! pipeline: flushing bounds the validation horizon, and crashes between
+//! checkpoints damage only the unflushed suffix.
 
-use lpgpu::gpu_lp::checkpoint::{CheckpointManager, CheckpointPolicy};
 use lpgpu::gpu_lp::{LpConfig, LpRuntime, ResilientRecovery};
 use lpgpu::lp_kernels::{stage, subject, world, Scale, Workload};
 use lpgpu::nvm::PersistMemory;
@@ -22,10 +21,9 @@ fn staged(name: &str, seed: u64) -> (Gpu, PersistMemory, Box<dyn Workload>, LpRu
 #[test]
 fn crash_right_after_checkpoint_needs_no_recovery() {
     let (gpu, mut mem, w, rt) = staged("HISTO", 41);
-    let mut ckpt = CheckpointManager::new(CheckpointPolicy::every_launch());
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
-    assert!(ckpt.after_launch(&mut mem));
+    mem.flush_all();
     mem.crash();
     let failed = rt.failing_regions(kernel.as_ref(), &mut mem);
     assert!(
@@ -39,13 +37,10 @@ fn crash_right_after_checkpoint_needs_no_recovery() {
 fn crash_between_checkpoints_damages_only_the_suffix() {
     let (gpu, mut mem, w, rt) = staged("SPMV", 42);
     let lc = w.launch_config();
-    let mut ckpt = CheckpointManager::new(CheckpointPolicy::every(2));
 
-    // Launch 1: no checkpoint yet.
+    // Checkpoints every two launches. Launch 1: no checkpoint yet.
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
-    assert!(!ckpt.after_launch(&mut mem));
-    assert_eq!(ckpt.validation_horizon(), 1);
 
     // Crash with one unflushed launch of exposure; the small cache means
     // plenty already evicted — validation finds at most the cached tail.
@@ -60,15 +55,14 @@ fn crash_between_checkpoints_damages_only_the_suffix() {
     assert!(report.all_durable);
     assert!(w.verify(&mut mem));
 
-    // Launch 2 completes the interval: checkpoint fires and everything is
-    // durable from here.
+    // Launch 2 completes the interval: the checkpoint flushes and
+    // everything is durable from here.
     w.reset_output(&mut mem);
     rt.reset(&mut mem);
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
-    assert!(ckpt.after_launch(&mut mem));
+    mem.flush_all();
     mem.crash();
     assert!(rt.failing_regions(kernel.as_ref(), &mut mem).is_empty());
     assert!(w.verify(&mut mem));
-    assert_eq!(ckpt.checkpoints_taken(), 1);
 }

@@ -1,11 +1,9 @@
 //! Property-based tests on the system's core invariants, spanning crates:
-//! checksum algebra, ordered-float conversion, checksum tables, the cache
-//! persistence model, and the headline invariant — *recovery from a crash
-//! at any point reproduces the crash-free output*.
+//! checksum algebra, checksum tables, the cache persistence model, and the
+//! headline invariant — *recovery from a crash at any point reproduces the
+//! crash-free output*.
 
-use lpgpu::gpu_lp::checksum::{
-    f32_from_ordered_bits, f32_ordered_bits, f64_from_ordered_bits, f64_ordered_bits, ChecksumSet,
-};
+use lpgpu::gpu_lp::checksum::ChecksumSet;
 use lpgpu::gpu_lp::table::{AtomicPolicy, ChecksumTable, ChecksumTableOps, LockPolicy, TableKind};
 use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
 use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
@@ -60,26 +58,6 @@ proptest! {
             values.swap(i, j);
         }
         prop_assert_eq!(set.digest(values), a);
-    }
-
-    /// The float → ordered-integer map is monotone and invertible.
-    #[test]
-    fn ordered_bits_monotone_and_invertible(a in any::<f32>(), b in any::<f32>()) {
-        prop_assume!(a.is_finite() && b.is_finite());
-        prop_assert_eq!(f32_from_ordered_bits(f32_ordered_bits(a)), a);
-        if a < b {
-            prop_assert!(f32_ordered_bits(a) < f32_ordered_bits(b));
-        }
-    }
-
-    /// Same for f64.
-    #[test]
-    fn ordered_bits_f64(a in any::<f64>(), b in any::<f64>()) {
-        prop_assume!(a.is_finite() && b.is_finite());
-        prop_assert_eq!(f64_from_ordered_bits(f64_ordered_bits(a)), a);
-        if a < b {
-            prop_assert!(f64_ordered_bits(a) < f64_ordered_bits(b));
-        }
     }
 
     /// Quadratic-probing table: every inserted key is retrievable with its
