@@ -28,6 +28,8 @@
 //! which reverts it) or a fully-described in-flight step it re-derives and
 //! rolls forward through re-entrant resilient recovery.
 
+use std::ops::Range;
+
 use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Kernel, LaunchConfig};
@@ -233,30 +235,44 @@ impl Protocol for DurableQueue {
             ));
         }
         // Data audit: every committed record and receipt, byte for byte.
+        // Each run stops at its first bad word: one example is enough for
+        // the report.
         let seed = self.params.seed;
-        for j in 0..tail.min(self.capacity) {
-            let got = mem.read_u64(self.records.index(j, 8));
-            if got != payload(seed, j) {
-                violations.push(format!("record {j} corrupt: {got:#x}"));
-                break; // one example is enough for the report
-            }
+        let end = tail.min(self.capacity);
+        if let Some((j, got)) = first_mismatch(mem, self.records, 0..end, |j| payload(seed, j)) {
+            violations.push(format!("record {j} corrupt: {got:#x}"));
         }
-        for j in 0..head.min(tail) {
-            let got = mem.read_u64(self.receipts.index(j, 8));
-            if got != receipt(seed, j) {
-                violations.push(format!("receipt {j} corrupt: {got:#x} (delivery lost)"));
-                break;
-            }
+        let consumed = 0..head.min(tail);
+        if let Some((j, got)) = first_mismatch(mem, self.receipts, consumed, |j| receipt(seed, j)) {
+            violations.push(format!("receipt {j} corrupt: {got:#x} (delivery lost)"));
         }
         // Exactly-once: nothing past `head` may carry a receipt.
-        for j in head..tail.min(self.capacity) {
-            let got = mem.read_u64(self.receipts.index(j, 8));
-            if got != 0 {
-                violations.push(format!("receipt {j} written before consume: {got:#x}"));
-                break;
-            }
+        if let Some((j, got)) = first_mismatch(mem, self.receipts, head..end, |_| 0) {
+            violations.push(format!("receipt {j} written before consume: {got:#x}"));
         }
     }
+}
+
+/// Reads the `u64` array at `base` over `words` in order, stopping at the
+/// first index `j` whose word is not `want(j)`: returns that index and the
+/// word read.
+fn first_mismatch(
+    mem: &mut PersistMemory,
+    base: Addr,
+    words: Range<u64>,
+    want: impl Fn(u64) -> u64,
+) -> Option<(u64, u64)> {
+    let mut j = words.start;
+    let mut bad = None;
+    mem.scan_u64(base.index(j, 8), 8, words.end.saturating_sub(j), |got| {
+        if got != want(j) {
+            bad = Some((j, got));
+            return false;
+        }
+        j += 1;
+        true
+    });
+    bad
 }
 
 #[cfg(test)]
@@ -264,6 +280,90 @@ mod tests {
     use super::*;
     use crate::{world, RecoverableApp};
     use gpu_lp::BackendKind;
+
+    /// The queue's data audit as it read before line runs: one `read_u64`
+    /// per word, each loop breaking at its first bad word. The reference
+    /// the differential test holds the run-based audit to.
+    fn data_audit_per_word(
+        q: &DurableQueue,
+        mem: &mut PersistMemory,
+        [tail, head]: [u64; 2],
+        violations: &mut Vec<String>,
+    ) {
+        let seed = q.params.seed;
+        for j in 0..tail.min(q.capacity) {
+            let got = mem.read_u64(q.records.index(j, 8));
+            if got != payload(seed, j) {
+                violations.push(format!("record {j} corrupt: {got:#x}"));
+                break;
+            }
+        }
+        for j in 0..head.min(tail) {
+            let got = mem.read_u64(q.receipts.index(j, 8));
+            if got != receipt(seed, j) {
+                violations.push(format!("receipt {j} corrupt: {got:#x} (delivery lost)"));
+                break;
+            }
+        }
+        for j in head..tail.min(q.capacity) {
+            let got = mem.read_u64(q.receipts.index(j, 8));
+            if got != 0 {
+                violations.push(format!("receipt {j} written before consume: {got:#x}"));
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn run_audit_stops_where_the_per_word_audit_stops() {
+        let [tail, head] = [150, 90];
+        // (record, receipt, early receipt) to corrupt, if any.
+        let cases: [[Option<u64>; 3]; 5] = [
+            [None, None, None],
+            [Some(77), None, None],
+            [None, Some(31), None],
+            [Some(5), Some(60), Some(120)],
+            [None, None, Some(90)],
+        ];
+        for (i, &[record, receipt_at, early]) in cases.iter().enumerate() {
+            // Tiny cache: the audit misses, fills and evicts all the way.
+            let mut mem = PersistMemory::new(nvm::NvmConfig::tiny_cache());
+            let params = AppParams::small(BackendKind::LpChecksum, 12, 4);
+            let capacity = params.max_steps * params.width;
+            let records = mem.alloc(capacity * 8, 8);
+            let receipts = mem.alloc(capacity * 8, 8);
+            let rt = LpRuntime::setup(&mut mem, 1, TPB, LpConfig::for_backend(params.backend));
+            let q = DurableQueue {
+                params,
+                records,
+                receipts,
+                capacity,
+                rt,
+            };
+            for j in 0..tail {
+                mem.write_u64(records.index(j, 8), payload(params.seed, j));
+            }
+            for j in 0..head {
+                mem.write_u64(receipts.index(j, 8), receipt(params.seed, j));
+            }
+            for (arena, j) in [(records, record), (receipts, receipt_at), (receipts, early)] {
+                if let Some(j) = j {
+                    mem.write_u64(arena.index(j, 8), 0xBAD);
+                }
+            }
+            mem.flush_all();
+            mem.set_fault_config(Some(nvm::FaultConfig::media(3, 1_500, 0)));
+            let mut old = mem.clone();
+            let mut got = Vec::new();
+            q.audit(&mut mem, 4, [tail, head], &[tail, head], &mut got);
+            let mut want = Vec::new();
+            data_audit_per_word(&q, &mut old, [tail, head], &mut want);
+            assert_eq!(got, want, "case {i}");
+            assert_eq!(got.len(), cases[i].iter().flatten().count(), "case {i}");
+            assert_eq!(mem.stats(), old.stats(), "case {i}");
+            assert_eq!(mem.take_ecc_log(), old.take_ecc_log(), "case {i}");
+        }
+    }
 
     #[test]
     fn crash_mid_step_rolls_forward_on_restore() {

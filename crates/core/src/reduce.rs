@@ -62,7 +62,11 @@ pub fn block_reduce(
         "accumulator matrix shape mismatch"
     );
     match strategy {
-        ReduceStrategy::ParallelShuffle => shuffle_reduce(ctx, set, per_thread),
+        ReduceStrategy::ParallelShuffle => {
+            let mut out = vec![0; arity];
+            shuffle_reduce(ctx, set, per_thread, &mut out);
+            out
+        }
         ReduceStrategy::SequentialMemory => {
             let scratch = scratch.expect("SequentialMemory reduction needs a scratch buffer");
             sequential_reduce(ctx, set, per_thread, scratch)
@@ -70,7 +74,9 @@ pub fn block_reduce(
     }
 }
 
-fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64]) -> Vec<u64> {
+/// The shuffle path of [`block_reduce`], writing checksum `c` to `out[c]`.
+/// Lanes are gathered on the stack, so it allocates nothing.
+fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64], out: &mut [u64]) {
     assert!(
         set.is_associative(),
         "parallel (shuffle) reduction requires associative checksums; \
@@ -81,6 +87,7 @@ fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64])
     let warp_size = ctx.device_config().warp_size as usize;
     let warps = threads.div_ceil(warp_size);
     let steps = warp::reduction_steps() as u64;
+    let mut lanes = [0u64; warp::WARP_SIZE];
 
     // Stage 1: every warp reduces its lanes register-to-register.
     // Shared staging area: one partial per (warp, checksum).
@@ -88,11 +95,13 @@ fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64])
     for w in 0..warps {
         let lo = w * warp_size;
         let hi = ((w + 1) * warp_size).min(threads);
-        let lanes_in_warp = (hi - lo) as u64;
+        let width = hi - lo;
         for (c, kind) in set.kinds().iter().enumerate() {
-            let lanes: Vec<u64> = (lo..hi).map(|t| per_thread[t * arity + c]).collect();
-            let partial = warp::warp_reduce(&lanes, |a, b| kind.combine(a, b));
-            ctx.charge_shuffle(steps, lanes_in_warp);
+            for (lane, t) in lanes.iter_mut().zip(lo..hi) {
+                *lane = per_thread[t * arity + c];
+            }
+            let partial = warp::warp_reduce(&lanes[..width], |a, b| kind.combine(a, b));
+            ctx.charge_shuffle(steps, width as u64);
             // Lane 0 of the warp parks the partial in shared memory.
             ctx.shm_write(stage, w * arity + c, partial);
         }
@@ -100,22 +109,21 @@ fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64])
     ctx.sync_threads();
 
     // Stage 2: warp 0 reduces the per-warp partials.
-    let mut out = Vec::with_capacity(arity);
+    let width = warps.min(warp_size);
     for (c, kind) in set.kinds().iter().enumerate() {
-        let lanes: Vec<u64> = (0..warps.min(warp_size))
-            .map(|w| ctx.shm_read(stage, w * arity + c))
-            .collect();
-        let mut total = warp::warp_reduce(&lanes, |a, b| kind.combine(a, b));
-        ctx.charge_shuffle(steps, lanes.len() as u64);
+        for (w, lane) in lanes[..width].iter_mut().enumerate() {
+            *lane = ctx.shm_read(stage, w * arity + c);
+        }
+        let mut total = warp::warp_reduce(&lanes[..width], |a, b| kind.combine(a, b));
+        ctx.charge_shuffle(steps, width as u64);
         // Blocks wider than warp_size² don't exist on real hardware (max
         // 1024 threads = 32 warps), but stay correct anyway:
         for w in warp_size..warps {
             total = kind.combine(total, ctx.shm_read(stage, w * arity + c));
             ctx.charge_alu(1);
         }
-        out.push(total);
+        out[c] = total;
     }
-    out
 }
 
 fn sequential_reduce(

@@ -1,0 +1,134 @@
+//! Heap allocations on the shuffle reduction path, counted by a
+//! per-thread counting allocator: the warp butterfly and the block
+//! shuffle reduction allocate nothing, and one LP block's begin→finalize
+//! allocates only its accumulators and the reduced checksum vector.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use gpu_lp::reduce::block_reduce;
+use gpu_lp::{ChecksumSet, LpBlockSession, LpConfig, LpRuntime, ReduceStrategy};
+use nvm::{NvmConfig, PersistMemory};
+use simt::{warp, BlockCtx, DeviceConfig, DeviceState, Dim3, LaunchConfig};
+
+/// Forwards to [`System`], counting this thread's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell`, which never allocates, so counting cannot re-enter
+// the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` and `layout` come from a previous call on this
+        // allocator, which was a call on `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+const THREADS: u32 = 256;
+
+fn machine() -> (PersistMemory, DeviceState, DeviceConfig, LaunchConfig) {
+    let cfg = DeviceConfig::test_gpu();
+    let mem = PersistMemory::new(NvmConfig::default());
+    let dev = DeviceState::new(&cfg, 4, u64::from(THREADS));
+    let lc = LaunchConfig {
+        grid: Dim3::x(4),
+        block: Dim3::x(THREADS),
+    };
+    (mem, dev, cfg, lc)
+}
+
+#[test]
+fn warp_reduce_allocates_nothing() {
+    for width in 1..=warp::WARP_SIZE as u64 {
+        let lanes: Vec<u64> = (0..width).collect();
+        let (n, total) = allocations(|| warp::warp_reduce(&lanes, u64::wrapping_add));
+        assert_eq!(total, width * (width - 1) / 2);
+        assert_eq!(n, 0, "width {width}");
+    }
+}
+
+#[test]
+fn shuffle_block_reduce_allocates_only_its_result() {
+    let (mut mem, mut dev, cfg, lc) = machine();
+    let set = ChecksumSet::modular_parity();
+    let per_thread: Vec<u64> = (0..u64::from(THREADS) * set.arity() as u64).collect();
+    let reduce = |ctx: &mut BlockCtx<'_>| {
+        block_reduce(
+            ctx,
+            &set,
+            &per_thread,
+            ReduceStrategy::ParallelShuffle,
+            None,
+        )
+    };
+    // The first block grows the device's reused shared-memory arena.
+    let mut ctx = BlockCtx::standalone(lc, 0, &mut mem, &mut dev, &cfg);
+    let warm = reduce(&mut ctx);
+    let _ = ctx.into_cost();
+    let mut ctx = BlockCtx::standalone(lc, 1, &mut mem, &mut dev, &cfg);
+    let (n, got) = allocations(|| reduce(&mut ctx));
+    let _ = ctx.into_cost();
+    assert_eq!(got, warm);
+    assert_eq!(n, 1, "only the returned checksum vector");
+}
+
+#[test]
+fn one_lp_block_allocates_at_most_three_times() {
+    let (mut mem, mut dev, cfg, lc) = machine();
+    let rt = LpRuntime::setup(&mut mem, 4, u64::from(THREADS), LpConfig::default());
+    assert_eq!(rt.config().reduce, ReduceStrategy::ParallelShuffle);
+    let run = |mem: &mut PersistMemory, dev: &mut DeviceState, block: u64| {
+        let mut ctx = BlockCtx::standalone(lc, block, mem, dev, &cfg);
+        let (n, ()) = allocations(|| {
+            let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+            for t in 0..u64::from(THREADS) {
+                lp.update(&mut ctx, t, t * 3 + block);
+            }
+            lp.finalize(&mut ctx);
+        });
+        let _ = ctx.into_cost();
+        n
+    };
+    run(&mut mem, &mut dev, 0);
+    let n = run(&mut mem, &mut dev, 1);
+    assert!(n <= 3, "{n} allocations");
+}

@@ -52,12 +52,22 @@ pub fn alloc_u32s(mem: &mut PersistMemory, n: u64) -> Addr {
 
 /// Reads back a device array of `f32`s.
 pub fn download_f32s(mem: &mut PersistMemory, base: Addr, n: u64) -> Vec<f32> {
-    (0..n).map(|i| mem.read_f32(base.index(i, 4))).collect()
+    let mut out = Vec::with_capacity(n as usize);
+    mem.scan_u32(base, 4, n, |w| {
+        out.push(f32::from_bits(w));
+        true
+    });
+    out
 }
 
 /// Reads back a device array of `u32`s.
 pub fn download_u32s(mem: &mut PersistMemory, base: Addr, n: u64) -> Vec<u32> {
-    (0..n).map(|i| mem.read_u32(base.index(i, 4))).collect()
+    let mut out = Vec::with_capacity(n as usize);
+    mem.scan_u32(base, 4, n, |w| {
+        out.push(w);
+        true
+    });
+    out
 }
 
 /// Zeroes `n` `f32`/`u32` (4-byte) elements at `base`.

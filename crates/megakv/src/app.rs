@@ -149,10 +149,13 @@ impl MegaKv {
 
     /// After the search batch: every result slot holds the derived value.
     pub fn verify_searches(&self, mem: &mut PersistMemory) -> bool {
-        self.search.host_keys.iter().enumerate().all(|(i, &k)| {
-            let got = mem.read_u64(self.search.out.index(i as u64, 8));
-            got == value_of(k)
-        })
+        let mut keys = self.search.host_keys.iter();
+        let mut ok = true;
+        mem.scan_u64(self.search.out, 8, keys.len() as u64, |got| {
+            ok = keys.next().is_some_and(|&k| got == value_of(k));
+            ok
+        });
+        ok
     }
 
     /// After the delete batch: deleted keys absent, the rest intact.

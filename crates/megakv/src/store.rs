@@ -108,29 +108,30 @@ impl KvStore {
     }
 
     /// Host-side lookup (recovery/verification path; reads through the
-    /// cache without cost accounting).
+    /// cache without cost accounting): one run of key words per probe
+    /// bucket, stopping at the match, then the matching slot's value.
     pub fn lookup_host(&self, mem: &mut PersistMemory, key: u64) -> Option<u64> {
         for b in self.probe_buckets(key) {
-            for s in 0..self.slots {
-                if mem.read_u64(self.key_addr(b, s)) == key {
-                    return Some(mem.read_u64(self.value_addr(b, s)));
-                }
+            let mut found = false;
+            let read = mem.scan_u64(self.key_addr(b, 0), 16, self.slots, |k| {
+                found = k == key;
+                !found
+            });
+            if found {
+                return Some(mem.read_u64(self.value_addr(b, read - 1)));
             }
         }
         None
     }
 
-    /// Host-side count of live (non-empty, non-tombstone) entries.
+    /// Host-side count of live (non-empty, non-tombstone) entries: one run
+    /// over every key word, bucket-major.
     pub fn live_entries(&self, mem: &mut PersistMemory) -> u64 {
         let mut n = 0;
-        for b in 0..self.buckets {
-            for s in 0..self.slots {
-                let k = mem.read_u64(self.key_addr(b, s));
-                if k != EMPTY && k != TOMBSTONE {
-                    n += 1;
-                }
-            }
-        }
+        mem.scan_u64(self.key_addr(0, 0), 16, self.capacity(), |k| {
+            n += u64::from(k != EMPTY && k != TOMBSTONE);
+            true
+        });
         n
     }
 }
@@ -180,6 +181,80 @@ mod tests {
         mem.write_u64(st.key_addr(0, 0), 5);
         mem.write_u64(st.key_addr(0, 1), TOMBSTONE);
         assert_eq!(st.live_entries(&mut mem), 1);
+    }
+
+    /// [`KvStore::lookup_host`] as it read before line runs: one
+    /// `read_u64` per key word. The reference the differential test holds
+    /// the run-based lookup to.
+    fn lookup_host_per_word(st: &KvStore, mem: &mut PersistMemory, key: u64) -> Option<u64> {
+        for b in st.probe_buckets(key) {
+            for s in 0..st.slots {
+                if mem.read_u64(st.key_addr(b, s)) == key {
+                    return Some(mem.read_u64(st.value_addr(b, s)));
+                }
+            }
+        }
+        None
+    }
+
+    /// [`KvStore::live_entries`] as it read before line runs.
+    fn live_entries_per_word(st: &KvStore, mem: &mut PersistMemory) -> u64 {
+        let mut n = 0;
+        for b in 0..st.buckets {
+            for s in 0..st.slots {
+                let k = mem.read_u64(st.key_addr(b, s));
+                if k != EMPTY && k != TOMBSTONE {
+                    n += 1;
+                }
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn line_runs_read_what_per_word_reads_read() {
+        // A tiny cache (every lookup misses and evicts) with fill-time
+        // media errors on: both readers must roll the same faults.
+        let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
+        let st = KvStore::create(&mut mem, 64, 8);
+        let keys: Vec<u64> = (1..=200u64).map(|k| k * 7_919).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            let b = st.bucket_of(k);
+            let s = (0..st.slots)
+                .find(|&s| mem.read_u64(st.key_addr(b, s)) == EMPTY)
+                .expect("home bucket has room");
+            let tag = if i % 9 == 4 { TOMBSTONE } else { k };
+            mem.write_u64(st.key_addr(b, s), tag);
+            mem.write_u64(st.value_addr(b, s), k ^ 0xABCD);
+        }
+        mem.flush_all();
+        mem.set_fault_config(Some(nvm::FaultConfig::media(11, 2_500, 800)));
+        let mut old = mem.clone();
+        // Present keys, tombstoned ones, and an absent key, which walks
+        // every slot of all 8 probe buckets.
+        let absent = 3;
+        assert!(!keys.contains(&absent));
+        for &k in keys.iter().chain([absent].iter()) {
+            let loads = mem.stats().load_ops;
+            assert_eq!(
+                st.lookup_host(&mut mem, k),
+                lookup_host_per_word(&st, &mut old, k),
+                "key {k}"
+            );
+            assert_eq!(mem.stats(), old.stats(), "key {k}");
+            assert_eq!(mem.take_ecc_log(), old.take_ecc_log(), "key {k}");
+            if k == absent {
+                let walked = mem.stats().load_ops - loads;
+                assert_eq!(walked, PROBE_BUCKETS * st.slots);
+            }
+        }
+        assert_eq!(
+            st.live_entries(&mut mem),
+            live_entries_per_word(&st, &mut old)
+        );
+        assert_eq!(mem.stats(), old.stats());
+        assert_eq!(mem.dirty_line_info(), old.dirty_line_info());
+        assert!(mem.stats().ecc_detected_errors > 0, "faults were rolled");
     }
 
     #[test]

@@ -129,6 +129,17 @@ struct LineMeta {
     dirty: bool,
 }
 
+/// Where the line a [`WriteBackCache::read`] touched sits, so that further
+/// reads in the same line can skip the lookup ([`WriteBackCache::reread`]).
+/// Valid only until the next access of any kind.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resident {
+    base: u64,
+    set: usize,
+    way: usize,
+    slot: u32,
+}
+
 /// A read-only look at one resident line.
 pub(crate) struct LineView<'a> {
     /// Line-aligned base byte address of the cached region.
@@ -291,7 +302,7 @@ impl WriteBackCache {
     /// Fills from `backing` on a miss (the fill is counted as an NVM read;
     /// the fault model may surface a media error on it, which is why the
     /// backing store is mutable here). The read must not cross a line
-    /// boundary.
+    /// boundary. Returns where the line now sits, for [`Self::reread`].
     #[inline(always)]
     pub(crate) fn read(
         &mut self,
@@ -300,7 +311,7 @@ impl WriteBackCache {
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
-    ) {
+    ) -> Resident {
         let base = self.line_base(addr);
         debug_assert!(
             self.line_base(addr + buf.len() as u64 - 1) == base,
@@ -308,15 +319,56 @@ impl WriteBackCache {
             buf.len()
         );
         self.tick += 1;
-        let slot = match self.locate(base) {
-            Some(at) => {
-                stats.cache_hits += 1;
-                self.touch(base, at, false)
-            }
+        let (at, slot) = match self.locate(base) {
+            Some(at) => (at, self.read_hit(base, at, stats)),
             None => self.read_miss(base, backing, stats, faults),
         };
         let start = self.slot_start(slot) + (addr - base) as usize;
         buf.copy_from_slice(&self.arena[start..start + buf.len()]);
+        Resident {
+            base,
+            set: at.0,
+            way: at.1,
+            slot,
+        }
+    }
+
+    /// Reads `buf.len()` bytes at byte `offset` of the line `at` that the
+    /// previous access returned, booking exactly the hit [`Self::read`]
+    /// would (tick, LRU stamp, hint, `cache_hits`) without the lookup.
+    /// Nothing may have accessed the cache since `at` was returned, and the
+    /// read must lie inside the line.
+    #[inline(always)]
+    pub(crate) fn reread(
+        &mut self,
+        at: Resident,
+        offset: usize,
+        buf: &mut [u8],
+        stats: &mut NvmStats,
+    ) {
+        debug_assert!(
+            offset + buf.len() <= self.line_size,
+            "reread crosses a line boundary"
+        );
+        debug_assert!(
+            self.sets[at.set]
+                .get(at.way)
+                .is_some_and(|l| l.base == at.base && l.slot == at.slot),
+            "reread of a line that moved"
+        );
+        self.tick += 1;
+        self.read_hit(at.base, (at.set, at.way), stats);
+        let start = self.slot_start(at.slot) + offset;
+        buf.copy_from_slice(&self.arena[start..start + buf.len()]);
+    }
+
+    /// Books a read hit on the line at `(set, way)`, the current tick
+    /// already advanced: the one hit path of [`Self::read`] and
+    /// [`Self::reread`]. Returns the line's arena slot.
+    #[inline(always)]
+    fn read_hit(&mut self, base: u64, at: (usize, usize), stats: &mut NvmStats) -> u32 {
+        stats.cache_hits += 1;
+        self.touch(base, at, false)
     }
 
     /// Writes `buf` starting at `addr` through the cache (write-allocate).
@@ -348,7 +400,7 @@ impl WriteBackCache {
                 stats.cache_hits += 1;
                 self.touch(base, at, true)
             }
-            None => self.write_miss(base, backing, stats, faults),
+            None => self.write_miss(base, backing, stats, faults).1,
         };
         if let Some(w) = writer {
             self.writers[slot as usize].insert(w);
@@ -368,7 +420,7 @@ impl WriteBackCache {
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
-    ) -> u32 {
+    ) -> ((usize, usize), u32) {
         stats.cache_misses += 1;
         let set = self.set_index(base);
         let ways = &self.sets[set];
@@ -391,7 +443,7 @@ impl WriteBackCache {
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
-    ) -> u32 {
+    ) -> ((usize, usize), u32) {
         stats.cache_misses += 1;
         let set = self.set_index(base);
         self.evict_if_full(set, backing, stats, faults);
@@ -399,7 +451,8 @@ impl WriteBackCache {
     }
 
     /// Appends the line at `base` to `set`, filled from the durable bytes,
-    /// which see the fault model first. Returns its arena slot.
+    /// which see the fault model first. Returns its `(set, way)` and arena
+    /// slot.
     fn fill(
         &mut self,
         set: usize,
@@ -408,7 +461,7 @@ impl WriteBackCache {
         backing: &mut [u8],
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
-    ) -> u32 {
+    ) -> ((usize, usize), u32) {
         let b = base as usize;
         debug_assert!(
             b + self.line_size <= backing.len(),
@@ -442,7 +495,7 @@ impl WriteBackCache {
         self.resident += 1;
         self.dirty += usize::from(dirty);
         self.remember(base, set, way);
-        slot
+        ((set, way), slot)
     }
 
     /// Drops a line without write-back; the set's last line takes its way.

@@ -12,6 +12,15 @@
 //! (for the paper's write-amplification study, §VII-3), and charges latency
 //! and bandwidth numbers that the GPU simulator folds into its timing model.
 //!
+//! # Host runs
+//!
+//! Host-side readers (audits, verifiers, downloads) that walk an array use
+//! [`PersistMemory::scan_u64`] / [`PersistMemory::scan_u32`] rather than a
+//! loop of typed reads. A run books exactly what that loop would — every
+//! [`NvmStats`] counter, the LRU order, every fill and fault roll — but
+//! only the first word in each cache line pays for the bounds check, the
+//! quarantine remap and the cache lookup.
+//!
 //! # Quick example
 //!
 //! ```
@@ -41,6 +50,8 @@ mod cache_reference;
 mod config;
 mod fault;
 mod memory;
+#[cfg(test)]
+mod scan_props;
 mod stats;
 
 pub use alloc::{Addr, BumpAllocator};

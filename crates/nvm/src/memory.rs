@@ -2,11 +2,10 @@
 //! write-back cache + allocator + statistics.
 
 use crate::alloc::{Addr, BumpAllocator};
-use crate::cache::WriteBackCache;
+use crate::cache::{Resident, WriteBackCache};
 use crate::config::NvmConfig;
 use crate::fault::{DeviceFaults, FaultConfig, FlushOutcome};
 use crate::stats::NvmStats;
-use std::collections::BTreeMap;
 
 /// An armed power-failure trigger. Checked after every store operation.
 #[derive(Debug, Clone, Copy)]
@@ -110,11 +109,13 @@ pub struct PersistMemory {
     writer: Option<u64>,
     dropped_stores: u64,
     faults: DeviceFaults,
-    /// Quarantine remap: logical line base → physical line base. Lines the
-    /// runtime retired via [`Self::quarantine_line`] are transparently
-    /// redirected; an empty map (the normal case) costs one `is_empty`
-    /// check per access chunk.
-    remap: BTreeMap<u64, u64>,
+    /// Quarantine remap, indexed by logical line number: the physical base
+    /// of the line's replacement, or 0 for identity (no allocation sits at
+    /// address 0). Lines the runtime retired via [`Self::quarantine_line`]
+    /// are transparently redirected. The table only reaches the highest
+    /// retired line, so it is empty in the normal case; once it is not,
+    /// translating is one bounds-checked load.
+    remap: Vec<u64>,
 }
 
 impl PersistMemory {
@@ -135,7 +136,7 @@ impl PersistMemory {
             writer: None,
             dropped_stores: 0,
             faults: DeviceFaults::off(),
-            remap: BTreeMap::new(),
+            remap: Vec::new(),
         })
     }
 
@@ -234,23 +235,17 @@ impl PersistMemory {
     /// Translates a (logical) device address through the quarantine remap.
     /// Identity unless the address' line has been retired; remap targets
     /// are fresh allocations, so chains cannot form and one hop suffices.
+    /// The `is_empty` test keeps the normal case (nothing quarantined) to
+    /// one compare per access.
     #[inline]
     fn translate(&self, a: u64) -> u64 {
         if self.remap.is_empty() {
             return a;
         }
-        self.translate_remapped(a)
-    }
-
-    /// [`Self::translate`] once any line has been quarantined; out of line
-    /// so the inlined accessors carry only the `is_empty` test.
-    #[inline(never)]
-    fn translate_remapped(&self, a: u64) -> u64 {
         let line = self.cfg.line_size as u64;
-        let base = a & !(line - 1);
-        match self.remap.get(&base) {
-            Some(&phys) => phys + (a - base),
-            None => a,
+        match self.remap.get((a >> line.trailing_zeros()) as usize) {
+            Some(&phys) if phys != 0 => phys + (a & (line - 1)),
+            _ => a,
         }
     }
 
@@ -261,20 +256,111 @@ impl PersistMemory {
     /// a one-line hit path whose copy is a single move.
     #[inline(always)]
     pub fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
+        self.read_line(addr, buf);
+    }
+
+    /// [`Self::read_bytes`], returning where the line of a one-line access
+    /// now sits (`None` for an access split across lines).
+    #[inline(always)]
+    fn read_line(&mut self, addr: Addr, buf: &mut [u8]) -> Option<Resident> {
         self.check(addr, buf.len());
         self.stats.load_ops += 1;
         if self.in_one_line(addr.raw(), buf.len()) {
             let phys = self.translate(addr.raw());
-            self.cache.read(
+            Some(self.cache.read(
                 phys,
                 buf,
                 &mut self.backing,
                 &mut self.stats,
                 &mut self.faults,
-            );
+            ))
         } else {
             self.read_split(addr, buf);
+            None
         }
+    }
+
+    /// Reads the `count` words at `addr`, `addr + stride`, … in order,
+    /// handing each to `f` until `f` returns `false`, and returns how many
+    /// words were read. Access for access this is the loop of
+    /// [`Self::read_u64`] calls it replaces — the same [`NvmStats`], LRU
+    /// order, fills and fault rolls — but only the first word in each line
+    /// pays the bounds check, the remap and the cache lookup; the words
+    /// after it in the same line book their hit and copy from the cache.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nvm::{NvmConfig, PersistMemory};
+    /// let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
+    /// let a = mem.alloc(8 * 8, 8);
+    /// for i in 0..8 {
+    ///     mem.write_u64(a.index(i, 8), i * 10);
+    /// }
+    /// let mut seen = Vec::new();
+    /// let read = mem.scan_u64(a, 8, 8, |w| {
+    ///     seen.push(w);
+    ///     w < 30
+    /// });
+    /// assert_eq!((read, seen), (4, vec![0, 10, 20, 30]));
+    /// ```
+    pub fn scan_u64(
+        &mut self,
+        addr: Addr,
+        stride: u64,
+        count: u64,
+        mut f: impl FnMut(u64) -> bool,
+    ) -> u64 {
+        self.scan(addr, stride, count, |w| f(u64::from_le_bytes(w)))
+    }
+
+    /// [`Self::scan_u64`] for 4-byte words: `u32`s, or `f32`s through
+    /// [`f32::from_bits`].
+    pub fn scan_u32(
+        &mut self,
+        addr: Addr,
+        stride: u64,
+        count: u64,
+        mut f: impl FnMut(u32) -> bool,
+    ) -> u64 {
+        self.scan(addr, stride, count, |w| f(u32::from_le_bytes(w)))
+    }
+
+    /// The run loop of [`Self::scan_u64`] for `N`-byte words.
+    #[inline(always)]
+    fn scan<const N: usize>(
+        &mut self,
+        addr: Addr,
+        stride: u64,
+        count: u64,
+        mut f: impl FnMut([u8; N]) -> bool,
+    ) -> u64 {
+        let line = self.cfg.line_size as u64;
+        // The logical line the previous word was read from, if it was a
+        // one-line access, and where that line sits in the cache. The
+        // backing store grows in whole lines, so every word inside a line
+        // whose first word passed the bounds check is in bounds too.
+        let mut open: Option<(u64, Resident)> = None;
+        for i in 0..count {
+            let a = addr.raw() + i * stride;
+            let mut word = [0u8; N];
+            match open {
+                Some((base, at)) if a & !(line - 1) == base && self.in_one_line(a, N) => {
+                    self.stats.load_ops += 1;
+                    self.cache
+                        .reread(at, (a - base) as usize, &mut word, &mut self.stats);
+                }
+                _ => {
+                    open = self
+                        .read_line(Addr::new(a), &mut word)
+                        .map(|at| (a & !(line - 1), at));
+                }
+            }
+            if !f(word) {
+                return i + 1;
+            }
+        }
+        count
     }
 
     /// The general case of [`Self::read_bytes`]: one cache access per line
@@ -594,14 +680,13 @@ impl PersistMemory {
         let line = self.cfg.line_size;
         let base = base & !(line as u64 - 1);
         // `base` may itself already be a remap target; resolve the logical
-        // key so the map stays single-hop (targets are fresh allocations,
-        // never logical keys, so chains cannot form).
-        let logical = self
-            .remap
-            .iter()
-            .find(|&(_, &v)| v == base)
-            .map(|(&k, _)| k)
-            .unwrap_or(base);
+        // line so the table stays single-hop (targets are fresh
+        // allocations, never logical lines, so chains cannot form). Identity
+        // entries are 0, which no target is.
+        let logical = match self.remap.iter().position(|&p| p == base && p != 0) {
+            Some(l) => l as u64 * line as u64,
+            None => base,
+        };
         let phys = self.translate(logical);
         let snapshot: Vec<u8> = match self.cache.line_view(phys) {
             Some(l) => l.data.to_vec(),
@@ -614,7 +699,11 @@ impl PersistMemory {
         let new = self.alloc(line as u64, line as u64);
         let nb = new.raw() as usize;
         self.backing[nb..nb + line].copy_from_slice(&snapshot);
-        self.remap.insert(logical, new.raw());
+        let slot = (logical / line as u64) as usize;
+        if slot >= self.remap.len() {
+            self.remap.resize(slot + 1, 0);
+        }
+        self.remap[slot] = new.raw();
         self.stats.nvm_writes += 1;
         self.stats.nvm_write_bytes += line as u64;
         self.stats.quarantined_lines += 1;
@@ -1032,6 +1121,50 @@ mod tests {
         assert_eq!(m.read_u64(a), 7);
         assert_eq!(m.read_durable_u64(a), 7);
         assert_eq!(m.stats().quarantined_lines, 2);
+    }
+
+    #[test]
+    fn clones_with_remaps_translate_independently() {
+        let mut m = mem(); // 32-byte lines
+        let a = m.alloc(32 * 4, 32);
+        for i in 0..4 {
+            m.write_u64(a.offset(i * 32), 10 + i);
+        }
+        m.flush_all();
+        let first = m.quarantine_line(a.raw());
+        let mut c = m.clone();
+        // Each copy retires a different further line, and the original
+        // retires line 0 once more.
+        let mine = m.quarantine_line(a.raw() + 32);
+        let again = m.quarantine_line(first.raw());
+        let theirs = c.quarantine_line(a.raw() + 64);
+        assert_eq!(
+            mine.raw(),
+            theirs.raw(),
+            "same allocator state, same target"
+        );
+        m.write_u64(a.offset(32), 111);
+        c.write_u64(a.offset(64), 222);
+        c.write_u64(a, 200);
+        for (mem, vals) in [(&mut m, [10, 111, 12, 13]), (&mut c, [200, 11, 222, 13])] {
+            for i in 0..4 {
+                assert_eq!(mem.read_u64(a.offset(i * 32)), vals[i as usize]);
+            }
+            mem.flush_all();
+            mem.crash();
+            for i in 0..4 {
+                assert_eq!(mem.read_durable_u64(a.offset(i * 32)), vals[i as usize]);
+            }
+        }
+        assert_eq!(m.stats().quarantined_lines, 3);
+        assert_eq!(c.stats().quarantined_lines, 2);
+        // The original's line 0 moved on; the clone's stayed where the
+        // shared first move put it.
+        assert_ne!(again.raw(), first.raw());
+        assert_eq!(c.translate(a.raw()), first.raw());
+        assert_eq!(m.translate(a.raw()), again.raw());
+        assert_eq!(m.translate(a.raw() + 64), a.raw() + 64);
+        assert_eq!(c.translate(a.raw() + 32), a.raw() + 32);
     }
 
     #[test]

@@ -63,6 +63,11 @@ pub fn reduction_steps() -> u32 {
 /// lanes. `op` must be associative and commutative — the same requirement LP
 /// places on its checksums.
 ///
+/// The butterfly folds in place on a stack copy of the lanes and allocates
+/// nothing: within a step, lanes are visited in ascending order, so lane
+/// `i + offset` still holds its pre-step value when lane `i` reads it —
+/// exactly what [`shfl_down`] would deliver.
+///
 /// # Panics
 ///
 /// Panics if `lanes` is empty or longer than [`WARP_SIZE`].
@@ -79,16 +84,15 @@ pub fn warp_reduce(lanes: &[u64], op: impl Fn(u64, u64) -> u64) -> u64 {
         !lanes.is_empty() && lanes.len() <= WARP_SIZE,
         "invalid warp width"
     );
-    let mut vals = lanes.to_vec();
+    let n = lanes.len();
+    let mut vals = [0u64; WARP_SIZE];
+    vals[..n].copy_from_slice(lanes);
     let mut offset = WARP_SIZE / 2;
     while offset > 0 {
-        let shifted = shfl_down(&vals, offset);
-        for (i, v) in vals.iter_mut().enumerate() {
-            // Lanes whose partner is out of the active width contribute
-            // nothing (CUDA masks them off).
-            if i + offset < lanes.len() {
-                *v = op(*v, shifted[i]);
-            }
+        // Lanes whose partner is out of the active width contribute
+        // nothing (CUDA masks them off).
+        for i in 0..n.saturating_sub(offset) {
+            vals[i] = op(vals[i], vals[i + offset]);
         }
         offset /= 2;
     }
@@ -124,6 +128,45 @@ mod tests {
         let once = shfl_xor(&lanes, 5);
         let twice = shfl_xor(&once, 5);
         assert_eq!(twice, lanes);
+    }
+
+    /// [`warp_reduce`] as it was built before the in-place fold: every
+    /// step materialises the `shfl_down` result. The reference that pins
+    /// the fold's combination order.
+    fn warp_reduce_via_shfl_down(lanes: &[u64], op: impl Fn(u64, u64) -> u64) -> u64 {
+        let mut vals = lanes.to_vec();
+        let mut offset = WARP_SIZE / 2;
+        while offset > 0 {
+            let shifted = shfl_down(&vals, offset);
+            for (i, v) in vals.iter_mut().enumerate() {
+                if i + offset < lanes.len() {
+                    *v = op(*v, shifted[i]);
+                }
+            }
+            offset /= 2;
+        }
+        vals[0]
+    }
+
+    #[test]
+    fn in_place_fold_keeps_the_shfl_down_combination_order() {
+        // Neither commutative nor associative: equal results mean every
+        // lane met the same partner in the same step and argument order.
+        let op = |a: u64, b: u64| {
+            (a ^ b.rotate_left(17))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(a)
+        };
+        for width in 1..=WARP_SIZE {
+            let lanes: Vec<u64> = (0..width as u64)
+                .map(|i| (i + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ (i << 40))
+                .collect();
+            assert_eq!(
+                warp_reduce(&lanes, op),
+                warp_reduce_via_shfl_down(&lanes, op),
+                "width {width}"
+            );
+        }
     }
 
     #[test]
