@@ -373,6 +373,33 @@ mod tests {
     }
 
     #[test]
+    fn thresholds_hold_at_their_edges() {
+        use PolicyMode::{Checkpoint, Eager, Epoch, Lp};
+        let ecc = |events: u64| RegionSignals {
+            ecc_detected_errors: events,
+            ..RegionSignals::default()
+        };
+        // (window, floor after it, proposal) for a fresh reactive engine.
+        let cases = [
+            (refusing(199), Lp, None),
+            (refusing(200), Epoch, Some(Epoch)),
+            (refusing(999), Epoch, Some(Epoch)),
+            (refusing(1_000), Eager, Some(Eager)),
+            (refusing(2_499), Eager, Some(Eager)),
+            (refusing(2_500), Checkpoint, Some(Checkpoint)),
+            (ecc(3), Lp, None),
+            (ecc(4), Epoch, Some(Epoch)),
+            (crashy(35), Lp, None),
+            (crashy(36), Lp, Some(Epoch)),
+        ];
+        for (i, (window, floor, proposal)) in cases.iter().enumerate() {
+            let mut e = PolicyEngine::new(1, PolicyConfig::reactive());
+            assert_eq!(e.observe(0, window), *proposal, "case {i}");
+            assert_eq!(e.floor(), *floor, "case {i}");
+        }
+    }
+
+    #[test]
     fn refused_switch_stays_pending_and_fires_again() {
         let mut e = PolicyEngine::new(1, PolicyConfig::default());
         assert_eq!(e.observe(0, &crashy(80)), None);
