@@ -37,9 +37,6 @@ const VALIDATE_NS_PER_IMAGE: u64 = 4;
 /// Fixed modelled reboot cost (device bring-up + manifest load), ns.
 pub(crate) const REBOOT_NS: u64 = 2_000;
 
-/// Re-entrant recovery attempts per rolled-forward step.
-const MAX_RESTORE_ATTEMPTS: u32 = 8;
-
 /// Whole-cache drain attempts before the refusing lines are quarantined.
 const DRAIN_RETRIES: u32 = 8;
 
@@ -283,12 +280,8 @@ impl<P: Protocol> RecoverableApp for Service<P> {
         // and reads what step e-1's recovery just made durable.
         for e in committed + 1..=started {
             let k = self.app.kernel(e, cursors);
-            let outcome = ResilientRecovery::new(gpu).recover_reentrant(
-                &k,
-                self.app.runtime(e),
-                mem,
-                MAX_RESTORE_ATTEMPTS,
-            );
+            let outcome =
+                ResilientRecovery::new(gpu).recover_reentrant(&k, self.app.runtime(e), mem);
             rep.rolled_forward = true;
             rep.attempts = rep.attempts.max(outcome.attempts);
             rep.interruptions += outcome.interruptions;

@@ -63,8 +63,7 @@ pub use lp_policy::{
     SwitchEvent,
 };
 pub use recovery::{
-    Recoverable, ReentrantOutcome, RegionVerdict, ResilientConfig, ResilientRecovery,
-    ResilientReport,
+    Recoverable, ReentrantOutcome, RegionVerdict, ResilientRecovery, ResilientReport,
 };
 pub use reduce::ReduceStrategy;
 pub use region::{LpBlockSession, LpConfig, LpRuntime};

@@ -58,38 +58,26 @@ pub trait Recoverable: Kernel {
     fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64>;
 }
 
-/// Tuning knobs for [`ResilientRecovery`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResilientConfig {
-    /// Maximum validate / repair rounds before giving up on the remaining
-    /// regions (they are reported as [`RegionVerdict::RetriesExhausted`]).
-    pub max_rounds: u32,
-    /// Flush attempts per round (whole-cache) and per line (degraded mode)
-    /// before the offending lines are quarantined.
-    pub flush_retries: u32,
-    /// Modelled backoff before the first flush retry, in nanoseconds;
-    /// doubles per attempt.
-    pub backoff_base_ns: u64,
-    /// Validation failures a region tolerates before it is switched to
-    /// degraded (eager flush-per-store) re-execution.
-    pub degraded_after: u32,
-    /// ECC-corrected error events on one line before it is predictively
-    /// quarantined (the page-offlining policy real NVM firmware applies to
-    /// decaying media).
-    pub ce_quarantine_after: u32,
-}
-
-impl Default for ResilientConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 12,
-            flush_retries: 6,
-            backoff_base_ns: 200,
-            degraded_after: 2,
-            ce_quarantine_after: 2,
-        }
-    }
-}
+/// Validate / repair rounds before [`ResilientRecovery::recover`] gives up
+/// on the remaining regions (they are reported as
+/// [`RegionVerdict::RetriesExhausted`]).
+const MAX_ROUNDS: u32 = 12;
+/// Flush attempts per round (whole-cache) and per line (degraded mode)
+/// before the offending lines are quarantined.
+const FLUSH_RETRIES: u32 = 6;
+/// Modelled backoff before the first flush retry, in nanoseconds; doubles
+/// per attempt.
+const BACKOFF_BASE_NS: u64 = 200;
+/// Validation failures a region tolerates before it is switched to degraded
+/// (eager flush-per-store) re-execution.
+const DEGRADED_AFTER: u32 = 2;
+/// ECC-corrected error events on one line before it is predictively
+/// quarantined (the page-offlining policy real NVM firmware applies to
+/// decaying media).
+const CE_QUARANTINE_AFTER: u32 = 2;
+/// Recovery attempts [`ResilientRecovery::recover_reentrant`] makes before
+/// it reports a restoration that power failures keep interrupting.
+const MAX_REENTRANT_ATTEMPTS: u32 = 8;
 
 /// Per-region outcome of a resilient recovery run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -229,33 +217,17 @@ impl AccessObserver for StoreLineRecorder {
 #[derive(Debug)]
 pub struct ResilientRecovery<'g> {
     gpu: &'g Gpu,
-    cfg: ResilientConfig,
 }
 
 impl<'g> ResilientRecovery<'g> {
-    /// Creates a driver on `gpu` with the default configuration.
+    /// Creates a driver on `gpu`.
     pub fn new(gpu: &'g Gpu) -> Self {
-        Self {
-            gpu,
-            cfg: ResilientConfig::default(),
-        }
-    }
-
-    /// Creates a driver on `gpu` with an explicit configuration.
-    pub fn with_config(gpu: &'g Gpu, cfg: ResilientConfig) -> Self {
-        assert!(cfg.max_rounds > 0, "need at least one round");
-        assert!(cfg.flush_retries > 0, "need at least one flush attempt");
-        Self { gpu, cfg }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ResilientConfig {
-        &self.cfg
+        Self { gpu }
     }
 
     fn charge_backoff(&self, attempt: u32, report: &mut ResilientReport) {
         report.flush_retries += 1;
-        report.backoff_ns += self.cfg.backoff_base_ns << attempt.min(10);
+        report.backoff_ns += BACKOFF_BASE_NS << attempt.min(10);
     }
 
     /// Flushes the whole cache, retrying (with modelled backoff) while the
@@ -268,7 +240,7 @@ impl<'g> ResilientRecovery<'g> {
         report: &mut ResilientReport,
         quarantined_regions: &mut BTreeSet<u64>,
     ) {
-        for attempt in 0..self.cfg.flush_retries {
+        for attempt in 0..FLUSH_RETRIES {
             if mem.flush_all_result() == 0 || mem.power_failed() {
                 return;
             }
@@ -295,7 +267,7 @@ impl<'g> ResilientRecovery<'g> {
         for base in mem.take_ecc_log() {
             let seen = ce_counts.entry(base).or_insert(0);
             *seen += 1;
-            if *seen >= self.cfg.ce_quarantine_after {
+            if *seen >= CE_QUARANTINE_AFTER {
                 mem.quarantine_line(base);
                 report.quarantined_lines += 1;
                 ce_counts.remove(&base);
@@ -326,7 +298,7 @@ impl<'g> ResilientRecovery<'g> {
         report.degraded_reexecutions += 1;
         for base in rec.bases {
             let persisted =
-                lp_persist::drain_line_with_retry(mem, base, self.cfg.flush_retries, |attempt| {
+                lp_persist::drain_line_with_retry(mem, base, FLUSH_RETRIES, |attempt| {
                     self.charge_backoff(attempt, report)
                 });
             if !persisted {
@@ -362,7 +334,7 @@ impl<'g> ResilientRecovery<'g> {
         let mut quarantined_regions: BTreeSet<u64> = BTreeSet::new();
         let mut last_failed: Vec<u64> = Vec::new();
 
-        for round in 1..=self.cfg.max_rounds {
+        for round in 1..=MAX_ROUNDS {
             if mem.power_failed() {
                 // Double crash: abort immediately, report honestly. The
                 // caller restores power and runs recovery again.
@@ -387,7 +359,7 @@ impl<'g> ResilientRecovery<'g> {
                 report.all_durable = true;
                 break;
             }
-            if round == self.cfg.max_rounds {
+            if round == MAX_ROUNDS {
                 break;
             }
             for &b in &last_failed {
@@ -396,7 +368,7 @@ impl<'g> ResilientRecovery<'g> {
                 }
                 let fails = fail_counts.entry(b).or_insert(0);
                 *fails += 1;
-                let cost = if *fails > self.cfg.degraded_after {
+                let cost = if *fails > DEGRADED_AFTER {
                     self.degraded_reexecute(kernel, mem, b, &mut report, &mut quarantined_regions)
                 } else {
                     self.gpu.run_single_block(kernel, mem, b, None)
@@ -431,25 +403,23 @@ impl<'g> ResilientRecovery<'g> {
 
     /// Re-entrant recovery: runs [`recover`](Self::recover) repeatedly,
     /// restoring power whenever a crash strikes recovery itself, until the
-    /// state is fully durable or `max_attempts` runs out.
+    /// state is fully durable or eight attempts have run.
     ///
     /// [`recover`](Self::recover) aborts honestly on a mid-recovery power
     /// failure; this wrapper is the other half of that contract — it powers
     /// the machine back on and re-enters. Convergence is monotone: each
     /// aborted attempt left every completed repair round flushed, so the
     /// next attempt validates against strictly-no-worse durable state.
-    /// `max_attempts` only guards against a pathological device (e.g. a
+    /// The attempt cap only guards against a pathological device (e.g. a
     /// crash armed to fire on every attempt).
     pub fn recover_reentrant(
         &self,
         kernel: &dyn Recoverable,
         rt: &LpRuntime,
         mem: &mut PersistMemory,
-        max_attempts: u32,
     ) -> ReentrantOutcome {
-        assert!(max_attempts > 0, "need at least one attempt");
         let mut out = ReentrantOutcome::default();
-        for attempt in 1..=max_attempts {
+        for attempt in 1..=MAX_REENTRANT_ATTEMPTS {
             if mem.power_failed() {
                 mem.power_on();
             }
@@ -479,6 +449,7 @@ mod tests {
     use crate::region::{LpBlockSession, LpConfig};
     use nvm::{Addr, FaultConfig, NvmConfig};
     use simt::{BlockCtx, CrashPlan, DeviceConfig, LaunchConfig};
+    use std::cell::Cell;
 
     /// out[i] = (i % 97) * 0.5 as f32, LP-protected, one value per thread.
     struct FillLp<'rt> {
@@ -523,6 +494,46 @@ mod tests {
         }
     }
 
+    /// [`FillLp`] with a validation hook: `hook(mem, block, checksums)` sees
+    /// every recomputed checksum vector, so a test can make a region fail
+    /// validation or cut the power while recovery runs.
+    struct Hooked<'k, 'rt, F> {
+        inner: &'k FillLp<'rt>,
+        hook: F,
+    }
+
+    impl<F> Kernel for Hooked<'_, '_, F> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn config(&self) -> LaunchConfig {
+            self.inner.config()
+        }
+
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+            self.inner.run_block(ctx)
+        }
+    }
+
+    impl<F: Fn(&mut PersistMemory, u64, &mut Vec<u64>)> Recoverable for Hooked<'_, '_, F> {
+        fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+            let mut checksums = self.inner.recompute_block_checksums(mem, block);
+            (self.hook)(mem, block, &mut checksums);
+            checksums
+        }
+    }
+
+    /// A hook under which region `bad` fails its next `times` validations.
+    fn fails(bad: u64, times: &Cell<u32>) -> impl Fn(&mut PersistMemory, u64, &mut Vec<u64>) + '_ {
+        move |_, block, checksums| {
+            if block == bad && times.get() > 0 {
+                times.set(times.get() - 1);
+                checksums[0] ^= 1;
+            }
+        }
+    }
+
     /// Small cache: plenty of natural evictions, so a crash loses only a
     /// suffix-ish subset — the interesting LP regime.
     fn world(n: u64, faults: Option<FaultConfig>) -> (Gpu, PersistMemory, Addr) {
@@ -561,14 +572,13 @@ mod tests {
         n: u64,
         blocks: u64,
         faults: FaultConfig,
-        cfg: ResilientConfig,
     ) -> (ResilientReport, PersistMemory, Addr, u64) {
         let (gpu, mut mem, out) = world(n, Some(faults));
         let rt = LpRuntime::setup(&mut mem, blocks, 64, LpConfig::recommended());
         let k = FillLp { out, n, rt: &rt };
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
-        let report = ResilientRecovery::with_config(&gpu, cfg).recover(&k, &rt, &mut mem);
+        let report = ResilientRecovery::new(&gpu).recover(&k, &rt, &mut mem);
         (report, mem, out, n)
     }
 
@@ -799,7 +809,6 @@ mod tests {
             2048,
             32,
             FaultConfig::torn(11, 2_000), // 20% of write-backs tear
-            ResilientConfig::default(),
         );
         assert!(report.all_durable, "must converge: {report:?}");
         assert!(
@@ -817,7 +826,6 @@ mod tests {
             2048,
             32,
             FaultConfig::transient(13, 2_000), // 20% persist fails, 5% stuck
-            ResilientConfig::default(),
         );
         assert!(report.all_durable, "must converge: {report:?}");
         assert_eq!(report.persist_debt, 0);
@@ -839,7 +847,6 @@ mod tests {
                 stuck_line_bp: 1_000, // 10% of lines refuse every persist
                 ..FaultConfig::none(17)
             },
-            ResilientConfig::default(),
         );
         assert!(report.all_durable, "must converge: {report:?}");
         assert!(
@@ -863,16 +870,18 @@ mod tests {
         };
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
-        // Every fill from now on reports a corrected media error; with the
-        // threshold at one event, the validation scrub retires each line it
-        // touches on first contact.
+        // Every fill from now on reports a corrected media error. Region 3
+        // fails its first validation, so a second round re-validates every
+        // region: that scrub is each line's second CE, which retires it.
         mem.set_fault_config(Some(FaultConfig::media(5, 10_000, 0)));
-        let cfg = ResilientConfig {
-            ce_quarantine_after: 1,
-            ..ResilientConfig::default()
+        let once = Cell::new(1);
+        let hooked = Hooked {
+            inner: &k,
+            hook: fails(3, &once),
         };
-        let report = ResilientRecovery::with_config(&gpu, cfg).recover(&k, &rt, &mut mem);
+        let report = ResilientRecovery::new(&gpu).recover(&hooked, &rt, &mut mem);
         assert!(report.all_durable, "CEs corrupt nothing: {report:?}");
+        assert_eq!(report.rounds, 2, "{report:?}");
         assert!(
             report.quarantined_lines > 0,
             "repeat CE offenders must be retired: {report:?}"
@@ -911,43 +920,90 @@ mod tests {
 
     #[test]
     fn degraded_mode_flushes_per_store() {
-        let cfg = ResilientConfig {
-            degraded_after: 0, // degrade on the first failure
-            ..ResilientConfig::default()
+        let (gpu, mut mem, out) = world(1024, None);
+        let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
+        let k = FillLp {
+            out,
+            n: 1024,
+            rt: &rt,
         };
-        let (report, mut mem, out, n) =
-            run_and_recover(1024, 16, FaultConfig::torn(29, 1_500), cfg);
+        gpu.launch(&k, &mut mem).unwrap();
+        mem.flush_all();
+        // Region 5 fails three validations: two plain repairs, then its
+        // third failure routes the repair through degraded mode.
+        let thrice = Cell::new(3);
+        let hooked = Hooked {
+            inner: &k,
+            hook: fails(5, &thrice),
+        };
+        let report = ResilientRecovery::new(&gpu).recover(&hooked, &rt, &mut mem);
         assert!(report.all_durable, "must converge: {report:?}");
-        assert!(
-            report.degraded_reexecutions > 0,
-            "degraded_after=0 must route every repair through degraded mode"
-        );
-        assert_eq!(report.degraded_reexecutions, report.reexecutions);
-        mem.set_fault_config(None);
+        assert_eq!(report.rounds, 4, "{report:?}");
+        assert_eq!(report.reexecutions, 3, "{report:?}");
+        assert_eq!(report.degraded_reexecutions, 1, "{report:?}");
+        assert_eq!(report.verdict_of(5), RegionVerdict::Recovered);
         mem.crash();
-        verify_output(&mut mem, out, n);
+        verify_output(&mut mem, out, 1024);
     }
 
     #[test]
     fn round_budget_exhaustion_reports_honestly() {
-        let cfg = ResilientConfig {
-            max_rounds: 1, // validate once, never repair
-            ..ResilientConfig::default()
+        let (gpu, mut mem, out) = world(1024, None);
+        let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
+        let k = FillLp {
+            out,
+            n: 1024,
+            rt: &rt,
         };
-        let (report, _mem, _out, _n) = run_and_recover(2048, 32, FaultConfig::torn(31, 3_000), cfg);
+        gpu.launch(&k, &mut mem).unwrap();
+        mem.flush_all();
+        // Region 5 never validates: rounds 1-11 repair it, degraded from
+        // its third failure on, and round 12 ends the budget.
+        let always = Cell::new(u32::MAX);
+        let hooked = Hooked {
+            inner: &k,
+            hook: fails(5, &always),
+        };
+        let report = ResilientRecovery::new(&gpu).recover(&hooked, &rt, &mut mem);
         assert!(!report.all_durable);
-        assert!(
-            !report.exhausted_regions.is_empty() || report.persist_debt > 0,
-            "honesty invariant violated: {report:?}"
-        );
-        let r = report.exhausted_regions[0];
-        assert_eq!(report.verdict_of(r), RegionVerdict::RetriesExhausted);
+        assert_eq!(report.rounds, 12, "{report:?}");
+        assert_eq!(report.reexecutions, 11, "{report:?}");
+        assert_eq!(report.degraded_reexecutions, 9, "{report:?}");
+        assert_eq!(report.persist_debt, 0, "{report:?}");
+        assert_eq!(report.exhausted_regions, vec![5], "{report:?}");
+        assert_eq!(report.verdict_of(5), RegionVerdict::RetriesExhausted);
+        assert_eq!(report.verdict_of(4), RegionVerdict::Recovered);
         assert_eq!(
             report.recovered_regions
                 + report.exhausted_regions.len() as u64
                 + report.quarantined_regions.len() as u64,
             report.regions
         );
+    }
+
+    #[test]
+    fn reentrant_recovery_gives_up_after_eight_interrupted_attempts() {
+        let (gpu, mut mem, out) = world(1024, None);
+        let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
+        let k = FillLp {
+            out,
+            n: 1024,
+            rt: &rt,
+        };
+        crash_after(&gpu, &k, &mut mem, 300);
+        // Every validation re-arms a power cut at the next store, so each
+        // attempt's first repair store powers the memory off.
+        let hooked = Hooked {
+            inner: &k,
+            hook: |mem: &mut PersistMemory, _: u64, _: &mut Vec<u64>| {
+                mem.arm_crash_after_evictions(0)
+            },
+        };
+        let outcome = ResilientRecovery::new(&gpu).recover_reentrant(&hooked, &rt, &mut mem);
+        assert_eq!(outcome.attempts, 8, "{outcome:?}");
+        assert_eq!(outcome.interruptions, 8, "{outcome:?}");
+        assert!(!outcome.is_success(), "{outcome:?}");
+        assert!(mem.power_failed());
     }
 
     #[test]
@@ -962,7 +1018,7 @@ mod tests {
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
         mem.arm_crash_after_evictions(2);
-        let outcome = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem, 8);
+        let outcome = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
         mem.disarm_crash();
         assert!(outcome.is_success(), "{outcome:?}");
         assert_eq!(outcome.interruptions, 1, "{outcome:?}");
@@ -987,7 +1043,7 @@ mod tests {
         };
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
-        let outcome = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem, 8);
+        let outcome = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
         assert!(outcome.is_success(), "{outcome:?}");
         assert_eq!(outcome.attempts, 1);
         assert_eq!(outcome.interruptions, 0);

@@ -18,7 +18,8 @@
 use crate::checksum::ChecksumSet;
 use nvm::Addr;
 use serde::{Deserialize, Serialize};
-use simt::{warp, BlockCtx};
+use simt::warp::{self, WARP_SIZE};
+use simt::BlockCtx;
 
 /// How a block combines its per-thread checksum accumulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,17 +85,16 @@ fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64],
     );
     let threads = ctx.threads_per_block() as usize;
     let arity = set.arity();
-    let warp_size = ctx.device_config().warp_size as usize;
-    let warps = threads.div_ceil(warp_size);
+    let warps = threads.div_ceil(WARP_SIZE);
     let steps = warp::reduction_steps() as u64;
-    let mut lanes = [0u64; warp::WARP_SIZE];
+    let mut lanes = [0u64; WARP_SIZE];
 
     // Stage 1: every warp reduces its lanes register-to-register.
     // Shared staging area: one partial per (warp, checksum).
     let stage = ctx.shared_alloc(warps * arity);
     for w in 0..warps {
-        let lo = w * warp_size;
-        let hi = ((w + 1) * warp_size).min(threads);
+        let lo = w * WARP_SIZE;
+        let hi = ((w + 1) * WARP_SIZE).min(threads);
         let width = hi - lo;
         for (c, kind) in set.kinds().iter().enumerate() {
             for (lane, t) in lanes.iter_mut().zip(lo..hi) {
@@ -109,16 +109,16 @@ fn shuffle_reduce(ctx: &mut BlockCtx<'_>, set: &ChecksumSet, per_thread: &[u64],
     ctx.sync_threads();
 
     // Stage 2: warp 0 reduces the per-warp partials.
-    let width = warps.min(warp_size);
+    let width = warps.min(WARP_SIZE);
     for (c, kind) in set.kinds().iter().enumerate() {
         for (w, lane) in lanes[..width].iter_mut().enumerate() {
             *lane = ctx.shm_read(stage, w * arity + c);
         }
         let mut total = warp::warp_reduce(&lanes[..width], |a, b| kind.combine(a, b));
         ctx.charge_shuffle(steps, width as u64);
-        // Blocks wider than warp_size² don't exist on real hardware (max
+        // Blocks wider than WARP_SIZE² don't exist on real hardware (max
         // 1024 threads = 32 warps), but stay correct anyway:
-        for w in warp_size..warps {
+        for w in WARP_SIZE..warps {
             total = kind.combine(total, ctx.shm_read(stage, w * arity + c));
             ctx.charge_alu(1);
         }

@@ -380,7 +380,7 @@ impl LpRuntime {
 
     /// The current policy rung of region `key` (`None` for fixed-mode
     /// runtimes; the default rung for a key outside the launch).
-    pub fn policy_mode(&self, key: u64) -> Option<PolicyMode> {
+    fn policy_mode(&self, key: u64) -> Option<PolicyMode> {
         let a = self.adaptive.as_ref()?;
         Some(a.policy.borrow().engine.current(key).unwrap_or_default())
     }
@@ -411,7 +411,7 @@ impl LpRuntime {
     /// [`LpRuntime::failing_regions`] so every region is judged under the
     /// contract the journal proves it last switched to. A no-op for
     /// fixed-mode runtimes.
-    pub fn reload_policy(&self, mem: &PersistMemory) {
+    fn reload_policy(&self, mem: &PersistMemory) {
         let Some(a) = &self.adaptive else { return };
         let mut policy = a.policy.borrow_mut();
         let records = policy.journal.replay(mem);
@@ -425,7 +425,7 @@ impl LpRuntime {
     /// Returns the engine's proposed switch target once hysteresis is
     /// satisfied (`None` for fixed-mode runtimes, steady state, or a
     /// region outside the launch).
-    pub fn adaptive_observe(&self, region: u64, signals: &RegionSignals) -> Option<PolicyMode> {
+    fn adaptive_observe(&self, region: u64, signals: &RegionSignals) -> Option<PolicyMode> {
         let a = self.adaptive.as_ref()?;
         a.policy.borrow_mut().engine.observe(region, signals)
     }

@@ -119,7 +119,7 @@ proptest! {
         let (gpu, mut mem_a, rt_a, out_a) = crashed_world(seed, crash_after, 0);
         mem_a.power_on();
         let k_a = FillLp { out: out_a, rt: &rt_a };
-        let a = ResilientRecovery::new(&gpu).recover_reentrant(&k_a, &rt_a, &mut mem_a, 8);
+        let a = ResilientRecovery::new(&gpu).recover_reentrant(&k_a, &rt_a, &mut mem_a);
         prop_assert!(a.is_success(), "baseline must converge: {:?}", a.report);
         prop_assert_eq!(a.interruptions, 0);
 
@@ -129,7 +129,7 @@ proptest! {
         mem_b.power_on();
         mem_b.arm_crash_during_flush(interrupt_after);
         let k_b = FillLp { out: out_b, rt: &rt_b };
-        let b = ResilientRecovery::new(&gpu).recover_reentrant(&k_b, &rt_b, &mut mem_b, 8);
+        let b = ResilientRecovery::new(&gpu).recover_reentrant(&k_b, &rt_b, &mut mem_b);
         prop_assert!(b.is_success(), "re-entry must converge: {:?}", b.report);
 
         // Same verdict, same durable bytes, same recovered output.
@@ -155,7 +155,7 @@ proptest! {
             mem.power_on();
             mem.arm_crash_during_flush(interrupt_after);
             let k = FillLp { out, rt: &rt };
-            let o = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem, 8);
+            let o = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
             (o, durable_image(&mem, out))
         };
         let (o1, img1) = run();
@@ -181,7 +181,7 @@ proptest! {
         mem.power_on();
         mem.arm_crash_during_flush(interrupt_after);
         let k = FillLp { out, rt: &rt };
-        let o = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem, 8);
+        let o = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
         prop_assert!(o.is_success(), "faulty-device re-entry must converge: {:?}", o.report);
         // The durable image alone must hold the reference values: cut
         // power on a now-perfect device and read back.

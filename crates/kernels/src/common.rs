@@ -70,12 +70,6 @@ pub fn download_u32s(mem: &mut PersistMemory, base: Addr, n: u64) -> Vec<u32> {
     out
 }
 
-/// Zeroes `n` `f32`/`u32` (4-byte) elements at `base`.
-pub fn zero_words(mem: &mut PersistMemory, base: Addr, n: u64) {
-    let zeros = vec![0u8; (4 * n) as usize];
-    mem.write_bytes(base, &zeros);
-}
-
 /// Relative/absolute tolerant comparison for kernel-vs-reference floats.
 pub fn approx_eq(a: f32, b: f32, rel: f32) -> bool {
     let diff = (a - b).abs();
@@ -113,14 +107,6 @@ mod tests {
         let data = random_f32s(1, 100, -5.0, 5.0);
         let a = upload_f32s(&mut mem, &data);
         assert_eq!(download_f32s(&mut mem, a, 100), data);
-    }
-
-    #[test]
-    fn zero_words_clears() {
-        let mut mem = PersistMemory::new(NvmConfig::default());
-        let a = upload_u32s(&mut mem, &[1, 2, 3, 4]);
-        zero_words(&mut mem, a, 4);
-        assert_eq!(download_u32s(&mut mem, a, 4), vec![0; 4]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! in chunks.
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -87,8 +87,6 @@ impl Workload for Cutcp {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "CUTCP",
-            suite: "Parboil",
-            bottleneck: Bottleneck::InstThroughput,
             paper_blocks: 128,
         }
     }
@@ -117,10 +115,6 @@ impl Workload for Cutcp {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(CutcpKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.out, self.points() as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

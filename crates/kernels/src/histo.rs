@@ -10,7 +10,7 @@
 //! its partial exactly.
 
 use crate::common::{self, random_u32s};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Kernel, LaunchConfig};
@@ -73,8 +73,6 @@ impl Workload for Histo {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "HISTO",
-            suite: "Parboil",
-            bottleneck: Bottleneck::Bandwidth,
             paper_blocks: 42,
         }
     }
@@ -95,10 +93,6 @@ impl Workload for Histo {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(HistoKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.partials, self.blocks * BINS as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

@@ -2,7 +2,7 @@
 //! key-value store is staged, measured, crashed and recovered through the
 //! same path as the Table I kernels.
 
-use crate::workload::{Bottleneck, Workload, WorkloadInfo};
+use crate::workload::{Workload, WorkloadInfo};
 use gpu_lp::{LpRuntime, Recoverable};
 use megakv::app::OpKind;
 use megakv::kernels::OPS_PER_BLOCK;
@@ -57,8 +57,6 @@ impl Workload for KvBatch {
                 OpKind::Search => "MEGAKV-SEARCH",
                 OpKind::Delete => "MEGAKV-DELETE",
             },
-            suite: "MEGA-KV",
-            bottleneck: Bottleneck::Unknown,
             // §VII-4's 16 K-record batches, 256 operations per block.
             paper_blocks: match self.op {
                 OpKind::Insert | OpKind::Search => 64,
@@ -87,13 +85,6 @@ impl Workload for KvBatch {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         self.app().kernel(self.op, lp)
-    }
-
-    /// Zeroes the batch's result slots. Inserts and deletes update the
-    /// store in place and are idempotent, so they have nothing to reset.
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        let zeros = vec![0u8; 8 * self.ops() as usize];
-        mem.write_bytes(self.app().batch(self.op).out, &zeros);
     }
 
     fn payload_bytes(&self) -> u64 {

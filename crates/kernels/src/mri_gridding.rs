@@ -10,7 +10,7 @@
 //! Blocks are then independent and idempotent, as §IV-A requires.
 
 use crate::common::{self, rng};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -106,8 +106,6 @@ impl Workload for MriGridding {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "MRI-GRIDDING",
-            suite: "Parboil",
-            bottleneck: Bottleneck::InstThroughput,
             paper_blocks: 65_536,
         }
     }
@@ -153,10 +151,6 @@ impl Workload for MriGridding {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(GriddingKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.out, self.cells() as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

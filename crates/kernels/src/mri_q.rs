@@ -7,7 +7,7 @@
 //! classic Parboil structure).
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -100,8 +100,6 @@ impl Workload for MriQ {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "MRI-Q",
-            suite: "Parboil",
-            bottleneck: Bottleneck::InstThroughput,
             paper_blocks: 1_024,
         }
     }
@@ -139,11 +137,6 @@ impl Workload for MriQ {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(MriQKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.qr, self.voxels() as u64);
-        common::zero_words(mem, self.qi, self.voxels() as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

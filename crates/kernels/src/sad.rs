@@ -8,7 +8,7 @@
 //! macroblock and the reference frame at its candidate offset.
 
 use crate::common::{self, random_u32s};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Kernel, LaunchConfig};
@@ -106,8 +106,6 @@ impl Workload for Sad {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "SAD",
-            suite: "Parboil",
-            bottleneck: Bottleneck::Bandwidth,
             paper_blocks: 128_640,
         }
     }
@@ -131,10 +129,6 @@ impl Workload for Sad {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(SadKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.out, self.num_blocks() * THREADS as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

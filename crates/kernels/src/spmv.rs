@@ -3,7 +3,7 @@
 //! matches it exactly).
 
 use crate::common::{self, rng};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -73,8 +73,6 @@ impl Workload for Spmv {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "SPMV",
-            suite: "Parboil",
-            bottleneck: Bottleneck::Bandwidth,
             paper_blocks: 1_536,
         }
     }
@@ -113,10 +111,6 @@ impl Workload for Spmv {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(SpmvKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.y, self.rows as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

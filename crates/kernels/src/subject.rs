@@ -114,10 +114,9 @@ pub fn workload_by_name(name: &str, scale: Scale, seed: u64) -> Option<Box<dyn W
 }
 
 /// A fresh simulated machine: `dev` over a persistent memory whose cache
-/// has `cache_lines` lines in `associativity` ways (every other NVM
-/// parameter is the paper's). The cache geometry is the knob callers
-/// differ in: it decides how early natural evictions — LP's persistence
-/// mechanism — start.
+/// has `cache_lines` lines of the default 128 bytes in `associativity`
+/// ways. The cache geometry is the knob callers differ in: it decides how
+/// early natural evictions — LP's persistence mechanism — start.
 pub fn world(dev: DeviceConfig, cache_lines: usize, associativity: usize) -> (Gpu, PersistMemory) {
     let mem = PersistMemory::new(NvmConfig {
         cache_lines,

@@ -3,7 +3,7 @@
 //! paper scale.
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
@@ -87,8 +87,6 @@ impl Workload for Tmm {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "TMM",
-            suite: "tiled-mm",
-            bottleneck: Bottleneck::InstThroughput,
             paper_blocks: 16_384,
         }
     }
@@ -110,10 +108,6 @@ impl Workload for Tmm {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(TmmKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.c, (self.n * self.n) as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

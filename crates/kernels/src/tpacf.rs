@@ -7,7 +7,7 @@
 //! on the host — same privatisation argument as HISTO.
 
 use crate::common::{self, rng};
-use crate::workload::{Bottleneck, Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
@@ -77,8 +77,6 @@ impl Workload for Tpacf {
     fn info(&self) -> WorkloadInfo {
         WorkloadInfo {
             name: "TPACF",
-            suite: "Parboil",
-            bottleneck: Bottleneck::InstThroughput,
             paper_blocks: 512,
         }
     }
@@ -120,10 +118,6 @@ impl Workload for Tpacf {
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
         Box::new(TpacfKernel { w: self, lp })
-    }
-
-    fn reset_output(&self, mem: &mut PersistMemory) {
-        common::zero_words(mem, self.partials, self.blocks * BINS as u64);
     }
 
     fn payload_bytes(&self) -> u64 {

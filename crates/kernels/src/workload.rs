@@ -5,26 +5,11 @@ use nvm::PersistMemory;
 use serde::{Deserialize, Serialize};
 use simt::{Gpu, LaunchConfig};
 
-/// The performance bottleneck class of a benchmark (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Bottleneck {
-    /// Limited by instruction throughput.
-    InstThroughput,
-    /// Limited by memory bandwidth.
-    Bandwidth,
-    /// Not classified by the prior study.
-    Unknown,
-}
-
-/// Static facts about a benchmark (Table I + Table III's block counts).
+/// Static facts about a benchmark: its name and Table III's block count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadInfo {
     /// Benchmark name as used in the paper's tables.
     pub name: &'static str,
-    /// Originating suite.
-    pub suite: &'static str,
-    /// Bottleneck classification.
-    pub bottleneck: Bottleneck,
     /// Thread-block count reported in the paper's Table III.
     pub paper_blocks: u64,
 }
@@ -47,9 +32,8 @@ pub enum Scale {
 /// Lifecycle: `setup(&mut mem)` (once), `warm_up(&gpu, &mut mem)`, then any
 /// number of `kernel(lp)`-launches; `verify(&mut mem)` checks the device
 /// output against the CPU reference. [`crate::stage`] runs the first two
-/// and everything else a measured launch needs. Between repeated launches
-/// callers reset the output region with [`Workload::reset_output`] so runs
-/// are independent.
+/// and everything else a measured launch needs. A run that must start from
+/// a fresh output region stages a fresh instance.
 pub trait Workload {
     /// Static description.
     fn info(&self) -> WorkloadInfo;
@@ -75,9 +59,6 @@ pub trait Workload {
     /// [`gpu_lp::LpBlockSession`].
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a>;
 
-    /// Zeroes the output region (for back-to-back measurement runs).
-    fn reset_output(&self, mem: &mut PersistMemory);
-
     /// Bytes of persistent payload the kernel produces (the denominator of
     /// Table V's space-overhead column).
     fn payload_bytes(&self) -> u64;
@@ -94,8 +75,6 @@ mod tests {
     fn info_is_serialisable() {
         let info = WorkloadInfo {
             name: "TMM",
-            suite: "tiled-mm",
-            bottleneck: Bottleneck::InstThroughput,
             paper_blocks: 16384,
         };
         let s = serde_json::to_string(&info).unwrap();

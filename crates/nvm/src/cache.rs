@@ -756,7 +756,6 @@ mod tests {
             line_size: 16,
             cache_lines: 4,
             associativity: 2,
-            ..NvmConfig::default()
         };
         (
             WriteBackCache::new(&cfg),

@@ -569,7 +569,6 @@ mod tests {
             line_size: LINE as usize,
             cache_lines,
             associativity,
-            ..NvmConfig::default()
         };
         let mut new = Side::new(WriteBackCache::new(&cfg), faults);
         let mut old = Side::new(ReferenceCache::new(&cfg), faults);

@@ -4,16 +4,18 @@ use serde::{Deserialize, Serialize};
 
 /// Parameters of the persistent-memory model.
 ///
-/// Defaults follow the paper's GPGPU-sim NVM configuration (§VII-3):
-/// 326.4 GB/s of memory bandwidth, 160 ns read latency and 480 ns write
-/// latency, with a 6 MiB last-level cache in 128-byte lines (Volta-class).
+/// The default is a 6 MiB last-level cache in 128-byte lines, 16-way
+/// (Volta-class). The model is untimed: the paper's NVM timing (§VII-3)
+/// acts in the GPU simulator, through `simt::DeviceConfig::v100_nvm`'s
+/// 326.4 GB/s bandwidth and `simt::CostModel`'s 480 ns persist barrier and
+/// 160 ns epoch fence.
 ///
 /// # Examples
 ///
 /// ```
 /// let cfg = nvm::NvmConfig::default();
 /// assert_eq!(cfg.line_size, 128);
-/// assert!(cfg.write_latency_ns > cfg.read_latency_ns);
+/// assert_eq!(cfg.num_sets(), 3_072);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NvmConfig {
@@ -23,12 +25,6 @@ pub struct NvmConfig {
     pub cache_lines: usize,
     /// Set associativity of the cache. Must divide `cache_lines`.
     pub associativity: usize,
-    /// NVM read latency in nanoseconds (paper: 160 ns).
-    pub read_latency_ns: f64,
-    /// NVM write latency in nanoseconds (paper: 480 ns).
-    pub write_latency_ns: f64,
-    /// Sustained NVM bandwidth in GB/s (paper: 326.4 GB/s).
-    pub bandwidth_gbps: f64,
 }
 
 impl NvmConfig {
@@ -52,8 +48,8 @@ impl NvmConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated constraint
-    /// (line size not a power of two, associativity not dividing the line
-    /// count, or non-positive latency/bandwidth).
+    /// (line size not a power of two or below one word, zero geometry, or
+    /// associativity not dividing the line count).
     pub fn validate(&self) -> Result<(), String> {
         if !self.line_size.is_power_of_two() {
             return Err(format!(
@@ -76,12 +72,6 @@ impl NvmConfig {
                 self.associativity, self.cache_lines
             ));
         }
-        if self.read_latency_ns <= 0.0 || self.write_latency_ns <= 0.0 {
-            return Err("latencies must be positive".to_string());
-        }
-        if self.bandwidth_gbps <= 0.0 {
-            return Err("bandwidth must be positive".to_string());
-        }
         Ok(())
     }
 }
@@ -92,9 +82,6 @@ impl Default for NvmConfig {
             line_size: 128,
             cache_lines: 49_152, // 6 MiB / 128 B
             associativity: 16,
-            read_latency_ns: 160.0,
-            write_latency_ns: 480.0,
-            bandwidth_gbps: 326.4,
         }
     }
 }
@@ -107,14 +94,6 @@ mod tests {
     fn default_is_valid() {
         NvmConfig::default().validate().unwrap();
         NvmConfig::tiny_cache().validate().unwrap();
-    }
-
-    #[test]
-    fn default_matches_paper_parameters() {
-        let cfg = NvmConfig::default();
-        assert_eq!(cfg.read_latency_ns, 160.0);
-        assert_eq!(cfg.write_latency_ns, 480.0);
-        assert_eq!(cfg.bandwidth_gbps, 326.4);
     }
 
     #[test]
@@ -151,15 +130,6 @@ mod tests {
         let cfg = NvmConfig {
             cache_lines: 10,
             associativity: 3,
-            ..NvmConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_zero_bandwidth() {
-        let cfg = NvmConfig {
-            bandwidth_gbps: 0.0,
             ..NvmConfig::default()
         };
         assert!(cfg.validate().is_err());

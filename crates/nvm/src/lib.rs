@@ -8,9 +8,12 @@
 //! everything still sitting in the volatile cache.
 //!
 //! The model is deliberately architectural rather than cycle-accurate: it
-//! tracks *which bytes are durable*, *how many NVM reads/writes happened*
-//! (for the paper's write-amplification study, §VII-3), and charges latency
-//! and bandwidth numbers that the GPU simulator folds into its timing model.
+//! tracks *which bytes are durable* and *how many NVM reads/writes happened*
+//! (for the paper's write-amplification study, §VII-3), and charges no time.
+//! The paper's NVM timing acts in the GPU simulator's cost model instead:
+//! `simt::DeviceConfig::v100_nvm` lowers memory bandwidth to 326.4 GB/s, and
+//! `simt::CostModel::{persist_barrier_ns, epoch_fence_ns}` (480 / 160 ns)
+//! price the backends' persist barriers and epoch fences.
 //!
 //! # Host runs
 //!

@@ -777,7 +777,6 @@ mod tests {
             line_size: 32,
             cache_lines: 8,
             associativity: 2,
-            ..NvmConfig::default()
         })
     }
 
@@ -816,7 +815,6 @@ mod tests {
             line_size: 32,
             cache_lines: 4,
             associativity: 2,
-            ..NvmConfig::default()
         });
         let a = m.alloc(32 * 64, 32);
         for i in 0..64 {
@@ -892,7 +890,6 @@ mod tests {
             line_size: 32,
             cache_lines: 4,
             associativity: 2,
-            ..NvmConfig::default()
         })
     }
 

@@ -131,7 +131,6 @@ fn equivalent(geometry: usize, faults: Option<FaultConfig>, ops: &[(u8, u64, u64
         line_size: LINE as usize,
         cache_lines,
         associativity,
-        ..NvmConfig::default()
     });
     scan.set_fault_config(faults);
     let base = scan.alloc(SPACE_LINES * LINE, LINE);

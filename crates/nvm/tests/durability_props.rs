@@ -20,7 +20,6 @@ fn small_mem(fcfg: Option<FaultConfig>) -> PersistMemory {
         line_size: 32,
         cache_lines: 8,
         associativity: 2,
-        ..NvmConfig::default()
     });
     m.set_fault_config(fcfg);
     m

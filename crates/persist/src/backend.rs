@@ -198,9 +198,6 @@ pub trait BlockPersistSession: std::fmt::Debug + Send {
 /// crash may take. One backend serves a whole launch; per-block state lives
 /// in the [`BlockPersistSession`]s it creates.
 pub trait PersistencyBackend: std::fmt::Debug + Send + Sync {
-    /// Which model this is.
-    fn kind(&self) -> BackendKind;
-
     /// The durability contract crash oracles judge this model by.
     fn contract(&self) -> DurabilityContract;
 

@@ -61,10 +61,6 @@ impl EagerBackend {
 }
 
 impl PersistencyBackend for EagerBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Eager
-    }
-
     fn contract(&self) -> DurabilityContract {
         DurabilityContract::of(BackendKind::Eager)
     }

@@ -21,10 +21,6 @@ use std::collections::BTreeSet;
 pub struct EpochBackend;
 
 impl PersistencyBackend for EpochBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Epoch
-    }
-
     fn contract(&self) -> DurabilityContract {
         DurabilityContract::of(BackendKind::Epoch)
     }

@@ -69,10 +69,6 @@ pub use sbrp::{SbrpBackend, SbrpSession};
 pub struct LpChecksumBackend(BackendKind);
 
 impl PersistencyBackend for LpChecksumBackend {
-    fn kind(&self) -> BackendKind {
-        self.0
-    }
-
     fn contract(&self) -> DurabilityContract {
         DurabilityContract::of(self.0)
     }
@@ -129,7 +125,7 @@ mod tests {
     fn backend_for_covers_every_kind() {
         for kind in BackendKind::ALL {
             let b = backend_for(kind);
-            assert_eq!(b.kind(), kind);
+            assert_eq!(b.contract(), DurabilityContract::of(kind));
             assert_eq!(b.contract().kind, kind);
         }
     }

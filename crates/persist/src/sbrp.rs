@@ -25,10 +25,6 @@ const L2_ENTRIES: usize = 1024;
 pub struct SbrpBackend;
 
 impl PersistencyBackend for SbrpBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sbrp
-    }
-
     fn contract(&self) -> DurabilityContract {
         DurabilityContract::of(BackendKind::Sbrp)
     }

@@ -5,40 +5,33 @@ use crate::mode::PolicyMode;
 use crate::signals::RegionSignals;
 use serde::{Deserialize, Serialize};
 
+/// In a window that saw a crash, prefer an explicit mode once recovery cost
+/// exceeds this percentage of the window's execution time (LP's
+/// re-execution is no longer cheap).
+const CRASH_COST_PCT: u32 = 35;
+/// Persist-refusal rate (basis points) from which the fault floor rises to
+/// at least [`PolicyMode::Epoch`].
+const REFUSAL_EPOCH_BP: u32 = 200; // 2 %
+/// Refusal rate from which the floor rises to [`PolicyMode::Eager`].
+const REFUSAL_EAGER_BP: u32 = 1_000; // 10 %
+/// Refusal rate from which the floor rises to [`PolicyMode::Checkpoint`].
+const REFUSAL_CHECKPOINT_BP: u32 = 2_500; // 25 %
+/// ECC-corrected errors per window from which the floor rises to at least
+/// [`PolicyMode::Epoch`] (the media is decaying; stop trusting indefinite
+/// residency in the volatile window).
+const ECC_FLOOR_EVENTS: u64 = 4;
+
 /// Tunables for the policy engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyConfig {
     /// Consecutive observations that must agree on a new target before the
     /// engine proposes the switch (thrash damping).
     pub hysteresis: u32,
-    /// Crash pressure threshold: in a window that saw a crash, prefer an
-    /// explicit mode once recovery cost exceeds this percentage of the
-    /// window's execution time (LP's re-execution is no longer cheap).
-    pub crash_cost_pct: u32,
-    /// Persist-refusal rate (basis points) above which the fault floor
-    /// rises to at least [`PolicyMode::Epoch`].
-    pub refusal_epoch_bp: u32,
-    /// Refusal rate above which the floor rises to [`PolicyMode::Eager`].
-    pub refusal_eager_bp: u32,
-    /// Refusal rate above which the floor rises to
-    /// [`PolicyMode::Checkpoint`].
-    pub refusal_checkpoint_bp: u32,
-    /// ECC-corrected errors per window above which the floor rises to at
-    /// least [`PolicyMode::Epoch`] (the media is decaying; stop trusting
-    /// indefinite residency in the volatile window).
-    pub ecc_floor_events: u64,
 }
 
 impl Default for PolicyConfig {
     fn default() -> Self {
-        Self {
-            hysteresis: 2,
-            crash_cost_pct: 35,
-            refusal_epoch_bp: 200,        // 2 %
-            refusal_eager_bp: 1_000,      // 10 %
-            refusal_checkpoint_bp: 2_500, // 25 %
-            ecc_floor_events: 4,
-        }
+        Self { hysteresis: 2 }
     }
 }
 
@@ -46,10 +39,7 @@ impl PolicyConfig {
     /// A config that switches after a single observation (benchmark phases
     /// are short; tests want immediate reactions).
     pub fn reactive() -> Self {
-        Self {
-            hysteresis: 1,
-            ..Self::default()
-        }
+        Self { hysteresis: 1 }
     }
 }
 
@@ -119,11 +109,6 @@ impl PolicyEngine {
         }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &PolicyConfig {
-        &self.cfg
-    }
-
     /// Current mode of `region` (`None` for a region the engine was not
     /// built to cover).
     pub fn current(&self, region: u64) -> Option<PolicyMode> {
@@ -157,17 +142,17 @@ impl PolicyEngine {
             return;
         }
         let bp = s.refusal_rate_bp();
-        let rung = if bp >= self.cfg.refusal_checkpoint_bp {
+        let rung = if bp >= REFUSAL_CHECKPOINT_BP {
             PolicyMode::Checkpoint
-        } else if bp >= self.cfg.refusal_eager_bp {
+        } else if bp >= REFUSAL_EAGER_BP {
             PolicyMode::Eager
-        } else if bp >= self.cfg.refusal_epoch_bp {
+        } else if bp >= REFUSAL_EPOCH_BP {
             PolicyMode::Epoch
         } else {
             PolicyMode::Lp
         };
         self.floor = Self::max_by_rank(self.floor, rung);
-        if s.ecc_detected_errors >= self.cfg.ecc_floor_events {
+        if s.ecc_detected_errors >= ECC_FLOOR_EVENTS {
             self.floor = Self::max_by_rank(self.floor, PolicyMode::Epoch);
         }
     }
@@ -178,7 +163,7 @@ impl PolicyEngine {
             // Crash-free window: LP's zero persist instructions win.
             return PolicyMode::Lp;
         }
-        if s.recovery_cost_pct() > self.cfg.crash_cost_pct || s.validation_failed {
+        if s.recovery_cost_pct() > CRASH_COST_PCT || s.validation_failed {
             // Crashes are frequent/expensive enough that paying persist
             // cost up front beats re-executing lost regions afterwards.
             PolicyMode::Epoch

@@ -198,12 +198,6 @@ impl<'a> BlockCtx<'a> {
         self.flat_block * self.threads_per_block + t
     }
 
-    /// The device configuration (geometry + cost table).
-    #[inline]
-    pub fn device_config(&self) -> &DeviceConfig {
-        self.cfg
-    }
-
     /// Whether the injected crash point has been reached.
     #[inline]
     pub fn crashed(&self) -> bool {

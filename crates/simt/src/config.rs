@@ -5,15 +5,14 @@ use serde::{Deserialize, Serialize};
 /// Geometry and clock of the simulated GPU.
 ///
 /// The default preset models a Tesla V100 (Volta), the paper's testbed:
-/// 80 SMs, 64 FP32 lanes per SM, warps of 32, ~1.38 GHz.
+/// 80 SMs, 64 FP32 lanes per SM, ~1.38 GHz. Warps are always
+/// [`crate::warp::WARP_SIZE`] (32) threads wide.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceConfig {
     /// Number of streaming multiprocessors.
     pub num_sms: u32,
     /// Maximum thread blocks resident on one SM at a time.
     pub max_blocks_per_sm: u32,
-    /// Threads per warp (32 on every NVIDIA architecture).
-    pub warp_size: u32,
     /// Parallel execution lanes per SM (FP32 cores on Volta: 64).
     pub sm_width: u32,
     /// Core clock in GHz.
@@ -33,7 +32,6 @@ impl DeviceConfig {
         Self {
             num_sms: 80,
             max_blocks_per_sm: 32,
-            warp_size: 32,
             sm_width: 64,
             clock_ghz: 1.38,
             atomic_channels: 64,
@@ -74,17 +72,24 @@ impl DeviceConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field (zero geometry or
-    /// non-positive clock/bandwidth).
+    /// Returns a description of the first invalid field: zero geometry, a
+    /// clock or bandwidth that is not finite and positive, or a cost entry
+    /// that is not finite and non-negative.
     pub fn validate(&self) -> Result<(), String> {
-        if self.num_sms == 0 || self.sm_width == 0 || self.warp_size == 0 {
+        if self.num_sms == 0 || self.sm_width == 0 {
             return Err("device geometry must be non-zero".into());
         }
         if self.max_blocks_per_sm == 0 || self.atomic_channels == 0 {
             return Err("occupancy/channel limits must be non-zero".into());
         }
-        if self.clock_ghz <= 0.0 || self.mem_bandwidth_gbps <= 0.0 {
-            return Err("clock and bandwidth must be positive".into());
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.clock_ghz) || !positive(self.mem_bandwidth_gbps) {
+            return Err("clock and bandwidth must be finite and positive".into());
+        }
+        for (name, x) in self.cost.entries() {
+            if !x.is_finite() || x < 0.0 {
+                return Err(format!("cost {name} = {x} must be finite and non-negative"));
+            }
         }
         Ok(())
     }
@@ -142,6 +147,26 @@ pub struct CostModel {
     /// (SM-level or L2-level). The SBRP backend charges this per drained
     /// line; it is the price of buffering persists off the critical path.
     pub buffer_drain_ns: f64,
+}
+
+impl CostModel {
+    /// Every floating-point entry with its name, for validation.
+    fn entries(&self) -> [(&'static str, f64); 12] {
+        [
+            ("alu", self.alu),
+            ("shuffle_step", self.shuffle_step),
+            ("shmem_access", self.shmem_access),
+            ("global_access", self.global_access),
+            ("atomic_op", self.atomic_op),
+            ("barrier", self.barrier),
+            ("atomic_channel_ns", self.atomic_channel_ns),
+            ("lock_handoff_ns", self.lock_handoff_ns),
+            ("launch_overhead_ns", self.launch_overhead_ns),
+            ("persist_barrier_ns", self.persist_barrier_ns),
+            ("epoch_fence_ns", self.epoch_fence_ns),
+            ("buffer_drain_ns", self.buffer_drain_ns),
+        ]
+    }
 }
 
 impl Default for CostModel {
@@ -204,6 +229,15 @@ mod tests {
         assert!(d.validate().is_err());
         let mut d = DeviceConfig::v100();
         d.clock_ghz = 0.0;
+        assert!(d.validate().is_err());
+        let mut d = DeviceConfig::v100();
+        d.clock_ghz = f64::NAN;
+        assert!(d.validate().is_err());
+        let mut d = DeviceConfig::v100();
+        d.mem_bandwidth_gbps = f64::INFINITY;
+        assert!(d.validate().is_err());
+        let mut d = DeviceConfig::v100();
+        d.cost.atomic_op = -1.0;
         assert!(d.validate().is_err());
     }
 }

@@ -368,6 +368,7 @@ fn differential(
         cost,
         ..DeviceConfig::test_gpu()
     };
+    prop_assert_eq!(cfg.validate(), Ok(()));
     let lc = LaunchConfig::linear(16 * u64::from(THREADS), THREADS);
     let (mut mem, data, lock) = memory();
     let (mut ref_mem, _, _) = memory();

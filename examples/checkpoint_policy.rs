@@ -19,14 +19,14 @@ const INTERVAL: u32 = 3;
 fn main() {
     let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
 
-    // An "iterative application": the same kernel launched repeatedly
-    // (fresh output each round), checkpointed every 3 launches.
+    // An "iterative application": the same kernel launched repeatedly over
+    // the same output (its regions are idempotent), checkpointed every 3
+    // launches.
     let mut w = workload_by_name("SPMV", Scale::Test, 7).unwrap();
     let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
     let lc = w.launch_config();
 
     for round in 1..=7 {
-        w.reset_output(&mut mem);
         rt.reset(&mut mem);
         let kernel = w.kernel(Some(&rt));
         gpu.launch(kernel.as_ref(), &mut mem).unwrap();

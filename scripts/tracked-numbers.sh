@@ -39,6 +39,24 @@ non_test_own() {
   echo "$n"
 }
 
+# `pub` fields of the non-test `pub struct`s a run is configured with: names
+# ending in Config, Spec or Params, and CostModel (own files outside tests/
+# directories and test-only modules, before each file's first top-level
+# `#[cfg(test)]`).
+settable_config_fields() {
+  local n=0 f skip
+  skip=$(test_only_modules)
+  for f in $(own -not -path '*/tests/*'); do
+    grep -qxF -- "$f" <<<"$skip" && continue
+    n=$((n + $(awk '/^#\[cfg\(test\)\]/ { exit }
+      /^pub struct ([A-Za-z0-9_]*(Config|Spec|Params)|CostModel)[ <{]/ { s = 1; next }
+      s && /^}/ { s = 0 }
+      s && /^    pub [a-z0-9_]+:/ { c++ }
+      END { print c + 0 }' "$f")))
+  done
+  echo "$n"
+}
+
 # Own .rs files whose non-test source (not under a tests/ directory, before
 # the first top-level `#[cfg(test)]`) contains "SPMV" — the suite name every
 # subject table, default and name `match` spells, so the probe for hand-kept
@@ -67,6 +85,7 @@ source_lines=$(non_test_own)
 row "rs lines under crates/, non-test (vendor excluded):" "$source_lines"
 row "rs lines under crates/, test (vendor excluded):" "$((all_lines - source_lines))"
 row "pub fn:" "$(lines_with 'pub fn ')"
+row "settable config fields:" "$(settable_config_fields)"
 row "bin targets:" "$(own \( -path '*/src/bin/*.rs' -o -path '*/src/main.rs' \) | wc -l)"
 row "crates/apps/src lines:" "$(cat crates/apps/src/*.rs | wc -l)"
 row "crates/apps/src pub fn:" "$(apps_lines_with 'pub fn ')"

@@ -13,9 +13,21 @@ use lpgpu::simt::{DeviceConfig, Gpu};
 /// between-checkpoints test needs).
 fn staged(name: &str, seed: u64) -> (Gpu, PersistMemory, Box<dyn Workload>, LpRuntime) {
     let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 16, 4);
-    let mut w = (subject(name).expect("a suite name").build)(Scale::Test, seed);
-    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
+    let (w, rt) = restaged(&gpu, &mut mem, name, seed);
     (gpu, mem, w, rt)
+}
+
+/// A fresh instance of `name` (zeroed output, new runtime) staged on an
+/// existing machine.
+fn restaged(
+    gpu: &Gpu,
+    mem: &mut PersistMemory,
+    name: &str,
+    seed: u64,
+) -> (Box<dyn Workload>, LpRuntime) {
+    let mut w = (subject(name).expect("a suite name").build)(Scale::Test, seed);
+    let rt = stage(w.as_mut(), gpu, mem, &LpConfig::recommended());
+    (w, rt)
 }
 
 #[test]
@@ -55,10 +67,10 @@ fn crash_between_checkpoints_damages_only_the_suffix() {
     assert!(report.all_durable);
     assert!(w.verify(&mut mem));
 
-    // Launch 2 completes the interval: the checkpoint flushes and
-    // everything is durable from here.
-    w.reset_output(&mut mem);
-    rt.reset(&mut mem);
+    // Launch 2, of a fresh instance so its output is its own, completes
+    // the interval: the checkpoint flushes and everything is durable from
+    // here.
+    let (w, rt) = restaged(&gpu, &mut mem, "SPMV", 42);
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).unwrap();
     mem.flush_all();

@@ -101,7 +101,6 @@ proptest! {
             line_size: 64,
             cache_lines: 8,
             associativity: 2,
-            ..NvmConfig::default()
         });
         let base = mem.alloc(512 * 8, 8);
         let mut shadow = vec![0u64; 512];
