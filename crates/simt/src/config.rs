@@ -86,10 +86,23 @@ impl DeviceConfig {
         if !positive(self.clock_ghz) || !positive(self.mem_bandwidth_gbps) {
             return Err("clock and bandwidth must be finite and positive".into());
         }
-        for (name, x) in self.cost.entries() {
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!("cost {name} = {x} must be finite and non-negative"));
-            }
+        let c = &self.cost;
+        let entries = [
+            c.alu,
+            c.shuffle_step,
+            c.shmem_access,
+            c.global_access,
+            c.atomic_op,
+            c.barrier,
+            c.atomic_channel_ns,
+            c.lock_handoff_ns,
+            c.launch_overhead_ns,
+            c.persist_barrier_ns,
+            c.epoch_fence_ns,
+            c.buffer_drain_ns,
+        ];
+        if entries.iter().any(|x| !x.is_finite() || *x < 0.0) {
+            return Err("cost entries must be finite and non-negative".into());
         }
         Ok(())
     }
@@ -147,26 +160,6 @@ pub struct CostModel {
     /// (SM-level or L2-level). The SBRP backend charges this per drained
     /// line; it is the price of buffering persists off the critical path.
     pub buffer_drain_ns: f64,
-}
-
-impl CostModel {
-    /// Every floating-point entry with its name, for validation.
-    fn entries(&self) -> [(&'static str, f64); 12] {
-        [
-            ("alu", self.alu),
-            ("shuffle_step", self.shuffle_step),
-            ("shmem_access", self.shmem_access),
-            ("global_access", self.global_access),
-            ("atomic_op", self.atomic_op),
-            ("barrier", self.barrier),
-            ("atomic_channel_ns", self.atomic_channel_ns),
-            ("lock_handoff_ns", self.lock_handoff_ns),
-            ("launch_overhead_ns", self.launch_overhead_ns),
-            ("persist_barrier_ns", self.persist_barrier_ns),
-            ("epoch_fence_ns", self.epoch_fence_ns),
-            ("buffer_drain_ns", self.buffer_drain_ns),
-        ]
-    }
 }
 
 impl Default for CostModel {
