@@ -31,11 +31,11 @@
 
 use std::collections::BTreeMap;
 
-use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Region};
 use megakv::store::{EMPTY, NOT_FOUND, TOMBSTONE};
 use megakv::KvStore;
 use nvm::PersistMemory;
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 use crate::service::{Protocol, Service};
 use crate::{mix3, AppParams};
@@ -69,8 +69,7 @@ fn txn_of(seed: u64, step: u64, universe: u64, i: u64) -> TxnOp {
 }
 
 /// One transaction batch, one thread per operation.
-pub(crate) struct TxnStepKernel<'a> {
-    rt: &'a LpRuntime,
+pub(crate) struct TxnStep<'a> {
     store: &'a KvStore,
     seed: u64,
     step: u64,
@@ -78,7 +77,7 @@ pub(crate) struct TxnStepKernel<'a> {
     batch: u64,
 }
 
-impl Kernel for TxnStepKernel<'_> {
+impl Region for TxnStep<'_> {
     fn name(&self) -> &str {
         "apps-kvtxn-step"
     }
@@ -87,8 +86,7 @@ impl Kernel for TxnStepKernel<'_> {
         LaunchConfig::linear(self.batch, TPB as u32)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin(self.rt, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -129,12 +127,9 @@ impl Kernel for TxnStepKernel<'_> {
                 }
             }
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for TxnStepKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::new();
         for t in 0..TPB {
             let i = block * TPB + t;
@@ -161,7 +156,7 @@ impl Recoverable for TxnStepKernel<'_> {
                 }),
             }
         }
-        self.rt.digest_region(block, images)
+        images
     }
 }
 
@@ -200,15 +195,14 @@ impl Protocol for KvTxn {
     const ROLL_FORWARD_REBOOT_NS: u64 = 0;
 
     type Cursors = [u64; 0];
-    type Kernel<'a> = TxnStepKernel<'a>;
+    type Step<'a> = TxnStep<'a>;
 
     fn runtime(&self, _step: u64) -> &LpRuntime {
         &self.rt
     }
 
-    fn kernel(&self, step: u64, _: [u64; 0]) -> TxnStepKernel<'_> {
-        TxnStepKernel {
-            rt: &self.rt,
+    fn region(&self, step: u64, _: [u64; 0]) -> TxnStep<'_> {
+        TxnStep {
             store: &self.store,
             seed: self.params.seed,
             step,
@@ -217,7 +211,7 @@ impl Protocol for KvTxn {
         }
     }
 
-    fn images(&self, k: &TxnStepKernel<'_>) -> u64 {
+    fn images(&self, k: &TxnStep<'_>) -> u64 {
         // Two images per put, one per delete; charge the upper bound.
         2 * k.batch
     }

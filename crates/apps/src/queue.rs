@@ -30,9 +30,9 @@
 
 use std::ops::Range;
 
-use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 use crate::service::{Protocol, Service};
 use crate::{mix3, AppParams};
@@ -76,8 +76,7 @@ impl StepBatch {
 
 /// One queue step: threads `< enqueue` append records at `tail`, the rest
 /// write consume receipts at `head`.
-pub(crate) struct QueueStepKernel<'rt> {
-    rt: &'rt LpRuntime,
+pub(crate) struct QueueStep {
     records: Addr,
     receipts: Addr,
     seed: u64,
@@ -86,7 +85,7 @@ pub(crate) struct QueueStepKernel<'rt> {
     batch: StepBatch,
 }
 
-impl QueueStepKernel<'_> {
+impl QueueStep {
     fn items(&self) -> u64 {
         self.batch.enqueue + self.batch.consume
     }
@@ -103,7 +102,7 @@ impl QueueStepKernel<'_> {
     }
 }
 
-impl Kernel for QueueStepKernel<'_> {
+impl Region for QueueStep {
     fn name(&self) -> &str {
         "apps-queue-step"
     }
@@ -112,8 +111,7 @@ impl Kernel for QueueStepKernel<'_> {
         LaunchConfig::linear(self.items(), TPB as u32)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin(self.rt, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -125,12 +123,9 @@ impl Kernel for QueueStepKernel<'_> {
             let (addr, v) = self.effect(i);
             lp.store_u64(ctx, t, addr, v);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for QueueStepKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::new();
         for t in 0..TPB {
             let i = block * TPB + t;
@@ -139,7 +134,7 @@ impl Recoverable for QueueStepKernel<'_> {
                 images.push(mem.read_u64(addr));
             }
         }
-        self.rt.digest_region(block, images)
+        images
     }
 }
 
@@ -182,15 +177,14 @@ impl Protocol for DurableQueue {
 
     /// `[tail, head]`.
     type Cursors = [u64; 2];
-    type Kernel<'a> = QueueStepKernel<'a>;
+    type Step<'a> = QueueStep;
 
     fn runtime(&self, _step: u64) -> &LpRuntime {
         &self.rt
     }
 
-    fn kernel(&self, step: u64, [tail, head]: [u64; 2]) -> QueueStepKernel<'_> {
-        QueueStepKernel {
-            rt: &self.rt,
+    fn region(&self, step: u64, [tail, head]: [u64; 2]) -> QueueStep {
+        QueueStep {
             records: self.records,
             receipts: self.receipts,
             seed: self.params.seed,
@@ -200,11 +194,11 @@ impl Protocol for DurableQueue {
         }
     }
 
-    fn advance(&self, k: &QueueStepKernel<'_>, cursors: [u64; 2]) -> [u64; 2] {
+    fn advance(&self, k: &QueueStep, cursors: [u64; 2]) -> [u64; 2] {
         k.batch.after(cursors)
     }
 
-    fn images(&self, k: &QueueStepKernel<'_>) -> u64 {
+    fn images(&self, k: &QueueStep) -> u64 {
         k.items()
     }
 

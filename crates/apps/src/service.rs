@@ -1,10 +1,10 @@
 //! The durable-service driver: the *intent → launch → validate → success*
 //! commit protocol and its roll-forward restore, written once.
 //!
-//! A service is a [`Protocol`] — its kernels, seeded generators and audit —
-//! wrapped in a [`Service`], which owns the [`DurableManifest`], the
-//! volatile host cache of it, and the only `impl RecoverableApp` in the
-//! crate. The manifest record is `[committed, started, cursors…]`:
+//! A service is a [`Protocol`] — its step regions, seeded generators and
+//! audit — wrapped in a [`Service`], which owns the [`DurableManifest`],
+//! the volatile host cache of it, and the only `impl RecoverableApp` in
+//! the crate. The manifest record is `[committed, started, cursors…]`:
 //!
 //! * **step** `s`: commit the intent `[committed, s, cursors]`, reset the
 //!   step's runtime slot, launch. On every `WINDOW`-th step, validate
@@ -21,7 +21,7 @@
 //! to the previous record; either way `restore` finds nothing in flight or
 //! a window it can re-derive from `(seed, step, cursors)` alone.
 
-use gpu_lp::{LpRuntime, Recoverable, ResilientRecovery};
+use gpu_lp::{LpKernel, LpRuntime, Region, ResilientRecovery};
 use nvm::PersistMemory;
 use simt::Gpu;
 
@@ -63,25 +63,25 @@ pub(crate) trait Protocol {
     /// the manifest record behind `committed` and `started`.
     type Cursors: Copy + Default + AsRef<[u64]> + AsMut<[u64]>;
 
-    /// One step's launch, re-derivable from `(step, cursors)` alone.
-    type Kernel<'a>: Recoverable
+    /// One step's LP region, re-derivable from `(step, cursors)` alone.
+    type Step<'a>: Region
     where
         Self: 'a;
 
     /// The checksum runtime step `step` publishes through.
     fn runtime(&self, step: u64) -> &LpRuntime;
 
-    /// Step `step`'s kernel, given the cursors of the steps before it.
-    fn kernel(&self, step: u64, cursors: Self::Cursors) -> Self::Kernel<'_>;
+    /// Step `step`'s region, given the cursors of the steps before it.
+    fn region(&self, step: u64, cursors: Self::Cursors) -> Self::Step<'_>;
 
-    /// The cursors after `kernel`'s step, given the ones it was built from.
-    fn advance(&self, _kernel: &Self::Kernel<'_>, cursors: Self::Cursors) -> Self::Cursors {
+    /// The cursors after `region`'s step, given the ones it was built from.
+    fn advance(&self, _region: &Self::Step<'_>, cursors: Self::Cursors) -> Self::Cursors {
         cursors
     }
 
-    /// Store images one validation sweep over `kernel`'s step reads (the
+    /// Store images one validation sweep over `region`'s step reads (the
     /// restoration charge's work term).
-    fn images(&self, kernel: &Self::Kernel<'_>) -> u64;
+    fn images(&self, region: &Self::Step<'_>) -> u64;
 
     /// The audit's host model of a committed prefix, derived from the seed
     /// alone.
@@ -186,6 +186,11 @@ impl<P: Protocol> Service<P> {
         Self::decode(&self.manifest.load(mem).1)
     }
 
+    /// Step `step`'s kernel: its region under its runtime.
+    fn kernel(&self, step: u64, cursors: P::Cursors) -> LpKernel<'_, P::Step<'_>> {
+        LpKernel::new(self.app.region(step, cursors), Some(self.app.runtime(step)))
+    }
+
     /// The body of `step` for `rep.step`: `false` as soon as power fails or
     /// a validation cannot prove the window durable.
     fn try_step(&mut self, gpu: &Gpu, mem: &mut PersistMemory, rep: &mut StepReport) -> bool {
@@ -197,7 +202,7 @@ impl<P: Protocol> Service<P> {
         }
         self.app.runtime(step).reset(mem);
         let stats = gpu
-            .launch(&self.app.kernel(step, self.cursors), mem)
+            .launch(&self.kernel(step, self.cursors), mem)
             .expect("service step launch");
         rep.exec_ns = stats.kernel_ns as u64;
         if mem.power_failed() {
@@ -214,14 +219,14 @@ impl<P: Protocol> Service<P> {
         // durable media view prove the window — never the drain ACK.
         let mut cursors = self.cursors;
         for e in self.committed + 1..=step {
-            let k = self.app.kernel(e, cursors);
+            let k = self.kernel(e, cursors);
             let durable = ResilientRecovery::new(gpu)
                 .recover(&k, self.app.runtime(e), mem)
                 .all_durable;
             if !durable || mem.power_failed() {
                 return false;
             }
-            cursors = self.app.advance(&k, cursors);
+            cursors = self.app.advance(k.region(), cursors);
         }
         if !self.commit(mem, step, step, cursors) {
             return false;
@@ -279,7 +284,7 @@ impl<P: Protocol> RecoverableApp for Service<P> {
         // step e's recovery re-derives its kernel from the durable cursors
         // and reads what step e-1's recovery just made durable.
         for e in committed + 1..=started {
-            let k = self.app.kernel(e, cursors);
+            let k = self.kernel(e, cursors);
             let outcome =
                 ResilientRecovery::new(gpu).recover_reentrant(&k, self.app.runtime(e), mem);
             rep.rolled_forward = true;
@@ -293,13 +298,13 @@ impl<P: Protocol> RecoverableApp for Service<P> {
             let sweeps = u64::from(outcome.report.rounds.max(1));
             rep.latency_ns += P::ROLL_FORWARD_REBOOT_NS
                 + outcome.total_latency_ns
-                + self.app.images(&k) * VALIDATE_NS_PER_IMAGE * sweeps;
+                + self.app.images(k.region()) * VALIDATE_NS_PER_IMAGE * sweeps;
             if !outcome.is_success() {
                 rep.all_durable = false;
                 break;
             }
             rep.recovered_step = e;
-            cursors = self.app.advance(&k, cursors);
+            cursors = self.app.advance(k.region(), cursors);
         }
         if rep.all_durable
             && started > committed
@@ -365,7 +370,7 @@ fn drain_all(mem: &mut PersistMemory) -> bool {
         if mem.power_failed() {
             return false;
         }
-        if mem.flush_all_result() == 0 {
+        if mem.flush_all() == 0 {
             return true;
         }
     }

@@ -27,9 +27,9 @@
 //! checkpoints at `s`. The service resumes from the last durable epoch
 //! with zero lost epochs.
 
-use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 use crate::service::{Protocol, Service, REBOOT_NS};
 use crate::{mix3, AppParams};
@@ -57,8 +57,7 @@ fn update(w: f32, seed: u64, epoch: u64, i: u64) -> f32 {
 }
 
 /// One training epoch: `dst[i] = update(src[i])`, one thread per weight.
-pub(crate) struct TrainEpochKernel<'rt> {
-    rt: &'rt LpRuntime,
+pub(crate) struct TrainEpoch {
     src: Addr,
     dst: Addr,
     n: u64,
@@ -66,7 +65,7 @@ pub(crate) struct TrainEpochKernel<'rt> {
     epoch: u64,
 }
 
-impl Kernel for TrainEpochKernel<'_> {
+impl Region for TrainEpoch {
     fn name(&self) -> &str {
         "apps-train-epoch"
     }
@@ -75,8 +74,7 @@ impl Kernel for TrainEpochKernel<'_> {
         LaunchConfig::linear(self.n, TPB as u32)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin(self.rt, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -93,12 +91,9 @@ impl Kernel for TrainEpochKernel<'_> {
                 update(w, self.seed, self.epoch, i),
             );
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for TrainEpochKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::new();
         for t in 0..TPB {
             let i = block * TPB + t;
@@ -108,7 +103,7 @@ impl Recoverable for TrainEpochKernel<'_> {
                 ));
             }
         }
-        self.rt.digest_region(block, images)
+        images
     }
 }
 
@@ -158,15 +153,14 @@ impl Protocol for TrainingLoop {
     const ROLL_FORWARD_REBOOT_NS: u64 = REBOOT_NS;
 
     type Cursors = [u64; 0];
-    type Kernel<'a> = TrainEpochKernel<'a>;
+    type Step<'a> = TrainEpoch;
 
     fn runtime(&self, epoch: u64) -> &LpRuntime {
         &self.rts[((epoch - 1) % K) as usize]
     }
 
-    fn kernel(&self, epoch: u64, _: [u64; 0]) -> TrainEpochKernel<'_> {
-        TrainEpochKernel {
-            rt: self.runtime(epoch),
+    fn region(&self, epoch: u64, _: [u64; 0]) -> TrainEpoch {
+        TrainEpoch {
             src: self.bufs[((epoch - 1) % (K + 1)) as usize],
             dst: self.bufs[(epoch % (K + 1)) as usize],
             n: self.n,
@@ -175,7 +169,7 @@ impl Protocol for TrainingLoop {
         }
     }
 
-    fn images(&self, _: &TrainEpochKernel<'_>) -> u64 {
+    fn images(&self, _: &TrainEpoch) -> u64 {
         self.n
     }
 

@@ -218,3 +218,28 @@ fn golden_fixture_paths_exist() {
     assert!(Path::new(FIX_LP021).exists(), "{FIX_LP021}");
     assert!(Path::new(FIX_LP022).exists(), "{FIX_LP022}");
 }
+
+#[test]
+fn every_rule_has_its_readme_row() {
+    // The SARIF `helpUri`s point at `README.md#lp0NN`: each rule's row in
+    // README's table carries that anchor, its code and its summary
+    // (identifiers in the summary are code spans there).
+    let readme = std::fs::read_to_string("../../README.md").expect("README.md");
+    for rule in lp_directive::lint::RULES {
+        let anchor = format!(
+            "| <a id=\"{}\"></a>{} |",
+            rule.code.to_lowercase(),
+            rule.code
+        );
+        let row = readme
+            .lines()
+            .find(|l| l.starts_with(&anchor))
+            .unwrap_or_else(|| panic!("README.md has no row `{anchor}`"));
+        assert_eq!(
+            row.replace('`', ""),
+            format!("{anchor} {} |", rule.summary),
+            "README.md's {} row and RULES disagree",
+            rule.code
+        );
+    }
+}

@@ -20,9 +20,10 @@
 //!   hashing (§IV-C), and the collision-free **checksum global array**
 //!   (§V, the paper's headline design), with lock-free / lock-based and
 //!   atomic / racy variants for the Table III and §IV-D3 ablations;
-//! * [`region`] — the per-launch runtime ([`LpRuntime`]) and the per-block
-//!   instrumentation session ([`LpBlockSession`]) kernels use to protect
-//!   their stores;
+//! * [`region`] — the per-launch runtime ([`LpRuntime`]), the per-block
+//!   instrumentation session ([`LpBlockSession`]) a region body protects
+//!   its stores with, and [`LpKernel`], which turns a [`Region`] (body +
+//!   read-back) into a protected, recoverable kernel;
 //! * [`recovery`] — post-crash validation and re-execution, hardened for
 //!   faulty devices (retry, quarantine, degraded mode).
 //!
@@ -34,11 +35,16 @@
 //! # End-to-end shape
 //!
 //! ```text
-//! setup:    LpRuntime::setup(&mut mem, blocks, config)   // tables allocated
-//! kernel:   let mut lp = LpBlockSession::begin(rt, ctx);
-//!           ... lp.store_f32(ctx, t, addr, v); ...        // store + checksum
-//!           lp.finalize(ctx);                             // reduce + publish
-//! crash:    gpu.launch_with_plan(.., CrashPlan::after_stores(n))  // power loss
+//! setup:    LpRuntime::setup(&mut mem, blocks, tpb, config)  // tables allocated
+//! region:   impl Region for MyKernel {
+//!               fn run_region(&self, ctx, lp) {
+//!                   ... lp.store_f32(ctx, t, addr, v); ...   // store + checksum
+//!               }
+//!               fn region_images(&self, mem, block) -> Vec<u64> { .. } // read-back
+//!           }
+//! kernel:   let kernel = LpKernel::new(MyKernel { .. }, Some(&rt));
+//!           // each block: reset → run_region → reduce + publish
+//! crash:    gpu.launch_with_plan(&kernel, .., CrashPlan::after_stores(n))
 //! recover:  ResilientRecovery::new(&gpu).recover(&kernel, &rt, &mut mem)
 //! ```
 //!
@@ -66,5 +72,5 @@ pub use recovery::{
     Recoverable, ReentrantOutcome, RegionVerdict, ResilientRecovery, ResilientReport,
 };
 pub use reduce::ReduceStrategy;
-pub use region::{LpBlockSession, LpConfig, LpRuntime};
+pub use region::{LpBlockSession, LpConfig, LpKernel, LpRuntime, Region};
 pub use table::{AtomicPolicy, LockPolicy, TableKind, TableStats};

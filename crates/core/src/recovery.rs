@@ -18,7 +18,7 @@
 //! bounded multi-round loop additionally carries:
 //!
 //! * **retry with backoff** for transient persist failures, surfaced by
-//!   [`PersistMemory::flush_all_result`];
+//!   [`PersistMemory::flush_all`];
 //! * **quarantine + remap** (via [`PersistMemory::quarantine_line`]) for
 //!   lines that keep refusing persists, and predictively for lines whose
 //!   fills keep hitting ECC-corrected media errors;
@@ -45,14 +45,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A kernel whose LP regions can be validated and re-executed.
 ///
 /// `recompute_block_checksums` is the generated check-and-recovery logic of
-/// Listing 7: it must read back exactly the locations the block's protected
-/// stores wrote and fold them in the same per-thread order the kernel's
-/// [`crate::LpBlockSession`] did.
-///
-/// Regions must be idempotent (re-executable): the kernels in this
-/// workspace are structured gather-style so that re-running a block always
-/// reproduces the same output, the property §IV-A relies on for trivial
-/// recovery functions.
+/// Listing 7. Its one implementation is [`crate::LpKernel`]'s, which
+/// digests the images its [`crate::Region`] reads back.
 pub trait Recoverable: Kernel {
     /// Recomputes region `block`'s checksum vector from current memory.
     fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64>;
@@ -241,7 +235,7 @@ impl<'g> ResilientRecovery<'g> {
         quarantined_regions: &mut BTreeSet<u64>,
     ) {
         for attempt in 0..FLUSH_RETRIES {
-            if mem.flush_all_result() == 0 || mem.power_failed() {
+            if mem.flush_all() == 0 || mem.power_failed() {
                 return;
             }
             self.charge_backoff(attempt, report);
@@ -446,19 +440,18 @@ impl<'g> ResilientRecovery<'g> {
 mod tests {
     use super::*;
     use crate::checksum::f32_store_image;
-    use crate::region::{LpBlockSession, LpConfig};
+    use crate::region::{LpBlockSession, LpConfig, LpKernel, Region};
     use nvm::{Addr, FaultConfig, NvmConfig};
     use simt::{BlockCtx, CrashPlan, DeviceConfig, LaunchConfig};
     use std::cell::Cell;
 
-    /// out[i] = (i % 97) * 0.5 as f32, LP-protected, one value per thread.
-    struct FillLp<'rt> {
+    /// out[i] = (i % 97) * 0.5 as f32, one value per thread.
+    struct Fill {
         out: Addr,
         n: u64,
-        rt: &'rt LpRuntime,
     }
 
-    impl Kernel for FillLp<'_> {
+    impl Region for Fill {
         fn name(&self) -> &str {
             "fill_lp"
         }
@@ -467,8 +460,7 @@ mod tests {
             LaunchConfig::linear(self.n, 64)
         }
 
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let mut lp = LpBlockSession::begin(self.rt, ctx);
+        fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
             for t in 0..ctx.threads_per_block() {
                 let gid = ctx.global_thread_id(t);
                 if gid < self.n {
@@ -476,12 +468,9 @@ mod tests {
                     lp.store_f32(ctx, t, self.out.index(gid, 4), v);
                 }
             }
-            lp.finalize(ctx);
         }
-    }
 
-    impl Recoverable for FillLp<'_> {
-        fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+        fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
             let tpb = self.config().threads_per_block();
             let mut images = Vec::new();
             for t in 0..tpb {
@@ -490,8 +479,15 @@ mod tests {
                     images.push(f32_store_image(mem.read_f32(self.out.index(gid, 4))));
                 }
             }
-            self.rt.digest_region(block, images)
+            images
         }
+    }
+
+    /// [`Fill`], LP-protected.
+    type FillLp<'rt> = LpKernel<'rt, Fill>;
+
+    fn fill_lp(out: Addr, n: u64, rt: &LpRuntime) -> FillLp<'_> {
+        LpKernel::new(Fill { out, n }, Some(rt))
     }
 
     /// [`FillLp`] with a validation hook: `hook(mem, block, checksums)` sees
@@ -575,7 +571,7 @@ mod tests {
     ) -> (ResilientReport, PersistMemory, Addr, u64) {
         let (gpu, mut mem, out) = world(n, Some(faults));
         let rt = LpRuntime::setup(&mut mem, blocks, 64, LpConfig::recommended());
-        let k = FillLp { out, n, rt: &rt };
+        let k = fill_lp(out, n, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
         let report = ResilientRecovery::new(&gpu).recover(&k, &rt, &mut mem);
@@ -588,11 +584,7 @@ mod tests {
     fn clean_run_validates_clean() {
         let (gpu, mut mem, out) = world(2048, None);
         let rt = LpRuntime::setup(&mut mem, 32, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 2048,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 2048, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
         assert!(rt.failing_regions(&k, &mut mem).is_empty());
@@ -602,11 +594,7 @@ mod tests {
     fn clean_run_is_all_durable_in_one_round() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
         let report = ResilientRecovery::new(&gpu).recover(&k, &rt, &mut mem);
@@ -622,11 +610,7 @@ mod tests {
     fn crash_then_recover_restores_everything() {
         let (gpu, mut mem, out) = world(2048, None);
         let rt = LpRuntime::setup(&mut mem, 32, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 2048,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 2048, &rt);
         crash_after(&gpu, &k, &mut mem, 700);
 
         let failed = rt.failing_regions(&k, &mut mem);
@@ -642,11 +626,7 @@ mod tests {
     fn recovery_is_idempotent() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         crash_after(&gpu, &k, &mut mem, 300);
         let eng = ResilientRecovery::new(&gpu);
         let r1 = eng.recover(&k, &rt, &mut mem);
@@ -664,11 +644,7 @@ mod tests {
     fn crash_at_zero_recovers_from_nothing() {
         let (gpu, mut mem, out) = world(512, None);
         let rt = LpRuntime::setup(&mut mem, 8, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 512,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 512, &rt);
         crash_after(&gpu, &k, &mut mem, 0);
         assert_eq!(
             rt.failing_regions(&k, &mut mem).len(),
@@ -685,11 +661,7 @@ mod tests {
         for config in [LpConfig::quad(), LpConfig::cuckoo()] {
             let (gpu, mut mem, out) = world(1024, None);
             let rt = LpRuntime::setup(&mut mem, 16, 64, config);
-            let k = FillLp {
-                out,
-                n: 1024,
-                rt: &rt,
-            };
+            let k = fill_lp(out, 1024, &rt);
             crash_after(&gpu, &k, &mut mem, 400);
             let report = ResilientRecovery::new(&gpu).recover(&k, &rt, &mut mem);
             assert!(report.all_durable, "{:?}", rt.config().table);
@@ -709,11 +681,7 @@ mod tests {
         ] {
             let (gpu, mut mem, out) = world(2048, None);
             let rt = LpRuntime::setup(&mut mem, 32, 64, config);
-            let k = FillLp {
-                out,
-                n: 2048,
-                rt: &rt,
-            };
+            let k = fill_lp(out, 2048, &rt);
             crash_after(&gpu, &k, &mut mem, 900);
             let lost = rt.failing_regions(&k, &mut mem).len() as u64;
             assert!(lost > 0, "{:?}", rt.config().table);
@@ -733,11 +701,7 @@ mod tests {
     fn power_failure_during_recovery_aborts_then_second_recovery_converges() {
         let (gpu, mut mem, out) = world(2048, None);
         let rt = LpRuntime::setup(&mut mem, 32, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 2048,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 2048, &rt);
         crash_after(&gpu, &k, &mut mem, 700);
 
         // Second crash: power fails partway through the recovery
@@ -766,11 +730,7 @@ mod tests {
     fn recovery_on_powered_off_memory_is_a_clean_no_progress_abort() {
         let (gpu, mut mem, out) = world(512, None);
         let rt = LpRuntime::setup(&mut mem, 8, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 512,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 512, &rt);
         crash_after(&gpu, &k, &mut mem, 100);
         mem.arm_crash_after_evictions(0);
         // Trip the trigger with a single store.
@@ -788,11 +748,7 @@ mod tests {
     fn flush_after_recovery_makes_state_durable() {
         let (gpu, mut mem, out) = world(512, None);
         let rt = LpRuntime::setup(&mut mem, 8, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 512,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 512, &rt);
         crash_after(&gpu, &k, &mut mem, 100);
         ResilientRecovery::new(&gpu).recover(&k, &rt, &mut mem);
         // A second crash right after recovery must lose nothing.
@@ -863,11 +819,7 @@ mod tests {
     fn ecc_storms_trigger_predictive_quarantine() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
         // Every fill from now on reports a corrected media error. Region 3
@@ -894,11 +846,7 @@ mod tests {
     fn silent_bit_error_in_region_data_is_caught_by_validation() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
         // One read under a 100% silent-error model: the fill flips a bit of
@@ -922,11 +870,7 @@ mod tests {
     fn degraded_mode_flushes_per_store() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
         // Region 5 fails three validations: two plain repairs, then its
@@ -950,11 +894,7 @@ mod tests {
     fn round_budget_exhaustion_reports_honestly() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.flush_all();
         // Region 5 never validates: rounds 1-11 repair it, degraded from
@@ -985,11 +925,7 @@ mod tests {
     fn reentrant_recovery_gives_up_after_eight_interrupted_attempts() {
         let (gpu, mut mem, out) = world(1024, None);
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         crash_after(&gpu, &k, &mut mem, 300);
         // Every validation re-arms a power cut at the next store, so each
         // attempt's first repair store powers the memory off.
@@ -1010,11 +946,7 @@ mod tests {
     fn reentrant_recovery_absorbs_a_mid_recovery_power_failure() {
         let (gpu, mut mem, out) = world(2048, Some(FaultConfig::torn(41, 1_000)));
         let rt = LpRuntime::setup(&mut mem, 32, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 2048,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 2048, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
         mem.arm_crash_after_evictions(2);
@@ -1036,11 +968,7 @@ mod tests {
     fn reentrant_recovery_is_a_plain_recover_when_uninterrupted() {
         let (gpu, mut mem, out) = world(1024, Some(FaultConfig::torn(43, 1_500)));
         let rt = LpRuntime::setup(&mut mem, 16, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 1024,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 1024, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
         let outcome = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
@@ -1056,11 +984,7 @@ mod tests {
     fn power_failure_mid_recovery_aborts_honestly_then_converges() {
         let (gpu, mut mem, out) = world(2048, Some(FaultConfig::torn(37, 1_000)));
         let rt = LpRuntime::setup(&mut mem, 32, 64, LpConfig::recommended());
-        let k = FillLp {
-            out,
-            n: 2048,
-            rt: &rt,
-        };
+        let k = fill_lp(out, 2048, &rt);
         gpu.launch(&k, &mut mem).unwrap();
         mem.crash();
         mem.arm_crash_after_evictions(2);

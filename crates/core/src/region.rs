@@ -1,10 +1,15 @@
-//! The LP runtime and per-block instrumentation session.
+//! The LP runtime, the per-block instrumentation session, and the one
+//! kernel shape every protected region takes.
 //!
 //! [`LpRuntime`] owns the launch-level pieces: configuration, the checksum
 //! table in device memory, and scratch space. [`LpBlockSession`] is what a
-//! kernel holds while executing one block (one LP region): it keeps the
-//! per-thread checksum accumulators, wraps the protected stores, and
-//! publishes the reduced checksums at region end.
+//! region body holds while executing one block (one LP region): it keeps
+//! the per-thread checksum accumulators and wraps the protected stores.
+//! A protected kernel is a [`Region`] — its body and the read-back of what
+//! it folded — launched as an [`LpKernel`], which opens the session before
+//! the body, reduces and publishes the checksums after it, and turns the
+//! read-back into the recovery digest (the code §VI's compiler generates
+//! from the two pragmas, Listings 1–2 and 7).
 //!
 //! The persistency discipline has one name — the [`BackendKind`] in
 //! [`LpConfig::backend`] — and one dispatch: the runtime resolves each
@@ -31,7 +36,7 @@ use lp_policy::{
 };
 use nvm::{Addr, PersistMemory};
 use serde::{Deserialize, Serialize};
-use simt::BlockCtx;
+use simt::{BlockCtx, Kernel, LaunchConfig};
 use std::cell::RefCell;
 
 /// Scratch slots for the sequential-reduction spill buffer. Blocks reuse
@@ -545,7 +550,7 @@ impl LpRuntime {
     /// The checksum vector region `key` is *expected* to publish for the
     /// store-image sequence `images` — the recovery-side recomputation
     /// (Listing 7's `validate()` input). Folds in the region seal.
-    pub fn digest_region(&self, key: u64, images: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    fn digest_region(&self, key: u64, images: impl IntoIterator<Item = u64>) -> Vec<u64> {
         if self.discipline(key).0.contract().checksum_validated {
             self.seal(key, self.config.checksums.digest(images))
         } else {
@@ -582,13 +587,97 @@ impl LpRuntime {
     }
 }
 
+/// The programmer's half of a protected kernel: the region body and the
+/// read-back of what it folds. [`LpKernel`] supplies the rest.
+///
+/// Regions must be idempotent (re-executable): re-running a block always
+/// reproduces the same output, the property §IV-A relies on for trivial
+/// recovery functions.
+pub trait Region {
+    /// Human-readable kernel name (used in statistics and reports).
+    fn name(&self) -> &str;
+
+    /// Grid and block dimensions of the launch.
+    fn config(&self) -> LaunchConfig;
+
+    /// Executes one thread block, routing every persistent store through
+    /// `lp` (a disabled session's stores are plain stores).
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>);
+
+    /// The store images block `block` folded, read back from `mem` in the
+    /// order its session folded them: the recomputation side of Listing 7.
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64>;
+}
+
+impl<R: Region + ?Sized> Region for &R {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn config(&self) -> LaunchConfig {
+        (**self).config()
+    }
+
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        (**self).run_region(ctx, lp)
+    }
+
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+        (**self).region_images(mem, block)
+    }
+}
+
+/// A [`Region`] launched under an LP runtime: each block opens an
+/// [`LpBlockSession`], runs the body, and reduces and publishes its
+/// checksums as the block's last action. `rt = None` is the uninstrumented
+/// baseline, with the same code path and no LP work.
+#[derive(Debug)]
+pub struct LpKernel<'rt, R> {
+    region: R,
+    rt: Option<&'rt LpRuntime>,
+}
+
+impl<'rt, R: Region> LpKernel<'rt, R> {
+    /// Protects `region` with `rt` (or runs it bare under `None`).
+    pub fn new(region: R, rt: Option<&'rt LpRuntime>) -> Self {
+        Self { region, rt }
+    }
+
+    /// The region this kernel runs.
+    pub fn region(&self) -> &R {
+        &self.region
+    }
+}
+
+impl<R: Region> Kernel for LpKernel<'_, R> {
+    fn name(&self) -> &str {
+        self.region.name()
+    }
+
+    fn config(&self) -> LaunchConfig {
+        self.region.config()
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+        let mut lp = LpBlockSession::begin(self.rt, ctx);
+        self.region.run_region(ctx, &mut lp);
+        lp.finalize(ctx);
+    }
+}
+
+impl<R: Region> Recoverable for LpKernel<'_, R> {
+    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+        let rt = self.rt.expect("recovery needs the LP runtime");
+        rt.digest_region(block, self.region.region_images(mem, block))
+    }
+}
+
 /// Per-block LP instrumentation: per-thread checksum accumulators plus the
 /// protected-store wrappers (the code Listing 2 adds to the kernel).
 ///
-/// Create one at block start with [`LpBlockSession::begin`] (or
-/// [`LpBlockSession::begin_opt`] to make instrumentation optional at zero
-/// code cost), route every persistent store through it, and call
-/// [`LpBlockSession::finalize`] as the region's last step.
+/// [`LpKernel`] opens one at block start, hands it to the region body, and
+/// finalizes it as the block's last LP action; a body routes every
+/// persistent store through it.
 #[derive(Debug)]
 pub struct LpBlockSession<'rt> {
     rt: Option<&'rt LpRuntime>,
@@ -606,16 +695,9 @@ pub struct LpBlockSession<'rt> {
 impl<'rt> LpBlockSession<'rt> {
     /// Starts an LP region for the current block: one accumulator vector
     /// per thread, reset to the checksum identity (`ResetCheckSum()` in the
-    /// paper's Listing 1).
-    pub fn begin(rt: &'rt LpRuntime, ctx: &mut BlockCtx<'_>) -> Self {
-        Self::begin_opt(Some(rt), ctx)
-    }
-
-    /// Like [`LpBlockSession::begin`], but `None` produces a disabled
-    /// session whose stores are plain stores and whose `finalize` is a
-    /// no-op. Kernels can then have a single code path for their baseline
-    /// and LP variants.
-    pub fn begin_opt(rt: Option<&'rt LpRuntime>, ctx: &mut BlockCtx<'_>) -> Self {
+    /// paper's Listing 1). `None` produces a disabled session whose stores
+    /// are plain stores and whose `finalize` is a no-op.
+    fn begin(rt: Option<&'rt LpRuntime>, ctx: &mut BlockCtx<'_>) -> Self {
         let mut session = Self {
             rt,
             acc: Vec::new(),
@@ -639,11 +721,6 @@ impl<'rt> LpBlockSession<'rt> {
         session.acc = init.repeat(ctx.threads_per_block() as usize);
         session.ckpt_lines = drain.then(Vec::new);
         session
-    }
-
-    /// Whether instrumentation is active.
-    pub fn enabled(&self) -> bool {
-        self.rt.is_some()
     }
 
     /// Folds an explicit 64-bit store image into thread `t`'s accumulators
@@ -753,8 +830,8 @@ impl<'rt> LpBlockSession<'rt> {
 
     /// Ends the LP region: reduces the per-thread accumulators with the
     /// configured strategy and publishes the result to the checksum table
-    /// under the block's ID. Must be the block's last LP action.
-    pub fn finalize(mut self, ctx: &mut BlockCtx<'_>) {
+    /// under the block's ID.
+    fn finalize(mut self, ctx: &mut BlockCtx<'_>) {
         let Some(rt) = self.rt else { return };
         if let Some(mut s) = self.psession.take() {
             // Region boundary of an explicit backend: the session
@@ -813,7 +890,7 @@ mod tests {
         let rt = runtime(&mut rig, LpConfig::recommended());
         let out = rig.mem.alloc(64 * 4, 8);
         let mut ctx = simt::BlockCtx::standalone(rig.lc, 3, &mut rig.mem, &mut rig.dev, &rig.cfg);
-        let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+        let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
         for t in 0..64u64 {
             lp.store_f32(&mut ctx, t, out.index(t, 4), t as f32 * 1.5);
         }
@@ -842,7 +919,7 @@ mod tests {
             for b in keys {
                 let mut ctx =
                     simt::BlockCtx::standalone(rig.lc, b, &mut rig.mem, &mut rig.dev, &rig.cfg);
-                let mut lp = LpBlockSession::begin(rt, &mut ctx);
+                let mut lp = LpBlockSession::begin(Some(rt), &mut ctx);
                 lp.update(&mut ctx, 0, b * 31);
                 lp.finalize(&mut ctx);
                 let _ = ctx.into_cost();
@@ -883,7 +960,7 @@ mod tests {
         let mut rig = Rig::new();
         let rt = runtime(&mut rig, LpConfig::recommended());
         let mut ctx = simt::BlockCtx::standalone(rig.lc, 0, &mut rig.mem, &mut rig.dev, &rig.cfg);
-        let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+        let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
         lp.update(&mut ctx, 0, 1234);
         lp.finalize(&mut ctx);
         let _ = ctx.into_cost();
@@ -903,8 +980,7 @@ mod tests {
         let mut rig = Rig::new();
         let out = rig.mem.alloc(8, 8);
         let mut ctx = simt::BlockCtx::standalone(rig.lc, 0, &mut rig.mem, &mut rig.dev, &rig.cfg);
-        let mut lp = LpBlockSession::begin_opt(None, &mut ctx);
-        assert!(!lp.enabled());
+        let mut lp = LpBlockSession::begin(None, &mut ctx);
         lp.store_u64(&mut ctx, 0, out, 99);
         lp.finalize(&mut ctx);
         let _ = ctx.into_cost();
@@ -923,7 +999,7 @@ mod tests {
             for b in 0..64u64 {
                 let mut ctx =
                     simt::BlockCtx::standalone(rig.lc, b, &mut rig.mem, &mut rig.dev, &rig.cfg);
-                let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+                let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
                 lp.update(&mut ctx, 0, b * 31);
                 lp.finalize(&mut ctx);
                 let _ = ctx.into_cost();
@@ -950,7 +1026,7 @@ mod tests {
         assert!(rt.scratch_for_block(0).is_some());
         // And it still produces correct checksums end-to-end.
         let mut ctx = simt::BlockCtx::standalone(rig.lc, 1, &mut rig.mem, &mut rig.dev, &rig.cfg);
-        let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+        let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
         for t in 0..64u64 {
             lp.update(&mut ctx, t, t + 7);
         }
@@ -1038,7 +1114,7 @@ mod tests {
         for b in [2u64, 3] {
             let mut ctx =
                 simt::BlockCtx::standalone(rig.lc, b, &mut rig.mem, &mut rig.dev, &rig.cfg);
-            let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+            let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
             lp.store_u64(&mut ctx, 0, out.index(b, 8), b * 7);
             lp.finalize(&mut ctx);
             let _ = ctx.into_cost();
@@ -1081,7 +1157,7 @@ mod tests {
         assert!(rt.switch_region(&mut rig.mem, 0, PolicyMode::Checkpoint));
         let out = rig.mem.alloc(64 * 8, 8);
         let mut ctx = simt::BlockCtx::standalone(rig.lc, 0, &mut rig.mem, &mut rig.dev, &rig.cfg);
-        let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+        let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
         for t in 0..64u64 {
             lp.store_u64(&mut ctx, t, out.index(t, 8), t + 1);
         }
@@ -1152,7 +1228,7 @@ mod tests {
             let out = rig.mem.alloc(8, 8);
             let mut ctx =
                 simt::BlockCtx::standalone(rig.lc, 0, &mut rig.mem, &mut rig.dev, &rig.cfg);
-            let mut lp = LpBlockSession::begin(&rt, &mut ctx);
+            let mut lp = LpBlockSession::begin(Some(&rt), &mut ctx);
             lp.store_u64(&mut ctx, 0, out, 7);
             lp.finalize(&mut ctx);
             let _ = ctx.into_cost();

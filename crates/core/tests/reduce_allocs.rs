@@ -1,15 +1,16 @@
 //! Heap allocations on the shuffle reduction path, counted by a
 //! per-thread counting allocator: the warp butterfly and the block
-//! shuffle reduction allocate nothing, and one LP block's begin→finalize
-//! allocates only its accumulators and the reduced checksum vector.
+//! shuffle reduction allocate nothing, and one LP block (session open →
+//! region body → reduce and publish) allocates only its accumulators and
+//! the reduced checksum vector.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gpu_lp::reduce::block_reduce;
-use gpu_lp::{ChecksumSet, LpBlockSession, LpConfig, LpRuntime, ReduceStrategy};
+use gpu_lp::{ChecksumSet, LpBlockSession, LpConfig, LpKernel, LpRuntime, ReduceStrategy, Region};
 use nvm::{NvmConfig, PersistMemory};
-use simt::{warp, BlockCtx, DeviceConfig, DeviceState, Dim3, LaunchConfig};
+use simt::{warp, BlockCtx, DeviceConfig, DeviceState, Dim3, Kernel, LaunchConfig};
 
 /// Forwards to [`System`], counting this thread's allocations.
 struct Counting;
@@ -69,11 +70,7 @@ fn machine() -> (PersistMemory, DeviceState, DeviceConfig, LaunchConfig) {
     let cfg = DeviceConfig::test_gpu();
     let mem = PersistMemory::new(NvmConfig::default());
     let dev = DeviceState::new(&cfg, 4, u64::from(THREADS));
-    let lc = LaunchConfig {
-        grid: Dim3::x(4),
-        block: Dim3::x(THREADS),
-    };
-    (mem, dev, cfg, lc)
+    (mem, dev, cfg, Folds.config())
 }
 
 #[test]
@@ -111,20 +108,42 @@ fn shuffle_block_reduce_allocates_only_its_result() {
     assert_eq!(n, 1, "only the returned checksum vector");
 }
 
+/// Thread `t` of block `b` folds `3t + b`, with no store.
+struct Folds;
+
+impl Region for Folds {
+    fn name(&self) -> &str {
+        "folds"
+    }
+
+    fn config(&self) -> LaunchConfig {
+        LaunchConfig {
+            grid: Dim3::x(4),
+            block: Dim3::x(THREADS),
+        }
+    }
+
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        let block = ctx.block_id();
+        for t in 0..u64::from(THREADS) {
+            lp.update(ctx, t, t * 3 + block);
+        }
+    }
+
+    fn region_images(&self, _mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+        (0..u64::from(THREADS)).map(|t| t * 3 + block).collect()
+    }
+}
+
 #[test]
 fn one_lp_block_allocates_at_most_three_times() {
     let (mut mem, mut dev, cfg, lc) = machine();
     let rt = LpRuntime::setup(&mut mem, 4, u64::from(THREADS), LpConfig::default());
     assert_eq!(rt.config().reduce, ReduceStrategy::ParallelShuffle);
+    let kernel = LpKernel::new(Folds, Some(&rt));
     let run = |mem: &mut PersistMemory, dev: &mut DeviceState, block: u64| {
         let mut ctx = BlockCtx::standalone(lc, block, mem, dev, &cfg);
-        let (n, ()) = allocations(|| {
-            let mut lp = LpBlockSession::begin(&rt, &mut ctx);
-            for t in 0..u64::from(THREADS) {
-                lp.update(&mut ctx, t, t * 3 + block);
-            }
-            lp.finalize(&mut ctx);
-        });
+        let (n, ()) = allocations(|| kernel.run_block(&mut ctx));
         let _ = ctx.into_cost();
         n
     };

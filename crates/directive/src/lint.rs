@@ -15,31 +15,9 @@
 //! interprocedural contract rules (LP016–LP021, `analysis::contract`) read
 //! each kernel's facts from it and compute none of their own.
 //!
-//! Rules:
-//!
-//! | code  | finding                                                      |
-//! |-------|--------------------------------------------------------------|
-//! | LP000 | source does not scan (unbalanced braces in a kernel body)    |
-//! | LP001 | unknown / misspelled `lpcuda_*` directive                    |
-//! | LP002 | `lpcuda_checksum` outside any `__global__` kernel            |
-//! | LP003 | duplicate `lpcuda_init` for the same checksum table          |
-//! | LP004 | table initialised but never referenced by a checksum         |
-//! | LP005 | checksum references a table no `lpcuda_init` declared         |
-//! | LP010 | `__syncthreads()` under a thread-dependent branch            |
-//! | LP011 | global store in a protected kernel covered by no fold        |
-//! | LP012 | checksum fold under thread-dependent control                 |
-//! | LP013 | store address provably independent of `blockIdx`             |
-//! | LP014 | fold on a value with no dominating definition                |
-//! | LP015 | pinned persist mode provably dominated by the write profile  |
-//! | LP016 | store escapes the checksum fold via a `__device__` helper    |
-//! | LP017 | fence scope too narrow to close an epoch on the weakest path |
-//! | LP018 | commit token stored before the data drain under an eager pin |
-//! | LP019 | epoch left open across a loop back edge                      |
-//! | LP020 | fold reachable from divergent store paths it does not cover  |
-//! | LP021 | pinned persist mode whose contract the kernel cannot satisfy |
-//! | LP022 | store provably outside its declared `lpcuda_region` bounds   |
-//! | LP023 | distinct threads provably store to one element (torn line)   |
-//! | LP024 | fold byte-claim mismatches the bytes' final values           |
+//! [`RULES`] lists every rule code with its summary and description;
+//! README.md's rule table mirrors it, one anchored row per code (the SARIF
+//! `helpUri` targets), and `lp-bench`'s `lint_cli` tests hold the two equal.
 //!
 //! LP011, LP013 and LP022–LP024 are byte-precise: they run on the
 //! symbolic store-footprint engine (`analysis::footprint`), which proves

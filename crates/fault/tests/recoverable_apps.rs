@@ -14,7 +14,7 @@
 use gpu_lp::BackendKind;
 use lp_apps::{build_app, AppKind, AppParams, RecoverableApp};
 use lp_fault::soak_world;
-use nvm::{Addr, BumpAllocator, PersistMemory};
+use nvm::{Addr, BumpAllocator, FlushOutcome, PersistMemory};
 use simt::Gpu;
 
 fn params(backend: BackendKind, seed: u64) -> AppParams {
@@ -199,7 +199,11 @@ fn soak(app: &mut dyn RecoverableApp, gpu: &Gpu, mem: &mut PersistMemory, cycles
 fn corrupt(mem: &mut PersistMemory, addr: Addr) {
     let v = mem.read_u64(addr);
     mem.write_u64(addr, v ^ 0x10);
-    assert!(mem.flush_line(addr), "the corrupting write must persist");
+    assert_eq!(
+        mem.flush_line(addr),
+        FlushOutcome::Persisted,
+        "the corrupting write must persist"
+    );
 }
 
 #[test]
@@ -226,7 +230,11 @@ fn the_audit_names_a_corrupted_committed_word_after_a_long_soak() {
                 let w = buf.index(7, 4);
                 let v = mem.read_f32(w);
                 mem.write_f32(w, v + 1.0);
-                assert!(mem.flush_line(w), "the corrupting write must persist");
+                assert_eq!(
+                    mem.flush_line(w),
+                    FlushOutcome::Persisted,
+                    "the corrupting write must persist"
+                );
                 format!("weight 7 diverged at epoch {committed}")
             }
             AppKind::KvTxn => {

@@ -16,23 +16,23 @@
 //! itself bit-for-bit).
 
 use gpu_lp::{
-    checksum::f32_store_image, LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery,
+    checksum::f32_store_image, LpBlockSession, LpConfig, LpKernel, LpRuntime, Region,
+    ResilientRecovery,
 };
 use nvm::{Addr, FaultConfig, PersistMemory};
 use proptest::prelude::*;
-use simt::{BlockCtx, Gpu, Kernel, LaunchConfig};
+use simt::{BlockCtx, Gpu, LaunchConfig};
 
 const N: u64 = 1024;
 const TPB: u64 = 64;
 const REGIONS: u64 = N / TPB;
 
-/// out[i] = (i % 89) * 0.25, LP-protected — idempotent by construction.
-struct FillLp<'rt> {
+/// out[i] = (i % 89) * 0.25 — idempotent by construction.
+struct Fill {
     out: Addr,
-    rt: &'rt LpRuntime,
 }
 
-impl Kernel for FillLp<'_> {
+impl Region for Fill {
     fn name(&self) -> &str {
         "fill_lp_idem"
     }
@@ -41,20 +41,16 @@ impl Kernel for FillLp<'_> {
         LaunchConfig::linear(N, TPB as u32)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin(self.rt, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             let gid = ctx.global_thread_id(t);
             if gid < N {
                 lp.store_f32(ctx, t, self.out.index(gid, 4), (gid % 89) as f32 * 0.25);
             }
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for FillLp<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::new();
         for t in 0..TPB {
             let gid = block * TPB + t;
@@ -62,8 +58,13 @@ impl Recoverable for FillLp<'_> {
                 images.push(f32_store_image(mem.read_f32(self.out.index(gid, 4))));
             }
         }
-        self.rt.digest_region(block, images)
+        images
     }
+}
+
+/// [`Fill`] protected by `rt`.
+fn fill_lp(out: Addr, rt: &LpRuntime) -> LpKernel<'_, Fill> {
+    LpKernel::new(Fill { out }, Some(rt))
 }
 
 /// The soak machine (a 64-line cache: natural evictions everywhere) with
@@ -80,7 +81,7 @@ fn crashed_world(
     }
     let rt = LpRuntime::setup(&mut mem, REGIONS, TPB, LpConfig::recommended());
     mem.arm_crash_after_evictions(crash_after);
-    let k = FillLp { out, rt: &rt };
+    let k = fill_lp(out, &rt);
     gpu.launch(&k, &mut mem).expect("launch");
     if !mem.power_failed() {
         // The working set always evicts enough lines for small crash
@@ -118,7 +119,7 @@ proptest! {
         // World A: crash the launch, recover uninterrupted.
         let (gpu, mut mem_a, rt_a, out_a) = crashed_world(seed, crash_after, 0);
         mem_a.power_on();
-        let k_a = FillLp { out: out_a, rt: &rt_a };
+        let k_a = fill_lp(out_a, &rt_a);
         let a = ResilientRecovery::new(&gpu).recover_reentrant(&k_a, &rt_a, &mut mem_a);
         prop_assert!(a.is_success(), "baseline must converge: {:?}", a.report);
         prop_assert_eq!(a.interruptions, 0);
@@ -128,7 +129,7 @@ proptest! {
         let (gpu, mut mem_b, rt_b, out_b) = crashed_world(seed, crash_after, 0);
         mem_b.power_on();
         mem_b.arm_crash_during_flush(interrupt_after);
-        let k_b = FillLp { out: out_b, rt: &rt_b };
+        let k_b = fill_lp(out_b, &rt_b);
         let b = ResilientRecovery::new(&gpu).recover_reentrant(&k_b, &rt_b, &mut mem_b);
         prop_assert!(b.is_success(), "re-entry must converge: {:?}", b.report);
 
@@ -154,7 +155,7 @@ proptest! {
             let (gpu, mut mem, rt, out) = crashed_world(seed, crash_after, fault_bp);
             mem.power_on();
             mem.arm_crash_during_flush(interrupt_after);
-            let k = FillLp { out, rt: &rt };
+            let k = fill_lp(out, &rt);
             let o = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
             (o, durable_image(&mem, out))
         };
@@ -180,7 +181,7 @@ proptest! {
         let (gpu, mut mem, rt, out) = crashed_world(seed, crash_after, 300);
         mem.power_on();
         mem.arm_crash_during_flush(interrupt_after);
-        let k = FillLp { out, rt: &rt };
+        let k = fill_lp(out, &rt);
         let o = ResilientRecovery::new(&gpu).recover_reentrant(&k, &rt, &mut mem);
         prop_assert!(o.is_success(), "faulty-device re-entry must converge: {:?}", o.report);
         // The durable image alone must hold the reference values: cut

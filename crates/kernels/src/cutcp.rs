@@ -9,9 +9,9 @@
 use crate::common::{self, random_f32s};
 use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const THREADS: u32 = 128;
 const CHUNK: usize = 16;
@@ -114,7 +114,7 @@ impl Workload for Cutcp {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(CutcpKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -127,36 +127,29 @@ impl Workload for Cutcp {
     }
 }
 
-struct CutcpKernel<'a> {
-    w: &'a Cutcp,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl Kernel for CutcpKernel<'_> {
+impl Region for Cutcp {
     fn name(&self) -> &str {
         "cutcp"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let w = self.w;
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         let tpb = ctx.threads_per_block();
 
         let sh = ctx.shared_alloc(4 * CHUNK);
         let mut acc = vec![0.0f32; tpb as usize];
 
-        let chunks = w.atoms.div_ceil(CHUNK);
+        let chunks = self.atoms.div_ceil(CHUNK);
         for chunk in 0..chunks {
             let base = chunk * CHUNK;
-            let in_chunk = CHUNK.min(w.atoms - base);
+            let in_chunk = CHUNK.min(self.atoms - base);
             for s in 0..in_chunk {
                 ctx.set_active_thread(s as u64 % tpb);
                 for comp in 0..4 {
-                    let v = ctx.load_f32(w.atom_xyzq.index((4 * (base + s) + comp) as u64, 4));
+                    let v = ctx.load_f32(self.atom_xyzq.index((4 * (base + s) + comp) as u64, 4));
                     ctx.shm_write_f32(sh, 4 * s + comp, v);
                 }
             }
@@ -164,7 +157,7 @@ impl Kernel for CutcpKernel<'_> {
             for t in 0..tpb {
                 ctx.set_active_thread(t);
                 let p = ctx.global_thread_id(t) as usize;
-                let (px, py) = w.coord(p);
+                let (px, py) = self.coord(p);
                 let mut a = acc[t as usize];
                 for s in 0..in_chunk {
                     let ax = ctx.shm_read_f32(sh, 4 * s);
@@ -186,22 +179,18 @@ impl Kernel for CutcpKernel<'_> {
         for t in 0..tpb {
             ctx.set_active_thread(t);
             let p = ctx.global_thread_id(t);
-            lp.store_f32(ctx, t, w.out.index(p, 4), acc[t as usize]);
+            lp.store_f32(ctx, t, self.out.index(p, 4), acc[t as usize]);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for CutcpKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::with_capacity(tpb as usize);
         for t in 0..tpb {
             let p = block * tpb + t;
-            images.push(f32_store_image(mem.read_f32(self.w.out.index(p, 4))));
+            images.push(f32_store_image(mem.read_f32(self.out.index(p, 4))));
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

@@ -11,9 +11,9 @@
 
 use crate::common::{self, random_u32s};
 use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const BINS: usize = 256;
 const THREADS: u32 = 256;
@@ -92,7 +92,7 @@ impl Workload for Histo {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(HistoKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -105,25 +105,19 @@ impl Workload for Histo {
     }
 }
 
-struct HistoKernel<'a> {
-    w: &'a Histo,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl Kernel for HistoKernel<'_> {
+impl Region for Histo {
     fn name(&self) -> &str {
         "histo"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         let tpb = ctx.threads_per_block();
         let b = ctx.block_id();
-        let chunk = tpb * self.w.elems_per_thread as u64;
+        let chunk = tpb * self.elems_per_thread as u64;
 
         // Shared-memory histogram (one word per bin), cooperatively zeroed.
         let bins = ctx.shared_alloc(BINS);
@@ -132,9 +126,9 @@ impl Kernel for HistoKernel<'_> {
         // hardware (threads of one block hit the same bins concurrently).
         for t in 0..tpb {
             ctx.set_active_thread(t);
-            for e in 0..self.w.elems_per_thread as u64 {
+            for e in 0..self.elems_per_thread as u64 {
                 let idx = b * chunk + e * tpb + t;
-                let v = ctx.load_u32(self.w.input.index(idx, 4)) as usize;
+                let v = ctx.load_u32(self.input.index(idx, 4)) as usize;
                 ctx.shm_atomic_add(bins, v, 1);
                 ctx.charge_alu(1);
             }
@@ -152,23 +146,19 @@ impl Kernel for HistoKernel<'_> {
                 lp.store_u32(
                     ctx,
                     t,
-                    self.w.partials.index(b * BINS as u64 + bin as u64, 4),
+                    self.partials.index(b * BINS as u64 + bin as u64, 4),
                     sat,
                 );
             }
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for HistoKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(BINS);
         for bin in 0..BINS as u64 {
-            images.push(mem.read_u32(self.w.partials.index(block * BINS as u64 + bin, 4)) as u64);
+            images.push(mem.read_u32(self.partials.index(block * BINS as u64 + bin, 4)) as u64);
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

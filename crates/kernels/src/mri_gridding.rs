@@ -12,10 +12,10 @@
 use crate::common::{self, rng};
 use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const THREADS: u32 = 16; // cells per block (the paper's launch uses many small blocks)
 const RADIUS: f32 = 1.0; // interpolation kernel radius, in cell units
@@ -150,7 +150,7 @@ impl Workload for MriGridding {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(GriddingKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -163,42 +163,38 @@ impl Workload for MriGridding {
     }
 }
 
-struct GriddingKernel<'a> {
-    w: &'a MriGridding,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl Kernel for GriddingKernel<'_> {
+impl Region for MriGridding {
     fn name(&self) -> &str {
         "mri-gridding"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let w = self.w;
-        let d = w.dim as i64;
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        let d = self.dim as i64;
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let cell = ctx.global_thread_id(t);
-            if cell >= w.cells() as u64 {
+            if cell >= self.cells() as u64 {
                 continue;
             }
-            let (cx, cy) = ((cell % w.dim as u64) as i64, (cell / w.dim as u64) as i64);
+            let (cx, cy) = (
+                (cell % self.dim as u64) as i64,
+                (cell / self.dim as u64) as i64,
+            );
             let centre = (cx as f32 + 0.5, cy as f32 + 0.5);
             let mut acc = 0.0f32;
             for by in (cy - 1).max(0)..=(cy + 1).min(d - 1) {
                 for bx in (cx - 1).max(0)..=(cx + 1).min(d - 1) {
                     let bin = (by * d + bx) as u64;
-                    let lo = ctx.load_u32(w.cell_start.index(bin, 4)) as u64;
-                    let hi = ctx.load_u32(w.cell_start.index(bin + 1, 4)) as u64;
+                    let lo = ctx.load_u32(self.cell_start.index(bin, 4)) as u64;
+                    let hi = ctx.load_u32(self.cell_start.index(bin + 1, 4)) as u64;
                     for s in lo..hi {
-                        let sx = ctx.load_f32(w.sx.index(s, 4));
-                        let sy = ctx.load_f32(w.sy.index(s, 4));
-                        let sv = ctx.load_f32(w.sval.index(s, 4));
+                        let sx = ctx.load_f32(self.sx.index(s, 4));
+                        let sy = ctx.load_f32(self.sy.index(s, 4));
+                        let sv = ctx.load_f32(self.sval.index(s, 4));
                         let dx = sx - centre.0;
                         let dy = sy - centre.1;
                         acc += MriGridding::weight(dx * dx + dy * dy) * sv;
@@ -210,24 +206,20 @@ impl Kernel for GriddingKernel<'_> {
                     }
                 }
             }
-            lp.store_f32(ctx, t, w.out.index(cell, 4), acc);
+            lp.store_f32(ctx, t, self.out.index(cell, 4), acc);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for GriddingKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::new();
         for t in 0..tpb {
             let cell = block * tpb + t;
-            if cell < self.w.cells() as u64 {
-                images.push(f32_store_image(mem.read_f32(self.w.out.index(cell, 4))));
+            if cell < self.cells() as u64 {
+                images.push(f32_store_image(mem.read_f32(self.out.index(cell, 4))));
             }
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

@@ -9,9 +9,9 @@
 use crate::common::{self, random_f32s};
 use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const THREADS: u32 = 64;
 const CHUNK: usize = 16; // k-samples staged per shared-memory pass
@@ -136,7 +136,7 @@ impl Workload for MriQ {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(MriQKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -153,23 +153,24 @@ impl Workload for MriQ {
     }
 }
 
-struct MriQKernel<'a> {
-    w: &'a MriQ,
-    lp: Option<&'a LpRuntime>,
+impl MriQ {
+    /// Loads a voxel coordinate (one global read; the coordinate arrays are
+    /// streamed once per chunk like the Parboil kernel does).
+    fn host_coord(&self, ctx: &mut BlockCtx<'_>, base: Addr, v: usize) -> f32 {
+        ctx.load_f32(base.index(v as u64, 4))
+    }
 }
 
-impl Kernel for MriQKernel<'_> {
+impl Region for MriQ {
     fn name(&self) -> &str {
         "mri-q"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let w = self.w;
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         let tpb = ctx.threads_per_block();
 
         // Shared staging: kx, ky, kz, |phi|² per chunk sample.
@@ -177,17 +178,17 @@ impl Kernel for MriQKernel<'_> {
         let mut accr = vec![0.0f32; tpb as usize];
         let mut acci = vec![0.0f32; tpb as usize];
 
-        let chunks = w.k_samples.div_ceil(CHUNK);
+        let chunks = self.k_samples.div_ceil(CHUNK);
         for chunk in 0..chunks {
             let base = chunk * CHUNK;
-            let in_chunk = CHUNK.min(w.k_samples - base);
+            let in_chunk = CHUNK.min(self.k_samples - base);
             // Cooperative load of the chunk (first `in_chunk` threads).
             for s in 0..in_chunk {
                 ctx.set_active_thread(s as u64 % tpb);
-                let kx = ctx.load_f32(w.kx.index((base + s) as u64, 4));
-                let ky = ctx.load_f32(w.ky.index((base + s) as u64, 4));
-                let kz = ctx.load_f32(w.kz.index((base + s) as u64, 4));
-                let phi = ctx.load_f32(w.phi.index((base + s) as u64, 4));
+                let kx = ctx.load_f32(self.kx.index((base + s) as u64, 4));
+                let ky = ctx.load_f32(self.ky.index((base + s) as u64, 4));
+                let kz = ctx.load_f32(self.kz.index((base + s) as u64, 4));
+                let phi = ctx.load_f32(self.phi.index((base + s) as u64, 4));
                 ctx.shm_write_f32(sh, 4 * s, kx);
                 ctx.shm_write_f32(sh, 4 * s + 1, ky);
                 ctx.shm_write_f32(sh, 4 * s + 2, kz);
@@ -198,9 +199,9 @@ impl Kernel for MriQKernel<'_> {
             for t in 0..tpb {
                 ctx.set_active_thread(t);
                 let v = ctx.global_thread_id(t) as usize;
-                let x = w.host_coord(ctx, w.x, v);
-                let y = w.host_coord(ctx, w.y, v);
-                let z = w.host_coord(ctx, w.z, v);
+                let x = self.host_coord(ctx, self.x, v);
+                let y = self.host_coord(ctx, self.y, v);
+                let z = self.host_coord(ctx, self.z, v);
                 let (mut ar, mut ai) = (accr[t as usize], acci[t as usize]);
                 for s in 0..in_chunk {
                     let kx = ctx.shm_read_f32(sh, 4 * s);
@@ -222,32 +223,20 @@ impl Kernel for MriQKernel<'_> {
         for t in 0..tpb {
             ctx.set_active_thread(t);
             let v = ctx.global_thread_id(t);
-            lp.store_f32(ctx, t, w.qr.index(v, 4), accr[t as usize]);
-            lp.store_f32(ctx, t, w.qi.index(v, 4), acci[t as usize]);
+            lp.store_f32(ctx, t, self.qr.index(v, 4), accr[t as usize]);
+            lp.store_f32(ctx, t, self.qi.index(v, 4), acci[t as usize]);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl MriQ {
-    /// Loads a voxel coordinate (one global read; the coordinate arrays are
-    /// streamed once per chunk like the Parboil kernel does).
-    fn host_coord(&self, ctx: &mut BlockCtx<'_>, base: Addr, v: usize) -> f32 {
-        ctx.load_f32(base.index(v as u64, 4))
-    }
-}
-
-impl Recoverable for MriQKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::with_capacity(2 * tpb as usize);
         for t in 0..tpb {
             let v = block * tpb + t;
-            images.push(f32_store_image(mem.read_f32(self.w.qr.index(v, 4))));
-            images.push(f32_store_image(mem.read_f32(self.w.qi.index(v, 4))));
+            images.push(f32_store_image(mem.read_f32(self.qr.index(v, 4))));
+            images.push(f32_store_image(mem.read_f32(self.qi.index(v, 4))));
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

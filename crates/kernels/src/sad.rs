@@ -9,9 +9,9 @@
 
 use crate::common::{self, random_u32s};
 use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const THREADS: u32 = 64; // one candidate offset per thread
 const PIXEL_MAX: u32 = 256;
@@ -128,7 +128,7 @@ impl Workload for Sad {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(SadKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -153,61 +153,50 @@ impl Workload for Sad {
     }
 }
 
-struct SadKernel<'a> {
-    w: &'a Sad,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl Kernel for SadKernel<'_> {
+impl Region for Sad {
     fn name(&self) -> &str {
         "sad"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let w = self.w;
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         let b = ctx.block_id();
-        let mbs = (w.mbs_x() * w.mbs_y()) as u64;
+        let mbs = (self.mbs_x() * self.mbs_y()) as u64;
         let group = (b / mbs) as usize;
         let mb_idx = (b % mbs) as usize;
-        let (mx, my) = (mb_idx % w.mbs_x(), mb_idx / w.mbs_x());
+        let (mx, my) = (mb_idx % self.mbs_x(), mb_idx / self.mbs_x());
 
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
-            let (dx, dy) = w.offset(group, t as usize);
+            let (dx, dy) = self.offset(group, t as usize);
             let mut sad = 0u32;
-            for py in 0..w.mb {
-                for px in 0..w.mb {
-                    let cx = (mx * w.mb + px) as i64;
-                    let cy = (my * w.mb + py) as i64;
-                    let cur_idx = (cy as usize * w.width + cx as usize) as u64;
-                    let rx = (cx + dx).clamp(0, w.width as i64 - 1) as u64;
-                    let ry = (cy + dy).clamp(0, w.height as i64 - 1) as u64;
-                    let ref_idx = ry * w.width as u64 + rx;
-                    let c = ctx.load_u32(w.cur.index(cur_idx, 4));
-                    let r = ctx.load_u32(w.reff.index(ref_idx, 4));
+            for py in 0..self.mb {
+                for px in 0..self.mb {
+                    let cx = (mx * self.mb + px) as i64;
+                    let cy = (my * self.mb + py) as i64;
+                    let cur_idx = (cy as usize * self.width + cx as usize) as u64;
+                    let rx = (cx + dx).clamp(0, self.width as i64 - 1) as u64;
+                    let ry = (cy + dy).clamp(0, self.height as i64 - 1) as u64;
+                    let ref_idx = ry * self.width as u64 + rx;
+                    let c = ctx.load_u32(self.cur.index(cur_idx, 4));
+                    let r = ctx.load_u32(self.reff.index(ref_idx, 4));
                     sad += c.abs_diff(r);
                     ctx.charge_alu(3);
                 }
             }
-            lp.store_u32(ctx, t, w.out.index(b * THREADS as u64 + t, 4), sad);
+            lp.store_u32(ctx, t, self.out.index(b * THREADS as u64 + t, 4), sad);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for SadKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(THREADS as usize);
         for t in 0..THREADS as u64 {
-            images.push(mem.read_u32(self.w.out.index(block * THREADS as u64 + t, 4)) as u64);
+            images.push(mem.read_u32(self.out.index(block * THREADS as u64 + t, 4)) as u64);
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

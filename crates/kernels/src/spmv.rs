@@ -5,10 +5,10 @@
 use crate::common::{self, rng};
 use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const THREADS: u32 = 64;
 
@@ -110,7 +110,7 @@ impl Workload for Spmv {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(SpmvKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -123,56 +123,46 @@ impl Workload for Spmv {
     }
 }
 
-struct SpmvKernel<'a> {
-    w: &'a Spmv,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl Kernel for SpmvKernel<'_> {
+impl Region for Spmv {
     fn name(&self) -> &str {
         "spmv"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let row = ctx.global_thread_id(t);
-            if row >= self.w.rows as u64 {
+            if row >= self.rows as u64 {
                 continue;
             }
-            let lo = ctx.load_u32(self.w.row_ptr.index(row, 4)) as u64;
-            let hi = ctx.load_u32(self.w.row_ptr.index(row + 1, 4)) as u64;
+            let lo = ctx.load_u32(self.row_ptr.index(row, 4)) as u64;
+            let hi = ctx.load_u32(self.row_ptr.index(row + 1, 4)) as u64;
             let mut acc = 0.0f32;
             for k in lo..hi {
-                let col = ctx.load_u32(self.w.col_idx.index(k, 4)) as u64;
-                let v = ctx.load_f32(self.w.vals.index(k, 4));
-                let xv = ctx.load_f32(self.w.x.index(col, 4));
+                let col = ctx.load_u32(self.col_idx.index(k, 4)) as u64;
+                let v = ctx.load_f32(self.vals.index(k, 4));
+                let xv = ctx.load_f32(self.x.index(col, 4));
                 acc += v * xv;
                 ctx.charge_alu(2);
             }
-            lp.store_f32(ctx, t, self.w.y.index(row, 4), acc);
+            lp.store_f32(ctx, t, self.y.index(row, 4), acc);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for SpmvKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::new();
         for t in 0..tpb {
             let row = block * tpb + t;
-            if row < self.w.rows as u64 {
-                images.push(f32_store_image(mem.read_f32(self.w.y.index(row, 4))));
+            if row < self.rows as u64 {
+                images.push(f32_store_image(mem.read_f32(self.y.index(row, 4))));
             }
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

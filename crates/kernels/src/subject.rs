@@ -170,7 +170,9 @@ mod tests {
     use super::*;
     use gpu_lp::ResilientRecovery;
     use lp_directive::analysis::footprint::source_footprints;
-    use simt::CrashPlan;
+    use nvm::Addr;
+    use simt::{AccessObserver, CrashPlan};
+    use std::collections::BTreeMap;
 
     #[test]
     fn the_table_is_complete_and_self_consistent() {
@@ -260,6 +262,53 @@ mod tests {
             assert!(report.all_durable, "{name}: no convergence: {report:?}");
             assert!(w.verify(&mut mem), "{name}: output wrong after recovery");
         }
+    }
+
+    /// Every protected store's address, per block, in issue order.
+    #[derive(Default)]
+    struct ProtectedStores(BTreeMap<u64, Vec<u64>>);
+
+    impl AccessObserver for ProtectedStores {
+        fn on_protected_store(&mut self, block: u64, addr: u64) {
+            self.0.entry(block).or_default().push(addr);
+        }
+    }
+
+    #[test]
+    fn every_subjects_read_back_sees_its_outputs() {
+        // A block's read-back (`Region::region_images`) must read what its
+        // protected stores wrote: one flipped byte in one of them fails
+        // that block's validation, and no other block's. MEGA-KV's delete
+        // issues no protected store — it folds the post-state of its
+        // tombstone CAS — so the observer sees nothing to flip there.
+        let no_protected_store = ["MEGAKV-DELETE"];
+        let mut unobserved = Vec::new();
+        for row in &SUBJECTS {
+            let name = row.name;
+            let (gpu, mut mem) = test_world();
+            let mut w = (row.build)(Scale::Test, 4);
+            let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
+            let kernel = w.kernel(Some(&rt));
+            let mut stores = ProtectedStores::default();
+            gpu.launch_observed(kernel.as_ref(), &mut mem, &mut stores)
+                .expect("launch");
+            mem.flush_all();
+            // The middle block that stored anything, and its first store.
+            let blocks: Vec<u64> = stores.0.keys().copied().collect();
+            let Some(&block) = blocks.get(blocks.len() / 2) else {
+                unobserved.push(name);
+                continue;
+            };
+            let addr = Addr::new(stores.0[&block][0]);
+            let v = mem.read_u32(addr);
+            mem.write_u32(addr, v ^ 0xFF);
+            assert_eq!(
+                rt.failing_regions(kernel.as_ref(), &mut mem),
+                [block],
+                "{name}: one byte flipped at {addr:?}, a store of block {block}"
+            );
+        }
+        assert_eq!(unobserved, no_protected_store);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 use crate::common::{self, random_f32s};
 use crate::workload::{Scale, Workload, WorkloadInfo};
 use gpu_lp::checksum::f32_store_image;
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 /// C = A × B with square tiling through shared memory.
 #[derive(Debug)]
@@ -107,7 +107,7 @@ impl Workload for Tmm {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(TmmKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -120,36 +120,30 @@ impl Workload for Tmm {
     }
 }
 
-struct TmmKernel<'a> {
-    w: &'a Tmm,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl TmmKernel<'_> {
+impl Tmm {
     /// `(row, col)` of flat thread `t` in block `(bx, by)`.
     fn coords(&self, ctx: &BlockCtx<'_>, t: u64) -> (usize, usize, usize, usize) {
         let (bx, by, _) = ctx.block_idx();
         let (tx, ty, _) = ctx.thread_idx(t);
-        let row = by as usize * self.w.tile + ty as usize;
-        let col = bx as usize * self.w.tile + tx as usize;
+        let row = by as usize * self.tile + ty as usize;
+        let col = bx as usize * self.tile + tx as usize;
         (row, col, tx as usize, ty as usize)
     }
 }
 
-impl Kernel for TmmKernel<'_> {
+impl Region for Tmm {
     fn name(&self) -> &str {
         "tmm"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let n = self.w.n;
-        let tile = self.w.tile;
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        let n = self.n;
+        let tile = self.tile;
         let tpb = ctx.threads_per_block();
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
 
         let a_s = ctx.shared_alloc(tile * tile);
         let b_s = ctx.shared_alloc(tile * tile);
@@ -162,8 +156,8 @@ impl Kernel for TmmKernel<'_> {
                 let (row, col, tx, ty) = self.coords(ctx, t);
                 let a_col = phase * tile + tx;
                 let b_row = phase * tile + ty;
-                let av = ctx.load_f32(self.w.a.index((row * n + a_col) as u64, 4));
-                let bv = ctx.load_f32(self.w.b.index((b_row * n + col) as u64, 4));
+                let av = ctx.load_f32(self.a.index((row * n + a_col) as u64, 4));
+                let bv = ctx.load_f32(self.b.index((b_row * n + col) as u64, 4));
                 ctx.shm_write_f32(a_s, ty * tile + tx, av);
                 ctx.shm_write_f32(b_s, ty * tile + tx, bv);
             }
@@ -186,20 +180,16 @@ impl Kernel for TmmKernel<'_> {
             lp.store_f32(
                 ctx,
                 t,
-                self.w.c.index((row * n + col) as u64, 4),
+                self.c.index((row * n + col) as u64, 4),
                 acc[t as usize],
             );
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for TmmKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let lc = self.config();
-        let n = self.w.n;
-        let tile = self.w.tile;
+        let n = self.n;
+        let tile = self.tile;
         let (bx, by, _) = lc.grid.unflatten(block);
         let mut images = Vec::with_capacity(tile * tile);
         for t in 0..lc.threads_per_block() {
@@ -207,10 +197,10 @@ impl Recoverable for TmmKernel<'_> {
             let row = by as usize * tile + ty as usize;
             let col = bx as usize * tile + tx as usize;
             images.push(f32_store_image(
-                mem.read_f32(self.w.c.index((row * n + col) as u64, 4)),
+                mem.read_f32(self.c.index((row * n + col) as u64, 4)),
             ));
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

@@ -8,10 +8,10 @@
 
 use crate::common::{self, rng};
 use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 const THREADS: u32 = 64;
 const BINS: usize = 32;
@@ -117,7 +117,7 @@ impl Workload for Tpacf {
     }
 
     fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(TpacfKernel { w: self, lp })
+        Box::new(LpKernel::new(self, lp))
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -130,38 +130,32 @@ impl Workload for Tpacf {
     }
 }
 
-struct TpacfKernel<'a> {
-    w: &'a Tpacf,
-    lp: Option<&'a LpRuntime>,
-}
-
-impl Kernel for TpacfKernel<'_> {
+impl Region for Tpacf {
     fn name(&self) -> &str {
         "tpacf"
     }
 
     fn config(&self) -> LaunchConfig {
-        self.w.launch_config()
+        self.launch_config()
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         let tpb = ctx.threads_per_block();
         let b = ctx.block_id();
-        let m = self.w.points() as u64;
+        let m = self.points() as u64;
 
         let bins = ctx.shared_alloc(BINS);
         // Stage the block's point window into shared memory once — the
         // windows of consecutive threads overlap almost entirely, so this
         // turns TPACF into the instruction-throughput-bound kernel Table I
         // describes instead of re-streaming points from global memory.
-        let span = tpb as usize + self.w.window;
+        let span = tpb as usize + self.window;
         let pts = ctx.shared_alloc(3 * span);
         for s in 0..span as u64 {
             ctx.set_active_thread(s % tpb);
             let p = (b * tpb + s) % m;
             for comp in 0..3 {
-                let v = ctx.load_f32(self.w.xyz.index(3 * p + comp, 4));
+                let v = ctx.load_f32(self.xyz.index(3 * p + comp, 4));
                 ctx.shm_write_f32(pts, 3 * s as usize + comp as usize, v);
             }
         }
@@ -172,7 +166,7 @@ impl Kernel for TpacfKernel<'_> {
             let xi = ctx.shm_read_f32(pts, 3 * ti);
             let yi = ctx.shm_read_f32(pts, 3 * ti + 1);
             let zi = ctx.shm_read_f32(pts, 3 * ti + 2);
-            for wj in 1..=self.w.window {
+            for wj in 1..=self.window {
                 let sj = ti + wj;
                 let xj = ctx.shm_read_f32(pts, 3 * sj);
                 let yj = ctx.shm_read_f32(pts, 3 * sj + 1);
@@ -199,23 +193,19 @@ impl Kernel for TpacfKernel<'_> {
                 lp.store_u32(
                     ctx,
                     t,
-                    self.w.partials.index(b * BINS as u64 + bin as u64, 4),
+                    self.partials.index(b * BINS as u64 + bin as u64, 4),
                     count,
                 );
             }
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for TpacfKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(BINS);
         for bin in 0..BINS as u64 {
-            images.push(mem.read_u32(self.w.partials.index(block * BINS as u64 + bin, 4)) as u64);
+            images.push(mem.read_u32(self.partials.index(block * BINS as u64 + bin, 4)) as u64);
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 

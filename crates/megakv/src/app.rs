@@ -5,7 +5,7 @@
 use crate::batch::{generate_streams, value_of, Batch};
 use crate::kernels::{DeleteKernel, InsertKernel, SearchKernel, OPS_PER_BLOCK};
 use crate::store::KvStore;
-use gpu_lp::{LpConfig, LpRuntime, Recoverable, ResilientRecovery, ResilientReport};
+use gpu_lp::{LpConfig, LpKernel, LpRuntime, Recoverable, ResilientRecovery, ResilientReport};
 use nvm::PersistMemory;
 use simt::{CrashPlan, Gpu, LaunchStats};
 
@@ -89,21 +89,27 @@ impl MegaKv {
         lp: Option<&'a LpRuntime>,
     ) -> Box<dyn Recoverable + 'a> {
         match op {
-            OpKind::Insert => Box::new(InsertKernel {
-                store: &self.store,
-                batch: &self.insert,
+            OpKind::Insert => Box::new(LpKernel::new(
+                InsertKernel {
+                    store: &self.store,
+                    batch: &self.insert,
+                },
                 lp,
-            }),
-            OpKind::Search => Box::new(SearchKernel {
-                store: &self.store,
-                batch: &self.search,
+            )),
+            OpKind::Search => Box::new(LpKernel::new(
+                SearchKernel {
+                    store: &self.store,
+                    batch: &self.search,
+                },
                 lp,
-            }),
-            OpKind::Delete => Box::new(DeleteKernel {
-                store: &self.store,
-                batch: &self.delete,
+            )),
+            OpKind::Delete => Box::new(LpKernel::new(
+                DeleteKernel {
+                    store: &self.store,
+                    batch: &self.delete,
+                },
                 lp,
-            }),
+            )),
         }
     }
 

@@ -1,5 +1,6 @@
-//! The three batched KV kernels (insert / search / delete), each with
-//! optional Lazy Persistency instrumentation and crash recovery.
+//! The three batched KV kernels (insert / search / delete), each an LP
+//! [`Region`]: [`gpu_lp::LpKernel`] runs it with or without Lazy
+//! Persistency instrumentation and recovers it after a crash.
 //!
 //! One thread per operation, 256 operations per thread block (one LP
 //! region). Recovery recomputation derives each operation's expected
@@ -9,9 +10,9 @@
 
 use crate::batch::Batch;
 use crate::store::{KvStore, EMPTY, NOT_FOUND, TOMBSTONE};
-use gpu_lp::{LpBlockSession, LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, Region};
 use nvm::PersistMemory;
-use simt::{BlockCtx, Kernel, LaunchConfig};
+use simt::{BlockCtx, LaunchConfig};
 
 /// Operations per thread block.
 pub const OPS_PER_BLOCK: u32 = 256;
@@ -30,11 +31,9 @@ pub struct InsertKernel<'a> {
     pub store: &'a KvStore,
     /// The operation batch.
     pub batch: &'a Batch,
-    /// Optional LP instrumentation.
-    pub lp: Option<&'a LpRuntime>,
 }
 
-impl Kernel for InsertKernel<'_> {
+impl Region for InsertKernel<'_> {
     fn name(&self) -> &str {
         "megakv-insert"
     }
@@ -43,8 +42,7 @@ impl Kernel for InsertKernel<'_> {
         launch_for(self.batch)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -76,13 +74,9 @@ impl Kernel for InsertKernel<'_> {
             lp.update(ctx, t, key);
             lp.store_u64(ctx, t, value_addr, value);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for InsertKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = OPS_PER_BLOCK as u64;
         let mut images = Vec::new();
         for t in 0..tpb {
@@ -105,10 +99,9 @@ impl Recoverable for InsertKernel<'_> {
                 }
             }
         }
-        // The kernel folded (key, value) per op; fold the read-back pair
-        // stream the same way.
-        let folded: Vec<u64> = images.clone();
-        rt.digest_region(block, folded)
+        // The kernel folded (key, value) per op: the read-back pair stream
+        // is in the same order.
+        images
     }
 }
 
@@ -119,11 +112,9 @@ pub struct SearchKernel<'a> {
     pub store: &'a KvStore,
     /// The operation batch (results land in `batch.out`).
     pub batch: &'a Batch,
-    /// Optional LP instrumentation.
-    pub lp: Option<&'a LpRuntime>,
 }
 
-impl Kernel for SearchKernel<'_> {
+impl Region for SearchKernel<'_> {
     fn name(&self) -> &str {
         "megakv-search"
     }
@@ -132,8 +123,7 @@ impl Kernel for SearchKernel<'_> {
         launch_for(self.batch)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -149,13 +139,9 @@ impl Kernel for SearchKernel<'_> {
             }
             lp.store_u64(ctx, t, self.batch.out.index(i, 8), result);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for SearchKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = OPS_PER_BLOCK as u64;
         let mut images = Vec::new();
         for t in 0..tpb {
@@ -164,7 +150,7 @@ impl Recoverable for SearchKernel<'_> {
                 images.push(mem.read_u64(self.batch.out.index(i, 8)));
             }
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 
@@ -175,11 +161,9 @@ pub struct DeleteKernel<'a> {
     pub store: &'a KvStore,
     /// The operation batch.
     pub batch: &'a Batch,
-    /// Optional LP instrumentation.
-    pub lp: Option<&'a LpRuntime>,
 }
 
-impl Kernel for DeleteKernel<'_> {
+impl Region for DeleteKernel<'_> {
     fn name(&self) -> &str {
         "megakv-delete"
     }
@@ -188,8 +172,7 @@ impl Kernel for DeleteKernel<'_> {
         launch_for(self.batch)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(self.lp, ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -209,13 +192,9 @@ impl Kernel for DeleteKernel<'_> {
             // ever present (deletes are idempotent).
             lp.update(ctx, t, DELETED_IMAGE);
         }
-        lp.finalize(ctx);
     }
-}
 
-impl Recoverable for DeleteKernel<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.lp.expect("recovery needs the LP runtime");
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = OPS_PER_BLOCK as u64;
         let mut images = Vec::new();
         for t in 0..tpb {
@@ -231,7 +210,7 @@ impl Recoverable for DeleteKernel<'_> {
                 Some(_) => key,
             });
         }
-        rt.digest_region(block, images)
+        images
     }
 }
 
@@ -239,6 +218,7 @@ impl Recoverable for DeleteKernel<'_> {
 mod tests {
     use super::*;
     use crate::batch::value_of;
+    use gpu_lp::LpKernel;
     use nvm::NvmConfig;
     use simt::{DeviceConfig, Gpu};
 
@@ -254,21 +234,25 @@ mod tests {
         let keys: Vec<u64> = (1..=512).collect();
         let ins = Batch::upload(&mut mem, keys.clone());
         gpu.launch(
-            &InsertKernel {
-                store: &store,
-                batch: &ins,
-                lp: None,
-            },
+            &LpKernel::new(
+                InsertKernel {
+                    store: &store,
+                    batch: &ins,
+                },
+                None,
+            ),
             &mut mem,
         )
         .unwrap();
         let se = Batch::upload(&mut mem, keys.clone());
         gpu.launch(
-            &SearchKernel {
-                store: &store,
-                batch: &se,
-                lp: None,
-            },
+            &LpKernel::new(
+                SearchKernel {
+                    store: &store,
+                    batch: &se,
+                },
+                None,
+            ),
             &mut mem,
         )
         .unwrap();
@@ -286,11 +270,13 @@ mod tests {
         let (gpu, mut mem, store) = world(64);
         let se = Batch::upload(&mut mem, vec![9999]);
         gpu.launch(
-            &SearchKernel {
-                store: &store,
-                batch: &se,
-                lp: None,
-            },
+            &LpKernel::new(
+                SearchKernel {
+                    store: &store,
+                    batch: &se,
+                },
+                None,
+            ),
             &mut mem,
         )
         .unwrap();
@@ -303,22 +289,26 @@ mod tests {
         let keys: Vec<u64> = (1..=128).collect();
         let ins = Batch::upload(&mut mem, keys.clone());
         gpu.launch(
-            &InsertKernel {
-                store: &store,
-                batch: &ins,
-                lp: None,
-            },
+            &LpKernel::new(
+                InsertKernel {
+                    store: &store,
+                    batch: &ins,
+                },
+                None,
+            ),
             &mut mem,
         )
         .unwrap();
         let dels: Vec<u64> = keys.iter().copied().filter(|k| k % 2 == 0).collect();
         let del = Batch::upload(&mut mem, dels.clone());
         gpu.launch(
-            &DeleteKernel {
-                store: &store,
-                batch: &del,
-                lp: None,
-            },
+            &LpKernel::new(
+                DeleteKernel {
+                    store: &store,
+                    batch: &del,
+                },
+                None,
+            ),
             &mut mem,
         )
         .unwrap();
@@ -336,11 +326,13 @@ mod tests {
     fn insert_is_idempotent() {
         let (gpu, mut mem, store) = world(64);
         let ins = Batch::upload(&mut mem, (1..=64).collect());
-        let k = InsertKernel {
-            store: &store,
-            batch: &ins,
-            lp: None,
-        };
+        let k = LpKernel::new(
+            InsertKernel {
+                store: &store,
+                batch: &ins,
+            },
+            None,
+        );
         gpu.launch(&k, &mut mem).unwrap();
         gpu.launch(&k, &mut mem).unwrap(); // re-execution must not duplicate
         assert_eq!(store.live_entries(&mut mem), 64);

@@ -5,9 +5,9 @@
 //! device memory. Operations arrive in batches (the MEGA-KV pipeline
 //! model): one GPU thread per operation, thread blocks of 256 operations.
 //! Three kernels — [`kernels::InsertKernel`], [`kernels::SearchKernel`],
-//! [`kernels::DeleteKernel`] — can each run with Lazy Persistency
-//! instrumentation, making the store contents crash-recoverable without a
-//! single persist instruction.
+//! [`kernels::DeleteKernel`] — are LP regions that each run with Lazy
+//! Persistency instrumentation under [`gpu_lp::LpKernel`], making the
+//! store contents crash-recoverable without a single persist instruction.
 //!
 //! The paper reports LP overheads of 2.1 % (insert), 3.4 % (search) and
 //! 5.2 % (delete) for 16 K-record batches with the global-array design;

@@ -571,16 +571,13 @@ impl PersistMemory {
     /// Writes back every dirty line (whole-cache flush / checkpoint
     /// boundary, §IV-A of the paper). If a mid-flush crash is armed, only
     /// the armed number of lines persists before power fails.
-    pub fn flush_all(&mut self) {
-        let _ = self.flush_all_result();
-    }
-
-    /// [`Self::flush_all`], reporting how many dirty lines remain because
-    /// the device failed their write-back (or power was already off / fails
-    /// mid-flush). Zero means everything persisted — on a perfect device
-    /// this always returns zero; under a fault model a non-zero result is
-    /// the caller's cue to retry or quarantine.
-    pub fn flush_all_result(&mut self) -> u64 {
+    ///
+    /// Returns how many dirty lines remain because the device failed their
+    /// write-back (or power was already off / fails mid-flush). Zero means
+    /// everything persisted — on a perfect device this always returns
+    /// zero; under a fault model a non-zero result is the caller's cue to
+    /// retry or quarantine.
+    pub fn flush_all(&mut self) -> u64 {
         if self.power_failed {
             return self.cache.dirty_lines() as u64;
         }
@@ -602,16 +599,10 @@ impl PersistMemory {
     }
 
     /// Writes back the single cache line containing `addr` (`clwb`): the
-    /// Eager Persistency primitive. Returns whether a dirty line was
-    /// actually written back.
-    pub fn flush_line(&mut self, addr: Addr) -> bool {
-        self.flush_line_checked(addr) == FlushOutcome::Persisted
-    }
-
-    /// [`Self::flush_line`] with the device's verdict: distinguishes
+    /// Eager Persistency primitive. The device's verdict distinguishes
     /// "nothing to do" from "persisted" from "the device refused and the
     /// line is still dirty".
-    pub fn flush_line_checked(&mut self, addr: Addr) -> FlushOutcome {
+    pub fn flush_line(&mut self, addr: Addr) -> FlushOutcome {
         self.check(addr, 1);
         if self.power_failed {
             return FlushOutcome::Clean;
@@ -629,16 +620,10 @@ impl PersistMemory {
     /// observationally equivalent to an immediate durable write-back, which
     /// is exactly how it is modelled; the separate [`NvmStats::adr_accepts`]
     /// counter keeps the traffic distinguishable from `clwb`-style flushes.
-    /// Returns whether a dirty line was actually accepted.
-    pub fn adr_accept(&mut self, addr: Addr) -> bool {
-        self.adr_accept_checked(addr) == FlushOutcome::Persisted
-    }
-
-    /// [`Self::adr_accept`] with the device's verdict, so callers can
-    /// distinguish "already clean" from "the queue refused the line"
-    /// and retry the latter.
-    pub fn adr_accept_checked(&mut self, addr: Addr) -> FlushOutcome {
-        let outcome = self.flush_line_checked(addr);
+    /// The verdict is [`Self::flush_line`]'s: "already clean", "accepted",
+    /// or "the queue refused the line" (retry the latter).
+    pub fn adr_accept(&mut self, addr: Addr) -> FlushOutcome {
+        let outcome = self.flush_line(addr);
         if outcome == FlushOutcome::Persisted {
             self.stats.adr_accepts += 1;
         }
@@ -1056,7 +1041,7 @@ mod tests {
         for i in 0..4 {
             m.write_u64(a.offset(i * 8), 0x1111_1111_1111_1111 * (i + 1));
         }
-        assert_eq!(m.flush_all_result(), 0, "a torn persist reports success");
+        assert_eq!(m.flush_all(), 0, "a torn persist reports success");
         assert!(m.stats().torn_writebacks >= 1);
         m.crash();
         let intact = (0..4)
@@ -1066,7 +1051,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_surface_through_flush_all_result() {
+    fn transient_failures_surface_through_flush_all() {
         let mut m = evicting_mem();
         m.set_fault_config(Some(FaultConfig {
             transient_persist_bp: 10_000,
@@ -1074,12 +1059,12 @@ mod tests {
         }));
         let a = m.alloc(8, 8);
         m.write_u64(a, 99);
-        assert_eq!(m.flush_all_result(), 1, "the line stayed dirty");
+        assert_eq!(m.flush_all(), 1, "the line stayed dirty");
         assert_eq!(m.dirty_lines(), 1);
         // Drop the model: the retry now succeeds, like a transient fault
         // clearing.
         m.set_fault_config(None);
-        assert_eq!(m.flush_all_result(), 0);
+        assert_eq!(m.flush_all(), 0);
         assert_eq!(m.read_durable_u64(a), 99);
     }
 

@@ -94,8 +94,8 @@ fn step(mem: &mut PersistMemory, how: Runs, base: Addr, (kind, x, y): (u8, u64, 
             let stop = (y >> 16) % 16;
             run(mem, how, (base.offset(start), stride, count, width, stop))
         }
-        16 => Outcome::Count(mem.flush_all_result()),
-        17 => Outcome::Flush(mem.flush_line_checked(base.offset(addr))),
+        16 => Outcome::Count(mem.flush_all()),
+        17 => Outcome::Flush(mem.flush_line(base.offset(addr))),
         18 => {
             mem.crash();
             Outcome::Nothing

@@ -33,7 +33,9 @@ fn apply(m: &mut PersistMemory, a: Addr, kind: u8, slot: u64, value: u64) {
         4..=6 => {
             m.read_u64(a.index(slot, 8));
         }
-        7 => m.flush_all(),
+        7 => {
+            m.flush_all();
+        }
         8 => {
             m.flush_line(a.index(slot, 8));
         }
@@ -111,7 +113,7 @@ proptest! {
             shadow.insert(s, v);
         }
         let mut attempts = 0;
-        while m.flush_all_result() > 0 {
+        while m.flush_all() > 0 {
             attempts += 1;
             prop_assert!(attempts < 200, "flush-until-clean failed to converge");
             if attempts % 4 == 0 {

@@ -154,7 +154,7 @@ pub fn drain_line_with_retry(
     mut on_transient_fail: impl FnMut(u32),
 ) -> bool {
     for attempt in 0..retries {
-        match mem.flush_line_checked(Addr::new(base)) {
+        match mem.flush_line(Addr::new(base)) {
             FlushOutcome::Clean | FlushOutcome::Persisted => return true,
             FlushOutcome::TransientFail => on_transient_fail(attempt),
         }

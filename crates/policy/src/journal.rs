@@ -113,7 +113,7 @@ impl PolicyJournal {
             if mem.power_failed() {
                 return false;
             }
-            match mem.flush_line_checked(slot) {
+            match mem.flush_line(slot) {
                 FlushOutcome::TransientFail => continue,
                 FlushOutcome::Persisted | FlushOutcome::Clean => {
                     // The device *claimed* durability; believe only the

@@ -8,8 +8,8 @@
 //! library (not the test tree) so the integration suite, the differential
 //! test, and external harnesses all exercise the same bugs.
 
-use gpu_lp::{LpBlockSession, LpRuntime};
-use nvm::Addr;
+use gpu_lp::{LpBlockSession, Region};
+use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, Dim3, Kernel, LaunchConfig};
 
 /// Two threads exchange values through shared memory but the author forgot
@@ -51,16 +51,15 @@ impl Kernel for MissingSyncFixture {
     }
 }
 
-/// An LP kernel in which one store is issued directly through the context
+/// An LP region in which one store is issued directly through the context
 /// instead of through the session, so it never reaches the checksum
-/// accumulator — exactly the omission LP recovery cannot survive.
+/// accumulator — exactly the omission LP recovery cannot survive. Launch it
+/// as an [`gpu_lp::LpKernel`].
 ///
 /// Dynamic: one [`crate::Finding::UncoveredStore`] per block.
 /// Static twin: `seeded/uncovered_store.cu`, flagged LP011.
 #[derive(Debug)]
-pub struct UncoveredStoreFixture<'a> {
-    /// The LP runtime whose region the kernel runs under.
-    pub lp: &'a LpRuntime,
+pub struct UncoveredStoreFixture {
     /// Output buffer, `blocks * tpb` u32 words.
     pub out: Addr,
     /// Number of blocks to launch.
@@ -69,7 +68,7 @@ pub struct UncoveredStoreFixture<'a> {
     pub tpb: u32,
 }
 
-impl Kernel for UncoveredStoreFixture<'_> {
+impl Region for UncoveredStoreFixture {
     fn name(&self) -> &str {
         "uncovered-store-fixture"
     }
@@ -81,8 +80,7 @@ impl Kernel for UncoveredStoreFixture<'_> {
         }
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin_opt(Some(self.lp), ctx);
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         let tpb = ctx.threads_per_block();
         for t in 0..tpb {
             ctx.set_active_thread(t);
@@ -95,7 +93,15 @@ impl Kernel for UncoveredStoreFixture<'_> {
                 lp.store_u32(ctx, t, self.out.index(i, 4), i as u32);
             }
         }
-        lp.finalize(ctx);
+    }
+
+    /// Every word but thread 1's: the session folded no other.
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+        let tpb = u64::from(self.tpb);
+        (0..tpb)
+            .filter(|&t| t != 1)
+            .map(|t| u64::from(mem.read_u32(self.out.index(block * tpb + t, 4))))
+            .collect()
     }
 }
 

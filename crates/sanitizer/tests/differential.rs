@@ -29,7 +29,7 @@
 //! static verifier is the only line of defence, which is exactly why the
 //! fault campaign's pruning consults it.
 
-use gpu_lp::{LpConfig, LpRuntime};
+use gpu_lp::{LpConfig, LpKernel, LpRuntime};
 use lp_kernels::test_world as world;
 use lp_sanitizer::fixtures::{
     AtomicPlainMixFixture, CrossBlockWriteFixture, MissingSyncFixture, UncoveredStoreFixture,
@@ -70,12 +70,7 @@ fn uncovered_store_report() -> SanitizerReport {
         u64::from(tpb),
         LpConfig::recommended(),
     );
-    let fixture = UncoveredStoreFixture {
-        lp: &rt,
-        out,
-        blocks,
-        tpb,
-    };
+    let fixture = LpKernel::new(UncoveredStoreFixture { out, blocks, tpb }, Some(&rt));
     dynamic_report(&fixture, &mut mem, &gpu)
 }
 

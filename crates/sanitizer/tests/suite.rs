@@ -6,7 +6,7 @@
 //! each produce **exactly** the expected report, and observation must not
 //! perturb the simulated timing results.
 
-use gpu_lp::{LpConfig, LpRuntime};
+use gpu_lp::{LpConfig, LpKernel, LpRuntime};
 use lp_kernels::{all_workloads, stage, test_world as world, Scale, Workload};
 use lp_sanitizer::fixtures::{MissingSyncFixture, UncoveredStoreFixture};
 use lp_sanitizer::{sanitize_launch, sanitize_launch_exempt, Finding, SanitizerReport};
@@ -139,12 +139,7 @@ fn uncovered_store_fixture_yields_exactly_the_expected_report() {
         u64::from(tpb),
         LpConfig::recommended(),
     );
-    let fixture = UncoveredStoreFixture {
-        lp: &rt,
-        out,
-        blocks,
-        tpb,
-    };
+    let fixture = LpKernel::new(UncoveredStoreFixture { out, blocks, tpb }, Some(&rt));
     let (_, report) = sanitize_launch(&gpu, &fixture, &mut mem).expect("launch failed");
     // Exactly one uncovered store per block: thread 1's raw store.
     let expected: Vec<Finding> = (0..u64::from(blocks))

@@ -547,7 +547,7 @@ impl<'a> BlockCtx<'a> {
     /// dirty line is actually written back, the full line's bandwidth.
     pub fn flush_line(&mut self, addr: Addr) {
         self.ops.global_access += 1;
-        if self.mem.flush_line(addr) {
+        if self.mem.flush_line(addr) == FlushOutcome::Persisted {
             self.global_bytes += self.mem.config().line_size as u64;
         }
         self.sync_power();
@@ -576,7 +576,7 @@ impl<'a> BlockCtx<'a> {
     /// Returns whether a dirty line was actually accepted.
     pub fn adr_accept(&mut self, addr: Addr) -> bool {
         self.ops.global_access += 1;
-        let accepted = self.mem.adr_accept(addr);
+        let accepted = self.mem.adr_accept(addr) == FlushOutcome::Persisted;
         if accepted {
             self.global_bytes += self.mem.config().line_size as u64;
         }
@@ -600,9 +600,9 @@ impl<'a> BlockCtx<'a> {
         for _ in 0..PERSIST_RETRIES {
             self.ops.global_access += 1;
             let outcome = if adr {
-                self.mem.adr_accept_checked(addr)
+                self.mem.adr_accept(addr)
             } else {
-                self.mem.flush_line_checked(addr)
+                self.mem.flush_line(addr)
             };
             match outcome {
                 FlushOutcome::Clean => {

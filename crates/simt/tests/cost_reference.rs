@@ -127,7 +127,7 @@ impl SequentialCtx<'_> {
             }
             Op::FlushLine(a) => {
                 self.cost.parallel_cycles += c.global_access;
-                if self.mem.flush_line(a) {
+                if self.mem.flush_line(a) == FlushOutcome::Persisted {
                     self.cost.global_bytes += self.line_bytes();
                 }
             }
@@ -137,7 +137,7 @@ impl SequentialCtx<'_> {
             Op::Threadfence => self.cost.serial_cycles += c.epoch_fence_ns * self.cfg.clock_ghz,
             Op::AdrAccept(a) => {
                 self.cost.parallel_cycles += c.global_access;
-                if self.mem.adr_accept(a) {
+                if self.mem.adr_accept(a) == FlushOutcome::Persisted {
                     self.cost.global_bytes += self.line_bytes();
                 }
             }
@@ -145,9 +145,9 @@ impl SequentialCtx<'_> {
                 for _ in 0..6 {
                     self.cost.parallel_cycles += c.global_access;
                     let outcome = if adr {
-                        self.mem.adr_accept_checked(a)
+                        self.mem.adr_accept(a)
                     } else {
-                        self.mem.flush_line_checked(a)
+                        self.mem.flush_line(a)
                     };
                     match outcome {
                         FlushOutcome::Clean => return,

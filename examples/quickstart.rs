@@ -4,20 +4,19 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use lpgpu::gpu_lp::checksum::f32_store_image;
-use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Recoverable, ResilientRecovery};
+use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpKernel, LpRuntime, Region, ResilientRecovery};
 use lpgpu::lp_kernels::world;
 use lpgpu::nvm::{Addr, PersistMemory};
-use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, Kernel, LaunchConfig};
+use lpgpu::simt::{BlockCtx, CrashPlan, DeviceConfig, LaunchConfig};
 
 /// A toy kernel: `out[i] = sqrt(i) * 2`. Each thread block is one LP
 /// region; every store is folded into the block's checksums.
-struct SqrtScale<'rt> {
+struct SqrtScale {
     out: Addr,
     n: u64,
-    lp: &'rt LpRuntime,
 }
 
-impl Kernel for SqrtScale<'_> {
+impl Region for SqrtScale {
     fn name(&self) -> &str {
         "sqrt-scale"
     }
@@ -26,8 +25,9 @@ impl Kernel for SqrtScale<'_> {
         LaunchConfig::linear(self.n, 128)
     }
 
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        let mut lp = LpBlockSession::begin(self.lp, ctx);
+    /// The region body. `LpKernel` resets the checksums before it and
+    /// reduces and publishes them to the checksum global array after it.
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             let i = ctx.global_thread_id(t);
             if i < self.n {
@@ -37,20 +37,16 @@ impl Kernel for SqrtScale<'_> {
                 lp.store_f32(ctx, t, self.out.index(i, 4), v);
             }
         }
-        lp.finalize(ctx); // reduce + publish to the checksum global array
     }
-}
 
-impl Recoverable for SqrtScale<'_> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        // Recovery side: re-read exactly what the block stored and digest it.
+    /// Recovery side: re-read exactly what the block stored, in fold order.
+    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
-        let images = (0..tpb)
+        (0..tpb)
             .map(|t| block * tpb + t)
             .filter(|&i| i < self.n)
             .map(|i| f32_store_image(mem.read_f32(self.out.index(i, 4))))
-            .collect::<Vec<_>>();
-        self.lp.digest_region(block, images)
+            .collect()
     }
 }
 
@@ -70,7 +66,7 @@ fn main() {
         lc.threads_per_block(),
         LpConfig::recommended(),
     );
-    let kernel = SqrtScale { out, n, lp: &rt };
+    let kernel = LpKernel::new(SqrtScale { out, n }, Some(&rt));
 
     // 2. Launch with an injected power loss mid-kernel.
     let outcome = gpu

@@ -102,6 +102,9 @@ row "'impl ChecksumTableOps for' (crates src):" "$(src_code_lines 'impl Checksum
 row "files naming a suite workload in non-test source:" "$(suite_name_files)"
 row "'fn *world*(' definitions (crates src tests examples):" "$(all_rs_lines_with 'fn [a-z_]*world[a-z_]*\(')"
 row "'LpRuntime::setup(' call sites outside crates/core:" "$({ grep -rF --include='*.rs' 'LpRuntime::setup(' crates src tests examples || true; } | grep -vc '^crates/core/')"
+# A kernel opens and closes its LP session only through `gpu_lp::LpKernel`.
+row "'LpBlockSession::begin*' / '.finalize(' call sites outside crates/core:" "$({ grep -rE --include='*.rs' --exclude-dir=vendor 'LpBlockSession::begin|\.finalize\(' crates src tests examples || true; } | grep -vc '^crates/core/')"
+row "'impl Recoverable for' (crates/*/src non-test):" "$(src_code_lines 'impl(<[^>]*>)? Recoverable for')"
 row "'probe_buckets(' non-test call sites:" "$(src_code_lines 'probe_buckets\(' 'fn probe_buckets\(')"
 row "'parse_kernel(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_kernel\(' 'fn parse_kernel\(')"
 row "'cfg::build' call sites (crates/*/src non-test):" "$(src_code_lines 'build\((&|ir)' 'fn build\(')"
