@@ -123,14 +123,9 @@ impl DurableManifest {
         let seq = self.seq + 1;
         let slot = (seq % 2) as usize;
         let base = self.slots[slot];
-        mem.write_u64(base, seq);
-        for (i, f) in fields.iter().enumerate() {
-            mem.write_u64(base.index(i as u64 + 1, 8), *f);
-        }
-        mem.write_u64(
-            base.index(self.fields as u64 + 1, 8),
-            Self::checksum(seq, fields),
-        );
+        let checksum = Self::checksum(seq, fields);
+        let record = std::iter::once(seq).chain(fields.iter().copied());
+        mem.write_run_u64(base, record.chain(std::iter::once(checksum)));
         if !drain_line_with_retry(mem, base.raw(), COMMIT_RETRIES, |_| {}) {
             if mem.power_failed() {
                 return false;

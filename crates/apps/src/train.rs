@@ -94,15 +94,13 @@ impl Region for TrainEpoch {
     }
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let mut images = Vec::new();
-        for t in 0..TPB {
-            let i = block * TPB + t;
-            if i < self.n {
-                images.push(gpu_lp::checksum::f32_store_image(
-                    mem.read_f32(self.dst.index(i, 4)),
-                ));
-            }
-        }
+        let first = block * TPB;
+        let count = TPB.min(self.n.saturating_sub(first));
+        let mut images = Vec::with_capacity(count as usize);
+        mem.scan_u32(self.dst.index(first, 4), 4, count, |w| {
+            images.push(gpu_lp::checksum::f32_store_image(f32::from_bits(w)));
+            true
+        });
         images
     }
 }
@@ -124,9 +122,10 @@ impl TrainingLoop {
     pub(crate) fn create(mem: &mut PersistMemory, params: AppParams) -> Service<Self> {
         let n = params.width * 8;
         let bufs: Vec<Addr> = (0..=K).map(|_| mem.alloc(n * 4, 8)).collect();
-        for i in 0..n {
-            mem.write_f32(bufs[0].index(i, 4), init_weight(params.seed, i));
-        }
+        mem.write_run_u32(
+            bufs[0],
+            (0..n).map(|i| init_weight(params.seed, i).to_bits()),
+        );
         let manifest = Service::<Self>::manifest(mem);
         let blocks = n.div_ceil(TPB);
         let rts: Vec<LpRuntime> = (0..K)
@@ -197,15 +196,18 @@ impl Protocol for TrainingLoop {
         violations: &mut Vec<String>,
     ) {
         let buf = self.bufs[(committed % (K + 1)) as usize];
-        for (i, e) in expect.iter().enumerate() {
-            let got = mem.read_f32(buf.index(i as u64, 4));
-            if got.to_bits() != e.to_bits() {
-                violations.push(format!(
-                    "weight {i} diverged at epoch {committed}: {got} != {e}"
-                ));
-                break;
+        let mut expect = expect.iter().enumerate();
+        mem.scan_u32(buf, 4, expect.len() as u64, |got| {
+            let (i, e) = expect.next().expect("one expected weight per word");
+            if got == e.to_bits() {
+                return true;
             }
-        }
+            let got = f32::from_bits(got);
+            violations.push(format!(
+                "weight {i} diverged at epoch {committed}: {got} != {e}"
+            ));
+            false
+        });
     }
 }
 

@@ -25,18 +25,14 @@ pub fn random_u32s(seed: u64, n: usize, bound: u32) -> Vec<u32> {
 /// Allocates a device array of `f32` and uploads `data`.
 pub fn upload_f32s(mem: &mut PersistMemory, data: &[f32]) -> Addr {
     let base = mem.alloc(4 * data.len() as u64, 8);
-    for (i, &v) in data.iter().enumerate() {
-        mem.write_f32(base.index(i as u64, 4), v);
-    }
+    mem.write_run_u32(base, data.iter().map(|v| v.to_bits()));
     base
 }
 
 /// Allocates a device array of `u32` and uploads `data`.
 pub fn upload_u32s(mem: &mut PersistMemory, data: &[u32]) -> Addr {
     let base = mem.alloc(4 * data.len() as u64, 8);
-    for (i, &v) in data.iter().enumerate() {
-        mem.write_u32(base.index(i as u64, 4), v);
-    }
+    mem.write_run_u32(base, data.iter().copied());
     base
 }
 

@@ -146,13 +146,14 @@ impl Region for Cutcp {
         for chunk in 0..chunks {
             let base = chunk * CHUNK;
             let in_chunk = CHUNK.min(self.atoms - base);
-            for s in 0..in_chunk {
-                ctx.set_active_thread(s as u64 % tpb);
-                for comp in 0..4 {
-                    let v = ctx.load_f32(self.atom_xyzq.index((4 * (base + s) + comp) as u64, 4));
-                    ctx.shm_write_f32(sh, 4 * s + comp, v);
-                }
-            }
+            // Atom s of the chunk is staged by thread s % tpb.
+            ctx.stage_shm_f32(
+                [self.atom_xyzq.index(4 * base as u64, 4)],
+                [(sh, 0)],
+                4 * in_chunk,
+                4,
+                0,
+            );
             ctx.sync_threads();
             for t in 0..tpb {
                 ctx.set_active_thread(t);
@@ -160,10 +161,7 @@ impl Region for Cutcp {
                 let (px, py) = self.coord(p);
                 let mut a = acc[t as usize];
                 for s in 0..in_chunk {
-                    let ax = ctx.shm_read_f32(sh, 4 * s);
-                    let ay = ctx.shm_read_f32(sh, 4 * s + 1);
-                    let az = ctx.shm_read_f32(sh, 4 * s + 2);
-                    let q = ctx.shm_read_f32(sh, 4 * s + 3);
+                    let [ax, ay, az, q] = ctx.shm_read_f32s(sh, 4 * s);
                     let d2 = (ax - px) * (ax - px) + (ay - py) * (ay - py) + az * az;
                     ctx.charge_alu(8);
                     if d2 < CUTOFF * CUTOFF {
@@ -186,10 +184,10 @@ impl Region for Cutcp {
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::with_capacity(tpb as usize);
-        for t in 0..tpb {
-            let p = block * tpb + t;
-            images.push(f32_store_image(mem.read_f32(self.out.index(p, 4))));
-        }
+        mem.scan_u32(self.out.index(block * tpb, 4), 4, tpb, |w| {
+            images.push(f32_store_image(f32::from_bits(w)));
+            true
+        });
         images
     }
 }

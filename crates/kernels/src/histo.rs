@@ -155,9 +155,15 @@ impl Region for Histo {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(BINS);
-        for bin in 0..BINS as u64 {
-            images.push(mem.read_u32(self.partials.index(block * BINS as u64 + bin, 4)) as u64);
-        }
+        mem.scan_u32(
+            self.partials.index(block * BINS as u64, 4),
+            4,
+            BINS as u64,
+            |w| {
+                images.push(u64::from(w));
+                true
+            },
+        );
         images
     }
 }

@@ -212,13 +212,13 @@ impl Region for MriGridding {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
-        let mut images = Vec::new();
-        for t in 0..tpb {
-            let cell = block * tpb + t;
-            if cell < self.cells() as u64 {
-                images.push(f32_store_image(mem.read_f32(self.out.index(cell, 4))));
-            }
-        }
+        let first = block * tpb;
+        let cells = tpb.min((self.cells() as u64).saturating_sub(first));
+        let mut images = Vec::with_capacity(cells as usize);
+        mem.scan_u32(self.out.index(first, 4), 4, cells, |w| {
+            images.push(f32_store_image(f32::from_bits(w)));
+            true
+        });
         images
     }
 }

@@ -204,10 +204,7 @@ impl Region for MriQ {
                 let z = self.host_coord(ctx, self.z, v);
                 let (mut ar, mut ai) = (accr[t as usize], acci[t as usize]);
                 for s in 0..in_chunk {
-                    let kx = ctx.shm_read_f32(sh, 4 * s);
-                    let ky = ctx.shm_read_f32(sh, 4 * s + 1);
-                    let kz = ctx.shm_read_f32(sh, 4 * s + 2);
-                    let mag = ctx.shm_read_f32(sh, 4 * s + 3);
+                    let [kx, ky, kz, mag] = ctx.shm_read_f32s(sh, 4 * s);
                     let phase = TWO_PI * (kx * x + ky * y + kz * z);
                     ar += mag * phase.cos();
                     ai += mag * phase.sin();
@@ -231,11 +228,16 @@ impl Region for MriQ {
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::with_capacity(2 * tpb as usize);
-        for t in 0..tpb {
-            let v = block * tpb + t;
-            images.push(f32_store_image(mem.read_f32(self.qr.index(v, 4))));
-            images.push(f32_store_image(mem.read_f32(self.qi.index(v, 4))));
-        }
+        let v = block * tpb;
+        mem.read_runs::<2, 4>(
+            [self.qr.index(v, 4), self.qi.index(v, 4)],
+            tpb,
+            |_, words| {
+                for w in words {
+                    images.push(f32_store_image(f32::from_le_bytes(w)));
+                }
+            },
+        );
         images
     }
 }

@@ -141,15 +141,16 @@ impl Workload for Sad {
         // tests anyway.
         let blocks = self.num_blocks();
         let step = (blocks / 64).max(1);
-        for b in (0..blocks).step_by(step as usize) {
-            for t in 0..THREADS as usize {
-                let got = mem.read_u32(self.out.index(b * THREADS as u64 + t as u64, 4));
-                if got != self.reference_sad(b, t) {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..blocks).step_by(step as usize).all(|b| {
+            let start = self.out.index(b * THREADS as u64, 4);
+            let (mut t, mut ok) = (0, true);
+            mem.scan_u32(start, 4, THREADS as u64, |got| {
+                ok = got == self.reference_sad(b, t);
+                t += 1;
+                ok
+            });
+            ok
+        })
     }
 }
 
@@ -193,9 +194,11 @@ impl Region for Sad {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(THREADS as usize);
-        for t in 0..THREADS as u64 {
-            images.push(mem.read_u32(self.out.index(block * THREADS as u64 + t, 4)) as u64);
-        }
+        let start = self.out.index(block * THREADS as u64, 4);
+        mem.scan_u32(start, 4, THREADS as u64, |w| {
+            images.push(u64::from(w));
+            true
+        });
         images
     }
 }

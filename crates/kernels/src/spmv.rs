@@ -155,13 +155,13 @@ impl Region for Spmv {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
-        let mut images = Vec::new();
-        for t in 0..tpb {
-            let row = block * tpb + t;
-            if row < self.rows as u64 {
-                images.push(f32_store_image(mem.read_f32(self.y.index(row, 4))));
-            }
-        }
+        let first = block * tpb;
+        let rows = tpb.min((self.rows as u64).saturating_sub(first));
+        let mut images = Vec::with_capacity(rows as usize);
+        mem.scan_u32(self.y.index(first, 4), 4, rows, |w| {
+            images.push(f32_store_image(f32::from_bits(w)));
+            true
+        });
         images
     }
 }

@@ -149,17 +149,22 @@ impl Region for Tmm {
         let b_s = ctx.shared_alloc(tile * tile);
         let mut acc = vec![0.0f32; tpb as usize];
 
+        let (bx, by, _) = ctx.block_idx();
+        let (row0, col0) = (by as usize * tile, bx as usize * tile);
         for phase in 0..(n / tile) {
-            // Load this phase's A and B tiles into shared memory.
-            for t in 0..tpb {
-                ctx.set_active_thread(t);
-                let (row, col, tx, ty) = self.coords(ctx, t);
-                let a_col = phase * tile + tx;
-                let b_row = phase * tile + ty;
-                let av = ctx.load_f32(self.a.index((row * n + a_col) as u64, 4));
-                let bv = ctx.load_f32(self.b.index((b_row * n + col) as u64, 4));
-                ctx.shm_write_f32(a_s, ty * tile + tx, av);
-                ctx.shm_write_f32(b_s, ty * tile + tx, bv);
+            // Load this phase's A and B tiles into shared memory: thread
+            // (tx, ty) loads A[row0 + ty][phase·tile + tx] and B[phase·tile
+            // + ty][col0 + tx], so each tile row is two contiguous streams.
+            for ty in 0..tile {
+                let a_row = (row0 + ty) * n + phase * tile;
+                let b_row = (phase * tile + ty) * n + col0;
+                ctx.stage_shm_f32(
+                    [self.a.index(a_row as u64, 4), self.b.index(b_row as u64, 4)],
+                    [(a_s, ty * tile), (b_s, ty * tile)],
+                    tile,
+                    1,
+                    (ty * tile) as u64,
+                );
             }
             ctx.sync_threads();
             // Multiply the tiles: row `ty` of A's tile by column `tx` of B's.
@@ -192,13 +197,14 @@ impl Region for Tmm {
         let tile = self.tile;
         let (bx, by, _) = lc.grid.unflatten(block);
         let mut images = Vec::with_capacity(tile * tile);
-        for t in 0..lc.threads_per_block() {
-            let (tx, ty, _) = lc.block.unflatten(t);
-            let row = by as usize * tile + ty as usize;
-            let col = bx as usize * tile + tx as usize;
-            images.push(f32_store_image(
-                mem.read_f32(self.c.index((row * n + col) as u64, 4)),
-            ));
+        // Thread order is row-major over the tile: one scan per tile row.
+        for ty in 0..tile {
+            let row = by as usize * tile + ty;
+            let start = self.c.index((row * n + bx as usize * tile) as u64, 4);
+            mem.scan_u32(start, 4, tile as u64, |w| {
+                images.push(f32_store_image(f32::from_bits(w)));
+                true
+            });
         }
         images
     }

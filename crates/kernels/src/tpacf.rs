@@ -151,26 +151,29 @@ impl Region for Tpacf {
         // describes instead of re-streaming points from global memory.
         let span = tpb as usize + self.window;
         let pts = ctx.shared_alloc(3 * span);
-        for s in 0..span as u64 {
-            ctx.set_active_thread(s % tpb);
+        // Slot s holds point (b·tpb + s) % m, staged by thread s % tpb: one
+        // contiguous stream, split where the window wraps past the last
+        // point.
+        let mut s = 0;
+        while s < span as u64 {
             let p = (b * tpb + s) % m;
-            for comp in 0..3 {
-                let v = ctx.load_f32(self.xyz.index(3 * p + comp, 4));
-                ctx.shm_write_f32(pts, 3 * s as usize + comp as usize, v);
-            }
+            let len = (span as u64 - s).min(m - p);
+            ctx.stage_shm_f32(
+                [self.xyz.index(3 * p, 4)],
+                [(pts, 3 * s as usize)],
+                3 * len as usize,
+                3,
+                s,
+            );
+            s += len;
         }
         ctx.sync_threads();
         for t in 0..tpb {
             ctx.set_active_thread(t);
             let ti = t as usize;
-            let xi = ctx.shm_read_f32(pts, 3 * ti);
-            let yi = ctx.shm_read_f32(pts, 3 * ti + 1);
-            let zi = ctx.shm_read_f32(pts, 3 * ti + 2);
+            let [xi, yi, zi] = ctx.shm_read_f32s(pts, 3 * ti);
             for wj in 1..=self.window {
-                let sj = ti + wj;
-                let xj = ctx.shm_read_f32(pts, 3 * sj);
-                let yj = ctx.shm_read_f32(pts, 3 * sj + 1);
-                let zj = ctx.shm_read_f32(pts, 3 * sj + 2);
+                let [xj, yj, zj] = ctx.shm_read_f32s(pts, 3 * (ti + wj));
                 let dot = xi * xj + yi * yj + zi * zj;
                 // Dot product + arc-length binning (the real TPACF bins by
                 // angular separation through a transcendental + search).
@@ -202,9 +205,15 @@ impl Region for Tpacf {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(BINS);
-        for bin in 0..BINS as u64 {
-            images.push(mem.read_u32(self.partials.index(block * BINS as u64 + bin, 4)) as u64);
-        }
+        mem.scan_u32(
+            self.partials.index(block * BINS as u64, 4),
+            4,
+            BINS as u64,
+            |w| {
+                images.push(u64::from(w));
+                true
+            },
+        );
         images
     }
 }

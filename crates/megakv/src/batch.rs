@@ -26,9 +26,7 @@ impl Batch {
     /// Uploads `keys` and allocates the result array.
     pub fn upload(mem: &mut PersistMemory, keys: Vec<u64>) -> Self {
         let base = mem.alloc(8 * keys.len() as u64, 8);
-        for (i, &k) in keys.iter().enumerate() {
-            mem.write_u64(base.index(i as u64, 8), k);
-        }
+        mem.write_run_u64(base, keys.iter().copied());
         let out = mem.alloc(8 * keys.len() as u64, 8);
         Self {
             keys: base,

@@ -143,13 +143,13 @@ impl Region for SearchKernel<'_> {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = OPS_PER_BLOCK as u64;
-        let mut images = Vec::new();
-        for t in 0..tpb {
-            let i = block * tpb + t;
-            if i < self.batch.len() as u64 {
-                images.push(mem.read_u64(self.batch.out.index(i, 8)));
-            }
-        }
+        let first = block * tpb;
+        let count = tpb.min((self.batch.len() as u64).saturating_sub(first));
+        let mut images = Vec::with_capacity(count as usize);
+        mem.scan_u64(self.batch.out.index(first, 8), 8, count, |w| {
+            images.push(w);
+            true
+        });
         images
     }
 }

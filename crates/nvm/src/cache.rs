@@ -129,9 +129,11 @@ struct LineMeta {
     dirty: bool,
 }
 
-/// Where the line a [`WriteBackCache::read`] touched sits, so that further
-/// reads in the same line can skip the lookup ([`WriteBackCache::reread`]).
-/// Valid only until the next access of any kind.
+/// Where the line a [`WriteBackCache::read`] or [`WriteBackCache::write`]
+/// touched sits, so that further accesses to the same line can skip the
+/// lookup ([`WriteBackCache::line_data`], [`WriteBackCache::copy_in`]). Hits
+/// leave it valid; a miss, an eviction or any whole-cache operation may
+/// move the line, after which it must not be used.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Resident {
     base: u64,
@@ -302,7 +304,7 @@ impl WriteBackCache {
     /// Fills from `backing` on a miss (the fill is counted as an NVM read;
     /// the fault model may surface a media error on it, which is why the
     /// backing store is mutable here). The read must not cross a line
-    /// boundary. Returns where the line now sits, for [`Self::reread`].
+    /// boundary. Returns where the line now sits, for [`Self::line_data`].
     #[inline(always)]
     pub(crate) fn read(
         &mut self,
@@ -333,38 +335,84 @@ impl WriteBackCache {
         }
     }
 
-    /// Reads `buf.len()` bytes at byte `offset` of the line `at` that the
-    /// previous access returned, booking exactly the hit [`Self::read`]
-    /// would (tick, LRU stamp, hint, `cache_hits`) without the lookup.
-    /// Nothing may have accessed the cache since `at` was returned, and the
-    /// read must lie inside the line.
+    /// The payload of the resident line `at`, for a run that copies words
+    /// out of it and books them itself as hits ([`Self::book_hits`], or
+    /// [`Self::count_hits`] and [`Self::stamp`]). The line must not have
+    /// moved since `at` was returned.
     #[inline(always)]
-    pub(crate) fn reread(
-        &mut self,
-        at: Resident,
-        offset: usize,
-        buf: &mut [u8],
-        stats: &mut NvmStats,
-    ) {
+    pub(crate) fn line_data(&self, at: Resident) -> &[u8] {
+        self.debug_assert_resident(at, 0);
+        self.payload(at.slot)
+    }
+
+    /// [`Self::line_data`]'s store twin: copies `buf` into the resident line
+    /// `at` at byte `offset`, booking nothing. The write must lie inside the
+    /// line, which must already be dirty (the run's first store made it
+    /// so).
+    #[inline(always)]
+    pub(crate) fn copy_in(&mut self, at: Resident, offset: usize, buf: &[u8]) {
+        self.debug_assert_resident(at, offset + buf.len());
         debug_assert!(
-            offset + buf.len() <= self.line_size,
-            "reread crosses a line boundary"
+            self.sets[at.set][at.way].dirty,
+            "run store into a clean line"
         );
+        let start = self.slot_start(at.slot) + offset;
+        self.arena[start..start + buf.len()].copy_from_slice(buf);
+    }
+
+    fn debug_assert_resident(&self, at: Resident, end: usize) {
+        debug_assert!(end <= self.line_size, "run access crosses a line boundary");
         debug_assert!(
             self.sets[at.set]
                 .get(at.way)
                 .is_some_and(|l| l.base == at.base && l.slot == at.slot),
-            "reread of a line that moved"
+            "run access to a line that moved"
         );
-        self.tick += 1;
-        self.read_hit(at.base, (at.set, at.way), stats);
-        let start = self.slot_start(at.slot) + offset;
-        buf.copy_from_slice(&self.arena[start..start + buf.len()]);
+    }
+
+    /// Counts `k` hits that copied from open lines: advances the tick by
+    /// `k` and `cache_hits` with it, and returns the last tick. The lines'
+    /// LRU stamps are left to [`Self::stamp`]. Hits change no cache
+    /// structure, so open lines stay where they are.
+    #[inline(always)]
+    pub(crate) fn count_hits(&mut self, k: u64, stats: &mut NvmStats) -> u64 {
+        self.tick += k;
+        stats.cache_hits += k;
+        self.tick
+    }
+
+    /// Stamps the resident line `at` as last used at `tick`, unless a later
+    /// access already did (two open lines of a run may be one line), and
+    /// refreshes its lookup hint: the one LRU touch a line's deferred hits
+    /// need.
+    #[inline(always)]
+    pub(crate) fn stamp(&mut self, at: Resident, tick: u64) {
+        self.debug_assert_resident(at, 0);
+        let line = &mut self.sets[at.set][at.way];
+        line.last_use = line.last_use.max(tick);
+        self.remember(at.base, at.set, at.way);
+    }
+
+    /// Books `k` hits on the line `at`, which the access just before them
+    /// returned: per [`Self::count_hits`] and one [`Self::stamp`] with the
+    /// last tick — what `k` single-word hits would have booked.
+    #[inline(always)]
+    pub(crate) fn book_hits(&mut self, at: Resident, k: u64, stats: &mut NvmStats) {
+        let tick = self.count_hits(k, stats);
+        self.stamp(at, tick);
+    }
+
+    /// Tags the resident line `at` with a store's writer, as each store of
+    /// a run would have.
+    #[inline(always)]
+    pub(crate) fn tag(&mut self, at: Resident, writer: Option<u64>) {
+        if let Some(w) = writer {
+            self.writers[at.slot as usize].insert(w);
+        }
     }
 
     /// Books a read hit on the line at `(set, way)`, the current tick
-    /// already advanced: the one hit path of [`Self::read`] and
-    /// [`Self::reread`]. Returns the line's arena slot.
+    /// already advanced. Returns the line's arena slot.
     #[inline(always)]
     fn read_hit(&mut self, base: u64, at: (usize, usize), stats: &mut NvmStats) -> u32 {
         stats.cache_hits += 1;
@@ -377,7 +425,8 @@ impl WriteBackCache {
     /// and counts an NVM write — this is the "natural eviction" persist
     /// mechanism of Lazy Persistency. The write must not cross a line
     /// boundary. `writer` optionally tags the line with the block that
-    /// issued the store, for crash-loss attribution.
+    /// issued the store, for crash-loss attribution. Returns where the line
+    /// now sits, as [`Self::read`] does.
     #[inline(always)]
     pub(crate) fn write(
         &mut self,
@@ -387,7 +436,7 @@ impl WriteBackCache {
         stats: &mut NvmStats,
         faults: &mut DeviceFaults,
         writer: Option<u64>,
-    ) {
+    ) -> Resident {
         let base = self.line_base(addr);
         debug_assert!(
             self.line_base(addr + buf.len() as u64 - 1) == base,
@@ -395,18 +444,23 @@ impl WriteBackCache {
             buf.len()
         );
         self.tick += 1;
-        let slot = match self.locate(base) {
+        let (at, slot) = match self.locate(base) {
             Some(at) => {
                 stats.cache_hits += 1;
-                self.touch(base, at, true)
+                (at, self.touch(base, at, true))
             }
-            None => self.write_miss(base, backing, stats, faults).1,
+            None => self.write_miss(base, backing, stats, faults),
         };
-        if let Some(w) = writer {
-            self.writers[slot as usize].insert(w);
-        }
+        let at = Resident {
+            base,
+            set: at.0,
+            way: at.1,
+            slot,
+        };
+        self.tag(at, writer);
         let start = self.slot_start(slot) + (addr - base) as usize;
         self.arena[start..start + buf.len()].copy_from_slice(buf);
+        at
     }
 
     /// A read miss never writes back: it drops the LRU *clean* line of a

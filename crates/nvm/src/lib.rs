@@ -15,14 +15,23 @@
 //! `simt::CostModel::{persist_barrier_ns, epoch_fence_ns}` (480 / 160 ns)
 //! price the backends' persist barriers and epoch fences.
 //!
-//! # Host runs
+//! # Runs
 //!
-//! Host-side readers (audits, verifiers, downloads) that walk an array use
-//! [`PersistMemory::scan_u64`] / [`PersistMemory::scan_u32`] rather than a
-//! loop of typed reads. A run books exactly what that loop would — every
-//! [`NvmStats`] counter, the LRU order, every fill and fault roll — but
-//! only the first word in each cache line pays for the bounds check, the
-//! quarantine remap and the cache lookup.
+//! Code that walks an array uses a run accessor rather than a loop of typed
+//! accesses: [`PersistMemory::scan_u64`] / [`PersistMemory::scan_u32`] for
+//! strided reads (audits, verifiers, downloads, recovery read-backs),
+//! [`PersistMemory::write_run_u32`] / [`PersistMemory::write_run_u64`] for
+//! contiguous stores (uploads, manifest records), and
+//! [`PersistMemory::read_runs`] for several contiguous streams read in
+//! lockstep (a kernel's global→shared staging). A run books exactly what
+//! that loop would — every [`NvmStats`] counter, the LRU order, every fill,
+//! eviction and fault roll, writer tags, crash triggers and dropped stores
+//! — but only the first word in each cache line pays for the bounds check,
+//! the quarantine remap and the cache lookup or miss. The line's later
+//! words are copied straight from it and booked once: `k` ticks and hits,
+//! `k` load or store ops, and one LRU stamp with the last tick. That is
+//! exact because hits inside an open line never change cache structure;
+//! a miss can evict and move ways, so it closes every open line.
 //!
 //! # Quick example
 //!
@@ -53,8 +62,6 @@ mod cache_reference;
 mod config;
 mod fault;
 mod memory;
-#[cfg(test)]
-mod scan_props;
 mod stats;
 
 pub use alloc::{Addr, BumpAllocator};

@@ -284,9 +284,10 @@ impl PersistMemory {
     /// handing each to `f` until `f` returns `false`, and returns how many
     /// words were read. Access for access this is the loop of
     /// [`Self::read_u64`] calls it replaces — the same [`NvmStats`], LRU
-    /// order, fills and fault rolls — but only the first word in each line
-    /// pays the bounds check, the remap and the cache lookup; the words
-    /// after it in the same line book their hit and copy from the cache.
+    /// order, fills and fault rolls — but it books a same-line run once:
+    /// the first word in each line takes the full path (bounds check,
+    /// remap, lookup or miss), and the words after it in that line are
+    /// copied straight from the line and booked together as hits.
     ///
     /// # Examples
     ///
@@ -336,31 +337,172 @@ impl PersistMemory {
         mut f: impl FnMut([u8; N]) -> bool,
     ) -> u64 {
         let line = self.cfg.line_size as u64;
-        // The logical line the previous word was read from, if it was a
-        // one-line access, and where that line sits in the cache. The
-        // backing store grows in whole lines, so every word inside a line
-        // whose first word passed the bounds check is in bounds too.
-        let mut open: Option<(u64, Resident)> = None;
-        for i in 0..count {
+        let mut i = 0;
+        while i < count {
             let a = addr.raw() + i * stride;
             let mut word = [0u8; N];
-            match open {
-                Some((base, at)) if a & !(line - 1) == base && self.in_one_line(a, N) => {
-                    self.stats.load_ops += 1;
-                    self.cache
-                        .reread(at, (a - base) as usize, &mut word, &mut self.stats);
-                }
-                _ => {
-                    open = self
-                        .read_line(Addr::new(a), &mut word)
-                        .map(|at| (a & !(line - 1), at));
-                }
-            }
+            let open = self.read_line(Addr::new(a), &mut word);
+            i += 1;
             if !f(word) {
-                return i + 1;
+                return i;
+            }
+            let Some(at) = open else { continue };
+            // The backing store grows in whole lines, so every word in a
+            // line whose first word passed the bounds check is in bounds.
+            let base = a & !(line - 1);
+            let data = self.cache.line_data(at);
+            let (mut hits, mut stopped) = (0, false);
+            while i < count && !stopped {
+                let b = addr.raw() + i * stride;
+                if b & !(line - 1) != base || !self.in_one_line(b, N) {
+                    break;
+                }
+                let off = (b - base) as usize;
+                word.copy_from_slice(&data[off..off + N]);
+                hits += 1;
+                i += 1;
+                stopped = !f(word);
+            }
+            if hits > 0 {
+                self.stats.load_ops += hits;
+                self.cache.book_hits(at, hits, &mut self.stats);
+            }
+            if stopped {
+                return i;
             }
         }
         count
+    }
+
+    /// Reads `M` contiguous streams of `count` `N`-byte words in lockstep:
+    /// word `i` of every stream, in stream order, then word `i + 1`, handing
+    /// each round to `f(i, words)`. Access for access this is the loop of
+    /// `M` typed reads per round it replaces — the same [`NvmStats`], LRU
+    /// order, fills and fault rolls.
+    ///
+    /// Each stream keeps its current line open once a full access has left
+    /// it resident, and its later words in that line are copied straight
+    /// from the line. Their hits are counted as they happen, but the line's
+    /// LRU stamp is deferred: hits inside an open line never change cache
+    /// structure, so nothing can observe the stamp until the next full
+    /// access, which first settles every open line (`last_use` becomes the
+    /// later of its own and the deferred tick — two streams may share a
+    /// line). A miss can evict and `swap_remove` moves ways, so any miss
+    /// closes every open line.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nvm::{NvmConfig, PersistMemory};
+    /// let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
+    /// let a = mem.alloc(4 * 4, 4);
+    /// let b = mem.alloc(4 * 4, 4);
+    /// mem.write_run_u32(a, [1, 2, 3, 4]);
+    /// mem.write_run_u32(b, [10, 20, 30, 40]);
+    /// let mut sums = Vec::new();
+    /// mem.read_runs::<2, 4>([a, b], 4, |_, [x, y]| {
+    ///     sums.push(u32::from_le_bytes(x) + u32::from_le_bytes(y));
+    /// });
+    /// assert_eq!(sums, [11, 22, 33, 44]);
+    /// ```
+    pub fn read_runs<const M: usize, const N: usize>(
+        &mut self,
+        starts: [Addr; M],
+        count: u64,
+        mut f: impl FnMut(u64, [[u8; N]; M]),
+    ) {
+        /// A stream's open line: its logical base, where it sits, and the
+        /// tick of its last deferred hit (0: nothing deferred).
+        #[derive(Clone, Copy)]
+        struct Open {
+            base: u64,
+            at: Resident,
+            last: u64,
+        }
+        let line = self.cfg.line_size as u64;
+        let width = N as u64;
+        let mut open: [Option<Open>; M] = [None; M];
+        let mut i = 0;
+        while i < count {
+            // Rounds every stream can serve from its open line: booked and
+            // copied in one go, stream `j`'s hit in round `k` at tick
+            // `t + k·M + j + 1`.
+            let rounds = (0..M)
+                .map(|j| match open[j] {
+                    Some(o) => {
+                        let a = starts[j].raw() + i * width;
+                        let end = o.base + line;
+                        if a >= o.base && a + width <= end {
+                            (end - a) / width
+                        } else {
+                            0
+                        }
+                    }
+                    None => 0,
+                })
+                .min()
+                .unwrap_or(0)
+                .min(count - i);
+            if rounds > 0 {
+                let hits = rounds * M as u64;
+                let t = self.cache.count_hits(hits, &mut self.stats) - hits;
+                self.stats.load_ops += hits;
+                let runs: [(&[u8], usize); M] = std::array::from_fn(|j| {
+                    let o = open[j].as_mut().expect("every stream is open");
+                    o.last = t + (rounds - 1) * M as u64 + j as u64 + 1;
+                    let a = starts[j].raw() + i * width;
+                    (self.cache.line_data(o.at), (a - o.base) as usize)
+                });
+                for k in 0..rounds as usize {
+                    f(
+                        i + k as u64,
+                        runs.map(|(data, off)| {
+                            let at = off + k * N;
+                            data[at..at + N].try_into().expect("N bytes")
+                        }),
+                    );
+                }
+                i += rounds;
+                continue;
+            }
+            let mut words = [[0u8; N]; M];
+            for (j, word) in words.iter_mut().enumerate() {
+                let a = starts[j].raw() + i * width;
+                match &mut open[j] {
+                    Some(o) if a & !(line - 1) == o.base && self.in_one_line(a, N) => {
+                        self.stats.load_ops += 1;
+                        o.last = self.cache.count_hits(1, &mut self.stats);
+                        let off = (a - o.base) as usize;
+                        word.copy_from_slice(&self.cache.line_data(o.at)[off..off + N]);
+                    }
+                    _ => {
+                        for o in open.iter_mut().flatten() {
+                            if o.last != 0 {
+                                self.cache.stamp(o.at, o.last);
+                                o.last = 0;
+                            }
+                        }
+                        let misses = self.stats.cache_misses;
+                        let at = self.read_line(Addr::new(a), word);
+                        if self.stats.cache_misses != misses {
+                            open = [None; M];
+                        }
+                        open[j] = at.map(|at| Open {
+                            base: a & !(line - 1),
+                            at,
+                            last: 0,
+                        });
+                    }
+                }
+            }
+            f(i, words);
+            i += 1;
+        }
+        for o in open.iter().flatten() {
+            if o.last != 0 {
+                self.cache.stamp(o.at, o.last);
+            }
+        }
     }
 
     /// The general case of [`Self::read_bytes`]: one cache access per line
@@ -391,26 +533,79 @@ impl PersistMemory {
     /// of the volatile state. While powered off, stores are dropped.
     #[inline(always)]
     pub fn write_bytes(&mut self, addr: Addr, buf: &[u8]) {
+        self.write_line(addr, buf);
+    }
+
+    /// [`Self::write_bytes`], returning where the line of a one-line store
+    /// now sits (`None` for a store split across lines, dropped, or whose
+    /// trigger powered the memory off).
+    #[inline(always)]
+    fn write_line(&mut self, addr: Addr, buf: &[u8]) -> Option<Resident> {
         self.check(addr, buf.len());
         if self.power_failed {
             self.dropped_stores += 1;
-            return;
+            return None;
         }
         self.stats.store_ops += 1;
-        if self.in_one_line(addr.raw(), buf.len()) {
+        let at = if self.in_one_line(addr.raw(), buf.len()) {
             let phys = self.translate(addr.raw());
-            self.cache.write(
+            Some(self.cache.write(
                 phys,
                 buf,
                 &mut self.backing,
                 &mut self.stats,
                 &mut self.faults,
                 self.writer,
-            );
+            ))
         } else {
             self.write_split(addr, buf);
-        }
+            None
+        };
         self.check_trigger();
+        at.filter(|_| !self.power_failed)
+    }
+
+    /// Writes `words` to consecutive `u32`s from `addr`: the loop of
+    /// [`Self::write_u32`] calls it replaces, store for store — the same
+    /// [`NvmStats`], LRU order, writer tags, evictions, fault rolls, crash
+    /// trigger and dropped-store count — with a same-line run booked once,
+    /// as in [`Self::scan_u64`]. Only the first store in each line can miss,
+    /// hence evict, so the eviction trigger is checked after it; the stores
+    /// after a power failure are dropped (and counted) one by one.
+    ///
+    /// `words` is consumed lazily: an upload passes its slice's iterator
+    /// and nothing is copied.
+    pub fn write_run_u32(&mut self, addr: Addr, words: impl IntoIterator<Item = u32>) {
+        self.write_run(addr, words.into_iter().map(u32::to_le_bytes));
+    }
+
+    /// [`Self::write_run_u32`] for consecutive `u64`s.
+    pub fn write_run_u64(&mut self, addr: Addr, words: impl IntoIterator<Item = u64>) {
+        self.write_run(addr, words.into_iter().map(u64::to_le_bytes));
+    }
+
+    /// The run loop of [`Self::write_run_u32`] for `N`-byte words.
+    fn write_run<const N: usize>(&mut self, addr: Addr, mut words: impl Iterator<Item = [u8; N]>) {
+        let line = self.cfg.line_size as u64;
+        let mut a = addr.raw();
+        while let Some(first) = words.next() {
+            let open = self.write_line(Addr::new(a), &first);
+            a += N as u64;
+            let Some(at) = open else { continue };
+            let base = (a - N as u64) & !(line - 1);
+            let mut hits = 0;
+            while a & !(line - 1) == base && self.in_one_line(a, N) {
+                let Some(word) = words.next() else { break };
+                self.cache.copy_in(at, (a - base) as usize, &word);
+                hits += 1;
+                a += N as u64;
+            }
+            if hits > 0 {
+                self.stats.store_ops += hits;
+                self.cache.book_hits(at, hits, &mut self.stats);
+                self.cache.tag(at, self.writer);
+            }
+        }
     }
 
     /// The general case of [`Self::write_bytes`], as [`Self::read_split`].

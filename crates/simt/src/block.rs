@@ -434,6 +434,84 @@ impl<'a> BlockCtx<'a> {
         acc
     }
 
+    /// Reads the `K`-word record at `start` of a shared `f32` array, as
+    /// `K` [`BlockCtx::shm_read_f32`] calls in ascending order would, and
+    /// charged as those `K` reads. Like [`BlockCtx::shm_dot_f32`] it
+    /// bounds-checks once and tests the observer once; observed, it runs
+    /// the per-element reads, so an observer sees the same events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record leaves its array.
+    #[inline]
+    pub fn shm_read_f32s<const K: usize>(&mut self, h: ShmHandle, start: usize) -> [f32; K] {
+        assert!(
+            start.checked_add(K).is_some_and(|end| end <= h.len),
+            "shared-memory read out of bounds"
+        );
+        if self.obs.0.is_some() {
+            return std::array::from_fn(|k| self.shm_read_f32(h, start + k));
+        }
+        self.ops.shmem_access += K as u64;
+        let record = &self.dev.shared[h.base + start..h.base + start + K];
+        std::array::from_fn(|k| f32::from_bits(record[k] as u32))
+    }
+
+    /// Global→shared staging of `M` contiguous `f32` streams: element `i`
+    /// of stream `j` is loaded from `src[j] + 4i` and written to word
+    /// `dst[j].1 + i` of shared array `dst[j].0`, for `i in 0..n`. Records
+    /// of `rec` elements are spread over the block's threads in turn: record
+    /// `r` is staged by thread `(first + r) % threads_per_block`.
+    ///
+    /// Bit for bit and access for access this is the per-element loop it
+    /// replaces — for each `i`, on its record's thread, the `M`
+    /// [`BlockCtx::load_f32`]s in stream order, then the `M`
+    /// [`BlockCtx::shm_write_f32`]s — and it is charged as those `M·n`
+    /// loads and `M·n` shared writes. Observed, it runs that loop, so an
+    /// observer sees the same events. Unobserved, it tests the observer and
+    /// bounds-checks the shared ranges once, and reads the streams with
+    /// [`PersistMemory::read_runs`], which books a same-line run of loads
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rec` is 0 or a shared range leaves its array.
+    pub fn stage_shm_f32<const M: usize>(
+        &mut self,
+        src: [Addr; M],
+        dst: [(ShmHandle, usize); M],
+        n: usize,
+        rec: usize,
+        first: u64,
+    ) {
+        assert!(rec > 0, "staging records must hold an element");
+        assert!(
+            dst.iter()
+                .all(|&(h, start)| start.checked_add(n).is_some_and(|end| end <= h.len)),
+            "shared-memory write out of bounds"
+        );
+        if self.obs.0.is_some() {
+            for i in 0..n {
+                self.set_active_thread((first + (i / rec) as u64) % self.threads_per_block);
+                let v = src.map(|a| self.load_f32(a.index(i as u64, 4)));
+                for (&(h, start), v) in dst.iter().zip(v) {
+                    self.shm_write_f32(h, start + i, v);
+                }
+            }
+            return;
+        }
+        let words = (M * n) as u64;
+        self.ops.global_access += words;
+        self.global_bytes += 4 * words;
+        self.ops.shmem_access += words;
+        let shared = &mut self.dev.shared;
+        self.mem.read_runs::<M, 4>(src, n as u64, |i, v| {
+            for (&(h, start), v) in dst.iter().zip(v) {
+                shared[h.base + start + i as usize] = u64::from(u32::from_le_bytes(v));
+            }
+        });
+    }
+
     // ---- global memory -------------------------------------------------
 
     #[inline]

@@ -27,6 +27,14 @@ enum Op {
         b: (usize, usize),
         n: usize,
     },
+    /// `shm_read_f32s::<4>` from `start`.
+    ShmRecord(usize),
+    /// `stage_shm_f32` of one stream of `n` words from `src` to `dst`.
+    Stage {
+        src: Addr,
+        dst: usize,
+        n: usize,
+    },
     LoadU32(Addr),
     LoadU64(Addr),
     LoadF32(Addr),
@@ -97,6 +105,18 @@ impl SequentialCtx<'_> {
             Op::ShmDot { n, .. } => {
                 for _ in 0..2 * n {
                     self.cost.parallel_cycles += c.shmem_access;
+                }
+            }
+            Op::ShmRecord(_) => {
+                for _ in 0..4 {
+                    self.cost.parallel_cycles += c.shmem_access;
+                }
+            }
+            Op::Stage { src, n, .. } => {
+                for i in 0..n as u64 {
+                    self.charge_global(4);
+                    self.mem.read_u32(src.index(i, 4));
+                    self.cost.parallel_cycles += self.cfg.cost.shmem_access;
                 }
             }
             Op::LoadU32(a) | Op::LoadF32(a) => {
@@ -281,6 +301,14 @@ fn decode(data: Addr, (code, a, b): (u8, u64, u64)) -> Op {
             b: ((b >> 8) as usize % 15, (b >> 16) as usize % 8),
             n: (b % 9) as usize,
         },
+        26 => Op::ShmRecord(word.min(SHM_WORDS - 4)),
+        // Up to 16 words from a 4-byte-aligned start, so streams cross
+        // lines; the shared range stays inside the array.
+        27 => Op::Stage {
+            src: data.offset((a % (WORDS * 8 - 64)) & !3),
+            dst: word.min(SHM_WORDS - 16),
+            n: (b % 17) as usize,
+        },
         _ => Op::CostSoFar,
     }
 }
@@ -302,6 +330,10 @@ fn issue(ctx: &mut BlockCtx<'_>, shm: ShmHandle, lock: Addr, held: &mut bool, op
         Op::ShmDot { a, b, n } => {
             ctx.shm_dot_f32((shm, a.0, a.1), (shm, b.0, b.1), n, 0.0);
         }
+        Op::ShmRecord(start) => {
+            ctx.shm_read_f32s::<4>(shm, start);
+        }
+        Op::Stage { src, dst, n } => ctx.stage_shm_f32([src], [(shm, dst)], n, 1, 0),
         Op::LoadU32(a) => {
             ctx.load_u32(a);
         }
@@ -424,7 +456,7 @@ proptest! {
     /// multiplying once equals adding cycles one operation at a time.
     #[test]
     fn counters_equal_sequential_accumulation(
-        ops in prop::collection::vec((0u8..27, any::<u64>(), any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..29, any::<u64>(), any::<u64>()), 1..300),
         crash_after in 20u64..400,
     ) {
         for k in [1.0, 0.5, 2.0] {

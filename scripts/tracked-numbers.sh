@@ -119,6 +119,10 @@ row "'/*' comment openers (directive/src non-test):" "$(src_code_lines "'/'[^']*
 # Per-element shared-memory reads in kernel bodies: each one tests the
 # observer; a hot loop of them belongs in a tile op (`shm_dot_f32`).
 row "'shm_read(' / 'shm_read_f32(' call sites (kernels/src non-test):" "$(src_code_lines 'shm_read(_f32)?\(' '' crates/kernels/src)"
+# Typed per-word `PersistMemory` accesses outside the memory crate: a loop
+# of them over an array belongs in a run (`scan_*`, `write_run_*`,
+# `read_runs`), which books a same-line run once.
+row "typed per-word PersistMemory accessor call sites (crates/*/src non-test, outside nvm):" "$(src_code_lines '(^|[^_[:alnum:]])(read|write)_(u32|f32|u64)\(' 'fn (read|write)_' "$(find crates/*/src -maxdepth 0 -not -path 'crates/nvm/*')")"
 row "crates/persist/src non-test lines:" "$(non_test_under crates/persist/src)"
 # Methods the per-region persist session declares (the runtime calls three).
 row "BlockPersistSession trait methods:" "$(awk '/^pub trait BlockPersistSession/ { t = 1 } t && /^[[:space:]]*fn / { n++ } t && /^}/ { exit } END { print n + 0 }' crates/persist/src/backend.rs)"
