@@ -27,6 +27,7 @@
 //! checkpoints at `s`. The service resumes from the last durable epoch
 //! with zero lost epochs.
 
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpConfig, LpRuntime, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
@@ -97,10 +98,7 @@ impl Region for TrainEpoch {
         let first = block * TPB;
         let count = TPB.min(self.n.saturating_sub(first));
         let mut images = Vec::with_capacity(count as usize);
-        mem.scan_u32(self.dst.index(first, 4), 4, count, |w| {
-            images.push(gpu_lp::checksum::f32_store_image(f32::from_bits(w)));
-            true
-        });
+        read_back_images::<1, 4>(mem, [self.dst.index(first, 4)], count, &mut images);
         images
     }
 }

@@ -227,7 +227,7 @@ fn run_policy(label: &str, lp: &LpConfig, subject: &Subject, scale: Scale, seed:
 /// monotone degradation ladder. The last rung injects *lying* faults (torn
 /// write-backs), which drive the floor straight to checkpoint mode.
 fn fault_ramp(subject: &Subject, scale: Scale, seed: u64) -> Vec<(String, PolicyMode)> {
-    let lp = LpConfig::adaptive().with_policy(PolicyConfig::reactive());
+    let lp = LpConfig::for_backend(BackendKind::Adaptive).with_policy(PolicyConfig::reactive());
     let (gpu, mut mem, rt) = scenario(subject, scale, seed, &lp);
 
     let rungs: [(&str, Option<FaultConfig>); 4] = [
@@ -285,7 +285,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let mut policies = requested;
     policies.push((
         "adaptive".to_string(),
-        LpConfig::adaptive().with_policy(PolicyConfig::reactive()),
+        LpConfig::for_backend(BackendKind::Adaptive).with_policy(PolicyConfig::reactive()),
     ));
 
     println!(

@@ -5,7 +5,7 @@
 //! LP's ~2 % and near-zero extra writes.
 
 use crate::{fmt_overhead, Args, Failure, GeoMean, Sweep};
-use gpu_lp::LpConfig;
+use gpu_lp::{BackendKind, LpConfig};
 use lp_kernels::WORKLOAD_NAMES;
 
 fn fmt_write_incr(amplification: f64) -> String {
@@ -28,7 +28,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
         configs: &[
             LpConfig::recommended(),
             LpConfig::eager_logged(),
-            LpConfig::eager(),
+            LpConfig::for_backend(BackendKind::Eager),
         ],
         cells: |m| {
             let overheads = m.iter().map(|m| fmt_overhead(m.overhead));

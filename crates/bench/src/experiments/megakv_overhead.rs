@@ -4,7 +4,7 @@
 
 use crate::{fmt_overhead, measure_configs, Args, Failure, Table};
 use gpu_lp::LpConfig;
-use lp_kernels::{KvBatch, Scale, Workload};
+use lp_kernels::{KvBatch, Scale, Workload, SUBJECTS, WORKLOAD_NAMES};
 use megakv::app::OpKind;
 
 /// Records per batch (§VII-4: "insert, search & delete 16K recs") — the
@@ -28,9 +28,14 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let mut table = Table::new(&["Operation", "Baseline (ns)", "LP (ns)", "Overhead"]);
     let mut json_rows = Vec::new();
 
-    for op in OpKind::ALL {
+    // The subject table's MEGA-KV rows name the batches, in `OpKind::ALL`
+    // order.
+    for (op, row) in OpKind::ALL
+        .into_iter()
+        .zip(&SUBJECTS[WORKLOAD_NAMES.len()..])
+    {
         let build = || batch(op, args.scale, args.seed);
-        let m = &measure_configs(&build, false, &[LpConfig::recommended()])[0];
+        let m = &measure_configs(row.name, &build, false, &[LpConfig::recommended()])[0];
         let (base_ns, lp_ns) = (m.baseline.kernel_ns, m.lp.kernel_ns);
         table.row(&[
             op.name().to_string(),

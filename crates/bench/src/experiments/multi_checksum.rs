@@ -30,7 +30,7 @@ pub(crate) fn run(args: &Args) -> Result<(), Failure> {
         })
         .collect();
     let build = || (subject.build)(args.scale, args.seed);
-    let measured = measure_configs(&build, false, &configs);
+    let measured = measure_configs(name, &build, false, &configs);
 
     let mut table = Table::new(&["Checksums", "Overhead (Quad)", "Overhead (GlobalArray)"]);
     let mut json_rows = Vec::new();

@@ -48,11 +48,13 @@ impl Measurement {
     }
 }
 
-/// Measures the workload `build` makes under each of `configs`: one
-/// uninstrumented baseline run, then one LP run per config, every run on a
-/// fresh instance in a fresh world — the V100 over the paper's 6 MiB
-/// cache, or under `nvm_mode` its §VII-3 NVM-bandwidth variant.
+/// Measures the workload `build` makes, reported as `name`, under each of
+/// `configs`: one uninstrumented baseline run, then one LP run per config,
+/// every run on a fresh instance in a fresh world — the V100 over the
+/// paper's 6 MiB cache, or under `nvm_mode` its §VII-3 NVM-bandwidth
+/// variant.
 pub(crate) fn measure_configs(
+    name: &str,
     build: &dyn Fn() -> Box<dyn Workload>,
     nvm_mode: bool,
     configs: &[LpConfig],
@@ -82,8 +84,7 @@ pub(crate) fn measure_configs(
         let nvm = mem.stats();
         assert!(
             w.verify(&mut mem),
-            "{}: {} verification failed",
-            w.info().name,
+            "{name}: {} verification failed",
             if rt.is_some() { "LP" } else { "baseline" }
         );
         (w, stats, nvm, rt)
@@ -95,7 +96,7 @@ pub(crate) fn measure_configs(
             let (w, lp, lp_nvm, rt) = run(Some(config));
             let rt = rt.expect("an LP run has a runtime");
             Measurement {
-                workload: w.info().name.to_string(),
+                workload: name.to_string(),
                 blocks: w.launch_config().num_blocks(),
                 slowdown: lp.slowdown_vs(&baseline),
                 overhead: lp.overhead_vs(&baseline),
@@ -111,7 +112,8 @@ pub(crate) fn measure_configs(
         .collect()
 }
 
-/// [`measure_configs`] for one subject and a single config.
+/// Measures one subject under a single config: an uninstrumented baseline
+/// run and an LP run, each on a fresh instance in a fresh world.
 pub fn measure_workload(
     subject: &Subject,
     scale: Scale,
@@ -120,7 +122,7 @@ pub fn measure_workload(
     nvm_mode: bool,
 ) -> Measurement {
     let build = || (subject.build)(scale, seed);
-    measure_configs(&build, nvm_mode, std::slice::from_ref(config))
+    measure_configs(subject.name, &build, nvm_mode, std::slice::from_ref(config))
         .pop()
         .expect("one config in, one measurement out")
 }
@@ -172,7 +174,7 @@ impl Sweep<'_> {
         for subject in &subjects {
             let name = subject.name;
             let build = || (subject.build)(args.scale, args.seed);
-            let m = measure_configs(&build, self.nvm_mode, self.configs);
+            let m = measure_configs(name, &build, self.nvm_mode, self.configs);
             table.row(&[vec![name.to_string()], (self.cells)(&m)].concat());
             if let Some(geomean) = self.geomean {
                 samples.push((geomean.values)(&m));

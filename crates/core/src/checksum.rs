@@ -13,6 +13,7 @@
 //! Adler-32 is also provided for parity with the CPU work it cites, but it
 //! is order-*sensitive*, so it only composes with sequential reduction.
 
+use nvm::{Addr, PersistMemory};
 use serde::{Deserialize, Serialize};
 
 /// Maximum number of simultaneous checksums a region can carry.
@@ -218,6 +219,43 @@ pub fn f32_store_image(v: f32) -> u64 {
 #[inline]
 pub fn f64_store_image(v: f64) -> u64 {
     v.to_bits()
+}
+
+/// Appends to `images` the store images of `count` rounds of the `M`
+/// contiguous streams of `N`-byte words at `starts` — word `i` of every
+/// stream, in stream order, then word `i + 1` — read back in one
+/// [`PersistMemory::read_runs`]. A word's image is its little-endian value,
+/// so a `u32` and an `f32` (as [`f32_store_image`]) image alike.
+///
+/// This is the whole read-back of a region that folded each of these words
+/// once, in this order. Recovery reads back every block, so it allocates
+/// nothing: `images` is the caller's, sized by the caller.
+///
+/// ```
+/// use gpu_lp::checksum::{f32_store_image, read_back_images};
+/// use nvm::{NvmConfig, PersistMemory};
+/// let mut mem = PersistMemory::new(NvmConfig::tiny_cache());
+/// let (re, im) = (mem.alloc(8, 4), mem.alloc(8, 4));
+/// mem.write_run_u32(re, [1.5f32.to_bits(), 2.5f32.to_bits()]);
+/// mem.write_run_u32(im, [7, 9]);
+/// let mut images = Vec::with_capacity(4);
+/// read_back_images::<2, 4>(&mut mem, [re, im], 2, &mut images);
+/// assert_eq!(images, [f32_store_image(1.5), 7, f32_store_image(2.5), 9]);
+/// ```
+pub fn read_back_images<const M: usize, const N: usize>(
+    mem: &mut PersistMemory,
+    starts: [Addr; M],
+    count: u64,
+    images: &mut Vec<u64>,
+) {
+    const { assert!(N <= 8, "a store image is at most 8 bytes") };
+    mem.read_runs::<M, N>(starts, count, |_, words| {
+        images.extend(words.map(|w| {
+            let mut image = [0u8; 8];
+            image[..N].copy_from_slice(&w);
+            u64::from_le_bytes(image)
+        }));
+    });
 }
 
 #[cfg(test)]

@@ -99,38 +99,13 @@ impl LpConfig {
         }
     }
 
-    /// The strict Eager Persistency baseline: per-store `clwb`,
-    /// persist barrier, durable commit tokens in a flat array.
-    pub fn eager() -> Self {
-        Self::for_backend(BackendKind::Eager)
-    }
-
     /// The logged (epoch) Eager Persistency baseline: per-line undo log +
     /// one deferred write-back per dirtied line + barrier + commit token.
     pub fn eager_logged() -> Self {
         Self {
             eager_flush: EagerFlushPolicy::AtCommit,
-            ..Self::eager()
+            ..Self::for_backend(BackendKind::Eager)
         }
-    }
-
-    /// The strict/epoch persistency baseline: epoch ordering on
-    /// `__threadfence`-class fences, ADR-at-memory-queue durability.
-    pub fn epoch() -> Self {
-        Self::for_backend(BackendKind::Epoch)
-    }
-
-    /// SBRP-style buffered release persistency (64/1024-entry persist
-    /// buffers drained at region commit).
-    pub fn sbrp() -> Self {
-        Self::for_backend(BackendKind::Sbrp)
-    }
-
-    /// The adaptive design point: every region starts at LP and the policy
-    /// engine moves it along the ladder as the observed phase and device
-    /// health demand.
-    pub fn adaptive() -> Self {
-        Self::for_backend(BackendKind::Adaptive)
     }
 
     /// Replaces the policy-engine tunables (adaptive mode).
@@ -1104,7 +1079,7 @@ mod tests {
     #[test]
     fn adaptive_regions_follow_the_journal() {
         let mut rig = Rig::new();
-        let rt = runtime(&mut rig, LpConfig::adaptive());
+        let rt = runtime(&mut rig, LpConfig::for_backend(BackendKind::Adaptive));
         assert!(rt.is_adaptive());
         assert_eq!(rt.policy_mode(3), Some(PolicyMode::Lp));
         // Region 3 switches to epoch; every other region stays checksummed.
@@ -1139,7 +1114,7 @@ mod tests {
     #[test]
     fn reload_policy_restores_journalled_modes_after_a_crash() {
         let mut rig = Rig::new();
-        let rt = runtime(&mut rig, LpConfig::adaptive());
+        let rt = runtime(&mut rig, LpConfig::for_backend(BackendKind::Adaptive));
         assert!(rt.switch_region(&mut rig.mem, 5, PolicyMode::Checkpoint));
         assert!(rt.switch_region(&mut rig.mem, 6, PolicyMode::Eager));
         rig.mem.crash();
@@ -1153,7 +1128,7 @@ mod tests {
     #[test]
     fn checkpoint_rung_survives_an_immediate_crash() {
         let mut rig = Rig::new();
-        let rt = runtime(&mut rig, LpConfig::adaptive());
+        let rt = runtime(&mut rig, LpConfig::for_backend(BackendKind::Adaptive));
         assert!(rt.switch_region(&mut rig.mem, 0, PolicyMode::Checkpoint));
         let out = rig.mem.alloc(64 * 8, 8);
         let mut ctx = simt::BlockCtx::standalone(rig.lc, 0, &mut rig.mem, &mut rig.dev, &rig.cfg);
@@ -1177,7 +1152,7 @@ mod tests {
     #[test]
     fn a_region_outside_the_launch_is_refused_and_poisons_nothing() {
         let mut rig = Rig::new();
-        let rt = runtime(&mut rig, LpConfig::adaptive());
+        let rt = runtime(&mut rig, LpConfig::for_backend(BackendKind::Adaptive));
         let n = rt.num_regions();
         let lying = RegionSignals {
             torn_writebacks: 1,
@@ -1208,7 +1183,11 @@ mod tests {
             cases.push((LpConfig::for_backend(k), None, validated(k)));
         }
         for m in PolicyMode::ALL {
-            cases.push((LpConfig::adaptive(), Some(m), m.checksum_validated()));
+            cases.push((
+                LpConfig::for_backend(BackendKind::Adaptive),
+                Some(m),
+                m.checksum_validated(),
+            ));
         }
         assert_eq!(cases.len(), 10);
         for (config, rung, checksummed) in cases {

@@ -12,8 +12,8 @@
 //!    one token stream, in which every `__global__` and `__device__`
 //!    definition is found; every `#pragma nvm` line outside a block comment
 //!    is parsed into the pragma table;
-//! 2. **IR and CFG** ([`ir`], [`cfg`]) — each function body's tokens,
-//!    taken from the stream, become a statement-level mini-IR with real
+//! 2. **IR and CFG** ([`ir`], [`cfg`](mod@cfg)) — each function body's
+//!    tokens, taken from the stream, become a statement-level mini-IR with real
 //!    control flow (`if`/`else`, `for`/`while`, barriers, fences, global
 //!    stores, fold sites taken from the pragma table), lowered to a
 //!    control-flow graph with guard stacks. Every expression carries its
@@ -29,7 +29,7 @@
 //!    dominators and thread/block dependence ([`taint`]: opaque guards
 //!    with implicit flows, which the affine engine cannot answer).
 //!
-//! The readers: [`crate::lint`] (pragma rules LP001–LP005, LP015),
+//! The readers: [`crate::lint()`] (pragma rules LP001–LP005, LP015),
 //! [`rules`] (LP010–LP014, LP022–LP024), [`contract`] (LP016–LP021, each
 //! kernel against its backend's `lp_persist::DurabilityContract`),
 //! [`relevance::kernel_relevance`] and [`footprint::source_footprints`]

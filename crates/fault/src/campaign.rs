@@ -12,7 +12,7 @@
 //! simulation is recorded as a failure instead of killing the campaign.
 //! Results come out in trial order, each the result [`crate::run_trial`]
 //! gives its `TrialId` on its own. Every failure is then shrunk
-//! ([`crate::shrink`]) to a minimal reproducer, and the whole thing is
+//! ([`crate::shrink()`]) to a minimal reproducer, and the whole thing is
 //! serialized as a JSON [`CampaignReport`].
 
 use crate::cell::{run_cell, run_one, Event};
@@ -35,7 +35,7 @@ pub struct CampaignSpec {
     /// Problem-size preset for every trial.
     pub scale: Scale,
     /// Subject names ([`SUBJECT_NAMES`] by default), in any spelling
-    /// [`lp_kernels::subject`] resolves.
+    /// [`lp_kernels::subject()`] resolves.
     pub workloads: Vec<String>,
     /// Config names resolvable by [`crate::trial_config`].
     pub configs: Vec<String>,

@@ -29,7 +29,7 @@
 //!   and one forward execution, and forks each trial off that execution at
 //!   its cut, with the same result [`run_trial`] gives; it tallies by site
 //!   and workload and emits a JSON [`CampaignReport`];
-//! * [`shrink`] reduces every failure to a minimal reproducer by re-running
+//! * [`shrink()`] reduces every failure to a minimal reproducer by re-running
 //!   progressively simpler trials.
 //!
 //! The `lp-bench` crate exposes all of this as the `campaign` binary;

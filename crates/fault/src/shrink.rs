@@ -11,7 +11,7 @@
 //! 3. swap the config for `recommended` (the simplest design point) —
 //!    unless the config *is* the suspected bug (sabotage configs shrink to
 //!    themselves);
-//! 4. weaken the crash site ([`CrashSite::weakened`]).
+//! 4. weaken the crash site ([`CrashSite::weakened`](crate::CrashSite::weakened)).
 //!
 //! Every acceptance re-runs the full trial, so the returned reproducer is
 //! guaranteed to fail, not merely suspected to. The search is budgeted:

@@ -35,7 +35,7 @@ pub const SABOTAGE_CONFIG: &str = "broken-skip-recovery";
 /// The full coordinate of one trial.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrialId {
-    /// Subject name, resolved through [`lp_kernels::subject`].
+    /// Subject name, resolved through [`lp_kernels::subject()`].
     pub workload: String,
     /// Config name resolvable by [`trial_config`].
     pub config: String,

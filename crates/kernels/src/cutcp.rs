@@ -7,8 +7,8 @@
 //! in chunks.
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::checksum::f32_store_image;
+use crate::workload::{Scale, Workload};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
@@ -84,13 +84,6 @@ impl Cutcp {
 }
 
 impl Workload for Cutcp {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "CUTCP",
-            paper_blocks: 128,
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         let mut atoms = Vec::with_capacity(4 * self.atoms);
         let xs = random_f32s(self.seed, self.atoms, 0.0, 1.0);
@@ -184,10 +177,7 @@ impl Region for Cutcp {
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::with_capacity(tpb as usize);
-        mem.scan_u32(self.out.index(block * tpb, 4), 4, tpb, |w| {
-            images.push(f32_store_image(f32::from_bits(w)));
-            true
-        });
+        read_back_images::<1, 4>(mem, [self.out.index(block * tpb, 4)], tpb, &mut images);
         images
     }
 }
@@ -208,6 +198,7 @@ mod tests {
     #[test]
     fn bench_scale_matches_paper_block_count() {
         let w = Cutcp::new(Scale::Bench, 0);
-        assert_eq!(w.launch_config().num_blocks(), w.info().paper_blocks);
+        // Table III.
+        assert_eq!(w.launch_config().num_blocks(), 128);
     }
 }

@@ -2,7 +2,7 @@
 //! key-value store is staged, measured, crashed and recovered through the
 //! same path as the Table I kernels.
 
-use crate::workload::{Workload, WorkloadInfo};
+use crate::workload::Workload;
 use gpu_lp::{LpRuntime, Recoverable};
 use megakv::app::OpKind;
 use megakv::kernels::OPS_PER_BLOCK;
@@ -50,21 +50,6 @@ impl KvBatch {
 }
 
 impl Workload for KvBatch {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: match self.op {
-                OpKind::Insert => "MEGAKV-INSERT",
-                OpKind::Search => "MEGAKV-SEARCH",
-                OpKind::Delete => "MEGAKV-DELETE",
-            },
-            // §VII-4's 16 K-record batches, 256 operations per block.
-            paper_blocks: match self.op {
-                OpKind::Insert | OpKind::Search => 64,
-                OpKind::Delete => 32,
-            },
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         self.app = Some(MegaKv::new(mem, self.records, self.seed));
     }

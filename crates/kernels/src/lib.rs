@@ -42,4 +42,4 @@ pub use subject::{
     all_workloads, stage, stage_baseline, subject, test_world, workload_by_name, world, Subject,
     SUBJECTS, SUBJECT_NAMES, WORKLOAD_NAMES,
 };
-pub use workload::{Scale, Workload, WorkloadInfo};
+pub use workload::{Scale, Workload};

@@ -10,8 +10,8 @@
 //! Blocks are then independent and idempotent, as §IV-A requires.
 
 use crate::common::{self, rng};
-use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::checksum::f32_store_image;
+use crate::workload::{Scale, Workload};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
@@ -103,13 +103,6 @@ impl MriGridding {
 }
 
 impl Workload for MriGridding {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "MRI-GRIDDING",
-            paper_blocks: 65_536,
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         let mut r = rng(self.seed);
         let d = self.dim;
@@ -215,10 +208,7 @@ impl Region for MriGridding {
         let first = block * tpb;
         let cells = tpb.min((self.cells() as u64).saturating_sub(first));
         let mut images = Vec::with_capacity(cells as usize);
-        mem.scan_u32(self.out.index(first, 4), 4, cells, |w| {
-            images.push(f32_store_image(f32::from_bits(w)));
-            true
-        });
+        read_back_images::<1, 4>(mem, [self.out.index(first, 4)], cells, &mut images);
         images
     }
 }

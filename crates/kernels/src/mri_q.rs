@@ -7,8 +7,8 @@
 //! classic Parboil structure).
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::checksum::f32_store_image;
+use crate::workload::{Scale, Workload};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
@@ -97,13 +97,6 @@ impl MriQ {
 }
 
 impl Workload for MriQ {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "MRI-Q",
-            paper_blocks: 1_024,
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         let n = self.voxels();
         let k = self.k_samples;
@@ -229,15 +222,8 @@ impl Region for MriQ {
         let tpb = self.config().threads_per_block();
         let mut images = Vec::with_capacity(2 * tpb as usize);
         let v = block * tpb;
-        mem.read_runs::<2, 4>(
-            [self.qr.index(v, 4), self.qi.index(v, 4)],
-            tpb,
-            |_, words| {
-                for w in words {
-                    images.push(f32_store_image(f32::from_le_bytes(w)));
-                }
-            },
-        );
+        let starts = [self.qr.index(v, 4), self.qi.index(v, 4)];
+        read_back_images::<2, 4>(mem, starts, tpb, &mut images);
         images
     }
 }
@@ -249,6 +235,7 @@ mod tests {
     #[test]
     fn bench_scale_matches_paper_block_count() {
         let w = MriQ::new(Scale::Bench, 0);
-        assert_eq!(w.launch_config().num_blocks(), w.info().paper_blocks);
+        // Table III.
+        assert_eq!(w.launch_config().num_blocks(), 1_024);
     }
 }

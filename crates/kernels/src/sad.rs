@@ -8,7 +8,8 @@
 //! macroblock and the reference frame at its candidate offset.
 
 use crate::common::{self, random_u32s};
-use crate::workload::{Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
@@ -103,13 +104,6 @@ impl Sad {
 }
 
 impl Workload for Sad {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "SAD",
-            paper_blocks: 128_640,
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         let n = self.width * self.height;
         self.host_cur = random_u32s(self.seed, n, PIXEL_MAX);
@@ -195,10 +189,7 @@ impl Region for Sad {
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(THREADS as usize);
         let start = self.out.index(block * THREADS as u64, 4);
-        mem.scan_u32(start, 4, THREADS as u64, |w| {
-            images.push(u64::from(w));
-            true
-        });
+        read_back_images::<1, 4>(mem, [start], THREADS as u64, &mut images);
         images
     }
 }

@@ -3,8 +3,8 @@
 //! paper scale.
 
 use crate::common::{self, random_f32s};
-use crate::workload::{Scale, Workload, WorkloadInfo};
-use gpu_lp::checksum::f32_store_image;
+use crate::workload::{Scale, Workload};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
@@ -84,13 +84,6 @@ impl Tmm {
 }
 
 impl Workload for Tmm {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "TMM",
-            paper_blocks: 16_384,
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         let n = self.n;
         self.host_a = random_f32s(self.seed, n * n, -1.0, 1.0);
@@ -201,10 +194,7 @@ impl Region for Tmm {
         for ty in 0..tile {
             let row = by as usize * tile + ty;
             let start = self.c.index((row * n + bx as usize * tile) as u64, 4);
-            mem.scan_u32(start, 4, tile as u64, |w| {
-                images.push(f32_store_image(f32::from_bits(w)));
-                true
-            });
+            read_back_images::<1, 4>(mem, [start], tile as u64, &mut images);
         }
         images
     }

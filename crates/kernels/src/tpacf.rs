@@ -7,7 +7,8 @@
 //! on the host — same privatisation argument as HISTO.
 
 use crate::common::{self, rng};
-use crate::workload::{Scale, Workload, WorkloadInfo};
+use crate::workload::{Scale, Workload};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
@@ -74,13 +75,6 @@ impl Tpacf {
 }
 
 impl Workload for Tpacf {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "TPACF",
-            paper_blocks: 512,
-        }
-    }
-
     fn setup(&mut self, mem: &mut PersistMemory) {
         let mut r = rng(self.seed);
         let m = self.points();
@@ -205,15 +199,8 @@ impl Region for Tpacf {
 
     fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
         let mut images = Vec::with_capacity(BINS);
-        mem.scan_u32(
-            self.partials.index(block * BINS as u64, 4),
-            4,
-            BINS as u64,
-            |w| {
-                images.push(u64::from(w));
-                true
-            },
-        );
+        let start = self.partials.index(block * BINS as u64, 4);
+        read_back_images::<1, 4>(mem, [start], BINS as u64, &mut images);
         images
     }
 }
@@ -232,6 +219,7 @@ mod tests {
     #[test]
     fn bench_scale_matches_paper_block_count() {
         let w = Tpacf::new(Scale::Bench, 0);
-        assert_eq!(w.launch_config().num_blocks(), w.info().paper_blocks);
+        // Table III.
+        assert_eq!(w.launch_config().num_blocks(), 512);
     }
 }

@@ -5,15 +5,6 @@ use nvm::PersistMemory;
 use serde::{Deserialize, Serialize};
 use simt::{Gpu, LaunchConfig};
 
-/// Static facts about a benchmark: its name and Table III's block count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkloadInfo {
-    /// Benchmark name as used in the paper's tables.
-    pub name: &'static str,
-    /// Thread-block count reported in the paper's Table III.
-    pub paper_blocks: u64,
-}
-
 /// Problem-size preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
@@ -27,7 +18,7 @@ pub enum Scale {
 }
 
 /// A benchmark workload: input generation, kernel construction, and
-/// verification.
+/// verification. It carries no name: its [`crate::Subject`] row names it.
 ///
 /// Lifecycle: `setup(&mut mem)` (once), `warm_up(&gpu, &mut mem)`, then any
 /// number of `kernel(lp)`-launches; `verify(&mut mem)` checks the device
@@ -35,9 +26,6 @@ pub enum Scale {
 /// and everything else a measured launch needs. A run that must start from
 /// a fresh output region stages a fresh instance.
 pub trait Workload {
-    /// Static description.
-    fn info(&self) -> WorkloadInfo;
-
     /// Allocates and writes the input and output regions into `mem`, then
     /// flushes (inputs are durable, like data loaded from a file). Must be
     /// called exactly once before `kernel`.
@@ -65,19 +53,4 @@ pub trait Workload {
 
     /// Checks the device output against the CPU reference.
     fn verify(&self, mem: &mut PersistMemory) -> bool;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn info_is_serialisable() {
-        let info = WorkloadInfo {
-            name: "TMM",
-            paper_blocks: 16384,
-        };
-        let s = serde_json::to_string(&info).unwrap();
-        assert!(s.contains("TMM"));
-    }
 }

@@ -10,6 +10,7 @@
 
 use crate::batch::Batch;
 use crate::store::{KvStore, EMPTY, NOT_FOUND, TOMBSTONE};
+use gpu_lp::checksum::read_back_images;
 use gpu_lp::{LpBlockSession, Region};
 use nvm::PersistMemory;
 use simt::{BlockCtx, LaunchConfig};
@@ -146,10 +147,7 @@ impl Region for SearchKernel<'_> {
         let first = block * tpb;
         let count = tpb.min((self.batch.len() as u64).saturating_sub(first));
         let mut images = Vec::with_capacity(count as usize);
-        mem.scan_u64(self.batch.out.index(first, 8), 8, count, |w| {
-            images.push(w);
-            true
-        });
+        read_back_images::<1, 8>(mem, [self.batch.out.index(first, 8)], count, &mut images);
         images
     }
 }

@@ -19,19 +19,23 @@
 //!
 //! Code that walks an array uses a run accessor rather than a loop of typed
 //! accesses: [`PersistMemory::scan_u64`] / [`PersistMemory::scan_u32`] for
-//! strided reads (audits, verifiers, downloads, recovery read-backs),
-//! [`PersistMemory::write_run_u32`] / [`PersistMemory::write_run_u64`] for
-//! contiguous stores (uploads, manifest records), and
-//! [`PersistMemory::read_runs`] for several contiguous streams read in
-//! lockstep (a kernel's global→shared staging). A run books exactly what
-//! that loop would — every [`NvmStats`] counter, the LRU order, every fill,
-//! eviction and fault roll, writer tags, crash triggers and dropped stores
-//! — but only the first word in each cache line pays for the bounds check,
-//! the quarantine remap and the cache lookup or miss. The line's later
-//! words are copied straight from it and booked once: `k` ticks and hits,
+//! strided reads that may stop early (audits, verifiers, downloads, key
+//! lookups), [`PersistMemory::read_runs`] for several contiguous streams
+//! read in lockstep (recovery read-backs, a kernel's global→shared
+//! staging), and [`PersistMemory::write_run_u32`] /
+//! [`PersistMemory::write_run_u64`] for contiguous stores (uploads,
+//! manifest records). The readers are thin callers of one read loop, the
+//! stores of one write loop. A run books exactly what the typed loop would
+//! — every [`NvmStats`] counter, the LRU order, every fill, eviction and
+//! fault roll, writer tags, crash triggers and dropped stores — but only
+//! the first word in each cache line pays for the bounds check, the
+//! quarantine remap and the cache lookup or miss. The line's later words
+//! are copied straight from it and booked together: `k` ticks and hits,
 //! `k` load or store ops, and one LRU stamp with the last tick. That is
-//! exact because hits inside an open line never change cache structure;
-//! a miss can evict and move ways, so it closes every open line.
+//! exact because hits inside an open line never change cache structure; a
+//! miss can evict and move ways, so it closes every open line. A read run
+//! that stops books only the words it handed out, and settles every
+//! deferred stamp before it returns.
 //!
 //! # Quick example
 //!

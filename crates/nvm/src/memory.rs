@@ -284,10 +284,8 @@ impl PersistMemory {
     /// handing each to `f` until `f` returns `false`, and returns how many
     /// words were read. Access for access this is the loop of
     /// [`Self::read_u64`] calls it replaces — the same [`NvmStats`], LRU
-    /// order, fills and fault rolls — but it books a same-line run once:
-    /// the first word in each line takes the full path (bounds check,
-    /// remap, lookup or miss), and the words after it in that line are
-    /// copied straight from the line and booked together as hits.
+    /// order, fills and fault rolls — but it books a same-line run once
+    /// (see [`Self::read_runs`]).
     ///
     /// # Examples
     ///
@@ -312,7 +310,7 @@ impl PersistMemory {
         count: u64,
         mut f: impl FnMut(u64) -> bool,
     ) -> u64 {
-        self.scan(addr, stride, count, |w| f(u64::from_le_bytes(w)))
+        self.read_run([addr], stride, count, |_, [w]| f(u64::from_le_bytes(w)))
     }
 
     /// [`Self::scan_u64`] for 4-byte words: `u32`s, or `f32`s through
@@ -324,54 +322,7 @@ impl PersistMemory {
         count: u64,
         mut f: impl FnMut(u32) -> bool,
     ) -> u64 {
-        self.scan(addr, stride, count, |w| f(u32::from_le_bytes(w)))
-    }
-
-    /// The run loop of [`Self::scan_u64`] for `N`-byte words.
-    #[inline(always)]
-    fn scan<const N: usize>(
-        &mut self,
-        addr: Addr,
-        stride: u64,
-        count: u64,
-        mut f: impl FnMut([u8; N]) -> bool,
-    ) -> u64 {
-        let line = self.cfg.line_size as u64;
-        let mut i = 0;
-        while i < count {
-            let a = addr.raw() + i * stride;
-            let mut word = [0u8; N];
-            let open = self.read_line(Addr::new(a), &mut word);
-            i += 1;
-            if !f(word) {
-                return i;
-            }
-            let Some(at) = open else { continue };
-            // The backing store grows in whole lines, so every word in a
-            // line whose first word passed the bounds check is in bounds.
-            let base = a & !(line - 1);
-            let data = self.cache.line_data(at);
-            let (mut hits, mut stopped) = (0, false);
-            while i < count && !stopped {
-                let b = addr.raw() + i * stride;
-                if b & !(line - 1) != base || !self.in_one_line(b, N) {
-                    break;
-                }
-                let off = (b - base) as usize;
-                word.copy_from_slice(&data[off..off + N]);
-                hits += 1;
-                i += 1;
-                stopped = !f(word);
-            }
-            if hits > 0 {
-                self.stats.load_ops += hits;
-                self.cache.book_hits(at, hits, &mut self.stats);
-            }
-            if stopped {
-                return i;
-            }
-        }
-        count
+        self.read_run([addr], stride, count, |_, [w]| f(u32::from_le_bytes(w)))
     }
 
     /// Reads `M` contiguous streams of `count` `N`-byte words in lockstep:
@@ -380,10 +331,10 @@ impl PersistMemory {
     /// `M` typed reads per round it replaces — the same [`NvmStats`], LRU
     /// order, fills and fault rolls.
     ///
-    /// Each stream keeps its current line open once a full access has left
-    /// it resident, and its later words in that line are copied straight
-    /// from the line. Their hits are counted as they happen, but the line's
-    /// LRU stamp is deferred: hits inside an open line never change cache
+    /// A stream's first word in a line takes the full path (bounds check,
+    /// remap, lookup or miss) and leaves the line open; its later words in
+    /// that line are copied straight from it and booked as hits. Their LRU
+    /// stamp is deferred: hits inside an open line never change cache
     /// structure, so nothing can observe the stamp until the next full
     /// access, which first settles every open line (`last_use` becomes the
     /// later of its own and the deferred tick — two streams may share a
@@ -411,6 +362,27 @@ impl PersistMemory {
         count: u64,
         mut f: impl FnMut(u64, [[u8; N]; M]),
     ) {
+        self.read_run(starts, N as u64, count, |i, words| {
+            f(i, words);
+            true
+        });
+    }
+
+    /// The one read-run loop: `M` streams whose word `i` sits at
+    /// `starts[j] + i·stride`, read in lockstep rounds as
+    /// [`Self::read_runs`] describes, until `f` returns `false`. Returns
+    /// the rounds handed to `f`. Two booking rules keep it equal to the
+    /// typed loop: hits are booked only for the rounds `f` saw (a stop
+    /// leaves the rest unread), and every deferred LRU stamp is settled
+    /// before it returns.
+    #[inline(always)]
+    fn read_run<const M: usize, const N: usize>(
+        &mut self,
+        starts: [Addr; M],
+        stride: u64,
+        count: u64,
+        mut f: impl FnMut(u64, [[u8; N]; M]) -> bool,
+    ) -> u64 {
         /// A stream's open line: its logical base, where it sits, and the
         /// tick of its last deferred hit (0: nothing deferred).
         #[derive(Clone, Copy)]
@@ -419,55 +391,70 @@ impl PersistMemory {
             at: Resident,
             last: u64,
         }
+        /// Stamps every open line that has deferred hits.
+        #[inline(always)]
+        fn settle(cache: &mut WriteBackCache, open: &mut [Option<Open>]) {
+            for o in open.iter_mut().flatten() {
+                if o.last != 0 {
+                    cache.stamp(o.at, o.last);
+                    o.last = 0;
+                }
+            }
+        }
         let line = self.cfg.line_size as u64;
         let width = N as u64;
         let mut open: [Option<Open>; M] = [None; M];
-        let mut i = 0;
-        while i < count {
-            // Rounds every stream can serve from its open line: booked and
-            // copied in one go, stream `j`'s hit in round `k` at tick
-            // `t + k·M + j + 1`.
+        let (mut i, mut stopped) = (0, false);
+        while i < count && !stopped {
+            // Rounds every stream can serve from its open line: copied one
+            // round at a time, then the rounds `f` saw booked in one go,
+            // stream `j`'s hit in round `k` at tick `t + k·M + j + 1`. The
+            // backing store grows in whole lines, so every word in a line
+            // whose first word passed the bounds check is in bounds.
             let rounds = (0..M)
-                .map(|j| match open[j] {
-                    Some(o) => {
-                        let a = starts[j].raw() + i * width;
-                        let end = o.base + line;
-                        if a >= o.base && a + width <= end {
-                            (end - a) / width
-                        } else {
-                            0
+                .map(|j| {
+                    let a = starts[j].raw() + i * stride;
+                    match open[j] {
+                        // Words from `a` to the line's last word start.
+                        Some(o) if a >= o.base && a + width <= o.base + line => {
+                            let room = o.base + line - width - a;
+                            room.checked_div(stride).map_or(u64::MAX, |k| k + 1)
                         }
+                        _ => 0,
                     }
-                    None => 0,
                 })
                 .min()
                 .unwrap_or(0)
                 .min(count - i);
             if rounds > 0 {
-                let hits = rounds * M as u64;
-                let t = self.cache.count_hits(hits, &mut self.stats) - hits;
-                self.stats.load_ops += hits;
                 let runs: [(&[u8], usize); M] = std::array::from_fn(|j| {
-                    let o = open[j].as_mut().expect("every stream is open");
-                    o.last = t + (rounds - 1) * M as u64 + j as u64 + 1;
-                    let a = starts[j].raw() + i * width;
+                    let o = open[j].expect("every stream is open");
+                    let a = starts[j].raw() + i * stride;
                     (self.cache.line_data(o.at), (a - o.base) as usize)
                 });
-                for k in 0..rounds as usize {
-                    f(
-                        i + k as u64,
-                        runs.map(|(data, off)| {
-                            let at = off + k * N;
-                            data[at..at + N].try_into().expect("N bytes")
-                        }),
-                    );
+                let mut seen = 0;
+                while seen < rounds && !stopped {
+                    let step = (seen * stride) as usize;
+                    let words = runs.map(|(data, off)| {
+                        let at = off + step;
+                        data[at..at + N].try_into().expect("N bytes")
+                    });
+                    stopped = !f(i + seen, words);
+                    seen += 1;
                 }
-                i += rounds;
+                let hits = seen * M as u64;
+                let t = self.cache.count_hits(hits, &mut self.stats) - hits;
+                self.stats.load_ops += hits;
+                for (j, o) in open.iter_mut().enumerate() {
+                    let o = o.as_mut().expect("every stream is open");
+                    o.last = t + (seen - 1) * M as u64 + j as u64 + 1;
+                }
+                i += seen;
                 continue;
             }
             let mut words = [[0u8; N]; M];
             for (j, word) in words.iter_mut().enumerate() {
-                let a = starts[j].raw() + i * width;
+                let a = starts[j].raw() + i * stride;
                 match &mut open[j] {
                     Some(o) if a & !(line - 1) == o.base && self.in_one_line(a, N) => {
                         self.stats.load_ops += 1;
@@ -476,12 +463,7 @@ impl PersistMemory {
                         word.copy_from_slice(&self.cache.line_data(o.at)[off..off + N]);
                     }
                     _ => {
-                        for o in open.iter_mut().flatten() {
-                            if o.last != 0 {
-                                self.cache.stamp(o.at, o.last);
-                                o.last = 0;
-                            }
-                        }
+                        settle(&mut self.cache, &mut open);
                         let misses = self.stats.cache_misses;
                         let at = self.read_line(Addr::new(a), word);
                         if self.stats.cache_misses != misses {
@@ -495,14 +477,11 @@ impl PersistMemory {
                     }
                 }
             }
-            f(i, words);
+            stopped = !f(i, words);
             i += 1;
         }
-        for o in open.iter().flatten() {
-            if o.last != 0 {
-                self.cache.stamp(o.at, o.last);
-            }
-        }
+        settle(&mut self.cache, &mut open);
+        i
     }
 
     /// The general case of [`Self::read_bytes`]: one cache access per line
@@ -569,9 +548,9 @@ impl PersistMemory {
     /// [`Self::write_u32`] calls it replaces, store for store — the same
     /// [`NvmStats`], LRU order, writer tags, evictions, fault rolls, crash
     /// trigger and dropped-store count — with a same-line run booked once,
-    /// as in [`Self::scan_u64`]. Only the first store in each line can miss,
-    /// hence evict, so the eviction trigger is checked after it; the stores
-    /// after a power failure are dropped (and counted) one by one.
+    /// as in [`Self::read_runs`]. Only the first store in each line can
+    /// miss, hence evict, so the eviction trigger is checked after it; the
+    /// stores after a power failure are dropped (and counted) one by one.
     ///
     /// `words` is consumed lazily: an upload passes its slice's iterator
     /// and nothing is copied.

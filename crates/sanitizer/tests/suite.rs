@@ -7,7 +7,7 @@
 //! perturb the simulated timing results.
 
 use gpu_lp::{LpConfig, LpKernel, LpRuntime};
-use lp_kernels::{all_workloads, stage, test_world as world, Scale, Workload};
+use lp_kernels::{all_workloads, stage, test_world as world, Scale, Workload, WORKLOAD_NAMES};
 use lp_sanitizer::fixtures::{MissingSyncFixture, UncoveredStoreFixture};
 use lp_sanitizer::{sanitize_launch, sanitize_launch_exempt, Finding, SanitizerReport};
 use proptest::prelude::*;
@@ -27,8 +27,10 @@ fn sanitize_workload(w: &mut dyn Workload) -> (LaunchStats, SanitizerReport) {
 
 #[test]
 fn clean_suite_has_zero_findings() {
-    for mut w in all_workloads(Scale::Test, 7) {
-        let name = w.info().name;
+    for (name, mut w) in WORKLOAD_NAMES
+        .into_iter()
+        .zip(all_workloads(Scale::Test, 7))
+    {
         let (_, report) = sanitize_workload(w.as_mut());
         assert!(
             report.is_clean(),
@@ -58,11 +60,10 @@ fn observation_does_not_perturb_simulated_timing() {
     // it). This is the "disabled sanitizer costs nothing" half of the
     // contract; the observed path charges zero extra simulated cycles.
     for seed in [7u64, 11] {
-        for (mut a, mut b) in all_workloads(Scale::Test, seed)
+        let pairs = all_workloads(Scale::Test, seed)
             .into_iter()
-            .zip(all_workloads(Scale::Test, seed))
-        {
-            let name = a.info().name;
+            .zip(all_workloads(Scale::Test, seed));
+        for (name, (mut a, mut b)) in WORKLOAD_NAMES.into_iter().zip(pairs) {
             let plain = {
                 let (gpu, mut mem) = world();
                 let rt = stage(a.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
@@ -83,7 +84,7 @@ proptest! {
     /// sanitizer must be deterministic or campaign triage is useless.
     #[test]
     fn reports_are_deterministic(seed in 0u64..1000, pick in 0usize..8) {
-        let name = all_workloads(Scale::Test, seed)[pick].info().name;
+        let name = WORKLOAD_NAMES[pick];
         let run = |seed: u64| {
             let mut w = lp_kernels::workload_by_name(name, Scale::Test, seed)
                 .expect("workload exists");

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example crash_recovery_sweep`
 
 use lpgpu::gpu_lp::{LpConfig, ResilientRecovery};
-use lpgpu::lp_kernels::{all_workloads, stage, world, Scale};
+use lpgpu::lp_kernels::{all_workloads, stage, world, Scale, WORKLOAD_NAMES};
 use lpgpu::simt::{CrashPlan, DeviceConfig};
 
 fn main() {
@@ -19,7 +19,10 @@ fn main() {
 
     for point in crash_points {
         println!("== crash after {point} global stores ==");
-        for mut w in all_workloads(Scale::Test, 7) {
+        for (name, mut w) in WORKLOAD_NAMES
+            .into_iter()
+            .zip(all_workloads(Scale::Test, 7))
+        {
             let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 256, 8);
             let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::recommended());
             let kernel = w.kernel(Some(&rt));
@@ -32,15 +35,10 @@ fn main() {
             }
             let lost = rt.failing_regions(kernel.as_ref(), &mut mem).len();
             let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-            assert!(report.all_durable, "{}: recovery diverged", w.info().name);
-            assert!(
-                w.verify(&mut mem),
-                "{}: wrong output after recovery",
-                w.info().name
-            );
+            assert!(report.all_durable, "{name}: recovery diverged");
+            assert!(w.verify(&mut mem), "{name}: wrong output after recovery");
             println!(
-                "  {:<13} crashed={:<5} regions={:<5} failed@first={:<5} re-executed={}",
-                w.info().name,
+                "  {name:<13} crashed={:<5} regions={:<5} failed@first={:<5} re-executed={}",
                 outcome.crashed(),
                 report.regions,
                 lost,

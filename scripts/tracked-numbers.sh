@@ -60,7 +60,7 @@ settable_config_fields() {
 # Own .rs files whose non-test source (not under a tests/ directory, before
 # the first top-level `#[cfg(test)]`) contains "SPMV" — the suite name every
 # subject table, default and name `match` spells, so the probe for hand-kept
-# ones. lp-kernels' table and the kernel's own `info()` are the floor of 2.
+# ones. lp-kernels' subject table is the floor of 1.
 suite_name_files() {
   local n=0 f
   for f in $(find crates src examples -name '*.rs' -not -path 'crates/vendor/*' -not -path '*/tests/*'); do
@@ -123,6 +123,16 @@ row "'shm_read(' / 'shm_read_f32(' call sites (kernels/src non-test):" "$(src_co
 # of them over an array belongs in a run (`scan_*`, `write_run_*`,
 # `read_runs`), which books a same-line run once.
 row "typed per-word PersistMemory accessor call sites (crates/*/src non-test, outside nvm):" "$(src_code_lines '(^|[^_[:alnum:]])(read|write)_(u32|f32|u64)\(' 'fn (read|write)_' "$(find crates/*/src -maxdepth 0 -not -path 'crates/nvm/*')")"
+# Read runs outside the memory crate: walks of device memory that book a
+# same-line run once. Recovery read-backs share one helper
+# (`gpu_lp::checksum::read_back_images`), so this counts the other readers.
+row "'scan_u32(' / 'scan_u64(' / 'read_runs(' call sites (crates/*/src non-test, outside nvm):" "$(src_code_lines '(^|[^_[:alnum:]])(scan_u(32|64)|read_runs)(::<[^>]*>)?\(' 'fn (scan_u(32|64)|read_runs)' "$(find crates/*/src -maxdepth 0 -not -path 'crates/nvm/*')")"
+# Run loops: the `PersistMemory` methods that book a run's hits in bulk
+# (`count_hits(` / `book_hits(`), split into read and write loops.
+row "run loops in nvm/src/memory.rs (read / write):" "$(awk '/^#\[cfg\(test\)\]/ { exit }
+  /^    (pub )?fn / { name = $0 }
+  /(book|count)_hits\(/ && name != "" && !(name in seen) { seen[name] = 1; if (name ~ /fn write/) w++; else r++ }
+  END { print r + 0 " / " w + 0 }' crates/nvm/src/memory.rs)"
 row "crates/persist/src non-test lines:" "$(non_test_under crates/persist/src)"
 # Methods the per-region persist session declares (the runtime calls three).
 row "BlockPersistSession trait methods:" "$(awk '/^pub trait BlockPersistSession/ { t = 1 } t && /^[[:space:]]*fn / { n++ } t && /^}/ { exit } END { print n + 0 }' crates/persist/src/backend.rs)"

@@ -16,7 +16,7 @@
 //!    replaying a scenario yields the identical journalled history.
 
 use lpgpu::gpu_lp::{
-    LpConfig, LpRuntime, PolicyConfig, PolicyMode, RegionSignals, ResilientRecovery,
+    BackendKind, LpConfig, LpRuntime, PolicyConfig, PolicyMode, RegionSignals, ResilientRecovery,
 };
 use lpgpu::lp_kernels::{stage, workload_by_name, world, Scale};
 use lpgpu::nvm::{Addr, BumpAllocator};
@@ -62,7 +62,12 @@ const CACHE: (usize, usize) = (32, 4);
 fn run_window(seed: u64, target: PolicyMode, at: CrashAt) -> Outcome {
     let (gpu, mut mem) = world(DeviceConfig::test_gpu(), CACHE.0, CACHE.1);
     let mut w = workload_by_name("TMM", Scale::Test, seed).expect("known workload");
-    let rt = stage(w.as_mut(), &gpu, &mut mem, &LpConfig::adaptive());
+    let rt = stage(
+        w.as_mut(),
+        &gpu,
+        &mut mem,
+        &LpConfig::for_backend(BackendKind::Adaptive),
+    );
     let lc = w.launch_config();
     let kernel = w.kernel(Some(&rt));
     gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
@@ -189,7 +194,7 @@ fn switch_schedule(seed: u64, launches: u64) -> Vec<(u64, u64, PolicyMode, Polic
         &mut mem,
         lc.num_blocks(),
         lc.threads_per_block(),
-        LpConfig::adaptive().with_policy(PolicyConfig::reactive()),
+        LpConfig::for_backend(BackendKind::Adaptive).with_policy(PolicyConfig::reactive()),
     );
     mem.flush_all();
     for job in 0..launches {

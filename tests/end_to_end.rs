@@ -4,13 +4,16 @@
 
 use lpgpu::gpu_lp::{AtomicPolicy, LockPolicy, LpConfig, ReduceStrategy, ResilientRecovery};
 use lpgpu::lp_bench::Measurement;
-use lpgpu::lp_kernels::{all_workloads, stage, subject, workload_by_name, world, Scale, Workload};
+use lpgpu::lp_kernels::{stage, subject, workload_by_name, world, Scale, WORKLOAD_NAMES};
 use lpgpu::nvm::NvmConfig;
 use lpgpu::simt::{CrashPlan, DeviceConfig};
 
-fn run_config(w: &mut dyn Workload, config: LpConfig, crash_after: Option<u64>) {
+/// Runs subject `name` at test scale under `config`, crashing after
+/// `crash_after` stores if given, and checks the recovered output.
+fn run_config(name: &str, seed: u64, config: LpConfig, crash_after: Option<u64>) {
+    let mut w = workload_by_name(name, Scale::Test, seed).unwrap();
     let (gpu, mut mem) = world(DeviceConfig::test_gpu(), 512, 8);
-    let rt = stage(w, &gpu, &mut mem, &config);
+    let rt = stage(w.as_mut(), &gpu, &mut mem, &config);
     let kernel = w.kernel(Some(&rt));
     match crash_after {
         None => {
@@ -24,45 +27,45 @@ fn run_config(w: &mut dyn Workload, config: LpConfig, crash_after: Option<u64>) 
                 mem.flush_all();
             }
             let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
-            assert!(report.all_durable, "{}: recovery diverged", w.info().name);
+            assert!(report.all_durable, "{name}: recovery diverged");
         }
     }
-    assert!(w.verify(&mut mem), "{}: output mismatch", w.info().name);
+    assert!(w.verify(&mut mem), "{name}: output mismatch");
 }
 
 #[test]
 fn whole_suite_correct_under_recommended_config() {
-    for mut w in all_workloads(Scale::Test, 11) {
-        run_config(w.as_mut(), LpConfig::recommended(), None);
+    for name in WORKLOAD_NAMES {
+        run_config(name, 11, LpConfig::recommended(), None);
     }
 }
 
 #[test]
 fn whole_suite_recovers_from_mid_kernel_crash() {
-    for mut w in all_workloads(Scale::Test, 12) {
-        run_config(w.as_mut(), LpConfig::recommended(), Some(777));
+    for name in WORKLOAD_NAMES {
+        run_config(name, 12, LpConfig::recommended(), Some(777));
     }
 }
 
 #[test]
 fn whole_suite_correct_with_quadratic_probing() {
-    for mut w in all_workloads(Scale::Test, 13) {
-        run_config(w.as_mut(), LpConfig::quad(), Some(500));
+    for name in WORKLOAD_NAMES {
+        run_config(name, 13, LpConfig::quad(), Some(500));
     }
 }
 
 #[test]
 fn whole_suite_correct_with_cuckoo() {
-    for mut w in all_workloads(Scale::Test, 14) {
-        run_config(w.as_mut(), LpConfig::cuckoo(), Some(500));
+    for name in WORKLOAD_NAMES {
+        run_config(name, 14, LpConfig::cuckoo(), Some(500));
     }
 }
 
 #[test]
 fn lock_based_config_is_slow_but_correct() {
-    let mut w = workload_by_name("SPMV", Scale::Test, 15).unwrap();
     run_config(
-        w.as_mut(),
+        "SPMV",
+        15,
         LpConfig::quad().with_lock(LockPolicy::GlobalLock),
         Some(300),
     );
@@ -90,15 +93,15 @@ fn racy_config_is_correct_despite_conflicts() {
         assert!(w.verify(&mut mem), "SAD: output mismatch");
     }
     for name in ["TMM", "HISTO"] {
-        let mut w = workload_by_name(name, Scale::Test, 16).unwrap();
         run_config(
-            w.as_mut(),
+            name,
+            16,
             LpConfig::quad().with_atomic(AtomicPolicy::Racy),
             Some(400),
         );
-        let mut w = workload_by_name(name, Scale::Test, 16).unwrap();
         run_config(
-            w.as_mut(),
+            name,
+            16,
             LpConfig::cuckoo().with_atomic(AtomicPolicy::Racy),
             Some(400),
         );
@@ -108,9 +111,9 @@ fn racy_config_is_correct_despite_conflicts() {
 #[test]
 fn sequential_reduction_is_correct() {
     for name in ["SPMV", "MRI-Q"] {
-        let mut w = workload_by_name(name, Scale::Test, 17).unwrap();
         run_config(
-            w.as_mut(),
+            name,
+            17,
             LpConfig::recommended().with_reduce(ReduceStrategy::SequentialMemory),
             Some(600),
         );
@@ -120,8 +123,7 @@ fn sequential_reduction_is_correct() {
 #[test]
 fn crash_at_the_very_first_store_recovers_everything() {
     for name in ["TMM", "SAD"] {
-        let mut w = workload_by_name(name, Scale::Test, 18).unwrap();
-        run_config(w.as_mut(), LpConfig::recommended(), Some(0));
+        run_config(name, 18, LpConfig::recommended(), Some(0));
     }
 }
 
