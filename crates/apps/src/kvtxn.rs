@@ -129,8 +129,7 @@ impl Region for TxnStep<'_> {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let mut images = Vec::new();
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         for t in 0..TPB {
             let i = block * TPB + t;
             if i >= self.batch {
@@ -156,7 +155,6 @@ impl Region for TxnStep<'_> {
                 }),
             }
         }
-        images
     }
 }
 

@@ -125,8 +125,7 @@ impl Region for QueueStep {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let mut images = Vec::new();
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         for t in 0..TPB {
             let i = block * TPB + t;
             if i < self.items() {
@@ -134,7 +133,6 @@ impl Region for QueueStep {
                 images.push(mem.read_u64(addr));
             }
         }
-        images
     }
 }
 

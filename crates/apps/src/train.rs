@@ -94,12 +94,10 @@ impl Region for TrainEpoch {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let first = block * TPB;
         let count = TPB.min(self.n.saturating_sub(first));
-        let mut images = Vec::with_capacity(count as usize);
-        read_back_images::<1, 4>(mem, [self.dst.index(first, 4)], count, &mut images);
-        images
+        read_back_images::<1, 4>(mem, [self.dst.index(first, 4)], count, images);
     }
 }
 

@@ -227,9 +227,10 @@ pub fn f64_store_image(v: f64) -> u64 {
 /// [`PersistMemory::read_runs`]. A word's image is its little-endian value,
 /// so a `u32` and an `f32` (as [`f32_store_image`]) image alike.
 ///
-/// This is the whole read-back of a region that folded each of these words
-/// once, in this order. Recovery reads back every block, so it allocates
-/// nothing: `images` is the caller's, sized by the caller.
+/// This is the whole [`crate::Region::region_images`] of a region that
+/// folded each of these words once, in this order, and `images` is
+/// recovery's buffer: [`crate::LpRuntime::failing_regions`] clears and
+/// reuses one for every block, so nothing here allocates unless it grows.
 ///
 /// ```
 /// use gpu_lp::checksum::{f32_store_image, read_back_images};

@@ -40,12 +40,15 @@
 //!               fn run_region(&self, ctx, lp) {
 //!                   ... lp.store_f32(ctx, t, addr, v); ...   // store + checksum
 //!               }
-//!               fn region_images(&self, mem, block) -> Vec<u64> { .. } // read-back
+//!               fn region_images(&self, mem, block, images) {
+//!                   read_back_images::<1, 4>(mem, [out], n, images); // append
+//!               }
 //!           }
 //! kernel:   let kernel = LpKernel::new(MyKernel { .. }, Some(&rt));
 //!           // each block: reset → run_region → reduce + publish
 //! crash:    gpu.launch_with_plan(&kernel, .., CrashPlan::after_stores(n))
 //! recover:  ResilientRecovery::new(&gpu).recover(&kernel, &rt, &mut mem)
+//!           // each block: read back into rt's buffer → digest → compare
 //! ```
 //!
 //! See `lpgpu`'s `examples/quickstart.rs` for the runnable version.

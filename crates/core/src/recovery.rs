@@ -42,14 +42,13 @@ use serde::{Deserialize, Serialize};
 use simt::{AccessKind, AccessObserver, BlockCost, Gpu, Kernel};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A kernel whose LP regions can be validated and re-executed.
-///
-/// `recompute_block_checksums` is the generated check-and-recovery logic of
-/// Listing 7. Its one implementation is [`crate::LpKernel`]'s, which
-/// digests the images its [`crate::Region`] reads back.
+/// A kernel whose LP regions can be validated and re-executed: one that
+/// can read back block `b` into a buffer. The runtime that judges the
+/// region ([`LpRuntime::failing_regions`]) owns the buffer, the digest and
+/// the compare; [`crate::LpKernel`] implements it with its [`crate::Region`].
 pub trait Recoverable: Kernel {
-    /// Recomputes region `block`'s checksum vector from current memory.
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64>;
+    /// Appends to `images` what region `block` folded, read back in order.
+    fn read_back(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>);
 }
 
 /// Validate / repair rounds before [`ResilientRecovery::recover`] gives up
@@ -439,7 +438,7 @@ impl<'g> ResilientRecovery<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::f32_store_image;
+    use crate::checksum::read_back_images;
     use crate::region::{LpBlockSession, LpConfig, LpKernel, Region};
     use nvm::{Addr, FaultConfig, NvmConfig};
     use simt::{BlockCtx, CrashPlan, DeviceConfig, LaunchConfig};
@@ -470,16 +469,11 @@ mod tests {
             }
         }
 
-        fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+        fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
             let tpb = self.config().threads_per_block();
-            let mut images = Vec::new();
-            for t in 0..tpb {
-                let gid = block * tpb + t;
-                if gid < self.n {
-                    images.push(f32_store_image(mem.read_f32(self.out.index(gid, 4))));
-                }
-            }
-            images
+            let first = block * tpb;
+            let count = tpb.min(self.n.saturating_sub(first));
+            read_back_images::<1, 4>(mem, [self.out.index(first, 4)], count, images);
         }
     }
 
@@ -490,9 +484,9 @@ mod tests {
         LpKernel::new(Fill { out, n }, Some(rt))
     }
 
-    /// [`FillLp`] with a validation hook: `hook(mem, block, checksums)` sees
-    /// every recomputed checksum vector, so a test can make a region fail
-    /// validation or cut the power while recovery runs.
+    /// [`FillLp`] with a validation hook: `hook(mem, block, images)` sees
+    /// every read-back, so a test can make a region fail validation or cut
+    /// the power while recovery runs.
     struct Hooked<'k, 'rt, F> {
         inner: &'k FillLp<'rt>,
         hook: F,
@@ -513,19 +507,18 @@ mod tests {
     }
 
     impl<F: Fn(&mut PersistMemory, u64, &mut Vec<u64>)> Recoverable for Hooked<'_, '_, F> {
-        fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-            let mut checksums = self.inner.recompute_block_checksums(mem, block);
-            (self.hook)(mem, block, &mut checksums);
-            checksums
+        fn read_back(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+            self.inner.read_back(mem, block, images);
+            (self.hook)(mem, block, images);
         }
     }
 
     /// A hook under which region `bad` fails its next `times` validations.
     fn fails(bad: u64, times: &Cell<u32>) -> impl Fn(&mut PersistMemory, u64, &mut Vec<u64>) + '_ {
-        move |_, block, checksums| {
+        move |_, block, images| {
             if block == bad && times.get() > 0 {
                 times.set(times.get() - 1);
-                checksums[0] ^= 1;
+                images[0] ^= 1;
             }
         }
     }

@@ -7,9 +7,9 @@
 //! the per-thread checksum accumulators and wraps the protected stores.
 //! A protected kernel is a [`Region`] — its body and the read-back of what
 //! it folded — launched as an [`LpKernel`], which opens the session before
-//! the body, reduces and publishes the checksums after it, and turns the
-//! read-back into the recovery digest (the code §VI's compiler generates
-//! from the two pragmas, Listings 1–2 and 7).
+//! the body and reduces and publishes the checksums after it; recovery
+//! digests its read-back (the code §VI's compiler generates from the two
+//! pragmas, Listings 1–2 and 7).
 //!
 //! The persistency discipline has one name — the [`BackendKind`] in
 //! [`LpConfig::backend`] — and one dispatch: the runtime resolves each
@@ -21,7 +21,7 @@
 //! buffers, the logged-eager undo log — lives behind that session in
 //! `lp-persist`.
 
-use crate::checksum::{f32_store_image, f64_store_image, ChecksumSet};
+use crate::checksum::{f32_store_image, f64_store_image, ChecksumSet, MAX_CHECKSUMS};
 use crate::recovery::Recoverable;
 use crate::reduce::{block_reduce, scratch_words, ReduceStrategy};
 use crate::table::{
@@ -328,11 +328,6 @@ impl LpRuntime {
         self.table.reset(mem);
     }
 
-    /// Reads back the published checksums for region `key` (recovery path).
-    pub fn lookup(&self, mem: &mut PersistMemory, key: u64) -> Option<Vec<u64>> {
-        self.table.lookup(mem, key)
-    }
-
     /// Device bytes the checksum table occupies (Table V space column).
     pub fn table_bytes(&self) -> u64 {
         self.table.size_bytes()
@@ -469,15 +464,14 @@ impl LpRuntime {
 
     /// Whether `recomputed` matches the published checksums of `key`.
     pub fn validate_region(&self, mem: &mut PersistMemory, key: u64, recomputed: &[u64]) -> bool {
-        match self.lookup(mem, key) {
-            Some(stored) => stored == recomputed,
-            None => false,
-        }
+        self.table.holds(mem, key, recomputed)
     }
 
     /// The regions of `kernel` that fail validation against current memory
     /// (checksum mismatch or missing table entry), ascending — the one
-    /// place recovery judges regions.
+    /// place recovery judges regions. Per block (Listing 7's check): a
+    /// read-back into this call's one buffer, then a digest on the stack,
+    /// then an in-place compare with the table entry.
     ///
     /// Adaptive runtimes first resync every region's contract from the
     /// durable policy journal (a no-op for fixed modes): a region is always
@@ -485,10 +479,15 @@ impl LpRuntime {
     /// under a half-applied switch.
     pub fn failing_regions(&self, kernel: &dyn Recoverable, mem: &mut PersistMemory) -> Vec<u64> {
         self.reload_policy(mem);
-        (0..kernel.config().num_blocks())
+        let (lc, arity) = (kernel.config(), self.config.checksums.arity());
+        // One image per thread; it grows only on a block that folds more.
+        let mut images = Vec::with_capacity(lc.threads_per_block() as usize);
+        (0..lc.num_blocks())
             .filter(|&b| {
-                let recomputed = kernel.recompute_block_checksums(mem, b);
-                !self.validate_region(mem, b, &recomputed)
+                images.clear();
+                kernel.read_back(mem, b, &mut images);
+                let digest = self.digest_region(b, &images);
+                !self.validate_region(mem, b, &digest[..arity])
             })
             .collect()
     }
@@ -501,7 +500,7 @@ impl LpRuntime {
     /// freshly-allocated table entry is also zero. We implement the same
     /// idea associatively by folding `splitmix64(key + 1)` into the reduced
     /// checksums — both at publish time and at recovery recompute time.
-    fn seal(&self, key: u64, mut reduced: Vec<u64>) -> Vec<u64> {
+    fn seal(&self, key: u64, reduced: &mut [u64]) {
         let seed = crate::table::splitmix64(key + 1);
         for (v, kind) in reduced.iter_mut().zip(self.config.checksums.kinds()) {
             *v = if kind.is_associative() {
@@ -510,29 +509,37 @@ impl LpRuntime {
                 kind.update(*v, seed)
             };
         }
-        reduced
     }
 
     /// The durable commit token an explicit (commit-token) region `key`
-    /// publishes — a per-region constant: data were made durable *before*
-    /// the token, so a surviving token implies durable data.
-    fn commit_token(&self, key: u64) -> Vec<u64> {
-        (0..self.config.checksums.arity() as u64)
-            .map(|c| crate::table::splitmix64(key.wrapping_mul(2) + 1 + (c << 32)))
-            .collect()
+    /// publishes (its first `arity` words) — a per-region constant: data
+    /// were made durable *before* the token, so a surviving token implies
+    /// durable data.
+    fn commit_token(&self, key: u64) -> [u64; MAX_CHECKSUMS] {
+        std::array::from_fn(|c| {
+            crate::table::splitmix64(key.wrapping_mul(2) + 1 + ((c as u64) << 32))
+        })
     }
 
-    /// The checksum vector region `key` is *expected* to publish for the
-    /// store-image sequence `images` — the recovery-side recomputation
-    /// (Listing 7's `validate()` input). Folds in the region seal.
-    fn digest_region(&self, key: u64, images: impl IntoIterator<Item = u64>) -> Vec<u64> {
-        if self.discipline(key).0.contract().checksum_validated {
-            self.seal(key, self.config.checksums.digest(images))
-        } else {
+    /// The checksum vector (first `arity` words) region `key` is *expected*
+    /// to publish for the store images `images` — the recovery-side
+    /// recomputation (Listing 7's `validate()` input). Folds in the seal.
+    fn digest_region(&self, key: u64, images: &[u64]) -> [u64; MAX_CHECKSUMS] {
+        if !self.discipline(key).0.contract().checksum_validated {
             // Explicit-persistency validation does not look at the data:
             // presence of the commit token is the proof of durability.
-            self.commit_token(key)
+            return self.commit_token(key);
         }
+        let set = &self.config.checksums;
+        let mut digest = [0; MAX_CHECKSUMS];
+        for (sum, kind) in digest.iter_mut().zip(set.kinds()) {
+            *sum = kind.init();
+        }
+        for &image in images {
+            set.update(&mut digest, image);
+        }
+        self.seal(key, &mut digest);
+        digest
     }
 
     /// Byte ranges `(base, len)` of device memory that hold *transient*
@@ -579,9 +586,10 @@ pub trait Region {
     /// `lp` (a disabled session's stores are plain stores).
     fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>);
 
-    /// The store images block `block` folded, read back from `mem` in the
-    /// order its session folded them: the recomputation side of Listing 7.
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64>;
+    /// Appends to recovery's buffer `images` the store images block `block`
+    /// folded, read back from `mem` in fold order: the read-back side of
+    /// Listing 7 (an array is one [`crate::checksum::read_back_images`]).
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>);
 }
 
 impl<R: Region + ?Sized> Region for &R {
@@ -597,8 +605,8 @@ impl<R: Region + ?Sized> Region for &R {
         (**self).run_region(ctx, lp)
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        (**self).region_images(mem, block)
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+        (**self).region_images(mem, block, images)
     }
 }
 
@@ -641,9 +649,8 @@ impl<R: Region> Kernel for LpKernel<'_, R> {
 }
 
 impl<R: Region> Recoverable for LpKernel<'_, R> {
-    fn recompute_block_checksums(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let rt = self.rt.expect("recovery needs the LP runtime");
-        rt.digest_region(block, self.region.region_images(mem, block))
+    fn read_back(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+        self.region.region_images(mem, block, images)
     }
 }
 
@@ -817,7 +824,7 @@ impl<'rt> LpBlockSession<'rt> {
             // region's data.
             s.commit(ctx);
             let token = rt.commit_token(ctx.block_id());
-            rt.table.insert(ctx, ctx.block_id(), &token);
+            rt.table.insert(ctx, ctx.block_id(), &token[..self.arity]);
             s.persist_token(ctx, rt.table.entry_addr(ctx.block_id()));
         } else {
             // The region's protected stores end here: everything the
@@ -828,8 +835,8 @@ impl<'rt> LpBlockSession<'rt> {
             ctx.note_region_end();
             let set = &rt.config.checksums;
             let scratch = rt.scratch_for_block(ctx.block_id());
-            let reduced = block_reduce(ctx, set, &self.acc, rt.config.reduce, scratch);
-            let sealed = rt.seal(ctx.block_id(), reduced);
+            let mut sealed = block_reduce(ctx, set, &self.acc, rt.config.reduce, scratch);
+            rt.seal(ctx.block_id(), &mut sealed);
             ctx.charge_alu(set.arity() as u64); // seal fold
             rt.table.insert(ctx, ctx.block_id(), &sealed);
             if let Some(lines) = self.ckpt_lines.take() {
@@ -859,6 +866,13 @@ mod tests {
         LpRuntime::setup(&mut rig.mem, 64, 64, config)
     }
 
+    /// `rt`'s recovery digest of `images` for region `key`, as its table
+    /// entry holds it.
+    fn digest(rt: &LpRuntime, key: u64, images: impl IntoIterator<Item = u64>) -> Vec<u64> {
+        let images: Vec<u64> = images.into_iter().collect();
+        rt.digest_region(key, &images)[..rt.config.checksums.arity()].to_vec()
+    }
+
     #[test]
     fn session_protects_stores_and_publishes() {
         let mut rig = Rig::new();
@@ -873,8 +887,8 @@ mod tests {
         let _ = ctx.into_cost();
 
         // The published checksums must equal the sealed digest of the values.
-        let want = rt.digest_region(3, (0..64u64).map(|t| f32_store_image(t as f32 * 1.5)));
-        assert_eq!(rt.lookup(&mut rig.mem, 3), Some(want));
+        let want = digest(&rt, 3, (0..64u64).map(|t| f32_store_image(t as f32 * 1.5)));
+        assert_eq!(rt.table().lookup(&mut rig.mem, 3), Some(want));
     }
 
     #[test]
@@ -908,9 +922,17 @@ mod tests {
         let mut fork_rig = Rig::new();
         fork_rig.mem = rig.mem.clone();
         for b in 0..32 {
-            let want = Some(rt.digest_region(b, [b * 31]));
-            assert_eq!(rt.lookup(&mut rig.mem, b), want, "original, key {b}");
-            assert_eq!(fork.lookup(&mut fork_rig.mem, b), want, "clone, key {b}");
+            let want = Some(digest(&rt, b, [b * 31]));
+            assert_eq!(
+                rt.table().lookup(&mut rig.mem, b),
+                want,
+                "original, key {b}"
+            );
+            assert_eq!(
+                fork.table().lookup(&mut fork_rig.mem, b),
+                want,
+                "clone, key {b}"
+            );
         }
         assert_eq!(fork.table_stats(), before);
 
@@ -921,12 +943,20 @@ mod tests {
         assert!(fork.table_stats().rehashes > before.rehashes);
         assert_eq!(rt.table_stats(), before);
         for b in 0..64 {
-            let want = Some(fork.digest_region(b, [b * 31]));
-            assert_eq!(fork.lookup(&mut fork_rig.mem, b), want, "clone, key {b}");
+            let want = Some(digest(&fork, b, [b * 31]));
+            assert_eq!(
+                fork.table().lookup(&mut fork_rig.mem, b),
+                want,
+                "clone, key {b}"
+            );
         }
         for b in 0..32 {
-            let want = Some(rt.digest_region(b, [b * 31]));
-            assert_eq!(rt.lookup(&mut rig.mem, b), want, "original, key {b}");
+            let want = Some(digest(&rt, b, [b * 31]));
+            assert_eq!(
+                rt.table().lookup(&mut rig.mem, b),
+                want,
+                "original, key {b}"
+            );
         }
     }
 
@@ -940,8 +970,8 @@ mod tests {
         lp.finalize(&mut ctx);
         let _ = ctx.into_cost();
 
-        let good = rt.digest_region(0, [1234u64]);
-        let bad = rt.digest_region(0, [1235u64]);
+        let good = digest(&rt, 0, [1234u64]);
+        let bad = digest(&rt, 0, [1235u64]);
         assert!(rt.validate_region(&mut rig.mem, 0, &good));
         assert!(!rt.validate_region(&mut rig.mem, 0, &bad));
         assert!(
@@ -980,9 +1010,9 @@ mod tests {
                 let _ = ctx.into_cost();
             }
             for b in 0..64u64 {
-                let want = rt.digest_region(b, [b * 31]);
+                let want = digest(&rt, b, [b * 31]);
                 assert_eq!(
-                    rt.lookup(&mut rig.mem, b),
+                    rt.table().lookup(&mut rig.mem, b),
                     Some(want),
                     "{:?} block {b}",
                     config.table
@@ -1007,8 +1037,8 @@ mod tests {
         }
         lp.finalize(&mut ctx);
         let _ = ctx.into_cost();
-        let want = rt.digest_region(1, (0..64u64).map(|t| t + 7));
-        assert_eq!(rt.lookup(&mut rig.mem, 1), Some(want));
+        let want = digest(&rt, 1, (0..64u64).map(|t| t + 7));
+        assert_eq!(rt.table().lookup(&mut rig.mem, 1), Some(want));
     }
 
     #[test]
@@ -1026,7 +1056,7 @@ mod tests {
         let mut rig = Rig::new();
         let rt = runtime(&mut rig, LpConfig::recommended());
         for key in 0..64u64 {
-            let digest = rt.digest_region(key, (0..64).map(|_| 0u64));
+            let digest = digest(&rt, key, (0..64).map(|_| 0u64));
             assert!(
                 digest.iter().any(|&v| v != 0),
                 "region {key}: all-zero data digested to the all-zero vector"
@@ -1042,8 +1072,8 @@ mod tests {
     fn seal_distinguishes_identical_payloads_across_regions() {
         let mut rig = Rig::new();
         let rt = runtime(&mut rig, LpConfig::recommended());
-        let a = rt.digest_region(0, [42u64, 43]);
-        let b = rt.digest_region(1, [42u64, 43]);
+        let a = digest(&rt, 0, [42u64, 43]);
+        let b = digest(&rt, 1, [42u64, 43]);
         assert_ne!(
             a, b,
             "two regions with identical stores must not share a digest"
@@ -1095,18 +1125,18 @@ mod tests {
             let _ = ctx.into_cost();
         }
         // Region 2 validates by data checksum; region 3 by token presence.
-        let d2 = rt.digest_region(2, [2 * 7u64]);
+        let d2 = digest(&rt, 2, [2 * 7u64]);
         assert!(rt.validate_region(&mut rig.mem, 2, &d2));
-        let d3 = rt.digest_region(3, [3 * 7u64]);
+        let d3 = digest(&rt, 3, [3 * 7u64]);
         assert!(rt.validate_region(&mut rig.mem, 3, &d3));
         assert_eq!(
-            rt.digest_region(3, [1u64]),
-            rt.digest_region(3, [2u64]),
+            digest(&rt, 3, [1u64]),
+            digest(&rt, 3, [2u64]),
             "token validation must ignore the data"
         );
         assert_ne!(
-            rt.digest_region(2, [1u64]),
-            rt.digest_region(2, [2u64]),
+            digest(&rt, 2, [1u64]),
+            digest(&rt, 2, [2u64]),
             "checksum validation must depend on the data"
         );
     }
@@ -1145,7 +1175,7 @@ mod tests {
         for t in 0..64u64 {
             assert_eq!(rig.mem.read_u64(out.index(t, 8)), t + 1);
         }
-        let want = rt.digest_region(0, (0..64u64).map(|t| t + 1));
+        let want = digest(&rt, 0, (0..64u64).map(|t| t + 1));
         assert!(rt.validate_region(&mut rig.mem, 0, &want));
     }
 
@@ -1200,7 +1230,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                rt.digest_region(0, [1u64]) != rt.digest_region(0, [2u64]),
+                digest(&rt, 0, [1u64]) != digest(&rt, 0, [2u64]),
                 checksummed,
                 "{what}: digest depends on the data iff the contract validates by checksum"
             );
@@ -1211,9 +1241,9 @@ mod tests {
             lp.store_u64(&mut ctx, 0, out, 7);
             lp.finalize(&mut ctx);
             let _ = ctx.into_cost();
-            let finalized = rt.digest_region(0, [7u64]);
+            let finalized = digest(&rt, 0, [7u64]);
             assert!(rt.validate_region(&mut rig.mem, 0, &finalized), "{what}");
-            let never_ran = rt.digest_region(1, [7u64]);
+            let never_ran = digest(&rt, 1, [7u64]);
             assert!(!rt.validate_region(&mut rig.mem, 1, &never_ran), "{what}");
         }
     }

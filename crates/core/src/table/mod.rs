@@ -123,8 +123,8 @@ pub trait ChecksumTableOps {
     /// charging simulated costs to `ctx`.
     fn insert(&self, ctx: &mut BlockCtx<'_>, key: u64, checksums: &[u64]);
 
-    /// Reads back the checksums for `key` from the memory image (recovery
-    /// path; host-side, uncosted). Returns `None` when the key was never
+    /// Reads back the checksums for `key` from the memory image
+    /// (host-side, uncosted). Returns `None` when the key was never
     /// (durably) inserted.
     fn lookup(&self, mem: &mut PersistMemory, key: u64) -> Option<Vec<u64>>;
 
@@ -507,6 +507,42 @@ impl ChecksumTable {
             self.cuckoo_insert(ctx, seeds, max_displacements, tag - 1, &cs);
         }
     }
+
+    /// Hands `f` each checksum word `(c, word)` of `key`'s entry in the
+    /// memory image; `false` when the key was never (durably) inserted.
+    fn read_entry(&self, mem: &mut PersistMemory, key: u64, mut f: impl FnMut(usize, u64)) -> bool {
+        let tag = key + 1;
+        let slot = match &self.org {
+            // Walk the insert's probe sequence up to the first empty slot.
+            Org::Quad { seed } => {
+                let h = hash_with_seed(key, *seed);
+                (0..self.entries)
+                    .map(|i| self.quad_slot(h, i))
+                    .map(|slot| (slot, mem.read_u64(slot)))
+                    .take_while(|&(_, t)| t != EMPTY_TAG)
+                    .find(|&(_, t)| t == tag)
+                    .map(|(slot, _)| slot)
+            }
+            // One probe per table, wherever displacement moved the key.
+            Org::Cuckoo { seeds, .. } => (0..2)
+                .map(|table| self.cuckoo_slot(seeds, table, key))
+                .find(|&slot| mem.read_u64(slot) == tag),
+            Org::Array => (key < self.entries).then(|| self.slot(0, key)),
+        };
+        let Some(slot) = slot else { return false };
+        for c in 0..self.arity {
+            f(c, mem.read_u64(self.word(slot, c)));
+        }
+        true
+    }
+
+    /// Whether `key`'s entry holds exactly `checksums`. Reads what `lookup`
+    /// reads, every word even past a mismatch, whatever the verdict.
+    pub(crate) fn holds(&self, mem: &mut PersistMemory, key: u64, checksums: &[u64]) -> bool {
+        let mut equal = checksums.len() == self.arity;
+        let found = self.read_entry(mem, key, |c, word| equal &= checksums.get(c) == Some(&word));
+        found && equal
+    }
 }
 
 impl ChecksumTableOps for ChecksumTable {
@@ -525,29 +561,9 @@ impl ChecksumTableOps for ChecksumTable {
     }
 
     fn lookup(&self, mem: &mut PersistMemory, key: u64) -> Option<Vec<u64>> {
-        let tag = key + 1;
-        let slot = match &self.org {
-            // Walk the insert's probe sequence up to the first empty slot.
-            Org::Quad { seed } => {
-                let h = hash_with_seed(key, *seed);
-                (0..self.entries)
-                    .map(|i| self.quad_slot(h, i))
-                    .map(|slot| (slot, mem.read_u64(slot)))
-                    .take_while(|&(_, t)| t != EMPTY_TAG)
-                    .find(|&(_, t)| t == tag)
-                    .map(|(slot, _)| slot)
-            }
-            // One probe per table, wherever displacement moved the key.
-            Org::Cuckoo { seeds, .. } => (0..2)
-                .map(|table| self.cuckoo_slot(seeds, table, key))
-                .find(|&slot| mem.read_u64(slot) == tag),
-            Org::Array => (key < self.entries).then(|| self.slot(0, key)),
-        }?;
-        Some(
-            (0..self.arity)
-                .map(|c| mem.read_u64(self.word(slot, c)))
-                .collect(),
-        )
+        let mut checksums = Vec::with_capacity(self.arity);
+        self.read_entry(mem, key, |_, word| checksums.push(word))
+            .then_some(checksums)
     }
 
     fn reset(&self, mem: &mut PersistMemory) {
@@ -642,6 +658,33 @@ mod tests {
                 assert_eq!(got, Some(vec![key * 3, key ^ 0xFF]), "{kind:?} key {key}");
             }
             assert_eq!(t.stats().inserts, 64, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn holds_reads_what_lookup_reads_whatever_the_verdict() {
+        // The recovery compare books exactly the lookup's accesses, so the
+        // simulated stream does not depend on the verdict or on where a
+        // mismatch sits.
+        for (kind, seed) in [(QUAD, 0xBEEF), (cuckoo(0.45), 0xC0FFEE), (ARRAY, 0)] {
+            let mut rig = Rig::new();
+            let t = table(&mut rig, kind, 64, seed);
+            fill(&mut rig, &t, 0..32, |k| [k * 3, k ^ 0xFF]);
+            for key in [5u64, 40] {
+                let cases = [
+                    (vec![key * 3, key ^ 0xFF], key < 32),
+                    (vec![key * 3 + 1, key ^ 0xFF], false),
+                    (vec![key * 3, key ^ 0xFE], false),
+                    (vec![key * 3], false),
+                ];
+                for (checksums, verdict) in cases {
+                    let (mut looked, mut held) = (rig.mem.clone(), rig.mem.clone());
+                    t.lookup(&mut looked, key);
+                    let what = format!("{kind:?} key {key} {checksums:?}");
+                    assert_eq!(t.holds(&mut held, key, &checksums), verdict, "{what}");
+                    assert_eq!(held.stats(), looked.stats(), "{what}");
+                }
+            }
         }
     }
 

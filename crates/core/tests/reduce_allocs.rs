@@ -1,8 +1,9 @@
-//! Heap allocations on the shuffle reduction path, counted by a
-//! per-thread counting allocator: the warp butterfly and the block
-//! shuffle reduction allocate nothing, and one LP block (session open →
+//! Heap allocations on the shuffle reduction path and on recovery's check,
+//! counted by a per-thread counting allocator: the warp butterfly and the
+//! block shuffle reduction allocate nothing, one LP block (session open →
 //! region body → reduce and publish) allocates only its accumulators and
-//! the reduced checksum vector.
+//! the reduced checksum vector, and validating a launch allocates nothing
+//! per block.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,7 +11,7 @@ use std::cell::Cell;
 use gpu_lp::reduce::block_reduce;
 use gpu_lp::{ChecksumSet, LpBlockSession, LpConfig, LpKernel, LpRuntime, ReduceStrategy, Region};
 use nvm::{NvmConfig, PersistMemory};
-use simt::{warp, BlockCtx, DeviceConfig, DeviceState, Dim3, Kernel, LaunchConfig};
+use simt::{warp, BlockCtx, DeviceConfig, DeviceState, Dim3, Gpu, Kernel, LaunchConfig};
 
 /// Forwards to [`System`], counting this thread's allocations.
 struct Counting;
@@ -130,8 +131,8 @@ impl Region for Folds {
         }
     }
 
-    fn region_images(&self, _mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        (0..u64::from(THREADS)).map(|t| t * 3 + block).collect()
+    fn region_images(&self, _mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+        images.extend((0..u64::from(THREADS)).map(|t| t * 3 + block));
     }
 }
 
@@ -150,4 +151,18 @@ fn one_lp_block_allocates_at_most_three_times() {
     run(&mut mem, &mut dev, 0);
     let n = run(&mut mem, &mut dev, 1);
     assert!(n <= 3, "{n} allocations");
+}
+
+#[test]
+fn validating_a_clean_launch_allocates_nothing_per_block() {
+    let (mut mem, _, cfg, lc) = machine();
+    let rt = LpRuntime::setup(&mut mem, 4, u64::from(THREADS), LpConfig::default());
+    let kernel = LpKernel::new(Folds, Some(&rt));
+    Gpu::new(cfg).launch(&kernel, &mut mem).expect("launch");
+    mem.flush_all();
+    let (n, failing) = allocations(|| rt.failing_regions(&kernel, &mut mem));
+    assert!(failing.is_empty(), "{failing:?}");
+    // At most the result and the one read-back buffer, for all 4 blocks:
+    // the images, their digest and the table compare stay in place.
+    assert!(lc.num_blocks() == 4 && n <= 2, "{n} allocations");
 }

@@ -16,7 +16,7 @@
 //! itself bit-for-bit).
 
 use gpu_lp::{
-    checksum::f32_store_image, LpBlockSession, LpConfig, LpKernel, LpRuntime, Region,
+    checksum::read_back_images, LpBlockSession, LpConfig, LpKernel, LpRuntime, Region,
     ResilientRecovery,
 };
 use nvm::{Addr, FaultConfig, PersistMemory};
@@ -50,15 +50,10 @@ impl Region for Fill {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let mut images = Vec::new();
-        for t in 0..TPB {
-            let gid = block * TPB + t;
-            if gid < N {
-                images.push(f32_store_image(mem.read_f32(self.out.index(gid, 4))));
-            }
-        }
-        images
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+        let first = block * TPB;
+        let count = TPB.min(N.saturating_sub(first));
+        read_back_images::<1, 4>(mem, [self.out.index(first, 4)], count, images);
     }
 }
 

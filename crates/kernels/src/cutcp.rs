@@ -174,11 +174,9 @@ impl Region for Cutcp {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = self.config().threads_per_block();
-        let mut images = Vec::with_capacity(tpb as usize);
-        read_back_images::<1, 4>(mem, [self.out.index(block * tpb, 4)], tpb, &mut images);
-        images
+        read_back_images::<1, 4>(mem, [self.out.index(block * tpb, 4)], tpb, images);
     }
 }
 

@@ -14,7 +14,8 @@
 //!   be re-executed in isolation, which is exactly the associativity
 //!   requirement LP regions carry (§IV-A of the paper);
 //! * a CPU reference implementation for output verification;
-//! * the recovery-side checksum recomputation ([`gpu_lp::Recoverable`]).
+//! * the recovery-side read-back of what each block folded
+//!   ([`gpu_lp::Recoverable`]).
 //!
 //! Block counts at [`Scale::Paper`] follow Table III; [`Scale::Bench`]
 //! preserves the paper's *ordering* of block counts (SAD ≫ MRI-GRIDDING ≫

@@ -203,13 +203,11 @@ impl Region for MriGridding {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = self.config().threads_per_block();
         let first = block * tpb;
         let cells = tpb.min((self.cells() as u64).saturating_sub(first));
-        let mut images = Vec::with_capacity(cells as usize);
-        read_back_images::<1, 4>(mem, [self.out.index(first, 4)], cells, &mut images);
-        images
+        read_back_images::<1, 4>(mem, [self.out.index(first, 4)], cells, images);
     }
 }
 

@@ -218,13 +218,11 @@ impl Region for MriQ {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = self.config().threads_per_block();
-        let mut images = Vec::with_capacity(2 * tpb as usize);
         let v = block * tpb;
         let starts = [self.qr.index(v, 4), self.qi.index(v, 4)];
-        read_back_images::<2, 4>(mem, starts, tpb, &mut images);
-        images
+        read_back_images::<2, 4>(mem, starts, tpb, images);
     }
 }
 

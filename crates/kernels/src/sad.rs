@@ -186,11 +186,9 @@ impl Region for Sad {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let mut images = Vec::with_capacity(THREADS as usize);
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let start = self.out.index(block * THREADS as u64, 4);
-        read_back_images::<1, 4>(mem, [start], THREADS as u64, &mut images);
-        images
+        read_back_images::<1, 4>(mem, [start], THREADS as u64, images);
     }
 }
 

@@ -146,13 +146,11 @@ impl Region for Spmv {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = self.config().threads_per_block();
         let first = block * tpb;
         let rows = tpb.min((self.rows as u64).saturating_sub(first));
-        let mut images = Vec::with_capacity(rows as usize);
-        read_back_images::<1, 4>(mem, [self.y.index(first, 4)], rows, &mut images);
-        images
+        read_back_images::<1, 4>(mem, [self.y.index(first, 4)], rows, images);
     }
 }
 

@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn every_subjects_read_back_books_what_it_reads() {
-        // What recovery's recomputation of one block books, per row in
+        // What recovery's read-back of one block books, per row in
         // table order: the loads of the first and of the last block. A
         // suite kernel and MEGA-KV's search read one word per store image
         // the block folded; insert and delete look each of their keys up
@@ -341,7 +341,7 @@ mod tests {
             let last = w.launch_config().num_blocks() - 1;
             let got = [0, last].map(|block| {
                 mem.reset_stats();
-                kernel.recompute_block_checksums(&mut mem, block);
+                kernel.read_back(&mut mem, block, &mut Vec::new());
                 let s = mem.stats();
                 assert_eq!(s.store_ops, 0, "{name}: block {block}'s read-back stores");
                 assert_eq!(

@@ -184,19 +184,17 @@ impl Region for Tmm {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let lc = self.config();
         let n = self.n;
         let tile = self.tile;
         let (bx, by, _) = lc.grid.unflatten(block);
-        let mut images = Vec::with_capacity(tile * tile);
         // Thread order is row-major over the tile: one scan per tile row.
         for ty in 0..tile {
             let row = by as usize * tile + ty;
             let start = self.c.index((row * n + bx as usize * tile) as u64, 4);
-            read_back_images::<1, 4>(mem, [start], tile as u64, &mut images);
+            read_back_images::<1, 4>(mem, [start], tile as u64, images);
         }
-        images
     }
 }
 

@@ -197,11 +197,9 @@ impl Region for Tpacf {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
-        let mut images = Vec::with_capacity(BINS);
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let start = self.partials.index(block * BINS as u64, 4);
-        read_back_images::<1, 4>(mem, [start], BINS as u64, &mut images);
-        images
+        read_back_images::<1, 4>(mem, [start], BINS as u64, images);
     }
 }
 

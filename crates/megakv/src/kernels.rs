@@ -77,9 +77,8 @@ impl Region for InsertKernel<'_> {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = OPS_PER_BLOCK as u64;
-        let mut images = Vec::new();
         for t in 0..tpb {
             let i = block * tpb + t;
             if i >= self.batch.len() as u64 {
@@ -102,7 +101,6 @@ impl Region for InsertKernel<'_> {
         }
         // The kernel folded (key, value) per op: the read-back pair stream
         // is in the same order.
-        images
     }
 }
 
@@ -142,13 +140,11 @@ impl Region for SearchKernel<'_> {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = OPS_PER_BLOCK as u64;
         let first = block * tpb;
         let count = tpb.min((self.batch.len() as u64).saturating_sub(first));
-        let mut images = Vec::with_capacity(count as usize);
-        read_back_images::<1, 8>(mem, [self.batch.out.index(first, 8)], count, &mut images);
-        images
+        read_back_images::<1, 8>(mem, [self.batch.out.index(first, 8)], count, images);
     }
 }
 
@@ -192,9 +188,8 @@ impl Region for DeleteKernel<'_> {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = OPS_PER_BLOCK as u64;
-        let mut images = Vec::new();
         for t in 0..tpb {
             let i = block * tpb + t;
             if i >= self.batch.len() as u64 {
@@ -208,7 +203,6 @@ impl Region for DeleteKernel<'_> {
                 Some(_) => key,
             });
         }
-        images
     }
 }
 

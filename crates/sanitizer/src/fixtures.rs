@@ -96,12 +96,11 @@ impl Region for UncoveredStoreFixture {
     }
 
     /// Every word but thread 1's: the session folded no other.
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = u64::from(self.tpb);
-        (0..tpb)
-            .filter(|&t| t != 1)
-            .map(|t| u64::from(mem.read_u32(self.out.index(block * tpb + t, 4))))
-            .collect()
+        for t in (0..tpb).filter(|&t| t != 1) {
+            images.push(u64::from(mem.read_u32(self.out.index(block * tpb + t, 4))));
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use lpgpu::gpu_lp::checksum::f32_store_image;
+use lpgpu::gpu_lp::checksum::read_back_images;
 use lpgpu::gpu_lp::{LpBlockSession, LpConfig, LpKernel, LpRuntime, Region, ResilientRecovery};
 use lpgpu::lp_kernels::world;
 use lpgpu::nvm::{Addr, PersistMemory};
@@ -39,14 +39,14 @@ impl Region for SqrtScale {
         }
     }
 
-    /// Recovery side: re-read exactly what the block stored, in fold order.
-    fn region_images(&self, mem: &mut PersistMemory, block: u64) -> Vec<u64> {
+    /// Recovery side: re-read exactly what the block stored, in fold
+    /// order, appending to recovery's buffer (one run over the block's
+    /// slice of `out`; an `f32`'s image is its bits).
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = self.config().threads_per_block();
-        (0..tpb)
-            .map(|t| block * tpb + t)
-            .filter(|&i| i < self.n)
-            .map(|i| f32_store_image(mem.read_f32(self.out.index(i, 4))))
-            .collect()
+        let first = block * tpb;
+        let count = tpb.min(self.n.saturating_sub(first));
+        read_back_images::<1, 4>(mem, [self.out.index(first, 4)], count, images);
     }
 }
 

@@ -105,6 +105,10 @@ row "'LpRuntime::setup(' call sites outside crates/core:" "$({ grep -rF --includ
 # A kernel opens and closes its LP session only through `gpu_lp::LpKernel`.
 row "'LpBlockSession::begin*' / '.finalize(' call sites outside crates/core:" "$({ grep -rE --include='*.rs' --exclude-dir=vendor 'LpBlockSession::begin|\.finalize\(' crates src tests examples || true; } | grep -vc '^crates/core/')"
 row "'impl Recoverable for' (crates/*/src non-test):" "$(src_code_lines 'impl(<[^>]*>)? Recoverable for')"
+# A read-back appends to recovery's one buffer (`Region::region_images(mem,
+# block, images)`); the runtime digests and compares in place.
+row "'fn region_images' returning Vec (crates src tests examples code):" "$({ grep -rE --include='*.rs' --exclude-dir=vendor 'fn region_images\(.*\) -> Vec' crates src tests examples || true; } | { grep -vE '^[^:]*:[[:space:]]*//' || true; } | wc -l)"
+row "'recovery needs the LP runtime' panics:" "$(all_rs_lines_with 'recovery needs the LP runtime')"
 row "'probe_buckets(' non-test call sites:" "$(src_code_lines 'probe_buckets\(' 'fn probe_buckets\(')"
 row "'parse_kernel(' call sites (crates/*/src non-test):" "$(src_code_lines 'parse_kernel\(' 'fn parse_kernel\(')"
 row "'cfg::build' call sites (crates/*/src non-test):" "$(src_code_lines 'build\((&|ir)' 'fn build\(')"
