@@ -113,17 +113,6 @@ impl Workload for Tmm {
     }
 }
 
-impl Tmm {
-    /// `(row, col)` of flat thread `t` in block `(bx, by)`.
-    fn coords(&self, ctx: &BlockCtx<'_>, t: u64) -> (usize, usize, usize, usize) {
-        let (bx, by, _) = ctx.block_idx();
-        let (tx, ty, _) = ctx.thread_idx(t);
-        let row = by as usize * self.tile + ty as usize;
-        let col = bx as usize * self.tile + tx as usize;
-        (row, col, tx as usize, ty as usize)
-    }
-}
-
 impl Region for Tmm {
     fn name(&self) -> &str {
         "tmm"
@@ -160,27 +149,19 @@ impl Region for Tmm {
                 );
             }
             ctx.sync_threads();
-            // Multiply the tiles: row `ty` of A's tile by column `tx` of B's.
-            for t in 0..tpb {
-                ctx.set_active_thread(t);
-                let (_, _, tx, ty) = self.coords(ctx, t);
-                let sum = acc[t as usize];
-                acc[t as usize] = ctx.shm_dot_f32((a_s, ty * tile, 1), (b_s, tx, tile), tile, sum);
-                ctx.charge_alu(2 * tile as u64);
-            }
+            // Multiply the tiles: thread (tx, ty) adds row `ty` of A's tile
+            // times column `tx` of B's, a multiply and an add per element.
+            ctx.shm_tile_dots_f32(a_s, b_s, tile, &mut acc);
+            ctx.charge_alu(2 * tile as u64 * tpb);
             ctx.sync_threads();
         }
 
-        // Persistent stores, LP-protected.
-        for t in 0..tpb {
-            ctx.set_active_thread(t);
-            let (row, col, _, _) = self.coords(ctx, t);
-            lp.store_f32(
-                ctx,
-                t,
-                self.c.index((row * n + col) as u64, 4),
-                acc[t as usize],
-            );
+        // Persistent stores, LP-protected: thread t = ty·tile + tx writes
+        // C[row0 + ty][col0 + tx].
+        for (t, &v) in acc.iter().enumerate() {
+            let (row, col) = (row0 + t / tile, col0 + t % tile);
+            ctx.set_active_thread(t as u64);
+            lp.store_f32(ctx, t as u64, self.c.index((row * n + col) as u64, 4), v);
         }
     }
 

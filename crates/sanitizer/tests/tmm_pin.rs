@@ -1,9 +1,10 @@
-//! TMM's observed launch, pinned. TMM's multiply loop reads shared memory
-//! through `BlockCtx::shm_dot_f32`, whose unobserved path skips the
-//! per-element observer test; the observed path must still report every
-//! access exactly as the per-element `shm_read_f32` loop did. The constants
-//! below were taken from the per-element kernel: the sanitizer's counters
-//! and findings, and a digest of the whole event stream an observer sees.
+//! TMM's observed launch, pinned. TMM multiplies its shared tiles with one
+//! `BlockCtx::shm_tile_dots_f32` call per phase, whose unobserved path skips
+//! the per-element observer test; the observed path must still report every
+//! access exactly as each thread's per-element `shm_read_f32` loop did.
+//! The constants below were taken from the per-element kernel: the
+//! sanitizer's counters and findings, and a digest of the whole event
+//! stream an observer sees.
 
 use gpu_lp::LpConfig;
 use lp_kernels::{stage, test_world as world, workload_by_name, Scale};

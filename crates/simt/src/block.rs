@@ -383,60 +383,65 @@ impl<'a> BlockCtx<'a> {
         self.shm_write(h, i, v.to_bits() as u64);
     }
 
-    /// Strided dot product of two shared `f32` arrays: each operand is
-    /// `(handle, start, stride)`, and the result is `acc + Σ a[start_a +
-    /// k·stride_a] · b[start_b + k·stride_b]` over `k in 0..n`, added one
-    /// product at a time in ascending `k` — bit for bit what a loop of `n`
-    /// [`BlockCtx::shm_read_f32`] pairs computes, and charged as those `2n`
-    /// reads. It tests the observer once, not per element: unobserved, it
-    /// bounds-checks each range once and reads the arena directly; observed,
-    /// it runs the per-element reads, so an observer sees the same
+    /// Multiplies the block's shared `f32` tiles, one dot product per
+    /// thread. With the block's `rows × cols` threads (`cols` its `x`
+    /// extent), `a` a row-major `rows × n` tile and `b` a row-major
+    /// `n × cols` tile, thread `t = r·cols + c` gets `acc[t] += Σ a[r·n + k]
+    /// · b[k·cols + c]` over `k in 0..n`, added one product at a time in
+    /// ascending `k` — bit for bit what each thread's loop of `n`
+    /// [`BlockCtx::shm_read_f32`] pairs computes (but for the sign and
+    /// payload of a NaN result, which Rust leaves unspecified), and charged
+    /// as those `2n` reads per thread. It tests the observer once, not per element:
+    /// unobserved, it bounds-checks each tile once and runs the loop nest
+    /// row → `k` → column over the arena, so the inner loop is contiguous
+    /// while every accumulator keeps its ascending-`k` order; observed, it
+    /// runs each thread's per-element reads in thread order under
+    /// [`BlockCtx::set_active_thread`], so an observer sees the same
     /// `a[k]`, `b[k]` event sequence.
     ///
     /// # Panics
     ///
-    /// Panics if either strided range leaves its array.
+    /// Panics if `acc` does not hold one accumulator per thread, or if
+    /// either tile leaves its array.
     #[inline]
-    pub fn shm_dot_f32(
-        &mut self,
-        a: (ShmHandle, usize, usize),
-        b: (ShmHandle, usize, usize),
-        n: usize,
-        mut acc: f32,
-    ) -> f32 {
-        let in_bounds = |(h, start, stride): (ShmHandle, usize, usize)| {
-            n == 0
-                || (n - 1)
-                    .checked_mul(stride)
-                    .and_then(|last| last.checked_add(start))
-                    .is_some_and(|last| last < h.len)
-        };
+    pub fn shm_tile_dots_f32(&mut self, a: ShmHandle, b: ShmHandle, n: usize, acc: &mut [f32]) {
+        let threads = self.threads_per_block;
+        assert_eq!(acc.len() as u64, threads, "one accumulator per thread");
+        let cols = self.launch.block.x as usize;
+        let rows = acc.len() / cols;
+        let fits = |h: ShmHandle, len: usize| n.checked_mul(len).is_some_and(|w| w <= h.len);
         assert!(
-            in_bounds(a) && in_bounds(b),
+            fits(a, rows) && fits(b, cols),
             "shared-memory read out of bounds"
         );
         if self.obs.0.is_some() {
-            for k in 0..n {
-                let av = self.shm_read_f32(a.0, a.1 + k * a.2);
-                let bv = self.shm_read_f32(b.0, b.1 + k * b.2);
-                acc += av * bv;
+            for (t, acc) in acc.iter_mut().enumerate() {
+                self.set_active_thread(t as u64);
+                let (r, c) = (t / cols, t % cols);
+                for k in 0..n {
+                    let av = self.shm_read_f32(a, r * n + k);
+                    let bv = self.shm_read_f32(b, k * cols + c);
+                    *acc += av * bv;
+                }
             }
-            return acc;
+            return;
         }
-        self.ops.shmem_access += 2 * n as u64;
+        self.ops.shmem_access += 2 * n as u64 * threads;
         let shared = &self.dev.shared[..];
-        let (a_base, b_base) = (a.0.base + a.1, b.0.base + b.1);
-        for k in 0..n {
-            let av = f32::from_bits(shared[a_base + k * a.2] as u32);
-            let bv = f32::from_bits(shared[b_base + k * b.2] as u32);
-            acc += av * bv;
+        let (a_tile, b_tile) = (&shared[a.base..][..rows * n], &shared[b.base..][..n * cols]);
+        for (r, acc_row) in acc.chunks_exact_mut(cols).enumerate() {
+            for (&aw, b_row) in a_tile[r * n..][..n].iter().zip(b_tile.chunks_exact(cols)) {
+                let av = f32::from_bits(aw as u32);
+                for (acc, &bw) in acc_row.iter_mut().zip(b_row) {
+                    *acc += av * f32::from_bits(bw as u32);
+                }
+            }
         }
-        acc
     }
 
     /// Reads the `K`-word record at `start` of a shared `f32` array, as
     /// `K` [`BlockCtx::shm_read_f32`] calls in ascending order would, and
-    /// charged as those `K` reads. Like [`BlockCtx::shm_dot_f32`] it
+    /// charged as those `K` reads. Like [`BlockCtx::shm_tile_dots_f32`] it
     /// bounds-checks once and tests the observer once; observed, it runs
     /// the per-element reads, so an observer sees the same events.
     ///
@@ -883,45 +888,53 @@ mod tests {
         }
     }
 
-    /// One `shm_dot_f32` case: the arena's two arrays, and each operand as
-    /// `(array, start, stride)`.
+    /// One `shm_tile_dots_f32` case: a `rows × cols` block, `n` terms per
+    /// dot product, the words of the two shared arrays and the
+    /// accumulators' starting bits, one per thread.
     #[derive(Debug, Clone)]
-    struct DotCase {
-        arrays: [Vec<u64>; 2],
-        a: (usize, usize, usize),
-        b: (usize, usize, usize),
+    struct TileCase {
+        rows: usize,
+        cols: usize,
         n: usize,
-        acc: u32,
+        arrays: [Vec<u64>; 2],
+        acc: Vec<u32>,
     }
 
-    /// Runs `case` on a fresh block (thread 3 active), through the tile op
-    /// or the per-element loop it replaces, observed or not. Returns the
-    /// result's bits, the cost's bits and the observed events.
-    fn run_dot(case: &DotCase, tile_op: bool, observed: bool) -> (u32, [u64; 4], SharedEvents) {
-        let (mut mem, mut dev, cfg, lc) = fixture();
+    /// What a run leaves behind: the accumulators' bits (every NaN as the
+    /// one quiet NaN, see [`run_tiles`]), the cost's bits, the shared arena
+    /// and the observed events.
+    type TileRun = (Vec<u32>, [u64; 4], Vec<u64>, SharedEvents);
+
+    /// Runs `case` on a fresh block, through the tile op or the per-thread,
+    /// per-element loop it replaces, observed or not. Rust leaves the sign
+    /// and payload of a NaN that arithmetic produces unspecified, and the
+    /// optimiser may commute a vectorised multiply or add, so which input
+    /// NaN propagates differs between the two loops in release builds; a
+    /// NaN result is compared as NaN, every other result bit for bit.
+    fn run_tiles(case: &TileCase, tile_op: bool, observed: bool) -> TileRun {
+        let (mut mem, mut dev, cfg, _) = fixture();
+        let lc = LaunchConfig::grid2d(2, 2, case.cols as u32, case.rows as u32);
         let mut events = SharedEvents::default();
         let obs = observed.then_some(&mut events as &mut dyn AccessObserver);
         let mut ctx = BlockCtx::new(lc, 2, &mut mem, &mut dev, &cfg, obs);
-        let handles = case.arrays.clone().map(|words| {
+        let [a, b] = case.arrays.clone().map(|words| {
             let h = ctx.shared_alloc(words.len());
-            for (i, &w) in words.iter().enumerate() {
-                ctx.dev.shared[h.base + i] = w;
-            }
+            ctx.dev.shared[h.base..h.base + h.len].copy_from_slice(&words);
             h
         });
-        ctx.set_active_thread(3);
-        let (a, b) = (
-            (handles[case.a.0], case.a.1, case.a.2),
-            (handles[case.b.0], case.b.1, case.b.2),
-        );
-        let mut acc = f32::from_bits(case.acc);
+        let mut acc: Vec<f32> = case.acc.iter().map(|&bits| f32::from_bits(bits)).collect();
+        let (cols, n) = (case.cols, case.n);
         if tile_op {
-            acc = ctx.shm_dot_f32(a, b, case.n, acc);
+            ctx.shm_tile_dots_f32(a, b, n, &mut acc);
         } else {
-            for k in 0..case.n {
-                let av = ctx.shm_read_f32(a.0, a.1 + k * a.2);
-                let bv = ctx.shm_read_f32(b.0, b.1 + k * b.2);
-                acc += av * bv;
+            for (t, acc) in acc.iter_mut().enumerate() {
+                ctx.set_active_thread(t as u64);
+                let (r, c) = (t / cols, t % cols);
+                for k in 0..n {
+                    let av = ctx.shm_read_f32(a, r * n + k);
+                    let bv = ctx.shm_read_f32(b, k * cols + c);
+                    *acc += av * bv;
+                }
             }
         }
         let c = ctx.finish();
@@ -931,7 +944,11 @@ mod tests {
             c.global_bytes,
             c.atomic_ops,
         ];
-        (acc.to_bits(), cost, events)
+        let acc = acc
+            .into_iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { v }.to_bits())
+            .collect();
+        (acc, cost, dev.shared.clone(), events)
     }
 
     /// Bit patterns float arithmetic treats specially.
@@ -958,79 +975,76 @@ mod tests {
         }
     }
 
-    /// A case whose ranges fit: each array is as long as the operands that
-    /// read it need, plus `spare` words; the words come from `raw`/`picks`.
-    fn dot_case(
-        (a, b): ((usize, usize, usize), (usize, usize, usize)),
-        n: usize,
+    /// A case whose tiles fit: `a` holds `rows × n` words and `b` holds
+    /// `n × cols`, each plus `spare`; the array words and the
+    /// accumulators come from `raw`/`picks`.
+    fn tile_case(
+        (rows, cols, n): (usize, usize, usize),
         spare: (usize, usize),
         raw: &[u64],
         picks: &[usize],
-    ) -> DotCase {
-        let need = |array: usize| {
-            [a, b]
-                .iter()
-                .filter(|op| op.0 == array)
-                .map(|&(_, start, stride)| start + n.saturating_sub(1) * stride + 1)
-                .max()
-                .unwrap_or(0)
-        };
+    ) -> TileCase {
         let mut words = raw.iter().zip(picks).map(|(&r, &p)| f32_word(r, p));
-        let mut array = |len| words.by_ref().take(len).collect::<Vec<_>>();
-        let arrays = [array(need(0) + spare.0), array(need(1) + spare.1)];
-        DotCase {
-            arrays,
-            a,
-            b,
+        let mut take = |len| words.by_ref().take(len).collect::<Vec<_>>();
+        let arrays = [take(rows * n + spare.0), take(n * cols + spare.1)];
+        let acc = take(rows * cols).into_iter().map(|w| w as u32).collect();
+        TileCase {
+            rows,
+            cols,
             n,
-            acc: f32_word(raw[raw.len() - 1], picks[picks.len() - 1]) as u32,
+            arrays,
+            acc,
         }
     }
 
     proptest! {
-        /// The tile op is the per-element loop: the same result bits and
-        /// `BlockCost` unobserved, and under an observer the same events.
+        /// The tile op is the per-thread loop: the same accumulator bits,
+        /// `BlockCost` and shared arena observed or not, and under an
+        /// observer the same events.
         #[test]
-        fn shm_dot_equals_the_per_element_loop(
-            a in (0usize..2, 0usize..6, 0usize..5),
-            b in (0usize..2, 0usize..6, 0usize..5),
-            n in 0usize..17,
+        fn shm_tile_dots_equal_the_per_element_loop(
+            shape in (1usize..=16, 1usize..=16, 1usize..=16),
             spare in (0usize..4, 0usize..4),
-            raw in prop::collection::vec(any::<u64>(), 160),
-            picks in prop::collection::vec(0usize..20, 160),
+            raw in prop::collection::vec(any::<u64>(), 800),
+            picks in prop::collection::vec(0usize..20, 800),
         ) {
-            let case = dot_case((a, b), n, spare, &raw, &picks);
-            let (want, want_cost, want_events) = run_dot(&case, false, true);
-            let (got, got_cost, got_events) = run_dot(&case, true, true);
-            prop_assert_eq!((got, got_cost), (want, want_cost));
-            prop_assert_eq!(&got_events.0, &want_events.0);
-            prop_assert_eq!(want_events.0.len(), 2 * n);
-            let (plain, plain_cost, _) = run_dot(&case, true, false);
-            prop_assert_eq!((plain, plain_cost), (want, want_cost));
+            let case = tile_case(shape, spare, &raw, &picks);
+            let (rows, cols, n) = shape;
+            let (want, want_cost, want_arena, want_events) = run_tiles(&case, false, true);
+            prop_assert_eq!(want_events.0.len(), 2 * n * rows * cols);
+            for observed in [true, false] {
+                let (got, got_cost, got_arena, got_events) = run_tiles(&case, true, observed);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got_cost, want_cost);
+                prop_assert_eq!(&got_arena, &want_arena);
+                if observed {
+                    prop_assert_eq!(&got_events.0, &want_events.0);
+                }
+            }
         }
     }
 
     #[test]
-    fn shm_dot_out_of_range_panics_like_shm_read() {
-        let array = vec![0u64; 4];
-        let arrays = [array.clone(), array];
-        // (a, b, n): a last element one past the end, and a stride whose
-        // offset overflows `usize`.
-        let cases = [
-            ((0, 0, 1), (1, 1, 1), 4),
-            ((0, 3, 1), (1, 0, 0), 2),
-            ((0, 0, 0), (1, 1, usize::MAX), 2),
-        ];
-        for (a, b, n) in cases {
-            let case = DotCase {
-                arrays: arrays.clone(),
-                a,
-                b,
+    fn shm_tile_dots_out_of_range_panic_like_shm_read() {
+        let (rows, cols, n) = (3, 4, 5);
+        let fits = [vec![0u64; rows * n], vec![0u64; n * cols]];
+        let short = |i: usize| {
+            let mut arrays = fits.clone();
+            arrays[i].pop();
+            (arrays, n)
+        };
+        // Each operand one word short, and a length that overflows `usize`.
+        let cases = [short(0), short(1), (fits.clone(), usize::MAX / 2 + 1)];
+        for (arrays, n) in cases {
+            let case = TileCase {
+                rows,
+                cols,
                 n,
-                acc: 0,
+                arrays,
+                acc: vec![0; rows * cols],
             };
             for observed in [false, true] {
-                let err = std::panic::catch_unwind(|| run_dot(&case, true, observed))
+                let err = std::panic::catch_unwind(|| run_tiles(&case, true, observed))
                     .expect_err("an out-of-range operand must panic");
                 assert_eq!(
                     err.downcast_ref::<&str>(),

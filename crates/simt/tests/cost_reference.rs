@@ -21,12 +21,8 @@ enum Op {
     ShmRead(usize),
     ShmWrite(usize),
     ShmAtomicAdd(usize),
-    /// `shm_dot_f32` over `n` elements: `(start, stride)` of each operand.
-    ShmDot {
-        a: (usize, usize),
-        b: (usize, usize),
-        n: usize,
-    },
+    /// `shm_tile_dots_f32` with `n` terms per thread's dot product.
+    ShmTileDots(usize),
     /// `shm_read_f32s::<4>` from `start`.
     ShmRecord(usize),
     /// `stage_shm_f32` of one stream of `n` words from `src` to `dst`.
@@ -102,8 +98,8 @@ impl SequentialCtx<'_> {
             }
             Op::ShmRead(_) | Op::ShmWrite(_) => self.cost.parallel_cycles += c.shmem_access,
             Op::ShmAtomicAdd(_) => self.cost.parallel_cycles += 2.0 * c.shmem_access,
-            Op::ShmDot { n, .. } => {
-                for _ in 0..2 * n {
+            Op::ShmTileDots(n) => {
+                for _ in 0..2 * n as u64 * self.threads_per_block {
                     self.cost.parallel_cycles += c.shmem_access;
                 }
             }
@@ -294,13 +290,9 @@ fn decode(data: Addr, (code, a, b): (u8, u64, u64)) -> Op {
         22 => Op::AtomicExch(addr),
         23 => Op::AtomicAdd(addr),
         24 => Op::ToggleLock,
-        // Up to 8 elements at strides up to 7 from starts below 15 stay
-        // inside the 64-word array.
-        25 => Op::ShmDot {
-            a: ((a >> 8) as usize % 15, (a >> 16) as usize % 8),
-            b: ((b >> 8) as usize % 15, (b >> 16) as usize % 8),
-            n: (b % 9) as usize,
-        },
+        // Up to 8 terms: the 1 × 8 `a` tile fits the 64-word array, the
+        // 8 × THREADS `b` tile its own.
+        25 => Op::ShmTileDots((b % 9) as usize),
         26 => Op::ShmRecord(word.min(SHM_WORDS - 4)),
         // Up to 16 words from a 4-byte-aligned start, so streams cross
         // lines; the shared range stays inside the array.
@@ -313,8 +305,9 @@ fn decode(data: Addr, (code, a, b): (u8, u64, u64)) -> Op {
     }
 }
 
-/// Issues `op` through the production context; `held` tracks the lock.
-fn issue(ctx: &mut BlockCtx<'_>, shm: ShmHandle, lock: Addr, held: &mut bool, op: Op) {
+/// Issues `op` through the production context; `tile` is the tile ops'
+/// second operand, and `held` tracks the lock.
+fn issue(ctx: &mut BlockCtx<'_>, [shm, tile]: [ShmHandle; 2], lock: Addr, held: &mut bool, op: Op) {
     match op {
         Op::ChargeAlu(n) => ctx.charge_alu(n),
         Op::ChargeSerialAlu(n) => ctx.charge_serial_alu(n),
@@ -327,8 +320,8 @@ fn issue(ctx: &mut BlockCtx<'_>, shm: ShmHandle, lock: Addr, held: &mut bool, op
         Op::ShmAtomicAdd(i) => {
             ctx.shm_atomic_add(shm, i, 7);
         }
-        Op::ShmDot { a, b, n } => {
-            ctx.shm_dot_f32((shm, a.0, a.1), (shm, b.0, b.1), n, 0.0);
+        Op::ShmTileDots(n) => {
+            ctx.shm_tile_dots_f32(shm, tile, n, &mut [0.0; THREADS as usize]);
         }
         Op::ShmRecord(start) => {
             ctx.shm_read_f32s::<4>(shm, start);
@@ -409,7 +402,10 @@ fn differential(
     let mut ref_dev = dev.clone();
 
     let mut ctx = BlockCtx::standalone(lc, 3, &mut mem, &mut dev, &cfg);
-    let shm = ctx.shared_alloc(SHM_WORDS);
+    let shm = [
+        ctx.shared_alloc(SHM_WORDS),
+        ctx.shared_alloc(8 * THREADS as usize),
+    ];
     let mut reference = SequentialCtx {
         mem: &mut ref_mem,
         dev: &mut ref_dev,

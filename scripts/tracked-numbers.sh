@@ -121,7 +121,7 @@ row "'tokenize(' call sites (directive/src non-test):" "$(src_code_lines '(^|[^[
 # Where a `/*` comment opener is recognised: a '/' char literal, then a '*'.
 row "'/*' comment openers (directive/src non-test):" "$(src_code_lines "'/'[^']*'\\*'" '' crates/directive/src)"
 # Per-element shared-memory reads in kernel bodies: each one tests the
-# observer; a hot loop of them belongs in a tile op (`shm_dot_f32`).
+# observer; a hot loop of them belongs in a tile op (`shm_tile_dots_f32`).
 row "'shm_read(' / 'shm_read_f32(' call sites (kernels/src non-test):" "$(src_code_lines 'shm_read(_f32)?\(' '' crates/kernels/src)"
 # Typed per-word `PersistMemory` accesses outside the memory crate: a loop
 # of them over an array belongs in a run (`scan_*`, `write_run_*`,
