@@ -3,12 +3,12 @@
 //! same path as the Table I kernels.
 
 use crate::workload::Workload;
-use gpu_lp::{LpRuntime, Recoverable};
+use gpu_lp::{LpBlockSession, Region};
 use megakv::app::OpKind;
-use megakv::kernels::OPS_PER_BLOCK;
+use megakv::kernels::{BatchKernel, OPS_PER_BLOCK};
 use megakv::MegaKv;
 use nvm::PersistMemory;
-use simt::{Gpu, LaunchConfig};
+use simt::{BlockCtx, Gpu, LaunchConfig};
 
 /// One batched MEGA-KV operation against a store of `records` keys.
 #[derive(Debug)]
@@ -47,6 +47,36 @@ impl KvBatch {
     fn app(&self) -> &MegaKv {
         self.app.as_ref().expect("Workload::setup runs first")
     }
+
+    /// The store's kernel for this batch.
+    fn region(&self) -> BatchKernel<'_> {
+        let app = self.app();
+        BatchKernel {
+            op: self.op,
+            store: app.store(),
+            batch: app.batch(self.op),
+        }
+    }
+}
+
+/// [`BatchKernel`]'s region, except that the geometry is planned from the
+/// operation count (`ops`), so it is valid before `setup`.
+impl Region for KvBatch {
+    fn name(&self) -> &str {
+        self.op.kernel_name()
+    }
+
+    fn config(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.ops(), OPS_PER_BLOCK)
+    }
+
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        self.region().run_region(ctx, lp)
+    }
+
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+        self.region().region_images(mem, block, images)
+    }
 }
 
 impl Workload for KvBatch {
@@ -62,14 +92,6 @@ impl Workload for KvBatch {
             self.app().run(gpu, mem, OpKind::Insert, None);
             mem.flush_all();
         }
-    }
-
-    fn launch_config(&self) -> LaunchConfig {
-        LaunchConfig::linear(self.ops(), OPS_PER_BLOCK)
-    }
-
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        self.app().kernel(self.op, lp)
     }
 
     fn payload_bytes(&self) -> u64 {
@@ -100,9 +122,7 @@ mod tests {
         for op in OpKind::ALL {
             let (gpu, mut mem) = crate::test_world();
             let mut w = KvBatch::new(op, 1000, 7);
-            let planned = w.launch_config();
             crate::stage_baseline(&mut w, &gpu, &mut mem);
-            assert_eq!(w.kernel(None).config(), planned, "{op:?}");
             assert_eq!(w.app().batch(op).len() as u64, w.ops(), "{op:?}");
         }
     }

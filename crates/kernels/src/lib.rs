@@ -8,14 +8,14 @@
 //!
 //! * seeded, reproducible input generation written into simulated device
 //!   memory and flushed (the checkpoint boundary — inputs are durable);
-//! * a [`simt::Kernel`] whose thread blocks are **independent and
-//!   idempotent** — scatter-style algorithms (histograms, gridding) are
-//!   restructured gather-style with block-private partials so any block can
-//!   be re-executed in isolation, which is exactly the associativity
-//!   requirement LP regions carry (§IV-A of the paper);
-//! * a CPU reference implementation for output verification;
-//! * the recovery-side read-back of what each block folded
-//!   ([`gpu_lp::Recoverable`]).
+//! * the kernel, which is the workload itself: one [`gpu_lp::Region`]
+//!   whose thread blocks are **independent and idempotent** —
+//!   scatter-style algorithms (histograms, gridding) are restructured
+//!   gather-style with block-private partials so any block can be
+//!   re-executed in isolation, which is exactly the associativity
+//!   requirement LP regions carry (§IV-A of the paper) — and whose
+//!   read-back returns what each block folded, for recovery;
+//! * a CPU reference implementation for output verification.
 //!
 //! Block counts at [`Scale::Paper`] follow Table III; [`Scale::Bench`]
 //! preserves the paper's *ordering* of block counts (SAD ≫ MRI-GRIDDING ≫

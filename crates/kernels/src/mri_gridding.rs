@@ -12,7 +12,7 @@
 use crate::common::{self, rng};
 use crate::workload::{Scale, Workload};
 use gpu_lp::checksum::read_back_images;
-use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
+use gpu_lp::{LpBlockSession, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
 use simt::{BlockCtx, LaunchConfig};
@@ -138,14 +138,6 @@ impl Workload for MriGridding {
         mem.flush_all();
     }
 
-    fn launch_config(&self) -> LaunchConfig {
-        LaunchConfig::linear(self.cells() as u64, THREADS)
-    }
-
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(LpKernel::new(self, lp))
-    }
-
     fn payload_bytes(&self) -> u64 {
         self.cells() as u64 * 4
     }
@@ -162,7 +154,7 @@ impl Region for MriGridding {
     }
 
     fn config(&self) -> LaunchConfig {
-        self.launch_config()
+        LaunchConfig::linear(self.cells() as u64, THREADS)
     }
 
     fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {

@@ -10,7 +10,7 @@
 use crate::common::{self, random_u32s};
 use crate::workload::{Scale, Workload};
 use gpu_lp::checksum::read_back_images;
-use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
+use gpu_lp::{LpBlockSession, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
 
@@ -114,17 +114,6 @@ impl Workload for Sad {
         mem.flush_all();
     }
 
-    fn launch_config(&self) -> LaunchConfig {
-        LaunchConfig {
-            grid: simt::Dim3::x(self.num_blocks() as u32),
-            block: simt::Dim3::x(THREADS),
-        }
-    }
-
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(LpKernel::new(self, lp))
-    }
-
     fn payload_bytes(&self) -> u64 {
         self.num_blocks() * THREADS as u64 * 4
     }
@@ -154,7 +143,10 @@ impl Region for Sad {
     }
 
     fn config(&self) -> LaunchConfig {
-        self.launch_config()
+        LaunchConfig {
+            grid: simt::Dim3::x(self.num_blocks() as u32),
+            block: simt::Dim3::x(THREADS),
+        }
     }
 
     fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {

@@ -5,7 +5,7 @@
 use crate::common::{self, rng};
 use crate::workload::{Scale, Workload};
 use gpu_lp::checksum::read_back_images;
-use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
+use gpu_lp::{LpBlockSession, Region};
 use nvm::{Addr, PersistMemory};
 use rand::Rng;
 use simt::{BlockCtx, LaunchConfig};
@@ -98,14 +98,6 @@ impl Workload for Spmv {
         mem.flush_all();
     }
 
-    fn launch_config(&self) -> LaunchConfig {
-        LaunchConfig::linear(self.rows as u64, THREADS)
-    }
-
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(LpKernel::new(self, lp))
-    }
-
     fn payload_bytes(&self) -> u64 {
         (self.rows * 4) as u64
     }
@@ -122,7 +114,7 @@ impl Region for Spmv {
     }
 
     fn config(&self) -> LaunchConfig {
-        self.launch_config()
+        LaunchConfig::linear(self.rows as u64, THREADS)
     }
 
     fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {

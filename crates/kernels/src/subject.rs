@@ -177,11 +177,34 @@ mod tests {
     #[test]
     fn the_table_is_complete_and_self_consistent() {
         // Test-scale launch geometry, in table order: the crash campaign's
-        // pruning arithmetic and its goldens depend on these counts.
+        // pruning arithmetic and its goldens depend on these counts. The
+        // kernel names are what `LaunchStats::kernel` reports.
         let blocks = [64, 8, 64, 16, 128, 8, 8, 16, 4, 4, 2];
-        for (row, blocks) in SUBJECTS.iter().zip(blocks) {
-            let w = (row.build)(Scale::Test, 1);
-            assert_eq!(w.launch_config().num_blocks(), blocks, "{}", row.name);
+        let kernels = [
+            "tmm",
+            "tpacf",
+            "mri-gridding",
+            "spmv",
+            "sad",
+            "histo",
+            "cutcp",
+            "mri-q",
+            "megakv-insert",
+            "megakv-search",
+            "megakv-delete",
+        ];
+        for ((row, blocks), kernel) in SUBJECTS.iter().zip(blocks).zip(kernels) {
+            let mut w = (row.build)(Scale::Test, 1);
+            let planned = w.launch_config();
+            assert_eq!(planned.num_blocks(), blocks, "{}", row.name);
+
+            // The geometry planned before `setup` is the staged kernel's,
+            // and the kernel reports the row's name.
+            let (gpu, mut mem) = test_world();
+            stage_baseline(w.as_mut(), &gpu, &mut mem);
+            let k = w.kernel(None);
+            assert_eq!(k.config(), planned, "{}", row.name);
+            assert_eq!(k.name(), kernel, "{}", row.name);
 
             // The name, any case of it and every alias resolve to this row
             // and to no other.

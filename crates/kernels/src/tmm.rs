@@ -5,7 +5,7 @@
 use crate::common::{self, random_f32s};
 use crate::workload::{Scale, Workload};
 use gpu_lp::checksum::read_back_images;
-use gpu_lp::{LpBlockSession, LpKernel, LpRuntime, Recoverable, Region};
+use gpu_lp::{LpBlockSession, Region};
 use nvm::{Addr, PersistMemory};
 use simt::{BlockCtx, LaunchConfig};
 
@@ -94,15 +94,6 @@ impl Workload for Tmm {
         mem.flush_all();
     }
 
-    fn launch_config(&self) -> LaunchConfig {
-        let tiles = (self.n / self.tile) as u32;
-        LaunchConfig::grid2d(tiles, tiles, self.tile as u32, self.tile as u32)
-    }
-
-    fn kernel<'a>(&'a self, lp: Option<&'a LpRuntime>) -> Box<dyn Recoverable + 'a> {
-        Box::new(LpKernel::new(self, lp))
-    }
-
     fn payload_bytes(&self) -> u64 {
         (self.n * self.n * 4) as u64
     }
@@ -119,7 +110,8 @@ impl Region for Tmm {
     }
 
     fn config(&self) -> LaunchConfig {
-        self.launch_config()
+        let tiles = (self.n / self.tile) as u32;
+        LaunchConfig::grid2d(tiles, tiles, self.tile as u32, self.tile as u32)
     }
 
     fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {

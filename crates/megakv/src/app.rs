@@ -3,9 +3,9 @@
 //! Lazy Persistency.
 
 use crate::batch::{generate_streams, value_of, Batch};
-use crate::kernels::{DeleteKernel, InsertKernel, SearchKernel, OPS_PER_BLOCK};
+use crate::kernels::{BatchKernel, OPS_PER_BLOCK};
 use crate::store::KvStore;
-use gpu_lp::{LpConfig, LpKernel, LpRuntime, Recoverable, ResilientRecovery, ResilientReport};
+use gpu_lp::{LpConfig, LpKernel, LpRuntime, ResilientRecovery, ResilientReport};
 use nvm::PersistMemory;
 use simt::{CrashPlan, Gpu, LaunchStats};
 
@@ -30,6 +30,15 @@ impl OpKind {
             OpKind::Insert => "insert",
             OpKind::Search => "search",
             OpKind::Delete => "delete",
+        }
+    }
+
+    /// Name of the kernel that runs the batch, as `LaunchStats` reports it.
+    pub fn kernel_name(self) -> &'static str {
+        match self {
+            OpKind::Insert => "megakv-insert",
+            OpKind::Search => "megakv-search",
+            OpKind::Delete => "megakv-delete",
         }
     }
 }
@@ -82,35 +91,18 @@ impl MegaKv {
         LpRuntime::setup(mem, blocks, OPS_PER_BLOCK as u64, config)
     }
 
-    /// Builds the kernel for `op`.
-    pub fn kernel<'a>(
+    /// The kernel running `op`'s batch.
+    fn kernel<'a>(
         &'a self,
         op: OpKind,
         lp: Option<&'a LpRuntime>,
-    ) -> Box<dyn Recoverable + 'a> {
-        match op {
-            OpKind::Insert => Box::new(LpKernel::new(
-                InsertKernel {
-                    store: &self.store,
-                    batch: &self.insert,
-                },
-                lp,
-            )),
-            OpKind::Search => Box::new(LpKernel::new(
-                SearchKernel {
-                    store: &self.store,
-                    batch: &self.search,
-                },
-                lp,
-            )),
-            OpKind::Delete => Box::new(LpKernel::new(
-                DeleteKernel {
-                    store: &self.store,
-                    batch: &self.delete,
-                },
-                lp,
-            )),
-        }
+    ) -> LpKernel<'a, BatchKernel<'a>> {
+        let region = BatchKernel {
+            op,
+            store: &self.store,
+            batch: self.batch(op),
+        };
+        LpKernel::new(region, lp)
     }
 
     /// Runs `op` to completion and returns its launch stats.
@@ -122,7 +114,7 @@ impl MegaKv {
         lp: Option<&LpRuntime>,
     ) -> LaunchStats {
         let k = self.kernel(op, lp);
-        gpu.launch(k.as_ref(), mem).expect("launch failed")
+        gpu.launch(&k, mem).expect("launch failed")
     }
 
     /// Runs `op` with a crash injected after `crash_after_stores` global
@@ -137,12 +129,12 @@ impl MegaKv {
     ) -> ResilientReport {
         let k = self.kernel(op, Some(lp));
         let outcome = gpu
-            .launch_with_plan(k.as_ref(), mem, CrashPlan::after_stores(crash_after_stores))
+            .launch_with_plan(&k, mem, CrashPlan::after_stores(crash_after_stores))
             .expect("launch failed");
         if !outcome.crashed() {
             mem.flush_all();
         }
-        ResilientRecovery::new(gpu).recover(k.as_ref(), lp, mem)
+        ResilientRecovery::new(gpu).recover(&k, lp, mem)
     }
 
     /// After the insert batch: every key present with its derived value.

@@ -1,4 +1,4 @@
-//! The three batched KV kernels (insert / search / delete), each an LP
+//! One batched KV operation (insert / search / delete) as an LP
 //! [`Region`]: [`gpu_lp::LpKernel`] runs it with or without Lazy
 //! Persistency instrumentation and recovers it after a crash.
 //!
@@ -8,6 +8,7 @@
 //! whose effects did not fully persist fails validation and is re-executed
 //! — all three operations are idempotent.
 
+use crate::app::OpKind;
 use crate::batch::Batch;
 use crate::store::{KvStore, EMPTY, NOT_FOUND, TOMBSTONE};
 use gpu_lp::checksum::read_back_images;
@@ -21,29 +22,23 @@ pub const OPS_PER_BLOCK: u32 = 256;
 /// Store image recorded by a delete op once the key is gone.
 const DELETED_IMAGE: u64 = 0xDE1E_7E00_0000_0001;
 
-fn launch_for(batch: &Batch) -> LaunchConfig {
-    LaunchConfig::linear(batch.len() as u64, OPS_PER_BLOCK)
-}
-
-/// Batched insert: `store[key] = value_of(key)`.
+/// One batched operation over the store:
+/// - insert: `store[key] = value_of(key)`;
+/// - search: `out[i] = store[key[i]]` (or [`NOT_FOUND`]), results landing
+///   in `batch.out`;
+/// - delete: tombstones the key's slot.
 #[derive(Debug)]
-pub struct InsertKernel<'a> {
+pub struct BatchKernel<'a> {
+    /// Which operation every thread of the batch runs.
+    pub op: OpKind,
     /// The device hash table.
     pub store: &'a KvStore,
     /// The operation batch.
     pub batch: &'a Batch,
 }
 
-impl Region for InsertKernel<'_> {
-    fn name(&self) -> &str {
-        "megakv-insert"
-    }
-
-    fn config(&self) -> LaunchConfig {
-        launch_for(self.batch)
-    }
-
-    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+impl BatchKernel<'_> {
+    fn insert(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
         for t in 0..ctx.threads_per_block() {
             ctx.set_active_thread(t);
             let i = ctx.global_thread_id(t);
@@ -77,7 +72,47 @@ impl Region for InsertKernel<'_> {
         }
     }
 
-    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+    fn search(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        for t in 0..ctx.threads_per_block() {
+            ctx.set_active_thread(t);
+            let i = ctx.global_thread_id(t);
+            if i >= self.batch.len() as u64 {
+                continue;
+            }
+            let key = ctx.load_u64(self.batch.keys.index(i, 8));
+            let mut result = NOT_FOUND;
+            // Hashing + signature comparison + result marshalling per op.
+            ctx.charge_alu(900);
+            if let Some(value_addr) = self.store.probe(ctx, key, |_, k, _| k == key) {
+                result = ctx.load_u64(value_addr);
+            }
+            lp.store_u64(ctx, t, self.batch.out.index(i, 8), result);
+        }
+    }
+
+    fn delete(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        for t in 0..ctx.threads_per_block() {
+            ctx.set_active_thread(t);
+            let i = ctx.global_thread_id(t);
+            if i >= self.batch.len() as u64 {
+                continue;
+            }
+            let key = ctx.load_u64(self.batch.keys.index(i, 8));
+            // Hashing + signature match per op (deletes skip the value path).
+            ctx.charge_alu(600);
+            self.store.probe(ctx, key, |ctx, k, kaddr| {
+                if k == key {
+                    lp.atomic_cas_u64(ctx, kaddr, key, TOMBSTONE);
+                }
+                k == key
+            });
+            // Post-state image: the key is absent, whether or not it was
+            // ever present (deletes are idempotent).
+            lp.update(ctx, t, DELETED_IMAGE);
+        }
+    }
+
+    fn insert_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = OPS_PER_BLOCK as u64;
         for t in 0..tpb {
             let i = block * tpb + t;
@@ -102,93 +137,15 @@ impl Region for InsertKernel<'_> {
         // The kernel folded (key, value) per op: the read-back pair stream
         // is in the same order.
     }
-}
 
-/// Batched search: `out[i] = store[key[i]]` (or [`NOT_FOUND`]).
-#[derive(Debug)]
-pub struct SearchKernel<'a> {
-    /// The device hash table.
-    pub store: &'a KvStore,
-    /// The operation batch (results land in `batch.out`).
-    pub batch: &'a Batch,
-}
-
-impl Region for SearchKernel<'_> {
-    fn name(&self) -> &str {
-        "megakv-search"
-    }
-
-    fn config(&self) -> LaunchConfig {
-        launch_for(self.batch)
-    }
-
-    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
-        for t in 0..ctx.threads_per_block() {
-            ctx.set_active_thread(t);
-            let i = ctx.global_thread_id(t);
-            if i >= self.batch.len() as u64 {
-                continue;
-            }
-            let key = ctx.load_u64(self.batch.keys.index(i, 8));
-            let mut result = NOT_FOUND;
-            // Hashing + signature comparison + result marshalling per op.
-            ctx.charge_alu(900);
-            if let Some(value_addr) = self.store.probe(ctx, key, |_, k, _| k == key) {
-                result = ctx.load_u64(value_addr);
-            }
-            lp.store_u64(ctx, t, self.batch.out.index(i, 8), result);
-        }
-    }
-
-    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+    fn search_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = OPS_PER_BLOCK as u64;
         let first = block * tpb;
         let count = tpb.min((self.batch.len() as u64).saturating_sub(first));
         read_back_images::<1, 8>(mem, [self.batch.out.index(first, 8)], count, images);
     }
-}
 
-/// Batched delete: tombstones the key's slot.
-#[derive(Debug)]
-pub struct DeleteKernel<'a> {
-    /// The device hash table.
-    pub store: &'a KvStore,
-    /// The operation batch.
-    pub batch: &'a Batch,
-}
-
-impl Region for DeleteKernel<'_> {
-    fn name(&self) -> &str {
-        "megakv-delete"
-    }
-
-    fn config(&self) -> LaunchConfig {
-        launch_for(self.batch)
-    }
-
-    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
-        for t in 0..ctx.threads_per_block() {
-            ctx.set_active_thread(t);
-            let i = ctx.global_thread_id(t);
-            if i >= self.batch.len() as u64 {
-                continue;
-            }
-            let key = ctx.load_u64(self.batch.keys.index(i, 8));
-            // Hashing + signature match per op (deletes skip the value path).
-            ctx.charge_alu(600);
-            self.store.probe(ctx, key, |ctx, k, kaddr| {
-                if k == key {
-                    lp.atomic_cas_u64(ctx, kaddr, key, TOMBSTONE);
-                }
-                k == key
-            });
-            // Post-state image: the key is absent, whether or not it was
-            // ever present (deletes are idempotent).
-            lp.update(ctx, t, DELETED_IMAGE);
-        }
-    }
-
-    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+    fn delete_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
         let tpb = OPS_PER_BLOCK as u64;
         for t in 0..tpb {
             let i = block * tpb + t;
@@ -202,6 +159,32 @@ impl Region for DeleteKernel<'_> {
                 None => DELETED_IMAGE,
                 Some(_) => key,
             });
+        }
+    }
+}
+
+impl Region for BatchKernel<'_> {
+    fn name(&self) -> &str {
+        self.op.kernel_name()
+    }
+
+    fn config(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.batch.len() as u64, OPS_PER_BLOCK)
+    }
+
+    fn run_region(&self, ctx: &mut BlockCtx<'_>, lp: &mut LpBlockSession<'_>) {
+        match self.op {
+            OpKind::Insert => self.insert(ctx, lp),
+            OpKind::Search => self.search(ctx, lp),
+            OpKind::Delete => self.delete(ctx, lp),
+        }
+    }
+
+    fn region_images(&self, mem: &mut PersistMemory, block: u64, images: &mut Vec<u64>) {
+        match self.op {
+            OpKind::Insert => self.insert_images(mem, block, images),
+            OpKind::Search => self.search_images(mem, block, images),
+            OpKind::Delete => self.delete_images(mem, block, images),
         }
     }
 }
@@ -227,7 +210,8 @@ mod tests {
         let ins = Batch::upload(&mut mem, keys.clone());
         gpu.launch(
             &LpKernel::new(
-                InsertKernel {
+                BatchKernel {
+                    op: OpKind::Insert,
                     store: &store,
                     batch: &ins,
                 },
@@ -239,7 +223,8 @@ mod tests {
         let se = Batch::upload(&mut mem, keys.clone());
         gpu.launch(
             &LpKernel::new(
-                SearchKernel {
+                BatchKernel {
+                    op: OpKind::Search,
                     store: &store,
                     batch: &se,
                 },
@@ -263,7 +248,8 @@ mod tests {
         let se = Batch::upload(&mut mem, vec![9999]);
         gpu.launch(
             &LpKernel::new(
-                SearchKernel {
+                BatchKernel {
+                    op: OpKind::Search,
                     store: &store,
                     batch: &se,
                 },
@@ -282,7 +268,8 @@ mod tests {
         let ins = Batch::upload(&mut mem, keys.clone());
         gpu.launch(
             &LpKernel::new(
-                InsertKernel {
+                BatchKernel {
+                    op: OpKind::Insert,
                     store: &store,
                     batch: &ins,
                 },
@@ -295,7 +282,8 @@ mod tests {
         let del = Batch::upload(&mut mem, dels.clone());
         gpu.launch(
             &LpKernel::new(
-                DeleteKernel {
+                BatchKernel {
+                    op: OpKind::Delete,
                     store: &store,
                     batch: &del,
                 },
@@ -319,7 +307,8 @@ mod tests {
         let (gpu, mut mem, store) = world(64);
         let ins = Batch::upload(&mut mem, (1..=64).collect());
         let k = LpKernel::new(
-            InsertKernel {
+            BatchKernel {
+                op: OpKind::Insert,
                 store: &store,
                 batch: &ins,
             },

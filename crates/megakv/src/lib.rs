@@ -4,8 +4,8 @@
 //! Keys and values are 64-bit; the store is a bucketed open hash table in
 //! device memory. Operations arrive in batches (the MEGA-KV pipeline
 //! model): one GPU thread per operation, thread blocks of 256 operations.
-//! Three kernels — [`kernels::InsertKernel`], [`kernels::SearchKernel`],
-//! [`kernels::DeleteKernel`] — are LP regions that each run with Lazy
+//! One kernel, [`kernels::BatchKernel`], runs an insert, search or delete
+//! batch ([`app::OpKind`]); it is an LP region that runs with Lazy
 //! Persistency instrumentation under [`gpu_lp::LpKernel`], making the
 //! store contents crash-recoverable without a single persist instruction.
 //!

@@ -2,8 +2,9 @@
 //! crash point and batch mix, recovery must restore exactly the state a
 //! crash-free pipeline would have produced.
 
-use gpu_lp::{LpConfig, ResilientRecovery};
+use gpu_lp::{LpConfig, LpKernel, ResilientRecovery};
 use megakv::app::OpKind;
+use megakv::kernels::BatchKernel;
 use megakv::MegaKv;
 use nvm::{FaultConfig, NvmConfig, PersistMemory};
 use proptest::prelude::*;
@@ -69,11 +70,13 @@ proptest! {
             transient_persist_bp: transient_bp,
             ..FaultConfig::none(fault_seed)
         }));
-        let kernel = app.kernel(OpKind::Insert, Some(&rt));
-        gpu.launch(kernel.as_ref(), &mut mem).expect("launch");
+        let op = OpKind::Insert;
+        let region = BatchKernel { op, store: app.store(), batch: app.batch(op) };
+        let kernel = LpKernel::new(region, Some(&rt));
+        gpu.launch(&kernel, &mut mem).expect("launch");
         mem.crash();
         mem.power_on();
-        let report = ResilientRecovery::new(&gpu).recover(kernel.as_ref(), &rt, &mut mem);
+        let report = ResilientRecovery::new(&gpu).recover(&kernel, &rt, &mut mem);
         prop_assert!(report.all_durable, "no convergence: {report:?}");
         mem.set_fault_config(None);
         mem.crash();

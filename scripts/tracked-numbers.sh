@@ -104,6 +104,10 @@ row "'fn *world*(' definitions (crates src tests examples):" "$(all_rs_lines_wit
 row "'LpRuntime::setup(' call sites outside crates/core:" "$({ grep -rF --include='*.rs' 'LpRuntime::setup(' crates src tests examples || true; } | grep -vc '^crates/core/')"
 # A kernel opens and closes its LP session only through `gpu_lp::LpKernel`.
 row "'LpBlockSession::begin*' / '.finalize(' call sites outside crates/core:" "$({ grep -rE --include='*.rs' --exclude-dir=vendor 'LpBlockSession::begin|\.finalize\(' crates src tests examples || true; } | grep -vc '^crates/core/')"
+# A subject is one `Region`: `Workload` provides `launch_config` and
+# `kernel` once, and MEGA-KV's three batch operations are one region.
+row "'fn launch_config(' / 'fn kernel<' definitions (kernels/src non-test):" "$(src_code_lines 'fn launch_config\(' '' crates/kernels/src) / $(src_code_lines 'fn kernel<' '' crates/kernels/src)"
+row "'impl Region for' (megakv/src non-test):" "$(src_code_lines 'impl(<[^>]*>)? Region for' '' crates/megakv/src)"
 row "'impl Recoverable for' (crates/*/src non-test):" "$(src_code_lines 'impl(<[^>]*>)? Recoverable for')"
 # A read-back appends to recovery's one buffer (`Region::region_images(mem,
 # block, images)`); the runtime digests and compares in place.
